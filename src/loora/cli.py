@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 1 failed verification checks, 2 schema or
 configuration errors, 3 numeric errors (singular leverage, rank deficiency,
-enumeration guards), each with a diagnostic on stderr.
+enumeration guards, non-finite results), each with a diagnostic on stderr.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from .exceptions import (
     InvalidSpec,
     LeverageSingular,
     LooraError,
+    NonFinite,
     ParameterOutOfRange,
     RankDeficient,
     SchemaError,
@@ -45,7 +46,7 @@ from .verify import CORE_CHECKS, OPTIONAL_CHECKS, run_checks
 CONFIG_SCHEMA_VERSION = 1
 
 _SCHEMA_ERRORS = (SchemaError, InvalidSpec, InvalidInput, SpecMismatch)
-_NUMERIC_ERRORS = (LeverageSingular, RankDeficient, TooLarge, ParameterOutOfRange)
+_NUMERIC_ERRORS = (LeverageSingular, RankDeficient, NonFinite, TooLarge, ParameterOutOfRange)
 
 
 def parse_lambda(text: str) -> LambdaRule:
@@ -155,10 +156,7 @@ def cmd_estimate(args) -> int:
     else:
         raise SchemaError(f"design must be simple or complete, got {design!r}")
 
-    d = dataset.d
-    z = 2.0 * d - 1.0
-    q = spec.p * d + (1.0 - spec.p) * (1.0 - d) if isinstance(spec, SimpleDesign) else None
-    sample = ObservedSample(dataset.x, dataset.y, Assignment(d=d, z=z, q=q), spec)
+    sample = ObservedSample(dataset.x, dataset.y, Assignment.from_d(dataset.d), spec)
 
     method = Method(_setting(args, config, "method", "LOORA_HT"))
     rule = parse_lambda(_setting(args, config, "lambda", "auto:2"))
@@ -379,7 +377,9 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--level", type=float)
     sim.add_argument("--seed", type=int)
     sim.add_argument("--lambda", dest="lambda_", help="fixed:<v> or auto:<c>")
-    sim.add_argument("--threads", type=int, help="worker threads (or LOORA_THREADS)")
+    sim.add_argument(
+        "--threads", type=int, help="accepted for compatibility; has no effect (or LOORA_THREADS)"
+    )
     sim.add_argument("--out", help="machine-readable report path (JSON lines)")
     sim.add_argument("--allow-design-mismatch", action="store_true")
     sim.set_defaults(func=cmd_simulate)

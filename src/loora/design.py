@@ -76,14 +76,17 @@ DesignSpec = Union[SimpleDesign, CompleteDesign]
 class Assignment:
     """One realized treatment assignment.
 
-    d is the 0/1 indicator vector, z = 2d - 1 its signed version, and q (for
-    simple designs only) the per-unit probability of the realized arm,
-    q_i = p_i d_i + (1 - p_i)(1 - d_i).
+    d is the 0/1 indicator vector and z = 2d - 1 its signed version.
     """
 
     d: np.ndarray
     z: np.ndarray
-    q: np.ndarray | None = None
+
+    @classmethod
+    def from_d(cls, d) -> "Assignment":
+        """The assignment with indicator vector d."""
+        d = np.asarray(d, dtype=np.float64)
+        return cls(d=d, z=2.0 * d - 1.0)
 
     @property
     def n(self) -> int:
@@ -92,15 +95,6 @@ class Assignment:
     @property
     def n_treated(self) -> int:
         return int(self.d.sum())
-
-
-def _assignment_from_d(d: np.ndarray, spec: DesignSpec) -> Assignment:
-    d = d.astype(np.float64)
-    z = 2.0 * d - 1.0
-    q = None
-    if isinstance(spec, SimpleDesign):
-        q = spec.p * d + (1.0 - spec.p) * (1.0 - d)
-    return Assignment(d=d, z=z, q=q)
 
 
 def draw_with(spec: DesignSpec, rng: np.random.Generator) -> Assignment:
@@ -112,7 +106,7 @@ def draw_with(spec: DesignSpec, rng: np.random.Generator) -> Assignment:
         d[rng.permutation(spec.n)[: spec.n_t]] = 1.0
     else:
         raise InvalidSpec(f"unknown design spec {spec!r}")
-    return _assignment_from_d(d, spec)
+    return Assignment.from_d(d)
 
 
 def draw(spec: DesignSpec, seed: int) -> Assignment:
@@ -153,7 +147,7 @@ def enumerate_assignments(spec: DesignSpec) -> Iterator[tuple[Assignment, float]
                 ((bits >> (n - 1 - i)) & 1 for i in range(n)), dtype=np.float64, count=n
             )
             prob = math.prod(p[i] if d[i] else 1.0 - p[i] for i in range(n))
-            yield _assignment_from_d(d, spec), prob
+            yield Assignment.from_d(d), prob
     elif isinstance(spec, CompleteDesign):
         n, n_t = spec.n, spec.n_t
         total = math.comb(n, n_t)
@@ -167,6 +161,6 @@ def enumerate_assignments(spec: DesignSpec) -> Iterator[tuple[Assignment, float]
             d = np.fromiter(
                 ((mask >> (n - 1 - i)) & 1 for i in range(n)), dtype=np.float64, count=n
             )
-            yield _assignment_from_d(d, spec), prob
+            yield Assignment.from_d(d), prob
     else:
         raise InvalidSpec(f"unknown design spec {spec!r}")

@@ -16,15 +16,14 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .design import Assignment, CompleteDesign, DesignSpec, SimpleDesign
-from .exceptions import InvalidInput, RankDeficient, SpecMismatch
+from .exceptions import InvalidInput, SpecMismatch
 from .linalg import (
+    RidgeFit,
     as_design_matrix,
     as_vector,
     check_loo_feasible,
-    gram_inverse,
     leverage_regularizer,
     ridge_fit,
 )
@@ -174,6 +173,11 @@ class LooraHtParts:
     z: np.ndarray
 
 
+def realized_arm_probability(p: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """q_i = p_i d_i + (1 - p_i)(1 - d_i), the probability of the arm unit i got."""
+    return p * d + (1.0 - p) * (1.0 - d)
+
+
 def reweighted_outcomes_ht(y, d, p) -> np.ndarray:
     """Per-unit rescaled outcomes whose expectation is the HT signal vector.
 
@@ -185,21 +189,24 @@ def reweighted_outcomes_ht(y, d, p) -> np.ndarray:
     return np.where(d == 1.0, treated_scale, control_scale) * y
 
 
-def loora_ht_parts(s: ObservedSample, rule: LambdaRule = DEFAULT_LAMBDA_RULE) -> LooraHtParts:
-    """Run LOORA-HT and keep the pieces confidence intervals need."""
+def _loora_ht_setup(s: ObservedSample, rule: LambdaRule):
+    """Shared set-up of both LOORA-HT paths: (r, xw, yw, lam, q)."""
     spec = _require_simple(s, "LOORA_HT")
-    d, z, y, p = s.assignment.d, s.assignment.z, s.y, spec.p
-    q = p * d + (1.0 - p) * (1.0 - d)
+    d, p = s.assignment.d, spec.p
     r = np.sqrt(p * (1.0 - p))
     xw = s.x / r[:, None]
-    yw = reweighted_outcomes_ht(y, d, p)
-    lam = rule.resolve(xw)
+    yw = reweighted_outcomes_ht(s.y, d, p)
+    return r, xw, yw, rule.resolve(xw), realized_arm_probability(p, d)
+
+
+def loora_ht_parts(s: ObservedSample, rule: LambdaRule = DEFAULT_LAMBDA_RULE) -> LooraHtParts:
+    """Run LOORA-HT and keep the pieces confidence intervals need."""
+    r, xw, yw, lam, q = _loora_ht_setup(s, rule)
+    z = s.assignment.z
     fit = ridge_fit(xw, yw, lam)
-    check_loo_feasible(fit.hat_diag)
-    loo_resid = (yw - xw @ fit.beta) / (1.0 - fit.hat_diag)
     # x_i' beta^{(-i)} with the raw row x_i = r_i * (x_i / r_i)
-    adjustment = r * (yw - loo_resid)
-    tau_hat = math.fsum(z / q * (y - adjustment)) / s.n
+    adjustment = r * fit.loo_fitted()
+    tau_hat = math.fsum(z / q * (s.y - adjustment)) / s.n
     return LooraHtParts(
         tau_hat=tau_hat, lam=lam, xw=xw, yw=yw, beta=fit.beta, hat_diag=fit.hat_diag, q=q, z=z
     )
@@ -217,13 +224,8 @@ def estimate_loora_ht(
     """
     if not refit:
         return loora_ht_parts(s, rule).tau_hat
-    spec = _require_simple(s, "LOORA_HT")
-    d, z, y, p = s.assignment.d, s.assignment.z, s.y, spec.p
-    q = p * d + (1.0 - p) * (1.0 - d)
-    r = np.sqrt(p * (1.0 - p))
-    xw = s.x / r[:, None]
-    yw = reweighted_outcomes_ht(y, d, p)
-    lam = rule.resolve(xw)
+    _, xw, yw, lam, q = _loora_ht_setup(s, rule)
+    z, y = s.assignment.z, s.y
     terms = []
     for i in range(s.n):
         sub = np.delete(xw, i, axis=0)
@@ -263,32 +265,36 @@ class LooraDmParts:
     hat_diag: np.ndarray
 
 
+def _loora_dm_setup(s: ObservedSample, rule: LambdaRule, allow_design_mismatch: bool):
+    """Shared set-up of both LOORA-DM paths: (n_t, n_c, responses, lam, v).
+
+    Column 0 of the (n, 2) responses is regressed when the removed unit is
+    treated, column 1 when it is a control; v holds the arm weights 1/n_arm.
+    """
+    n_t, n_c = _group_counts(s, "LOORA_DM", allow_design_mismatch)
+    d = s.assignment.d
+    responses = np.column_stack(dm_response_weights(n_t, n_c, d)) * s.y[:, None]
+    v = np.where(d == 1.0, 1.0 / n_t, 1.0 / n_c)
+    return n_t, n_c, responses, rule.resolve(s.x), v
+
+
 def loora_dm_parts(
     s: ObservedSample,
     rule: LambdaRule = DEFAULT_LAMBDA_RULE,
     allow_design_mismatch: bool = False,
 ) -> LooraDmParts:
     """Run LOORA-DM and keep the pieces confidence intervals need."""
-    n_t, n_c = _group_counts(s, "LOORA_DM", allow_design_mismatch)
-    d, z, y, x, n = s.assignment.d, s.assignment.z, s.y, s.x, s.n
-    weights_t, weights_c = dm_response_weights(n_t, n_c, d)
-    resp_treated = weights_t * y
-    resp_control = weights_c * y
-    lam = rule.resolve(x)
-    fit_t = ridge_fit(x, resp_treated, lam)
-    fit_c = ridge_fit(x, resp_control, lam)
-    h = fit_t.hat_diag
-    check_loo_feasible(h)
-    # x_i' beta^{(-i)} = (x_i' beta - h_i * resp_i) / (1 - h_i); the removed
-    # unit's own response entry cancels exactly, so the zero placeholders in
-    # the scalings are never read.
-    adj_t = (x @ fit_t.beta - h * resp_treated) / (1.0 - h)
-    adj_c = (x @ fit_c.beta - h * resp_control) / (1.0 - h)
-    adjustment = np.where(d == 1.0, adj_t, adj_c)
-    u = y - adjustment
-    v = np.where(d == 1.0, 1.0 / n_t, 1.0 / n_c)
-    tau_hat = math.fsum(v * z * u)
-    return LooraDmParts(tau_hat=tau_hat, lam=lam, u=u, n_t=n_t, n_c=n_c, d=d, hat_diag=h)
+    n_t, n_c, responses, lam, v = _loora_dm_setup(s, rule, allow_design_mismatch)
+    d = s.assignment.d
+    fit = ridge_fit(s.x, responses, lam)
+    # The removed unit's own response entry cancels in loo_fitted, so the
+    # zero placeholders in the scalings are never read.
+    loo = fit.loo_fitted()
+    u = s.y - np.where(d == 1.0, loo[:, 0], loo[:, 1])
+    tau_hat = math.fsum(v * s.assignment.z * u)
+    return LooraDmParts(
+        tau_hat=tau_hat, lam=lam, u=u, n_t=n_t, n_c=n_c, d=d, hat_diag=fit.hat_diag
+    )
 
 
 def estimate_loora_dm(
@@ -312,16 +318,11 @@ def estimate_loora_dm(
     """
     if not refit:
         return loora_dm_parts(s, rule, allow_design_mismatch).tau_hat
-    n_t, n_c = _group_counts(s, "LOORA_DM", allow_design_mismatch)
+    _, _, responses, lam, v = _loora_dm_setup(s, rule, allow_design_mismatch)
     d, z, y, x = s.assignment.d, s.assignment.z, s.y, s.x
-    weights_t, weights_c = dm_response_weights(n_t, n_c, d)
-    resp_treated = weights_t * y
-    resp_control = weights_c * y
-    lam = rule.resolve(x)
-    v = np.where(d == 1.0, 1.0 / n_t, 1.0 / n_c)
     terms = []
     for i in range(s.n):
-        resp = resp_treated if d[i] == 1.0 else resp_control
+        resp = responses[:, 0] if d[i] == 1.0 else responses[:, 1]
         fit = ridge_fit(np.delete(x, i, axis=0), np.delete(resp, i), lam)
         terms.append(v[i] * z[i] * (y[i] - x[i] @ fit.beta))
     return math.fsum(terms)
@@ -350,11 +351,12 @@ def estimate_loora_dm_pairwise(
     a_t = n_c * (n - 1) / ((n_t - 1) * n) if n_t > 1 else 0.0
     a_c = n_t * (n - 1) / ((n_c - 1) * n) if n_c > 1 else 0.0
     yu = np.where(d == 1.0, a_t, a_c) * y
-    inv = gram_inverse(x, lam)
-    h = np.einsum("ij,jk,ik->i", x, inv, x)
+    fit = ridge_fit(x, yu, lam)
+    h = fit.hat_diag
     check_loo_feasible(h)
-    # Row i of drop_one: x_i' (X_{-i}'X_{-i} + lam I)^{-1}, by Sherman-Morrison.
-    base = x @ inv
+    # Row i of drop_one: x_i' (X_{-i}'X_{-i} + lam I)^{-1}, by Sherman-Morrison;
+    # row i of z' is x_i' (X'X + lam I)^{-1}.
+    base = fit.z.T
     drop_one = base + base * (h / (1.0 - h))[:, None]
     xty = x.T @ yu
     treated_idx = np.nonzero(d == 1.0)[0]
@@ -368,13 +370,6 @@ def estimate_loora_dm_pairwise(
     return math.fsum(terms) / (n_t * n_c)
 
 
-def _ols_treatment_coef(m: np.ndarray, y: np.ndarray) -> float:
-    beta, _, rank, _ = np.linalg.lstsq(m, y, rcond=None)
-    if rank < m.shape[1]:
-        raise RankDeficient("benchmark regression design is rank-deficient")
-    return float(beta[1])
-
-
 def adj_design(s: ObservedSample) -> np.ndarray:
     """Design matrix [1, d, X] of the classic adjusted benchmark."""
     return np.column_stack([np.ones(s.n), s.assignment.d, s.x])
@@ -386,16 +381,36 @@ def int_design(s: ObservedSample) -> np.ndarray:
     return np.column_stack([np.ones(s.n), s.assignment.d, xc, s.assignment.d[:, None] * xc])
 
 
+def benchmark_fit(
+    method: Method,
+    s: ObservedSample,
+    rule: LambdaRule = DEFAULT_LAMBDA_RULE,
+    allow_design_mismatch: bool = False,
+) -> RidgeFit:
+    """The regression of y behind ADJ, INT or RIDGE_REG; the estimate is beta[1].
+
+    ADJ and INT are unpenalized least squares on their designs. RIDGE_REG
+    penalizes only the X columns of [1, d, X], with the leverage rule applied
+    to the covariate block, so the last entry of the fit's per-column penalty
+    is the lambda used (zero for ADJ and INT).
+    """
+    method = Method(method)
+    _group_counts(s, method.value, allow_design_mismatch)
+    m = int_design(s) if method is Method.INT else adj_design(s)
+    penalty = np.zeros(m.shape[1])
+    if method is Method.RIDGE_REG:
+        penalty[2:] = rule.resolve(s.x)
+    return ridge_fit(m, s.y, penalty)
+
+
 def estimate_adj(s: ObservedSample, allow_design_mismatch: bool = False) -> float:
     """Classic regression adjustment: coefficient on d in y ~ [1, d, X]."""
-    _group_counts(s, "ADJ", allow_design_mismatch)
-    return _ols_treatment_coef(adj_design(s), s.y)
+    return float(benchmark_fit(Method.ADJ, s, allow_design_mismatch=allow_design_mismatch).beta[1])
 
 
 def estimate_int(s: ObservedSample, allow_design_mismatch: bool = False) -> float:
     """Interacted regression adjustment with full-sample-centered covariates."""
-    _group_counts(s, "INT", allow_design_mismatch)
-    return _ols_treatment_coef(int_design(s), s.y)
+    return float(benchmark_fit(Method.INT, s, allow_design_mismatch=allow_design_mismatch).beta[1])
 
 
 def estimate_ridge_reg(
@@ -408,16 +423,7 @@ def estimate_ridge_reg(
     The intercept and the treatment coefficient stay unpenalized; the penalty
     comes from the same leverage rule applied to the covariate block.
     """
-    _group_counts(s, "RIDGE_REG", allow_design_mismatch)
-    m = adj_design(s)
-    lam = rule.resolve(s.x)
-    penalty = np.zeros(m.shape[1])
-    penalty[2:] = lam
-    try:
-        beta = scipy.linalg.solve(m.T @ m + np.diag(penalty), m.T @ s.y, assume_a="sym")
-    except scipy.linalg.LinAlgError as exc:
-        raise RankDeficient(str(exc)) from exc
-    return float(beta[1])
+    return float(benchmark_fit(Method.RIDGE_REG, s, rule, allow_design_mismatch).beta[1])
 
 
 def estimate(

@@ -37,6 +37,22 @@ class LeverageSingular(LooraError):
         )
 
 
+class NonFinite(LooraError):
+    """A finite input drove a computed quantity out of the floating-point range.
+
+    Carries the method and the stage (point estimate or variance) that
+    overflowed.
+    """
+
+    def __init__(self, method: str, stage: str):
+        self.method = method
+        self.stage = stage
+        super().__init__(
+            f"{method} {stage} is not finite; the inputs are too large in magnitude "
+            "for double precision"
+        )
+
+
 class TooLarge(LooraError):
     """Exhaustive enumeration was requested beyond the guard rails."""
 

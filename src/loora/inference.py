@@ -20,16 +20,14 @@ from .estimators import (
     LambdaRule,
     Method,
     ObservedSample,
-    _group_counts,
-    adj_design,
+    benchmark_fit,
     estimate_dm,
     estimate_ht,
-    int_design,
     loora_dm_parts,
     loora_ht_parts,
+    realized_arm_probability,
 )
-from .exceptions import InvalidInput, RankDeficient, SpecMismatch
-from .linalg import as_design_matrix
+from .exceptions import InvalidInput, NonFinite, SpecMismatch
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -188,30 +186,6 @@ def hw_variance_dm(
     return _dm_hw_variance_from_parts(loora_dm_parts(s, rule, allow_design_mismatch))
 
 
-def _penalized_bread(m: np.ndarray, penalty: np.ndarray) -> np.ndarray:
-    """(M'M + diag(penalty))^{-1}, surfacing singular designs as RankDeficient."""
-    m = as_design_matrix(m)
-    gram = m.T @ m + np.diag(penalty)
-    if np.all(penalty == 0.0) and np.linalg.matrix_rank(m) < m.shape[1]:
-        raise RankDeficient("benchmark regression design is rank-deficient")
-    try:
-        return np.linalg.inv(gram)
-    except np.linalg.LinAlgError as exc:
-        raise RankDeficient(str(exc)) from exc
-
-
-def _penalized_coef_and_sandwich(
-    m: np.ndarray, y: np.ndarray, penalty: np.ndarray, idx: int
-) -> tuple[float, float]:
-    """One coefficient of a (possibly penalized) regression and its HC0 variance."""
-    bread = _penalized_bread(m, penalty)
-    coef = bread @ (m.T @ y)
-    resid = y - m @ coef
-    meat = m.T @ (m * (resid**2)[:, None])
-    cov = bread @ meat @ bread
-    return float(coef[idx]), float(cov[idx, idx])
-
-
 def estimate_with_ci(
     method: Method,
     s: ObservedSample,
@@ -219,42 +193,45 @@ def estimate_with_ci(
     level: float = 0.95,
     allow_design_mismatch: bool = False,
 ) -> EstimateReport:
-    """Point estimate, HC0 variance, and confidence interval for any method."""
+    """Point estimate, HC0 variance, and confidence interval for any method.
+
+    Raises NonFinite, naming the method and the stage, when the point
+    estimate or the variance leaves the floating-point range (for example on
+    outcomes of magnitude 1e200, whose squares overflow).
+    """
     method = Method(method)
     lam_used = 0.0
-    if method is Method.HT:
-        tau = estimate_ht(s)
-        p = s.spec.p
-        q = p * s.assignment.d + (1.0 - p) * (1.0 - s.assignment.d)
-        resid = s.y / q - s.assignment.z * tau
-        var = math.fsum(resid**2) / s.n**2
-    elif method is Method.DM:
-        tau = estimate_dm(s, allow_design_mismatch)
-        _, _, var = _two_column_sandwich(s.y, s.assignment.d)
-    elif method is Method.LOORA_HT:
-        parts = loora_ht_parts(s, rule)
-        tau, lam_used = parts.tau_hat, parts.lam
-        var = math.fsum(_ht_hw_residuals(s, parts) ** 2) / s.n**2
-    elif method is Method.LOORA_DM:
-        parts = loora_dm_parts(s, rule, allow_design_mismatch)
-        tau, lam_used = parts.tau_hat, parts.lam
-        var = _dm_hw_variance_from_parts(parts)
-    elif method in (Method.ADJ, Method.INT, Method.RIDGE_REG):
-        _group_counts(s, method.value, allow_design_mismatch)
-        if method is Method.ADJ:
-            m = adj_design(s)
-            penalty = np.zeros(m.shape[1])
-        elif method is Method.INT:
-            m = int_design(s)
-            penalty = np.zeros(m.shape[1])
-        else:
-            m = adj_design(s)
-            lam_used = rule.resolve(s.x)
-            penalty = np.zeros(m.shape[1])
-            penalty[2:] = lam_used
-        tau, var = _penalized_coef_and_sandwich(m, s.y, penalty, 1)
-    else:  # pragma: no cover - exhaustive above
-        raise InvalidInput(f"unknown method {method!r}")
+    tau = None
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            if method is Method.HT:
+                tau = estimate_ht(s)
+                q = realized_arm_probability(s.spec.p, s.assignment.d)
+                resid = s.y / q - s.assignment.z * tau
+                var = math.fsum(resid**2) / s.n**2
+            elif method is Method.DM:
+                tau = estimate_dm(s, allow_design_mismatch)
+                _, _, var = _two_column_sandwich(s.y, s.assignment.d)
+            elif method is Method.LOORA_HT:
+                parts = loora_ht_parts(s, rule)
+                tau, lam_used = parts.tau_hat, parts.lam
+                var = math.fsum(_ht_hw_residuals(s, parts) ** 2) / s.n**2
+            elif method is Method.LOORA_DM:
+                parts = loora_dm_parts(s, rule, allow_design_mismatch)
+                tau, lam_used = parts.tau_hat, parts.lam
+                var = _dm_hw_variance_from_parts(parts)
+            else:
+                fit = benchmark_fit(method, s, rule, allow_design_mismatch)
+                tau, lam_used = float(fit.beta[1]), float(fit.lam[-1])
+                # HC0: the coefficient is z[1] . y, so its variance is sum r_i^2 z[1, i]^2.
+                var = math.fsum((fit.z[1] * (s.y - fit.x @ fit.beta)) ** 2)
+    except OverflowError:
+        # math.fsum refuses partial sums beyond the float range
+        var = math.inf
+    if tau is None or not math.isfinite(tau):
+        raise NonFinite(method.value, "point estimate")
+    if not math.isfinite(var):
+        raise NonFinite(method.value, "variance")
     low, high = confidence_interval(tau, var, level)
     return EstimateReport(
         method=method,

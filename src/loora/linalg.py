@@ -11,6 +11,7 @@ n >= 1 and k >= 1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,57 +56,93 @@ def max_row_norm(x) -> float:
 
 @dataclass(frozen=True)
 class RidgeFit:
-    """Result of a ridge regression solve for one (X, y, lambda).
+    """One factorization of (X'X + Lambda) and what it yields for a response.
 
     Attributes
     ----------
-    lam : float
-        Ridge penalty used.
-    beta : ndarray of shape (k,)
-        Solution of (X'X + lam I) beta = X'y.
+    x : ndarray of shape (n, k)
+        Design matrix.
+    y : ndarray of shape (n,) or (n, m)
+        Response; each column is fit separately against the same factor.
+    lam : float or ndarray of shape (k,)
+        Ridge penalty used: one value for every column, or one per column.
+    beta : ndarray of shape (k,) or (k, m)
+        Solution of (X'X + Lambda) beta = X'y, Lambda = diag(lam).
     hat_diag : ndarray of shape (n,)
-        Ridge leverage scores h_i = x_i' (X'X + lam I)^{-1} x_i.
-    hat_full : ndarray of shape (n, n), optional
-        Full hat matrix X (X'X + lam I)^{-1} X'. Only populated on request;
-        it costs O(n^2) memory.
+        Ridge leverage scores h_i = x_i' (X'X + Lambda)^{-1} x_i.
+    z : ndarray of shape (k, n)
+        (X'X + Lambda)^{-1} X'; column i is the influence of row i on beta.
     """
 
-    lam: float
+    x: np.ndarray
+    y: np.ndarray
+    lam: float | np.ndarray
     beta: np.ndarray
     hat_diag: np.ndarray
-    hat_full: np.ndarray | None = None
+    z: np.ndarray
+
+    @property
+    def hat_full(self) -> np.ndarray:
+        """Full hat matrix X (X'X + Lambda)^{-1} X', built on access (O(n^2) memory)."""
+        return self.x @ self.z
+
+    def loo_fitted(self) -> np.ndarray:
+        """x_i' beta^{(-i)} for every row i, shaped like the response.
+
+        beta^{(-i)} is the fit with row i removed. By the rank-one identity
+        x_i' beta^{(-i)} = (x_i' beta - h_i y_i) / (1 - h_i), so no refit is
+        run; the removed row's own response cancels exactly.
+
+        Raises
+        ------
+        LeverageSingular
+            If some (1 - h_i) <= 1e-12, naming the offending row.
+        """
+        check_loo_feasible(self.hat_diag)
+        h = self.hat_diag if self.y.ndim == 1 else self.hat_diag[:, None]
+        return (_by_column(self.x, self.beta) - h * self.y) / (1.0 - h)
 
 
-def _gram_factor(x: np.ndarray, lam: float):
-    """Cholesky factor of (X'X + lam I), raising RankDeficient when singular."""
-    k = x.shape[1]
-    gram = x.T @ x + lam * np.eye(k)
-    if lam == 0.0 and np.linalg.matrix_rank(x) < k:
-        raise RankDeficient(
-            "design matrix is rank-deficient and lambda = 0; the normal "
-            "equations are singular"
-        )
-    try:
-        return scipy.linalg.cho_factor(gram, lower=False)
-    except scipy.linalg.LinAlgError as exc:
-        # numerically singular even though the SVD rank check passed
-        raise RankDeficient(str(exc)) from exc
+def _by_column(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b taken one contiguous column of b at a time.
+
+    Matrix-matrix and strided products may sum in another order than a
+    contiguous matrix-vector product, so this keeps every response's bits
+    equal to those of a single-response fit.
+    """
+    if b.ndim == 1:
+        return a @ b
+    return np.column_stack([a @ col for col in np.ascontiguousarray(b.T)])
 
 
-def ridge_fit(x, y, lam: float, want_full_hat: bool = False) -> RidgeFit:
-    """Solve a ridge regression and return coefficients plus leverage scores.
+def _as_penalty(lam, k: int) -> float | np.ndarray:
+    """Validate a scalar penalty or a length-k per-column penalty."""
+    if np.ndim(lam) == 0:
+        lam = float(lam)
+        if math.isfinite(lam) and lam >= 0.0:
+            return lam
+    else:
+        lam = np.asarray(lam, dtype=np.float64)
+        if lam.shape != (k,):
+            raise InvalidInput(f"per-column lambda has shape {lam.shape}, expected ({k},)")
+        if np.all(np.isfinite(lam)) and np.all(lam >= 0.0):
+            return lam
+    raise InvalidInput(f"lambda must be finite and nonnegative, got {lam}")
+
+
+def ridge_fit(x, y, lam) -> RidgeFit:
+    """Solve a ridge regression from one Cholesky factorization.
 
     Parameters
     ----------
     x : array_like of shape (n, k)
         Design matrix.
-    y : array_like of shape (n,)
-        Response vector.
-    lam : float
-        Nonnegative ridge penalty. At lam = 0 the design must have full
-        column rank.
-    want_full_hat : bool
-        Materialize the full n x n hat matrix (O(n^2) memory).
+    y : array_like of shape (n,) or (n, m)
+        Response vector, or m responses fit against the same factor.
+    lam : float or array_like of shape (k,)
+        Nonnegative ridge penalty, shared by every coefficient or given per
+        coefficient (zero leaves that coefficient unpenalized). When every
+        penalty is zero the design must have full column rank.
 
     Returns
     -------
@@ -114,22 +151,38 @@ def ridge_fit(x, y, lam: float, want_full_hat: bool = False) -> RidgeFit:
     Raises
     ------
     InvalidInput
-        On non-finite input, dimension mismatch, or negative lambda.
+        On non-finite input, dimension mismatch, or a negative penalty.
     RankDeficient
-        When lam = 0 and the design matrix is rank-deficient.
+        When every penalty is zero and the design matrix is rank-deficient,
+        or when X'X + Lambda is numerically singular.
     """
     x = as_design_matrix(x)
-    y = as_vector(y, x.shape[0], "response")
-    lam = float(lam)
-    if not np.isfinite(lam) or lam < 0.0:
-        raise InvalidInput(f"lambda must be a finite nonnegative real, got {lam}")
-    factor = _gram_factor(x, lam)
-    beta = scipy.linalg.cho_solve(factor, x.T @ y)
-    # z holds (X'X + lam I)^{-1} X', so h_i = x_i . z[:, i]
-    z = scipy.linalg.cho_solve(factor, x.T)
+    n, k = x.shape
+    y = np.asarray(y, dtype=np.float64)
+    if y.ndim not in (1, 2) or y.shape[0] != n:
+        raise InvalidInput(f"response has shape {y.shape}, expected ({n},) or ({n}, m)")
+    if not np.all(np.isfinite(y)):
+        raise InvalidInput("response contains non-finite entries")
+    lam = _as_penalty(lam, k)
+    unpenalized = lam == 0.0 if isinstance(lam, float) else not lam.any()
+    if unpenalized and np.linalg.matrix_rank(x) < k:
+        raise RankDeficient(
+            "design matrix is rank-deficient and lambda = 0; the normal "
+            "equations are singular"
+        )
+    gram = x.T @ x
+    gram.flat[:: k + 1] += lam
+    try:
+        factor = scipy.linalg.cho_factor(gram, lower=False)
+    except scipy.linalg.LinAlgError as exc:
+        # numerically singular even though the SVD rank check passed
+        raise RankDeficient(str(exc)) from exc
+    # x and y were checked above and cho_factor checked the Gram, so the
+    # solves skip scipy's repeated finiteness scans.
+    beta = scipy.linalg.cho_solve(factor, _by_column(x.T, y), check_finite=False)
+    z = scipy.linalg.cho_solve(factor, x.T, check_finite=False)
     hat_diag = np.einsum("ij,ji->i", x, z)
-    hat_full = x @ z if want_full_hat else None
-    return RidgeFit(lam=lam, beta=beta, hat_diag=hat_diag, hat_full=hat_full)
+    return RidgeFit(x=x, y=y, lam=lam, beta=beta, hat_diag=hat_diag, z=z)
 
 
 def check_loo_feasible(hat_diag: np.ndarray) -> None:
@@ -139,56 +192,6 @@ def check_loo_feasible(hat_diag: np.ndarray) -> None:
     if bad.size:
         row = int(bad[np.argmin(gap[bad])])
         raise LeverageSingular(row, float(hat_diag[row]))
-
-
-def loo_fit_all(x, y, lam: float) -> np.ndarray:
-    """Coefficients of the n leave-one-out ridge fits, via the rank-one identity.
-
-    Row i of the returned (n, k) array minimizes
-    ||y_{-i} - X_{-i} b||^2 + lam ||b||^2. The computation uses
-    beta - beta^{(-i)} = (X'X + lam I)^{-1} x_i (y_i - x_i'beta) / (1 - h_i)
-    from a single factorization, never n refits.
-
-    Raises
-    ------
-    LeverageSingular
-        If some (1 - h_i) <= 1e-12, naming the offending row.
-    """
-    x = as_design_matrix(x)
-    y = as_vector(y, x.shape[0], "response")
-    lam = float(lam)
-    if not np.isfinite(lam) or lam < 0.0:
-        raise InvalidInput(f"lambda must be a finite nonnegative real, got {lam}")
-    factor = _gram_factor(x, lam)
-    beta = scipy.linalg.cho_solve(factor, x.T @ y)
-    z = scipy.linalg.cho_solve(factor, x.T)  # (k, n): column i is (X'X+lam I)^{-1} x_i
-    hat_diag = np.einsum("ij,ji->i", x, z)
-    check_loo_feasible(hat_diag)
-    resid = y - x @ beta
-    return beta[None, :] - z.T * (resid / (1.0 - hat_diag))[:, None]
-
-
-def gram_inverse(x, lam: float) -> np.ndarray:
-    """Dense (X'X + lam I)^{-1}. Prefer the solve-based helpers when possible."""
-    x = as_design_matrix(x)
-    lam = float(lam)
-    if not np.isfinite(lam) or lam < 0.0:
-        raise InvalidInput(f"lambda must be a finite nonnegative real, got {lam}")
-    factor = _gram_factor(x, lam)
-    return scipy.linalg.cho_solve(factor, np.eye(x.shape[1]))
-
-
-def loo_residuals(x, y, lam: float) -> np.ndarray:
-    """Leave-one-out residuals y_i - x_i' beta^{(-i)}.
-
-    Equal to the full-sample ridge residual divided by (1 - h_i); this is the
-    quantity the leave-one-out estimators consume per unit.
-    """
-    x = as_design_matrix(x)
-    y = as_vector(y, x.shape[0], "response")
-    fit = ridge_fit(x, y, lam)
-    check_loo_feasible(fit.hat_diag)
-    return (y - x @ fit.beta) / (1.0 - fit.hat_diag)
 
 
 def ridge_leverages_svd(x, lam: float) -> np.ndarray:

@@ -23,9 +23,11 @@ from .estimators import LambdaRule, Method, ObservedSample, estimate
 from .exceptions import InvalidInput, ParameterOutOfRange, RankDeficient
 from .linalg import as_design_matrix, as_vector, check_loo_feasible, ridge_fit
 
-# Above this n the 2n x 2n quadratic-form matrix is not materialized; its
-# rows are generated and contracted in chunks instead.
+# Largest n for which loora_dm_quadratic_blocks materializes the 2n x 2n
+# quadratic-form matrix. The variance itself never does: it generates and
+# contracts T3_CHUNK_ROWS rows at a time at every n.
 QUADRATIC_BLOCK_MAX_N = 512
+T3_CHUNK_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -129,7 +131,7 @@ def loora_ht_variance_terms(pop: Population, p, lam: float) -> tuple[float, floa
     """
     sig = ht_signal(pop, p)
     n = pop.n
-    fit = ridge_fit(sig.xw, sig.mu, lam, want_full_hat=True)
+    fit = ridge_fit(sig.xw, sig.mu, lam)
     check_loo_feasible(fit.hat_diag)
     gap = 1.0 - fit.hat_diag
     term1 = math.fsum(((sig.xw @ fit.beta - sig.mu) / gap) ** 2) / n**2
@@ -368,78 +370,59 @@ def _quadratic_row_block(
     return block / n**2
 
 
+def _dm_quadratic_inputs(pop: Population, n_t: int, lam: float):
+    """The one ridge fit of the DM signal and the geometry T2 and T3 share.
+
+    Returns (signal, fit, hat matrix, pattern tables, geometry).
+    """
+    sig = dm_signal(pop, n_t)
+    fit = ridge_fit(pop.x, sig.mu, lam)
+    check_loo_feasible(fit.hat_diag)
+    hat = fit.hat_full
+    return sig, fit, hat, _pattern_tables(pop.n, n_t), _quadratic_geometry(hat, fit.hat_diag)
+
+
 def loora_dm_quadratic_blocks(
-    pop: Population, n_t: int, lam: float, corrupt: bool = False
+    pop: Population, n_t: int, lam: float
 ) -> dict[tuple[int, int], np.ndarray]:
     """Materialize the four n x n blocks of the cross-unit quadratic form.
 
     Block (a, b) pairs the arm-a signal with the arm-b signal, so the T3
     variance term is sum_ab t^(a)' Q^(ab) t^(b). Only available up to
-    n = 512; beyond that the variance evaluation streams rows instead.
-
-    corrupt=True perturbs one entry; it exists solely as a negative-control
-    hook for the verification command.
+    n = 512; it is the reference for the chunked evaluation the variance uses.
     """
-    n_t, n_c = _check_n_t(pop, n_t)
+    n_t, _ = _check_n_t(pop, n_t)
     if pop.n > QUADRATIC_BLOCK_MAX_N:
         raise ParameterOutOfRange(
             f"quadratic-form blocks are materialized only for n <= {QUADRATIC_BLOCK_MAX_N}"
         )
-    sig = dm_signal(pop, n_t)
-    fit = ridge_fit(pop.x, sig.mu, lam, want_full_hat=True)
-    check_loo_feasible(fit.hat_diag)
-    tables = _pattern_tables(pop.n, n_t)
-    geometry = _quadratic_geometry(fit.hat_full, fit.hat_diag)
+    _, _, hat, tables, geometry = _dm_quadratic_inputs(pop, n_t, lam)
     rows = np.arange(pop.n)
-    blocks = {
-        (a, b): _quadratic_row_block(rows, tables, a, b, pop.n, fit.hat_full, *geometry)
+    return {
+        (a, b): _quadratic_row_block(rows, tables, a, b, pop.n, hat, *geometry)
         for a in (0, 1)
         for b in (0, 1)
     }
-    if corrupt:
-        j = 1 % pop.n
-        blocks[(1, 1)] = blocks[(1, 1)].copy()
-        blocks[(1, 1)][0, j] += 1e-3 * (1.0 + abs(blocks[(1, 1)][0, j]))
-    return blocks
 
 
-def _loora_dm_t3(
-    pop: Population, n_t: int, lam: float, corrupt: bool = False
-) -> float:
-    n = pop.n
-    n_t, n_c = _check_n_t(pop, n_t)
-    sig = dm_signal(pop, n_t)
+def _loora_dm_t3(sig: DmSignal, hat, tables, geometry, corrupt: bool = False) -> float:
+    """T3 = sum_ab t^(a)' Q^(ab) t^(b), contracted T3_CHUNK_ROWS rows at a time.
+
+    corrupt=True perturbs entry (0, 1) of block (1, 1); it exists solely as a
+    negative-control hook for the verification command.
+    """
+    n = hat.shape[0]
     signals = {1: sig.t1, 0: sig.t0}
-    if n <= QUADRATIC_BLOCK_MAX_N:
-        blocks = loora_dm_quadratic_blocks(pop, n_t, lam, corrupt=corrupt)
-        contribs = []
-        for k in range(n):
-            contribs.append(
-                math.fsum(
-                    signals[a][k] * float(blocks[(a, b)][k] @ signals[b])
-                    for a in (0, 1)
-                    for b in (0, 1)
-                )
-            )
-        return math.fsum(contribs)
-    # Streamed path: generate rows in chunks, never materializing 2n x 2n.
-    fit = ridge_fit(pop.x, sig.mu, lam, want_full_hat=True)
-    check_loo_feasible(fit.hat_diag)
-    tables = _pattern_tables(n, n_t)
-    geometry = _quadratic_geometry(fit.hat_full, fit.hat_diag)
     contribs = []
-    chunk = 256
-    for start in range(0, n, chunk):
-        rows = np.arange(start, min(start + chunk, n))
+    for start in range(0, n, T3_CHUNK_ROWS):
+        rows = np.arange(start, min(start + T3_CHUNK_ROWS, n))
         for a in (0, 1):
             for b in (0, 1):
-                block = _quadratic_row_block(
-                    rows, tables, a, b, n, fit.hat_full, *geometry
-                )
-                row_dots = block @ signals[b]
-                contribs.extend(
-                    (signals[a][row] * float(dot) for row, dot in zip(rows, row_dots))
-                )
+                block = _quadratic_row_block(rows, tables, a, b, n, hat, *geometry)
+                if corrupt and start == 0 and a == b == 1:
+                    j = 1 % n
+                    block[0, j] += 1e-3 * (1.0 + abs(block[0, j]))
+                contribs.extend(signals[a][rows] * (block @ signals[b]))
     return math.fsum(contribs)
 
 
@@ -464,24 +447,20 @@ def loora_dm_variance_terms(
         )
     if n < 4:
         raise ParameterOutOfRange("exact LOORA-DM variance requires n >= 4")
-    sig = dm_signal(pop, n_t)
-    fit = ridge_fit(pop.x, sig.mu, lam, want_full_hat=True)
-    check_loo_feasible(fit.hat_diag)
+    sig, fit, hat, tables, geometry = _dm_quadratic_inputs(pop, n_t, lam)
     h = fit.hat_diag
-    hat = fit.hat_full
-    w = 1.0 / (1.0 - h)
+    w, uprime = geometry[0], geometry[2]
     resid = (sig.mu - pop.x @ fit.beta) * w
     resid_bar = math.fsum(resid) / n
     t1_term = math.fsum((resid - resid_bar) ** 2) / (n * (n - 1) * n_t * n_c)
 
-    uprime = hat @ w - h * w
     proxy = hat @ sig.mu - h * sig.mu  # sum_{k != j} h_jk mu_k, per j
     cross_a = math.fsum(resid * sig.mu * uprime)
     total_wp = math.fsum(w * proxy)
     cross_b = math.fsum(resid * ((total_wp - w * proxy) - sig.mu * uprime))
     t2_term = -2.0 * (cross_a - cross_b / (n - 2)) / (n**2 * (n - 1) * n_t * n_c)
 
-    t3_term = _loora_dm_t3(pop, n_t, lam, corrupt=corrupt_q)
+    t3_term = _loora_dm_t3(sig, hat, tables, geometry, corrupt=corrupt_q)
     return t1_term, t2_term, t3_term
 
 

@@ -3,15 +3,14 @@
 A study draws assignments from a chosen design, masks the potential outcomes
 accordingly, runs every requested estimator with its confidence interval, and
 aggregates bias, standard deviation, RMSE, coverage, and interval length.
-Replicates use counter-derived substreams of one root seed, so results are
-identical regardless of thread count or execution order. An enumeration mode
-replaces sampling with the exact assignment distribution.
+Replicates use counter-derived substreams of one root seed, so results do
+not depend on execution order. An enumeration mode replaces sampling with
+the exact assignment distribution.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,6 +21,7 @@ from .exceptions import (
     InvalidInput,
     InvalidSpec,
     LeverageSingular,
+    NonFinite,
     RankDeficient,
     SpecMismatch,
 )
@@ -129,7 +129,7 @@ class StudyConfig:
     n_t: int | None = None
     lambda_rule: LambdaRule = field(default_factory=lambda: LambdaRule.auto(2.0))
     allow_design_mismatch: bool = False
-    threads: int = 1
+    threads: int = 1  # accepted so existing configs load; replicates run in one thread
 
     def __post_init__(self):
         if self.design not in DESIGN_CHOICES:
@@ -197,10 +197,10 @@ def _evaluate_methods(pop, spec, assignment, cfg):
                 cfg.level,
                 cfg.allow_design_mismatch,
             )
-        except (LeverageSingular, RankDeficient, SpecMismatch):
+        except (LeverageSingular, NonFinite, RankDeficient, SpecMismatch):
             # Degenerate draws (for example an empty arm under simple
-            # assignment) and singular-leverage replicates are recorded as
-            # failures for the affected method only.
+            # assignment), singular-leverage and overflowing replicates are
+            # recorded as failures for the affected method only.
             out.append((False, 0.0, 0.0, 0.0))
             continue
         covered = 1.0 if report.ci_low <= tau <= report.ci_high else 0.0
@@ -245,7 +245,7 @@ def run_study(pop: Population, cfg: StudyConfig) -> SimulationReport:
 
     Deterministic for a given (population, config): replicate substreams are
     derived from (seed, replicate index) and aggregation runs in replicate
-    order, so the report is identical for any thread count.
+    order. cfg.threads does not change the report or how it is computed.
     """
     study_rng = np.random.Generator(np.random.PCG64(study_seed_sequence(cfg.seed)))
     spec = resolve_design(pop, cfg, study_rng)
@@ -267,21 +267,9 @@ def run_study(pop: Population, cfg: StudyConfig) -> SimulationReport:
     est = np.zeros((reps, n_methods))
     covered = np.zeros((reps, n_methods))
     length = np.zeros((reps, n_methods))
-
-    def run_chunk(bounds):
-        lo, hi = bounds
-        for rep in range(lo, hi):
-            rng = np.random.Generator(np.random.PCG64(replicate_seed_sequence(cfg.seed, rep)))
-            assignment = draw_with(spec, rng)
-            for j, row in enumerate(_evaluate_methods(pop, spec, assignment, cfg)):
-                ok[rep, j], est[rep, j], covered[rep, j], length[rep, j] = row
-
-    threads = max(1, int(cfg.threads))
-    if threads == 1:
-        run_chunk((0, reps))
-    else:
-        chunk = max(1, math.ceil(reps / threads))
-        bounds = [(lo, min(lo + chunk, reps)) for lo in range(0, reps, chunk)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run_chunk, bounds))
+    for rep in range(reps):
+        rng = np.random.Generator(np.random.PCG64(replicate_seed_sequence(cfg.seed, rep)))
+        assignment = draw_with(spec, rng)
+        for j, row in enumerate(_evaluate_methods(pop, spec, assignment, cfg)):
+            ok[rep, j], est[rep, j], covered[rep, j], length[rep, j] = row
     return _aggregate(cfg, cfg.design, tau, ok, est, covered, length, np.ones(reps))

@@ -218,7 +218,7 @@ def test_criterion_8_residual_monotonicity_and_frobenius_bound():
         lams = np.sort(rng.uniform(0.0, 8.0, 5))
         previous = None
         for lam in lams:
-            fit = ridge_fit(x, v, lam, want_full_hat=True)
+            fit = ridge_fit(x, v, lam)
             err = float(np.sum((x @ fit.beta - v) ** 2))
             if previous is not None:
                 worst_mono = max(worst_mono, previous - err)

@@ -1,3 +1,4 @@
+import warnings
 from pathlib import Path
 
 import pytest
@@ -375,6 +376,43 @@ def test_estimate_one_hot_collinearity_hints_drop_first(tmp_path, capsys):
     )
     assert code == 3
     assert "--drop-first" in stderr
+
+
+@pytest.mark.parametrize(
+    "method, design",
+    [
+        ("HT", ("--design", "simple", "--p", "0.5")),
+        ("LOORA_HT", ("--design", "simple", "--p", "0.5")),
+        ("LOORA_DM", ("--design", "complete", "--nt", "15")),
+    ],
+)
+def test_estimate_overflowing_variance_exits_3_naming_stage(tmp_path, capsys, method, design):
+    lines = (DATA / "observed30.csv").read_text(encoding="utf-8").splitlines()
+    rows = [lines[0]]
+    for line in lines[1:]:
+        y, rest = line.split(",", 1)
+        rows.append(f"{float(y) * 1e200!r},{rest}")
+    data = tmp_path / "huge.csv"
+    data.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, _, stderr = run(
+            capsys,
+            "estimate",
+            "--data",
+            str(data),
+            "--covariates",
+            "age,score",
+            "--y-col",
+            "y",
+            "--d-col",
+            "d",
+            *design,
+            "--method",
+            method,
+        )
+    assert code == 3
+    assert f"{method} variance is not finite" in stderr
 
 
 def test_estimate_with_probability_column(tmp_path, capsys):

@@ -51,8 +51,6 @@ def test_assignment_side_vectors():
     spec = SimpleDesign(np.array([0.2, 0.7, 0.5]))
     a = draw(spec, 3)
     assert np.array_equal(a.z, 2.0 * a.d - 1.0)
-    expected_q = spec.p * a.d + (1.0 - spec.p) * (1.0 - a.d)
-    assert np.allclose(a.q, expected_q)
 
 
 def test_draw_deterministic_in_seed():

@@ -29,8 +29,7 @@ def simple_sample(x, y, d, p):
     p = np.asarray(p, dtype=np.float64)
     d = np.asarray(d, dtype=np.float64)
     spec = SimpleDesign(p)
-    q = p * d + (1.0 - p) * (1.0 - d)
-    return ObservedSample(np.asarray(x, dtype=np.float64), y, Assignment(d, 2 * d - 1, q), spec)
+    return ObservedSample(np.asarray(x, dtype=np.float64), y, Assignment(d, 2 * d - 1), spec)
 
 
 def complete_sample(x, y, d):

@@ -30,9 +30,8 @@ AUTO2 = LambdaRule.auto(2.0)
 def simple_sample(x, y, d, p):
     p = np.asarray(p, dtype=np.float64)
     d = np.asarray(d, dtype=np.float64)
-    q = p * d + (1.0 - p) * (1.0 - d)
     return ObservedSample(
-        np.asarray(x, dtype=np.float64), y, Assignment(d, 2 * d - 1, q), SimpleDesign(p)
+        np.asarray(x, dtype=np.float64), y, Assignment(d, 2 * d - 1), SimpleDesign(p)
     )
 
 

@@ -9,12 +9,16 @@ from numpy.testing import assert_allclose
 from loora.exceptions import InvalidInput, LeverageSingular, RankDeficient
 from loora.linalg import (
     leverage_regularizer,
-    loo_fit_all,
-    loo_residuals,
     max_row_norm,
     ridge_fit,
     ridge_leverages_svd,
 )
+
+
+def loo_residuals(x, y, lam):
+    """y_i - x_i' beta^{(-i)} through the fit's leave-one-out identity."""
+    fit = ridge_fit(x, y, lam)
+    return fit.y - fit.loo_fitted()
 
 
 def test_identity_design_ols():
@@ -57,34 +61,32 @@ def test_non_finite_input_rejected():
 
 def test_full_hat_symmetric_and_trace_matches_diag(rng):
     x = rng.standard_normal((7, 3))
-    fit = ridge_fit(x, rng.standard_normal(7), 0.7, want_full_hat=True)
-    assert fit.hat_full is not None
+    fit = ridge_fit(x, rng.standard_normal(7), 0.7)
     assert np.max(np.abs(fit.hat_full - fit.hat_full.T)) < 1e-10
     assert abs(np.trace(fit.hat_full) - math.fsum(fit.hat_diag)) < 1e-10
-    assert ridge_fit(x, np.zeros(7), 0.7).hat_full is None
 
 
 def test_loo_two_point_interpolation():
-    coefs = loo_fit_all(np.array([[1.0], [1.0]]), [0.0, 2.0], 0.0)
-    assert_allclose(coefs, [[2.0], [0.0]], atol=1e-12)
+    fitted = ridge_fit(np.array([[1.0], [1.0]]), [0.0, 2.0], 0.0).loo_fitted()
+    assert_allclose(fitted, [2.0, 0.0], atol=1e-12)
 
 
 def test_loo_matches_direct_refit(rng):
     x = rng.standard_normal((10, 4))
     y = rng.standard_normal(10)
     for lam in (0.0, 0.4):
-        fast = loo_fit_all(x, y, lam)
+        fast = ridge_fit(x, y, lam).loo_fitted()
         for i in range(10):
             refit = ridge_fit(np.delete(x, i, axis=0), np.delete(y, i), lam)
-            assert_allclose(fast[i], refit.beta, atol=1e-9)
+            assert_allclose(fast[i], x[i] @ refit.beta, atol=1e-9)
 
 
 def test_loo_infinite_shrinkage_limit(rng):
     x = rng.standard_normal((6, 2))
     y = rng.standard_normal(6)
     lam = 1e12 * max_row_norm(x) ** 2
-    coefs = loo_fit_all(x, y, lam)
-    assert np.max(np.sqrt((coefs**2).sum(axis=1))) <= 1e-6 * np.linalg.norm(y)
+    fitted = ridge_fit(x, y, lam).loo_fitted()
+    assert np.max(np.abs(fitted)) <= 1e-6 * max_row_norm(x) * np.linalg.norm(y)
 
 
 def test_loo_residuals_two_point_line():
@@ -110,8 +112,9 @@ def test_loo_residuals_zero_for_exact_fit(rng):
 def test_leverage_guard_names_offending_row():
     # a duplicated-column design makes the lone heavy row's leverage 1 at lam=0
     x = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
+    fit = ridge_fit(x, np.arange(3.0), 0.0)
     with pytest.raises(LeverageSingular) as exc:
-        loo_fit_all(x, np.arange(3.0), 0.0)
+        fit.loo_fitted()
     assert exc.value.row == 0
 
 
@@ -207,8 +210,53 @@ def test_offdiagonal_leverage_frobenius_bound(n, k, lam, seed):
     gen = np.random.default_rng(seed)
     x = gen.standard_normal((n, k))
     try:
-        hat = ridge_fit(x, gen.standard_normal(n), lam, want_full_hat=True).hat_full
+        hat = ridge_fit(x, gen.standard_normal(n), lam).hat_full
     except RankDeficient:
         return
     off = hat[np.triu_indices(n, k=1)]
     assert float(np.sum(off**2)) <= k / 2.0 + 1e-10
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    k=st.integers(1, 4),
+    extra=st.integers(2, 8),
+    lam=st.floats(0.0, 10.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_multi_response_and_loo_fitted_match_separate_fits_and_refits(k, extra, lam, seed):
+    # n >= k + 2 keeps every leave-one-out refit overdetermined, so a refit at
+    # tiny lambda is not an ill-posed problem that no route can match to 1e-9
+    n = k + extra
+    gen = np.random.default_rng(seed)
+    x = gen.standard_normal((n, k))
+    y = gen.standard_normal((n, 2))
+    try:
+        both = ridge_fit(x, y, lam)
+        fitted = both.loo_fitted()
+    except (RankDeficient, LeverageSingular):
+        return
+    for col in range(2):
+        single = ridge_fit(x, y[:, col], lam)
+        scale = np.maximum(1.0, np.abs(single.beta))
+        assert np.max(np.abs(both.beta[:, col] - single.beta) / scale) < 1e-12
+        for i in range(n):
+            try:
+                refit = ridge_fit(np.delete(x, i, axis=0), np.delete(y[:, col], i), lam)
+            except RankDeficient:
+                continue
+            assert abs(fitted[i, col] - x[i] @ refit.beta) < 1e-9 * max(1.0, abs(fitted[i, col]))
+
+
+def test_per_column_penalty_matches_normal_equations(rng):
+    x = rng.standard_normal((9, 3))
+    y = rng.standard_normal(9)
+    penalty = np.array([0.0, 0.5, 2.0])
+    fit = ridge_fit(x, y, penalty)
+    expected = np.linalg.solve(x.T @ x + np.diag(penalty), x.T @ y)
+    assert_allclose(fit.beta, expected, atol=1e-10)
+    assert_allclose(fit.z @ y, fit.beta, atol=1e-10)
+    with pytest.raises(InvalidInput):
+        ridge_fit(x, y, np.array([0.0, -1.0, 1.0]))
+    with pytest.raises(InvalidInput):
+        ridge_fit(x, y, np.zeros(2))

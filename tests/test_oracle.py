@@ -9,7 +9,7 @@ from conftest import random_population, rel_gap
 from loora.design import CompleteDesign, SimpleDesign, enumerate_assignments
 from loora.estimators import LambdaRule, Method, ObservedSample, estimate_ht
 from loora.exceptions import ParameterOutOfRange
-from loora.linalg import leverage_regularizer, loo_fit_all, max_row_norm, ridge_fit
+from loora.linalg import leverage_regularizer, max_row_norm, ridge_fit
 from loora.oracle import (
     Population,
     adjusted_ht_optimal_coef,
@@ -128,10 +128,8 @@ def test_loora_ht_first_term_equals_loo_fits_of_signal(rng):
     sig = ht_signal(pop, p)
     lam = leverage_regularizer(sig.xw, 2.0)
     term1, _ = loora_ht_variance_terms(pop, p, lam)
-    coefs = loo_fit_all(sig.xw, sig.mu, lam)
-    direct = math.fsum(
-        (float(sig.xw[i] @ coefs[i]) - sig.mu[i]) ** 2 for i in range(7)
-    ) / 7**2
+    fitted = ridge_fit(sig.xw, sig.mu, lam).loo_fitted()
+    direct = math.fsum((fitted[i] - sig.mu[i]) ** 2 for i in range(7)) / 7**2
     assert term1 == pytest.approx(direct, rel=1e-11)
 
 
@@ -309,12 +307,27 @@ def test_quadratic_blocks_refuse_oversized_population(rng):
 
 
 def test_streamed_quadratic_path_matches_blocks(rng, monkeypatch):
+    # chunked T3 over several chunks against t'Qt from the materialized blocks
     pop = random_population(rng, 25, 3)
     lam = leverage_regularizer(pop.x, 2.0)
-    reference = loora_dm_variance(pop, 11, lam)
-    monkeypatch.setattr(oracle_mod, "QUADRATIC_BLOCK_MAX_N", 7)
-    streamed = loora_dm_variance(pop, 11, lam)
+    blocks = loora_dm_quadratic_blocks(pop, 11, lam)
+    sig = dm_signal(pop, 11)
+    t = {1: sig.t1, 0: sig.t0}
+    reference = math.fsum(
+        float(t[a] @ blocks[(a, b)] @ t[b]) for a in (0, 1) for b in (0, 1)
+    )
+    monkeypatch.setattr(oracle_mod, "T3_CHUNK_ROWS", 7)
+    _, _, streamed = loora_dm_variance_terms(pop, 11, lam)
     assert streamed == pytest.approx(reference, rel=1e-13)
+
+
+def test_corrupt_hook_applies_when_rows_span_several_chunks(rng, monkeypatch):
+    pop = random_population(rng, 25, 3)
+    lam = leverage_regularizer(pop.x, 2.0)
+    monkeypatch.setattr(oracle_mod, "T3_CHUNK_ROWS", 7)
+    clean = loora_dm_variance(pop, 11, lam)
+    corrupted = loora_dm_variance(pop, 11, lam, corrupt_q=True)
+    assert abs(clean - corrupted) > 1e-9
 
 
 def test_pattern_tables_match_displayed_constants_where_verified():

@@ -184,6 +184,16 @@ def test_run_study_counts_degenerate_draws_as_method_failures():
     assert by_method["DM"].reps_used + by_method["DM"].failed == 64
 
 
+def test_run_study_counts_overflowing_variances_as_method_failures():
+    # squared residuals overflow at |y| ~ 1e200 but not at 1e150
+    pop = synth_population("linear-heterogeneous", 20, 2, 3)
+    cfg = StudyConfig(design="complete", methods=("DM", "ADJ", "LOORA_DM"), reps=5, seed=1)
+    for scale, failed in ((1e150, 0), (1e200, 5)):
+        scaled = Population(pop.x, scale * pop.y1, scale * pop.y0)
+        for stats in run_study(scaled, cfg).stats:
+            assert (stats.failed, stats.reps_used) == (failed, 5 - failed)
+
+
 def test_study_config_validation():
     with pytest.raises(InvalidSpec):
         StudyConfig(design="nope", methods=("HT",))
