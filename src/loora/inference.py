@@ -134,14 +134,6 @@ def hw_variance_ht(s: ObservedSample, rule: LambdaRule = DEFAULT_LAMBDA_RULE) ->
     return math.fsum(hw_resid**2) / s.n**2
 
 
-def hw_variance_ht_sandwich(s: ObservedSample, rule: LambdaRule = DEFAULT_LAMBDA_RULE) -> float:
-    """The same HC0 variance through the explicit sandwich product."""
-    parts = loora_ht_parts(s, rule)
-    hw_resid = _ht_hw_residuals(s, parts)
-    zz = math.fsum(parts.z**2)
-    return math.fsum(parts.z**2 * hw_resid**2) / zz**2
-
-
 def _two_column_sandwich(u: np.ndarray, d: np.ndarray) -> tuple[float, float, float]:
     """OLS of u on [1, d] plus the HC0 variance of the second coefficient.
 

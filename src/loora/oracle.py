@@ -21,13 +21,12 @@ import numpy as np
 from .design import Assignment, DesignSpec, enumerate_assignments
 from .estimators import LambdaRule, Method, ObservedSample, estimate
 from .exceptions import InvalidInput, ParameterOutOfRange, RankDeficient
-from .linalg import as_design_matrix, as_vector, check_loo_feasible, ridge_fit
+from .linalg import RidgeFit, as_design_matrix, as_vector, check_loo_feasible, ridge_fit
 
 # Largest n for which loora_dm_quadratic_blocks materializes the 2n x 2n
-# quadratic-form matrix. The variance itself never does: it generates and
-# contracts T3_CHUNK_ROWS rows at a time at every n.
+# quadratic-form matrix. The variances never build an n x n array: they
+# contract the rank-k factors of the hat matrix at every n.
 QUADRATIC_BLOCK_MAX_N = 512
-T3_CHUNK_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -65,6 +64,24 @@ def observe(pop: Population, assignment: Assignment) -> np.ndarray:
 
 def observed_sample(pop: Population, assignment: Assignment, spec: DesignSpec) -> ObservedSample:
     return ObservedSample(pop.x, observe(pop, assignment), assignment, spec)
+
+
+# ---------------------------------------------------------------------------
+# Hat-matrix products from the ridge factor
+# ---------------------------------------------------------------------------
+#
+# H = X (X'X + lam I)^{-1} X' = X Z has rank <= k, so the exact variances use
+# it only through these O(nk^2) products and never build an n x n array.
+
+
+def _hat_times(fit: RidgeFit, v: np.ndarray) -> np.ndarray:
+    """H v."""
+    return fit.x @ (fit.z @ v)
+
+
+def _hat_sq_times(fit: RidgeFit, v: np.ndarray) -> np.ndarray:
+    """(H o H) v: entry k is sum_l H_kl^2 v_l = x_k' Z diag(v) Z' x_k."""
+    return np.einsum("ij,ij->i", fit.x @ ((fit.z * v) @ fit.z.T), fit.x)
 
 
 # ---------------------------------------------------------------------------
@@ -133,13 +150,19 @@ def loora_ht_variance_terms(pop: Population, p, lam: float) -> tuple[float, floa
     n = pop.n
     fit = ridge_fit(sig.xw, sig.mu, lam)
     check_loo_feasible(fit.hat_diag)
-    gap = 1.0 - fit.hat_diag
+    h = fit.hat_diag
+    gap = 1.0 - h
     term1 = math.fsum(((sig.xw @ fit.beta - sig.mu) / gap) ** 2) / n**2
+    # sum_{i<j} H_ij^2 (a_j / g_i + a_i / g_j)^2 with g = 1 - h: half the sum
+    # over all i != j, i.e. the full (H o H) forms minus their diagonal.
     a = sig.t / sig.r
-    cross = np.outer(1.0 / gap, a)
-    both = fit.hat_full**2 * (cross + cross.T) ** 2
-    iu = np.triu_indices(n, k=1)
-    term2 = math.fsum(both[iu]) / n**2
+    ag = a / gap
+    both = (
+        2.0 * _hat_sq_times(fit, a**2) / gap**2
+        + 2.0 * ag * _hat_sq_times(fit, ag)
+        - 4.0 * (h * ag) ** 2
+    )
+    term2 = 0.5 * math.fsum(both) / n**2
     return term1, term2
 
 
@@ -147,24 +170,6 @@ def loora_ht_variance(pop: Population, p, lam: float) -> float:
     """Exact finite-population variance of LOORA-HT at penalty lam."""
     term1, term2 = loora_ht_variance_terms(pop, p, lam)
     return term1 + term2
-
-
-def loora_ht_second_term_bound(pop: Population, p, lam: float) -> float:
-    """Dimension-based upper bound on the cross-unit variance term.
-
-    (2k / n^2) * ||(1 - h)^{-1}||_inf^2 * ||t / r||_inf^2; the double sum of
-    squared off-diagonal leverages is at most k/2 for any penalty.
-    """
-    sig = ht_signal(pop, p)
-    fit = ridge_fit(sig.xw, sig.mu, lam)
-    gap = 1.0 - fit.hat_diag
-    return (
-        2.0
-        * pop.k
-        / pop.n**2
-        * float(np.max(1.0 / gap)) ** 2
-        * float(np.max(np.abs(sig.t / sig.r))) ** 2
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -203,21 +208,6 @@ def dm_variance(pop: Population, n_t: int) -> float:
     mu = dm_signal(pop, n_t).mu
     centered = mu - math.fsum(mu) / pop.n
     return math.fsum(centered**2) / (n_t * n_c * pop.n * (pop.n - 1))
-
-
-def dm_variance_neyman(pop: Population, n_t: int) -> float:
-    """Exact DM variance in the classical three-term form.
-
-    S^2(y1)/n_t + S^2(y0)/n_c - S^2(effects)/n with (n-1)-divisor variances;
-    must agree with dm_variance.
-    """
-    n_t, n_c = _check_n_t(pop, n_t)
-
-    def s2(v):
-        centered = v - math.fsum(v) / pop.n
-        return math.fsum(centered**2) / (pop.n - 1)
-
-    return s2(pop.y1) / n_t + s2(pop.y0) / n_c - s2(pop.y1 - pop.y0) / pop.n
 
 
 def dm_adjusted_variance(pop: Population, n_t: int, b) -> float:
@@ -370,18 +360,6 @@ def _quadratic_row_block(
     return block / n**2
 
 
-def _dm_quadratic_inputs(pop: Population, n_t: int, lam: float):
-    """The one ridge fit of the DM signal and the geometry T2 and T3 share.
-
-    Returns (signal, fit, hat matrix, pattern tables, geometry).
-    """
-    sig = dm_signal(pop, n_t)
-    fit = ridge_fit(pop.x, sig.mu, lam)
-    check_loo_feasible(fit.hat_diag)
-    hat = fit.hat_full
-    return sig, fit, hat, _pattern_tables(pop.n, n_t), _quadratic_geometry(hat, fit.hat_diag)
-
-
 def loora_dm_quadratic_blocks(
     pop: Population, n_t: int, lam: float
 ) -> dict[tuple[int, int], np.ndarray]:
@@ -389,14 +367,19 @@ def loora_dm_quadratic_blocks(
 
     Block (a, b) pairs the arm-a signal with the arm-b signal, so the T3
     variance term is sum_ab t^(a)' Q^(ab) t^(b). Only available up to
-    n = 512; it is the reference for the chunked evaluation the variance uses.
+    n = 512; it is the dense reference for the low-rank evaluation the
+    variance uses.
     """
     n_t, _ = _check_n_t(pop, n_t)
     if pop.n > QUADRATIC_BLOCK_MAX_N:
         raise ParameterOutOfRange(
             f"quadratic-form blocks are materialized only for n <= {QUADRATIC_BLOCK_MAX_N}"
         )
-    _, _, hat, tables, geometry = _dm_quadratic_inputs(pop, n_t, lam)
+    fit = ridge_fit(pop.x, dm_signal(pop, n_t).mu, lam)
+    check_loo_feasible(fit.hat_diag)
+    hat = fit.hat_full
+    tables = _pattern_tables(pop.n, n_t)
+    geometry = _quadratic_geometry(hat, fit.hat_diag)
     rows = np.arange(pop.n)
     return {
         (a, b): _quadratic_row_block(rows, tables, a, b, pop.n, hat, *geometry)
@@ -405,25 +388,83 @@ def loora_dm_quadratic_blocks(
     }
 
 
-def _loora_dm_t3(sig: DmSignal, hat, tables, geometry, corrupt: bool = False) -> float:
-    """T3 = sum_ab t^(a)' Q^(ab) t^(b), contracted T3_CHUNK_ROWS rows at a time.
+def _pair_value(c: dict[str, float], h_kl, j_kl, w_k, w_l, u_k, u_l, hw2_k, hw2_l):
+    """The off-diagonal entry formula of _quadratic_row_block, elementwise.
+
+    h_kl = H_kl, j_kl = (H diag(w^2) H)_kl, u = H w - h w, hw2 = h w^2; c
+    holds the pattern-table coefficients of one (a, b) block. Not divided
+    by n^2.
+    """
+    excl_kl = u_k - h_kl * w_l
+    excl_lk = u_l - h_kl * w_k
+    j_excl = j_kl - hw2_k * h_kl - h_kl * hw2_l
+    return (
+        c["shared_i"] * j_excl
+        + c["crossed"] * h_kl**2 * w_k * w_l
+        + c["hooked_left"] * h_kl * w_l * excl_lk
+        + c["hooked_right"] * h_kl * w_k * excl_kl
+        + c["disjoint"] * (excl_kl * excl_lk - j_excl)
+    )
+
+
+def _loora_dm_t3_low_rank(
+    sig: DmSignal, fit: RidgeFit, tables, w: np.ndarray, uprime: np.ndarray, corrupt: bool
+) -> float:
+    """T3 = sum_ab t^(a)' Q^(ab) t^(b) from the ridge factor in O(nk^2).
+
+    Summing each block's off-diagonal formula over every (k, l), the double
+    sum expands into three bilinear forms, S1 = a'Hb, S2 = a'(H o H)b and
+    J = a'H diag(w^2) H b, plus a rank-one product. The k = l terms of that
+    sum are then swapped for the diagonal entries.
 
     corrupt=True perturbs entry (0, 1) of block (1, 1); it exists solely as a
     negative-control hook for the verification command.
     """
-    n = hat.shape[0]
+    h = fit.hat_diag
+    n = h.shape[0]
+    hw2 = h * w**2
+    wu = w * uprime
+    colsum2 = _hat_sq_times(fit, w**2)  # (H diag(w^2) H)_kk
+    v2 = colsum2 - h * hw2
+    c_k = uprime**2 - v2
     signals = {1: sig.t1, 0: sig.t0}
-    contribs = []
-    for start in range(0, n, T3_CHUNK_ROWS):
-        rows = np.arange(start, min(start + T3_CHUNK_ROWS, n))
-        for a in (0, 1):
-            for b in (0, 1):
-                block = _quadratic_row_block(rows, tables, a, b, n, hat, *geometry)
-                if corrupt and start == 0 and a == b == 1:
-                    j = 1 % n
-                    block[0, j] += 1e-3 * (1.0 + abs(block[0, j]))
-                contribs.extend(signals[a][rows] * (block @ signals[b]))
-    return math.fsum(contribs)
+    u_dot = {arm: math.fsum(t * uprime) for arm, t in signals.items()}
+    hat_t = {arm: _hat_times(fit, t) for arm, t in signals.items()}
+    hat_sq_wt = {arm: _hat_sq_times(fit, w * t) for arm, t in signals.items()}
+    totals = []
+    for a in (0, 1):
+        for b in (0, 1):
+            c = {name: float(table[a, b]) for name, table in tables.items()}
+            left, right, hat_right = signals[a], signals[b], hat_t[b]
+            same = c["shared_i"] - c["disjoint"]
+            # J and the S1 terms whose weight sits on the column l
+            row = _hat_times(
+                fit,
+                same * (w**2 * hat_right - hw2 * right)
+                + (c["hooked_left"] - c["disjoint"]) * wu * right,
+            )
+            # the S1 terms whose weight sits on the row k
+            row += ((c["hooked_right"] - c["disjoint"]) * wu - same * hw2) * hat_right
+            # S2: every H_kl^2 w_k w_l term
+            sq = c["crossed"] - c["hooked_left"] - c["hooked_right"] + c["disjoint"]
+            row += sq * w * hat_sq_wt[b]
+            # k = l: swap the off-diagonal formula for the diagonal entry
+            row += (
+                c["pair_pair"] * v2
+                + c["shared_k"] * c_k
+                - _pair_value(c, h, colsum2, w, w, uprime, uprime, hw2, hw2)
+            ) * right
+            totals.append(math.fsum(left * row))
+            # the rank-one u_k u_l term of the disjoint pattern
+            totals.append(c["disjoint"] * u_dot[a] * u_dot[b])
+    t3 = math.fsum(totals) / n**2
+    if corrupt:
+        c = {name: float(table[1, 1]) for name, table in tables.items()}
+        x, z = fit.x, fit.z
+        j01 = x[0] @ ((z * w**2) @ z.T) @ x[1]
+        q01 = _pair_value(c, x[0] @ z[:, 1], j01, *w[:2], *uprime[:2], *hw2[:2]) / n**2
+        t3 += sig.t1[0] * 1e-3 * (1.0 + abs(q01)) * sig.t1[1]
+    return t3
 
 
 def loora_dm_variance_terms(
@@ -447,20 +488,25 @@ def loora_dm_variance_terms(
         )
     if n < 4:
         raise ParameterOutOfRange("exact LOORA-DM variance requires n >= 4")
-    sig, fit, hat, tables, geometry = _dm_quadratic_inputs(pop, n_t, lam)
+    sig = dm_signal(pop, n_t)
+    fit = ridge_fit(pop.x, sig.mu, lam)
+    check_loo_feasible(fit.hat_diag)
     h = fit.hat_diag
-    w, uprime = geometry[0], geometry[2]
+    w = 1.0 / (1.0 - h)
+    uprime = _hat_times(fit, w) - h * w  # sum_{i != k} h_ik w_i, per k
     resid = (sig.mu - pop.x @ fit.beta) * w
     resid_bar = math.fsum(resid) / n
     t1_term = math.fsum((resid - resid_bar) ** 2) / (n * (n - 1) * n_t * n_c)
 
-    proxy = hat @ sig.mu - h * sig.mu  # sum_{k != j} h_jk mu_k, per j
+    proxy = _hat_times(fit, sig.mu) - h * sig.mu  # sum_{k != j} h_jk mu_k, per j
     cross_a = math.fsum(resid * sig.mu * uprime)
     total_wp = math.fsum(w * proxy)
     cross_b = math.fsum(resid * ((total_wp - w * proxy) - sig.mu * uprime))
     t2_term = -2.0 * (cross_a - cross_b / (n - 2)) / (n**2 * (n - 1) * n_t * n_c)
 
-    t3_term = _loora_dm_t3(sig, hat, tables, geometry, corrupt=corrupt_q)
+    t3_term = _loora_dm_t3_low_rank(
+        sig, fit, _pattern_tables(n, n_t), w, uprime, corrupt=corrupt_q
+    )
     return t1_term, t2_term, t3_term
 
 
@@ -504,15 +550,6 @@ def lin_asymptotic_variance(pop: Population, p_t: float) -> float:
     s_c = math.fsum(e_c**2) / n
     s_tc = math.fsum(e_t * e_c) / n
     return (1.0 - p_t) / p_t * s_t + p_t / (1.0 - p_t) * s_c + 2.0 * s_tc
-
-
-def lin_asymptotic_variance_projection(pop: Population, p_t: float) -> float:
-    """The same benchmark as a single centered projection of the HT signal."""
-    p_t = float(p_t)
-    if not 0.0 < p_t < 1.0:
-        raise InvalidInput(f"treated fraction must lie in (0, 1), got {p_t}")
-    mu = np.sqrt((1.0 - p_t) / p_t) * pop.y1 + np.sqrt(p_t / (1.0 - p_t)) * pop.y0
-    return math.fsum(_centered_residuals(pop, mu) ** 2) / pop.n
 
 
 def enumeration_moments(

@@ -1,0 +1,99 @@
+"""Independent cross-check routes that only the tests use.
+
+Each function here computes a quantity the package also computes, by a
+different and more literal route: dense n x n hat-matrix algebra, the
+classical three-term variance, an explicit sandwich product. They stay
+independent of the fast paths in ``loora`` so that agreement between the
+two means something.
+"""
+
+import math
+
+import numpy as np
+
+from loora.estimators import DEFAULT_LAMBDA_RULE, LambdaRule, ObservedSample, loora_ht_parts
+from loora.exceptions import InvalidInput
+from loora.inference import _ht_hw_residuals
+from loora.linalg import check_loo_feasible, ridge_fit
+from loora.oracle import (
+    Population,
+    _centered_residuals,
+    _check_n_t,
+    dm_signal,
+    ht_signal,
+    loora_dm_quadratic_blocks,
+)
+
+
+def loora_ht_second_term_dense(pop: Population, p, lam: float) -> float:
+    """The cross-unit LOORA-HT variance term as a literal upper-triangle sum
+    over the materialized hat matrix."""
+    sig = ht_signal(pop, p)
+    n = pop.n
+    fit = ridge_fit(sig.xw, sig.mu, lam)
+    check_loo_feasible(fit.hat_diag)
+    gap = 1.0 - fit.hat_diag
+    a = sig.t / sig.r
+    cross = np.outer(1.0 / gap, a)
+    both = fit.hat_full**2 * (cross + cross.T) ** 2
+    iu = np.triu_indices(n, k=1)
+    return math.fsum(both[iu]) / n**2
+
+
+def loora_dm_t3_dense(pop: Population, n_t: int, lam: float) -> float:
+    """T3 = sum_ab t^(a)' Q^(ab) t^(b) from the materialized quadratic-form
+    blocks (n <= 512)."""
+    blocks = loora_dm_quadratic_blocks(pop, n_t, lam)
+    sig = dm_signal(pop, n_t)
+    t = {1: sig.t1, 0: sig.t0}
+    return math.fsum(float(t[a] @ blocks[(a, b)] @ t[b]) for a in (0, 1) for b in (0, 1))
+
+
+def loora_ht_second_term_bound(pop: Population, p, lam: float) -> float:
+    """Dimension-based upper bound on the cross-unit variance term.
+
+    (2k / n^2) * ||(1 - h)^{-1}||_inf^2 * ||t / r||_inf^2; the double sum of
+    squared off-diagonal leverages is at most k/2 for any penalty.
+    """
+    sig = ht_signal(pop, p)
+    fit = ridge_fit(sig.xw, sig.mu, lam)
+    gap = 1.0 - fit.hat_diag
+    return (
+        2.0
+        * pop.k
+        / pop.n**2
+        * float(np.max(1.0 / gap)) ** 2
+        * float(np.max(np.abs(sig.t / sig.r))) ** 2
+    )
+
+
+def dm_variance_neyman(pop: Population, n_t: int) -> float:
+    """Exact DM variance in the classical three-term form.
+
+    S^2(y1)/n_t + S^2(y0)/n_c - S^2(effects)/n with (n-1)-divisor variances;
+    must agree with dm_variance.
+    """
+    n_t, n_c = _check_n_t(pop, n_t)
+
+    def s2(v):
+        centered = v - math.fsum(v) / pop.n
+        return math.fsum(centered**2) / (pop.n - 1)
+
+    return s2(pop.y1) / n_t + s2(pop.y0) / n_c - s2(pop.y1 - pop.y0) / pop.n
+
+
+def lin_asymptotic_variance_projection(pop: Population, p_t: float) -> float:
+    """The same benchmark as a single centered projection of the HT signal."""
+    p_t = float(p_t)
+    if not 0.0 < p_t < 1.0:
+        raise InvalidInput(f"treated fraction must lie in (0, 1), got {p_t}")
+    mu = np.sqrt((1.0 - p_t) / p_t) * pop.y1 + np.sqrt(p_t / (1.0 - p_t)) * pop.y0
+    return math.fsum(_centered_residuals(pop, mu) ** 2) / pop.n
+
+
+def hw_variance_ht_sandwich(s: ObservedSample, rule: LambdaRule = DEFAULT_LAMBDA_RULE) -> float:
+    """The same HC0 variance through the explicit sandwich product."""
+    parts = loora_ht_parts(s, rule)
+    hw_resid = _ht_hw_residuals(s, parts)
+    zz = math.fsum(parts.z**2)
+    return math.fsum(parts.z**2 * hw_resid**2) / zz**2

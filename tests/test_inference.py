@@ -19,10 +19,10 @@ from loora.inference import (
     estimate_with_ci,
     hw_variance_dm,
     hw_variance_ht,
-    hw_variance_ht_sandwich,
     normal_quantile,
 )
 from loora.oracle import Population, observed_sample
+from reference_routes import hw_variance_ht_sandwich
 
 AUTO2 = LambdaRule.auto(2.0)
 

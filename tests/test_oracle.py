@@ -1,7 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import loora.oracle as oracle_mod
@@ -19,19 +22,24 @@ from loora.oracle import (
     dm_adjusted_variance,
     dm_signal,
     dm_variance,
-    dm_variance_neyman,
     enumeration_moments,
     ht_signal,
     ht_variance,
     lin_asymptotic_variance,
-    lin_asymptotic_variance_projection,
     loora_dm_quadratic_blocks,
     loora_dm_variance,
     loora_dm_variance_terms,
-    loora_ht_second_term_bound,
     loora_ht_variance,
     loora_ht_variance_terms,
     observe,
+)
+from loora.simulation import synth_population
+from reference_routes import (
+    dm_variance_neyman,
+    lin_asymptotic_variance_projection,
+    loora_dm_t3_dense,
+    loora_ht_second_term_bound,
+    loora_ht_second_term_dense,
 )
 
 AUTO2 = LambdaRule.auto(2.0)
@@ -306,28 +314,76 @@ def test_quadratic_blocks_refuse_oversized_population(rng):
         loora_dm_quadratic_blocks(big, 200, 1.0)
 
 
-def test_streamed_quadratic_path_matches_blocks(rng, monkeypatch):
-    # chunked T3 over several chunks against t'Qt from the materialized blocks
+def test_streamed_quadratic_path_matches_blocks(rng):
+    # low-rank T3 against t'Qt from the materialized blocks
     pop = random_population(rng, 25, 3)
     lam = leverage_regularizer(pop.x, 2.0)
-    blocks = loora_dm_quadratic_blocks(pop, 11, lam)
-    sig = dm_signal(pop, 11)
-    t = {1: sig.t1, 0: sig.t0}
-    reference = math.fsum(
-        float(t[a] @ blocks[(a, b)] @ t[b]) for a in (0, 1) for b in (0, 1)
-    )
-    monkeypatch.setattr(oracle_mod, "T3_CHUNK_ROWS", 7)
-    _, _, streamed = loora_dm_variance_terms(pop, 11, lam)
-    assert streamed == pytest.approx(reference, rel=1e-13)
+    reference = loora_dm_t3_dense(pop, 11, lam)
+    _, _, low_rank = loora_dm_variance_terms(pop, 11, lam)
+    assert low_rank == pytest.approx(reference, rel=1e-13)
 
 
-def test_corrupt_hook_applies_when_rows_span_several_chunks(rng, monkeypatch):
+def test_corrupt_hook_applies_when_rows_span_several_chunks(rng):
     pop = random_population(rng, 25, 3)
     lam = leverage_regularizer(pop.x, 2.0)
-    monkeypatch.setattr(oracle_mod, "T3_CHUNK_ROWS", 7)
     clean = loora_dm_variance(pop, 11, lam)
     corrupted = loora_dm_variance(pop, 11, lam, corrupt_q=True)
     assert abs(clean - corrupted) > 1e-9
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(5, 80),
+    k=st.integers(1, 4),
+    p=st.floats(0.2, 0.8),
+    fixed_lam=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_low_rank_cross_unit_terms_match_dense_references(n, k, p, fixed_lam, seed):
+    # T3 against t'Qt from the blocks, and the HT cross-unit term against the
+    # literal upper-triangle sum over the materialized hat matrix
+    pop = random_population(np.random.default_rng(seed), n, k)
+    probs = np.full(n, p)
+    n_t = min(max(round(p * n), 2), n - 2)
+    lam_dm = 0.05 if fixed_lam else AUTO2.resolve(pop.x)
+    lam_ht = 0.05 if fixed_lam else AUTO2.resolve(ht_signal(pop, probs).xw)
+    _, _, t3 = loora_dm_variance_terms(pop, n_t, lam_dm)
+    reference = loora_dm_t3_dense(pop, n_t, lam_dm)
+    assert abs(t3 - reference) <= 1e-9 * abs(reference)
+    _, term2 = loora_ht_variance_terms(pop, probs, lam_ht)
+    reference = loora_ht_second_term_dense(pop, probs, lam_ht)
+    assert abs(term2 - reference) <= 1e-9 * abs(reference)
+
+
+def test_exact_variances_allocate_no_n_by_n_array():
+    # one n x n float64 array at n = 4096 is 128 MiB
+    n = 4096
+    pop = random_population(np.random.default_rng(11), n, 5)
+    probs = np.full(n, 0.5)
+    lam_dm = AUTO2.resolve(pop.x)
+    lam_ht = AUTO2.resolve(ht_signal(pop, probs).xw)
+    tracemalloc.start()
+    try:
+        loora_dm_variance(pop, n // 2, lam_dm)
+        loora_ht_variance(pop, probs, lam_ht)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
+def test_exact_variances_reach_lin_efficiency_at_large_n():
+    # the large-sample efficiency claim, exactly: n times either exact
+    # variance is within 1% of the interacted-adjustment benchmark
+    pop = synth_population("linear-heterogeneous", 20000, 5, 6)
+    n = pop.n
+    with_intercept = Population(np.column_stack([np.ones(n), pop.x]), pop.y1, pop.y0)
+    probs = np.full(n, 0.5)
+    target = lin_asymptotic_variance(pop, 0.5)
+    lam_ht = AUTO2.resolve(ht_signal(with_intercept, probs).xw)
+    lam_dm = AUTO2.resolve(with_intercept.x)
+    assert n * loora_ht_variance(with_intercept, probs, lam_ht) == pytest.approx(target, rel=0.01)
+    assert n * loora_dm_variance(with_intercept, n // 2, lam_dm) == pytest.approx(target, rel=0.01)
 
 
 def test_pattern_tables_match_displayed_constants_where_verified():
