@@ -7,6 +7,11 @@ estimators LOORA-HT (simple random assignment) and LOORA-DM (complete random
 assignment). Each LOORA estimator has a fast path computed from a single
 ridge factorization through the leave-one-out identity, and a literal
 per-unit refit path used to certify the fast path.
+
+The ridge-based methods are split into a plan, built once from the
+covariates, the design and the penalty rule, and a per-assignment part that
+takes the assignment and the observed outcomes; a Monte Carlo study builds
+each plan once and evaluates it on every replicate.
 """
 
 from __future__ import annotations
@@ -20,11 +25,13 @@ import numpy as np
 from .design import Assignment, CompleteDesign, DesignSpec, SimpleDesign
 from .exceptions import InvalidInput, SpecMismatch
 from .linalg import (
+    RidgeFactor,
     RidgeFit,
     as_design_matrix,
     as_vector,
     check_loo_feasible,
     leverage_regularizer,
+    ridge_factor,
     ridge_fit,
 )
 
@@ -116,47 +123,76 @@ class ObservedSample:
         return self.x.shape[0]
 
 
-def _require_simple(s: ObservedSample, method: str) -> SimpleDesign:
-    if not isinstance(s.spec, SimpleDesign):
+def require_simple(spec: DesignSpec, method: str) -> SimpleDesign:
+    """The design itself, or SpecMismatch if it is not simple random assignment."""
+    if not isinstance(spec, SimpleDesign):
         raise SpecMismatch(f"{method} is defined under simple random assignment only")
-    return s.spec
+    return spec
 
 
-def _group_counts(
-    s: ObservedSample, method: str, allow_design_mismatch: bool
-) -> tuple[int, int]:
-    """Treated/control counts for the DM family, honoring the mismatch opt-in.
-
-    Under the opt-in, a sample drawn from a simple design is analyzed as if
-    the realized treated count had been fixed; that is how the simulation
-    protocol applies the DM family under independent assignment.
-    """
-    if isinstance(s.spec, CompleteDesign):
-        n_t = s.spec.n_t
-    elif allow_design_mismatch:
-        n_t = s.assignment.n_treated
-    else:
-        raise SpecMismatch(f"{method} is defined under complete random assignment only")
-    n_c = s.n - n_t
+def _both_arms(method: str, n_t: int, n_c: int) -> tuple[int, int]:
     if n_t < 1 or n_c < 1:
         raise SpecMismatch(f"{method} needs at least one treated and one control unit")
     return n_t, n_c
 
 
+@dataclass(frozen=True)
+class ArmCounts:
+    """Treated/control counts for the DM family, honoring the mismatch opt-in.
+
+    A complete design fixes them for every assignment. Under the opt-in, a
+    sample drawn from a simple design is analyzed as if the realized treated
+    count had been fixed; that is how the simulation protocol applies the DM
+    family under independent assignment.
+    """
+
+    method: str
+    fixed: tuple[int, int] | None  # None: each assignment sets its own counts
+
+    @classmethod
+    def of(cls, method: str, spec: DesignSpec, allow_design_mismatch: bool) -> "ArmCounts":
+        if isinstance(spec, CompleteDesign):
+            return cls(method, _both_arms(method, spec.n_t, spec.n_c))
+        if allow_design_mismatch:
+            return cls(method, None)
+        raise SpecMismatch(f"{method} is defined under complete random assignment only")
+
+    def counts(self, assignment: Assignment) -> tuple[int, int]:
+        """(n_t, n_c) for this assignment; InvalidInput if it breaks the fixed counts."""
+        if self.fixed is not None:
+            n_t, n_c = self.fixed
+            if assignment.n != n_t + n_c or assignment.n_treated != n_t:
+                raise InvalidInput(
+                    f"assignment treats {assignment.n_treated} of {assignment.n} units "
+                    f"but the design fixes {n_t} of {n_t + n_c}"
+                )
+            return self.fixed
+        n_t = assignment.n_treated
+        return _both_arms(self.method, n_t, assignment.n - n_t)
+
+
+def horvitz_thompson(p: np.ndarray, d: np.ndarray, y: np.ndarray) -> float:
+    """Inverse-probability-weighted arm difference of outcomes y under assignment d."""
+    n = y.shape[0]
+    treated = math.fsum((d * y / p).tolist()) / n
+    control = math.fsum(((1.0 - d) * y / (1.0 - p)).tolist()) / n
+    return treated - control
+
+
+def difference_in_means(d: np.ndarray, y: np.ndarray, n_t: int, n_c: int) -> float:
+    """Treated-group mean minus control-group mean of outcomes y."""
+    return math.fsum((d * y).tolist()) / n_t - math.fsum(((1.0 - d) * y).tolist()) / n_c
+
+
 def estimate_ht(s: ObservedSample) -> float:
     """Horvitz-Thompson estimate: inverse-probability-weighted arm difference."""
-    spec = _require_simple(s, "HT")
-    d, y, p, n = s.assignment.d, s.y, spec.p, s.n
-    treated = math.fsum(d * y / p) / n
-    control = math.fsum((1.0 - d) * y / (1.0 - p)) / n
-    return treated - control
+    return horvitz_thompson(require_simple(s.spec, "HT").p, s.assignment.d, s.y)
 
 
 def estimate_dm(s: ObservedSample, allow_design_mismatch: bool = False) -> float:
     """Difference in means: treated-group mean minus control-group mean."""
-    n_t, n_c = _group_counts(s, "DM", allow_design_mismatch)
-    d, y = s.assignment.d, s.y
-    return math.fsum(d * y) / n_t - math.fsum((1.0 - d) * y) / n_c
+    n_t, n_c = ArmCounts.of("DM", s.spec, allow_design_mismatch).counts(s.assignment)
+    return difference_in_means(s.assignment.d, s.y, n_t, n_c)
 
 
 @dataclass(frozen=True)
@@ -189,27 +225,59 @@ def reweighted_outcomes_ht(y, d, p) -> np.ndarray:
     return np.where(d == 1.0, treated_scale, control_scale) * y
 
 
-def _loora_ht_setup(s: ObservedSample, rule: LambdaRule):
-    """Shared set-up of both LOORA-HT paths: (r, xw, yw, lam, q)."""
-    spec = _require_simple(s, "LOORA_HT")
-    d, p = s.assignment.d, spec.p
+def _loora_ht_design(x: np.ndarray, spec: DesignSpec, rule: LambdaRule):
+    """Study-fixed inputs of both LOORA-HT paths: (p, r, xw, lam)."""
+    p = require_simple(spec, "LOORA_HT").p
     r = np.sqrt(p * (1.0 - p))
-    xw = s.x / r[:, None]
-    yw = reweighted_outcomes_ht(s.y, d, p)
-    return r, xw, yw, rule.resolve(xw), realized_arm_probability(p, d)
+    xw = x / r[:, None]
+    return p, r, xw, rule.resolve(xw)
+
+
+@dataclass(frozen=True)
+class LooraHtPlan:
+    """The study-fixed part of LOORA-HT: weights, penalty and ridge factor.
+
+    Built once from (X, design, rule); parts() evaluates one assignment.
+    """
+
+    x: np.ndarray
+    p: np.ndarray
+    r: np.ndarray  # Bernoulli standard deviations sqrt(p (1 - p))
+    lam: float
+    ridge: RidgeFactor  # of the inverse-weighted covariates X / r
+
+    @classmethod
+    def build(cls, x, spec: DesignSpec, rule: LambdaRule = DEFAULT_LAMBDA_RULE) -> "LooraHtPlan":
+        x = as_design_matrix(x)
+        p, r, xw, lam = _loora_ht_design(x, spec, rule)
+        ridge = ridge_factor(xw, lam)
+        check_loo_feasible(ridge.hat_diag)
+        return cls(x=x, p=p, r=r, lam=lam, ridge=ridge)
+
+    def parts(self, assignment: Assignment, y: np.ndarray) -> LooraHtParts:
+        """Run LOORA-HT on one assignment and its observed outcomes."""
+        d, z, p = assignment.d, assignment.z, self.p
+        yw = reweighted_outcomes_ht(y, d, p)
+        q = realized_arm_probability(p, d)
+        fit = self.ridge.fit(yw)
+        # x_i' beta^{(-i)} with the raw row x_i = r_i * (x_i / r_i)
+        adjustment = self.r * fit.loo_fitted()
+        tau_hat = math.fsum((z / q * (y - adjustment)).tolist()) / y.shape[0]
+        return LooraHtParts(
+            tau_hat=tau_hat,
+            lam=self.lam,
+            xw=self.ridge.x,
+            yw=yw,
+            beta=fit.beta,
+            hat_diag=fit.hat_diag,
+            q=q,
+            z=z,
+        )
 
 
 def loora_ht_parts(s: ObservedSample, rule: LambdaRule = DEFAULT_LAMBDA_RULE) -> LooraHtParts:
     """Run LOORA-HT and keep the pieces confidence intervals need."""
-    r, xw, yw, lam, q = _loora_ht_setup(s, rule)
-    z = s.assignment.z
-    fit = ridge_fit(xw, yw, lam)
-    # x_i' beta^{(-i)} with the raw row x_i = r_i * (x_i / r_i)
-    adjustment = r * fit.loo_fitted()
-    tau_hat = math.fsum(z / q * (s.y - adjustment)) / s.n
-    return LooraHtParts(
-        tau_hat=tau_hat, lam=lam, xw=xw, yw=yw, beta=fit.beta, hat_diag=fit.hat_diag, q=q, z=z
-    )
+    return LooraHtPlan.build(s.x, s.spec, rule).parts(s.assignment, s.y)
 
 
 def estimate_loora_ht(
@@ -224,8 +292,10 @@ def estimate_loora_ht(
     """
     if not refit:
         return loora_ht_parts(s, rule).tau_hat
-    _, xw, yw, lam, q = _loora_ht_setup(s, rule)
-    z, y = s.assignment.z, s.y
+    p, _, xw, lam = _loora_ht_design(s.x, s.spec, rule)
+    d, z, y = s.assignment.d, s.assignment.z, s.y
+    yw = reweighted_outcomes_ht(y, d, p)
+    q = realized_arm_probability(p, d)
     terms = []
     for i in range(s.n):
         sub = np.delete(xw, i, axis=0)
@@ -265,17 +335,56 @@ class LooraDmParts:
     hat_diag: np.ndarray
 
 
-def _loora_dm_setup(s: ObservedSample, rule: LambdaRule, allow_design_mismatch: bool):
-    """Shared set-up of both LOORA-DM paths: (n_t, n_c, responses, lam, v).
+def _loora_dm_responses(n_t: int, n_c: int, d: np.ndarray, y: np.ndarray):
+    """Per-assignment inputs of both LOORA-DM paths: (responses, v).
 
     Column 0 of the (n, 2) responses is regressed when the removed unit is
     treated, column 1 when it is a control; v holds the arm weights 1/n_arm.
     """
-    n_t, n_c = _group_counts(s, "LOORA_DM", allow_design_mismatch)
-    d = s.assignment.d
-    responses = np.column_stack(dm_response_weights(n_t, n_c, d)) * s.y[:, None]
+    responses = np.column_stack(dm_response_weights(n_t, n_c, d)) * y[:, None]
     v = np.where(d == 1.0, 1.0 / n_t, 1.0 / n_c)
-    return n_t, n_c, responses, rule.resolve(s.x), v
+    return responses, v
+
+
+@dataclass(frozen=True)
+class LooraDmPlan:
+    """The study-fixed part of LOORA-DM: arm counts, penalty and ridge factor of X.
+
+    Built once from (X, design, rule); parts() evaluates one assignment.
+    """
+
+    arms: ArmCounts
+    lam: float
+    ridge: RidgeFactor
+
+    @classmethod
+    def build(
+        cls,
+        x,
+        spec: DesignSpec,
+        rule: LambdaRule = DEFAULT_LAMBDA_RULE,
+        allow_design_mismatch: bool = False,
+    ) -> "LooraDmPlan":
+        arms = ArmCounts.of("LOORA_DM", spec, allow_design_mismatch)
+        x = as_design_matrix(x)
+        lam = rule.resolve(x)
+        ridge = ridge_factor(x, lam)
+        check_loo_feasible(ridge.hat_diag)
+        return cls(arms=arms, lam=lam, ridge=ridge)
+
+    def parts(self, assignment: Assignment, y: np.ndarray) -> LooraDmParts:
+        """Run LOORA-DM on one assignment and its observed outcomes."""
+        n_t, n_c = self.arms.counts(assignment)
+        d = assignment.d
+        responses, v = _loora_dm_responses(n_t, n_c, d, y)
+        # The removed unit's own response entry cancels in loo_fitted, so the
+        # zero placeholders in the scalings are never read.
+        loo = self.ridge.fit(responses).loo_fitted()
+        u = y - np.where(d == 1.0, loo[:, 0], loo[:, 1])
+        tau_hat = math.fsum((v * assignment.z * u).tolist())
+        return LooraDmParts(
+            tau_hat=tau_hat, lam=self.lam, u=u, n_t=n_t, n_c=n_c, d=d, hat_diag=self.ridge.hat_diag
+        )
 
 
 def loora_dm_parts(
@@ -284,17 +393,8 @@ def loora_dm_parts(
     allow_design_mismatch: bool = False,
 ) -> LooraDmParts:
     """Run LOORA-DM and keep the pieces confidence intervals need."""
-    n_t, n_c, responses, lam, v = _loora_dm_setup(s, rule, allow_design_mismatch)
-    d = s.assignment.d
-    fit = ridge_fit(s.x, responses, lam)
-    # The removed unit's own response entry cancels in loo_fitted, so the
-    # zero placeholders in the scalings are never read.
-    loo = fit.loo_fitted()
-    u = s.y - np.where(d == 1.0, loo[:, 0], loo[:, 1])
-    tau_hat = math.fsum(v * s.assignment.z * u)
-    return LooraDmParts(
-        tau_hat=tau_hat, lam=lam, u=u, n_t=n_t, n_c=n_c, d=d, hat_diag=fit.hat_diag
-    )
+    plan = LooraDmPlan.build(s.x, s.spec, rule, allow_design_mismatch)
+    return plan.parts(s.assignment, s.y)
 
 
 def estimate_loora_dm(
@@ -318,8 +418,10 @@ def estimate_loora_dm(
     """
     if not refit:
         return loora_dm_parts(s, rule, allow_design_mismatch).tau_hat
-    _, _, responses, lam, v = _loora_dm_setup(s, rule, allow_design_mismatch)
+    n_t, n_c = ArmCounts.of("LOORA_DM", s.spec, allow_design_mismatch).counts(s.assignment)
     d, z, y, x = s.assignment.d, s.assignment.z, s.y, s.x
+    responses, v = _loora_dm_responses(n_t, n_c, d, y)
+    lam = rule.resolve(x)
     terms = []
     for i in range(s.n):
         resp = responses[:, 0] if d[i] == 1.0 else responses[:, 1]
@@ -343,7 +445,7 @@ def estimate_loora_dm_pairwise(
     rewriting degenerates (its rescaled outcome carries a zero-times-
     undefined weight) and the two forms may differ.
     """
-    n_t, n_c = _group_counts(s, "LOORA_DM", allow_design_mismatch)
+    n_t, n_c = ArmCounts.of("LOORA_DM", s.spec, allow_design_mismatch).counts(s.assignment)
     d, y, x, n = s.assignment.d, s.y, s.x, s.n
     lam = rule.resolve(x)
     # Unified rescaled outcomes; undefined own-group entries (n_t or n_c = 1)
@@ -370,15 +472,54 @@ def estimate_loora_dm_pairwise(
     return math.fsum(terms) / (n_t * n_c)
 
 
-def adj_design(s: ObservedSample) -> np.ndarray:
-    """Design matrix [1, d, X] of the classic adjusted benchmark."""
-    return np.column_stack([np.ones(s.n), s.assignment.d, s.x])
+@dataclass(frozen=True)
+class BenchmarkPlan:
+    """The study-fixed part of ADJ, INT and RIDGE_REG: covariate block and penalty.
 
+    ADJ regresses y on [1, d, X] and INT on [1, d, X - mean, d * (X - mean)],
+    both unpenalized. RIDGE_REG uses the ADJ design and penalizes only the X
+    columns, with the leverage rule applied to the covariate block. The
+    estimate is the coefficient on d. The design contains d, so fit() still
+    factors once per assignment.
+    """
 
-def int_design(s: ObservedSample) -> np.ndarray:
-    """Design matrix [1, d, X - mean, d * (X - mean)] of the interacted benchmark."""
-    xc = s.x - s.x.mean(axis=0)
-    return np.column_stack([np.ones(s.n), s.assignment.d, xc, s.assignment.d[:, None] * xc])
+    method: Method
+    arms: ArmCounts
+    covariates: np.ndarray  # X, or X centered at its full-sample mean for INT
+    penalty: np.ndarray  # per-column penalty of the design
+
+    @classmethod
+    def build(
+        cls,
+        method: Method,
+        x,
+        spec: DesignSpec,
+        rule: LambdaRule = DEFAULT_LAMBDA_RULE,
+        allow_design_mismatch: bool = False,
+    ) -> "BenchmarkPlan":
+        method = Method(method)
+        arms = ArmCounts.of(method.value, spec, allow_design_mismatch)
+        x = as_design_matrix(x)
+        covariates = x - x.mean(axis=0) if method is Method.INT else x
+        width = 2 + covariates.shape[1] * (2 if method is Method.INT else 1)
+        penalty = np.zeros(width)
+        if method is Method.RIDGE_REG:
+            penalty[2:] = rule.resolve(x)
+        return cls(method=method, arms=arms, covariates=covariates, penalty=penalty)
+
+    @property
+    def lam(self) -> float:
+        """The penalty on the covariate block (zero for ADJ and INT)."""
+        return float(self.penalty[-1])
+
+    def fit(self, assignment: Assignment, y: np.ndarray) -> RidgeFit:
+        """The regression of y on this assignment's design; the estimate is beta[1]."""
+        self.arms.counts(assignment)
+        d, xc = assignment.d, self.covariates
+        columns = [np.ones(d.shape[0]), d, xc]
+        if self.method is Method.INT:
+            columns.append(d[:, None] * xc)
+        return ridge_fit(np.column_stack(columns), y, self.penalty)
 
 
 def benchmark_fit(
@@ -387,20 +528,9 @@ def benchmark_fit(
     rule: LambdaRule = DEFAULT_LAMBDA_RULE,
     allow_design_mismatch: bool = False,
 ) -> RidgeFit:
-    """The regression of y behind ADJ, INT or RIDGE_REG; the estimate is beta[1].
-
-    ADJ and INT are unpenalized least squares on their designs. RIDGE_REG
-    penalizes only the X columns of [1, d, X], with the leverage rule applied
-    to the covariate block, so the last entry of the fit's per-column penalty
-    is the lambda used (zero for ADJ and INT).
-    """
-    method = Method(method)
-    _group_counts(s, method.value, allow_design_mismatch)
-    m = int_design(s) if method is Method.INT else adj_design(s)
-    penalty = np.zeros(m.shape[1])
-    if method is Method.RIDGE_REG:
-        penalty[2:] = rule.resolve(s.x)
-    return ridge_fit(m, s.y, penalty)
+    """The regression of y behind ADJ, INT or RIDGE_REG; the estimate is beta[1]."""
+    plan = BenchmarkPlan.build(method, s.x, s.spec, rule, allow_design_mismatch)
+    return plan.fit(s.assignment, s.y)
 
 
 def estimate_adj(s: ObservedSample, allow_design_mismatch: bool = False) -> float:

@@ -9,6 +9,15 @@ class InvalidInput(LooraError, ValueError):
     """Non-finite values, dimension mismatches, or otherwise malformed input."""
 
 
+class SelfCheckFailed(InvalidInput):
+    """A computed quantity failed an internal consistency check.
+
+    Raised, for example, when the auxiliary regression behind the LOORA-DM
+    variance does not reproduce the point estimate. A Monte Carlo study
+    counts it as that replicate's failure for the method concerned.
+    """
+
+
 class InvalidSpec(LooraError, ValueError):
     """A design specification violates its validity constraints."""
 

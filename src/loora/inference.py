@@ -12,22 +12,29 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Protocol
 
 import numpy as np
 
+from .design import Assignment, DesignSpec
 from .estimators import (
     DEFAULT_LAMBDA_RULE,
+    ArmCounts,
+    BenchmarkPlan,
     LambdaRule,
+    LooraDmPlan,
+    LooraHtPlan,
     Method,
     ObservedSample,
-    benchmark_fit,
-    estimate_dm,
-    estimate_ht,
+    difference_in_means,
+    horvitz_thompson,
     loora_dm_parts,
     loora_ht_parts,
     realized_arm_probability,
+    require_simple,
 )
-from .exceptions import InvalidInput, NonFinite, SpecMismatch
+from .exceptions import InvalidInput, NonFinite, SelfCheckFailed, SpecMismatch
+from .linalg import as_design_matrix, as_vector
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -118,8 +125,8 @@ class EstimateReport:
     lambda_used: float
 
 
-def _ht_hw_residuals(s: ObservedSample, parts) -> np.ndarray:
-    resid_scaled = (s.y - (s.x @ parts.beta)) / (parts.q * (1.0 - parts.hat_diag))
+def _ht_hw_residuals(x: np.ndarray, y: np.ndarray, parts) -> np.ndarray:
+    resid_scaled = (y - (x @ parts.beta)) / (parts.q * (1.0 - parts.hat_diag))
     return resid_scaled - parts.z * parts.tau_hat
 
 
@@ -130,8 +137,8 @@ def hw_variance_ht(s: ObservedSample, rule: LambdaRule = DEFAULT_LAMBDA_RULE) ->
     a regression on the signed treatment indicator; since the regressor is
     +/-1 the sandwich collapses to n^{-2} sum of squared residuals.
     """
-    hw_resid = _ht_hw_residuals(s, loora_ht_parts(s, rule))
-    return math.fsum(hw_resid**2) / s.n**2
+    hw_resid = _ht_hw_residuals(s.x, s.y, loora_ht_parts(s, rule))
+    return math.fsum((hw_resid**2).tolist()) / s.n**2
 
 
 def _two_column_sandwich(u: np.ndarray, d: np.ndarray) -> tuple[float, float, float]:
@@ -156,7 +163,7 @@ def _two_column_sandwich(u: np.ndarray, d: np.ndarray) -> tuple[float, float, fl
 def _dm_hw_variance_from_parts(parts) -> float:
     _, slope, var = _two_column_sandwich(parts.u, parts.d)
     if abs(slope - parts.tau_hat) > 1e-10 * max(1.0, abs(parts.tau_hat)):
-        raise InvalidInput(
+        raise SelfCheckFailed(
             "auxiliary regression failed to reproduce the point estimate; "
             f"got {slope!r} vs {parts.tau_hat!r}"
         )
@@ -178,6 +185,158 @@ def hw_variance_dm(
     return _dm_hw_variance_from_parts(loora_dm_parts(s, rule, allow_design_mismatch))
 
 
+def _fsum_or_inf(a: np.ndarray) -> float:
+    """Exact sum of a variance's terms; inf where math.fsum refuses to overflow."""
+    try:
+        return math.fsum(a.tolist())
+    except OverflowError:
+        return math.inf
+
+
+class _MethodCore(Protocol):
+    """The study-fixed part of one method; tau_and_var evaluates one assignment."""
+
+    def tau_and_var(self, assignment: Assignment, y: np.ndarray) -> tuple[float, float]: ...
+
+
+@dataclass(frozen=True)
+class _HtCore:
+    p: np.ndarray
+
+    def tau_and_var(self, assignment: Assignment, y: np.ndarray) -> tuple[float, float]:
+        d = assignment.d
+        tau = horvitz_thompson(self.p, d, y)
+        resid = y / realized_arm_probability(self.p, d) - assignment.z * tau
+        return tau, _fsum_or_inf(resid**2) / y.shape[0] ** 2
+
+
+@dataclass(frozen=True)
+class _DmCore:
+    arms: ArmCounts
+
+    def tau_and_var(self, assignment: Assignment, y: np.ndarray) -> tuple[float, float]:
+        d = assignment.d
+        tau = difference_in_means(d, y, *self.arms.counts(assignment))
+        return tau, _two_column_sandwich(y, d)[2]
+
+
+@dataclass(frozen=True)
+class _LooraHtCore:
+    plan: LooraHtPlan
+
+    def tau_and_var(self, assignment: Assignment, y: np.ndarray) -> tuple[float, float]:
+        parts = self.plan.parts(assignment, y)
+        resid = _ht_hw_residuals(self.plan.x, y, parts)
+        return parts.tau_hat, _fsum_or_inf(resid**2) / y.shape[0] ** 2
+
+
+@dataclass(frozen=True)
+class _LooraDmCore:
+    plan: LooraDmPlan
+
+    def tau_and_var(self, assignment: Assignment, y: np.ndarray) -> tuple[float, float]:
+        parts = self.plan.parts(assignment, y)
+        return parts.tau_hat, _dm_hw_variance_from_parts(parts)
+
+
+@dataclass(frozen=True)
+class _BenchmarkCore:
+    plan: BenchmarkPlan
+
+    def tau_and_var(self, assignment: Assignment, y: np.ndarray) -> tuple[float, float]:
+        fit = self.plan.fit(assignment, y)
+        # HC0: the coefficient is z[1] . y, so its variance is sum r_i^2 z[1, i]^2.
+        return float(fit.beta[1]), _fsum_or_inf((fit.z[1] * (y - fit.x @ fit.beta)) ** 2)
+
+
+@dataclass(frozen=True)
+class EstimatePlan:
+    """One method's estimate, split into a study-fixed and a per-assignment part.
+
+    plan_estimate does once what depends only on (X, design, rule): it
+    validates X, resolves lambda, factors the ridge Gram and checks its
+    leverages, and forms the HT weights. evaluate() then does the work of
+    one assignment. A Monte Carlo study builds one plan per method and
+    evaluates it on every replicate.
+    """
+
+    method: Method
+    level: float
+    lambda_used: float
+    n: int
+    core: _MethodCore
+
+    def evaluate(self, assignment: Assignment, y) -> EstimateReport:
+        """Point estimate, HC0 variance and confidence interval for one assignment.
+
+        y holds the observed outcomes. Raises InvalidInput when the
+        assignment or y does not fit the planned sample (including a treated
+        count other than the one a complete design fixes), and NonFinite,
+        naming the method and the stage, when the point estimate or the
+        variance leaves the floating-point range (for example on outcomes of
+        magnitude 1e200, whose squares overflow).
+        """
+        if assignment.n != self.n:
+            raise InvalidInput("assignment length does not match the design matrix")
+        y = as_vector(y, self.n, "outcome")
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                tau, var = self.core.tau_and_var(assignment, y)
+        except OverflowError:
+            # variances already turn an overflowing fsum into inf
+            raise NonFinite(self.method.value, "point estimate") from None
+        if not math.isfinite(tau):
+            raise NonFinite(self.method.value, "point estimate")
+        if not math.isfinite(var):
+            raise NonFinite(self.method.value, "variance")
+        low, high = confidence_interval(tau, var, self.level)
+        return EstimateReport(
+            method=self.method,
+            tau_hat=tau,
+            var_hat=var,
+            ci_low=low,
+            ci_high=high,
+            level=self.level,
+            lambda_used=self.lambda_used,
+        )
+
+
+def plan_estimate(
+    method: Method,
+    x,
+    spec: DesignSpec,
+    rule: LambdaRule = DEFAULT_LAMBDA_RULE,
+    level: float = 0.95,
+    allow_design_mismatch: bool = False,
+) -> EstimatePlan:
+    """Build the study-fixed part of one method's estimate; see EstimatePlan.
+
+    Raises what the method raises on any assignment of this design: for
+    example SpecMismatch for a method the design does not support,
+    RankDeficient, or LeverageSingular for a leverage too close to 1.
+    """
+    method = Method(method)
+    x = as_design_matrix(x)
+    if spec.n != x.shape[0]:
+        raise InvalidInput("design size does not match the design matrix")
+    core: _MethodCore
+    lam = 0.0
+    if method is Method.HT:
+        core = _HtCore(require_simple(spec, "HT").p)
+    elif method is Method.DM:
+        core = _DmCore(ArmCounts.of("DM", spec, allow_design_mismatch))
+    elif method is Method.LOORA_HT:
+        ht = LooraHtPlan.build(x, spec, rule)
+        core, lam = _LooraHtCore(ht), ht.lam
+    elif method is Method.LOORA_DM:
+        dm = LooraDmPlan.build(x, spec, rule, allow_design_mismatch)
+        core, lam = _LooraDmCore(dm), dm.lam
+    else:
+        bench = BenchmarkPlan.build(method, x, spec, rule, allow_design_mismatch)
+        core, lam = _BenchmarkCore(bench), bench.lam
+    return EstimatePlan(method=method, level=level, lambda_used=lam, n=x.shape[0], core=core)
+
+
 def estimate_with_ci(
     method: Method,
     s: ObservedSample,
@@ -187,50 +346,8 @@ def estimate_with_ci(
 ) -> EstimateReport:
     """Point estimate, HC0 variance, and confidence interval for any method.
 
-    Raises NonFinite, naming the method and the stage, when the point
-    estimate or the variance leaves the floating-point range (for example on
-    outcomes of magnitude 1e200, whose squares overflow).
+    Builds the method's plan for this sample and evaluates it once; raises
+    NonFinite as EstimatePlan.evaluate does.
     """
-    method = Method(method)
-    lam_used = 0.0
-    tau = None
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            if method is Method.HT:
-                tau = estimate_ht(s)
-                q = realized_arm_probability(s.spec.p, s.assignment.d)
-                resid = s.y / q - s.assignment.z * tau
-                var = math.fsum(resid**2) / s.n**2
-            elif method is Method.DM:
-                tau = estimate_dm(s, allow_design_mismatch)
-                _, _, var = _two_column_sandwich(s.y, s.assignment.d)
-            elif method is Method.LOORA_HT:
-                parts = loora_ht_parts(s, rule)
-                tau, lam_used = parts.tau_hat, parts.lam
-                var = math.fsum(_ht_hw_residuals(s, parts) ** 2) / s.n**2
-            elif method is Method.LOORA_DM:
-                parts = loora_dm_parts(s, rule, allow_design_mismatch)
-                tau, lam_used = parts.tau_hat, parts.lam
-                var = _dm_hw_variance_from_parts(parts)
-            else:
-                fit = benchmark_fit(method, s, rule, allow_design_mismatch)
-                tau, lam_used = float(fit.beta[1]), float(fit.lam[-1])
-                # HC0: the coefficient is z[1] . y, so its variance is sum r_i^2 z[1, i]^2.
-                var = math.fsum((fit.z[1] * (s.y - fit.x @ fit.beta)) ** 2)
-    except OverflowError:
-        # math.fsum refuses partial sums beyond the float range
-        var = math.inf
-    if tau is None or not math.isfinite(tau):
-        raise NonFinite(method.value, "point estimate")
-    if not math.isfinite(var):
-        raise NonFinite(method.value, "variance")
-    low, high = confidence_interval(tau, var, level)
-    return EstimateReport(
-        method=method,
-        tau_hat=tau,
-        var_hat=var,
-        ci_low=low,
-        ci_high=high,
-        level=level,
-        lambda_used=lam_used,
-    )
+    plan = plan_estimate(method, s.x, s.spec, rule, level, allow_design_mismatch)
+    return plan.evaluate(s.assignment, s.y)

@@ -130,39 +130,69 @@ def _as_penalty(lam, k: int) -> float | np.ndarray:
     raise InvalidInput(f"lambda must be finite and nonnegative, got {lam}")
 
 
-def ridge_fit(x, y, lam) -> RidgeFit:
-    """Solve a ridge regression from one Cholesky factorization.
+@dataclass(frozen=True)
+class RidgeFactor:
+    """The response-free part of a ridge regression: one Cholesky factor.
+
+    Everything here depends on (X, Lambda) only, so a caller that fits many
+    responses against the same design pays for the factorization once.
+
+    Attributes
+    ----------
+    x : ndarray of shape (n, k)
+        Design matrix.
+    lam : float or ndarray of shape (k,)
+        Ridge penalty used.
+    cho : tuple
+        Upper Cholesky factor of X'X + Lambda, as returned by cho_factor.
+    hat_diag : ndarray of shape (n,)
+        Ridge leverage scores.
+    z : ndarray of shape (k, n)
+        (X'X + Lambda)^{-1} X'.
+    """
+
+    x: np.ndarray
+    lam: float | np.ndarray
+    cho: tuple
+    hat_diag: np.ndarray
+    z: np.ndarray
+
+    def fit(self, y) -> RidgeFit:
+        """Fit a response of shape (n,) or (n, m) against this factor."""
+        n = self.x.shape[0]
+        y = np.asarray(y, dtype=np.float64)
+        if y.ndim not in (1, 2) or y.shape[0] != n:
+            raise InvalidInput(f"response has shape {y.shape}, expected ({n},) or ({n}, m)")
+        if not np.all(np.isfinite(y)):
+            raise InvalidInput("response contains non-finite entries")
+        # x and y are checked and cho_factor checked the Gram, so the solve
+        # skips scipy's repeated finiteness scan.
+        beta = scipy.linalg.cho_solve(self.cho, _by_column(self.x.T, y), check_finite=False)
+        return RidgeFit(x=self.x, y=y, lam=self.lam, beta=beta, hat_diag=self.hat_diag, z=self.z)
+
+
+def ridge_factor(x, lam) -> RidgeFactor:
+    """Factor X'X + Lambda once; fit responses with RidgeFactor.fit.
 
     Parameters
     ----------
     x : array_like of shape (n, k)
         Design matrix.
-    y : array_like of shape (n,) or (n, m)
-        Response vector, or m responses fit against the same factor.
     lam : float or array_like of shape (k,)
         Nonnegative ridge penalty, shared by every coefficient or given per
         coefficient (zero leaves that coefficient unpenalized). When every
         penalty is zero the design must have full column rank.
 
-    Returns
-    -------
-    RidgeFit
-
     Raises
     ------
     InvalidInput
-        On non-finite input, dimension mismatch, or a negative penalty.
+        On non-finite input or a negative penalty.
     RankDeficient
         When every penalty is zero and the design matrix is rank-deficient,
         or when X'X + Lambda is numerically singular.
     """
     x = as_design_matrix(x)
-    n, k = x.shape
-    y = np.asarray(y, dtype=np.float64)
-    if y.ndim not in (1, 2) or y.shape[0] != n:
-        raise InvalidInput(f"response has shape {y.shape}, expected ({n},) or ({n}, m)")
-    if not np.all(np.isfinite(y)):
-        raise InvalidInput("response contains non-finite entries")
+    k = x.shape[1]
     lam = _as_penalty(lam, k)
     unpenalized = lam == 0.0 if isinstance(lam, float) else not lam.any()
     if unpenalized and np.linalg.matrix_rank(x) < k:
@@ -173,16 +203,30 @@ def ridge_fit(x, y, lam) -> RidgeFit:
     gram = x.T @ x
     gram.flat[:: k + 1] += lam
     try:
-        factor = scipy.linalg.cho_factor(gram, lower=False)
+        cho = scipy.linalg.cho_factor(gram, lower=False)
     except scipy.linalg.LinAlgError as exc:
         # numerically singular even though the SVD rank check passed
         raise RankDeficient(str(exc)) from exc
-    # x and y were checked above and cho_factor checked the Gram, so the
-    # solves skip scipy's repeated finiteness scans.
-    beta = scipy.linalg.cho_solve(factor, _by_column(x.T, y), check_finite=False)
-    z = scipy.linalg.cho_solve(factor, x.T, check_finite=False)
+    z = scipy.linalg.cho_solve(cho, x.T, check_finite=False)
     hat_diag = np.einsum("ij,ji->i", x, z)
-    return RidgeFit(x=x, y=y, lam=lam, beta=beta, hat_diag=hat_diag, z=z)
+    return RidgeFactor(x=x, lam=lam, cho=cho, hat_diag=hat_diag, z=z)
+
+
+def ridge_fit(x, y, lam) -> RidgeFit:
+    """Solve a ridge regression from one Cholesky factorization.
+
+    Shorthand for ridge_factor(x, lam).fit(y); see both for the parameters.
+    y may be of shape (n,) or (n, m): m responses fit against the same factor.
+
+    Raises
+    ------
+    InvalidInput
+        On non-finite input, dimension mismatch, or a negative penalty.
+    RankDeficient
+        When every penalty is zero and the design matrix is rank-deficient,
+        or when X'X + Lambda is numerically singular.
+    """
+    return ridge_factor(x, lam).fit(y)
 
 
 def check_loo_feasible(hat_diag: np.ndarray) -> None:

@@ -5,7 +5,9 @@ accordingly, runs every requested estimator with its confidence interval, and
 aggregates bias, standard deviation, RMSE, coverage, and interval length.
 Replicates use counter-derived substreams of one root seed, so results do
 not depend on execution order. An enumeration mode replaces sampling with
-the exact assignment distribution.
+the exact assignment distribution. Each method's study-fixed part (its ridge
+factor, for example) is planned once per study; every replicate, sampled or
+enumerated, only evaluates the plan.
 """
 
 from __future__ import annotations
@@ -23,10 +25,11 @@ from .exceptions import (
     LeverageSingular,
     NonFinite,
     RankDeficient,
+    SelfCheckFailed,
     SpecMismatch,
 )
-from .inference import estimate_with_ci
-from .oracle import Population, observed_sample
+from .inference import plan_estimate
+from .oracle import Population, observe
 
 DESIGN_CHOICES = ("simple-half", "simple-covariate-correlated", "complete")
 
@@ -183,25 +186,40 @@ def resolve_design(pop: Population, cfg: StudyConfig, rng: np.random.Generator) 
     return CompleteDesign(pop.n, n_t)
 
 
-def _evaluate_methods(pop, spec, assignment, cfg):
-    """One replicate: per-method (ok, tau_hat, covered, length) tuples."""
-    tau = pop.tau
-    out = []
+# Degenerate draws (for example an empty arm under simple assignment),
+# singular-leverage, overflowing and self-check-failing evaluations are
+# recorded as failures for the affected method only; any other error aborts
+# the study.
+_METHOD_FAILURES = (LeverageSingular, NonFinite, RankDeficient, SelfCheckFailed, SpecMismatch)
+_FAILED = (False, 0.0, 0.0, 0.0)
+
+
+def _plan_methods(pop, spec, cfg):
+    """One plan per method; None where the plan itself fails, so every replicate does."""
+    plans = []
     for name in cfg.methods:
-        method = Method(name)
         try:
-            report = estimate_with_ci(
-                method,
-                observed_sample(pop, assignment, spec),
-                cfg.lambda_rule,
-                cfg.level,
-                cfg.allow_design_mismatch,
+            plans.append(
+                plan_estimate(
+                    name, pop.x, spec, cfg.lambda_rule, cfg.level, cfg.allow_design_mismatch
+                )
             )
-        except (LeverageSingular, NonFinite, RankDeficient, SpecMismatch):
-            # Degenerate draws (for example an empty arm under simple
-            # assignment), singular-leverage and overflowing replicates are
-            # recorded as failures for the affected method only.
-            out.append((False, 0.0, 0.0, 0.0))
+        except _METHOD_FAILURES:
+            plans.append(None)
+    return plans
+
+
+def _evaluate_methods(plans, assignment, y, tau):
+    """One replicate: per-method (ok, tau_hat, covered, length) tuples."""
+    out = []
+    for plan in plans:
+        if plan is None:
+            out.append(_FAILED)
+            continue
+        try:
+            report = plan.evaluate(assignment, y)
+        except _METHOD_FAILURES:
+            out.append(_FAILED)
             continue
         covered = 1.0 if report.ci_low <= tau <= report.ci_high else 0.0
         out.append((True, report.tau_hat, covered, report.ci_high - report.ci_low))
@@ -214,7 +232,7 @@ def _aggregate(cfg, design_label, tau, ok, est, covered, length, weights):
         good = ok[:, j] > 0.0
         used = int(np.count_nonzero(good))
         failed = int(np.count_nonzero(~good))
-        total = math.fsum(weights[good])
+        total = math.fsum(weights[good].tolist())
         if total <= 0.0:
             stats.append(
                 MethodStats(name, math.nan, math.nan, math.nan, math.nan, math.nan, 0, failed)
@@ -222,13 +240,13 @@ def _aggregate(cfg, design_label, tau, ok, est, covered, length, weights):
             continue
         w = weights[good]
         e = est[good, j]
-        mean = math.fsum(w * e) / total
-        var = math.fsum(w * (e - mean) ** 2) / total
+        mean = math.fsum((w * e).tolist()) / total
+        var = math.fsum((w * (e - mean) ** 2).tolist()) / total
         bias = mean - tau
         std = math.sqrt(var)
         rmse = math.sqrt(bias**2 + var)
-        cov = math.fsum(w * covered[good, j]) / total
-        avg_len = math.fsum(w * length[good, j]) / total
+        cov = math.fsum((w * covered[good, j]).tolist()) / total
+        avg_len = math.fsum((w * length[good, j]).tolist()) / total
         stats.append(MethodStats(name, bias, std, rmse, cov, avg_len, used, failed))
     return SimulationReport(
         design=design_label,
@@ -246,17 +264,20 @@ def run_study(pop: Population, cfg: StudyConfig) -> SimulationReport:
     Deterministic for a given (population, config): replicate substreams are
     derived from (seed, replicate index) and aggregation runs in replicate
     order. cfg.threads does not change the report or how it is computed.
+    Each method is planned once, and each replicate's outcomes are observed
+    once for all methods.
     """
     study_rng = np.random.Generator(np.random.PCG64(study_seed_sequence(cfg.seed)))
     spec = resolve_design(pop, cfg, study_rng)
     tau = pop.tau
     n_methods = len(cfg.methods)
+    plans = _plan_methods(pop, spec, cfg)
 
     if cfg.reps == "enumerate":
         rows = []
         weights = []
         for assignment, prob in enumerate_assignments(spec):
-            rows.append(_evaluate_methods(pop, spec, assignment, cfg))
+            rows.append(_evaluate_methods(plans, assignment, observe(pop, assignment), tau))
             weights.append(prob)
         arr = np.asarray(rows, dtype=np.float64)
         ok, est, covered, length = arr[:, :, 0], arr[:, :, 1], arr[:, :, 2], arr[:, :, 3]
@@ -270,6 +291,7 @@ def run_study(pop: Population, cfg: StudyConfig) -> SimulationReport:
     for rep in range(reps):
         rng = np.random.Generator(np.random.PCG64(replicate_seed_sequence(cfg.seed, rep)))
         assignment = draw_with(spec, rng)
-        for j, row in enumerate(_evaluate_methods(pop, spec, assignment, cfg)):
+        y = observe(pop, assignment)
+        for j, row in enumerate(_evaluate_methods(plans, assignment, y, tau)):
             ok[rep, j], est[rep, j], covered[rep, j], length[rep, j] = row
     return _aggregate(cfg, cfg.design, tau, ok, est, covered, length, np.ones(reps))

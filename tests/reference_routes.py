@@ -2,7 +2,8 @@
 
 Each function here computes a quantity the package also computes, by a
 different and more literal route: dense n x n hat-matrix algebra, the
-classical three-term variance, an explicit sandwich product. They stay
+classical three-term variance, an explicit sandwich product, a study that
+builds a fresh sample and a fresh fit for every replicate. They stay
 independent of the fast paths in ``loora`` so that agreement between the
 two means something.
 """
@@ -11,9 +12,17 @@ import math
 
 import numpy as np
 
+from loora.design import draw_with, enumerate_assignments
 from loora.estimators import DEFAULT_LAMBDA_RULE, LambdaRule, ObservedSample, loora_ht_parts
-from loora.exceptions import InvalidInput
-from loora.inference import _ht_hw_residuals
+from loora.exceptions import (
+    InvalidInput,
+    LeverageSingular,
+    NonFinite,
+    RankDeficient,
+    SelfCheckFailed,
+    SpecMismatch,
+)
+from loora.inference import _ht_hw_residuals, estimate_with_ci
 from loora.linalg import check_loo_feasible, ridge_fit
 from loora.oracle import (
     Population,
@@ -22,6 +31,15 @@ from loora.oracle import (
     dm_signal,
     ht_signal,
     loora_dm_quadratic_blocks,
+    observed_sample,
+)
+from loora.simulation import (
+    SimulationReport,
+    StudyConfig,
+    _aggregate,
+    replicate_seed_sequence,
+    resolve_design,
+    study_seed_sequence,
 )
 
 
@@ -94,6 +112,48 @@ def lin_asymptotic_variance_projection(pop: Population, p_t: float) -> float:
 def hw_variance_ht_sandwich(s: ObservedSample, rule: LambdaRule = DEFAULT_LAMBDA_RULE) -> float:
     """The same HC0 variance through the explicit sandwich product."""
     parts = loora_ht_parts(s, rule)
-    hw_resid = _ht_hw_residuals(s, parts)
+    hw_resid = _ht_hw_residuals(s.x, s.y, parts)
     zz = math.fsum(parts.z**2)
     return math.fsum(parts.z**2 * hw_resid**2) / zz**2
+
+
+def run_study_per_sample(pop: Population, cfg: StudyConfig) -> SimulationReport:
+    """run_study with no plan shared between replicates.
+
+    Every replicate and method gets a fresh observed sample and a fresh
+    estimate_with_ci call, which validates, resolves lambda and factors
+    anew. Draws, failure classes and aggregation follow run_study.
+    """
+    def generator(seed_sequence):
+        return np.random.Generator(np.random.PCG64(seed_sequence))
+
+    spec = resolve_design(pop, cfg, generator(study_seed_sequence(cfg.seed)))
+    if cfg.reps == "enumerate":
+        draws = list(enumerate_assignments(spec))
+    else:
+        draws = [
+            (draw_with(spec, generator(replicate_seed_sequence(cfg.seed, rep))), 1.0)
+            for rep in range(int(cfg.reps))
+        ]
+    rows = []
+    for assignment, _ in draws:
+        row = []
+        for method in cfg.methods:
+            try:
+                report = estimate_with_ci(
+                    method,
+                    observed_sample(pop, assignment, spec),
+                    cfg.lambda_rule,
+                    cfg.level,
+                    cfg.allow_design_mismatch,
+                )
+            except (LeverageSingular, NonFinite, RankDeficient, SelfCheckFailed, SpecMismatch):
+                row.append((0.0, 0.0, 0.0, 0.0))
+                continue
+            covered = 1.0 if report.ci_low <= pop.tau <= report.ci_high else 0.0
+            row.append((1.0, report.tau_hat, covered, report.ci_high - report.ci_low))
+        rows.append(row)
+    arr = np.asarray(rows, dtype=np.float64).reshape(len(draws), len(cfg.methods), 4)
+    weights = np.asarray([prob for _, prob in draws], dtype=np.float64)
+    ok, est, covered, length = (arr[:, :, i] for i in range(4))
+    return _aggregate(cfg, cfg.design, pop.tau, ok, est, covered, length, weights)

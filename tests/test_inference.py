@@ -12,6 +12,7 @@ from loora.estimators import (
     ObservedSample,
     estimate_loora_dm,
     estimate_loora_ht,
+    loora_dm_parts,
 )
 from loora.exceptions import InvalidInput
 from loora.inference import (
@@ -20,6 +21,7 @@ from loora.inference import (
     hw_variance_dm,
     hw_variance_ht,
     normal_quantile,
+    plan_estimate,
 )
 from loora.oracle import Population, observed_sample
 from reference_routes import hw_variance_ht_sandwich
@@ -162,7 +164,59 @@ def test_hw_dm_shift_invariance_without_informative_covariates(rng):
     assert r2.var_hat == pytest.approx(r1.var_hat, rel=1e-12)
 
 
+def test_dm_family_reports_match_per_arm_sums(rng):
+    # The slope of u on [1, d] is the difference of arm means, and its HC0
+    # variance is the sum over arms of centered squares over n_arm^2. This
+    # checks the sandwich bread and the arm counts a plan fixes, for complete
+    # designs with unequal arms and for realized counts under the opt-in.
+    for mismatch in (False, True):
+        for _ in range(40):
+            n = int(rng.integers(4, 25))
+            pop = random_population(rng, n, int(rng.integers(1, 4)))
+            if mismatch:
+                spec = SimpleDesign(rng.uniform(0.2, 0.8, n))
+            else:
+                spec = CompleteDesign(n, int(rng.integers(1, n)))
+            a = draw_with(spec, rng)
+            if a.n_treated in (0, n):
+                continue
+            s = observed_sample(pop, a, spec)
+            for method, u in (
+                (Method.DM, s.y),
+                (Method.LOORA_DM, loora_dm_parts(s, AUTO2, mismatch).u),
+            ):
+                report = estimate_with_ci(method, s, AUTO2, 0.95, mismatch)
+                t, c = u[a.d == 1.0], u[a.d == 0.0]
+                hc0 = sum(np.sum((g - g.mean()) ** 2) / g.size**2 for g in (t, c))
+                assert report.tau_hat == pytest.approx(t.mean() - c.mean(), rel=1e-9, abs=1e-12)
+                assert report.var_hat == pytest.approx(hc0, rel=1e-9, abs=1e-15)
+
+
 # --- full reports -------------------------------------------------------------
+
+
+@pytest.mark.parametrize("method", list(Method))
+def test_plan_rejects_assignments_that_do_not_fit_it(rng, method):
+    # The checks ObservedSample makes must hold for a plan evaluated directly.
+    n = 10
+    pop = random_population(rng, n, 2)
+    simple = method in (Method.HT, Method.LOORA_HT)
+    spec = SimpleDesign(np.full(n, 0.5)) if simple else CompleteDesign(n, 5)
+    plan = plan_estimate(method, pop.x, spec)
+    fits = Assignment.from_d([1.0] * 5 + [0.0] * 5)
+    y = pop.y1 * fits.d + pop.y0 * (1.0 - fits.d)
+    plan.evaluate(fits, y)
+    with pytest.raises(InvalidInput, match="assignment length"):
+        plan.evaluate(Assignment.from_d([1.0] * 5 + [0.0] * 6), np.append(y, 0.0))
+    with pytest.raises(InvalidInput, match="outcome has length"):
+        plan.evaluate(fits, y[:-1])
+    with pytest.raises(InvalidInput, match="non-finite"):
+        plan.evaluate(fits, np.where(fits.d == 1.0, np.nan, y))
+    if not simple:
+        with pytest.raises(InvalidInput, match="treats 6 of 10 units but the design fixes 5"):
+            plan.evaluate(Assignment.from_d([1.0] * 6 + [0.0] * 4), y)
+    with pytest.raises(InvalidInput, match="design size"):
+        plan_estimate(method, pop.x[:-1], spec)
 
 
 def test_estimate_with_ci_brackets_point_estimate(rng):

@@ -10,6 +10,7 @@ from loora.exceptions import InvalidInput, LeverageSingular, RankDeficient
 from loora.linalg import (
     leverage_regularizer,
     max_row_norm,
+    ridge_factor,
     ridge_fit,
     ridge_leverages_svd,
 )
@@ -40,6 +41,21 @@ def test_ridge_fit_matches_independent_normal_equation_solve(rng):
         fit = ridge_fit(x, y, lam)
         expected = np.linalg.solve(x.T @ x + lam * np.eye(3), x.T @ y)
         assert_allclose(fit.beta, expected, atol=1e-10)
+
+
+def test_one_factor_fits_many_responses_bit_for_bit(rng):
+    # A study fits every replicate against one factor; each fit must carry
+    # the bits of a fresh ridge_fit of the same response.
+    x = rng.standard_normal((30, 4))
+    factor = ridge_factor(x, 0.3)
+    for y in (rng.standard_normal(30), rng.standard_normal((30, 2)), rng.standard_normal(30)):
+        shared, fresh = factor.fit(y), ridge_fit(x, y, 0.3)
+        assert np.array_equal(shared.beta, fresh.beta)
+        assert np.array_equal(shared.loo_fitted(), fresh.loo_fitted())
+    with pytest.raises(InvalidInput):
+        factor.fit(np.full(30, np.inf))
+    with pytest.raises(InvalidInput):
+        factor.fit(np.zeros(29))
 
 
 def test_rank_deficient_at_zero_lambda_raises():

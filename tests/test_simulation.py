@@ -2,7 +2,12 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from reference_routes import run_study_per_sample
 
+import loora.inference
 from loora.design import CompleteDesign, enumerate_assignments
 from loora.estimators import LambdaRule, Method, estimate_adj
 from loora.exceptions import InvalidInput, InvalidSpec
@@ -10,6 +15,7 @@ from loora.linalg import ridge_leverages_svd
 from loora.oracle import Population, enumeration_moments, observed_sample
 from loora.reporting import record_line
 from loora.simulation import (
+    DESIGN_CHOICES,
     StudyConfig,
     covariate_correlated_probabilities,
     run_study,
@@ -192,6 +198,91 @@ def test_run_study_counts_overflowing_variances_as_method_failures():
         scaled = Population(pop.x, scale * pop.y1, scale * pop.y0)
         for stats in run_study(scaled, cfg).stats:
             assert (stats.failed, stats.reps_used) == (failed, 5 - failed)
+
+
+def test_run_study_counts_a_failed_self_check_as_that_methods_failure(monkeypatch):
+    real = loora.inference._two_column_sandwich
+    calls = []
+
+    def wrong_slope_once(*args):
+        intercept, slope, var = real(*args)
+        calls.append(slope)
+        # Per replicate DM calls first, then LOORA_DM; DM ignores the slope,
+        # so call 4 is LOORA_DM's self-check on replicate 1.
+        return intercept, slope + (1.0 if len(calls) == 4 else 0.0), var
+
+    monkeypatch.setattr(loora.inference, "_two_column_sandwich", wrong_slope_once)
+    pop = synth_population("linear-heterogeneous", 20, 2, 3)
+    cfg = StudyConfig(design="complete", methods=("DM", "ADJ", "LOORA_DM"), reps=5, seed=1)
+    by_method = {s.method: s for s in run_study(pop, cfg).stats}
+    assert len(calls) == 10
+    assert [(by_method[m].reps_used, by_method[m].failed) for m in cfg.methods] == [
+        (5, 0),
+        (5, 0),
+        (4, 1),
+    ]
+
+
+def test_run_study_aborts_on_other_invalid_input(monkeypatch):
+    def broken(*args):
+        raise InvalidInput("not a replicate failure")
+
+    monkeypatch.setattr(loora.inference, "_two_column_sandwich", broken)
+    pop = synth_population("linear-heterogeneous", 20, 2, 3)
+    cfg = StudyConfig(design="complete", methods=("ADJ", "LOORA_DM"), reps=5, seed=1)
+    with pytest.raises(InvalidInput, match="not a replicate failure"):
+        run_study(pop, cfg)
+
+
+@pytest.mark.parametrize("reps", [3, 50])
+@pytest.mark.parametrize("method, design", [("LOORA_HT", "simple-half"), ("LOORA_DM", "complete")])
+def test_study_factors_the_gram_once(monkeypatch, method, design, reps):
+    real = scipy.linalg.cho_factor
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "cho_factor", counting)
+    pop = synth_population("linear-heterogeneous", 40, 3, 2)
+    stats = run_study(pop, StudyConfig(design=design, methods=(method,), reps=reps, seed=4))
+    assert (stats.stats[0].reps_used, len(calls)) == (reps, 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(("linear-heterogeneous", "leverage-stress", "binary-outcome")),
+    k=st.integers(1, 3),
+    extra=st.integers(1, 6),
+    pop_seed=st.integers(0, 2**16),
+    design=st.sampled_from(DESIGN_CHOICES),
+    reps=st.one_of(st.integers(1, 8), st.just("enumerate")),
+    nt_share=st.floats(0.0, 1.0),
+    fixed_zero=st.booleans(),
+    mismatch=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+def test_run_study_equals_fresh_fit_per_replicate(
+    kind, k, extra, pop_seed, design, reps, nt_share, fixed_zero, mismatch, seed
+):
+    # n = k + 1 puts every leverage at 1 when lambda = 0, so those studies
+    # fail throughout; the failure counts must match too.
+    n = k + extra
+    pop = synth_population(kind, n, k, pop_seed)
+    cfg = StudyConfig(
+        design=design,
+        methods=tuple(m.value for m in Method),
+        reps=reps,
+        seed=seed,
+        n_t=min(n - 1, 1 + int(nt_share * (n - 1))),
+        lambda_rule=LambdaRule.fixed(0.0) if fixed_zero else LambdaRule.auto(2.0),
+        allow_design_mismatch=mismatch,
+    )
+    got = run_study(pop, cfg)
+    want = run_study_per_sample(pop, cfg)
+    assert got.tau == want.tau
+    assert got.stats == want.stats
 
 
 def test_study_config_validation():
