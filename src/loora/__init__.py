@@ -5,22 +5,15 @@ from .estimators import (
     LambdaRule,
     Method,
     ObservedSample,
-    estimate,
-    estimate_adj,
-    estimate_dm,
-    estimate_ht,
-    estimate_int,
     estimate_loora_dm,
     estimate_loora_dm_pairwise,
     estimate_loora_ht,
-    estimate_ridge_reg,
 )
 from .inference import (
     EstimateReport,
     confidence_interval,
+    estimate,
     estimate_with_ci,
-    hw_variance_dm,
-    hw_variance_ht,
     normal_quantile,
 )
 from .oracle import (
@@ -55,18 +48,11 @@ __all__ = [
     "enumerate_assignments",
     "enumeration_moments",
     "estimate",
-    "estimate_adj",
-    "estimate_dm",
-    "estimate_ht",
-    "estimate_int",
     "estimate_loora_dm",
     "estimate_loora_dm_pairwise",
     "estimate_loora_ht",
-    "estimate_ridge_reg",
     "estimate_with_ci",
     "ht_variance",
-    "hw_variance_dm",
-    "hw_variance_ht",
     "lin_asymptotic_variance",
     "loora_dm_variance",
     "loora_ht_variance",

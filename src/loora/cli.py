@@ -51,7 +51,7 @@ _NUMERIC_ERRORS = (LeverageSingular, RankDeficient, NonFinite, TooLarge, Paramet
 
 def parse_lambda(text: str) -> LambdaRule:
     """Parse 'fixed:<value>' or 'auto:<c>' into a penalty rule."""
-    kind, sep, value = text.partition(":")
+    kind, sep, value = str(text).partition(":")
     if not sep:
         raise SchemaError(f"lambda rule must look like fixed:<v> or auto:<c>, got {text!r}")
     try:
@@ -63,10 +63,6 @@ def parse_lambda(text: str) -> LambdaRule:
     if kind == "auto":
         return LambdaRule.auto(number)
     raise SchemaError(f"lambda rule kind must be fixed or auto, got {kind!r}")
-
-
-def _split_csv_list(text):
-    return [t.strip() for t in text.split(",") if t.strip()] if text else []
 
 
 def load_config(path) -> dict:
@@ -92,11 +88,50 @@ def _setting(args, config, key, default=None):
     return default
 
 
+_EXPECTED = {
+    int: "an integer",
+    float: "a number",
+    Method: "one of " + ", ".join(m.value for m in Method),
+}
+
+
+def _as(kind, key, value):
+    """kind(value) for kind in int, float or Method; a SchemaError naming the key if it fails."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise SchemaError(f"{key} must be {_EXPECTED[kind]}, got {value!r}") from None
+
+
+def _typed_setting(args, config, key, kind, default=None):
+    """_setting converted by _as; None stays None."""
+    value = _setting(args, config, key, default)
+    return None if value is None else _as(kind, key, value)
+
+
+def _flag(args, config, key):
+    """An on/off setting: the flag, or a YAML boolean in the config."""
+    value = _setting(args, config, key, False)
+    if not isinstance(value, bool):
+        raise SchemaError(f"{key} must be true or false, got {value!r}")
+    return value
+
+
 def _default_threads(value):
     if value is not None:
-        return int(value)
+        return _as(int, "threads", value)
     env = os.environ.get("LOORA_THREADS")
-    return int(env) if env else 1
+    return _as(int, "LOORA_THREADS", env) if env else 1
+
+
+def _names(args, config, key, default=""):
+    """A setting given as a comma-separated string or a list of names."""
+    value = _setting(args, config, key, default)
+    if value is None or isinstance(value, str):  # an empty YAML value lists no names
+        return [t.strip() for t in (value or "").split(",") if t.strip()]
+    if isinstance(value, (list, tuple)):
+        return [str(t) for t in value]
+    raise SchemaError(f"{key} must be a comma-separated string or a list, got {value!r}")
 
 
 def _emit(out_path, records, command, cfg_dict, seed, started):
@@ -122,14 +157,14 @@ def cmd_estimate(args) -> int:
     delimiter = _setting(args, config, "delimiter", ",")
     dataset = build_dataset(
         args.data,
-        covariates=_split_csv_list(_setting(args, config, "covariates", "")),
-        categorical=_split_csv_list(_setting(args, config, "categorical", "")),
+        covariates=_names(args, config, "covariates"),
+        categorical=_names(args, config, "categorical"),
         y_col=_setting(args, config, "y-col"),
         d_col=_setting(args, config, "d-col"),
         p_col=_setting(args, config, "p-col"),
         delimiter=delimiter,
         has_header=not args.no_header,
-        drop_first=bool(_setting(args, config, "drop-first", False)),
+        drop_first=_flag(args, config, "drop-first"),
     )
     if dataset.mode != "observed":
         raise SchemaError("estimate needs an observed-mode dataset (y and d columns)")
@@ -139,16 +174,16 @@ def cmd_estimate(args) -> int:
         if dataset.p is not None:
             p = dataset.p
         else:
-            p_value = _setting(args, config, "p")
+            p_value = _typed_setting(args, config, "p", float)
             if p_value is None:
                 raise SchemaError("simple design needs --p <value> or --p-col <column>")
-            p = np.full(dataset.n, float(p_value))
+            p = np.full(dataset.n, p_value)
         spec = SimpleDesign(p)
     elif design == "complete":
-        n_t = _setting(args, config, "nt")
+        n_t = _typed_setting(args, config, "nt", int)
         if n_t is None:
             raise SchemaError("complete design needs --nt <count>")
-        spec = CompleteDesign(dataset.n, int(n_t))
+        spec = CompleteDesign(dataset.n, n_t)
         if int(dataset.d.sum()) != spec.n_t:
             raise SchemaError(
                 f"dataset treats {int(dataset.d.sum())} units but --nt is {spec.n_t}"
@@ -158,9 +193,9 @@ def cmd_estimate(args) -> int:
 
     sample = ObservedSample(dataset.x, dataset.y, Assignment.from_d(dataset.d), spec)
 
-    method = Method(_setting(args, config, "method", "LOORA_HT"))
+    method = _typed_setting(args, config, "method", Method, "LOORA_HT")
     rule = parse_lambda(_setting(args, config, "lambda", "auto:2"))
-    level = float(_setting(args, config, "level", 0.95))
+    level = _typed_setting(args, config, "level", float, 0.95)
     if args.allow_design_mismatch and isinstance(spec, SimpleDesign):
         print(
             "warning: applying a fixed-count method under simple assignment; "
@@ -218,13 +253,13 @@ def cmd_simulate(args) -> int:
     if args.data:
         dataset = build_dataset(
             args.data,
-            covariates=_split_csv_list(_setting(args, config, "covariates", "")),
-            categorical=_split_csv_list(_setting(args, config, "categorical", "")),
+            covariates=_names(args, config, "covariates"),
+            categorical=_names(args, config, "categorical"),
             y1_col=_setting(args, config, "y1-col"),
             y0_col=_setting(args, config, "y0-col"),
             delimiter=_setting(args, config, "delimiter", ","),
             has_header=not args.no_header,
-            drop_first=bool(_setting(args, config, "drop-first", False)),
+            drop_first=_flag(args, config, "drop-first"),
         )
         if dataset.mode != "population":
             raise SchemaError("simulate needs a population-mode dataset (y1 and y0 columns)")
@@ -235,25 +270,22 @@ def cmd_simulate(args) -> int:
             raise SchemaError("simulate needs --data <csv> or --synth <kind>")
         pop = synth_population(
             kind,
-            int(_setting(args, config, "n", 100)),
-            int(_setting(args, config, "k", 5)),
-            int(_setting(args, config, "pop-seed", 0)),
+            _typed_setting(args, config, "n", int, 100),
+            _typed_setting(args, config, "k", int, 5),
+            _typed_setting(args, config, "pop-seed", int, 0),
         )
 
     reps_raw = _setting(args, config, "reps", 10000)
-    reps = reps_raw if reps_raw == "enumerate" else int(reps_raw)
-    methods = _setting(args, config, "methods", "LOORA_HT")
-    if isinstance(methods, str):
-        methods = _split_csv_list(methods)
-    seed = int(_setting(args, config, "seed", 0))
-    n_t = _setting(args, config, "nt")
+    reps = reps_raw if reps_raw == "enumerate" else _as(int, "reps", reps_raw)
+    seed = _typed_setting(args, config, "seed", int, 0)
+    methods = [_as(Method, "methods", m) for m in _names(args, config, "methods", "LOORA_HT")]
     cfg = StudyConfig(
         design=_setting(args, config, "design", "simple-half"),
         methods=tuple(methods),
         reps=reps,
-        level=float(_setting(args, config, "level", 0.95)),
+        level=_typed_setting(args, config, "level", float, 0.95),
         seed=seed,
-        n_t=int(n_t) if n_t is not None else None,
+        n_t=_typed_setting(args, config, "nt", int),
         lambda_rule=parse_lambda(_setting(args, config, "lambda", "auto:2")),
         allow_design_mismatch=bool(args.allow_design_mismatch),
         threads=_default_threads(_setting(args, config, "threads")),

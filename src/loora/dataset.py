@@ -37,6 +37,8 @@ class Dataset:
 
 def read_csv(path, delimiter: str = ",", has_header: bool = True):
     """Read a delimited file into (column names, list of row dicts)."""
+    if not (isinstance(delimiter, str) and len(delimiter) == 1):
+        raise SchemaError(f"delimiter must be one character, got {delimiter!r}")
     with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle, delimiter=delimiter)
         rows = [row for row in reader if row]

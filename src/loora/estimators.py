@@ -11,7 +11,9 @@ per-unit refit path used to certify the fast path.
 The ridge-based methods are split into a plan, built once from the
 covariates, the design and the penalty rule, and a per-assignment part that
 takes the assignment and the observed outcomes; a Monte Carlo study builds
-each plan once and evaluates it on every replicate.
+each plan once and evaluates it on every replicate. The one switch over
+method identifiers is loora.inference.plan_estimate, which serves point
+estimates (loora.inference.estimate) and reports with intervals alike.
 """
 
 from __future__ import annotations
@@ -46,13 +48,6 @@ class Method(str, enum.Enum):
     RIDGE_REG = "RIDGE_REG"
     LOORA_HT = "LOORA_HT"
     LOORA_DM = "LOORA_DM"
-
-
-# Methods defined for each assignment mechanism.
-SIMPLE_METHODS = frozenset({Method.HT, Method.LOORA_HT})
-COMPLETE_METHODS = frozenset(
-    {Method.DM, Method.ADJ, Method.INT, Method.RIDGE_REG, Method.LOORA_DM}
-)
 
 
 @dataclass(frozen=True)
@@ -184,26 +179,12 @@ def difference_in_means(d: np.ndarray, y: np.ndarray, n_t: int, n_c: int) -> flo
     return math.fsum((d * y).tolist()) / n_t - math.fsum(((1.0 - d) * y).tolist()) / n_c
 
 
-def estimate_ht(s: ObservedSample) -> float:
-    """Horvitz-Thompson estimate: inverse-probability-weighted arm difference."""
-    return horvitz_thompson(require_simple(s.spec, "HT").p, s.assignment.d, s.y)
-
-
-def estimate_dm(s: ObservedSample, allow_design_mismatch: bool = False) -> float:
-    """Difference in means: treated-group mean minus control-group mean."""
-    n_t, n_c = ArmCounts.of("DM", s.spec, allow_design_mismatch).counts(s.assignment)
-    return difference_in_means(s.assignment.d, s.y, n_t, n_c)
-
-
 @dataclass(frozen=True)
 class LooraHtParts:
     """Intermediate quantities of a LOORA-HT evaluation, reused by inference."""
 
     tau_hat: float
-    lam: float
-    xw: np.ndarray  # inverse-weighted covariates X / r
-    yw: np.ndarray  # reweighted outcomes with expectation equal to the HT signal
-    beta: np.ndarray  # full-sample ridge fit of yw on xw
+    beta: np.ndarray  # full-sample ridge fit of the reweighted outcomes on X / r
     hat_diag: np.ndarray
     q: np.ndarray
     z: np.ndarray
@@ -264,20 +245,8 @@ class LooraHtPlan:
         adjustment = self.r * fit.loo_fitted()
         tau_hat = math.fsum((z / q * (y - adjustment)).tolist()) / y.shape[0]
         return LooraHtParts(
-            tau_hat=tau_hat,
-            lam=self.lam,
-            xw=self.ridge.x,
-            yw=yw,
-            beta=fit.beta,
-            hat_diag=fit.hat_diag,
-            q=q,
-            z=z,
+            tau_hat=tau_hat, beta=fit.beta, hat_diag=fit.hat_diag, q=q, z=z
         )
-
-
-def loora_ht_parts(s: ObservedSample, rule: LambdaRule = DEFAULT_LAMBDA_RULE) -> LooraHtParts:
-    """Run LOORA-HT and keep the pieces confidence intervals need."""
-    return LooraHtPlan.build(s.x, s.spec, rule).parts(s.assignment, s.y)
 
 
 def estimate_loora_ht(
@@ -291,7 +260,7 @@ def estimate_loora_ht(
     literally; the default path uses the hat-matrix identity and must agree.
     """
     if not refit:
-        return loora_ht_parts(s, rule).tau_hat
+        return LooraHtPlan.build(s.x, s.spec, rule).parts(s.assignment, s.y).tau_hat
     p, _, xw, lam = _loora_ht_design(s.x, s.spec, rule)
     d, z, y = s.assignment.d, s.assignment.z, s.y
     yw = reweighted_outcomes_ht(y, d, p)
@@ -327,12 +296,8 @@ class LooraDmParts:
     """Intermediate quantities of a LOORA-DM evaluation, reused by inference."""
 
     tau_hat: float
-    lam: float
     u: np.ndarray  # per-unit adjusted outcomes y_i - x_i' beta^{(-i)}
-    n_t: int
-    n_c: int
     d: np.ndarray
-    hat_diag: np.ndarray
 
 
 def _loora_dm_responses(n_t: int, n_c: int, d: np.ndarray, y: np.ndarray):
@@ -382,19 +347,7 @@ class LooraDmPlan:
         loo = self.ridge.fit(responses).loo_fitted()
         u = y - np.where(d == 1.0, loo[:, 0], loo[:, 1])
         tau_hat = math.fsum((v * assignment.z * u).tolist())
-        return LooraDmParts(
-            tau_hat=tau_hat, lam=self.lam, u=u, n_t=n_t, n_c=n_c, d=d, hat_diag=self.ridge.hat_diag
-        )
-
-
-def loora_dm_parts(
-    s: ObservedSample,
-    rule: LambdaRule = DEFAULT_LAMBDA_RULE,
-    allow_design_mismatch: bool = False,
-) -> LooraDmParts:
-    """Run LOORA-DM and keep the pieces confidence intervals need."""
-    plan = LooraDmPlan.build(s.x, s.spec, rule, allow_design_mismatch)
-    return plan.parts(s.assignment, s.y)
+        return LooraDmParts(tau_hat=tau_hat, u=u, d=d)
 
 
 def estimate_loora_dm(
@@ -417,7 +370,8 @@ def estimate_loora_dm(
     there.
     """
     if not refit:
-        return loora_dm_parts(s, rule, allow_design_mismatch).tau_hat
+        plan = LooraDmPlan.build(s.x, s.spec, rule, allow_design_mismatch)
+        return plan.parts(s.assignment, s.y).tau_hat
     n_t, n_c = ArmCounts.of("LOORA_DM", s.spec, allow_design_mismatch).counts(s.assignment)
     d, z, y, x = s.assignment.d, s.assignment.z, s.y, s.x
     responses, v = _loora_dm_responses(n_t, n_c, d, y)
@@ -520,62 +474,3 @@ class BenchmarkPlan:
         if self.method is Method.INT:
             columns.append(d[:, None] * xc)
         return ridge_fit(np.column_stack(columns), y, self.penalty)
-
-
-def benchmark_fit(
-    method: Method,
-    s: ObservedSample,
-    rule: LambdaRule = DEFAULT_LAMBDA_RULE,
-    allow_design_mismatch: bool = False,
-) -> RidgeFit:
-    """The regression of y behind ADJ, INT or RIDGE_REG; the estimate is beta[1]."""
-    plan = BenchmarkPlan.build(method, s.x, s.spec, rule, allow_design_mismatch)
-    return plan.fit(s.assignment, s.y)
-
-
-def estimate_adj(s: ObservedSample, allow_design_mismatch: bool = False) -> float:
-    """Classic regression adjustment: coefficient on d in y ~ [1, d, X]."""
-    return float(benchmark_fit(Method.ADJ, s, allow_design_mismatch=allow_design_mismatch).beta[1])
-
-
-def estimate_int(s: ObservedSample, allow_design_mismatch: bool = False) -> float:
-    """Interacted regression adjustment with full-sample-centered covariates."""
-    return float(benchmark_fit(Method.INT, s, allow_design_mismatch=allow_design_mismatch).beta[1])
-
-
-def estimate_ridge_reg(
-    s: ObservedSample,
-    rule: LambdaRule = DEFAULT_LAMBDA_RULE,
-    allow_design_mismatch: bool = False,
-) -> float:
-    """Ridge-penalized benchmark: y ~ [1, d, X] with only X columns penalized.
-
-    The intercept and the treatment coefficient stay unpenalized; the penalty
-    comes from the same leverage rule applied to the covariate block.
-    """
-    return float(benchmark_fit(Method.RIDGE_REG, s, rule, allow_design_mismatch).beta[1])
-
-
-def estimate(
-    method: Method,
-    s: ObservedSample,
-    rule: LambdaRule = DEFAULT_LAMBDA_RULE,
-    allow_design_mismatch: bool = False,
-) -> float:
-    """Dispatch a point estimate by method identifier."""
-    method = Method(method)
-    if method is Method.HT:
-        return estimate_ht(s)
-    if method is Method.DM:
-        return estimate_dm(s, allow_design_mismatch)
-    if method is Method.ADJ:
-        return estimate_adj(s, allow_design_mismatch)
-    if method is Method.INT:
-        return estimate_int(s, allow_design_mismatch)
-    if method is Method.RIDGE_REG:
-        return estimate_ridge_reg(s, rule, allow_design_mismatch)
-    if method is Method.LOORA_HT:
-        return estimate_loora_ht(s, rule)
-    if method is Method.LOORA_DM:
-        return estimate_loora_dm(s, rule, allow_design_mismatch=allow_design_mismatch)
-    raise InvalidInput(f"unknown method {method!r}")

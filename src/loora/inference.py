@@ -28,8 +28,6 @@ from .estimators import (
     ObservedSample,
     difference_in_means,
     horvitz_thompson,
-    loora_dm_parts,
-    loora_ht_parts,
     realized_arm_probability,
     require_simple,
 )
@@ -126,19 +124,14 @@ class EstimateReport:
 
 
 def _ht_hw_residuals(x: np.ndarray, y: np.ndarray, parts) -> np.ndarray:
-    resid_scaled = (y - (x @ parts.beta)) / (parts.q * (1.0 - parts.hat_diag))
-    return resid_scaled - parts.z * parts.tau_hat
-
-
-def hw_variance_ht(s: ObservedSample, rule: LambdaRule = DEFAULT_LAMBDA_RULE) -> float:
-    """HC0 variance estimate for LOORA-HT.
+    """Second-step residuals behind the LOORA-HT HC0 variance.
 
     Residualized outcomes (y_i - x_i' beta) / (q_i (1 - h_i)) are treated as
     a regression on the signed treatment indicator; since the regressor is
-    +/-1 the sandwich collapses to n^{-2} sum of squared residuals.
+    +/-1 the sandwich collapses to n^{-2} times the sum of these squared.
     """
-    hw_resid = _ht_hw_residuals(s.x, s.y, loora_ht_parts(s, rule))
-    return math.fsum((hw_resid**2).tolist()) / s.n**2
+    resid_scaled = (y - (x @ parts.beta)) / (parts.q * (1.0 - parts.hat_diag))
+    return resid_scaled - parts.z * parts.tau_hat
 
 
 def _two_column_sandwich(u: np.ndarray, d: np.ndarray) -> tuple[float, float, float]:
@@ -161,6 +154,14 @@ def _two_column_sandwich(u: np.ndarray, d: np.ndarray) -> tuple[float, float, fl
 
 
 def _dm_hw_variance_from_parts(parts) -> float:
+    """HC0 variance of LOORA-DM from its parts.
+
+    The leave-one-out adjusted outcomes u_i = y_i - x_i' beta^{(-i)} are
+    regressed on an intercept and the treatment indicator; the estimator is
+    the second coefficient of that regression, and its HC0 sandwich entry is
+    the variance estimate. SelfCheckFailed if that coefficient does not
+    reproduce the point estimate.
+    """
     _, slope, var = _two_column_sandwich(parts.u, parts.d)
     if abs(slope - parts.tau_hat) > 1e-10 * max(1.0, abs(parts.tau_hat)):
         raise SelfCheckFailed(
@@ -168,21 +169,6 @@ def _dm_hw_variance_from_parts(parts) -> float:
             f"got {slope!r} vs {parts.tau_hat!r}"
         )
     return var
-
-
-def hw_variance_dm(
-    s: ObservedSample,
-    rule: LambdaRule = DEFAULT_LAMBDA_RULE,
-    allow_design_mismatch: bool = False,
-) -> float:
-    """HC0 variance estimate for LOORA-DM.
-
-    The leave-one-out adjusted outcomes u_i = y_i - x_i' beta^{(-i)} are
-    regressed on an intercept and the treatment indicator; the estimator is
-    the second coefficient of that regression, and its HC0 sandwich entry is
-    the variance estimate.
-    """
-    return _dm_hw_variance_from_parts(loora_dm_parts(s, rule, allow_design_mismatch))
 
 
 def _fsum_or_inf(a: np.ndarray) -> float:
@@ -194,7 +180,9 @@ def _fsum_or_inf(a: np.ndarray) -> float:
 
 
 class _MethodCore(Protocol):
-    """The study-fixed part of one method; tau_and_var evaluates one assignment."""
+    """The study-fixed part of one method; tau and tau_and_var evaluate one assignment."""
+
+    def tau(self, assignment: Assignment, y: np.ndarray) -> float: ...
 
     def tau_and_var(self, assignment: Assignment, y: np.ndarray) -> tuple[float, float]: ...
 
@@ -203,10 +191,12 @@ class _MethodCore(Protocol):
 class _HtCore:
     p: np.ndarray
 
+    def tau(self, assignment: Assignment, y: np.ndarray) -> float:
+        return horvitz_thompson(self.p, assignment.d, y)
+
     def tau_and_var(self, assignment: Assignment, y: np.ndarray) -> tuple[float, float]:
-        d = assignment.d
-        tau = horvitz_thompson(self.p, d, y)
-        resid = y / realized_arm_probability(self.p, d) - assignment.z * tau
+        tau = self.tau(assignment, y)
+        resid = y / realized_arm_probability(self.p, assignment.d) - assignment.z * tau
         return tau, _fsum_or_inf(resid**2) / y.shape[0] ** 2
 
 
@@ -214,15 +204,19 @@ class _HtCore:
 class _DmCore:
     arms: ArmCounts
 
+    def tau(self, assignment: Assignment, y: np.ndarray) -> float:
+        return difference_in_means(assignment.d, y, *self.arms.counts(assignment))
+
     def tau_and_var(self, assignment: Assignment, y: np.ndarray) -> tuple[float, float]:
-        d = assignment.d
-        tau = difference_in_means(d, y, *self.arms.counts(assignment))
-        return tau, _two_column_sandwich(y, d)[2]
+        return self.tau(assignment, y), _two_column_sandwich(y, assignment.d)[2]
 
 
 @dataclass(frozen=True)
 class _LooraHtCore:
     plan: LooraHtPlan
+
+    def tau(self, assignment: Assignment, y: np.ndarray) -> float:
+        return self.plan.parts(assignment, y).tau_hat
 
     def tau_and_var(self, assignment: Assignment, y: np.ndarray) -> tuple[float, float]:
         parts = self.plan.parts(assignment, y)
@@ -234,6 +228,9 @@ class _LooraHtCore:
 class _LooraDmCore:
     plan: LooraDmPlan
 
+    def tau(self, assignment: Assignment, y: np.ndarray) -> float:
+        return self.plan.parts(assignment, y).tau_hat
+
     def tau_and_var(self, assignment: Assignment, y: np.ndarray) -> tuple[float, float]:
         parts = self.plan.parts(assignment, y)
         return parts.tau_hat, _dm_hw_variance_from_parts(parts)
@@ -242,6 +239,9 @@ class _LooraDmCore:
 @dataclass(frozen=True)
 class _BenchmarkCore:
     plan: BenchmarkPlan
+
+    def tau(self, assignment: Assignment, y: np.ndarray) -> float:
+        return float(self.plan.fit(assignment, y).beta[1])
 
     def tau_and_var(self, assignment: Assignment, y: np.ndarray) -> tuple[float, float]:
         fit = self.plan.fit(assignment, y)
@@ -255,9 +255,15 @@ class EstimatePlan:
 
     plan_estimate does once what depends only on (X, design, rule): it
     validates X, resolves lambda, factors the ridge Gram and checks its
-    leverages, and forms the HT weights. evaluate() then does the work of
-    one assignment. A Monte Carlo study builds one plan per method and
-    evaluates it on every replicate.
+    leverages, and forms the HT weights. point() and evaluate() then do the
+    work of one assignment. A Monte Carlo study or an enumeration builds one
+    plan per method and evaluates it on every assignment.
+
+    Both raise InvalidInput when the assignment or y (the observed outcomes)
+    does not fit the planned sample, including a treated count other than
+    the one a complete design fixes, and NonFinite, naming the method and
+    the stage, when a result leaves the floating-point range (for example
+    on outcomes of magnitude 1e200, whose squares overflow).
     """
 
     method: Method
@@ -266,29 +272,37 @@ class EstimatePlan:
     n: int
     core: _MethodCore
 
-    def evaluate(self, assignment: Assignment, y) -> EstimateReport:
-        """Point estimate, HC0 variance and confidence interval for one assignment.
-
-        y holds the observed outcomes. Raises InvalidInput when the
-        assignment or y does not fit the planned sample (including a treated
-        count other than the one a complete design fixes), and NonFinite,
-        naming the method and the stage, when the point estimate or the
-        variance leaves the floating-point range (for example on outcomes of
-        magnitude 1e200, whose squares overflow).
-        """
+    def _run(self, step, assignment: Assignment, y):
+        """step(assignment, y) on checked inputs; an OverflowError is the point estimate's."""
         if assignment.n != self.n:
             raise InvalidInput("assignment length does not match the design matrix")
         y = as_vector(y, self.n, "outcome")
         try:
             with np.errstate(over="ignore", invalid="ignore"):
-                tau, var = self.core.tau_and_var(assignment, y)
+                return step(assignment, y)
         except OverflowError:
             # variances already turn an overflowing fsum into inf
             raise NonFinite(self.method.value, "point estimate") from None
-        if not math.isfinite(tau):
-            raise NonFinite(self.method.value, "point estimate")
-        if not math.isfinite(var):
-            raise NonFinite(self.method.value, "variance")
+
+    def _finite(self, value: float, stage: str) -> float:
+        if not math.isfinite(value):
+            raise NonFinite(self.method.value, stage)
+        return value
+
+    def point(self, assignment: Assignment, y) -> float:
+        """The point estimate alone for one assignment.
+
+        Computes no variance, so it never fails where only the variance
+        stage does (an overflowing variance, or the LOORA-DM auxiliary
+        regression self-check).
+        """
+        return self._finite(self._run(self.core.tau, assignment, y), "point estimate")
+
+    def evaluate(self, assignment: Assignment, y) -> EstimateReport:
+        """Point estimate, HC0 variance and confidence interval for one assignment."""
+        tau, var = self._run(self.core.tau_and_var, assignment, y)
+        self._finite(tau, "point estimate")
+        self._finite(var, "variance")
         low, high = confidence_interval(tau, var, self.level)
         return EstimateReport(
             method=self.method,
@@ -351,3 +365,14 @@ def estimate_with_ci(
     """
     plan = plan_estimate(method, s.x, s.spec, rule, level, allow_design_mismatch)
     return plan.evaluate(s.assignment, s.y)
+
+
+def estimate(
+    method: Method,
+    s: ObservedSample,
+    rule: LambdaRule = DEFAULT_LAMBDA_RULE,
+    allow_design_mismatch: bool = False,
+) -> float:
+    """Point estimate of any method on one sample; raises NonFinite as EstimatePlan.point does."""
+    plan = plan_estimate(method, s.x, s.spec, rule, allow_design_mismatch=allow_design_mismatch)
+    return plan.point(s.assignment, s.y)

@@ -19,8 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .design import Assignment, DesignSpec, enumerate_assignments
-from .estimators import LambdaRule, Method, ObservedSample, estimate
+from .estimators import DEFAULT_LAMBDA_RULE, LambdaRule, Method, ObservedSample
 from .exceptions import InvalidInput, ParameterOutOfRange, RankDeficient
+from .inference import plan_estimate
 from .linalg import RidgeFit, as_design_matrix, as_vector, check_loo_feasible, ridge_fit
 
 # Largest n for which loora_dm_quadratic_blocks materializes the 2n x 2n
@@ -556,19 +557,19 @@ def enumeration_moments(
     pop: Population,
     spec: DesignSpec,
     method: Method,
-    rule: LambdaRule | None = None,
+    rule: LambdaRule = DEFAULT_LAMBDA_RULE,
     allow_design_mismatch: bool = False,
 ) -> tuple[float, float]:
     """Exact mean and variance of an estimator over the assignment design.
 
-    Walks every possible assignment with its probability; the definitive
-    oracle behind the unbiasedness and exact-variance certifications.
+    Plans the method once and walks every possible assignment with its
+    probability; the definitive oracle behind the unbiasedness and
+    exact-variance certifications.
     """
-    rule = rule if rule is not None else LambdaRule.auto(2.0)
+    plan = plan_estimate(method, pop.x, spec, rule, allow_design_mismatch=allow_design_mismatch)
     values, probs = [], []
     for assignment, prob in enumerate_assignments(spec):
-        sample = observed_sample(pop, assignment, spec)
-        values.append(estimate(method, sample, rule, allow_design_mismatch))
+        values.append(plan.point(assignment, observe(pop, assignment)))
         probs.append(prob)
     mean = math.fsum(p * v for p, v in zip(probs, values))
     variance = math.fsum(p * (v - mean) ** 2 for p, v in zip(probs, values))

@@ -84,6 +84,8 @@ def synth_population(
     """
     if n <= k:
         raise InvalidInput("synthetic populations require n > k")
+    if seed < 0:
+        raise InvalidInput(f"population seed must be nonnegative, got {seed}")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=seed)))
     if kind == "linear-heterogeneous":
         x = rng.standard_normal((n, k))
@@ -144,6 +146,8 @@ class StudyConfig:
                 raise InvalidSpec("reps must be a positive integer or 'enumerate'")
         elif int(self.reps) < 1:
             raise InvalidSpec("reps must be at least 1")
+        if self.seed < 0:
+            raise InvalidSpec(f"seed must be nonnegative, got {self.seed}")
         methods = tuple(Method(m).value for m in self.methods)
         if not methods:
             raise InvalidSpec("at least one method is required")
@@ -226,7 +230,29 @@ def _evaluate_methods(plans, assignment, y, tau):
     return out
 
 
-def _aggregate(cfg, design_label, tau, ok, est, covered, length, weights):
+def _replicates(spec, cfg):
+    """The study's (assignment, weight) stream.
+
+    Every assignment with its design probability when enumerating, else
+    cfg.reps draws of weight 1, each from its own replicate substream.
+    """
+    if cfg.reps == "enumerate":
+        yield from enumerate_assignments(spec)
+        return
+    for rep in range(int(cfg.reps)):
+        rng = np.random.Generator(np.random.PCG64(replicate_seed_sequence(cfg.seed, rep)))
+        yield draw_with(spec, rng), 1.0
+
+
+def _aggregate(cfg, tau, rows, weights):
+    """The study report from per-replicate rows.
+
+    rows[r][j] is method j's (ok, tau_hat, covered, length) on replicate r,
+    and weights[r] that replicate's weight.
+    """
+    arr = np.asarray(rows, dtype=np.float64)
+    ok, est, covered, length = (arr[:, :, i] for i in range(4))
+    weights = np.asarray(weights, dtype=np.float64)
     stats = []
     for j, name in enumerate(cfg.methods):
         good = ok[:, j] > 0.0
@@ -249,7 +275,7 @@ def _aggregate(cfg, design_label, tau, ok, est, covered, length, weights):
         avg_len = math.fsum((w * length[good, j]).tolist()) / total
         stats.append(MethodStats(name, bias, std, rmse, cov, avg_len, used, failed))
     return SimulationReport(
-        design=design_label,
+        design=cfg.design,
         tau=tau,
         level=cfg.level,
         seed=cfg.seed,
@@ -270,28 +296,9 @@ def run_study(pop: Population, cfg: StudyConfig) -> SimulationReport:
     study_rng = np.random.Generator(np.random.PCG64(study_seed_sequence(cfg.seed)))
     spec = resolve_design(pop, cfg, study_rng)
     tau = pop.tau
-    n_methods = len(cfg.methods)
     plans = _plan_methods(pop, spec, cfg)
-
-    if cfg.reps == "enumerate":
-        rows = []
-        weights = []
-        for assignment, prob in enumerate_assignments(spec):
-            rows.append(_evaluate_methods(plans, assignment, observe(pop, assignment), tau))
-            weights.append(prob)
-        arr = np.asarray(rows, dtype=np.float64)
-        ok, est, covered, length = arr[:, :, 0], arr[:, :, 1], arr[:, :, 2], arr[:, :, 3]
-        return _aggregate(cfg, cfg.design, tau, ok, est, covered, length, np.asarray(weights))
-
-    reps = int(cfg.reps)
-    ok = np.zeros((reps, n_methods))
-    est = np.zeros((reps, n_methods))
-    covered = np.zeros((reps, n_methods))
-    length = np.zeros((reps, n_methods))
-    for rep in range(reps):
-        rng = np.random.Generator(np.random.PCG64(replicate_seed_sequence(cfg.seed, rep)))
-        assignment = draw_with(spec, rng)
-        y = observe(pop, assignment)
-        for j, row in enumerate(_evaluate_methods(plans, assignment, y, tau)):
-            ok[rep, j], est[rep, j], covered[rep, j], length[rep, j] = row
-    return _aggregate(cfg, cfg.design, tau, ok, est, covered, length, np.ones(reps))
+    rows, weights = [], []
+    for assignment, weight in _replicates(spec, cfg):
+        rows.append(_evaluate_methods(plans, assignment, observe(pop, assignment), tau))
+        weights.append(weight)
+    return _aggregate(cfg, tau, rows, weights)

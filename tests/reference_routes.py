@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from loora.design import draw_with, enumerate_assignments
-from loora.estimators import DEFAULT_LAMBDA_RULE, LambdaRule, ObservedSample, loora_ht_parts
+from loora.estimators import DEFAULT_LAMBDA_RULE, LambdaRule, LooraHtPlan, ObservedSample
 from loora.exceptions import (
     InvalidInput,
     LeverageSingular,
@@ -111,7 +111,7 @@ def lin_asymptotic_variance_projection(pop: Population, p_t: float) -> float:
 
 def hw_variance_ht_sandwich(s: ObservedSample, rule: LambdaRule = DEFAULT_LAMBDA_RULE) -> float:
     """The same HC0 variance through the explicit sandwich product."""
-    parts = loora_ht_parts(s, rule)
+    parts = LooraHtPlan.build(s.x, s.spec, rule).parts(s.assignment, s.y)
     hw_resid = _ht_hw_residuals(s.x, s.y, parts)
     zz = math.fsum(parts.z**2)
     return math.fsum(parts.z**2 * hw_resid**2) / zz**2
@@ -153,7 +153,4 @@ def run_study_per_sample(pop: Population, cfg: StudyConfig) -> SimulationReport:
             covered = 1.0 if report.ci_low <= pop.tau <= report.ci_high else 0.0
             row.append((1.0, report.tau_hat, covered, report.ci_high - report.ci_low))
         rows.append(row)
-    arr = np.asarray(rows, dtype=np.float64).reshape(len(draws), len(cfg.methods), 4)
-    weights = np.asarray([prob for _, prob in draws], dtype=np.float64)
-    ok, est, covered, length = (arr[:, :, i] for i in range(4))
-    return _aggregate(cfg, cfg.design, pop.tau, ok, est, covered, length, weights)
+    return _aggregate(cfg, pop.tau, rows, [prob for _, prob in draws])

@@ -24,6 +24,78 @@ def test_parse_lambda():
             parse_lambda(bad)
 
 
+_SIM = ("simulate", "--synth", "linear-heterogeneous", "--n", "12", "--k", "2", "--reps", "3")
+_OBSERVED = ("estimate", "--data", str(DATA / "observed30.csv"), "--y-col", "y", "--d-col", "d")
+_EST = _OBSERVED + ("--covariates", "age,score")
+_HALF = ("--design", "simple", "--p", "0.5")
+
+
+@pytest.mark.parametrize(
+    "argv, config, threads_env, key",
+    [
+        (_SIM + ("--reps", "abc"), None, None, "reps"),
+        (_SIM, None, "abc", "LOORA_THREADS"),
+        (_SIM, "level: high", None, "level"),
+        (_SIM, "methods: 5", None, "methods"),
+        (_SIM + ("--design", "complete"), "nt: many", None, "nt"),
+        (_SIM + ("--methods", "FOO"), None, None, "methods"),
+        (_SIM + ("--seed", "-1"), None, None, "seed"),
+        (_SIM, "lambda: 2", None, "lambda"),
+        (_EST + _HALF, "method: FOO", None, "method"),
+        (_EST + ("--design", "complete"), "nt: many", None, "nt"),
+        (_EST + _HALF, "level: high", None, "level"),
+        (_OBSERVED + _HALF, "covariates: 5", None, "covariates"),
+        (_EST + _HALF, 'drop-first: "false"', None, "drop-first"),
+        (_EST + _HALF + ("--delimiter", ";;"), None, None, "delimiter"),
+        (_EST + _HALF, "delimiter: 5", None, "delimiter"),
+    ],
+    ids=[
+        "reps-flag",
+        "threads-env",
+        "level-config",
+        "methods-config",
+        "nt-config",
+        "methods-flag",
+        "seed-flag",
+        "lambda-config",
+        "method-config",
+        "estimate-nt-config",
+        "estimate-level-config",
+        "covariates-config",
+        "drop-first-config",
+        "delimiter-flag",
+        "delimiter-config",
+    ],
+)
+def test_malformed_option_value_is_a_schema_error_naming_the_key(
+    tmp_path, capsys, monkeypatch, argv, config, threads_env, key
+):
+    if config is not None:
+        path = tmp_path / "config.yaml"
+        path.write_text(f"schema_version: 1\n{config}\n", encoding="utf-8")
+        argv += ("--config", str(path))
+    if threads_env is None:
+        monkeypatch.delenv("LOORA_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("LOORA_THREADS", threads_env)
+    code, _, stderr = run(capsys, *argv)
+    assert code == 2
+    assert stderr.startswith(f"error: {key} ")
+
+
+def test_config_covariates_may_be_a_yaml_list(tmp_path, capsys):
+    cfg = tmp_path / "est.yaml"
+    cfg.write_text("schema_version: 1\ncovariates: [age, score]\n", encoding="utf-8")
+    reports = []
+    for source in (("--config", str(cfg)), ("--covariates", "age,score")):
+        out = tmp_path / f"{source[0][2:]}.jsonl"
+        argv = _OBSERVED + _HALF + source
+        code, _, _ = run(capsys, *argv, "--out", str(out))
+        assert code == 0
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
+
+
 def test_estimate_two_row_ht(tmp_path, capsys):
     data = tmp_path / "two.csv"
     data.write_text("y,d,x\n3,1,0\n1,0,0\n", encoding="utf-8")

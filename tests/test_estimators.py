@@ -8,17 +8,13 @@ from loora.estimators import (
     LambdaRule,
     Method,
     ObservedSample,
-    estimate_adj,
-    estimate_dm,
-    estimate_ht,
-    estimate_int,
     estimate_loora_dm,
     estimate_loora_dm_pairwise,
     estimate_loora_ht,
-    estimate_ridge_reg,
     reweighted_outcomes_ht,
 )
 from loora.exceptions import SpecMismatch
+from loora.inference import estimate
 from loora.linalg import max_row_norm
 from loora.oracle import Population, enumeration_moments, observed_sample
 
@@ -40,18 +36,18 @@ def complete_sample(x, y, d):
 
 def test_ht_hand_value():
     s = simple_sample([[0.0], [0.0]], [3.0, 1.0], [1, 0], [0.5, 0.5])
-    assert estimate_ht(s) == pytest.approx(2.0, abs=1e-14)
+    assert estimate(Method.HT, s) == pytest.approx(2.0, abs=1e-14)
 
 
 def test_ht_zero_outcomes():
     s = simple_sample([[1.0], [2.0]], [0.0, 0.0], [1, 0], [0.3, 0.8])
-    assert estimate_ht(s) == 0.0
+    assert estimate(Method.HT, s) == 0.0
 
 
 def test_ht_requires_simple_design():
     s = complete_sample([[1.0], [2.0]], [1.0, 2.0], [1, 0])
     with pytest.raises(SpecMismatch):
-        estimate_ht(s)
+        estimate(Method.HT, s)
 
 
 def test_ht_enumeration_mean_is_tau(rng):
@@ -63,12 +59,12 @@ def test_ht_enumeration_mean_is_tau(rng):
 
 def test_dm_hand_value():
     s = complete_sample([[0.0]] * 3, [4.0, 1.0, 3.0], [1, 0, 0])
-    assert estimate_dm(s) == pytest.approx(2.0, abs=1e-14)
+    assert estimate(Method.DM, s) == pytest.approx(2.0, abs=1e-14)
 
 
 def test_dm_constant_outcomes():
     s = complete_sample([[0.0]] * 4, [3.3] * 4, [1, 1, 0, 0])
-    assert estimate_dm(s) == pytest.approx(0.0, abs=1e-15)
+    assert estimate(Method.DM, s) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_dm_enumeration_mean_is_tau(rng):
@@ -84,7 +80,7 @@ def test_loora_ht_zero_covariates_equals_ht(rng):
     p = rng.uniform(0.3, 0.7, n)
     s = simple_sample(np.zeros((n, 1)), y, d, p)
     assert estimate_loora_ht(s, LambdaRule.fixed(1.0)) == pytest.approx(
-        estimate_ht(s), abs=1e-13
+        estimate(Method.HT, s), abs=1e-13
     )
 
 
@@ -97,7 +93,7 @@ def test_loora_ht_infinite_shrinkage_limit(rng):
     s = observed_sample(pop, a, spec)
     r = np.sqrt(p * (1.0 - p))
     lam = 1e12 * max_row_norm(pop.x / r[:, None]) ** 2
-    ht = estimate_ht(s)
+    ht = estimate(Method.HT, s)
     loora = estimate_loora_ht(s, LambdaRule.fixed(lam))
     assert abs(loora - ht) <= 1e-6 * (1.0 + abs(ht))
 
@@ -135,7 +131,7 @@ def test_loora_dm_zero_covariates_equals_dm(rng):
     d = np.array([1, 1, 1, 0, 0, 0])
     s = complete_sample(np.zeros((6, 1)), y, d)
     assert estimate_loora_dm(s, LambdaRule.fixed(1.0)) == pytest.approx(
-        estimate_dm(s), abs=1e-13
+        estimate(Method.DM, s), abs=1e-13
     )
 
 
@@ -193,8 +189,8 @@ def test_benchmarks_reduce_to_dm_when_covariates_carry_nothing(rng):
     y = rng.standard_normal(8)
     d = np.array([1, 0, 1, 0, 1, 0, 1, 0], dtype=np.float64)
     s = complete_sample(np.zeros((8, 1)), y, d)
-    dm = estimate_dm(s)
-    assert estimate_ridge_reg(s, LambdaRule.fixed(1.0)) == pytest.approx(dm, abs=1e-12)
+    dm = estimate(Method.DM, s)
+    assert estimate(Method.RIDGE_REG, s, LambdaRule.fixed(1.0)) == pytest.approx(dm, abs=1e-12)
     # For the OLS benchmarks a zero column is rank-deficient, so build a
     # covariate exactly orthogonal to the intercept, the assignment, and the
     # outcomes within each arm; it then carries no information at all.
@@ -204,8 +200,8 @@ def test_benchmarks_reduce_to_dm_when_covariates_carry_nothing(rng):
         proj, *_ = np.linalg.lstsq(basis, x[arm], rcond=None)
         x[arm] = x[arm] - basis @ proj
     s2 = complete_sample(x[:, None], y, d)
-    assert estimate_adj(s2) == pytest.approx(dm, abs=1e-10)
-    assert estimate_int(s2) == pytest.approx(dm, abs=1e-10)
+    assert estimate(Method.ADJ, s2) == pytest.approx(dm, abs=1e-10)
+    assert estimate(Method.INT, s2) == pytest.approx(dm, abs=1e-10)
 
 
 def test_adj_int_recover_exact_linear_homogeneous_model(rng):
@@ -217,8 +213,8 @@ def test_adj_int_recover_exact_linear_homogeneous_model(rng):
     tau = 2.25
     y = x @ slope + tau * d
     s = complete_sample(x, y, d)
-    assert estimate_adj(s) == pytest.approx(tau, abs=1e-10)
-    assert estimate_int(s) == pytest.approx(tau, abs=1e-10)
+    assert estimate(Method.ADJ, s) == pytest.approx(tau, abs=1e-10)
+    assert estimate(Method.INT, s) == pytest.approx(tau, abs=1e-10)
 
 
 def test_int_equals_two_group_regression_oracle(rng):
@@ -227,7 +223,7 @@ def test_int_equals_two_group_regression_oracle(rng):
     spec = CompleteDesign(n, 14)
     a = draw_with(spec, rng)
     s = observed_sample(pop, a, spec)
-    got = estimate_int(s)
+    got = estimate(Method.INT, s)
     # independent construction: fit each arm separately on raw covariates,
     # predict everybody, and average the difference of predictions
     d = a.d.astype(bool)
@@ -243,7 +239,7 @@ def test_pairwise_zero_covariates_equals_dm(rng):
     d = np.array([1, 1, 0, 0, 0, 1])
     s = complete_sample(np.zeros((6, 1)), y, d)
     assert estimate_loora_dm_pairwise(s, LambdaRule.fixed(1.0)) == pytest.approx(
-        estimate_dm(s), abs=1e-12
+        estimate(Method.DM, s), abs=1e-12
     )
 
 
@@ -265,28 +261,35 @@ def test_pairwise_equals_loora_dm_many_assignments(rng):
 
 
 def test_estimate_dispatcher_covers_every_method(rng):
-    from loora.estimators import estimate
-
+    # Each identifier reaches its own estimator: compare every dispatched
+    # point estimate with a direct construction of that estimator.
     n = 12
     pop = random_population(rng, n, 2)
     spec_s = SimpleDesign(np.full(n, 0.5))
     s_simple = observed_sample(pop, draw_with(spec_s, rng), spec_s)
     spec_c = CompleteDesign(n, 6)
     s_complete = observed_sample(pop, draw_with(spec_c, rng), spec_c)
-    for method, sample in [
-        (Method.HT, s_simple),
-        (Method.LOORA_HT, s_simple),
-        (Method.DM, s_complete),
-        (Method.ADJ, s_complete),
-        (Method.INT, s_complete),
-        (Method.RIDGE_REG, s_complete),
-        (Method.LOORA_DM, s_complete),
-    ]:
-        assert np.isfinite(estimate(method, sample, AUTO2))
-    assert estimate(Method.INT, s_complete, AUTO2) == pytest.approx(estimate_int(s_complete))
-    assert estimate(Method.RIDGE_REG, s_complete, AUTO2) == pytest.approx(
-        estimate_ridge_reg(s_complete, AUTO2)
-    )
+    d, y, p = s_simple.assignment.d, s_simple.y, spec_s.p
+    ht = np.mean(d * y / p - (1.0 - d) * y / (1.0 - p))
+    d, y, x = s_complete.assignment.d, s_complete.y, pop.x
+    arm = d == 1.0
+    xc = x - x.mean(axis=0)
+    adj_design = np.column_stack([np.ones(n), d, x])
+    int_design = np.column_stack([np.ones(n), d, xc, d[:, None] * xc])
+    penalty = np.diag([0.0, 0.0] + [AUTO2.resolve(x)] * x.shape[1])
+    ridge = np.linalg.solve(adj_design.T @ adj_design + penalty, adj_design.T @ y)
+    expected = {
+        Method.HT: (s_simple, ht),
+        Method.LOORA_HT: (s_simple, estimate_loora_ht(s_simple, AUTO2, refit=True)),
+        Method.DM: (s_complete, y[arm].mean() - y[~arm].mean()),
+        Method.ADJ: (s_complete, np.linalg.lstsq(adj_design, y, rcond=None)[0][1]),
+        Method.INT: (s_complete, np.linalg.lstsq(int_design, y, rcond=None)[0][1]),
+        Method.RIDGE_REG: (s_complete, ridge[1]),
+        Method.LOORA_DM: (s_complete, estimate_loora_dm(s_complete, AUTO2, refit=True)),
+    }
+    assert set(expected) == set(Method)
+    for method, (sample, value) in expected.items():
+        assert estimate(method, sample, AUTO2) == pytest.approx(value, rel=1e-9, abs=1e-12)
 
 
 def test_scale_equivariance(rng):
@@ -305,7 +308,7 @@ def test_scale_equivariance(rng):
         base = estimate_loora_ht(s, rule)
         grown = estimate_loora_ht(s_scaled, rule)
         assert grown == pytest.approx(scale * base, rel=1e-12)
-    assert estimate_ht(s_scaled) == pytest.approx(scale * estimate_ht(s), rel=1e-12)
+    assert estimate(Method.HT, s_scaled) == pytest.approx(scale * estimate(Method.HT, s), rel=1e-12)
 
     spec_c = CompleteDesign(9, 4)
     a = draw_with(spec_c, rng)
@@ -315,8 +318,8 @@ def test_scale_equivariance(rng):
         base = estimate_loora_dm(s, rule)
         grown = estimate_loora_dm(s_scaled, rule)
         assert grown == pytest.approx(scale * base, rel=1e-12)
-    assert estimate_ridge_reg(s_scaled, AUTO2) == pytest.approx(
-        scale * estimate_ridge_reg(s, AUTO2), rel=1e-12
+    assert estimate(Method.RIDGE_REG, s_scaled, AUTO2) == pytest.approx(
+        scale * estimate(Method.RIDGE_REG, s, AUTO2), rel=1e-12
     )
 
 
@@ -331,7 +334,7 @@ def test_shift_invariance(rng):
     a = draw_with(spec_c, rng)
     s = observed_sample(pop, a, spec_c)
     s_shift = observed_sample(shifted, a, spec_c)
-    assert estimate_dm(s_shift) == pytest.approx(estimate_dm(s), abs=1e-12)
+    assert estimate(Method.DM, s_shift) == pytest.approx(estimate(Method.DM, s), abs=1e-12)
     mean_base, _ = enumeration_moments(pop, spec_c, Method.LOORA_DM, AUTO2)
     mean_shift, _ = enumeration_moments(shifted, spec_c, Method.LOORA_DM, AUTO2)
     assert mean_shift == pytest.approx(mean_base, abs=1e-11)

@@ -4,22 +4,22 @@ import numpy as np
 import pytest
 from scipy import stats
 
+import loora.inference
 from conftest import random_population
 from loora.design import Assignment, CompleteDesign, SimpleDesign, draw_with
 from loora.estimators import (
     LambdaRule,
     Method,
     ObservedSample,
+    LooraDmPlan,
     estimate_loora_dm,
     estimate_loora_ht,
-    loora_dm_parts,
 )
-from loora.exceptions import InvalidInput
+from loora.exceptions import InvalidInput, SelfCheckFailed
 from loora.inference import (
     confidence_interval,
+    estimate,
     estimate_with_ci,
-    hw_variance_dm,
-    hw_variance_ht,
     normal_quantile,
     plan_estimate,
 )
@@ -96,13 +96,15 @@ def test_hw_ht_zero_residuals_for_exact_null_linear_model(rng):
     pop = Population(x, y_both, y_both.copy())
     spec = SimpleDesign(np.full(n, 0.5))
     s = observed_sample(pop, draw_with(spec, rng), spec)
-    assert hw_variance_ht(s, LambdaRule.fixed(0.0)) == pytest.approx(0.0, abs=1e-20)
+    report = estimate_with_ci(Method.LOORA_HT, s, LambdaRule.fixed(0.0))
+    assert report.var_hat == pytest.approx(0.0, abs=1e-20)
 
 
 def test_hw_ht_hand_arithmetic():
     # with a null covariate and p = 1/2, residuals are (1, 1) by construction
     s = simple_sample(np.zeros((2, 1)), [1.0, 0.0], [1, 0], [0.5, 0.5])
-    assert hw_variance_ht(s, LambdaRule.fixed(1.0)) == pytest.approx(0.5, abs=1e-14)
+    report = estimate_with_ci(Method.LOORA_HT, s, LambdaRule.fixed(1.0))
+    assert report.var_hat == pytest.approx(0.5, abs=1e-14)
 
 
 def test_hw_ht_sandwich_equals_simplified(rng):
@@ -111,7 +113,7 @@ def test_hw_ht_sandwich_equals_simplified(rng):
         pop = random_population(rng, n, 2)
         spec = SimpleDesign(rng.uniform(0.3, 0.7, n))
         s = observed_sample(pop, draw_with(spec, rng), spec)
-        simple = hw_variance_ht(s, AUTO2)
+        simple = estimate_with_ci(Method.LOORA_HT, s, AUTO2).var_hat
         sandwich = hw_variance_ht_sandwich(s, AUTO2)
         assert abs(simple - sandwich) <= 1e-12 * max(1.0, simple)
 
@@ -123,14 +125,16 @@ def test_hw_dm_zero_when_u_affine_in_d(rng):
     d = np.array([1, 1, 0, 0, 1, 0], dtype=np.float64)
     y = 2.0 + 3.0 * d
     s = complete_sample(np.zeros((6, 1)), y, d)
-    assert hw_variance_dm(s, LambdaRule.fixed(1.0)) == pytest.approx(0.0, abs=1e-20)
+    report = estimate_with_ci(Method.LOORA_DM, s, LambdaRule.fixed(1.0))
+    assert report.var_hat == pytest.approx(0.0, abs=1e-20)
 
 
 def test_hw_dm_hand_two_by_two_sandwich():
     # u = (2, 0, 1, 1), d = (1, 1, 0, 0): intercept 1, slope 0, residuals
     # (1, -1, 0, 0); explicit 2x2 sandwich algebra gives 0.5
     s = complete_sample(np.zeros((4, 1)), [2.0, 0.0, 1.0, 1.0], [1, 1, 0, 0])
-    assert hw_variance_dm(s, LambdaRule.fixed(1.0)) == pytest.approx(0.5, abs=1e-14)
+    report = estimate_with_ci(Method.LOORA_DM, s, LambdaRule.fixed(1.0))
+    assert report.var_hat == pytest.approx(0.5, abs=1e-14)
 
 
 def test_hw_dm_auxiliary_regression_reproduces_estimate(rng):
@@ -141,10 +145,9 @@ def test_hw_dm_auxiliary_regression_reproduces_estimate(rng):
         n_t = int(rng.integers(2, n - 1))
         spec = CompleteDesign(n, n_t)
         s = observed_sample(pop, draw_with(spec, rng), spec)
-        from loora.estimators import loora_dm_parts
         from loora.inference import _two_column_sandwich
 
-        parts = loora_dm_parts(s, AUTO2)
+        parts = LooraDmPlan.build(s.x, s.spec, AUTO2).parts(s.assignment, s.y)
         _, slope, _ = _two_column_sandwich(parts.u, parts.d)
         assert abs(slope - estimate_loora_dm(s, AUTO2)) <= 1e-10 * max(1.0, abs(slope))
 
@@ -152,11 +155,12 @@ def test_hw_dm_auxiliary_regression_reproduces_estimate(rng):
 def test_hw_dm_shift_invariance_without_informative_covariates(rng):
     y = rng.standard_normal(8)
     d = np.array([1, 1, 1, 1, 0, 0, 0, 0], dtype=np.float64)
-    base = hw_variance_dm(complete_sample(np.zeros((8, 1)), y, d), LambdaRule.fixed(1.0))
-    shifted = hw_variance_dm(
-        complete_sample(np.zeros((8, 1)), y + 7.5, d), LambdaRule.fixed(1.0)
+    fixed = LambdaRule.fixed(1.0)
+    base = estimate_with_ci(Method.LOORA_DM, complete_sample(np.zeros((8, 1)), y, d), fixed)
+    shifted = estimate_with_ci(
+        Method.LOORA_DM, complete_sample(np.zeros((8, 1)), y + 7.5, d), fixed
     )
-    assert shifted == pytest.approx(base, rel=1e-12)
+    assert shifted.var_hat == pytest.approx(base.var_hat, rel=1e-12)
     # plain DM inference is shift invariant with any covariates present
     x = rng.standard_normal((8, 2))
     r1 = estimate_with_ci(Method.DM, complete_sample(x, y, d))
@@ -183,7 +187,7 @@ def test_dm_family_reports_match_per_arm_sums(rng):
             s = observed_sample(pop, a, spec)
             for method, u in (
                 (Method.DM, s.y),
-                (Method.LOORA_DM, loora_dm_parts(s, AUTO2, mismatch).u),
+                (Method.LOORA_DM, LooraDmPlan.build(pop.x, spec, AUTO2, mismatch).parts(a, s.y).u),
             ):
                 report = estimate_with_ci(method, s, AUTO2, 0.95, mismatch)
                 t, c = u[a.d == 1.0], u[a.d == 0.0]
@@ -217,6 +221,32 @@ def test_plan_rejects_assignments_that_do_not_fit_it(rng, method):
             plan.evaluate(Assignment.from_d([1.0] * 6 + [0.0] * 4), y)
     with pytest.raises(InvalidInput, match="design size"):
         plan_estimate(method, pop.x[:-1], spec)
+
+
+@pytest.mark.parametrize("method", list(Method))
+def test_plan_point_is_evaluate_tau_hat_bit_for_bit(rng, method):
+    n = 12
+    pop = random_population(rng, n, 2)
+    simple = method in (Method.HT, Method.LOORA_HT)
+    spec = SimpleDesign(rng.uniform(0.3, 0.7, n)) if simple else CompleteDesign(n, 5)
+    plan = plan_estimate(method, pop.x, spec, AUTO2)
+    for _ in range(5):
+        a = draw_with(spec, rng)
+        y = pop.y1 * a.d + pop.y0 * (1.0 - a.d)
+        assert plan.point(a, y) == plan.evaluate(a, y).tau_hat
+
+
+def test_point_estimate_does_not_run_the_variance_self_check(rng, monkeypatch):
+    def failing(parts):
+        raise SelfCheckFailed("auxiliary regression failed")
+
+    monkeypatch.setattr(loora.inference, "_dm_hw_variance_from_parts", failing)
+    pop = random_population(rng, 10, 2)
+    spec = CompleteDesign(10, 5)
+    s = observed_sample(pop, draw_with(spec, rng), spec)
+    assert estimate(Method.LOORA_DM, s, AUTO2) == estimate_loora_dm(s, AUTO2)
+    with pytest.raises(SelfCheckFailed):
+        estimate_with_ci(Method.LOORA_DM, s, AUTO2)
 
 
 def test_estimate_with_ci_brackets_point_estimate(rng):

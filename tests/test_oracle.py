@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
@@ -10,8 +11,9 @@ from numpy.testing import assert_allclose
 import loora.oracle as oracle_mod
 from conftest import random_population, rel_gap
 from loora.design import CompleteDesign, SimpleDesign, enumerate_assignments
-from loora.estimators import LambdaRule, Method, ObservedSample, estimate_ht
+from loora.estimators import LambdaRule, Method, ObservedSample
 from loora.exceptions import ParameterOutOfRange
+from loora.inference import estimate
 from loora.linalg import leverage_regularizer, max_row_norm, ridge_fit
 from loora.oracle import (
     Population,
@@ -106,7 +108,7 @@ def test_adjusted_ht_variance_matches_enumeration_of_adjusted_estimator(rng):
     values, probs = [], []
     for a, prob in enumerate_assignments(spec):
         y_adj = observe(pop, a) - pop.x @ b
-        values.append(estimate_ht(ObservedSample(pop.x, y_adj, a, spec)))
+        values.append(estimate(Method.HT, ObservedSample(pop.x, y_adj, a, spec)))
         probs.append(prob)
     mean = math.fsum(pr * v for pr, v in zip(probs, values))
     enum_var = math.fsum(pr * (v - mean) ** 2 for pr, v in zip(probs, values))
@@ -231,8 +233,6 @@ def test_dm_adjusted_minimum_zero_for_perfect_column(rng):
 
 
 def test_dm_adjusted_variance_matches_enumeration_of_adjusted_estimator(rng):
-    from loora.estimators import estimate_dm
-
     n = 6
     pop = random_population(rng, n, 2)
     b = rng.standard_normal(2)
@@ -240,7 +240,7 @@ def test_dm_adjusted_variance_matches_enumeration_of_adjusted_estimator(rng):
     values, probs = [], []
     for a, prob in enumerate_assignments(spec):
         y_adj = observe(pop, a) - pop.x @ b
-        values.append(estimate_dm(ObservedSample(pop.x, y_adj, a, spec)))
+        values.append(estimate(Method.DM, ObservedSample(pop.x, y_adj, a, spec)))
         probs.append(prob)
     mean = math.fsum(pr * v for pr, v in zip(probs, values))
     enum_var = math.fsum(pr * (v - mean) ** 2 for pr, v in zip(probs, values))
@@ -488,3 +488,21 @@ def test_formula_vs_enumeration_family(rng):
             lam = rule.resolve(pop.x)
             _, enum_var = enumeration_moments(pop, CompleteDesign(n, n_t), Method.LOORA_DM, rule)
             assert rel_gap(loora_dm_variance(pop, n_t, lam, allow_n4=True), enum_var) < 1e-9
+
+
+@pytest.mark.parametrize(
+    "method, spec",
+    [(Method.LOORA_HT, SimpleDesign(np.full(8, 0.5))), (Method.LOORA_DM, CompleteDesign(8, 4))],
+)
+def test_enumeration_moments_factors_the_gram_once(monkeypatch, rng, method, spec):
+    # One plan serves all 2^8 (or C(8, 4)) assignments of the walk.
+    real = scipy.linalg.cho_factor
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "cho_factor", counting)
+    enumeration_moments(random_population(rng, 8, 2), spec, method, AUTO2)
+    assert len(calls) == 1

@@ -9,8 +9,9 @@ from reference_routes import run_study_per_sample
 
 import loora.inference
 from loora.design import CompleteDesign, enumerate_assignments
-from loora.estimators import LambdaRule, Method, estimate_adj
+from loora.estimators import LambdaRule, Method
 from loora.exceptions import InvalidInput, InvalidSpec
+from loora.inference import estimate
 from loora.linalg import ridge_leverages_svd
 from loora.oracle import Population, enumeration_moments, observed_sample
 from loora.reporting import record_line
@@ -83,7 +84,7 @@ def test_synth_linear_no_noise_no_heterogeneity_is_exact_for_adj():
     spec = CompleteDesign(10, 5)
     for assignment, _ in enumerate_assignments(spec):
         s = observed_sample(pop, assignment, spec)
-        assert estimate_adj(s) == pytest.approx(2.5, abs=1e-9)
+        assert estimate(Method.ADJ, s) == pytest.approx(2.5, abs=1e-9)
         break  # any assignment behaves identically; spot-check a few below
     mean, var = enumeration_moments(pop, spec, Method.ADJ)
     assert mean == pytest.approx(2.5, abs=1e-10)
