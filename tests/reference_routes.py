@@ -3,11 +3,13 @@
 Each function here computes a quantity the package also computes, by a
 different and more literal route: dense n x n hat-matrix algebra, the
 classical three-term variance, an explicit sandwich product, a study that
-builds a fresh sample and a fresh fit for every replicate. They stay
+builds a fresh sample and a fresh fit for every replicate, a CSV reader on
+the ``csv`` module with per-cell strip and float loops. They stay
 independent of the fast paths in ``loora`` so that agreement between the
 two means something.
 """
 
+import csv
 import math
 
 import numpy as np
@@ -19,6 +21,7 @@ from loora.exceptions import (
     LeverageSingular,
     NonFinite,
     RankDeficient,
+    SchemaError,
     SelfCheckFailed,
     SpecMismatch,
 )
@@ -154,3 +157,66 @@ def run_study_per_sample(pop: Population, cfg: StudyConfig) -> SimulationReport:
             row.append((1.0, report.tau_hat, covered, report.ci_high - report.ci_low))
         rows.append(row)
     return _aggregate(cfg, pop.tau, rows, [prob for _, prob in draws])
+
+
+def read_csv_csv_module(path, delimiter: str = ",", has_header: bool = True):
+    """Read a delimited file into (column names, list of row lists) with ``csv.reader``."""
+    if not (isinstance(delimiter, str) and len(delimiter) == 1):
+        raise SchemaError(f"delimiter must be one character, got {delimiter!r}")
+    with open(path, newline="", encoding="utf-8") as handle:
+        reader = csv.reader(handle, delimiter=delimiter)
+        rows = [row for row in reader if row]
+    if not rows:
+        raise SchemaError(f"{path}: file is empty")
+    if has_header:
+        names = [name.strip() for name in rows[0]]
+        data_rows = rows[1:]
+    else:
+        names = [f"c{i}" for i in range(len(rows[0]))]
+        data_rows = rows
+    if not data_rows:
+        raise SchemaError(f"{path}: no data rows")
+    width = len(names)
+    for idx, row in enumerate(data_rows):
+        if len(row) != width:
+            raise SchemaError(f"{path}: row {idx + 1} has {len(row)} fields, expected {width}")
+    return names, data_rows
+
+
+def one_hot_loop(values: list[str], name: str, drop_first: bool = False):
+    """Indicator expansion by a literal loop: levels by list search, cells set one by one."""
+    levels: list[str] = []
+    for v in values:
+        if v not in levels:
+            levels.append(v)
+    used = levels[1:] if drop_first and len(levels) > 1 else levels
+    columns = [f"{name}={level}" for level in used]
+    block = np.zeros((len(values), len(used)))
+    index = {level: j for j, level in enumerate(used)}
+    for i, v in enumerate(values):
+        j = index.get(v)
+        if j is not None:
+            block[i, j] = 1.0
+    return columns, block
+
+
+def dataset_arrays_csv_module(path, covariates, categorical, roles, drop_first=False, **read):
+    """(columns, x, {role: values}) by the row-list route: ``csv.reader``, a
+    strip and a ``float`` per cell, and the literal one-hot loop. ``roles``
+    maps a role name such as "y" or "p" to its column."""
+    names, rows = read_csv_csv_module(path, **read)
+
+    def column(col):
+        j = names.index(col)
+        return [row[j].strip() for row in rows]
+
+    def numeric(col):
+        return np.array([float(v) for v in column(col)], dtype=np.float64)
+
+    columns = list(covariates)
+    blocks = [numeric(col)[:, None] for col in covariates]
+    for col in categorical:
+        cat_columns, block = one_hot_loop(column(col), col, drop_first=drop_first)
+        columns.extend(cat_columns)
+        blocks.append(block)
+    return tuple(columns), np.hstack(blocks), {role: numeric(col) for role, col in roles.items()}

@@ -153,6 +153,29 @@ def test_estimate_missing_column_exits_2(tmp_path, capsys):
     assert "missing column role d" in stderr
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        ("estimate", "--y-col", "y", "--d-col", "d") + _HALF,
+        ("simulate", "--y1-col", "y", "--y0-col", "d", "--reps", "3"),
+    ],
+    ids=["estimate", "simulate"],
+)
+@pytest.mark.parametrize("case", ["missing", "directory", "not-utf8"])
+def test_unreadable_data_is_a_schema_error_naming_the_path(tmp_path, capsys, command, case):
+    data = tmp_path / "data.csv"
+    if case == "directory":
+        data.mkdir()
+    elif case == "not-utf8":
+        data.write_bytes(b"y,d,x\n1,0,0.5\n2,1,caf\xe9\n")
+    argv = (command[0], "--data", str(data), "--covariates", "x") + command[1:]
+    code, _, stderr = run(capsys, *argv)
+    assert code == 2
+    assert stderr.startswith(f"error: {data}: ")
+    if case == "not-utf8":
+        assert "byte 0xe9 at offset 21" in stderr
+
+
 def test_estimate_numeric_error_exits_3_naming_row(tmp_path, capsys):
     # one dominant row at lambda 0 trips the leverage guard
     rows = ["y,d,x"]

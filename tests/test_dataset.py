@@ -1,9 +1,15 @@
+import re
+import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from reference_routes import dataset_arrays_csv_module, one_hot_loop, read_csv_csv_module
 
-from loora.dataset import build_dataset, one_hot
+from loora.dataset import build_dataset, one_hot, read_csv
 from loora.exceptions import SchemaError
 from loora.reporting import read_records, record_line, write_records
 
@@ -105,6 +111,146 @@ def test_quoted_fields_pass_through(tmp_path):
     path = write_csv(tmp_path, 'y,d,g\n1,0,"north, far"\n2,1,"south"\n')
     ds = build_dataset(path, categorical=["g"], y_col="y", d_col="d")
     assert ds.columns == ("g=north, far", "g=south")
+
+
+@pytest.mark.parametrize(
+    "text, kwargs, message",
+    [
+        ("y,d,x\n1,0,0.5\n2,1\n", {}, "row 2 has 2 fields, expected 3"),
+        ('y,d,x\n\n1,0,"a\nb"\n\n2,1\n', {}, "row 2 has 2 fields, expected 3"),
+        ("1,0,0.5\n2,1,0.3,9\n", {"has_header": False}, "row 2 has 4 fields, expected 3"),
+        ("y,d,x\n1,0,0.5\n2,1, oops \n", {}, "column 'x' is not numeric (row 2: ' oops ')"),
+        ("y,d,x\n1,0,0.5\n2,1,inf\n", {}, "column 'x' contains non-finite values (row 2: 'inf')"),
+        ("y,d,x\n1,0,0.5\n2,1,0.3\n3,2,0.1\n", {}, "column 'd' must be binary 0/1 (row 3: 2.0)"),
+        (
+            "y,d,x,p\n1,0,0.5,0.4\n2,1,0.3,1.0\n",
+            {"p_col": "p"},
+            "column 'p' must lie strictly inside (0, 1) (row 2: 1.0)",
+        ),
+    ],
+    ids=["ragged", "ragged-after-blank-and-quoted-newline", "ragged-headerless", "not-numeric",
+         "non-finite", "non-binary-d", "p-range"],
+)
+def test_schema_errors_name_the_data_row(tmp_path, text, kwargs, message):
+    path = write_csv(tmp_path, text)
+    roles = ("c2", "c0", "c1") if kwargs.get("has_header") is False else ("x", "y", "d")
+    with pytest.raises(SchemaError, match=re.escape(f"{path}: {message}")):
+        build_dataset(path, covariates=[roles[0]], y_col=roles[1], d_col=roles[2], **kwargs)
+
+
+@pytest.mark.parametrize(
+    "text, has_header, message",
+    [("", True, "file is empty"), ("\n\n", True, "file is empty"),
+     ("y,d,x\n", True, "no data rows"), ("1,0,0.5\n", False, None)],
+    ids=["empty", "blank-lines", "header-only", "one-row-headerless"],
+)
+def test_small_files_load_or_raise_without_warnings(tmp_path, text, has_header, message):
+    path = write_csv(tmp_path, text)
+    roles = dict(covariates=["x"], y_col="y", d_col="d")
+    if not has_header:
+        roles = dict(covariates=["c2"], y_col="c0", d_col="c1")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if message is None:
+            assert build_dataset(path, has_header=has_header, **roles).n == 1
+        else:
+            with pytest.raises(SchemaError, match=message):
+                build_dataset(path, has_header=has_header, **roles)
+
+
+_DELIMITERS = (",", ";", "\t", "|", " ")
+_CELL_TEXT = st.text(alphabet='ab1.# -"' + ',;\t|' + "\n\r", max_size=5)
+
+
+@st.composite
+def _csv_files(draw):
+    """Delimited text with quoted and bare cells, stray quotes, padding, `#`,
+    blank lines, LF or CRLF line ends and, sometimes, ragged rows."""
+    delimiter = draw(st.sampled_from(_DELIMITERS))
+    width = draw(st.integers(1, 3))
+    lines = []
+    for _ in range(draw(st.integers(0, 5))):
+        cells = []
+        for _ in range(max(1, width + draw(st.sampled_from((0, 0, 0, 0, 0, -1, 1))))):
+            text = draw(_CELL_TEXT)
+            if draw(st.booleans()):
+                cells.append('"' + text.replace('"', '""') + '"')
+            else:  # a bare cell: no delimiter or line break, no leading quote
+                bare = "".join(c for c in text if c not in delimiter + "\n\r")
+                cells.append(bare[1:] if bare.startswith('"') else bare)
+        lines.append(delimiter.join(cells))
+        if draw(st.integers(0, 4)) == 0:
+            lines.append("")
+    eol = draw(st.sampled_from(("\n", "\r\n")))
+    return eol.join(lines) + draw(st.sampled_from((eol, ""))), delimiter, draw(st.booleans())
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_csv_files())
+def test_read_csv_matches_the_csv_module(case):
+    text, delimiter, has_header = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "data.csv"
+        path.write_bytes(text.encode("utf-8"))
+        try:
+            expected = read_csv_csv_module(path, delimiter=delimiter, has_header=has_header)
+        except SchemaError:
+            expected = SchemaError
+        try:
+            names, rows = read_csv(path, delimiter=delimiter, has_header=has_header)
+            got = (names, rows.tolist())
+        except SchemaError:
+            got = SchemaError
+    assert got == expected
+
+
+def _padded_csv(path, rows=5000, levels=20, seed=3):
+    """x1, x2, g (levels categories), y, d, p; numeric cells padded with
+    U+001C-U+001F, U+00A0 and spaces, which Python's float accepts after str.strip."""
+    rng = np.random.default_rng(seed)
+    pads = ("", " ", "\x1c", "\x1d", "\x1e", "\x1f", "\xa0", "\t")
+    lines = ["x1,x2,g,y,d,p"]
+    for i in range(rows):
+        x1, x2, y = rng.standard_normal(3).tolist()
+        level = i if i < levels else int(rng.integers(levels))
+        pad = pads[i % len(pads)]
+        p = float(rng.uniform(0.1, 0.9))
+        lines.append(f"{pad}{x1!r}{pad},{x2!r},{pad}g{level}{pad},{y!r}{pad},{i % 2},{pad}{p!r}")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("drop_first", [False, True])
+@pytest.mark.parametrize("case", ["observed30", "population12", "padded5000"])
+def test_build_dataset_is_byte_identical_to_the_csv_module_route(tmp_path, case, drop_first):
+    if case == "observed30":
+        path, covariates, categorical = DATA / "observed30.csv", ["age", "score"], ["region"]
+        roles = {"y": "y", "d": "d"}
+    elif case == "population12":
+        path, covariates, categorical = DATA / "population12.csv", ["x1", "x2"], []
+        roles = {"y1": "y1", "y0": "y0"}
+    else:
+        path, covariates, categorical = _padded_csv(tmp_path / "padded.csv"), ["x1", "x2"], ["g"]
+        roles = {"y": "y", "d": "d", "p": "p"}
+    ds = build_dataset(path, covariates, categorical, drop_first=drop_first,
+                       **{f"{role}_col": col for role, col in roles.items()})
+    columns, x, outcomes = dataset_arrays_csv_module(path, covariates, categorical, roles,
+                                                     drop_first=drop_first)
+    assert ds.columns == columns
+    assert ds.x.tobytes() == x.tobytes()
+    for role, values in outcomes.items():
+        assert getattr(ds, role).tobytes() == values.tobytes()
+
+
+@pytest.mark.parametrize("drop_first", [False, True])
+def test_one_hot_matches_the_literal_loop(drop_first):
+    rng = np.random.default_rng(11)
+    values = [f"v{j}" for j in rng.integers(0, 50, 1000)]
+    columns, block = one_hot(values, "f", drop_first=drop_first)
+    ref_columns, ref_block = one_hot_loop(values, "f", drop_first=drop_first)
+    assert columns == ref_columns
+    assert block.shape == ref_block.shape
+    assert block.tobytes() == ref_block.tobytes()
 
 
 def test_record_round_trip(tmp_path):
