@@ -25,14 +25,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .design import Assignment, CompleteDesign, DesignSpec, SimpleDesign
-from .exceptions import InvalidInput, SpecMismatch
+from .exceptions import InvalidInput, RankDeficient, SpecMismatch
 from .linalg import (
     RidgeFactor,
-    RidgeFit,
     as_design_matrix,
     as_vector,
     check_loo_feasible,
+    cholesky_solve,
+    full_rank_cholesky,
     leverage_regularizer,
+    negligible_pivot,
     ridge_factor,
     ridge_fit,
 )
@@ -426,21 +428,53 @@ def estimate_loora_dm_pairwise(
     return math.fsum(terms) / (n_t * n_c)
 
 
+def _power_of_two_scales(a: np.ndarray) -> np.ndarray:
+    """Per-column powers of two that bring each column's largest |entry| into [0.5, 1).
+
+    Scaling by a power of two is exact, so it changes no fitted value; it
+    only keeps rank tests, which compare columns with one another, blind to
+    the units a covariate is measured in. An all-zero column keeps scale 1.
+    """
+    return np.ldexp(1.0, -np.frexp(np.max(np.abs(a), axis=0))[1])
+
+
 @dataclass(frozen=True)
 class BenchmarkPlan:
-    """The study-fixed part of ADJ, INT and RIDGE_REG: covariate block and penalty.
+    """The study-fixed part of ADJ, INT and RIDGE_REG; parts() evaluates one assignment.
 
-    ADJ regresses y on [1, d, X] and INT on [1, d, X - mean, d * (X - mean)],
-    both unpenalized. RIDGE_REG uses the ADJ design and penalizes only the X
-    columns, with the leverage rule applied to the covariate block. The
-    estimate is the coefficient on d. The design contains d, so fit() still
-    factors once per assignment.
+    ADJ regresses y on [1, d, X] and RIDGE_REG does so with the X columns
+    penalized by lambda (the leverage rule applied to X); the estimate is
+    the coefficient on d. With W = [1, X], per-column penalty P (0 on the
+    intercept) and Z_W = (W'W + P)^{-1} W' factored once per study, the
+    partial-ridge Frisch-Waugh-Lovell identity gives, for the unpenalized d,
+
+        d~ = d - W Z_W d,   tau_hat = d~'y / d~'d,   row d of the full fit's
+        (D'D + P_D)^{-1} D' = d~' / d~'d,
+
+    so the HC0 variance is sum_i (d~_i r_i)^2 / (d~'d)^2 with the full fit's
+    residuals r = y~ - d~ tau_hat, y~ = y - W Z_W y. Under ridge, W Z_W is
+    not idempotent, so the denominator is d~'d, not d~'d~. ADJ's rank check
+    on W runs once per study; per assignment, d~'d counts as zero by
+    linalg.negligible_pivot against d'd and the (n, k + 2) design shape, and
+    raises RankDeficient.
+
+    INT regresses y on [1, d, Xc, d * Xc] with Xc = X minus its full-sample
+    mean. That design is block-diagonal by arm, so tau_hat = alpha_t -
+    alpha_c, the intercepts of the OLS of y on [1, Xc] within each arm, and
+    its HC0 variance is the sum of the two intercepts' HC0 variances. The
+    Gram of [1, Xc] is rank-checked once per study, and each arm's Gram per
+    assignment, both by linalg.full_rank_cholesky.
+
+    The X columns are scaled by powers of two before any factor or rank
+    check (RIDGE_REG's penalty by the squared scales, which leaves its fit
+    unchanged), so a covariate's units never make the design look singular.
     """
 
     method: Method
     arms: ArmCounts
-    covariates: np.ndarray  # X, or X centered at its full-sample mean for INT
-    penalty: np.ndarray  # per-column penalty of the design
+    basis: np.ndarray  # [1, X] (ADJ, RIDGE_REG) or [1, X - mean] (INT), columns scaled
+    ridge: RidgeFactor | None  # of (basis, P) for ADJ and RIDGE_REG; None for INT
+    lam: float  # the penalty on the covariate block (zero for ADJ and INT)
 
     @classmethod
     def build(
@@ -455,22 +489,48 @@ class BenchmarkPlan:
         arms = ArmCounts.of(method.value, spec, allow_design_mismatch)
         x = as_design_matrix(x)
         covariates = x - x.mean(axis=0) if method is Method.INT else x
-        width = 2 + covariates.shape[1] * (2 if method is Method.INT else 1)
-        penalty = np.zeros(width)
-        if method is Method.RIDGE_REG:
-            penalty[2:] = rule.resolve(x)
-        return cls(method=method, arms=arms, covariates=covariates, penalty=penalty)
+        scales = _power_of_two_scales(covariates)
+        basis = np.column_stack([np.ones(x.shape[0]), covariates * scales])
+        lam = rule.resolve(x) if method is Method.RIDGE_REG else 0.0
+        if method is Method.INT:
+            full_rank_cholesky(basis)
+            return cls(method=method, arms=arms, basis=basis, ridge=None, lam=lam)
+        penalty = np.concatenate([[0.0], lam * scales**2])
+        ridge = ridge_factor(basis, penalty)
+        return cls(method=method, arms=arms, basis=basis, ridge=ridge, lam=lam)
 
-    @property
-    def lam(self) -> float:
-        """The penalty on the covariate block (zero for ADJ and INT)."""
-        return float(self.penalty[-1])
+    def parts(self, assignment: Assignment, y: np.ndarray) -> tuple[float, np.ndarray]:
+        """(tau_hat, terms) for one assignment: terms_i = w_i r_i, so HC0 = sum terms^2.
 
-    def fit(self, assignment: Assignment, y: np.ndarray) -> RidgeFit:
-        """The regression of y on this assignment's design; the estimate is beta[1]."""
+        w is the estimate's linear weight on y_i (tau_hat = w'y) and r the
+        full regression's residuals.
+        """
         self.arms.counts(assignment)
-        d, xc = assignment.d, self.covariates
-        columns = [np.ones(d.shape[0]), d, xc]
+        d = assignment.d
         if self.method is Method.INT:
-            columns.append(d[:, None] * xc)
-        return ridge_fit(np.column_stack(columns), y, self.penalty)
+            t_mask = d == 1.0
+            alpha_t, terms_t = self._arm_intercept(t_mask, y)
+            alpha_c, terms_c = self._arm_intercept(~t_mask, y)
+            return alpha_t - alpha_c, np.concatenate([terms_t, terms_c])
+        w, z = self.basis, self.ridge.z
+        d_res = d - w @ (z @ d)
+        dd = float(d_res @ d)
+        if negligible_pivot(dd, float(d @ d), (d.shape[0], w.shape[1] + 1)):
+            raise RankDeficient(
+                "the assignment is numerically a combination of the covariates; "
+                "the coefficient on d is not identified"
+            )
+        tau_hat = float(d_res @ y) / dd
+        resid = y - w @ (z @ y) - d_res * tau_hat
+        return tau_hat, d_res * resid / dd
+
+    def _arm_intercept(self, mask: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
+        """Intercept of the OLS of y on [1, Xc] within one arm, and its HC0 terms."""
+        a, ya = self.basis[mask], y[mask]
+        cho = full_rank_cholesky(a)
+        e0 = np.zeros(a.shape[1])
+        e0[0] = 1.0
+        sol = cholesky_solve(cho, np.column_stack([a.T @ ya, e0]))
+        beta, g = sol[:, 0], sol[:, 1]
+        # row 0 of (A'A)^{-1} A' is (A g)', g = (A'A)^{-1} e0
+        return float(beta[0]), (a @ g) * (ya - a @ beta)

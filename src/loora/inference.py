@@ -100,14 +100,23 @@ def normal_quantile(p: float) -> float:
     return x - u / (1.0 + 0.5 * x * u)
 
 
-def confidence_interval(tau_hat: float, var_hat: float, level: float) -> tuple[float, float]:
-    """Normal interval tau_hat +/- z_{1 - alpha/2} sqrt(var_hat)."""
+def _interval_quantile(level: float) -> float:
+    """z_{1 - alpha/2} of a two-sided normal interval at this confidence level."""
     if not 0.0 < level < 1.0:
         raise InvalidInput(f"confidence level must lie in (0, 1), got {level}")
+    return normal_quantile(0.5 + level / 2.0)
+
+
+def _interval(tau_hat: float, var_hat: float, quantile: float) -> tuple[float, float]:
     if not var_hat >= 0.0:
         raise InvalidInput(f"variance estimate must be nonnegative, got {var_hat}")
-    half = normal_quantile(0.5 + level / 2.0) * math.sqrt(var_hat)
+    half = quantile * math.sqrt(var_hat)
     return tau_hat - half, tau_hat + half
+
+
+def confidence_interval(tau_hat: float, var_hat: float, level: float) -> tuple[float, float]:
+    """Normal interval tau_hat +/- z_{1 - alpha/2} sqrt(var_hat)."""
+    return _interval(tau_hat, var_hat, _interval_quantile(level))
 
 
 @dataclass(frozen=True)
@@ -137,20 +146,21 @@ def _ht_hw_residuals(x: np.ndarray, y: np.ndarray, parts) -> np.ndarray:
 def _two_column_sandwich(u: np.ndarray, d: np.ndarray) -> tuple[float, float, float]:
     """OLS of u on [1, d] plus the HC0 variance of the second coefficient.
 
-    Returns (intercept, slope, slope variance).
+    Returns (intercept, slope, slope variance). The regression is the two
+    arm means: intercept u_c, slope u_t - u_c, and with r the deviations
+    from the arm means, row d of the sandwich bread times [1, d]' is 1/n_t
+    on treated and -1/n_c on control units, so the variance is
+    sum_t r^2 / n_t^2 + sum_c r^2 / n_c^2.
     """
     n = u.shape[0]
     n_t = float(d.sum())
     n_c = n - n_t
     if n_t < 1 or n_c < 1:
         raise SpecMismatch("auxiliary regression needs both arms occupied")
-    design = np.column_stack([np.ones(n), d])
-    bread = np.linalg.inv(design.T @ design)
-    coef = bread @ (design.T @ u)
-    resid = u - design @ coef
-    meat = design.T @ (design * (resid**2)[:, None])
-    cov = bread @ meat @ bread
-    return float(coef[0]), float(coef[1]), float(cov[1, 1])
+    c = 1.0 - d
+    mean_t, mean_c = (d @ u) / n_t, (c @ u) / n_c
+    r2 = (u - np.where(d == 1.0, mean_t, mean_c)) ** 2
+    return float(mean_c), float(mean_t - mean_c), float((d @ r2) / n_t**2 + (c @ r2) / n_c**2)
 
 
 def _dm_hw_variance_from_parts(parts) -> float:
@@ -241,21 +251,20 @@ class _BenchmarkCore:
     plan: BenchmarkPlan
 
     def tau(self, assignment: Assignment, y: np.ndarray) -> float:
-        return float(self.plan.fit(assignment, y).beta[1])
+        return self.plan.parts(assignment, y)[0]
 
     def tau_and_var(self, assignment: Assignment, y: np.ndarray) -> tuple[float, float]:
-        fit = self.plan.fit(assignment, y)
-        # HC0: the coefficient is z[1] . y, so its variance is sum r_i^2 z[1, i]^2.
-        return float(fit.beta[1]), _fsum_or_inf((fit.z[1] * (y - fit.x @ fit.beta)) ** 2)
+        tau, terms = self.plan.parts(assignment, y)
+        return tau, _fsum_or_inf(terms**2)
 
 
 @dataclass(frozen=True)
 class EstimatePlan:
     """One method's estimate, split into a study-fixed and a per-assignment part.
 
-    plan_estimate does once what depends only on (X, design, rule): it
-    validates X, resolves lambda, factors the ridge Gram and checks its
-    leverages, and forms the HT weights. point() and evaluate() then do the
+    plan_estimate does once what depends only on (X, design, rule, level):
+    it validates X, resolves lambda, factors the ridge Gram and checks its
+    leverages, forms the HT weights and takes the interval's normal quantile. point() and evaluate() then do the
     work of one assignment. A Monte Carlo study or an enumeration builds one
     plan per method and evaluates it on every assignment.
 
@@ -271,6 +280,7 @@ class EstimatePlan:
     lambda_used: float
     n: int
     core: _MethodCore
+    quantile: float  # z_{1 - alpha/2} for level
 
     def _run(self, step, assignment: Assignment, y):
         """step(assignment, y) on checked inputs; an OverflowError is the point estimate's."""
@@ -303,7 +313,7 @@ class EstimatePlan:
         tau, var = self._run(self.core.tau_and_var, assignment, y)
         self._finite(tau, "point estimate")
         self._finite(var, "variance")
-        low, high = confidence_interval(tau, var, self.level)
+        low, high = _interval(tau, var, self.quantile)
         return EstimateReport(
             method=self.method,
             tau_hat=tau,
@@ -348,7 +358,14 @@ def plan_estimate(
     else:
         bench = BenchmarkPlan.build(method, x, spec, rule, allow_design_mismatch)
         core, lam = _BenchmarkCore(bench), bench.lam
-    return EstimatePlan(method=method, level=level, lambda_used=lam, n=x.shape[0], core=core)
+    return EstimatePlan(
+        method=method,
+        level=level,
+        lambda_used=lam,
+        n=x.shape[0],
+        core=core,
+        quantile=_interval_quantile(level),
+    )
 
 
 def estimate_with_ci(

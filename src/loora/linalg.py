@@ -16,11 +16,13 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .exceptions import InvalidInput, LeverageSingular, RankDeficient
 
 # (1 - h) below this threshold makes leave-one-out denominators meaningless.
 LEVERAGE_GUARD = 1e-12
+_EPS = float(np.finfo(np.float64).eps)
 
 
 def as_design_matrix(x) -> np.ndarray:
@@ -165,9 +167,7 @@ class RidgeFactor:
             raise InvalidInput(f"response has shape {y.shape}, expected ({n},) or ({n}, m)")
         if not np.all(np.isfinite(y)):
             raise InvalidInput("response contains non-finite entries")
-        # x and y are checked and cho_factor checked the Gram, so the solve
-        # skips scipy's repeated finiteness scan.
-        beta = scipy.linalg.cho_solve(self.cho, _by_column(self.x.T, y), check_finite=False)
+        beta = cholesky_solve(self.cho, _by_column(self.x.T, y))
         return RidgeFit(x=self.x, y=y, lam=self.lam, beta=beta, hat_diag=self.hat_diag, z=self.z)
 
 
@@ -207,9 +207,60 @@ def ridge_factor(x, lam) -> RidgeFactor:
     except scipy.linalg.LinAlgError as exc:
         # numerically singular even though the SVD rank check passed
         raise RankDeficient(str(exc)) from exc
-    z = scipy.linalg.cho_solve(cho, x.T, check_finite=False)
+    z = cholesky_solve(cho, x.T)
     hat_diag = np.einsum("ij,ji->i", x, z)
     return RidgeFactor(x=x, lam=lam, cho=cho, hat_diag=hat_diag, z=z)
+
+
+def cholesky_solve(cho: tuple, b: np.ndarray) -> np.ndarray:
+    """Solve (R'R) x = b from a (factor, lower) pair as cho_factor returns it.
+
+    Calls LAPACK dpotrs directly, as scipy's cho_solve does internally, so
+    the result carries the same bits without scipy's per-call wrapper. The
+    factor and b must already be checked finite.
+    """
+    c, lower = cho
+    x, info = dpotrs(c, b, lower=lower)
+    if info != 0:
+        raise ValueError(f"illegal value in argument {-info} of LAPACK dpotrs")
+    return x
+
+
+def negligible_pivot(pivot_sq, norm_sq, shape: tuple[int, int]):
+    """Whether a Cholesky pivot of a Gram matrix counts as zero (elementwise).
+
+    pivot_sq is the squared distance of one column from the span of the
+    columns before it (a Schur complement of the Gram), norm_sq that
+    column's squared norm, and shape the (rows, columns) of the design. The
+    pivot counts as zero when pivot_sq <= max(rows, columns) * eps * norm_sq.
+    This is numpy's matrix_rank factor max(n, k) * eps applied to squared
+    lengths: a Gram carries rounding of order eps times a squared norm, so
+    the rule flags a column whose angle to the others is below
+    sqrt(max(n, k) * eps) (about 1.6e-7 at n = 120), where matrix_rank's
+    SVD resolves angles down to max(n, k) * eps.
+    """
+    return np.logical_not(pivot_sq > max(shape) * _EPS * norm_sq)
+
+
+def full_rank_cholesky(a: np.ndarray) -> tuple:
+    """Upper Cholesky factor of the unpenalized Gram a'a, as (factor, False).
+
+    Raises RankDeficient, naming the first column at fault, when the Gram is
+    not numerically positive definite or a pivot is negligible_pivot.
+    """
+    gram = a.T @ a
+    c, info = dpotrf(gram, lower=0, clean=0)
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of LAPACK dpotrf")
+    if info == 0:
+        weak = np.flatnonzero(negligible_pivot(np.diagonal(c) ** 2, np.diagonal(gram), a.shape))
+        info = int(weak[0]) + 1 if weak.size else 0
+    if info:
+        raise RankDeficient(
+            f"column {info - 1} of the design is numerically a combination of the "
+            "columns before it; the normal equations are singular"
+        )
+    return c, False
 
 
 def ridge_fit(x, y, lam) -> RidgeFit:

@@ -558,7 +558,6 @@ def enumeration_moments(
     spec: DesignSpec,
     method: Method,
     rule: LambdaRule = DEFAULT_LAMBDA_RULE,
-    allow_design_mismatch: bool = False,
 ) -> tuple[float, float]:
     """Exact mean and variance of an estimator over the assignment design.
 
@@ -566,7 +565,7 @@ def enumeration_moments(
     probability; the definitive oracle behind the unbiasedness and
     exact-variance certifications.
     """
-    plan = plan_estimate(method, pop.x, spec, rule, allow_design_mismatch=allow_design_mismatch)
+    plan = plan_estimate(method, pop.x, spec, rule)
     values, probs = [], []
     for assignment, prob in enumerate_assignments(spec):
         values.append(plan.point(assignment, observe(pop, assignment)))

@@ -2,7 +2,9 @@
 
 Machine output is line-delimited: one JSON object per line with insertion-
 ordered keys and floats printed with 17 significant digits, so identical runs
-produce identical bytes and reading a file back loses nothing. The manifest
+produce identical bytes and reading a file back loses nothing. A non-finite
+float (a method that failed on every replicate has NaN metrics) is written
+as null, so every strict JSON parser reads the file. The manifest
 (which carries wall time) always goes to its own sidecar file to keep report
 bytes reproducible.
 """
@@ -11,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +28,7 @@ def _render(value):
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, (float, np.floating)):
-        return format_float(value)
+        return format_float(value) if math.isfinite(value) else "null"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if value is None:

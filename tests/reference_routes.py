@@ -2,7 +2,8 @@
 
 Each function here computes a quantity the package also computes, by a
 different and more literal route: dense n x n hat-matrix algebra, the
-classical three-term variance, an explicit sandwich product, a study that
+classical three-term variance, an explicit sandwich product, the regression
+benchmarks as one fit of their full design, a study that
 builds a fresh sample and a fresh fit for every replicate, a CSV reader on
 the ``csv`` module with per-cell strip and float loops. They stay
 independent of the fast paths in ``loora`` so that agreement between the
@@ -15,7 +16,13 @@ import math
 import numpy as np
 
 from loora.design import draw_with, enumerate_assignments
-from loora.estimators import DEFAULT_LAMBDA_RULE, LambdaRule, LooraHtPlan, ObservedSample
+from loora.estimators import (
+    DEFAULT_LAMBDA_RULE,
+    LambdaRule,
+    LooraHtPlan,
+    Method,
+    ObservedSample,
+)
 from loora.exceptions import (
     InvalidInput,
     LeverageSingular,
@@ -26,7 +33,7 @@ from loora.exceptions import (
     SpecMismatch,
 )
 from loora.inference import _ht_hw_residuals, estimate_with_ci
-from loora.linalg import check_loo_feasible, ridge_fit
+from loora.linalg import as_design_matrix, check_loo_feasible, ridge_fit
 from loora.oracle import (
     Population,
     _centered_residuals,
@@ -118,6 +125,43 @@ def hw_variance_ht_sandwich(s: ObservedSample, rule: LambdaRule = DEFAULT_LAMBDA
     hw_resid = _ht_hw_residuals(s.x, s.y, parts)
     zz = math.fsum(parts.z**2)
     return math.fsum(parts.z**2 * hw_resid**2) / zz**2
+
+
+def benchmark_full_design(method, x, assignment, y, rule=DEFAULT_LAMBDA_RULE):
+    """ADJ, INT or RIDGE_REG as the literal ridge_fit of its full design.
+
+    ADJ regresses y on [1, d, X] and INT on [1, d, X - mean, d * (X - mean)],
+    both unpenalized. RIDGE_REG uses the ADJ design and penalizes only the X
+    columns, with the leverage rule applied to the covariate block. Returns
+    the coefficient on d and its HC0 variance: the coefficient is z[1] . y,
+    so its variance is sum r_i^2 z[1, i]^2.
+    """
+    method = Method(method)
+    x = as_design_matrix(x)
+    covariates = x - x.mean(axis=0) if method is Method.INT else x
+    width = 2 + covariates.shape[1] * (2 if method is Method.INT else 1)
+    penalty = np.zeros(width)
+    if method is Method.RIDGE_REG:
+        penalty[2:] = rule.resolve(x)
+    d = assignment.d
+    columns = [np.ones(d.shape[0]), d, covariates]
+    if method is Method.INT:
+        columns.append(d[:, None] * covariates)
+    fit = ridge_fit(np.column_stack(columns), y, penalty)
+    return float(fit.beta[1]), math.fsum(((fit.z[1] * (y - fit.x @ fit.beta)) ** 2).tolist())
+
+
+def two_column_sandwich_inverse(u, d):
+    """OLS of u on [1, d] and the slope's HC0 variance by the explicit
+    inverse-bread sandwich. Returns (intercept, slope, slope variance)."""
+    n = u.shape[0]
+    design = np.column_stack([np.ones(n), d])
+    bread = np.linalg.inv(design.T @ design)
+    coef = bread @ (design.T @ u)
+    resid = u - design @ coef
+    meat = design.T @ (design * (resid**2)[:, None])
+    cov = bread @ meat @ bread
+    return float(coef[0]), float(coef[1]), float(cov[1, 1])
 
 
 def run_study_per_sample(pop: Population, cfg: StudyConfig) -> SimulationReport:

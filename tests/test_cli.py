@@ -608,3 +608,19 @@ def test_verify_corrupted_quadratic_form_fails_by_name(capsys):
     code, stdout, _ = run(capsys, "verify", "--check", "variance-dm-exact", "--corrupt-q")
     assert code == 1
     assert "FAIL variance-dm-exact" in stdout
+
+
+def test_study_with_an_all_failed_method_reads_back(tmp_path, capsys):
+    # HT is defined under simple assignment only, so under a complete design
+    # it fails every replicate and its metrics are NaN.
+    out = tmp_path / "study.jsonl"
+    code, _, _ = run(
+        capsys, "simulate", "--synth", "binary-outcome", "--n", "20", "--k", "2",
+        "--design", "complete", "--nt", "10", "--methods", "HT,DM", "--reps", "4",
+        "--seed", "7", "--out", str(out),
+    )
+    assert code == 0
+    ht, dm = read_records(out)
+    assert (ht["method"], ht["reps_used"], ht["failed"]) == ("HT", 0, 4)
+    assert [ht[key] for key in ("bias", "std", "rmse", "coverage", "avg_ci_length")] == [None] * 5
+    assert dm["reps_used"] == 4 and isinstance(dm["bias"], float)

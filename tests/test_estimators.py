@@ -13,10 +13,10 @@ from loora.estimators import (
     estimate_loora_ht,
     reweighted_outcomes_ht,
 )
-from loora.exceptions import SpecMismatch
-from loora.inference import estimate
+from loora.exceptions import RankDeficient, SpecMismatch
+from loora.inference import estimate, plan_estimate
 from loora.linalg import max_row_norm
-from loora.oracle import Population, enumeration_moments, observed_sample
+from loora.oracle import Population, enumeration_moments, observe, observed_sample
 
 AUTO2 = LambdaRule.auto(2.0)
 
@@ -232,6 +232,24 @@ def test_int_equals_two_group_regression_oracle(rng):
     beta_c, *_ = np.linalg.lstsq(design[~d], s.y[~d], rcond=None)
     oracle_value = float(np.mean(design @ beta_t - design @ beta_c))
     assert got == pytest.approx(oracle_value, abs=1e-9)
+
+
+@pytest.mark.parametrize("factor", [1e14, 1e-14])
+@pytest.mark.parametrize("method", [Method.ADJ, Method.INT])
+def test_adj_int_do_not_depend_on_a_covariates_units(rng, method, factor):
+    pop = random_population(rng, 30, 3)
+    spec = CompleteDesign(30, 14)
+    a = draw_with(spec, rng)
+    y = observe(pop, a)
+    base = plan_estimate(method, pop.x, spec).evaluate(a, y)
+    x = pop.x.copy()
+    x[:, 1] *= factor
+    got = plan_estimate(method, x, spec).evaluate(a, y)
+    assert got.tau_hat == pytest.approx(base.tau_hat, rel=1e-12)
+    assert got.var_hat == pytest.approx(base.var_hat, rel=1e-12)
+    # a copy of the rescaled column, in other units again, is still singular
+    with pytest.raises(RankDeficient):
+        plan_estimate(method, np.column_stack([x, 3.0 * x[:, 1]]), spec)
 
 
 def test_pairwise_zero_covariates_equals_dm(rng):

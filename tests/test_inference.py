@@ -2,11 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 import loora.inference
 from conftest import random_population
-from loora.design import Assignment, CompleteDesign, SimpleDesign, draw_with
+from loora.design import (
+    Assignment,
+    CompleteDesign,
+    SimpleDesign,
+    draw_with,
+    enumerate_assignments,
+)
 from loora.estimators import (
     LambdaRule,
     Method,
@@ -15,16 +23,22 @@ from loora.estimators import (
     estimate_loora_dm,
     estimate_loora_ht,
 )
-from loora.exceptions import InvalidInput, SelfCheckFailed
+from loora.exceptions import InvalidInput, RankDeficient, SelfCheckFailed
 from loora.inference import (
+    _two_column_sandwich,
     confidence_interval,
     estimate,
     estimate_with_ci,
     normal_quantile,
     plan_estimate,
 )
-from loora.oracle import Population, observed_sample
-from reference_routes import hw_variance_ht_sandwich
+from loora.oracle import Population, observe, observed_sample
+from loora.simulation import StudyConfig, run_study
+from reference_routes import (
+    benchmark_full_design,
+    hw_variance_ht_sandwich,
+    two_column_sandwich_inverse,
+)
 
 AUTO2 = LambdaRule.auto(2.0)
 
@@ -283,3 +297,100 @@ def test_estimate_with_ci_lambda_metadata(rng):
     assert report.lambda_used == 0.75
     assert report.method is Method.LOORA_HT
     assert report.tau_hat == pytest.approx(estimate_loora_ht(s, LambdaRule.fixed(0.75)))
+
+
+# --- independent certificates for the benchmark and DM-family cores ----------
+
+_RANK_N, _RANK_NT = 10, 5
+_RANK_D = np.array([1.0] * _RANK_NT + [0.0] * (_RANK_N - _RANK_NT))
+
+
+def _rank_deficient_covariates(case: str) -> np.ndarray:
+    """Covariates on which ADJ or INT is singular: for every assignment
+    ("duplicate"), or for the assignment _RANK_D and its complement."""
+    noise = np.random.default_rng(11).standard_normal((_RANK_N, 2))
+    if case == "duplicate":
+        return noise[:, [0, 0]]
+    if case == "d_is_covariate":
+        return np.column_stack([_RANK_D, noise[:, 1]])
+    # constant_in_arm: x0 is 3 on exactly the units _RANK_D treats
+    return np.column_stack([np.where(_RANK_D == 1.0, 3.0, noise[:, 0]), noise[:, 1]])
+
+
+_RANK_CASES = [
+    ("duplicate", "ADJ"),
+    ("duplicate", "INT"),
+    ("d_is_covariate", "ADJ"),
+    ("constant_in_arm", "INT"),
+]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    method=st.sampled_from(("ADJ", "INT", "RIDGE_REG", "DM", "LOORA_DM")),
+    auto=st.booleans(),
+    k=st.integers(1, 3),
+    extra_t=st.integers(0, 12),
+    extra_c=st.integers(0, 12),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_cores_match_full_design_and_inverse_sandwich_routes(
+    method, auto, k, extra_t, extra_c, seed
+):
+    rng = np.random.default_rng(seed)
+    n_t, n_c = k + 3 + extra_t, k + 3 + extra_c
+    n = n_t + n_c
+    pop = random_population(rng, n, k)
+    spec = CompleteDesign(n, n_t)
+    a = draw_with(spec, rng)
+    y = observe(pop, a)
+    rule = AUTO2 if auto else LambdaRule.fixed(0.7)
+    report = plan_estimate(method, pop.x, spec, rule).evaluate(a, y)
+    if method in ("DM", "LOORA_DM"):
+        u = y if method == "DM" else LooraDmPlan.build(pop.x, spec, rule).parts(a, y).u
+        _, tau, var = two_column_sandwich_inverse(u, a.d)
+        _, slope, closed = _two_column_sandwich(u, a.d)
+        assert closed == report.var_hat
+        assert abs(slope - tau) <= 1e-12 * max(1.0, abs(tau))
+    else:
+        tau, var = benchmark_full_design(method, pop.x, a, y, rule)
+    assert abs(report.tau_hat - tau) <= 1e-12 * max(1.0, abs(tau))
+    assert abs(report.var_hat - var) <= 1e-10 * var
+
+
+@pytest.mark.parametrize("case, method", _RANK_CASES)
+def test_rank_deficient_designs_raise_alike_in_both_routes(case, method):
+    x = _rank_deficient_covariates(case)
+    spec = CompleteDesign(_RANK_N, _RANK_NT)
+    y = np.random.default_rng(5).standard_normal(_RANK_N)
+    for d in (_RANK_D, 1.0 - _RANK_D):
+        a = Assignment.from_d(d)
+        with pytest.raises(RankDeficient):
+            benchmark_full_design(method, x, a, y)
+        if case == "duplicate":  # singular for every assignment: the plan refuses
+            with pytest.raises(RankDeficient):
+                plan_estimate(method, x, spec)
+            continue
+        plan = plan_estimate(method, x, spec)
+        with pytest.raises(RankDeficient):
+            plan.evaluate(a, y)
+        with pytest.raises(RankDeficient):
+            plan.point(a, y)
+
+
+@pytest.mark.parametrize("case, method", _RANK_CASES)
+def test_run_study_counts_rank_deficient_replicates_as_failures(case, method):
+    x = _rank_deficient_covariates(case)
+    outcomes = np.random.default_rng(6).standard_normal((2, _RANK_N))
+    pop = Population(x, outcomes[0] + 1.0, outcomes[1])
+    spec = CompleteDesign(_RANK_N, _RANK_NT)
+    singular = 0
+    for a, _ in enumerate_assignments(spec):
+        try:
+            benchmark_full_design(method, x, a, observe(pop, a))
+        except RankDeficient:
+            singular += 1
+    assert singular == (252 if case == "duplicate" else 2)
+    cfg = StudyConfig(design="complete", methods=(method,), reps="enumerate", n_t=_RANK_NT)
+    stats = run_study(pop, cfg).stats[0]
+    assert (stats.failed, stats.reps_used) == (singular, 252 - singular)

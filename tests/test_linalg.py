@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from loora.exceptions import InvalidInput, LeverageSingular, RankDeficient
 from loora.linalg import (
+    cholesky_solve,
+    full_rank_cholesky,
     leverage_regularizer,
     max_row_norm,
     ridge_factor,
@@ -56,6 +59,29 @@ def test_one_factor_fits_many_responses_bit_for_bit(rng):
         factor.fit(np.full(30, np.inf))
     with pytest.raises(InvalidInput):
         factor.fit(np.zeros(29))
+
+
+def test_cholesky_solve_carries_scipy_cho_solve_bits(rng):
+    x = rng.standard_normal((40, 5))
+    cho = scipy.linalg.cho_factor(x.T @ x + 0.1 * np.eye(5))
+    for b in (rng.standard_normal(5), rng.standard_normal((5, 3)), x.T):
+        want = scipy.linalg.cho_solve(cho, b, check_finite=False)
+        assert np.array_equal(cholesky_solve(cho, b), want)
+
+
+def test_full_rank_cholesky_flags_a_dependent_column(rng):
+    a = rng.standard_normal((12, 3))
+    c, lower = full_rank_cholesky(a)
+    assert not lower
+    assert_allclose(np.triu(c).T @ np.triu(c), a.T @ a, rtol=1e-12, atol=1e-12)
+    # the rule is relative to each column's own norm: a tiny column counts
+    # as dependent only when it lies in the span of the columns before it
+    full_rank_cholesky(np.column_stack([a, 1e-30 * rng.standard_normal(12)]))
+    for dependent in (a[:, 0] - 2.0 * a[:, 1], np.zeros(12), 1e-30 * a[:, 2]):
+        with pytest.raises(RankDeficient, match="column 3"):
+            full_rank_cholesky(np.column_stack([a, dependent]))
+    with pytest.raises(RankDeficient, match="column 2"):
+        full_rank_cholesky(np.column_stack([a[:, :2], a[:, 0] + a[:, 1], a[:, 2]]))
 
 
 def test_rank_deficient_at_zero_lambda_raises():

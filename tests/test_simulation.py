@@ -236,7 +236,15 @@ def test_run_study_aborts_on_other_invalid_input(monkeypatch):
 
 
 @pytest.mark.parametrize("reps", [3, 50])
-@pytest.mark.parametrize("method, design", [("LOORA_HT", "simple-half"), ("LOORA_DM", "complete")])
+@pytest.mark.parametrize(
+    "method, design",
+    [
+        ("LOORA_HT", "simple-half"),
+        ("LOORA_DM", "complete"),
+        ("ADJ", "complete"),
+        ("RIDGE_REG", "complete"),
+    ],
+)
 def test_study_factors_the_gram_once(monkeypatch, method, design, reps):
     real = scipy.linalg.cho_factor
     calls = []
