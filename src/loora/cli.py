@@ -16,19 +16,16 @@ import numpy as np
 import yaml
 
 from . import __version__
-from .dataset import build_dataset
+from .dataset import _utf8_error, build_dataset
 from .design import Assignment, CompleteDesign, SimpleDesign
 from .estimators import LambdaRule, Method, ObservedSample
 from .exceptions import (
-    InvalidInput,
-    InvalidSpec,
     LeverageSingular,
     LooraError,
     NonFinite,
     ParameterOutOfRange,
     RankDeficient,
     SchemaError,
-    SpecMismatch,
     TooLarge,
 )
 from .inference import estimate_with_ci
@@ -45,7 +42,6 @@ from .verify import CORE_CHECKS, OPTIONAL_CHECKS, run_checks
 
 CONFIG_SCHEMA_VERSION = 1
 
-_SCHEMA_ERRORS = (SchemaError, InvalidSpec, InvalidInput, SpecMismatch)
 _NUMERIC_ERRORS = (LeverageSingular, RankDeficient, NonFinite, TooLarge, ParameterOutOfRange)
 
 
@@ -66,8 +62,15 @@ def parse_lambda(text: str) -> LambdaRule:
 
 
 def load_config(path) -> dict:
-    with open(path, encoding="utf-8") as handle:
-        data = yaml.safe_load(handle)
+    try:
+        with open(path, encoding="utf-8") as handle:
+            data = yaml.safe_load(handle)
+    except OSError as exc:
+        raise SchemaError(f"{path}: cannot read: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{path}: {_utf8_error(path, exc)}") from None
+    except yaml.YAMLError as exc:
+        raise SchemaError(f"{path}: not valid YAML: {' '.join(str(exc).split())}") from None
     if not isinstance(data, dict):
         raise SchemaError(f"{path}: config must be a mapping")
     version = data.get("schema_version")
@@ -137,17 +140,20 @@ def _names(args, config, key, default=""):
 def _emit(out_path, records, command, cfg_dict, seed, started):
     outputs = []
     if out_path:
-        write_records(out_path, records)
-        outputs.append(out_path)
-        manifest = RunManifest(
-            command=command,
-            config_hash=config_hash(cfg_dict),
-            seed=seed,
-            version=__version__,
-            wall_time_s=time.monotonic() - started,
-            outputs=tuple(outputs),
-        )
-        outputs.append(write_manifest(out_path, manifest))
+        try:
+            write_records(out_path, records)
+            outputs.append(out_path)
+            manifest = RunManifest(
+                command=command,
+                config_hash=config_hash(cfg_dict),
+                seed=seed,
+                version=__version__,
+                wall_time_s=time.monotonic() - started,
+                outputs=tuple(outputs),
+            )
+            outputs.append(write_manifest(out_path, manifest))
+        except OSError as exc:  # the records file or its manifest sidecar
+            raise SchemaError(f"{exc.filename}: cannot write: {exc.strerror or exc}") from None
     return outputs
 
 
@@ -447,10 +453,7 @@ def main(argv=None) -> int:
             )
         print(message, file=sys.stderr)
         return 3
-    except _SCHEMA_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except LooraError as exc:  # pragma: no cover - safety net
+    except LooraError as exc:  # every other error is a schema or configuration error
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -24,11 +24,6 @@ from .exceptions import InvalidInput, ParameterOutOfRange, RankDeficient
 from .inference import plan_estimate
 from .linalg import RidgeFit, as_design_matrix, as_vector, check_loo_feasible, ridge_fit
 
-# Largest n for which loora_dm_quadratic_blocks materializes the 2n x 2n
-# quadratic-form matrix. The variances never build an n x n array: they
-# contract the rank-k factors of the hat matrix at every n.
-QUADRATIC_BLOCK_MAX_N = 512
-
 
 @dataclass(frozen=True)
 class Population:
@@ -313,84 +308,9 @@ def _pattern_tables(n: int, n_t: int) -> dict[str, np.ndarray]:
     return tables
 
 
-def _quadratic_geometry(hat_full: np.ndarray, hat_diag: np.ndarray):
-    """Leverage-derived arrays every quadratic-form entry is built from."""
-    w = 1.0 / (1.0 - hat_diag)
-    m2 = hat_full * hat_full
-    alpha = hat_full @ w
-    uprime = alpha - hat_diag * w
-    colsum2 = m2 @ (w * w)
-    v2 = colsum2 - hat_diag**2 * w**2
-    c_k = uprime**2 - v2
-    j_mat = (hat_full * (w * w)[None, :]) @ hat_full
-    j_excl = j_mat - (hat_diag * w**2)[:, None] * hat_full - hat_full * (hat_diag * w**2)[None, :]
-    return w, m2, uprime, v2, c_k, j_excl
-
-
-def _quadratic_row_block(
-    rows: np.ndarray,
-    tables: dict[str, np.ndarray],
-    a: int,
-    b: int,
-    n: int,
-    hat_full: np.ndarray,
-    w: np.ndarray,
-    m2: np.ndarray,
-    uprime: np.ndarray,
-    v2: np.ndarray,
-    c_k: np.ndarray,
-    j_excl: np.ndarray,
-) -> np.ndarray:
-    """Rows [k in rows] of the (a, b) quadratic-form block.
-
-    Entry (k, l) multiplies the k-th entry of the arm-a signal and the l-th
-    entry of the arm-b signal in E[G2^2].
-    """
-    h_kl = hat_full[rows]
-    excl_kl = uprime[rows, None] - h_kl * w[None, :]  # sum_{i not in {k,l}} h_ik w_i
-    excl_lk = uprime[None, :] - h_kl * w[rows, None]  # sum_{i not in {k,l}} h_il w_i
-    block = tables["shared_i"][a, b] * j_excl[rows]
-    block += tables["crossed"][a, b] * m2[rows] * np.outer(w[rows], w)
-    block += tables["hooked_left"][a, b] * h_kl * w[None, :] * excl_lk
-    block += tables["hooked_right"][a, b] * h_kl * w[rows, None] * excl_kl
-    block += tables["disjoint"][a, b] * (excl_kl * excl_lk - j_excl[rows])
-    diag_value = tables["pair_pair"][a, b] * v2 + tables["shared_k"][a, b] * c_k
-    cols = np.arange(n)
-    on_diag = rows[:, None] == cols[None, :]
-    block = np.where(on_diag, diag_value[None, :], block)
-    return block / n**2
-
-
-def loora_dm_quadratic_blocks(
-    pop: Population, n_t: int, lam: float
-) -> dict[tuple[int, int], np.ndarray]:
-    """Materialize the four n x n blocks of the cross-unit quadratic form.
-
-    Block (a, b) pairs the arm-a signal with the arm-b signal, so the T3
-    variance term is sum_ab t^(a)' Q^(ab) t^(b). Only available up to
-    n = 512; it is the dense reference for the low-rank evaluation the
-    variance uses.
-    """
-    n_t, _ = _check_n_t(pop, n_t)
-    if pop.n > QUADRATIC_BLOCK_MAX_N:
-        raise ParameterOutOfRange(
-            f"quadratic-form blocks are materialized only for n <= {QUADRATIC_BLOCK_MAX_N}"
-        )
-    fit = ridge_fit(pop.x, dm_signal(pop, n_t).mu, lam)
-    check_loo_feasible(fit.hat_diag)
-    hat = fit.hat_full
-    tables = _pattern_tables(pop.n, n_t)
-    geometry = _quadratic_geometry(hat, fit.hat_diag)
-    rows = np.arange(pop.n)
-    return {
-        (a, b): _quadratic_row_block(rows, tables, a, b, pop.n, hat, *geometry)
-        for a in (0, 1)
-        for b in (0, 1)
-    }
-
-
 def _pair_value(c: dict[str, float], h_kl, j_kl, w_k, w_l, u_k, u_l, hw2_k, hw2_l):
-    """The off-diagonal entry formula of _quadratic_row_block, elementwise.
+    """The off-diagonal entry formula of the dense quadratic-form reference
+    in tests/reference_routes.py, elementwise.
 
     h_kl = H_kl, j_kl = (H diag(w^2) H)_kl, u = H w - h w, hw2 = h w^2; c
     holds the pattern-table coefficients of one (a, b) block. Not divided

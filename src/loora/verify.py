@@ -20,6 +20,7 @@ from .estimators import (
     estimate_loora_dm_pairwise,
     estimate_loora_ht,
 )
+from .exceptions import InvalidInput
 from .linalg import leverage_regularizer, ridge_leverages_svd
 from .oracle import (
     Population,
@@ -75,7 +76,7 @@ def check_unbiasedness(seed: int = 0, trials: int = 25) -> CheckResult:
         p = rng.uniform(0.25, 0.75, n)
         mean, _ = enumeration_moments(pop, SimpleDesign(p), Method.LOORA_HT)
         worst = max(worst, _rel_gap(mean, pop.tau))
-        n_t = max(2, min(n - 2, int(rng.integers(2, n - 1))))
+        n_t = int(rng.integers(2, n - 1))
         mean, _ = enumeration_moments(pop, CompleteDesign(n, n_t), Method.LOORA_DM)
         worst = max(worst, _rel_gap(mean, pop.tau))
     return CheckResult("unbiasedness", worst <= tol, worst, tol, f"{2 * trials} enumerations")
@@ -101,22 +102,20 @@ def check_variance_ht_exact(seed: int = 1, trials: int = 15) -> CheckResult:
 
 def check_variance_dm_exact(seed: int = 2, trials: int = 15, corrupt_q: bool = False) -> CheckResult:
     """Closed-form LOORA-DM variance (with its cross-unit quadratic form)
-    equals the enumeration variance; corrupt_q perturbs one quadratic-form
-    entry as a negative control."""
+    equals the enumeration variance, n = 4 included; corrupt_q perturbs one
+    quadratic-form entry as a negative control."""
     rng = np.random.default_rng(seed)
     tol = 1e-9
     worst = 0.0
     for _ in range(trials):
-        n = int(rng.integers(5, 8))
+        n = int(rng.integers(4, 8))
         k = int(rng.integers(1, 3))
         pop = _random_population(rng, n, k)
         n_t = int(rng.integers(2, n - 1))
-        if n - n_t < 2:
-            n_t = n - 2
         for rule in (LambdaRule.auto(2.0), LambdaRule.fixed(0.0)):
             lam = rule.resolve(pop.x)
             _, enum_var = enumeration_moments(pop, CompleteDesign(n, n_t), Method.LOORA_DM, rule)
-            formula = loora_dm_variance(pop, n_t, lam, corrupt_q=corrupt_q)
+            formula = loora_dm_variance(pop, n_t, lam, allow_n4=True, corrupt_q=corrupt_q)
             worst = max(worst, _rel_gap(formula, enum_var))
     return CheckResult("variance-dm-exact", worst <= tol, worst, tol, f"{2 * trials} fixtures")
 
@@ -128,8 +127,8 @@ def check_loo_identities(seed: int = 3, trials: int = 10) -> CheckResult:
     worst = 0.0
     rule = LambdaRule.auto(2.0)
     for trial in range(trials):
-        n = int(rng.integers(10, 30))
-        k = int(rng.integers(1, 5))
+        n = int(rng.integers(10, 61))
+        k = int(rng.integers(1, 9))
         pop = _random_population(rng, n, k)
         p = rng.uniform(0.3, 0.7, n)
         spec_s = SimpleDesign(p)
@@ -214,6 +213,8 @@ def check_lin_equivalence(n: int = 5000, reps: int = 5000, seed: int = 6) -> Che
 
 
 def run_checks(names, seed: int = 0, n: int = 5000, corrupt_q: bool = False) -> list[CheckResult]:
+    if seed < 0:
+        raise InvalidInput(f"seed must be nonnegative, got {seed}")
     results = []
     for name in names:
         if name == "unbiasedness":

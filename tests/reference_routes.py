@@ -2,12 +2,13 @@
 
 Each function here computes a quantity the package also computes, by a
 different and more literal route: dense n x n hat-matrix algebra, the
-classical three-term variance, an explicit sandwich product, the regression
-benchmarks as one fit of their full design, a study that
-builds a fresh sample and a fresh fit for every replicate, a CSV reader on
-the ``csv`` module with per-cell strip and float loops. They stay
-independent of the fast paths in ``loora`` so that agreement between the
-two means something.
+materialized LOORA-DM quadratic-form blocks (n <= 512) whose low-rank
+contraction ``loora.oracle`` uses for T3, the classical three-term variance,
+an explicit sandwich product, the regression benchmarks as one fit of their
+full design, a study that builds a fresh sample and a fresh fit for every
+replicate, a CSV reader on the ``csv`` module with per-cell strip and float
+loops. They stay independent of the fast paths in ``loora`` so that
+agreement between the two means something.
 """
 
 import csv
@@ -27,6 +28,7 @@ from loora.exceptions import (
     InvalidInput,
     LeverageSingular,
     NonFinite,
+    ParameterOutOfRange,
     RankDeficient,
     SchemaError,
     SelfCheckFailed,
@@ -38,9 +40,9 @@ from loora.oracle import (
     Population,
     _centered_residuals,
     _check_n_t,
+    _pattern_tables,
     dm_signal,
     ht_signal,
-    loora_dm_quadratic_blocks,
     observed_sample,
 )
 from loora.simulation import (
@@ -51,6 +53,11 @@ from loora.simulation import (
     resolve_design,
     study_seed_sequence,
 )
+
+# Largest n for which loora_dm_quadratic_blocks materializes the 2n x 2n
+# quadratic-form matrix. The variances never build an n x n array: they
+# contract the rank-k factors of the hat matrix at every n.
+QUADRATIC_BLOCK_MAX_N = 512
 
 
 def loora_ht_second_term_dense(pop: Population, p, lam: float) -> float:
@@ -66,6 +73,82 @@ def loora_ht_second_term_dense(pop: Population, p, lam: float) -> float:
     both = fit.hat_full**2 * (cross + cross.T) ** 2
     iu = np.triu_indices(n, k=1)
     return math.fsum(both[iu]) / n**2
+
+
+def _quadratic_geometry(hat_full: np.ndarray, hat_diag: np.ndarray):
+    """Leverage-derived arrays every quadratic-form entry is built from."""
+    w = 1.0 / (1.0 - hat_diag)
+    m2 = hat_full * hat_full
+    alpha = hat_full @ w
+    uprime = alpha - hat_diag * w
+    colsum2 = m2 @ (w * w)
+    v2 = colsum2 - hat_diag**2 * w**2
+    c_k = uprime**2 - v2
+    j_mat = (hat_full * (w * w)[None, :]) @ hat_full
+    j_excl = j_mat - (hat_diag * w**2)[:, None] * hat_full - hat_full * (hat_diag * w**2)[None, :]
+    return w, m2, uprime, v2, c_k, j_excl
+
+
+def _quadratic_row_block(
+    rows: np.ndarray,
+    tables: dict[str, np.ndarray],
+    a: int,
+    b: int,
+    n: int,
+    hat_full: np.ndarray,
+    w: np.ndarray,
+    m2: np.ndarray,
+    uprime: np.ndarray,
+    v2: np.ndarray,
+    c_k: np.ndarray,
+    j_excl: np.ndarray,
+) -> np.ndarray:
+    """Rows [k in rows] of the (a, b) quadratic-form block.
+
+    Entry (k, l) multiplies the k-th entry of the arm-a signal and the l-th
+    entry of the arm-b signal in E[G2^2].
+    """
+    h_kl = hat_full[rows]
+    excl_kl = uprime[rows, None] - h_kl * w[None, :]  # sum_{i not in {k,l}} h_ik w_i
+    excl_lk = uprime[None, :] - h_kl * w[rows, None]  # sum_{i not in {k,l}} h_il w_i
+    block = tables["shared_i"][a, b] * j_excl[rows]
+    block += tables["crossed"][a, b] * m2[rows] * np.outer(w[rows], w)
+    block += tables["hooked_left"][a, b] * h_kl * w[None, :] * excl_lk
+    block += tables["hooked_right"][a, b] * h_kl * w[rows, None] * excl_kl
+    block += tables["disjoint"][a, b] * (excl_kl * excl_lk - j_excl[rows])
+    diag_value = tables["pair_pair"][a, b] * v2 + tables["shared_k"][a, b] * c_k
+    cols = np.arange(n)
+    on_diag = rows[:, None] == cols[None, :]
+    block = np.where(on_diag, diag_value[None, :], block)
+    return block / n**2
+
+
+def loora_dm_quadratic_blocks(
+    pop: Population, n_t: int, lam: float
+) -> dict[tuple[int, int], np.ndarray]:
+    """Materialize the four n x n blocks of the cross-unit quadratic form.
+
+    Block (a, b) pairs the arm-a signal with the arm-b signal, so the T3
+    variance term is sum_ab t^(a)' Q^(ab) t^(b). Only available up to
+    n = 512; it is the dense reference for the low-rank evaluation the
+    variance uses.
+    """
+    n_t, _ = _check_n_t(pop, n_t)
+    if pop.n > QUADRATIC_BLOCK_MAX_N:
+        raise ParameterOutOfRange(
+            f"quadratic-form blocks are materialized only for n <= {QUADRATIC_BLOCK_MAX_N}"
+        )
+    fit = ridge_fit(pop.x, dm_signal(pop, n_t).mu, lam)
+    check_loo_feasible(fit.hat_diag)
+    hat = fit.hat_full
+    tables = _pattern_tables(pop.n, n_t)
+    geometry = _quadratic_geometry(hat, fit.hat_diag)
+    rows = np.arange(pop.n)
+    return {
+        (a, b): _quadratic_row_block(rows, tables, a, b, pop.n, hat, *geometry)
+        for a in (0, 1)
+        for b in (0, 1)
+    }
 
 
 def loora_dm_t3_dense(pop: Population, n_t: int, lam: float) -> float:

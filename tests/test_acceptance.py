@@ -1,36 +1,27 @@
 """Acceptance suite: one test per exit criterion, each printing PASS/FAIL.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
-lines. Every tolerance is pinned here, not calibrated elsewhere.
+lines. Every tolerance is pinned here, not calibrated elsewhere. Criteria
+1-5 run the `loora verify` checks with their own seeds and fixture counts and
+compare each worst discrepancy with the tolerance pinned here.
 """
 
 import math
 
 import numpy as np
 
-from conftest import random_population, rel_gap
 from loora.cli import main as cli_main
-from loora.design import CompleteDesign, SimpleDesign, draw_with
-from loora.estimators import (
-    LambdaRule,
-    Method,
-    estimate_loora_dm,
-    estimate_loora_dm_pairwise,
-    estimate_loora_ht,
-)
-from loora.linalg import leverage_regularizer, ridge_fit, ridge_leverages_svd
-from loora.oracle import (
-    Population,
-    enumeration_moments,
-    ht_signal,
-    lin_asymptotic_variance,
-    loora_dm_variance,
-    loora_ht_variance,
-    observed_sample,
-)
+from loora.linalg import ridge_fit
+from loora.oracle import Population, lin_asymptotic_variance
 from loora.simulation import StudyConfig, run_study, synth_population
-
-AUTO2 = LambdaRule.auto(2.0)
+from loora.verify import (
+    check_leverage_bound,
+    check_loo_identities,
+    check_pairwise_equivalence,
+    check_unbiasedness,
+    check_variance_dm_exact,
+    check_variance_ht_exact,
+)
 
 
 def report(criterion: str, passed: bool, detail: str):
@@ -38,118 +29,50 @@ def report(criterion: str, passed: bool, detail: str):
     assert passed, f"{criterion}: {detail}"
 
 
-def _fixture_family(seed, count):
-    rng = np.random.default_rng(seed)
-    for _ in range(count):
-        n = int(rng.integers(4, 8))
-        k = int(rng.integers(1, 3))
-        pop = random_population(rng, n, k)
-        p = rng.uniform(0.3, 0.7, n)
-        n_t = n // 2
-        yield pop, p, n_t
-
-
 def test_criterion_1_exact_unbiasedness():
-    worst = 0.0
-    count = 0
-    for pop, p, n_t in _fixture_family(1001, 100):
-        mean, _ = enumeration_moments(pop, SimpleDesign(p), Method.LOORA_HT, AUTO2)
-        worst = max(worst, rel_gap(mean, pop.tau))
-        mean, _ = enumeration_moments(pop, CompleteDesign(pop.n, n_t), Method.LOORA_DM, AUTO2)
-        worst = max(worst, rel_gap(mean, pop.tau))
-        count += 1
+    result = check_unbiasedness(1001, 100)
     report(
         "criterion 1 (exact unbiasedness by enumeration)",
-        worst <= 1e-11,
-        f"{count} populations x both designs; worst relative gap {worst:.3e} (tol 1e-11)",
+        result.worst <= 1e-11,
+        f"100 populations x both designs; worst relative gap {result.worst:.3e} (tol 1e-11)",
     )
 
 
 def test_criterion_2_exact_variance_formulas():
-    worst = 0.0
-    count = 0
-    for pop, p, n_t in _fixture_family(2002, 100):
-        xw = ht_signal(pop, p).xw
-        for rule in (LambdaRule.fixed(0.0), AUTO2):
-            lam = rule.resolve(xw)
-            _, enum_var = enumeration_moments(pop, SimpleDesign(p), Method.LOORA_HT, rule)
-            worst = max(worst, rel_gap(loora_ht_variance(pop, p, lam), enum_var))
-            lam = rule.resolve(pop.x)
-            _, enum_var = enumeration_moments(
-                pop, CompleteDesign(pop.n, n_t), Method.LOORA_DM, rule
-            )
-            formula = loora_dm_variance(pop, n_t, lam, allow_n4=True)
-            worst = max(worst, rel_gap(formula, enum_var))
-        count += 1
+    ht = check_variance_ht_exact(2002, 100)
+    dm = check_variance_dm_exact(2002, 100)
     report(
         "criterion 2 (exact variance formulas vs enumeration)",
-        worst <= 1e-9,
-        f"{count} populations x both designs x two penalties; worst relative gap "
-        f"{worst:.3e} (tol 1e-9)",
+        ht.worst <= 1e-9 and dm.worst <= 1e-9,
+        f"100 populations per design x two penalties, n = 4 included; worst relative gap "
+        f"LOORA-HT {ht.worst:.3e}, LOORA-DM {dm.worst:.3e} (tol 1e-9)",
     )
 
 
 def test_criterion_3_loo_identities():
-    rng = np.random.default_rng(3003)
-    worst = 0.0
-    for _ in range(50):
-        n = int(rng.integers(10, 61))
-        k = int(rng.integers(1, 9))
-        pop = random_population(rng, n, k)
-        spec_s = SimpleDesign(rng.uniform(0.3, 0.7, n))
-        s = observed_sample(pop, draw_with(spec_s, rng), spec_s)
-        worst = max(
-            worst,
-            rel_gap(estimate_loora_ht(s, AUTO2), estimate_loora_ht(s, AUTO2, refit=True)),
-        )
-        spec_c = CompleteDesign(n, n // 2)
-        s = observed_sample(pop, draw_with(spec_c, rng), spec_c)
-        worst = max(
-            worst,
-            rel_gap(estimate_loora_dm(s, AUTO2), estimate_loora_dm(s, AUTO2, refit=True)),
-        )
+    result = check_loo_identities(3003, 50)
     report(
         "criterion 3 (hat-identity estimators equal literal refits)",
-        worst <= 1e-9,
-        f"50 fixtures up to n=60, k=8; worst relative gap {worst:.3e} (tol 1e-9)",
+        result.worst <= 1e-9,
+        f"50 fixtures up to n=60, k=8; worst relative gap {result.worst:.3e} (tol 1e-9)",
     )
 
 
 def test_criterion_4_leverage_bound():
-    rng = np.random.default_rng(4004)
-    worst = -np.inf
-    for _ in range(200):
-        n = int(rng.integers(3, 21))
-        k = int(rng.integers(1, 7))
-        x = rng.standard_t(df=2, size=(n, k))
-        for c in (0.5, 1.0, 2.0, 5.0):
-            h = ridge_leverages_svd(x, leverage_regularizer(x, c))
-            worst = max(worst, float(np.max(h)) - 1.0 / (1.0 + c))
+    result = check_leverage_bound(4004, 200)
     report(
         "criterion 4 (capped-penalty leverage bound)",
-        worst <= 1e-12,
-        f"200 heavy-tailed matrices x four caps; worst excess {worst:.3e} (tol 1e-12)",
+        result.worst <= 1e-12,
+        f"200 heavy-tailed matrices x four caps; worst excess {result.worst:.3e} (tol 1e-12)",
     )
 
 
 def test_criterion_5_leave_two_out_equivalence():
-    rng = np.random.default_rng(5005)
-    worst = 0.0
-    for _ in range(50):
-        n = int(rng.integers(6, 16))
-        k = int(rng.integers(1, 4))
-        pop = random_population(rng, n, k)
-        n_t = int(rng.integers(2, n - 1))
-        spec = CompleteDesign(n, n_t)
-        s = observed_sample(pop, draw_with(spec, rng), spec)
-        worst = max(
-            worst,
-            rel_gap(estimate_loora_dm(s, AUTO2), estimate_loora_dm_pairwise(s, AUTO2)),
-        )
+    result = check_pairwise_equivalence(5005, 50)
     report(
         "criterion 5 (pairwise leave-two-out form equals the one-at-a-time form)",
-        worst <= 1e-9,
-        f"50 fixtures (both arms >= 2); worst relative gap {worst:.3e} (tol 1e-9)",
+        result.worst <= 1e-9,
+        f"50 fixtures (both arms >= 2); worst relative gap {result.worst:.3e} (tol 1e-9)",
     )
 
 

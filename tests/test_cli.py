@@ -1,11 +1,13 @@
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from loora.cli import main, parse_lambda
 from loora.exceptions import SchemaError
 from loora.reporting import read_records
+from loora.verify import check_variance_dm_exact
 
 DATA = Path(__file__).parent / "data"
 
@@ -48,6 +50,7 @@ _HALF = ("--design", "simple", "--p", "0.5")
         (_EST + _HALF, 'drop-first: "false"', None, "drop-first"),
         (_EST + _HALF + ("--delimiter", ";;"), None, None, "delimiter"),
         (_EST + _HALF, "delimiter: 5", None, "delimiter"),
+        (("verify", "--seed", "-1"), None, None, "seed"),
     ],
     ids=[
         "reps-flag",
@@ -65,6 +68,7 @@ _HALF = ("--design", "simple", "--p", "0.5")
         "drop-first-config",
         "delimiter-flag",
         "delimiter-config",
+        "verify-seed-flag",
     ],
 )
 def test_malformed_option_value_is_a_schema_error_naming_the_key(
@@ -174,6 +178,44 @@ def test_unreadable_data_is_a_schema_error_naming_the_path(tmp_path, capsys, com
     assert stderr.startswith(f"error: {data}: ")
     if case == "not-utf8":
         assert "byte 0xe9 at offset 21" in stderr
+
+
+@pytest.mark.parametrize(
+    "case, reason",
+    [
+        ("missing", "cannot read: "),
+        ("directory", "cannot read: "),
+        ("not-utf8", "not UTF-8: byte 0xe9 at offset 24"),
+        ("not-yaml", "not valid YAML: "),
+    ],
+)
+def test_unreadable_config_is_a_schema_error_naming_the_path(tmp_path, capsys, case, reason):
+    cfg = tmp_path / "config.yaml"
+    if case == "directory":
+        cfg.mkdir()
+    elif case == "not-utf8":
+        cfg.write_bytes(b"schema_version: 1\nn: caf\xe9\n")
+    elif case == "not-yaml":
+        cfg.write_text("schema_version: 1\nmethods: [HT, DM\n", encoding="utf-8")
+    code, _, stderr = run(capsys, *_SIM, "--config", str(cfg))
+    assert code == 2
+    assert stderr.startswith(f"error: {cfg}: {reason}")
+
+
+@pytest.mark.parametrize("case", ["directory", "missing-parent", "manifest-directory"])
+def test_unwritable_out_is_a_schema_error_naming_the_path(tmp_path, capsys, case):
+    out = tmp_path / "study.jsonl"
+    unwritable = out
+    if case == "directory":
+        out.mkdir()
+    elif case == "missing-parent":
+        out = unwritable = tmp_path / "absent" / "study.jsonl"
+    else:
+        unwritable = tmp_path / "study.jsonl.manifest.json"
+        unwritable.mkdir()
+    code, _, stderr = run(capsys, *_SIM, "--out", str(out))
+    assert code == 2
+    assert stderr.startswith(f"error: {unwritable}: cannot write: ")
 
 
 def test_estimate_numeric_error_exits_3_naming_row(tmp_path, capsys):
@@ -605,9 +647,20 @@ def test_verify_core_suite_passes(capsys):
 
 
 def test_verify_corrupted_quadratic_form_fails_by_name(capsys):
+    # the default family (seed 2) holds two n = 4 fixtures
     code, stdout, _ = run(capsys, "verify", "--check", "variance-dm-exact", "--corrupt-q")
     assert code == 1
-    assert "FAIL variance-dm-exact" in stdout
+    assert stdout == (
+        "FAIL variance-dm-exact: worst discrepancy 6.870e-01 "
+        "(tolerance 1.000e-09; 30 fixtures)\n"
+    )
+
+
+def test_dm_variance_check_catches_a_corrupted_quadratic_form_at_n4():
+    # seed 11 draws n = 4 for its only fixture
+    assert np.random.default_rng(11).integers(4, 8) == 4
+    assert check_variance_dm_exact(11, 1).passed
+    assert not check_variance_dm_exact(11, 1, corrupt_q=True).passed
 
 
 def test_study_with_an_all_failed_method_reads_back(tmp_path, capsys):
