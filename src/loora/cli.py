@@ -34,6 +34,7 @@ from .reporting import (
     RunManifest,
     config_hash,
     format_table,
+    manifest_path,
     write_manifest,
     write_records,
 )
@@ -137,6 +138,29 @@ def _names(args, config, key, default=""):
     raise SchemaError(f"{key} must be a comma-separated string or a list, got {value!r}")
 
 
+def _cannot_write(exc: OSError) -> SchemaError:
+    return SchemaError(f"{exc.filename}: cannot write: {exc.strerror or exc}")
+
+
+def _check_writable(out_path) -> None:
+    """Fail now if --out or its manifest sidecar cannot be written, before any work.
+
+    Each file is opened for appending, which truncates nothing, and a file
+    this check creates is removed again.
+    """
+    if not out_path:
+        return
+    for path in (out_path, manifest_path(out_path)):
+        existed = os.path.lexists(path)
+        try:
+            with open(path, "a", encoding="utf-8"):
+                pass
+        except OSError as exc:
+            raise _cannot_write(exc) from None
+        if not existed:
+            os.remove(path)
+
+
 def _emit(out_path, records, command, cfg_dict, seed, started):
     outputs = []
     if out_path:
@@ -153,13 +177,14 @@ def _emit(out_path, records, command, cfg_dict, seed, started):
             )
             outputs.append(write_manifest(out_path, manifest))
         except OSError as exc:  # the records file or its manifest sidecar
-            raise SchemaError(f"{exc.filename}: cannot write: {exc.strerror or exc}") from None
+            raise _cannot_write(exc) from None
     return outputs
 
 
 def cmd_estimate(args) -> int:
     started = time.monotonic()
     config = load_config(args.config) if args.config else {}
+    _check_writable(args.out)
     delimiter = _setting(args, config, "delimiter", ",")
     dataset = build_dataset(
         args.data,
@@ -255,6 +280,7 @@ def cmd_estimate(args) -> int:
 def cmd_simulate(args) -> int:
     started = time.monotonic()
     config = load_config(args.config) if args.config else {}
+    _check_writable(args.out)
 
     if args.data:
         dataset = build_dataset(

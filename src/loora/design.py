@@ -9,9 +9,10 @@ power the brute-force oracles.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator, Union
+from typing import Iterable, Iterator, Union
 
 import numpy as np
 
@@ -97,16 +98,36 @@ class Assignment:
         return int(self.d.sum())
 
 
+def block_size(n: int) -> int:
+    """Assignments per block for n units: clamp(8192 // n, 1, 256).
+
+    A block of B rows of n entries then holds at most 8192 float64 values
+    (64 KiB), so batching amortizes per-call overhead at small n and adds no
+    memory at large n. The rule depends on n alone, never on a thread count
+    or a replicate count, so results do not either.
+    """
+    return min(256, max(1, 8192 // n))
+
+
+def draw_rows(spec: DesignSpec, rngs: Iterable[np.random.Generator]) -> np.ndarray:
+    """Draw one assignment per generator, as the 0/1 float rows of a block."""
+    rngs = list(rngs)
+    if isinstance(spec, SimpleDesign):
+        u = np.empty((len(rngs), spec.n))
+        for row, rng in zip(u, rngs):
+            rng.random(out=row)
+        return (u < spec.p).astype(np.float64)
+    if isinstance(spec, CompleteDesign):
+        d = np.zeros((len(rngs), spec.n))
+        for row, rng in zip(d, rngs):
+            row[rng.permutation(spec.n)[: spec.n_t]] = 1.0
+        return d
+    raise InvalidSpec(f"unknown design spec {spec!r}")
+
+
 def draw_with(spec: DesignSpec, rng: np.random.Generator) -> Assignment:
     """Draw one assignment from an already-constructed generator."""
-    if isinstance(spec, SimpleDesign):
-        d = (rng.random(spec.n) < spec.p).astype(np.float64)
-    elif isinstance(spec, CompleteDesign):
-        d = np.zeros(spec.n)
-        d[rng.permutation(spec.n)[: spec.n_t]] = 1.0
-    else:
-        raise InvalidSpec(f"unknown design spec {spec!r}")
-    return Assignment.from_d(d)
+    return Assignment.from_d(draw_rows(spec, (rng,))[0])
 
 
 def draw(spec: DesignSpec, seed: int) -> Assignment:
@@ -114,22 +135,8 @@ def draw(spec: DesignSpec, seed: int) -> Assignment:
     return draw_with(spec, np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed))))
 
 
-def _masks_ascending(n: int, n_t: int) -> Iterator[int]:
-    """Same-popcount bitmasks of width n in ascending numeric order (Gosper)."""
-    mask = (1 << n_t) - 1
-    top = 1 << n
-    while mask < top:
-        yield mask
-        low = mask & -mask
-        ripple = mask + low
-        mask = ripple | (((mask ^ ripple) >> 2) // low)
-
-
-def enumerate_assignments(spec: DesignSpec) -> Iterator[tuple[Assignment, float]]:
-    """Stream every assignment with its exact design probability.
-
-    Assignments come out in lexicographic order of the d vector so that any
-    downstream file written from the stream is reproducible byte for byte.
+def enumeration_size(spec: DesignSpec) -> int:
+    """How many assignments the design has; TooLarge beyond the enumeration guards.
 
     Raises
     ------
@@ -138,29 +145,56 @@ def enumerate_assignments(spec: DesignSpec) -> Iterator[tuple[Assignment, float]
         2e6 treated subsets.
     """
     if isinstance(spec, SimpleDesign):
-        n = spec.n
-        if n > SIMPLE_ENUM_MAX_N:
+        if spec.n > SIMPLE_ENUM_MAX_N:
             raise TooLarge(f"simple-design enumeration is limited to n <= {SIMPLE_ENUM_MAX_N}")
-        p = spec.p
-        for bits in range(1 << n):
-            d = np.fromiter(
-                ((bits >> (n - 1 - i)) & 1 for i in range(n)), dtype=np.float64, count=n
-            )
-            prob = math.prod(p[i] if d[i] else 1.0 - p[i] for i in range(n))
-            yield Assignment.from_d(d), prob
-    elif isinstance(spec, CompleteDesign):
-        n, n_t = spec.n, spec.n_t
-        total = math.comb(n, n_t)
+        return 1 << spec.n
+    if isinstance(spec, CompleteDesign):
+        total = math.comb(spec.n, spec.n_t)
         if total > COMPLETE_ENUM_MAX:
             raise TooLarge(
                 f"complete-design enumeration is limited to C(n, n_t) <= {COMPLETE_ENUM_MAX}"
             )
-        prob = 1.0 / total
-        # Bit (n - 1 - i) carries unit i, so ascending masks equal d lex order.
-        for mask in _masks_ascending(n, n_t):
-            d = np.fromiter(
-                ((mask >> (n - 1 - i)) & 1 for i in range(n)), dtype=np.float64, count=n
-            )
-            yield Assignment.from_d(d), prob
-    else:
-        raise InvalidSpec(f"unknown design spec {spec!r}")
+        return total
+    raise InvalidSpec(f"unknown design spec {spec!r}")
+
+
+def enumeration_blocks(spec: DesignSpec) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Stream every assignment with its exact design probability, block by block.
+
+    Yields (d, prob): up to block_size(n) assignments as the 0/1 rows of d,
+    in lexicographic order of the d vector so that any downstream file
+    written from the stream is reproducible byte for byte, and their
+    probabilities. Raises TooLarge as enumeration_size does.
+    """
+    total = enumeration_size(spec)
+    n, size = spec.n, block_size(spec.n)
+    if isinstance(spec, SimpleDesign):
+        shifts = np.arange(n - 1, -1, -1)  # bit (n - 1 - i) carries unit i
+        for start in range(0, total, size):
+            bits = np.arange(start, min(start + size, total))
+            d = ((bits[:, None] >> shifts) & 1).astype(np.float64)
+            factors = np.where(d == 1.0, spec.p, 1.0 - spec.p)
+            prob = np.ones(d.shape[0])
+            for column in factors.T:  # unit by unit: each product rounds as p_0 * p_1 * ...
+                prob = prob * column
+            yield d, prob
+        return
+    # Control sets in lexicographic order give the d vectors in ascending
+    # order, at any n (no bitmask has to fit a machine integer).
+    controls = itertools.combinations(range(n), n - spec.n_t)
+    prob = 1.0 / total
+    while chunk := list(itertools.islice(controls, size)):
+        d = np.ones((len(chunk), n))
+        d[np.arange(len(chunk))[:, None], chunk] = 0.0
+        yield d, np.full(len(chunk), prob)
+
+
+def enumerate_assignments(spec: DesignSpec) -> Iterator[tuple[Assignment, float]]:
+    """Every assignment with its exact design probability, one at a time.
+
+    The rows of enumeration_blocks, in the same order and with the same
+    probabilities; raises TooLarge as enumeration_size does.
+    """
+    for d, prob in enumeration_blocks(spec):
+        for row, p in zip(d, prob.tolist()):
+            yield Assignment.from_d(row), p

@@ -10,10 +10,15 @@ per-unit refit path used to certify the fast path.
 
 The ridge-based methods are split into a plan, built once from the
 covariates, the design and the penalty rule, and a per-assignment part that
-takes the assignment and the observed outcomes; a Monte Carlo study builds
-each plan once and evaluates it on every replicate. The one switch over
-method identifiers is loora.inference.plan_estimate, which serves point
-estimates (loora.inference.estimate) and reports with intervals alike.
+takes a block of assignments (the 0/1 rows of a (B, n) array) and the
+outcomes each reveals; a Monte Carlo study builds each plan once and
+evaluates it on every block of replicates, and a single sample is a block of
+one row. Each row carries the bits it would have alone: elementwise work
+runs on the whole block, every matrix-vector product and dot product is one
+BLAS call per row (linalg.matvec_rows, linalg.dot_rows) and every exact sum
+is one math.fsum per row (fsum_rows). The one switch over method
+identifiers is loora.inference.plan_estimate, which serves point estimates
+(loora.inference.estimate) and reports with intervals alike.
 """
 
 from __future__ import annotations
@@ -25,15 +30,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .design import Assignment, CompleteDesign, DesignSpec, SimpleDesign
-from .exceptions import InvalidInput, RankDeficient, SpecMismatch
+from .exceptions import InvalidInput, LooraError, RankDeficient, SpecMismatch
 from .linalg import (
     RidgeFactor,
     as_design_matrix,
     as_vector,
     check_loo_feasible,
     cholesky_solve,
+    dot_rows,
     full_rank_cholesky,
     leverage_regularizer,
+    loo_fitted_rows,
+    matvec_rows,
     negligible_pivot,
     ridge_factor,
     ridge_fit,
@@ -127,10 +135,30 @@ def require_simple(spec: DesignSpec, method: str) -> SimpleDesign:
     return spec
 
 
+def _empty_arm(method: str) -> SpecMismatch:
+    return SpecMismatch(f"{method} needs at least one treated and one control unit")
+
+
 def _both_arms(method: str, n_t: int, n_c: int) -> tuple[int, int]:
     if n_t < 1 or n_c < 1:
-        raise SpecMismatch(f"{method} needs at least one treated and one control unit")
+        raise _empty_arm(method)
     return n_t, n_c
+
+
+def fsum_rows(a: np.ndarray, overflow: float = math.nan) -> np.ndarray:
+    """math.fsum of each row of a, one call per row.
+
+    A row whose exact sum overflows gets `overflow`: nan for a point
+    estimate (which then fails as not finite), inf for a variance.
+    """
+    return np.array([_fsum_or(row, overflow) for row in a.tolist()], dtype=np.float64)
+
+
+def _fsum_or(row: list, overflow: float) -> float:
+    try:
+        return math.fsum(row)
+    except OverflowError:
+        return overflow
 
 
 @dataclass(frozen=True)
@@ -154,39 +182,55 @@ class ArmCounts:
             return cls(method, None)
         raise SpecMismatch(f"{method} is defined under complete random assignment only")
 
-    def counts(self, assignment: Assignment) -> tuple[int, int]:
-        """(n_t, n_c) for this assignment; InvalidInput if it breaks the fixed counts."""
+    def counts(self, d: np.ndarray) -> tuple[np.ndarray, np.ndarray, dict[int, LooraError]]:
+        """Per-row (n_t, n_c) of an assignment block d (B, n), and the rows that fail.
+
+        The counts are float arrays. A row that breaks the fixed counts is
+        InvalidInput, raised; under the opt-in a row with an empty arm
+        fails with SpecMismatch, returned keyed by row, and counts its empty
+        arm as 1 so that no arithmetic on it divides by zero.
+        """
+        rows, n = d.shape
+        treated = d.sum(axis=1).astype(np.int64)  # int(d.sum()) of each row
         if self.fixed is not None:
             n_t, n_c = self.fixed
-            if assignment.n != n_t + n_c or assignment.n_treated != n_t:
+            wrong = treated != n_t
+            if n != n_t + n_c or wrong.any():
                 raise InvalidInput(
-                    f"assignment treats {assignment.n_treated} of {assignment.n} units "
+                    f"assignment treats {treated[np.argmax(wrong)]} of {n} units "
                     f"but the design fixes {n_t} of {n_t + n_c}"
                 )
-            return self.fixed
-        n_t = assignment.n_treated
-        return _both_arms(self.method, n_t, assignment.n - n_t)
+            return np.full(rows, float(n_t)), np.full(rows, float(n_c)), {}
+        empty = (treated < 1) | (treated > n - 1)
+        n_t = np.maximum(treated, 1).astype(np.float64)
+        n_c = np.maximum(n - treated, 1).astype(np.float64)
+        return n_t, n_c, {int(i): _empty_arm(self.method) for i in np.nonzero(empty)[0]}
 
 
-def horvitz_thompson(p: np.ndarray, d: np.ndarray, y: np.ndarray) -> float:
-    """Inverse-probability-weighted arm difference of outcomes y under assignment d."""
-    n = y.shape[0]
-    treated = math.fsum((d * y / p).tolist()) / n
-    control = math.fsum(((1.0 - d) * y / (1.0 - p)).tolist()) / n
+def horvitz_thompson(p: np.ndarray, d: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Inverse-probability-weighted arm difference of each row of outcomes y (B, n)
+    under the assignment row of d; nan where an exact sum overflows."""
+    n = y.shape[1]
+    treated = fsum_rows(d * y / p) / n
+    control = fsum_rows((1.0 - d) * y / (1.0 - p)) / n
     return treated - control
 
 
-def difference_in_means(d: np.ndarray, y: np.ndarray, n_t: int, n_c: int) -> float:
-    """Treated-group mean minus control-group mean of outcomes y."""
-    return math.fsum((d * y).tolist()) / n_t - math.fsum(((1.0 - d) * y).tolist()) / n_c
+def difference_in_means(d: np.ndarray, y: np.ndarray, n_t, n_c) -> np.ndarray:
+    """Treated-group mean minus control-group mean of each row of outcomes y (B, n),
+    with per-row arm counts; nan where an exact sum overflows."""
+    return fsum_rows(d * y) / n_t - fsum_rows((1.0 - d) * y) / n_c
 
 
 @dataclass(frozen=True)
 class LooraHtParts:
-    """Intermediate quantities of a LOORA-HT evaluation, reused by inference."""
+    """Intermediate quantities of a LOORA-HT evaluation of a block, reused by inference.
 
-    tau_hat: float
-    beta: np.ndarray  # full-sample ridge fit of the reweighted outcomes on X / r
+    Every field but hat_diag has one row per assignment of the block.
+    """
+
+    tau_hat: np.ndarray
+    beta: np.ndarray  # full-sample ridge fits of the reweighted outcomes on X / r
     hat_diag: np.ndarray
     q: np.ndarray
     z: np.ndarray
@@ -220,7 +264,7 @@ def _loora_ht_design(x: np.ndarray, spec: DesignSpec, rule: LambdaRule):
 class LooraHtPlan:
     """The study-fixed part of LOORA-HT: weights, penalty and ridge factor.
 
-    Built once from (X, design, rule); parts() evaluates one assignment.
+    Built once from (X, design, rule); parts() evaluates a block of assignments.
     """
 
     x: np.ndarray
@@ -237,18 +281,17 @@ class LooraHtPlan:
         check_loo_feasible(ridge.hat_diag)
         return cls(x=x, p=p, r=r, lam=lam, ridge=ridge)
 
-    def parts(self, assignment: Assignment, y: np.ndarray) -> LooraHtParts:
-        """Run LOORA-HT on one assignment and its observed outcomes."""
-        d, z, p = assignment.d, assignment.z, self.p
+    def parts(self, d: np.ndarray, y: np.ndarray) -> LooraHtParts:
+        """Run LOORA-HT on a block of assignments d (B, n) and their outcomes y (B, n)."""
+        p, ridge = self.p, self.ridge
+        z = 2.0 * d - 1.0
         yw = reweighted_outcomes_ht(y, d, p)
         q = realized_arm_probability(p, d)
-        fit = self.ridge.fit(yw)
+        beta = ridge.solve_rows(yw)
         # x_i' beta^{(-i)} with the raw row x_i = r_i * (x_i / r_i)
-        adjustment = self.r * fit.loo_fitted()
-        tau_hat = math.fsum((z / q * (y - adjustment)).tolist()) / y.shape[0]
-        return LooraHtParts(
-            tau_hat=tau_hat, beta=fit.beta, hat_diag=fit.hat_diag, q=q, z=z
-        )
+        adjustment = self.r * loo_fitted_rows(ridge.x, ridge.hat_diag, yw, beta)
+        tau_hat = fsum_rows(z / q * (y - adjustment)) / y.shape[1]
+        return LooraHtParts(tau_hat=tau_hat, beta=beta, hat_diag=ridge.hat_diag, q=q, z=z)
 
 
 def estimate_loora_ht(
@@ -262,7 +305,8 @@ def estimate_loora_ht(
     literally; the default path uses the hat-matrix identity and must agree.
     """
     if not refit:
-        return LooraHtPlan.build(s.x, s.spec, rule).parts(s.assignment, s.y).tau_hat
+        parts = LooraHtPlan.build(s.x, s.spec, rule).parts(s.assignment.d[None], s.y[None])
+        return float(parts.tau_hat[0])
     p, _, xw, lam = _loora_ht_design(s.x, s.spec, rule)
     d, z, y = s.assignment.d, s.assignment.z, s.y
     yw = reweighted_outcomes_ht(y, d, p)
@@ -275,49 +319,57 @@ def estimate_loora_ht(
     return math.fsum(terms) / s.n
 
 
-def dm_response_weights(n_t: int, n_c: int, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _own_arm_weight(count: np.ndarray) -> np.ndarray:
+    """1 / (m (m - 1)) for arm sizes m > 1, and 0 where it is undefined (m <= 1)."""
+    return np.where(count > 1, 1.0 / np.maximum(count * (count - 1), 1.0), 0.0)
+
+
+def dm_response_weights(n_t, n_c, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-unit outcome weights of the two rescaled LOORA-DM responses.
 
-    Returns (for_treated, for_control): the weights applied to the observed
-    outcomes when the removed unit is treated, respectively control. Entries
-    that would be undefined (own-group weight at n_t = 1 or n_c = 1) are set
-    to zero; they belong to the single unit of that group, whose row is
-    always the one removed, so the value never influences a fit.
+    n_t and n_c are the per-row arm counts (B,) of an assignment block d
+    (B, n). Returns (for_treated, for_control): the weights applied to the
+    observed outcomes when the removed unit is treated, respectively
+    control. Entries that would be undefined (own-group weight at n_t = 1
+    or n_c = 1) are set to zero; they belong to the single unit of that
+    group, whose row is always the one removed, so the value never
+    influences a fit. The counts are exact in float64, so every weight
+    carries the bits of the same integer arithmetic in Python.
     """
     n = n_t + n_c
-    scale = n_t * n_c * (n - 1) / n
-    w_tt = 1.0 / (n_t * (n_t - 1)) if n_t > 1 else 0.0
-    w_cc = 1.0 / (n_c * (n_c - 1)) if n_c > 1 else 0.0
-    f_treated = np.where(d == 1.0, w_tt, 1.0 / n_c**2)
-    f_control = np.where(d == 1.0, 1.0 / n_t**2, w_cc)
+    scale = (n_t * n_c * (n - 1) / n)[:, None]
+    treated = d == 1.0
+    f_treated = np.where(treated, _own_arm_weight(n_t)[:, None], (1.0 / n_c**2)[:, None])
+    f_control = np.where(treated, (1.0 / n_t**2)[:, None], _own_arm_weight(n_c)[:, None])
     return scale * f_treated, scale * f_control
 
 
 @dataclass(frozen=True)
 class LooraDmParts:
-    """Intermediate quantities of a LOORA-DM evaluation, reused by inference."""
+    """Intermediate quantities of a LOORA-DM evaluation of a block, reused by inference."""
 
-    tau_hat: float
-    u: np.ndarray  # per-unit adjusted outcomes y_i - x_i' beta^{(-i)}
+    tau_hat: np.ndarray
+    u: np.ndarray  # per-unit adjusted outcomes y_i - x_i' beta^{(-i)}, one row per assignment
     d: np.ndarray
+    failed: dict[int, LooraError]  # rows whose arm counts fail, as ArmCounts.counts
 
 
-def _loora_dm_responses(n_t: int, n_c: int, d: np.ndarray, y: np.ndarray):
-    """Per-assignment inputs of both LOORA-DM paths: (responses, v).
+def _loora_dm_responses(n_t, n_c, d: np.ndarray, y: np.ndarray):
+    """Per-assignment inputs of both LOORA-DM paths, for a block: (responses, v).
 
-    Column 0 of the (n, 2) responses is regressed when the removed unit is
-    treated, column 1 when it is a control; v holds the arm weights 1/n_arm.
+    responses[0] (B, n) is regressed when the removed unit is treated,
+    responses[1] when it is a control; v holds the arm weights 1/n_arm.
     """
-    responses = np.column_stack(dm_response_weights(n_t, n_c, d)) * y[:, None]
-    v = np.where(d == 1.0, 1.0 / n_t, 1.0 / n_c)
-    return responses, v
+    for_treated, for_control = dm_response_weights(n_t, n_c, d)
+    v = np.where(d == 1.0, (1.0 / n_t)[:, None], (1.0 / n_c)[:, None])
+    return (for_treated * y, for_control * y), v
 
 
 @dataclass(frozen=True)
 class LooraDmPlan:
     """The study-fixed part of LOORA-DM: arm counts, penalty and ridge factor of X.
 
-    Built once from (X, design, rule); parts() evaluates one assignment.
+    Built once from (X, design, rule); parts() evaluates a block of assignments.
     """
 
     arms: ArmCounts
@@ -339,17 +391,28 @@ class LooraDmPlan:
         check_loo_feasible(ridge.hat_diag)
         return cls(arms=arms, lam=lam, ridge=ridge)
 
-    def parts(self, assignment: Assignment, y: np.ndarray) -> LooraDmParts:
-        """Run LOORA-DM on one assignment and its observed outcomes."""
-        n_t, n_c = self.arms.counts(assignment)
-        d = assignment.d
-        responses, v = _loora_dm_responses(n_t, n_c, d, y)
-        # The removed unit's own response entry cancels in loo_fitted, so the
-        # zero placeholders in the scalings are never read.
-        loo = self.ridge.fit(responses).loo_fitted()
-        u = y - np.where(d == 1.0, loo[:, 0], loo[:, 1])
-        tau_hat = math.fsum((v * assignment.z * u).tolist())
-        return LooraDmParts(tau_hat=tau_hat, u=u, d=d)
+    def parts(self, d: np.ndarray, y: np.ndarray) -> LooraDmParts:
+        """Run LOORA-DM on a block of assignments d (B, n) and their outcomes y (B, n)."""
+        n_t, n_c, failed = self.arms.counts(d)
+        (for_treated, for_control), v = _loora_dm_responses(n_t, n_c, d, y)
+        # Both responses of every row go to one solve. The removed unit's own
+        # response entry cancels in the leave-one-out identity, so the zero
+        # placeholders in the scalings are never read.
+        ridge, rows = self.ridge, d.shape[0]
+        responses = np.concatenate([for_treated, for_control])
+        loo = loo_fitted_rows(ridge.x, ridge.hat_diag, responses, ridge.solve_rows(responses))
+        u = y - np.where(d == 1.0, loo[:rows], loo[rows:])
+        tau_hat = fsum_rows(v * (2.0 * d - 1.0) * u)
+        return LooraDmParts(tau_hat=tau_hat, u=u, d=d, failed=failed)
+
+
+def _sample_counts(s: ObservedSample, allow_design_mismatch: bool):
+    """LOORA-DM's arm counts of one sample, as one-row arrays; raises where they fail."""
+    arms = ArmCounts.of("LOORA_DM", s.spec, allow_design_mismatch)
+    n_t, n_c, failed = arms.counts(s.assignment.d[None])
+    if failed:
+        raise failed[0]
+    return n_t, n_c
 
 
 def estimate_loora_dm(
@@ -373,14 +436,18 @@ def estimate_loora_dm(
     """
     if not refit:
         plan = LooraDmPlan.build(s.x, s.spec, rule, allow_design_mismatch)
-        return plan.parts(s.assignment, s.y).tau_hat
-    n_t, n_c = ArmCounts.of("LOORA_DM", s.spec, allow_design_mismatch).counts(s.assignment)
+        parts = plan.parts(s.assignment.d[None], s.y[None])
+        if parts.failed:
+            raise parts.failed[0]
+        return float(parts.tau_hat[0])
+    n_t, n_c = _sample_counts(s, allow_design_mismatch)
     d, z, y, x = s.assignment.d, s.assignment.z, s.y, s.x
-    responses, v = _loora_dm_responses(n_t, n_c, d, y)
+    (for_treated, for_control), v = _loora_dm_responses(n_t, n_c, d[None], y[None])
+    for_treated, for_control, v = for_treated[0], for_control[0], v[0]
     lam = rule.resolve(x)
     terms = []
     for i in range(s.n):
-        resp = responses[:, 0] if d[i] == 1.0 else responses[:, 1]
+        resp = for_treated if d[i] == 1.0 else for_control
         fit = ridge_fit(np.delete(x, i, axis=0), np.delete(resp, i), lam)
         terms.append(v[i] * z[i] * (y[i] - x[i] @ fit.beta))
     return math.fsum(terms)
@@ -401,7 +468,7 @@ def estimate_loora_dm_pairwise(
     rewriting degenerates (its rescaled outcome carries a zero-times-
     undefined weight) and the two forms may differ.
     """
-    n_t, n_c = ArmCounts.of("LOORA_DM", s.spec, allow_design_mismatch).counts(s.assignment)
+    n_t, n_c = (int(c[0]) for c in _sample_counts(s, allow_design_mismatch))
     d, y, x, n = s.assignment.d, s.y, s.x, s.n
     lam = rule.resolve(x)
     # Unified rescaled outcomes; undefined own-group entries (n_t or n_c = 1)
@@ -440,7 +507,7 @@ def _power_of_two_scales(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BenchmarkPlan:
-    """The study-fixed part of ADJ, INT and RIDGE_REG; parts() evaluates one assignment.
+    """The study-fixed part of ADJ, INT and RIDGE_REG; parts() evaluates a block of assignments.
 
     ADJ regresses y on [1, d, X] and RIDGE_REG does so with the X columns
     penalized by lambda (the leverage rule applied to X); the estimate is
@@ -499,30 +566,49 @@ class BenchmarkPlan:
         ridge = ridge_factor(basis, penalty)
         return cls(method=method, arms=arms, basis=basis, ridge=ridge, lam=lam)
 
-    def parts(self, assignment: Assignment, y: np.ndarray) -> tuple[float, np.ndarray]:
-        """(tau_hat, terms) for one assignment: terms_i = w_i r_i, so HC0 = sum terms^2.
+    def parts(self, d: np.ndarray, y: np.ndarray):
+        """(tau_hat, terms, failed) for a block of assignments d (B, n) and outcomes y (B, n).
 
-        w is the estimate's linear weight on y_i (tau_hat = w'y) and r the
-        full regression's residuals.
+        Row i of terms is w r with w the estimate's linear weight on y
+        (tau_hat = w'y) and r the full regression's residuals, so the HC0
+        variance is the sum of its squares. failed holds, keyed by row,
+        the arm-count and rank failures each row would raise alone.
         """
-        self.arms.counts(assignment)
-        d = assignment.d
+        _, _, failed = self.arms.counts(d)
         if self.method is Method.INT:
-            t_mask = d == 1.0
-            alpha_t, terms_t = self._arm_intercept(t_mask, y)
-            alpha_c, terms_c = self._arm_intercept(~t_mask, y)
-            return alpha_t - alpha_c, np.concatenate([terms_t, terms_c])
+            return self._int_parts(d, y, failed)
         w, z = self.basis, self.ridge.z
-        d_res = d - w @ (z @ d)
-        dd = float(d_res @ d)
-        if negligible_pivot(dd, float(d @ d), (d.shape[0], w.shape[1] + 1)):
-            raise RankDeficient(
-                "the assignment is numerically a combination of the covariates; "
-                "the coefficient on d is not identified"
+        d_res = d - matvec_rows(w, matvec_rows(z, d))
+        dd = dot_rows(d_res, d)
+        singular = negligible_pivot(dd, dot_rows(d, d), (d.shape[1], w.shape[1] + 1))
+        for i in np.nonzero(singular)[0]:
+            failed.setdefault(
+                int(i),
+                RankDeficient(
+                    "the assignment is numerically a combination of the covariates; "
+                    "the coefficient on d is not identified"
+                ),
             )
-        tau_hat = float(d_res @ y) / dd
-        resid = y - w @ (z @ y) - d_res * tau_hat
-        return tau_hat, d_res * resid / dd
+        tau_hat = dot_rows(d_res, y) / dd
+        resid = y - matvec_rows(w, matvec_rows(z, y)) - d_res * tau_hat[:, None]
+        return tau_hat, d_res * resid / dd[:, None], failed
+
+    def _int_parts(self, d: np.ndarray, y: np.ndarray, failed: dict):
+        """INT's parts: each row's two arm fits, one row at a time."""
+        tau_hat, terms = np.full(d.shape[0], math.nan), np.zeros(d.shape)
+        for i in range(d.shape[0]):
+            if i in failed:
+                continue
+            t_mask = d[i] == 1.0
+            try:
+                alpha_t, terms_t = self._arm_intercept(t_mask, y[i])
+                alpha_c, terms_c = self._arm_intercept(~t_mask, y[i])
+            except RankDeficient as exc:
+                failed[i] = exc
+                continue
+            tau_hat[i] = alpha_t - alpha_c
+            terms[i] = np.concatenate([terms_t, terms_c])
+        return tau_hat, terms, failed
 
     def _arm_intercept(self, mask: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
         """Intercept of the OLS of y on [1, Xc] within one arm, and its HC0 terms."""

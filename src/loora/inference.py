@@ -27,12 +27,13 @@ from .estimators import (
     Method,
     ObservedSample,
     difference_in_means,
+    fsum_rows,
     horvitz_thompson,
     realized_arm_probability,
     require_simple,
 )
-from .exceptions import InvalidInput, NonFinite, SelfCheckFailed, SpecMismatch
-from .linalg import as_design_matrix, as_vector
+from .exceptions import InvalidInput, LooraError, NonFinite, SelfCheckFailed
+from .linalg import as_design_matrix, as_vector, dot_rows, matvec_rows
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -107,16 +108,22 @@ def _interval_quantile(level: float) -> float:
     return normal_quantile(0.5 + level / 2.0)
 
 
-def _interval(tau_hat: float, var_hat: float, quantile: float) -> tuple[float, float]:
-    if not var_hat >= 0.0:
-        raise InvalidInput(f"variance estimate must be nonnegative, got {var_hat}")
-    half = quantile * math.sqrt(var_hat)
+def _interval(tau_hat, var_hat, quantile: float):
+    """tau_hat +/- quantile * sqrt(var_hat), elementwise; InvalidInput on a negative variance."""
+    var_hat = np.asarray(var_hat)
+    nonnegative = var_hat >= 0.0
+    if not nonnegative.all():
+        raise InvalidInput(
+            f"variance estimate must be nonnegative, got {float(var_hat[~nonnegative][0])}"
+        )
+    half = quantile * np.sqrt(var_hat)
     return tau_hat - half, tau_hat + half
 
 
 def confidence_interval(tau_hat: float, var_hat: float, level: float) -> tuple[float, float]:
     """Normal interval tau_hat +/- z_{1 - alpha/2} sqrt(var_hat)."""
-    return _interval(tau_hat, var_hat, _interval_quantile(level))
+    low, high = _interval(tau_hat, var_hat, _interval_quantile(level))
+    return float(low), float(high)
 
 
 @dataclass(frozen=True)
@@ -133,129 +140,150 @@ class EstimateReport:
 
 
 def _ht_hw_residuals(x: np.ndarray, y: np.ndarray, parts) -> np.ndarray:
-    """Second-step residuals behind the LOORA-HT HC0 variance.
+    """Second-step residuals behind the LOORA-HT HC0 variance, one row per assignment.
 
     Residualized outcomes (y_i - x_i' beta) / (q_i (1 - h_i)) are treated as
     a regression on the signed treatment indicator; since the regressor is
     +/-1 the sandwich collapses to n^{-2} times the sum of these squared.
     """
-    resid_scaled = (y - (x @ parts.beta)) / (parts.q * (1.0 - parts.hat_diag))
-    return resid_scaled - parts.z * parts.tau_hat
+    resid_scaled = (y - matvec_rows(x, parts.beta)) / (parts.q * (1.0 - parts.hat_diag))
+    return resid_scaled - parts.z * parts.tau_hat[:, None]
 
 
-def _two_column_sandwich(u: np.ndarray, d: np.ndarray) -> tuple[float, float, float]:
-    """OLS of u on [1, d] plus the HC0 variance of the second coefficient.
+def _two_column_sandwich(u: np.ndarray, d: np.ndarray):
+    """OLS of each row of u on [1, d] plus the HC0 variance of the second coefficient.
 
-    Returns (intercept, slope, slope variance). The regression is the two
-    arm means: intercept u_c, slope u_t - u_c, and with r the deviations
-    from the arm means, row d of the sandwich bread times [1, d]' is 1/n_t
-    on treated and -1/n_c on control units, so the variance is
-    sum_t r^2 / n_t^2 + sum_c r^2 / n_c^2.
+    u and d are (B, n) blocks; returns the per-row (intercept, slope, slope
+    variance) arrays. The regression is the two arm means: intercept u_c,
+    slope u_t - u_c, and with r the deviations from the arm means, row d of
+    the sandwich bread times [1, d]' is 1/n_t on treated and -1/n_c on
+    control units, so the variance is sum_t r^2 / n_t^2 + sum_c r^2 / n_c^2.
+    A row with an empty arm gives non-finite values; the methods calling
+    this have already failed such rows through ArmCounts.counts.
     """
-    n = u.shape[0]
-    n_t = float(d.sum())
-    n_c = n - n_t
-    if n_t < 1 or n_c < 1:
-        raise SpecMismatch("auxiliary regression needs both arms occupied")
+    n_t = d.sum(axis=1)
+    n_c = u.shape[1] - n_t
     c = 1.0 - d
-    mean_t, mean_c = (d @ u) / n_t, (c @ u) / n_c
-    r2 = (u - np.where(d == 1.0, mean_t, mean_c)) ** 2
-    return float(mean_c), float(mean_t - mean_c), float((d @ r2) / n_t**2 + (c @ r2) / n_c**2)
+    mean_t, mean_c = dot_rows(d, u) / n_t, dot_rows(c, u) / n_c
+    r2 = (u - np.where(d == 1.0, mean_t[:, None], mean_c[:, None])) ** 2
+    return mean_c, mean_t - mean_c, dot_rows(d, r2) / n_t**2 + dot_rows(c, r2) / n_c**2
 
 
-def _dm_hw_variance_from_parts(parts) -> float:
-    """HC0 variance of LOORA-DM from its parts.
+def _dm_hw_variance_from_parts(parts) -> tuple[np.ndarray, dict[int, LooraError]]:
+    """HC0 variance of LOORA-DM from its parts, per row, and the rows whose self-check fails.
 
     The leave-one-out adjusted outcomes u_i = y_i - x_i' beta^{(-i)} are
     regressed on an intercept and the treatment indicator; the estimator is
     the second coefficient of that regression, and its HC0 sandwich entry is
-    the variance estimate. SelfCheckFailed if that coefficient does not
-    reproduce the point estimate.
+    the variance estimate. A row fails with SelfCheckFailed if that
+    coefficient does not reproduce its point estimate.
     """
     _, slope, var = _two_column_sandwich(parts.u, parts.d)
-    if abs(slope - parts.tau_hat) > 1e-10 * max(1.0, abs(parts.tau_hat)):
-        raise SelfCheckFailed(
+    tau = parts.tau_hat
+    off = np.abs(slope - tau) > 1e-10 * np.maximum(1.0, np.abs(tau))
+    failed = {
+        int(i): SelfCheckFailed(
             "auxiliary regression failed to reproduce the point estimate; "
-            f"got {slope!r} vs {parts.tau_hat!r}"
+            f"got {float(slope[i])!r} vs {float(tau[i])!r}"
         )
-    return var
-
-
-def _fsum_or_inf(a: np.ndarray) -> float:
-    """Exact sum of a variance's terms; inf where math.fsum refuses to overflow."""
-    try:
-        return math.fsum(a.tolist())
-    except OverflowError:
-        return math.inf
+        for i in np.nonzero(off)[0]
+    }
+    return var, failed
 
 
 class _MethodCore(Protocol):
-    """The study-fixed part of one method; tau and tau_and_var evaluate one assignment."""
+    """The study-fixed part of one method; block() evaluates a block of assignments.
 
-    def tau(self, assignment: Assignment, y: np.ndarray) -> float: ...
+    d (B, n) holds one 0/1 assignment per row and y (B, n) the outcomes
+    each reveals. block() returns the per-row point estimates, the per-row
+    HC0 variances (None unless variance is true) and, keyed by row, the
+    method failure each failing row would raise on its own. Point estimates
+    whose exact sum overflows are nan.
+    """
 
-    def tau_and_var(self, assignment: Assignment, y: np.ndarray) -> tuple[float, float]: ...
+    def block(self, d: np.ndarray, y: np.ndarray, variance: bool) -> tuple: ...
 
 
 @dataclass(frozen=True)
 class _HtCore:
     p: np.ndarray
 
-    def tau(self, assignment: Assignment, y: np.ndarray) -> float:
-        return horvitz_thompson(self.p, assignment.d, y)
-
-    def tau_and_var(self, assignment: Assignment, y: np.ndarray) -> tuple[float, float]:
-        tau = self.tau(assignment, y)
-        resid = y / realized_arm_probability(self.p, assignment.d) - assignment.z * tau
-        return tau, _fsum_or_inf(resid**2) / y.shape[0] ** 2
+    def block(self, d, y, variance):
+        tau = horvitz_thompson(self.p, d, y)
+        if not variance:
+            return tau, None, {}
+        resid = y / realized_arm_probability(self.p, d) - (2.0 * d - 1.0) * tau[:, None]
+        return tau, fsum_rows(resid**2, math.inf) / y.shape[1] ** 2, {}
 
 
 @dataclass(frozen=True)
 class _DmCore:
     arms: ArmCounts
 
-    def tau(self, assignment: Assignment, y: np.ndarray) -> float:
-        return difference_in_means(assignment.d, y, *self.arms.counts(assignment))
-
-    def tau_and_var(self, assignment: Assignment, y: np.ndarray) -> tuple[float, float]:
-        return self.tau(assignment, y), _two_column_sandwich(y, assignment.d)[2]
+    def block(self, d, y, variance):
+        n_t, n_c, failed = self.arms.counts(d)
+        tau = difference_in_means(d, y, n_t, n_c)
+        return tau, _two_column_sandwich(y, d)[2] if variance else None, failed
 
 
 @dataclass(frozen=True)
 class _LooraHtCore:
     plan: LooraHtPlan
 
-    def tau(self, assignment: Assignment, y: np.ndarray) -> float:
-        return self.plan.parts(assignment, y).tau_hat
-
-    def tau_and_var(self, assignment: Assignment, y: np.ndarray) -> tuple[float, float]:
-        parts = self.plan.parts(assignment, y)
+    def block(self, d, y, variance):
+        parts = self.plan.parts(d, y)
+        if not variance:
+            return parts.tau_hat, None, {}
         resid = _ht_hw_residuals(self.plan.x, y, parts)
-        return parts.tau_hat, _fsum_or_inf(resid**2) / y.shape[0] ** 2
+        return parts.tau_hat, fsum_rows(resid**2, math.inf) / y.shape[1] ** 2, {}
 
 
 @dataclass(frozen=True)
 class _LooraDmCore:
     plan: LooraDmPlan
 
-    def tau(self, assignment: Assignment, y: np.ndarray) -> float:
-        return self.plan.parts(assignment, y).tau_hat
-
-    def tau_and_var(self, assignment: Assignment, y: np.ndarray) -> tuple[float, float]:
-        parts = self.plan.parts(assignment, y)
-        return parts.tau_hat, _dm_hw_variance_from_parts(parts)
+    def block(self, d, y, variance):
+        parts = self.plan.parts(d, y)
+        if not variance:
+            return parts.tau_hat, None, parts.failed
+        var, self_check = _dm_hw_variance_from_parts(parts)
+        return parts.tau_hat, var, {**self_check, **parts.failed}
 
 
 @dataclass(frozen=True)
 class _BenchmarkCore:
     plan: BenchmarkPlan
 
-    def tau(self, assignment: Assignment, y: np.ndarray) -> float:
-        return self.plan.parts(assignment, y)[0]
+    def block(self, d, y, variance):
+        tau, terms, failed = self.plan.parts(d, y)
+        return tau, fsum_rows(terms**2, math.inf) if variance else None, failed
 
-    def tau_and_var(self, assignment: Assignment, y: np.ndarray) -> tuple[float, float]:
-        tau, terms = self.plan.parts(assignment, y)
-        return tau, _fsum_or_inf(terms**2)
+
+@dataclass(frozen=True)
+class BlockEstimates:
+    """One plan's results on a block of assignments, one entry per row.
+
+    failures maps a row to the method failure (LeverageSingular, NonFinite,
+    RankDeficient, SelfCheckFailed or SpecMismatch) that row raises when
+    evaluated alone; ok masks the other rows, and the failed rows' values
+    read 0. var_hat, ci_low and ci_high are None from
+    EstimatePlan.point_block.
+    """
+
+    tau_hat: np.ndarray
+    var_hat: np.ndarray | None
+    ci_low: np.ndarray | None
+    ci_high: np.ndarray | None
+    failures: dict[int, LooraError]
+    ok: np.ndarray
+
+
+def _fail_non_finite(failed: dict, values: np.ndarray, method: Method, stage: str) -> None:
+    """Fail each row whose value is not finite with NonFinite, unless it failed earlier."""
+    finite = np.isfinite(values)
+    if not finite.all():
+        for i in np.nonzero(~finite)[0]:
+            failed.setdefault(int(i), NonFinite(method.value, stage))
 
 
 @dataclass(frozen=True)
@@ -264,15 +292,18 @@ class EstimatePlan:
 
     plan_estimate does once what depends only on (X, design, rule, level):
     it validates X, resolves lambda, factors the ridge Gram and checks its
-    leverages, forms the HT weights and takes the interval's normal quantile. point() and evaluate() then do the
-    work of one assignment. A Monte Carlo study or an enumeration builds one
-    plan per method and evaluates it on every assignment.
+    leverages, forms the HT weights and takes the interval's normal
+    quantile. evaluate_block() and point_block() then do the work of a
+    block of assignments; evaluate() and point() are the same code on a
+    block of one, so a row's result never depends on the block it is in. A
+    Monte Carlo study or an enumeration builds one plan per method and
+    evaluates it on every block.
 
-    Both raise InvalidInput when the assignment or y (the observed outcomes)
-    does not fit the planned sample, including a treated count other than
-    the one a complete design fixes, and NonFinite, naming the method and
-    the stage, when a result leaves the floating-point range (for example
-    on outcomes of magnitude 1e200, whose squares overflow).
+    The inputs raise InvalidInput when an assignment or the outcomes y do
+    not fit the planned sample, including a treated count other than the
+    one a complete design fixes. A row fails with NonFinite, naming the
+    method and the stage, when a result leaves the floating-point range
+    (for example on outcomes of magnitude 1e200, whose squares overflow).
     """
 
     method: Method
@@ -282,22 +313,51 @@ class EstimatePlan:
     core: _MethodCore
     quantile: float  # z_{1 - alpha/2} for level
 
-    def _run(self, step, assignment: Assignment, y):
-        """step(assignment, y) on checked inputs; an OverflowError is the point estimate's."""
+    def _estimates(self, d: np.ndarray, y: np.ndarray, variance: bool) -> BlockEstimates:
+        """The core on a checked block, with each row's failure in the order a row meets it."""
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            tau, var, failed = self.core.block(d, y, variance)
+            _fail_non_finite(failed, tau, self.method, "point estimate")
+            if variance:
+                _fail_non_finite(failed, var, self.method, "variance")
+            ok = np.ones(tau.shape[0], dtype=bool)
+            if failed:
+                ok[list(failed)] = False
+                tau = np.where(ok, tau, 0.0)
+                var = np.where(ok, var, 0.0) if variance else None
+            if not variance:
+                return BlockEstimates(tau, None, None, None, failed, ok)
+            low, high = _interval(tau, var, self.quantile)
+        return BlockEstimates(tau, var, low, high, failed, ok)
+
+    def _block(self, d, y) -> tuple[np.ndarray, np.ndarray]:
+        d = np.asarray(d, dtype=np.float64)
+        y = np.asarray(y, dtype=np.float64)
+        if d.ndim != 2 or d.shape[1] != self.n:
+            raise InvalidInput("assignment length does not match the design matrix")
+        if y.shape != d.shape:
+            raise InvalidInput(f"outcome block has shape {y.shape}, expected {d.shape}")
+        if not np.isfinite(y).all():
+            raise InvalidInput("outcome contains non-finite entries")
+        return d, y
+
+    def _row(self, assignment: Assignment, y) -> tuple[np.ndarray, np.ndarray]:
         if assignment.n != self.n:
             raise InvalidInput("assignment length does not match the design matrix")
         y = as_vector(y, self.n, "outcome")
-        try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                return step(assignment, y)
-        except OverflowError:
-            # variances already turn an overflowing fsum into inf
-            raise NonFinite(self.method.value, "point estimate") from None
+        return np.asarray(assignment.d, dtype=np.float64)[None], y[None]
 
-    def _finite(self, value: float, stage: str) -> float:
-        if not math.isfinite(value):
-            raise NonFinite(self.method.value, stage)
-        return value
+    def evaluate_block(self, d, y) -> BlockEstimates:
+        """Point estimates, HC0 variances and confidence intervals for a block.
+
+        d (B, n) holds one 0/1 assignment per row and y (B, n) the outcomes
+        each reveals; every row gets the bits evaluate() gives it alone.
+        """
+        return self._estimates(*self._block(d, y), variance=True)
+
+    def point_block(self, d, y) -> BlockEstimates:
+        """The point estimates alone for a block, as point() gives each row."""
+        return self._estimates(*self._block(d, y), variance=False)
 
     def point(self, assignment: Assignment, y) -> float:
         """The point estimate alone for one assignment.
@@ -306,20 +366,22 @@ class EstimatePlan:
         stage does (an overflowing variance, or the LOORA-DM auxiliary
         regression self-check).
         """
-        return self._finite(self._run(self.core.tau, assignment, y), "point estimate")
+        estimates = self._estimates(*self._row(assignment, y), variance=False)
+        if estimates.failures:
+            raise estimates.failures[0]
+        return float(estimates.tau_hat[0])
 
     def evaluate(self, assignment: Assignment, y) -> EstimateReport:
         """Point estimate, HC0 variance and confidence interval for one assignment."""
-        tau, var = self._run(self.core.tau_and_var, assignment, y)
-        self._finite(tau, "point estimate")
-        self._finite(var, "variance")
-        low, high = _interval(tau, var, self.quantile)
+        estimates = self._estimates(*self._row(assignment, y), variance=True)
+        if estimates.failures:
+            raise estimates.failures[0]
         return EstimateReport(
             method=self.method,
-            tau_hat=tau,
-            var_hat=var,
-            ci_low=low,
-            ci_high=high,
+            tau_hat=float(estimates.tau_hat[0]),
+            var_hat=float(estimates.var_hat[0]),
+            ci_low=float(estimates.ci_low[0]),
+            ci_high=float(estimates.ci_high[0]),
             level=self.level,
             lambda_used=self.lambda_used,
         )

@@ -101,20 +101,44 @@ class RidgeFit:
             If some (1 - h_i) <= 1e-12, naming the offending row.
         """
         check_loo_feasible(self.hat_diag)
-        h = self.hat_diag if self.y.ndim == 1 else self.hat_diag[:, None]
-        return (_by_column(self.x, self.beta) - h * self.y) / (1.0 - h)
+        if self.y.ndim == 1:
+            return loo_fitted_rows(self.x, self.hat_diag, self.y[None], self.beta[None])[0]
+        rows = loo_fitted_rows(self.x, self.hat_diag, _rows_of(self.y), _rows_of(self.beta))
+        return rows.T
 
 
-def _by_column(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b taken one contiguous column of b at a time.
+def _rows_of(a: np.ndarray) -> np.ndarray:
+    """The columns of a as the contiguous rows of a new array."""
+    return np.ascontiguousarray(a.T)
 
-    Matrix-matrix and strided products may sum in another order than a
-    contiguous matrix-vector product, so this keeps every response's bits
-    equal to those of a single-response fit.
+
+def matvec_rows(a: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """a @ v_i for every row v_i of v (m, n), as the rows of an (m, k) array.
+
+    np.matmul over a stack of column vectors issues one BLAS matrix-vector
+    call per row, the call a @ v_i makes on its own, so each row carries the
+    bits of a single product. A matrix-matrix product (a @ v.T) may sum in
+    another order.
     """
-    if b.ndim == 1:
-        return a @ b
-    return np.column_stack([a @ col for col in np.ascontiguousarray(b.T)])
+    return np.matmul(a, v[:, :, None])[:, :, 0]
+
+
+def dot_rows(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """u_i . v_i for every pair of rows of u and v (m, n), one BLAS dot per row.
+
+    Each entry carries the bits of u_i @ v_i, as in matvec_rows; einsum and
+    (u * v).sum(axis=1) sum in other orders.
+    """
+    return np.matmul(u[:, None, :], v[:, :, None])[:, 0, 0]
+
+
+def loo_fitted_rows(x, hat_diag, y, beta) -> np.ndarray:
+    """x_i' beta^{(-i)} for each response row of y (m, n) fit as beta (m, k).
+
+    The rank-one identity x_i' beta^{(-i)} = (x_i' beta - h_i y_i) / (1 - h_i)
+    applied row by row; the caller has checked the leverages.
+    """
+    return (matvec_rows(x, beta) - hat_diag * y) / (1.0 - hat_diag)
 
 
 def _as_penalty(lam, k: int) -> float | np.ndarray:
@@ -167,8 +191,21 @@ class RidgeFactor:
             raise InvalidInput(f"response has shape {y.shape}, expected ({n},) or ({n}, m)")
         if not np.all(np.isfinite(y)):
             raise InvalidInput("response contains non-finite entries")
-        beta = cholesky_solve(self.cho, _by_column(self.x.T, y))
+        if y.ndim == 1:
+            beta = self.solve_rows(y[None])[0]
+        else:
+            beta = self.solve_rows(_rows_of(y)).T
         return RidgeFit(x=self.x, y=y, lam=self.lam, beta=beta, hat_diag=self.hat_diag, z=self.z)
+
+    def solve_rows(self, y: np.ndarray) -> np.ndarray:
+        """beta for each response row of a checked y (m, n), as the rows of an (m, k) array.
+
+        X'y is one matrix-vector product per row (matvec_rows) and one
+        dpotrs call solves all m right-hand sides; each column of a
+        triangular solve runs alone, so every row has the bits of its own
+        single-response fit.
+        """
+        return cholesky_solve(self.cho, matvec_rows(self.x.T, y).T).T
 
 
 def ridge_factor(x, lam) -> RidgeFactor:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .design import Assignment, DesignSpec, enumerate_assignments
+from .design import Assignment, DesignSpec, enumeration_blocks
 from .estimators import DEFAULT_LAMBDA_RULE, LambdaRule, Method, ObservedSample
 from .exceptions import InvalidInput, ParameterOutOfRange, RankDeficient
 from .inference import plan_estimate
@@ -55,7 +55,12 @@ class Population:
 
 def observe(pop: Population, assignment: Assignment) -> np.ndarray:
     """Mask the population down to what the assignment reveals."""
-    return assignment.d * pop.y1 + (1.0 - assignment.d) * pop.y0
+    return observe_rows(pop, assignment.d)
+
+
+def observe_rows(pop: Population, d: np.ndarray) -> np.ndarray:
+    """The outcomes each 0/1 assignment row of d reveals, row by row."""
+    return d * pop.y1 + (1.0 - d) * pop.y0
 
 
 def observed_sample(pop: Population, assignment: Assignment, spec: DesignSpec) -> ObservedSample:
@@ -482,14 +487,18 @@ def enumeration_moments(
     """Exact mean and variance of an estimator over the assignment design.
 
     Plans the method once and walks every possible assignment with its
-    probability; the definitive oracle behind the unbiasedness and
-    exact-variance certifications.
+    probability, a block at a time through the point-only path; the
+    definitive oracle behind the unbiasedness and exact-variance
+    certifications. Raises the failure of the first assignment that fails.
     """
     plan = plan_estimate(method, pop.x, spec, rule)
     values, probs = [], []
-    for assignment, prob in enumerate_assignments(spec):
-        values.append(plan.point(assignment, observe(pop, assignment)))
-        probs.append(prob)
+    for d, prob in enumeration_blocks(spec):
+        estimates = plan.point_block(d, observe_rows(pop, d))
+        if estimates.failures:
+            raise estimates.failures[min(estimates.failures)]
+        values.extend(estimates.tau_hat.tolist())
+        probs.extend(prob.tolist())
     mean = math.fsum(p * v for p, v in zip(probs, values))
     variance = math.fsum(p * (v - mean) ** 2 for p, v in zip(probs, values))
     return mean, variance

@@ -6,8 +6,8 @@ aggregates bias, standard deviation, RMSE, coverage, and interval length.
 Replicates use counter-derived substreams of one root seed, so results do
 not depend on execution order. An enumeration mode replaces sampling with
 the exact assignment distribution. Each method's study-fixed part (its ridge
-factor, for example) is planned once per study; every replicate, sampled or
-enumerated, only evaluates the plan.
+factor, for example) is planned once per study; replicates, sampled or
+enumerated, are evaluated against the plan a block at a time.
 """
 
 from __future__ import annotations
@@ -17,7 +17,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .design import CompleteDesign, DesignSpec, SimpleDesign, draw_with, enumerate_assignments
+from .design import (
+    CompleteDesign,
+    DesignSpec,
+    SimpleDesign,
+    block_size,
+    draw_rows,
+    enumeration_blocks,
+    enumeration_size,
+)
 from .estimators import LambdaRule, Method
 from .exceptions import (
     InvalidInput,
@@ -29,7 +37,7 @@ from .exceptions import (
     SpecMismatch,
 )
 from .inference import plan_estimate
-from .oracle import Population, observe
+from .oracle import Population, observe_rows
 
 DESIGN_CHOICES = ("simple-half", "simple-covariate-correlated", "complete")
 
@@ -195,7 +203,6 @@ def resolve_design(pop: Population, cfg: StudyConfig, rng: np.random.Generator) 
 # recorded as failures for the affected method only; any other error aborts
 # the study.
 _METHOD_FAILURES = (LeverageSingular, NonFinite, RankDeficient, SelfCheckFailed, SpecMismatch)
-_FAILED = (False, 0.0, 0.0, 0.0)
 
 
 def _plan_methods(pop, spec, cfg):
@@ -213,35 +220,40 @@ def _plan_methods(pop, spec, cfg):
     return plans
 
 
-def _evaluate_methods(plans, assignment, y, tau):
-    """One replicate: per-method (ok, tau_hat, covered, length) tuples."""
-    out = []
-    for plan in plans:
-        if plan is None:
-            out.append(_FAILED)
-            continue
-        try:
-            report = plan.evaluate(assignment, y)
-        except _METHOD_FAILURES:
-            out.append(_FAILED)
-            continue
-        covered = 1.0 if report.ci_low <= tau <= report.ci_high else 0.0
-        out.append((True, report.tau_hat, covered, report.ci_high - report.ci_low))
-    return out
-
-
-def _replicates(spec, cfg):
-    """The study's (assignment, weight) stream.
+def _blocks(spec, cfg, count):
+    """The study's assignment blocks: (d, weights) with one assignment per row of d.
 
     Every assignment with its design probability when enumerating, else
-    cfg.reps draws of weight 1, each from its own replicate substream.
+    count draws of weight 1, each from its own replicate substream, in
+    blocks of design.block_size(n).
     """
     if cfg.reps == "enumerate":
-        yield from enumerate_assignments(spec)
+        yield from enumeration_blocks(spec)
         return
-    for rep in range(int(cfg.reps)):
-        rng = np.random.Generator(np.random.PCG64(replicate_seed_sequence(cfg.seed, rep)))
-        yield draw_with(spec, rng), 1.0
+    size = block_size(spec.n)
+    for start in range(0, count, size):
+        reps = range(start, min(start + size, count))
+        rngs = (
+            np.random.Generator(np.random.PCG64(replicate_seed_sequence(cfg.seed, rep)))
+            for rep in reps
+        )
+        yield draw_rows(spec, rngs), np.ones(len(reps))
+
+
+def _record_block(plan, d, y, tau, out):
+    """Fill out (B, 4) with the plan's (ok, tau_hat, covered, length) rows.
+
+    Rows that fail with a method failure stay all zero; any other error
+    raises and aborts the study.
+    """
+    est = plan.evaluate_block(d, y)
+    low, high = est.ci_low, est.ci_high
+    out[:, 0] = 1.0
+    out[:, 1] = est.tau_hat
+    out[:, 2] = (low <= tau) & (tau <= high)
+    out[:, 3] = high - low
+    if est.failures:
+        out[~est.ok] = 0.0
 
 
 def _aggregate(cfg, tau, rows, weights):
@@ -290,15 +302,26 @@ def run_study(pop: Population, cfg: StudyConfig) -> SimulationReport:
     Deterministic for a given (population, config): replicate substreams are
     derived from (seed, replicate index) and aggregation runs in replicate
     order. cfg.threads does not change the report or how it is computed.
-    Each method is planned once, and each replicate's outcomes are observed
-    once for all methods.
+    Each method is planned once. Replicates are drawn, observed and
+    evaluated in blocks of design.block_size(n) rows, each method once per
+    block, and every row gets the bits its replicate has alone. Results go
+    into one (replicates x methods x 4) float64 array, so memory grows by
+    32 bytes per replicate and method.
     """
     study_rng = np.random.Generator(np.random.PCG64(study_seed_sequence(cfg.seed)))
     spec = resolve_design(pop, cfg, study_rng)
     tau = pop.tau
     plans = _plan_methods(pop, spec, cfg)
-    rows, weights = [], []
-    for assignment, weight in _replicates(spec, cfg):
-        rows.append(_evaluate_methods(plans, assignment, observe(pop, assignment), tau))
-        weights.append(weight)
+    count = enumeration_size(spec) if cfg.reps == "enumerate" else int(cfg.reps)
+    rows = np.zeros((count, len(plans), 4))
+    weights = np.empty(count)
+    start = 0
+    for d, weight in _blocks(spec, cfg, count):
+        stop = start + d.shape[0]
+        y = observe_rows(pop, d)
+        for j, plan in enumerate(plans):
+            if plan is not None:
+                _record_block(plan, d, y, tau, rows[start:stop, j])
+        weights[start:stop] = weight
+        start = stop
     return _aggregate(cfg, tau, rows, weights)

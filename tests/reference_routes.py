@@ -204,10 +204,11 @@ def lin_asymptotic_variance_projection(pop: Population, p_t: float) -> float:
 
 def hw_variance_ht_sandwich(s: ObservedSample, rule: LambdaRule = DEFAULT_LAMBDA_RULE) -> float:
     """The same HC0 variance through the explicit sandwich product."""
-    parts = LooraHtPlan.build(s.x, s.spec, rule).parts(s.assignment, s.y)
-    hw_resid = _ht_hw_residuals(s.x, s.y, parts)
-    zz = math.fsum(parts.z**2)
-    return math.fsum(parts.z**2 * hw_resid**2) / zz**2
+    parts = LooraHtPlan.build(s.x, s.spec, rule).parts(s.assignment.d[None], s.y[None])
+    hw_resid = _ht_hw_residuals(s.x, s.y[None], parts)[0]
+    z = parts.z[0]
+    zz = math.fsum(z**2)
+    return math.fsum(z**2 * hw_resid**2) / zz**2
 
 
 def benchmark_full_design(method, x, assignment, y, rule=DEFAULT_LAMBDA_RULE):

@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import loora.cli
 from loora.cli import main, parse_lambda
 from loora.exceptions import SchemaError
 from loora.reporting import read_records
@@ -216,6 +217,32 @@ def test_unwritable_out_is_a_schema_error_naming_the_path(tmp_path, capsys, case
     code, _, stderr = run(capsys, *_SIM, "--out", str(out))
     assert code == 2
     assert stderr.startswith(f"error: {unwritable}: cannot write: ")
+
+
+@pytest.mark.parametrize("command", ["simulate", "estimate"])
+def test_unwritable_out_fails_before_the_work(tmp_path, capsys, monkeypatch, command):
+    def must_not_run(*args, **kwargs):
+        pytest.fail(f"{command} did its work before checking --out")
+
+    monkeypatch.setattr(loora.cli, "run_study", must_not_run)
+    monkeypatch.setattr(loora.cli, "build_dataset", must_not_run)
+    out = tmp_path / "out.jsonl"
+    out.mkdir()
+    argv = _SIM if command == "simulate" else _EST + _HALF
+    code, stdout, stderr = run(capsys, *argv, "--out", str(out))
+    assert (code, stdout) == (2, "")
+    assert stderr.startswith(f"error: {out}: cannot write: ")
+
+
+def test_the_writability_check_leaves_no_file_and_keeps_existing_records(tmp_path, capsys):
+    out = tmp_path / "study.jsonl"
+    code, _, _ = run(capsys, *_SIM, "--methods", "FOO", "--out", str(out))
+    assert code == 2
+    assert sorted(tmp_path.iterdir()) == []
+    out.write_text("kept\n", encoding="utf-8")
+    code, _, _ = run(capsys, *_SIM, "--methods", "FOO", "--out", str(out))
+    assert code == 2
+    assert out.read_text(encoding="utf-8") == "kept\n"
 
 
 def test_estimate_numeric_error_exits_3_naming_row(tmp_path, capsys):

@@ -159,10 +159,8 @@ def test_hw_dm_auxiliary_regression_reproduces_estimate(rng):
         n_t = int(rng.integers(2, n - 1))
         spec = CompleteDesign(n, n_t)
         s = observed_sample(pop, draw_with(spec, rng), spec)
-        from loora.inference import _two_column_sandwich
-
-        parts = LooraDmPlan.build(s.x, s.spec, AUTO2).parts(s.assignment, s.y)
-        _, slope, _ = _two_column_sandwich(parts.u, parts.d)
+        parts = LooraDmPlan.build(s.x, s.spec, AUTO2).parts(s.assignment.d[None], s.y[None])
+        _, (slope,), _ = _two_column_sandwich(parts.u, parts.d)
         assert abs(slope - estimate_loora_dm(s, AUTO2)) <= 1e-10 * max(1.0, abs(slope))
 
 
@@ -201,7 +199,12 @@ def test_dm_family_reports_match_per_arm_sums(rng):
             s = observed_sample(pop, a, spec)
             for method, u in (
                 (Method.DM, s.y),
-                (Method.LOORA_DM, LooraDmPlan.build(pop.x, spec, AUTO2, mismatch).parts(a, s.y).u),
+                (
+                    Method.LOORA_DM,
+                    LooraDmPlan.build(pop.x, spec, AUTO2, mismatch)
+                    .parts(a.d[None], s.y[None])
+                    .u[0],
+                ),
             ):
                 report = estimate_with_ci(method, s, AUTO2, 0.95, mismatch)
                 t, c = u[a.d == 1.0], u[a.d == 0.0]
@@ -347,9 +350,11 @@ def test_cores_match_full_design_and_inverse_sandwich_routes(
     rule = AUTO2 if auto else LambdaRule.fixed(0.7)
     report = plan_estimate(method, pop.x, spec, rule).evaluate(a, y)
     if method in ("DM", "LOORA_DM"):
-        u = y if method == "DM" else LooraDmPlan.build(pop.x, spec, rule).parts(a, y).u
+        u = y
+        if method == "LOORA_DM":
+            u = LooraDmPlan.build(pop.x, spec, rule).parts(a.d[None], y[None]).u[0]
         _, tau, var = two_column_sandwich_inverse(u, a.d)
-        _, slope, closed = _two_column_sandwich(u, a.d)
+        _, (slope,), (closed,) = _two_column_sandwich(u[None], a.d[None])
         assert closed == report.var_hat
         assert abs(slope - tau) <= 1e-12 * max(1.0, abs(tau))
     else:

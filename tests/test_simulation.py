@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from reference_routes import run_study_per_sample
 
 import loora.inference
-from loora.design import CompleteDesign, enumerate_assignments
+from loora.design import CompleteDesign, block_size, enumerate_assignments
 from loora.estimators import LambdaRule, Method
 from loora.exceptions import InvalidInput, InvalidSpec
 from loora.inference import estimate
@@ -208,15 +208,18 @@ def test_run_study_counts_a_failed_self_check_as_that_methods_failure(monkeypatc
     def wrong_slope_once(*args):
         intercept, slope, var = real(*args)
         calls.append(slope)
-        # Per replicate DM calls first, then LOORA_DM; DM ignores the slope,
-        # so call 4 is LOORA_DM's self-check on replicate 1.
-        return intercept, slope + (1.0 if len(calls) == 4 else 0.0), var
+        # All five replicates fit one block, which DM evaluates first and
+        # LOORA_DM second; DM ignores the slope, so row 1 of call 2 is
+        # LOORA_DM's self-check on replicate 1.
+        if len(calls) == 2:
+            slope = slope + np.array([0.0, 1.0, 0.0, 0.0, 0.0])
+        return intercept, slope, var
 
     monkeypatch.setattr(loora.inference, "_two_column_sandwich", wrong_slope_once)
     pop = synth_population("linear-heterogeneous", 20, 2, 3)
     cfg = StudyConfig(design="complete", methods=("DM", "ADJ", "LOORA_DM"), reps=5, seed=1)
     by_method = {s.method: s for s in run_study(pop, cfg).stats}
-    assert len(calls) == 10
+    assert [len(slopes) for slopes in calls] == [5, 5]
     assert [(by_method[m].reps_used, by_method[m].failed) for m in cfg.methods] == [
         (5, 0),
         (5, 0),
@@ -292,6 +295,63 @@ def test_run_study_equals_fresh_fit_per_replicate(
     want = run_study_per_sample(pop, cfg)
     assert got.tau == want.tau
     assert got.stats == want.stats
+
+
+def _study_equals_fresh_fit(pop, methods, **kwargs):
+    cfg = StudyConfig(methods=methods, **kwargs)
+    got = run_study(pop, cfg)
+    want = run_study_per_sample(pop, cfg)
+    assert got.tau == want.tau
+    assert got.stats == want.stats
+    return got
+
+
+@pytest.mark.parametrize(
+    "design, mismatch", [("complete", False), ("simple-covariate-correlated", True)]
+)
+def test_multi_block_study_equals_fresh_fit_per_replicate(design, mismatch):
+    # two full blocks and a partial one, every method
+    n = 100
+    pop = synth_population("linear-heterogeneous", n, 3, 21)
+    reps = 2 * block_size(n) + 3
+    report = _study_equals_fresh_fit(
+        pop,
+        tuple(m.value for m in Method),
+        design=design,
+        reps=reps,
+        seed=5,
+        allow_design_mismatch=mismatch,
+    )
+    assert max(s.reps_used for s in report.stats) == reps
+
+
+@pytest.mark.parametrize(
+    "n, k, design, n_t, methods",
+    [
+        # C(12, 6) = 924 assignments over 3 blocks of 256
+        (12, 2, "complete", 6, tuple(m.value for m in Method)),
+        # C(70, 2) = 2415 assignments whose masks would not fit 64 bits
+        (70, 1, "complete", 2, ("DM", "ADJ", "LOORA_DM")),
+        # 2^12 = 4096 assignments, products of 12 probabilities each
+        (12, 2, "simple-covariate-correlated", None, ("HT", "LOORA_HT", "LOORA_DM")),
+    ],
+)
+def test_multi_block_enumeration_equals_fresh_fit_per_assignment(n, k, design, n_t, methods):
+    pop = synth_population("linear-heterogeneous", n, k, 8)
+    report = _study_equals_fresh_fit(
+        pop, methods, design=design, reps="enumerate", n_t=n_t, allow_design_mismatch=True
+    )
+    count = math.comb(n, n_t) if n_t else 2**n
+    assert count > block_size(n)
+    assert [s.reps_used + s.failed for s in report.stats] == [count] * len(methods)
+
+
+def test_block_size_rule():
+    for n in range(1, 20_000):
+        size = block_size(n)
+        assert 1 <= size <= 256
+        assert size * n <= 8192 or size == 1
+        assert size == 256 or (size + 1) * n > 8192
 
 
 def test_study_config_validation():
