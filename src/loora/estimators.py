@@ -16,7 +16,10 @@ evaluates it on every block of replicates, and a single sample is a block of
 one row. Each row carries the bits it would have alone: elementwise work
 runs on the whole block, every matrix-vector product and dot product is one
 BLAS call per row (linalg.matvec_rows, linalg.dot_rows) and every exact sum
-is one math.fsum per row (fsum_rows). The one switch over method
+is correctly rounded, with math.fsum's bits, by fsum_rows: a few error-free
+extraction passes over the whole block, with math.fsum kept for the rows
+holding non-finite, near-overflow or near-subnormal entries and for
+combining more than two exact pieces. The one switch over method
 identifiers is loora.inference.plan_estimate, which serves point estimates
 (loora.inference.estimate) and reports with intervals alike.
 """
@@ -145,19 +148,65 @@ def _both_arms(method: str, n_t: int, n_c: int) -> tuple[int, int]:
     return n_t, n_c
 
 
-def fsum_rows(a: np.ndarray, overflow: float = math.nan) -> np.ndarray:
-    """math.fsum of each row of a, one call per row.
+# Extraction works on rows whose nonzero entries are all at least 2**-969.
+# Each such entry is a multiple of 2**-1021, and so is every piece and
+# remainder the extraction forms from them: no intermediate is subnormal, as
+# the error-free bounds of the extraction assume no underflow.
+_EXTRACTION_FLOOR = 2.0**-969
 
-    A row whose exact sum overflows gets `overflow`: nan for a point
-    estimate (which then fails as not finite), inf for a variance.
+
+def fsum_rows(a: np.ndarray, overflow: float = math.nan) -> np.ndarray:
+    """math.fsum of each row of a (B, n), to the bit, in block-wide passes.
+
+    ExtractVector (Rump, Ogita & Oishi 2008, Accurate floating-point
+    summation): with m = ceil(log2(n + 2)) and e the exponent of a row's
+    largest |entry| (all below 2**e), sigma = 2**(m + e) splits every entry
+    p into q = (sigma + p) - sigma and p - q, both exact. The qs are
+    multiples of ulp(sigma) / 2 whose sum stays below sigma, so their plain
+    sum is exact in any order. Passes repeat on the remainders, with a new
+    sigma per row, until every remainder is zero; ordinary data needs two
+    to four. The exact sum of a row is then the sum of its few pieces: one
+    rounding of two pieces, or math.fsum of more. Both round correctly,
+    half to even, as math.fsum does, so the bits are math.fsum's.
+
+    Rows that hold a non-finite entry, whose largest |entry| reaches
+    2**(1023 - m) (within 2**(m + 1) of overflow, where math.fsum's
+    intermediate overflow lives), or that hold a nonzero entry below
+    2**-969 take math.fsum itself. A row whose math.fsum raises (an
+    intermediate overflow, or both +inf and -inf) gets `overflow`: nan for
+    a point estimate (which then fails as not finite), inf for a variance.
     """
-    return np.array([_fsum_or(row, overflow) for row in a.tolist()], dtype=np.float64)
+    rows, n = a.shape
+    m = (n + 1).bit_length()  # ceil(log2(n + 2))
+    buf = np.abs(a)
+    top = buf.max(axis=1, initial=0.0)
+    fallback = ~(top < math.ldexp(1.0, 1023 - m))  # also every nan or inf row
+    fallback |= ((buf < _EXTRACTION_FLOOR) & (buf > 0.0)).any(axis=1)
+    rest = np.where(fallback[:, None], 0.0, a)
+    top[fallback] = 0.0
+    pieces = []
+    while np.count_nonzero(top):
+        sigma = np.ldexp(1.0, np.frexp(top)[1] + m)[:, None]
+        q = np.add(rest, sigma, out=buf)
+        q -= sigma
+        rest -= q
+        pieces.append(q.sum(axis=1))
+        top = np.abs(rest, out=buf).max(axis=1)
+    out = np.zeros(rows)
+    for piece in pieces[:2]:
+        out += piece  # correctly rounded unless a later piece of the row is nonzero
+    if len(pieces) > 2:
+        late = np.flatnonzero(np.logical_or.reduce(pieces[2:]))
+        out[late] = [math.fsum(row) for row in np.stack(pieces, axis=1)[late].tolist()]
+    for i in np.flatnonzero(fallback):
+        out[i] = _fsum_or(a[i].tolist(), overflow)
+    return out
 
 
 def _fsum_or(row: list, overflow: float) -> float:
     try:
         return math.fsum(row)
-    except OverflowError:
+    except (OverflowError, ValueError):
         return overflow
 
 
@@ -241,14 +290,22 @@ def realized_arm_probability(p: np.ndarray, d: np.ndarray) -> np.ndarray:
     return p * d + (1.0 - p) * (1.0 - d)
 
 
-def reweighted_outcomes_ht(y, d, p) -> np.ndarray:
-    """Per-unit rescaled outcomes whose expectation is the HT signal vector.
+def ht_outcome_scales(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-unit (treated, control) outcome scales of LOORA-HT.
 
     Treated units are scaled by (1-p)^(1/2) / p^(3/2), control units by
     p^(1/2) / (1-p)^(3/2).
     """
-    treated_scale = np.sqrt(1.0 - p) / p**1.5
-    control_scale = np.sqrt(p) / (1.0 - p) ** 1.5
+    return np.sqrt(1.0 - p) / p**1.5, np.sqrt(p) / (1.0 - p) ** 1.5
+
+
+def reweighted_outcomes_ht(y, d, scales: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """Per-unit rescaled outcomes whose expectation is the HT signal vector.
+
+    scales is ht_outcome_scales(p): the treated units of each row of d take
+    the first, the control units the second.
+    """
+    treated_scale, control_scale = scales
     return np.where(d == 1.0, treated_scale, control_scale) * y
 
 
@@ -270,6 +327,7 @@ class LooraHtPlan:
     x: np.ndarray
     p: np.ndarray
     r: np.ndarray  # Bernoulli standard deviations sqrt(p (1 - p))
+    scales: tuple[np.ndarray, np.ndarray]  # ht_outcome_scales(p)
     lam: float
     ridge: RidgeFactor  # of the inverse-weighted covariates X / r
 
@@ -279,13 +337,13 @@ class LooraHtPlan:
         p, r, xw, lam = _loora_ht_design(x, spec, rule)
         ridge = ridge_factor(xw, lam)
         check_loo_feasible(ridge.hat_diag)
-        return cls(x=x, p=p, r=r, lam=lam, ridge=ridge)
+        return cls(x=x, p=p, r=r, scales=ht_outcome_scales(p), lam=lam, ridge=ridge)
 
     def parts(self, d: np.ndarray, y: np.ndarray) -> LooraHtParts:
         """Run LOORA-HT on a block of assignments d (B, n) and their outcomes y (B, n)."""
         p, ridge = self.p, self.ridge
         z = 2.0 * d - 1.0
-        yw = reweighted_outcomes_ht(y, d, p)
+        yw = reweighted_outcomes_ht(y, d, self.scales)
         q = realized_arm_probability(p, d)
         beta = ridge.solve_rows(yw)
         # x_i' beta^{(-i)} with the raw row x_i = r_i * (x_i / r_i)
@@ -309,7 +367,7 @@ def estimate_loora_ht(
         return float(parts.tau_hat[0])
     p, _, xw, lam = _loora_ht_design(s.x, s.spec, rule)
     d, z, y = s.assignment.d, s.assignment.z, s.y
-    yw = reweighted_outcomes_ht(y, d, p)
+    yw = reweighted_outcomes_ht(y, d, ht_outcome_scales(p))
     q = realized_arm_probability(p, d)
     terms = []
     for i in range(s.n):
@@ -334,14 +392,18 @@ def dm_response_weights(n_t, n_c, d: np.ndarray) -> tuple[np.ndarray, np.ndarray
     or n_c = 1) are set to zero; they belong to the single unit of that
     group, whose row is always the one removed, so the value never
     influences a fit. The counts are exact in float64, so every weight
-    carries the bits of the same integer arithmetic in Python.
+    carries the bits of the same integer arithmetic in Python. Each row's
+    four weights are formed as (B,) scalars before they are spread over d.
     """
     n = n_t + n_c
-    scale = (n_t * n_c * (n - 1) / n)[:, None]
+    scale = n_t * n_c * (n - 1) / n
+    own_t, cross_t = scale * _own_arm_weight(n_t), scale * (1.0 / n_c**2)
+    own_c, cross_c = scale * _own_arm_weight(n_c), scale * (1.0 / n_t**2)
     treated = d == 1.0
-    f_treated = np.where(treated, _own_arm_weight(n_t)[:, None], (1.0 / n_c**2)[:, None])
-    f_control = np.where(treated, (1.0 / n_t**2)[:, None], _own_arm_weight(n_c)[:, None])
-    return scale * f_treated, scale * f_control
+    return (
+        np.where(treated, own_t[:, None], cross_t[:, None]),
+        np.where(treated, cross_c[:, None], own_c[:, None]),
+    )
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ from .design import (
     enumeration_blocks,
     enumeration_size,
 )
-from .estimators import LambdaRule, Method
+from .estimators import LambdaRule, Method, fsum_rows
 from .exceptions import (
     InvalidInput,
     InvalidSpec,
@@ -256,6 +256,11 @@ def _record_block(plan, d, y, tau, out):
         out[~est.ok] = 0.0
 
 
+def _exact_sum(values: np.ndarray) -> float:
+    """math.fsum of a vector, through the block kernel the estimators use."""
+    return float(fsum_rows(values[None])[0])
+
+
 def _aggregate(cfg, tau, rows, weights):
     """The study report from per-replicate rows.
 
@@ -270,21 +275,21 @@ def _aggregate(cfg, tau, rows, weights):
         good = ok[:, j] > 0.0
         used = int(np.count_nonzero(good))
         failed = int(np.count_nonzero(~good))
-        total = math.fsum(weights[good].tolist())
+        w = weights[good]
+        total = _exact_sum(w)
         if total <= 0.0:
             stats.append(
                 MethodStats(name, math.nan, math.nan, math.nan, math.nan, math.nan, 0, failed)
             )
             continue
-        w = weights[good]
         e = est[good, j]
-        mean = math.fsum((w * e).tolist()) / total
-        var = math.fsum((w * (e - mean) ** 2).tolist()) / total
+        mean = _exact_sum(w * e) / total
+        var = _exact_sum(w * (e - mean) ** 2) / total
         bias = mean - tau
         std = math.sqrt(var)
         rmse = math.sqrt(bias**2 + var)
-        cov = math.fsum((w * covered[good, j]).tolist()) / total
-        avg_len = math.fsum((w * length[good, j]).tolist()) / total
+        cov = _exact_sum(w * covered[good, j]) / total
+        avg_len = _exact_sum(w * length[good, j]) / total
         stats.append(MethodStats(name, bias, std, rmse, cov, avg_len, used, failed))
     return SimulationReport(
         design=cfg.design,

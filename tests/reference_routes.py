@@ -7,8 +7,9 @@ contraction ``loora.oracle`` uses for T3, the classical three-term variance,
 an explicit sandwich product, the regression benchmarks as one fit of their
 full design, a study that builds a fresh sample and a fresh fit for every
 replicate, a CSV reader on the ``csv`` module with per-cell strip and float
-loops. They stay independent of the fast paths in ``loora`` so that
-agreement between the two means something.
+loops, and the exact row sums as one ``math.fsum`` per row. They stay
+independent of the fast paths in ``loora`` so that agreement between the two
+means something.
 """
 
 import csv
@@ -285,6 +286,17 @@ def run_study_per_sample(pop: Population, cfg: StudyConfig) -> SimulationReport:
             row.append((1.0, report.tau_hat, covered, report.ci_high - report.ci_low))
         rows.append(row)
     return _aggregate(cfg, pop.tau, rows, [prob for _, prob in draws])
+
+
+def fsum_rows_loop(a: np.ndarray, overflow: float = math.nan) -> np.ndarray:
+    """``math.fsum`` of each row of a, one call per row; ``overflow`` where it raises."""
+    sums = []
+    for row in a.tolist():
+        try:
+            sums.append(math.fsum(row))
+        except (OverflowError, ValueError):
+            sums.append(overflow)
+    return np.array(sums, dtype=np.float64)
 
 
 def read_csv_csv_module(path, delimiter: str = ",", has_header: bool = True):

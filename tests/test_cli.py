@@ -579,6 +579,32 @@ def test_estimate_overflowing_variance_exits_3_naming_stage(tmp_path, capsys, me
     assert f"{method} variance is not finite" in stderr
 
 
+def test_estimate_ht_with_both_infinite_arm_sums_exits_3(tmp_path, capsys):
+    # y / p turns the two treated outcomes into +inf and -inf, whose sum
+    # math.fsum refuses with ValueError; the estimate is simply not finite.
+    data = tmp_path / "opposed.csv"
+    data.write_text(
+        "x1,y,d\n1,1.7e308,1\n2,-1.7e308,1\n3,1,1\n4,2,0\n5,3,0\n6,4,0\n", encoding="utf-8"
+    )
+    code, _, stderr = run(
+        capsys,
+        "estimate",
+        "--data",
+        str(data),
+        "--covariates",
+        "x1",
+        "--y-col",
+        "y",
+        "--d-col",
+        "d",
+        *_HALF,
+        "--method",
+        "HT",
+    )
+    assert code == 3
+    assert "HT point estimate is not finite" in stderr
+
+
 def test_estimate_with_probability_column(tmp_path, capsys):
     data = tmp_path / "p.csv"
     data.write_text(

@@ -1,6 +1,10 @@
+import math
+
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.testing import assert_allclose, assert_array_equal
 
 from conftest import random_population, rel_gap
 from loora.design import Assignment, CompleteDesign, SimpleDesign, draw_with
@@ -11,12 +15,15 @@ from loora.estimators import (
     estimate_loora_dm,
     estimate_loora_dm_pairwise,
     estimate_loora_ht,
+    fsum_rows,
+    ht_outcome_scales,
     reweighted_outcomes_ht,
 )
 from loora.exceptions import RankDeficient, SpecMismatch
 from loora.inference import estimate, plan_estimate
 from loora.linalg import max_row_norm
 from loora.oracle import Population, enumeration_moments, observe, observed_sample
+from reference_routes import fsum_rows_loop
 
 AUTO2 = LambdaRule.auto(2.0)
 
@@ -113,7 +120,7 @@ def test_loora_ht_reweighting_two_case_equals_exponent_form(rng):
     z = 2.0 * d - 1.0
     q = p * d + (1.0 - p) * (1.0 - d)
     exponent_form = ((1.0 - p) / p) ** (z / 2.0) * y / q
-    assert_allclose(reweighted_outcomes_ht(y, d, p), exponent_form, atol=1e-13)
+    assert_allclose(reweighted_outcomes_ht(y, d, ht_outcome_scales(p)), exponent_form, atol=1e-13)
 
 
 def test_loora_ht_fast_equals_refit(rng):
@@ -365,3 +372,53 @@ def test_shift_invariance(rng):
     mean_base, _ = enumeration_moments(pop, spec_s, Method.HT)
     mean_shift, _ = enumeration_moments(shifted, spec_s, Method.HT)
     assert mean_shift == pytest.approx(mean_base, abs=1e-11)
+
+
+# Entries scattered into the blocks below: fsum's fallback classes (nan,
+# +-inf, both infinities, entries near 1.7e308 whose partial sums overflow),
+# signed zeros, subnormals and the extraction floor 2**-969 itself.
+_SPECIAL_ENTRIES = st.one_of(
+    st.floats(),
+    st.sampled_from(
+        [math.nan, math.inf, -math.inf, 1.7e308, -1.7e308, 0.0, -0.0, 5e-324, 2.0**-969]
+    ),
+)
+
+
+@st.composite
+def _sum_blocks(draw):
+    """(B, n) blocks of exponent spreads up to the full range, one-signed rows,
+    exact +- cancellations, half-way ties, signed zeros and scattered special
+    entries."""
+    n = draw(st.sampled_from([1, 2, 3, 11, 120, 5000]))
+    rows = draw(st.integers(1, min(256, 2**16 // n)))  # B * n up to 2**16
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    top = draw(st.integers(-1074, 1023))
+    spread = draw(st.integers(0, 2098))
+    exponents = np.clip(rng.integers(top - spread, top + 1, (rows, n)), -1074, 1023)
+    a = np.ldexp(rng.uniform(-1.0, 1.0, (rows, n)), exponents)
+    shape = draw(st.sampled_from(["plain", "positive", "cancel", "tie", "zeros"]))
+    if shape == "positive":  # no cancellation: the row sum nears n times its largest entry
+        a = np.abs(a)
+    elif shape == "zeros":
+        a = np.copysign(0.0, a)
+    elif shape != "plain" and n > 1:
+        # [lead, tail, x, -x, 0]: the exact sum is lead + tail
+        pairs = (n - 2) // 2
+        a[:, 2 + pairs : 2 + 2 * pairs] = -a[:, 2 : 2 + pairs]
+        a[:, 2 + 2 * pairs :] = 0.0
+        if shape == "tie":  # lead plus half its ulp, either way
+            a[:, 1] = np.copysign(np.spacing(np.abs(a[:, 0])) / 2.0, a[:, 1])
+        a = rng.permuted(a, axis=1)
+    scattered = st.tuples(st.integers(0, a.size - 1), _SPECIAL_ENTRIES)
+    for flat, value in draw(st.lists(scattered, max_size=8)):
+        a.flat[flat] = value
+    return a
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=_sum_blocks(), overflow=st.sampled_from([math.nan, math.inf]))
+def test_fsum_rows_returns_math_fsum_bits(a, overflow):
+    with np.errstate(all="raise"):
+        got = fsum_rows(a, overflow)
+    assert_array_equal(got.view(np.int64), fsum_rows_loop(a, overflow).view(np.int64))
