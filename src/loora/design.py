@@ -110,17 +110,21 @@ def block_size(n: int) -> int:
 
 
 def draw_rows(spec: DesignSpec, rngs: Iterable[np.random.Generator]) -> np.ndarray:
-    """Draw one assignment per generator, as the 0/1 float rows of a block."""
-    rngs = list(rngs)
+    """Draw one assignment per generator, as the 0/1 float rows of a block.
+
+    Each generator draws its row before the next one is taken, so the
+    iterable may yield one generator again and again with a new state (as
+    simulation.replicate_generators does).
+    """
     if isinstance(spec, SimpleDesign):
-        u = np.empty((len(rngs), spec.n))
-        for row, rng in zip(u, rngs):
-            rng.random(out=row)
+        n = spec.n
+        u = np.array([rng.random(n) for rng in rngs]).reshape(-1, n)
         return (u < spec.p).astype(np.float64)
     if isinstance(spec, CompleteDesign):
-        d = np.zeros((len(rngs), spec.n))
-        for row, rng in zip(d, rngs):
-            row[rng.permutation(spec.n)[: spec.n_t]] = 1.0
+        n, n_t = spec.n, spec.n_t
+        treated = np.array([rng.permutation(n)[:n_t] for rng in rngs]).reshape(-1, n_t)
+        d = np.zeros((treated.shape[0], n))
+        np.put_along_axis(d, treated, 1.0, axis=1)
         return d
     raise InvalidSpec(f"unknown design spec {spec!r}")
 

@@ -16,12 +16,14 @@ evaluates it on every block of replicates, and a single sample is a block of
 one row. Each row carries the bits it would have alone: elementwise work
 runs on the whole block, every matrix-vector product and dot product is one
 BLAS call per row (linalg.matvec_rows, linalg.dot_rows) and every exact sum
-is correctly rounded, with math.fsum's bits, by fsum_rows: a few error-free
-extraction passes over the whole block, with math.fsum kept for the rows
-holding non-finite, near-overflow or near-subnormal entries and for
-combining more than two exact pieces. The one switch over method
-identifiers is loora.inference.plan_estimate, which serves point estimates
-(loora.inference.estimate) and reports with intervals alike.
+is correctly rounded, with math.fsum's bits, by fsum_rows: math.fsum per
+row on small blocks, else a few error-free extraction passes over the whole
+block, with math.fsum kept for the rows holding non-finite, near-overflow or
+near-subnormal entries and for combining more than two exact pieces. The
+only per-row LAPACK calls are INT's arm factors and solves. The one switch
+over method identifiers is loora.inference.plan_estimate, which serves
+point estimates (loora.inference.estimate) and reports with intervals
+alike.
 """
 
 from __future__ import annotations
@@ -39,15 +41,17 @@ from .linalg import (
     as_design_matrix,
     as_vector,
     check_loo_feasible,
-    cholesky_solve,
+    cholesky_solve_rows,
     dot_rows,
     full_rank_cholesky,
+    full_rank_cholesky_rows,
     leverage_regularizer,
     loo_fitted_rows,
     matvec_rows,
     negligible_pivot,
     ridge_factor,
     ridge_fit,
+    singular_column,
 )
 
 
@@ -155,7 +159,27 @@ def _both_arms(method: str, n_t: int, n_c: int) -> tuple[int, int]:
 _EXTRACTION_FLOOR = 2.0**-969
 
 
+# Blocks of fewer entries than this sum one row at a time: below it, the
+# extraction's fixed cost of about 15 numpy calls exceeds a math.fsum per
+# row (the two cross between 1.4k and 1.7k entries on a 2-core x86-64 host).
+_EXTRACTION_MIN_ENTRIES = 1500
+
+
 def fsum_rows(a: np.ndarray, overflow: float = math.nan) -> np.ndarray:
+    """math.fsum of each row of a (B, n), to the bit.
+
+    A block of fewer than 1500 entries takes math.fsum row by row; a larger
+    one takes _fsum_rows_extracted, block-wide passes that return the same
+    bits. A row whose math.fsum raises (an intermediate overflow, or both
+    +inf and -inf) gets `overflow`: nan for a point estimate (which then
+    fails as not finite), inf for a variance.
+    """
+    if a.size < _EXTRACTION_MIN_ENTRIES:
+        return np.array([_fsum_or(row, overflow) for row in a.tolist()], dtype=np.float64)
+    return _fsum_rows_extracted(a, overflow)
+
+
+def _fsum_rows_extracted(a: np.ndarray, overflow: float) -> np.ndarray:
     """math.fsum of each row of a (B, n), to the bit, in block-wide passes.
 
     ExtractVector (Rump, Ogita & Oishi 2008, Accurate floating-point
@@ -172,9 +196,7 @@ def fsum_rows(a: np.ndarray, overflow: float = math.nan) -> np.ndarray:
     Rows that hold a non-finite entry, whose largest |entry| reaches
     2**(1023 - m) (within 2**(m + 1) of overflow, where math.fsum's
     intermediate overflow lives), or that hold a nonzero entry below
-    2**-969 take math.fsum itself. A row whose math.fsum raises (an
-    intermediate overflow, or both +inf and -inf) gets `overflow`: nan for
-    a point estimate (which then fails as not finite), inf for a variance.
+    2**-969 take math.fsum itself, and `overflow` where it raises.
     """
     rows, n = a.shape
     m = (n + 1).bit_length()  # ceil(log2(n + 2))
@@ -591,8 +613,9 @@ class BenchmarkPlan:
     mean. That design is block-diagonal by arm, so tau_hat = alpha_t -
     alpha_c, the intercepts of the OLS of y on [1, Xc] within each arm, and
     its HC0 variance is the sum of the two intercepts' HC0 variances. The
-    Gram of [1, Xc] is rank-checked once per study, and each arm's Gram per
-    assignment, both by linalg.full_rank_cholesky.
+    Gram of [1, Xc] is rank-checked once per study by
+    linalg.full_rank_cholesky, and each arm's Gram per assignment by the
+    same rule (linalg.full_rank_cholesky_rows).
 
     The X columns are scaled by powers of two before any factor or rank
     check (RIDGE_REG's penalty by the squared scales, which leaves its fit
@@ -656,29 +679,63 @@ class BenchmarkPlan:
         return tau_hat, d_res * resid / dd[:, None], failed
 
     def _int_parts(self, d: np.ndarray, y: np.ndarray, failed: dict):
-        """INT's parts: each row's two arm fits, one row at a time."""
+        """INT's parts: both arm fits of all rows that share a treated count at once.
+
+        The rows still to fit are sorted by treated count, their units
+        ordered treated first, each arm in unit order, and the basis rows
+        gathered once; each run of rows with one count is then a (G, m,
+        k + 1) view per arm. A row whose arm is rank-deficient fails as
+        full_rank_cholesky fails it alone, the treated arm checked first.
+        """
         tau_hat, terms = np.full(d.shape[0], math.nan), np.zeros(d.shape)
-        for i in range(d.shape[0]):
-            if i in failed:
-                continue
-            t_mask = d[i] == 1.0
-            try:
-                alpha_t, terms_t = self._arm_intercept(t_mask, y[i])
-                alpha_c, terms_c = self._arm_intercept(~t_mask, y[i])
-            except RankDeficient as exc:
-                failed[i] = exc
-                continue
-            tau_hat[i] = alpha_t - alpha_c
-            terms[i] = np.concatenate([terms_t, terms_c])
+        treated = d == 1.0
+        count = np.count_nonzero(treated, axis=1)
+        live = np.ones(d.shape[0], dtype=bool)
+        live[list(failed)] = False
+        rows = np.flatnonzero(live)
+        rows = rows[np.argsort(count[rows], kind="stable")]
+        order = np.argsort(~treated[rows], axis=1, kind="stable")
+        a = np.take(self.basis, order, axis=0)
+        ya = np.take(y, order + d.shape[1] * rows[:, None])
+        alpha, info = np.zeros((rows.size, 2)), np.zeros((rows.size, 2), dtype=np.int64)
+        fit_terms = np.zeros(ya.shape)
+        counts = count[rows].tolist()
+        starts = [g for g in range(rows.size) if g == 0 or counts[g] != counts[g - 1]]
+        for lo, hi in zip(starts, starts[1:] + [rows.size]):
+            for arm, units in enumerate((slice(None, counts[lo]), slice(counts[lo], None))):
+                alpha[lo:hi, arm], fit_terms[lo:hi, units], info[lo:hi, arm] = _arm_fits(
+                    a[lo:hi, units], ya[lo:hi, units]
+                )
+        info = np.where(info[:, 0] != 0, info[:, 0], info[:, 1])
+        ok = info == 0
+        tau_hat[rows[ok]] = alpha[ok, 0] - alpha[ok, 1]
+        terms[rows[ok]] = fit_terms[ok]
+        for i, column in sorted(zip(rows[~ok].tolist(), info[~ok].tolist())):
+            failed[i] = singular_column(column - 1)
         return tau_hat, terms, failed
 
-    def _arm_intercept(self, mask: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
-        """Intercept of the OLS of y on [1, Xc] within one arm, and its HC0 terms."""
-        a, ya = self.basis[mask], y[mask]
-        cho = full_rank_cholesky(a)
-        e0 = np.zeros(a.shape[1])
-        e0[0] = 1.0
-        sol = cholesky_solve(cho, np.column_stack([a.T @ ya, e0]))
-        beta, g = sol[:, 0], sol[:, 1]
-        # row 0 of (A'A)^{-1} A' is (A g)', g = (A'A)^{-1} e0
-        return float(beta[0]), (a @ g) * (ya - a @ beta)
+
+def _arm_fits(a: np.ndarray, ya: np.ndarray):
+    """(intercepts, HC0 terms, info) of the OLS of each row of ya (G, m) on its a (G, m, K).
+
+    The intercept is alpha = beta[0] of (a'a) beta = a'ya and its HC0 terms
+    are (a g) * (ya - a beta) with g = (a'a)^{-1} e0, since row 0 of
+    (a'a)^{-1} a' is (a g)'. Every Gram is the one syrk call a 2-D a.T @ a
+    makes and every product one BLAS call per row, so each row has the bits
+    of its own fit; only dpotrf and dpotrs run row by row. info is 0 for a
+    full-rank arm, else 1 + its first column at fault, by
+    full_rank_cholesky's rule, and such a row's intercept and terms are
+    meaningless.
+    """
+    at = a.transpose(0, 2, 1)
+    gram = np.matmul(at, a)
+    # Row g of rhs holds the right-hand sides [a'ya, e0] as rows, so that
+    # rhs[g].T is the Fortran (K, 2) array the solve overwrites.
+    rhs = np.zeros((a.shape[0], 2, a.shape[2]))
+    rhs[:, 0] = matvec_rows(at, ya)
+    rhs[:, 1, 0] = 1.0
+    info = full_rank_cholesky_rows(gram, a.shape[1:])
+    cholesky_solve_rows(gram, rhs, np.flatnonzero(info == 0).tolist())
+    beta, g0 = rhs[:, 0], rhs[:, 1]
+    terms = matvec_rows(a, g0) * (ya - matvec_rows(a, beta))
+    return beta[:, 0], terms, info

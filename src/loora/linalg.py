@@ -115,6 +115,8 @@ def _rows_of(a: np.ndarray) -> np.ndarray:
 def matvec_rows(a: np.ndarray, v: np.ndarray) -> np.ndarray:
     """a @ v_i for every row v_i of v (m, n), as the rows of an (m, k) array.
 
+    a is one (k, n) matrix, or a stack (m, k, n) of one matrix per row.
+
     np.matmul over a stack of column vectors issues one BLAS matrix-vector
     call per row, the call a @ v_i makes on its own, so each row carries the
     bits of a single product. A matrix-matrix product (a @ v.T) may sum in
@@ -279,6 +281,14 @@ def negligible_pivot(pivot_sq, norm_sq, shape: tuple[int, int]):
     return np.logical_not(pivot_sq > max(shape) * _EPS * norm_sq)
 
 
+def singular_column(column: int) -> RankDeficient:
+    """The failure of a design whose column `column` depends on the columns before it."""
+    return RankDeficient(
+        f"column {column} of the design is numerically a combination of the "
+        "columns before it; the normal equations are singular"
+    )
+
+
 def full_rank_cholesky(a: np.ndarray) -> tuple:
     """Upper Cholesky factor of the unpenalized Gram a'a, as (factor, False).
 
@@ -293,11 +303,40 @@ def full_rank_cholesky(a: np.ndarray) -> tuple:
         weak = np.flatnonzero(negligible_pivot(np.diagonal(c) ** 2, np.diagonal(gram), a.shape))
         info = int(weak[0]) + 1 if weak.size else 0
     if info:
-        raise RankDeficient(
-            f"column {info - 1} of the design is numerically a combination of the "
-            "columns before it; the normal equations are singular"
-        )
+        raise singular_column(info - 1)
     return c, False
+
+
+def full_rank_cholesky_rows(gram: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    """full_rank_cholesky of every Gram a_g'a_g of a stack (G, K, K), in place.
+
+    shape is the (rows, columns) of each a_g. Each gram[g] must be exactly
+    symmetric, as np.matmul(a.transpose(0, 2, 1), a) makes it (numpy
+    mirrors the triangle its syrk call computes), so the Fortran array
+    gram[g].T is the same matrix; dpotrf overwrites it with the upper
+    factor, one call per Gram. Returns info per Gram: 0 where
+    full_rank_cholesky returns the factor, else 1 + the column it names.
+    """
+    norm_sq = np.diagonal(gram, axis1=1, axis2=2).copy()
+    factors = gram.transpose(0, 2, 1)
+    info = np.array([dpotrf(c, lower=0, clean=0, overwrite_a=1)[1] for c in factors])
+    if (info < 0).any():
+        raise ValueError(f"illegal value in argument {-info.min()} of LAPACK dpotrf")
+    weak = negligible_pivot(np.diagonal(gram, axis1=1, axis2=2) ** 2, norm_sq, shape)
+    return np.where((info == 0) & weak.any(axis=1), np.argmax(weak, axis=1) + 1, info)
+
+
+def cholesky_solve_rows(factors: np.ndarray, rhs: np.ndarray, rows) -> None:
+    """cholesky_solve for the listed rows g of a stack, in place.
+
+    factors (G, K, K) is as full_rank_cholesky_rows leaves it and rhs
+    (G, m, K) holds each row's m right-hand sides as rows; rhs[g] is
+    overwritten with the solutions, one dpotrs call per listed row.
+    """
+    for g in rows:
+        _, info = dpotrs(factors[g].T, rhs[g].T, lower=0, overwrite_b=1)
+        if info != 0:
+            raise ValueError(f"illegal value in argument {-info} of LAPACK dpotrs")
 
 
 def ridge_fit(x, y, lam) -> RidgeFit:

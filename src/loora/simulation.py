@@ -12,7 +12,9 @@ enumerated, are evaluated against the plan a block at a time.
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,6 +52,114 @@ def study_seed_sequence(seed: int) -> np.random.SeedSequence:
 def replicate_seed_sequence(seed: int, rep: int) -> np.random.SeedSequence:
     """Independent substream for one replicate, stable under parallelism."""
     return np.random.SeedSequence(entropy=seed, spawn_key=(1, rep))
+
+
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx) and
+# PCG64's 128-bit multiplier (numpy/random/src/pcg64/pcg64.h).
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
+# Replicate states are computed this many at a time, whatever the block size.
+_STATE_CHUNK = 256
+
+
+def _words32(value: int) -> list[int]:
+    """The 32-bit words of a nonnegative integer, least significant first ([0] for 0)."""
+    words = [value & _MASK32]
+    while value := value >> 32:
+        words.append(value & _MASK32)
+    return words
+
+
+def _hashmix(value, hash_const: int, mult: int = _MULT_A):
+    """SeedSequence's hashmix of 32-bit words (a Python int or a uint32 array).
+
+    Returns the hashed value and the next hash constant; generate_state
+    hashes the same way with its own constants (_INIT_B, _MULT_B).
+    """
+    value = value ^ hash_const
+    hash_const = hash_const * mult & _MASK32
+    value = value * hash_const & _MASK32
+    return value ^ (value >> 16), hash_const
+
+
+def _mix(x, y):
+    """SeedSequence's mix of two 32-bit words (Python ints or uint32 arrays)."""
+    result = (_MIX_MULT_L * x & _MASK32) - (_MIX_MULT_R * y & _MASK32) & _MASK32
+    return result ^ (result >> 16)
+
+
+def replicate_states(seed: int, reps: range) -> list[tuple[int, int]]:
+    """PCG64's (state, inc) after PCG64(replicate_seed_sequence(seed, rep)), for each rep.
+
+    SeedSequence mixes its entropy words, the seed's words padded to four
+    and then the spawn key (1, rep), into a pool of four 32-bit words, and
+    generate_state(4, uint64) hashes the pool into PCG64's seed and stream
+    (initstate, initseq). Everything before rep's word is shared by every
+    replicate, so it is mixed once; rep's word is mixed and the pool hashed
+    as uint32 vector operations over all reps. PCG64 then seeds its 128-bit
+    LCG as inc = 2 initseq + 1, state = (inc + initstate) * M + inc. Reps
+    from 2**32 on, which have two words, take SeedSequence itself.
+    """
+    if reps.stop > 1 << 32:
+        return [_state_of(np.random.PCG64(replicate_seed_sequence(seed, rep))) for rep in reps]
+    entropy = _words32(seed)
+    entropy = entropy + [0] * (4 - len(entropy)) + [1]
+    hash_const = _INIT_A
+    pool = []
+    for word in entropy[:4]:
+        mixed, hash_const = _hashmix(word, hash_const)
+        pool.append(mixed)
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                mixed, hash_const = _hashmix(pool[src], hash_const)
+                pool[dst] = _mix(pool[dst], mixed)
+    words = entropy[4:] + [np.arange(reps.start, reps.stop).astype(np.uint32)]
+    for word in words:
+        for dst in range(4):
+            mixed, hash_const = _hashmix(word, hash_const)
+            pool[dst] = _mix(pool[dst], mixed)
+    hash_const = _INIT_B
+    out = []
+    for i in range(8):
+        mixed, hash_const = _hashmix(pool[i % 4], hash_const, _MULT_B)
+        out.append(mixed.astype(np.uint64))
+    # The eight words pair up, low word first, into seed high, seed low, stream high, stream low.
+    seed_hi, seed_lo, seq_hi, seq_lo = (out[2 * j] | out[2 * j + 1] << 32 for j in range(4))
+    states = []
+    for s_hi, s_lo, q_hi, q_lo in zip(*(v.tolist() for v in (seed_hi, seed_lo, seq_hi, seq_lo))):
+        inc = ((q_hi << 64 | q_lo) << 1 | 1) & _MASK128
+        states.append((((s_hi << 64 | s_lo) + inc) * _PCG64_MULT + inc & _MASK128, inc))
+    return states
+
+
+def _state_of(bit_generator: np.random.PCG64) -> tuple[int, int]:
+    state = bit_generator.state["state"]
+    return state["state"], state["inc"]
+
+
+def replicate_generators(seed: int, count: int) -> Iterator[np.random.Generator]:
+    """A generator for each replicate 0, 1, ..., count - 1, in that order.
+
+    Each is in the state of Generator(PCG64(replicate_seed_sequence(seed,
+    rep))), but it is one Generator whose PCG64 state is set anew for each
+    replicate, so a caller must finish with one before it takes the next.
+    States are computed _STATE_CHUNK replicates at a time.
+    """
+    bit_generator = np.random.PCG64(0)
+    rng = np.random.Generator(bit_generator)
+    for start in range(0, count, _STATE_CHUNK):
+        for state, inc in replicate_states(seed, range(start, min(start + _STATE_CHUNK, count))):
+            bit_generator.state = {
+                "bit_generator": "PCG64",
+                "state": {"state": state, "inc": inc},
+                "has_uint32": 0,
+                "uinteger": 0,
+            }
+            yield rng
 
 
 def covariate_correlated_probabilities(x, rng: np.random.Generator) -> np.ndarray:
@@ -224,20 +334,17 @@ def _blocks(spec, cfg, count):
     """The study's assignment blocks: (d, weights) with one assignment per row of d.
 
     Every assignment with its design probability when enumerating, else
-    count draws of weight 1, each from its own replicate substream, in
-    blocks of design.block_size(n).
+    count draws of weight 1, each from its own replicate substream
+    (replicate_generators), in blocks of design.block_size(n).
     """
     if cfg.reps == "enumerate":
         yield from enumeration_blocks(spec)
         return
     size = block_size(spec.n)
+    rngs = replicate_generators(cfg.seed, count)
     for start in range(0, count, size):
-        reps = range(start, min(start + size, count))
-        rngs = (
-            np.random.Generator(np.random.PCG64(replicate_seed_sequence(cfg.seed, rep)))
-            for rep in reps
-        )
-        yield draw_rows(spec, rngs), np.ones(len(reps))
+        rows = min(size, count - start)
+        yield draw_rows(spec, itertools.islice(rngs, rows)), np.ones(rows)
 
 
 def _record_block(plan, d, y, tau, out):
@@ -316,8 +423,8 @@ def run_study(pop: Population, cfg: StudyConfig) -> SimulationReport:
     study_rng = np.random.Generator(np.random.PCG64(study_seed_sequence(cfg.seed)))
     spec = resolve_design(pop, cfg, study_rng)
     tau = pop.tau
-    plans = _plan_methods(pop, spec, cfg)
     count = enumeration_size(spec) if cfg.reps == "enumerate" else int(cfg.reps)
+    plans = _plan_methods(pop, spec, cfg)
     rows = np.zeros((count, len(plans), 4))
     weights = np.empty(count)
     start = 0

@@ -6,8 +6,9 @@ materialized LOORA-DM quadratic-form blocks (n <= 512) whose low-rank
 contraction ``loora.oracle`` uses for T3, the classical three-term variance,
 an explicit sandwich product, the regression benchmarks as one fit of their
 full design, a study that builds a fresh sample and a fresh fit for every
-replicate, a CSV reader on the ``csv`` module with per-cell strip and float
-loops, and the exact row sums as one ``math.fsum`` per row. They stay
+replicate, INT's arm fits one row and one arm at a time, a CSV reader on
+the ``csv`` module with per-cell strip and float loops, and the exact row
+sums as one ``math.fsum`` per row. They stay
 independent of the fast paths in ``loora`` so that agreement between the two
 means something.
 """
@@ -20,6 +21,7 @@ import numpy as np
 from loora.design import draw_with, enumerate_assignments
 from loora.estimators import (
     DEFAULT_LAMBDA_RULE,
+    BenchmarkPlan,
     LambdaRule,
     LooraHtPlan,
     Method,
@@ -36,7 +38,13 @@ from loora.exceptions import (
     SpecMismatch,
 )
 from loora.inference import _ht_hw_residuals, estimate_with_ci
-from loora.linalg import as_design_matrix, check_loo_feasible, ridge_fit
+from loora.linalg import (
+    as_design_matrix,
+    check_loo_feasible,
+    cholesky_solve,
+    full_rank_cholesky,
+    ridge_fit,
+)
 from loora.oracle import (
     Population,
     _centered_residuals,
@@ -234,6 +242,36 @@ def benchmark_full_design(method, x, assignment, y, rule=DEFAULT_LAMBDA_RULE):
         columns.append(d[:, None] * covariates)
     fit = ridge_fit(np.column_stack(columns), y, penalty)
     return float(fit.beta[1]), math.fsum(((fit.z[1] * (y - fit.x @ fit.beta)) ** 2).tolist())
+
+
+def int_parts_loop(plan: BenchmarkPlan, d: np.ndarray, y: np.ndarray, failed: dict):
+    """INT's parts as BenchmarkPlan._int_parts gives them, one row and one arm at a time."""
+    tau_hat, terms = np.full(d.shape[0], math.nan), np.zeros(d.shape)
+    for i in range(d.shape[0]):
+        if i in failed:
+            continue
+        t_mask = d[i] == 1.0
+        try:
+            alpha_t, terms_t = _arm_intercept(plan, t_mask, y[i])
+            alpha_c, terms_c = _arm_intercept(plan, ~t_mask, y[i])
+        except RankDeficient as exc:
+            failed[i] = exc
+            continue
+        tau_hat[i] = alpha_t - alpha_c
+        terms[i] = np.concatenate([terms_t, terms_c])
+    return tau_hat, terms, failed
+
+
+def _arm_intercept(plan: BenchmarkPlan, mask: np.ndarray, y: np.ndarray):
+    """Intercept of the OLS of y on [1, Xc] within one arm, and its HC0 terms."""
+    a, ya = plan.basis[mask], y[mask]
+    cho = full_rank_cholesky(a)
+    e0 = np.zeros(a.shape[1])
+    e0[0] = 1.0
+    sol = cholesky_solve(cho, np.column_stack([a.T @ ya, e0]))
+    beta, g = sol[:, 0], sol[:, 1]
+    # row 0 of (A'A)^{-1} A' is (A g)', g = (A'A)^{-1} e0
+    return float(beta[0]), (a @ g) * (ya - a @ beta)
 
 
 def two_column_sandwich_inverse(u, d):

@@ -9,9 +9,11 @@ from numpy.testing import assert_allclose, assert_array_equal
 from conftest import random_population, rel_gap
 from loora.design import Assignment, CompleteDesign, SimpleDesign, draw_with
 from loora.estimators import (
+    BenchmarkPlan,
     LambdaRule,
     Method,
     ObservedSample,
+    _fsum_rows_extracted,
     estimate_loora_dm,
     estimate_loora_dm_pairwise,
     estimate_loora_ht,
@@ -23,7 +25,7 @@ from loora.exceptions import RankDeficient, SpecMismatch
 from loora.inference import estimate, plan_estimate
 from loora.linalg import max_row_norm
 from loora.oracle import Population, enumeration_moments, observe, observed_sample
-from reference_routes import fsum_rows_loop
+from reference_routes import fsum_rows_loop, int_parts_loop
 
 AUTO2 = LambdaRule.auto(2.0)
 
@@ -419,6 +421,87 @@ def _sum_blocks(draw):
 @settings(max_examples=200, deadline=None)
 @given(a=_sum_blocks(), overflow=st.sampled_from([math.nan, math.inf]))
 def test_fsum_rows_returns_math_fsum_bits(a, overflow):
+    want = fsum_rows_loop(a, overflow).view(np.int64)
     with np.errstate(all="raise"):
         got = fsum_rows(a, overflow)
-    assert_array_equal(got.view(np.int64), fsum_rows_loop(a, overflow).view(np.int64))
+        extracted = _fsum_rows_extracted(a, overflow)  # whatever the size selects
+    assert_array_equal(got.view(np.int64), want)
+    assert_array_equal(extracted.view(np.int64), want)
+
+
+# --- INT's block arm fits against the row-by-row loop -------------------------
+
+
+def _int_block_equals_row_loop(x, d, y, spec, mismatch):
+    """plan.parts against int_parts_loop on the same block: == on the bits of
+    every estimate and HC0 term, and the same failing rows, classes and
+    messages, in the same order."""
+    plan = BenchmarkPlan.build(Method.INT, x, spec, allow_design_mismatch=mismatch)
+    tau, terms, failed = plan.parts(d, y)
+    want_tau, want_terms, want_failed = int_parts_loop(plan, d, y, plan.arms.counts(d)[2])
+    assert_array_equal(tau.view(np.int64), want_tau.view(np.int64))
+    assert_array_equal(terms.view(np.int64), want_terms.view(np.int64))
+    assert _listed(failed) == _listed(want_failed)
+    return failed
+
+
+def _listed(failures: dict) -> list:
+    return [(i, type(e), str(e)) for i, e in failures.items()]
+
+
+def test_int_block_reports_the_treated_arm_of_a_doubly_rank_deficient_row():
+    # Row 0 treats units 0-5: x1 is constant on the controls (column 1 of
+    # their arm fails), x2 on the treated units (column 2 fails); the
+    # treated arm is checked first, so the row names column 2.
+    x = np.array(
+        [[0, 1], [1, 1], [0, 1], [1, 1], [0, 1], [1, 1],
+         [1, 0], [1, 1], [1, 0], [1, 1], [1, 0], [1, 1]], dtype=np.float64
+    )
+    n = x.shape[0]
+    rng = np.random.default_rng(4)
+    d = (rng.random((40, n)) < 0.5).astype(np.float64)
+    d[0] = np.arange(n) < 6
+    d[1] = 0.0  # empty arms
+    d[2] = 1.0
+    d[3] = np.arange(n) == 5  # one treated unit
+    y = rng.standard_normal((40, n))
+    failed = _int_block_equals_row_loop(x, d, y, SimpleDesign(np.full(n, 0.5)), True)
+    assert isinstance(failed[0], RankDeficient)
+    assert str(failed[0]).startswith("column 2 ")
+    assert isinstance(failed[1], SpecMismatch) and isinstance(failed[2], SpecMismatch)
+    assert isinstance(failed[3], RankDeficient)
+    assert len(failed) < d.shape[0]  # some rows are fit
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(["linear-heterogeneous", "binary-outcome"]),
+    n=st.integers(4, 40),
+    k=st.integers(1, 4),
+    rows=st.integers(1, 80),
+    seed=st.integers(0, 2**32 - 1),
+    complete=st.booleans(),
+)
+def test_int_block_equals_row_loop(kind, n, k, rows, seed, complete):
+    # Unequal arm sizes and empty arms (simple designs under the opt-in)
+    # and arm-rank-deficient rows (binary covariates on small arms).
+    from loora.simulation import synth_population
+
+    if n <= k + 1:
+        n = k + 2
+    pop = synth_population(kind, n, k, seed % 1000)
+    rng = np.random.default_rng(seed)
+    if complete:
+        spec = CompleteDesign(n, int(rng.integers(1, n)))
+        d = np.zeros((rows, n))
+        for row in d:
+            row[rng.permutation(n)[: spec.n_t]] = 1.0
+    else:
+        spec = SimpleDesign(rng.uniform(0.1, 0.9, n))
+        d = (rng.random((rows, n)) < spec.p).astype(np.float64)
+    y = d * pop.y1 + (1.0 - d) * pop.y0
+    try:
+        BenchmarkPlan.build(Method.INT, pop.x, spec, allow_design_mismatch=True)
+    except RankDeficient:
+        return  # the full-sample basis is singular: no row is ever fit
+    _int_block_equals_row_loop(pop.x, d, y, spec, not complete)

@@ -5,20 +5,26 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.testing import assert_array_equal
 from reference_routes import run_study_per_sample
 
 import loora.inference
+import loora.simulation
 from loora.design import CompleteDesign, block_size, enumerate_assignments
 from loora.estimators import LambdaRule, Method
-from loora.exceptions import InvalidInput, InvalidSpec
+from loora.exceptions import InvalidInput, InvalidSpec, TooLarge
 from loora.inference import estimate
 from loora.linalg import ridge_leverages_svd
 from loora.oracle import Population, enumeration_moments, observed_sample
 from loora.reporting import record_line
 from loora.simulation import (
+    _STATE_CHUNK,
     DESIGN_CHOICES,
     StudyConfig,
     covariate_correlated_probabilities,
+    replicate_generators,
+    replicate_seed_sequence,
+    replicate_states,
     run_study,
     synth_population,
 )
@@ -344,6 +350,63 @@ def test_multi_block_enumeration_equals_fresh_fit_per_assignment(n, k, design, n
     count = math.comb(n, n_t) if n_t else 2**n
     assert count > block_size(n)
     assert [s.reps_used + s.failed for s in report.stats] == [count] * len(methods)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 7, 2**199 + 12345])
+def test_replicate_streams_equal_numpy_seeding(seed):
+    def numpy_state(rep):
+        return np.random.PCG64(replicate_seed_sequence(seed, rep)).state
+
+    # through the generator, across two chunk edges
+    count = 2 * _STATE_CHUNK + 5
+    for rep, rng in enumerate(replicate_generators(seed, count)):
+        assert rng.bit_generator.state == numpy_state(rep)
+    assert rep == count - 1
+    # computed states on a chunk's edges and below 2**32, and the
+    # SeedSequence fallback from 2**32 on (two words of spawn key)
+    for reps in (
+        range(_STATE_CHUNK - 2, _STATE_CHUNK + 2),
+        range(2**32 - 3, 2**32),
+        range(2**32 - 1, 2**32 + 2),
+        range(2**40, 2**40 + 2),
+    ):
+        want = [numpy_state(rep)["state"] for rep in reps]
+        assert replicate_states(seed, reps) == [(s["state"], s["inc"]) for s in want]
+
+
+def test_a_reused_generator_draws_as_a_fresh_one():
+    # a draw that leaves half of a 64-bit output buffered must not leak into the next replicate
+    rngs = replicate_generators(9, 2)
+    next(rngs).integers(0, 2**32, 3, dtype=np.uint32)
+    got = next(rngs).integers(0, 2**32, 3, dtype=np.uint32)
+    fresh = np.random.Generator(np.random.PCG64(replicate_seed_sequence(9, 1)))
+    assert_array_equal(got, fresh.integers(0, 2**32, 3, dtype=np.uint32))
+
+
+@pytest.mark.parametrize(
+    "n, reps, methods",
+    [
+        (8192, 3, tuple(m.value for m in Method)),  # B = 1: one block per replicate
+        (40, 2 * _STATE_CHUNK + 5, ("HT", "DM", "INT")),  # chunk and block edges apart
+    ],
+)
+def test_studies_across_blocks_and_state_chunks_equal_fresh_fit(n, reps, methods):
+    pop = synth_population("linear-heterogeneous", n, 2, 13)
+    report = _study_equals_fresh_fit(
+        pop, methods, design="simple-half", reps=reps, seed=3, allow_design_mismatch=True
+    )
+    assert [s.reps_used for s in report.stats] == [reps] * len(methods)
+
+
+def test_an_oversized_enumeration_fails_before_any_plan(monkeypatch):
+    def no_plan(*args, **kwargs):
+        raise AssertionError("a method was planned")
+
+    monkeypatch.setattr(loora.simulation, "plan_estimate", no_plan)
+    pop = synth_population("linear-heterogeneous", 30, 2, 1)
+    cfg = StudyConfig(design="simple-half", methods=("HT", "LOORA_HT"), reps="enumerate")
+    with pytest.raises(TooLarge):
+        run_study(pop, cfg)
 
 
 def test_block_size_rule():
