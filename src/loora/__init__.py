@@ -1,14 +1,7 @@
 """Design-based ATE estimation with leave-one-out ridge regression adjustment."""
 
 from .design import Assignment, CompleteDesign, SimpleDesign, draw, enumerate_assignments
-from .estimators import (
-    LambdaRule,
-    Method,
-    ObservedSample,
-    estimate_loora_dm,
-    estimate_loora_dm_pairwise,
-    estimate_loora_ht,
-)
+from .estimators import LambdaRule, Method, ObservedSample
 from .inference import (
     EstimateReport,
     confidence_interval,
@@ -48,9 +41,6 @@ __all__ = [
     "enumerate_assignments",
     "enumeration_moments",
     "estimate",
-    "estimate_loora_dm",
-    "estimate_loora_dm_pairwise",
-    "estimate_loora_ht",
     "estimate_with_ci",
     "ht_variance",
     "lin_asymptotic_variance",

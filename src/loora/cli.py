@@ -8,6 +8,7 @@ enumeration guards, non-finite results), each with a diagnostic on stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import time
@@ -100,11 +101,17 @@ _EXPECTED = {
 
 
 def _as(kind, key, value):
-    """kind(value) for kind in int, float or Method; a SchemaError naming the key if it fails."""
-    try:
-        return kind(value)
-    except (TypeError, ValueError):
-        raise SchemaError(f"{key} must be {_EXPECTED[kind]}, got {value!r}") from None
+    """kind(value) for kind in int, float or Method; a SchemaError naming the key if it fails.
+
+    A bool is never a number, and an int takes a float only if it is integral.
+    """
+    fraction = kind is int and isinstance(value, float) and not value.is_integer()
+    if not (isinstance(value, bool) or fraction):
+        try:
+            return kind(value)
+        except (TypeError, ValueError):
+            pass
+    raise SchemaError(f"{key} must be {_EXPECTED[kind]}, got {value!r}")
 
 
 def _typed_setting(args, config, key, kind, default=None):
@@ -392,6 +399,7 @@ def cmd_verify(args) -> int:
     return 0 if all_passed else 1
 
 
+@functools.cache  # built on first use, then shared by every call of main
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="loora",
@@ -463,8 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     # argparse stores --lambda under lambda_; expose it under the lookup name.
     if hasattr(args, "lambda_"):
         setattr(args, "lambda", args.lambda_)

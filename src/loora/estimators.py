@@ -4,9 +4,8 @@ Covers the unadjusted Horvitz-Thompson and difference-in-means estimators,
 the classical regression-adjusted benchmarks (with and without interactions,
 and a ridge-penalized variant), and the leave-one-out ridge-adjusted
 estimators LOORA-HT (simple random assignment) and LOORA-DM (complete random
-assignment). Each LOORA estimator has a fast path computed from a single
-ridge factorization through the leave-one-out identity, and a literal
-per-unit refit path used to certify the fast path.
+assignment). Each LOORA estimator is computed from a single ridge
+factorization through the leave-one-out identity.
 
 The ridge-based methods are split into a plan, built once from the
 covariates, the design and the penalty rule, and a per-assignment part that
@@ -39,7 +38,6 @@ from .exceptions import InvalidInput, LooraError, RankDeficient, SpecMismatch
 from .linalg import (
     RidgeFactor,
     as_design_matrix,
-    as_vector,
     check_loo_feasible,
     cholesky_solve_rows,
     dot_rows,
@@ -50,7 +48,6 @@ from .linalg import (
     matvec_rows,
     negligible_pivot,
     ridge_factor,
-    ridge_fit,
     singular_column,
 )
 
@@ -103,36 +100,15 @@ DEFAULT_LAMBDA_RULE = LambdaRule.auto(2.0)
 
 @dataclass(frozen=True)
 class ObservedSample:
-    """What an analyst holds after the experiment: X, observed y, d, design."""
+    """What an analyst holds after the experiment: X, observed y, d, design.
+
+    Unchecked here: plan_estimate and EstimatePlan check it on every route.
+    """
 
     x: np.ndarray
     y: np.ndarray
     assignment: Assignment
     spec: DesignSpec
-
-    def __post_init__(self):
-        x = as_design_matrix(self.x)
-        y = as_vector(self.y, x.shape[0], "outcome")
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
-        n = x.shape[0]
-        if self.assignment.n != n:
-            raise InvalidInput("assignment length does not match the design matrix")
-        if isinstance(self.spec, SimpleDesign):
-            if self.spec.n != n:
-                raise InvalidInput("simple design length does not match the sample")
-        elif isinstance(self.spec, CompleteDesign):
-            if self.spec.n != n:
-                raise InvalidInput("complete design size does not match the sample")
-            if self.assignment.n_treated != self.spec.n_t:
-                raise InvalidInput(
-                    "assignment treats "
-                    f"{self.assignment.n_treated} units but the design fixes {self.spec.n_t}"
-                )
-
-    @property
-    def n(self) -> int:
-        return self.x.shape[0]
 
 
 def require_simple(spec: DesignSpec, method: str) -> SimpleDesign:
@@ -331,14 +307,6 @@ def reweighted_outcomes_ht(y, d, scales: tuple[np.ndarray, np.ndarray]) -> np.nd
     return np.where(d == 1.0, treated_scale, control_scale) * y
 
 
-def _loora_ht_design(x: np.ndarray, spec: DesignSpec, rule: LambdaRule):
-    """Study-fixed inputs of both LOORA-HT paths: (p, r, xw, lam)."""
-    p = require_simple(spec, "LOORA_HT").p
-    r = np.sqrt(p * (1.0 - p))
-    xw = x / r[:, None]
-    return p, r, xw, rule.resolve(xw)
-
-
 @dataclass(frozen=True)
 class LooraHtPlan:
     """The study-fixed part of LOORA-HT: weights, penalty and ridge factor.
@@ -356,7 +324,10 @@ class LooraHtPlan:
     @classmethod
     def build(cls, x, spec: DesignSpec, rule: LambdaRule = DEFAULT_LAMBDA_RULE) -> "LooraHtPlan":
         x = as_design_matrix(x)
-        p, r, xw, lam = _loora_ht_design(x, spec, rule)
+        p = require_simple(spec, "LOORA_HT").p
+        r = np.sqrt(p * (1.0 - p))
+        xw = x / r[:, None]
+        lam = rule.resolve(xw)
         ridge = ridge_factor(xw, lam)
         check_loo_feasible(ridge.hat_diag)
         return cls(x=x, p=p, r=r, scales=ht_outcome_scales(p), lam=lam, ridge=ridge)
@@ -372,31 +343,6 @@ class LooraHtPlan:
         adjustment = self.r * loo_fitted_rows(ridge.x, ridge.hat_diag, yw, beta)
         tau_hat = fsum_rows(z / q * (y - adjustment)) / y.shape[1]
         return LooraHtParts(tau_hat=tau_hat, beta=beta, hat_diag=ridge.hat_diag, q=q, z=z)
-
-
-def estimate_loora_ht(
-    s: ObservedSample, rule: LambdaRule = DEFAULT_LAMBDA_RULE, refit: bool = False
-) -> float:
-    """Leave-one-out ridge-adjusted Horvitz-Thompson estimate.
-
-    Per unit, outcomes are adjusted by x_i' beta^{(-i)} where beta^{(-i)} is
-    the ridge fit of the reweighted outcomes on the inverse-weighted
-    covariates with row i removed. With refit=True the n regressions are run
-    literally; the default path uses the hat-matrix identity and must agree.
-    """
-    if not refit:
-        parts = LooraHtPlan.build(s.x, s.spec, rule).parts(s.assignment.d[None], s.y[None])
-        return float(parts.tau_hat[0])
-    p, _, xw, lam = _loora_ht_design(s.x, s.spec, rule)
-    d, z, y = s.assignment.d, s.assignment.z, s.y
-    yw = reweighted_outcomes_ht(y, d, ht_outcome_scales(p))
-    q = realized_arm_probability(p, d)
-    terms = []
-    for i in range(s.n):
-        sub = np.delete(xw, i, axis=0)
-        fit = ridge_fit(sub, np.delete(yw, i), lam)
-        terms.append(z[i] / q[i] * (y[i] - s.x[i] @ fit.beta))
-    return math.fsum(terms) / s.n
 
 
 def _own_arm_weight(count: np.ndarray) -> np.ndarray:
@@ -439,7 +385,7 @@ class LooraDmParts:
 
 
 def _loora_dm_responses(n_t, n_c, d: np.ndarray, y: np.ndarray):
-    """Per-assignment inputs of both LOORA-DM paths, for a block: (responses, v).
+    """Per-assignment inputs of LOORA-DM and its literal refit, for a block: (responses, v).
 
     responses[0] (B, n) is regressed when the removed unit is treated,
     responses[1] when it is a control; v holds the arm weights 1/n_arm.
@@ -454,6 +400,9 @@ class LooraDmPlan:
     """The study-fixed part of LOORA-DM: arm counts, penalty and ridge factor of X.
 
     Built once from (X, design, rule); parts() evaluates a block of assignments.
+    Exact unbiasedness needs two units in each arm: a singleton arm's
+    counterfactuals never appear among the other units, so the estimate
+    carries adjustment bias there.
     """
 
     arms: ArmCounts
@@ -488,95 +437,6 @@ class LooraDmPlan:
         u = y - np.where(d == 1.0, loo[:rows], loo[rows:])
         tau_hat = fsum_rows(v * (2.0 * d - 1.0) * u)
         return LooraDmParts(tau_hat=tau_hat, u=u, d=d, failed=failed)
-
-
-def _sample_counts(s: ObservedSample, allow_design_mismatch: bool):
-    """LOORA-DM's arm counts of one sample, as one-row arrays; raises where they fail."""
-    arms = ArmCounts.of("LOORA_DM", s.spec, allow_design_mismatch)
-    n_t, n_c, failed = arms.counts(s.assignment.d[None])
-    if failed:
-        raise failed[0]
-    return n_t, n_c
-
-
-def estimate_loora_dm(
-    s: ObservedSample,
-    rule: LambdaRule = DEFAULT_LAMBDA_RULE,
-    refit: bool = False,
-    allow_design_mismatch: bool = False,
-) -> float:
-    """Leave-one-out ridge-adjusted difference-in-means estimate.
-
-    The response being regressed is rescaled according to the removed unit's
-    arm so the leave-one-out fit has the right expectation under complete
-    random assignment. refit=True runs the n literal regressions.
-
-    Exact unbiasedness requires both arms to hold at least two units: with a
-    singleton arm, that arm's counterfactual outcomes never appear among the
-    remaining units, so no rescaling can make the adjustment conditionally
-    mean-correct. The estimate is still computed for singleton arms (the
-    undefined own-group weight is never read) but carries adjustment bias
-    there.
-    """
-    if not refit:
-        plan = LooraDmPlan.build(s.x, s.spec, rule, allow_design_mismatch)
-        parts = plan.parts(s.assignment.d[None], s.y[None])
-        if parts.failed:
-            raise parts.failed[0]
-        return float(parts.tau_hat[0])
-    n_t, n_c = _sample_counts(s, allow_design_mismatch)
-    d, z, y, x = s.assignment.d, s.assignment.z, s.y, s.x
-    (for_treated, for_control), v = _loora_dm_responses(n_t, n_c, d[None], y[None])
-    for_treated, for_control, v = for_treated[0], for_control[0], v[0]
-    lam = rule.resolve(x)
-    terms = []
-    for i in range(s.n):
-        resp = for_treated if d[i] == 1.0 else for_control
-        fit = ridge_fit(np.delete(x, i, axis=0), np.delete(resp, i), lam)
-        terms.append(v[i] * z[i] * (y[i] - x[i] @ fit.beta))
-    return math.fsum(terms)
-
-
-def estimate_loora_dm_pairwise(
-    s: ObservedSample,
-    rule: LambdaRule = DEFAULT_LAMBDA_RULE,
-    allow_design_mismatch: bool = False,
-) -> float:
-    """LOORA-DM through its pairwise leave-two-out representation.
-
-    tau_hat = (n_t n_c)^{-1} sum_{i<j} (d_i - d_j)(y_i - y_j - phi_ij), where
-    phi_ij adjusts the pair using ridge fits that exclude both i and j's
-    outcomes. Structurally verifies that each pair's adjustment depends only
-    on the other units' assignments; the value matches estimate_loora_dm
-    whenever both arms hold at least two units. With a singleton arm the
-    rewriting degenerates (its rescaled outcome carries a zero-times-
-    undefined weight) and the two forms may differ.
-    """
-    n_t, n_c = (int(c[0]) for c in _sample_counts(s, allow_design_mismatch))
-    d, y, x, n = s.assignment.d, s.y, s.x, s.n
-    lam = rule.resolve(x)
-    # Unified rescaled outcomes; undefined own-group entries (n_t or n_c = 1)
-    # are zeroed and only ever excluded, never read, in cross-arm pairs.
-    a_t = n_c * (n - 1) / ((n_t - 1) * n) if n_t > 1 else 0.0
-    a_c = n_t * (n - 1) / ((n_c - 1) * n) if n_c > 1 else 0.0
-    yu = np.where(d == 1.0, a_t, a_c) * y
-    fit = ridge_fit(x, yu, lam)
-    h = fit.hat_diag
-    check_loo_feasible(h)
-    # Row i of drop_one: x_i' (X_{-i}'X_{-i} + lam I)^{-1}, by Sherman-Morrison;
-    # row i of z' is x_i' (X'X + lam I)^{-1}.
-    base = fit.z.T
-    drop_one = base + base * (h / (1.0 - h))[:, None]
-    xty = x.T @ yu
-    treated_idx = np.nonzero(d == 1.0)[0]
-    control_idx = np.nonzero(d == 0.0)[0]
-    terms = []
-    for i in treated_idx:
-        for j in control_idx:
-            s_ij = xty - x[i] * yu[i] - x[j] * yu[j]
-            phi = (drop_one[i] - drop_one[j]) @ s_ij
-            terms.append(y[i] - y[j] - phi)
-    return math.fsum(terms) / (n_t * n_c)
 
 
 def _power_of_two_scales(a: np.ndarray) -> np.ndarray:

@@ -151,10 +151,10 @@ def _ht_hw_residuals(x: np.ndarray, y: np.ndarray, parts) -> np.ndarray:
 
 
 def _two_column_sandwich(u: np.ndarray, d: np.ndarray):
-    """OLS of each row of u on [1, d] plus the HC0 variance of the second coefficient.
+    """Slope of the OLS of each row of u on [1, d] and the HC0 variance of that slope.
 
-    u and d are (B, n) blocks; returns the per-row (intercept, slope, slope
-    variance) arrays. The regression is the two arm means: intercept u_c,
+    u and d are (B, n) blocks; returns the per-row (slope, slope variance)
+    arrays. The regression is the two arm means: intercept u_c,
     slope u_t - u_c, and with r the deviations from the arm means, row d of
     the sandwich bread times [1, d]' is 1/n_t on treated and -1/n_c on
     control units, so the variance is sum_t r^2 / n_t^2 + sum_c r^2 / n_c^2.
@@ -166,7 +166,7 @@ def _two_column_sandwich(u: np.ndarray, d: np.ndarray):
     c = 1.0 - d
     mean_t, mean_c = dot_rows(d, u) / n_t, dot_rows(c, u) / n_c
     r2 = (u - np.where(d == 1.0, mean_t[:, None], mean_c[:, None])) ** 2
-    return mean_c, mean_t - mean_c, dot_rows(d, r2) / n_t**2 + dot_rows(c, r2) / n_c**2
+    return mean_t - mean_c, dot_rows(d, r2) / n_t**2 + dot_rows(c, r2) / n_c**2
 
 
 def _dm_hw_variance_from_parts(parts) -> tuple[np.ndarray, dict[int, LooraError]]:
@@ -178,7 +178,7 @@ def _dm_hw_variance_from_parts(parts) -> tuple[np.ndarray, dict[int, LooraError]
     the variance estimate. A row fails with SelfCheckFailed if that
     coefficient does not reproduce its point estimate.
     """
-    _, slope, var = _two_column_sandwich(parts.u, parts.d)
+    slope, var = _two_column_sandwich(parts.u, parts.d)
     tau = parts.tau_hat
     off = np.abs(slope - tau) > 1e-10 * np.maximum(1.0, np.abs(tau))
     failed = {
@@ -223,7 +223,7 @@ class _DmCore:
     def block(self, d, y, variance):
         n_t, n_c, failed = self.arms.counts(d)
         tau = difference_in_means(d, y, n_t, n_c)
-        return tau, _two_column_sandwich(y, d)[2] if variance else None, failed
+        return tau, _two_column_sandwich(y, d)[1] if variance else None, failed
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,8 @@
 
 Everything downstream (estimators, exact variance formulas, robust variance
 estimates) is built on the machinery in this module: symmetric positive
-definite ridge solves, the diagonal and full hat matrix of a ridge fit, and
-the rank-one identities that turn n leave-one-out refits into one factorization.
+definite ridge solves, the leverages (the hat matrix's diagonal) of a ridge
+fit, and the rank-one identities that turn n leave-one-out refits into one factorization.
 
 A design matrix here is any finite real ndarray of shape (n, k) with
 n >= 1 and k >= 1.
@@ -82,29 +82,6 @@ class RidgeFit:
     beta: np.ndarray
     hat_diag: np.ndarray
     z: np.ndarray
-
-    @property
-    def hat_full(self) -> np.ndarray:
-        """Full hat matrix X (X'X + Lambda)^{-1} X', built on access (O(n^2) memory)."""
-        return self.x @ self.z
-
-    def loo_fitted(self) -> np.ndarray:
-        """x_i' beta^{(-i)} for every row i, shaped like the response.
-
-        beta^{(-i)} is the fit with row i removed. By the rank-one identity
-        x_i' beta^{(-i)} = (x_i' beta - h_i y_i) / (1 - h_i), so no refit is
-        run; the removed row's own response cancels exactly.
-
-        Raises
-        ------
-        LeverageSingular
-            If some (1 - h_i) <= 1e-12, naming the offending row.
-        """
-        check_loo_feasible(self.hat_diag)
-        if self.y.ndim == 1:
-            return loo_fitted_rows(self.x, self.hat_diag, self.y[None], self.beta[None])[0]
-        rows = loo_fitted_rows(self.x, self.hat_diag, _rows_of(self.y), _rows_of(self.beta))
-        return rows.T
 
 
 def _rows_of(a: np.ndarray) -> np.ndarray:

@@ -133,13 +133,6 @@ def adjusted_ht_variance(pop: Population, p, b) -> float:
     return math.fsum((sig.mu - sig.xw @ b) ** 2) / pop.n**2
 
 
-def adjusted_ht_optimal_coef(pop: Population, p) -> np.ndarray:
-    """The fixed adjustment vector minimizing the adjusted HT variance."""
-    sig = ht_signal(pop, p)
-    coef, _, _, _ = np.linalg.lstsq(sig.xw, sig.mu, rcond=None)
-    return coef
-
-
 def loora_ht_variance_terms(pop: Population, p, lam: float) -> tuple[float, float]:
     """The two pieces of the exact LOORA-HT variance.
 
@@ -209,33 +202,6 @@ def dm_variance(pop: Population, n_t: int) -> float:
     mu = dm_signal(pop, n_t).mu
     centered = mu - math.fsum(mu) / pop.n
     return math.fsum(centered**2) / (n_t * n_c * pop.n * (pop.n - 1))
-
-
-def dm_adjusted_variance(pop: Population, n_t: int, b) -> float:
-    """Exact variance of covariate-adjusted DM, coefficient on the signal scale.
-
-    The coefficient adjusts the aggregated DM signal (which sums n outcome
-    contributions), so it equals n times the per-outcome adjustment: passing
-    b here matches DM run on outcomes y - x'(b / n).
-    """
-    n_t, n_c = _check_n_t(pop, n_t)
-    b = as_vector(b, pop.k, "coefficient vector")
-    resid = dm_signal(pop, n_t).mu - pop.x @ b
-    centered = resid - math.fsum(resid) / pop.n
-    return math.fsum(centered**2) / (n_t * n_c * pop.n * (pop.n - 1))
-
-
-def dm_adjusted_optimal_coef(pop: Population, n_t: int) -> np.ndarray:
-    """The fixed adjustment minimizing the adjusted DM variance."""
-    mu = dm_signal(pop, n_t).mu
-    xc = pop.x - pop.x.mean(axis=0)
-    coef, _, _, _ = np.linalg.lstsq(xc, mu - mu.mean(), rcond=None)
-    return coef
-
-
-def dm_adjusted_minimum_variance(pop: Population, n_t: int) -> float:
-    """The smallest variance any fixed adjustment can reach for DM."""
-    return dm_adjusted_variance(pop, n_t, dm_adjusted_optimal_coef(pop, n_t))
 
 
 # --- the exact LOORA-DM variance -------------------------------------------

@@ -1,27 +1,40 @@
 """On-demand certification suites behind the `verify` CLI command.
 
 Each check pits an implementation against an independent route: closed-form
-variances against brute-force enumeration over every assignment, fast
-leave-one-out paths against literal refits, leverage caps against randomized
-matrices, and the large-sample variance against its analytic benchmark.
+variances against brute-force enumeration over every assignment, the
+leave-one-out estimates loora.estimate computes against literal refits,
+leverage caps against randomized matrices, and the large-sample variance
+against its analytic benchmark.
+
+This module also holds the literal routes themselves, as private helpers
+that nothing else in the package calls: the per-unit np.delete refits of
+LOORA-HT and LOORA-DM and the pairwise leave-two-out form of LOORA-DM, each
+a plain Python loop summed by math.fsum.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .design import CompleteDesign, SimpleDesign, draw_with
 from .estimators import (
+    DEFAULT_LAMBDA_RULE,
+    ArmCounts,
     LambdaRule,
     Method,
-    estimate_loora_dm,
-    estimate_loora_dm_pairwise,
-    estimate_loora_ht,
+    ObservedSample,
+    _loora_dm_responses,
+    ht_outcome_scales,
+    realized_arm_probability,
+    require_simple,
+    reweighted_outcomes_ht,
 )
 from .exceptions import InvalidInput
-from .linalg import leverage_regularizer, ridge_leverages_svd
+from .inference import estimate
+from .linalg import check_loo_feasible, leverage_regularizer, ridge_fit, ridge_leverages_svd
 from .oracle import (
     Population,
     enumeration_moments,
@@ -54,6 +67,97 @@ class CheckResult:
 
 def _rel_gap(a: float, b: float) -> float:
     return abs(a - b) / max(1.0, abs(a), abs(b))
+
+
+def _loora_ht_refit(s: ObservedSample, rule: LambdaRule = DEFAULT_LAMBDA_RULE) -> float:
+    """LOORA-HT by n literal regressions.
+
+    Per unit, outcomes are adjusted by x_i' beta^{(-i)} where beta^{(-i)} is
+    the ridge fit of the reweighted outcomes on the inverse-weighted
+    covariates with row i removed.
+    """
+    p = require_simple(s.spec, "LOORA_HT").p
+    xw = s.x / np.sqrt(p * (1.0 - p))[:, None]
+    lam = rule.resolve(xw)
+    d, z, y, n = s.assignment.d, s.assignment.z, s.y, s.x.shape[0]
+    yw = reweighted_outcomes_ht(y, d, ht_outcome_scales(p))
+    q = realized_arm_probability(p, d)
+    terms = []
+    for i in range(n):
+        fit = ridge_fit(np.delete(xw, i, axis=0), np.delete(yw, i), lam)
+        terms.append(z[i] / q[i] * (y[i] - s.x[i] @ fit.beta))
+    return math.fsum(terms) / n
+
+
+def _sample_counts(s: ObservedSample, allow_design_mismatch: bool):
+    """LOORA-DM's arm counts of one sample, as one-row arrays; raises where they fail."""
+    arms = ArmCounts.of("LOORA_DM", s.spec, allow_design_mismatch)
+    n_t, n_c, failed = arms.counts(s.assignment.d[None])
+    if failed:
+        raise failed[0]
+    return n_t, n_c
+
+
+def _loora_dm_refit(
+    s: ObservedSample, rule: LambdaRule = DEFAULT_LAMBDA_RULE, allow_design_mismatch: bool = False
+) -> float:
+    """LOORA-DM by n literal regressions.
+
+    The response regressed without unit i is rescaled according to unit
+    i's arm, so the leave-one-out fit has the right expectation under
+    complete random assignment.
+    """
+    n_t, n_c = _sample_counts(s, allow_design_mismatch)
+    d, z, y, x = s.assignment.d, s.assignment.z, s.y, s.x
+    (for_treated, for_control), v = _loora_dm_responses(n_t, n_c, d[None], y[None])
+    for_treated, for_control, v = for_treated[0], for_control[0], v[0]
+    lam = rule.resolve(x)
+    terms = []
+    for i in range(x.shape[0]):
+        resp = for_treated if d[i] == 1.0 else for_control
+        fit = ridge_fit(np.delete(x, i, axis=0), np.delete(resp, i), lam)
+        terms.append(v[i] * z[i] * (y[i] - x[i] @ fit.beta))
+    return math.fsum(terms)
+
+
+def _loora_dm_pairwise(
+    s: ObservedSample, rule: LambdaRule = DEFAULT_LAMBDA_RULE, allow_design_mismatch: bool = False
+) -> float:
+    """LOORA-DM through its pairwise leave-two-out representation.
+
+    tau_hat = (n_t n_c)^{-1} sum_{i<j} (d_i - d_j)(y_i - y_j - phi_ij), where
+    phi_ij adjusts the pair using ridge fits that exclude both i and j's
+    outcomes. Structurally verifies that each pair's adjustment depends only
+    on the other units' assignments; the value matches LOORA-DM whenever
+    both arms hold at least two units. With a singleton arm the rewriting
+    degenerates (its rescaled outcome carries a zero-times-undefined weight)
+    and the two forms may differ.
+    """
+    n_t, n_c = (int(c[0]) for c in _sample_counts(s, allow_design_mismatch))
+    d, y, x, n = s.assignment.d, s.y, s.x, s.x.shape[0]
+    lam = rule.resolve(x)
+    # Unified rescaled outcomes; undefined own-group entries (n_t or n_c = 1)
+    # are zeroed and only ever excluded, never read, in cross-arm pairs.
+    a_t = n_c * (n - 1) / ((n_t - 1) * n) if n_t > 1 else 0.0
+    a_c = n_t * (n - 1) / ((n_c - 1) * n) if n_c > 1 else 0.0
+    yu = np.where(d == 1.0, a_t, a_c) * y
+    fit = ridge_fit(x, yu, lam)
+    h = fit.hat_diag
+    check_loo_feasible(h)
+    # Row i of drop_one: x_i' (X_{-i}'X_{-i} + lam I)^{-1}, by Sherman-Morrison;
+    # row i of z' is x_i' (X'X + lam I)^{-1}.
+    base = fit.z.T
+    drop_one = base + base * (h / (1.0 - h))[:, None]
+    xty = x.T @ yu
+    treated_idx = np.nonzero(d == 1.0)[0]
+    control_idx = np.nonzero(d == 0.0)[0]
+    terms = []
+    for i in treated_idx:
+        for j in control_idx:
+            s_ij = xty - x[i] * yu[i] - x[j] * yu[j]
+            phi = (drop_one[i] - drop_one[j]) @ s_ij
+            terms.append(y[i] - y[j] - phi)
+    return math.fsum(terms) / (n_t * n_c)
 
 
 def _random_population(rng, n, k) -> Population:
@@ -121,7 +225,7 @@ def check_variance_dm_exact(seed: int = 2, trials: int = 15, corrupt_q: bool = F
 
 
 def check_loo_identities(seed: int = 3, trials: int = 10) -> CheckResult:
-    """Hat-identity estimator paths equal literal per-unit refits."""
+    """loora.estimate's LOORA-HT and LOORA-DM equal literal per-unit refits."""
     rng = np.random.default_rng(seed)
     tol = 1e-9
     worst = 0.0
@@ -135,14 +239,12 @@ def check_loo_identities(seed: int = 3, trials: int = 10) -> CheckResult:
         rng_draw = np.random.default_rng(seed + 1000 + trial)
         a = draw_with(spec_s, rng_draw)
         s = observed_sample(pop, a, spec_s)
-        worst = max(worst, _rel_gap(estimate_loora_ht(s, rule), estimate_loora_ht(s, rule, refit=True)))
+        worst = max(worst, _rel_gap(estimate(Method.LOORA_HT, s, rule), _loora_ht_refit(s, rule)))
         n_t = n // 2
         spec_c = CompleteDesign(n, n_t)
         a = draw_with(spec_c, rng_draw)
         s = observed_sample(pop, a, spec_c)
-        worst = max(
-            worst, _rel_gap(estimate_loora_dm(s, rule), estimate_loora_dm(s, rule, refit=True))
-        )
+        worst = max(worst, _rel_gap(estimate(Method.LOORA_DM, s, rule), _loora_dm_refit(s, rule)))
     return CheckResult("loo-identities", worst <= tol, worst, tol, f"{2 * trials} fixtures")
 
 
@@ -163,7 +265,7 @@ def check_leverage_bound(seed: int = 4, trials: int = 200) -> CheckResult:
 
 
 def check_pairwise_equivalence(seed: int = 5, trials: int = 10) -> CheckResult:
-    """The pairwise leave-two-out form reproduces the LOORA-DM value."""
+    """The pairwise leave-two-out form reproduces loora.estimate's LOORA-DM value."""
     rng = np.random.default_rng(seed)
     tol = 1e-9
     worst = 0.0
@@ -178,10 +280,7 @@ def check_pairwise_equivalence(seed: int = 5, trials: int = 10) -> CheckResult:
         spec = CompleteDesign(n, n_t)
         a = draw_with(spec, np.random.default_rng(seed + trial))
         s = observed_sample(pop, a, spec)
-        worst = max(
-            worst,
-            _rel_gap(estimate_loora_dm(s, rule), estimate_loora_dm_pairwise(s, rule)),
-        )
+        worst = max(worst, _rel_gap(estimate(Method.LOORA_DM, s, rule), _loora_dm_pairwise(s, rule)))
     return CheckResult("pairwise-equivalence", worst <= tol, worst, tol, f"{trials} fixtures")
 
 

@@ -1,7 +1,9 @@
 """Independent cross-check routes that only the tests use.
 
 Each function here computes a quantity the package also computes, by a
-different and more literal route: dense n x n hat-matrix algebra, the
+different and more literal route, or a ground-truth quantity only the tests
+need: the full n x n hat matrix and dense algebra on it, the best fixed
+adjustment of HT and DM and the exact variances it reaches, the
 materialized LOORA-DM quadratic-form blocks (n <= 512) whose low-rank
 contraction ``loora.oracle`` uses for T3, the classical three-term variance,
 an explicit sandwich product, the regression benchmarks as one fit of their
@@ -39,7 +41,9 @@ from loora.exceptions import (
 )
 from loora.inference import _ht_hw_residuals, estimate_with_ci
 from loora.linalg import (
+    RidgeFit,
     as_design_matrix,
+    as_vector,
     check_loo_feasible,
     cholesky_solve,
     full_rank_cholesky,
@@ -63,6 +67,45 @@ from loora.simulation import (
     study_seed_sequence,
 )
 
+def hat_full(fit: RidgeFit) -> np.ndarray:
+    """The full hat matrix X (X'X + Lambda)^{-1} X' of a ridge fit (O(n^2) memory)."""
+    return fit.x @ fit.z
+
+
+def adjusted_ht_optimal_coef(pop: Population, p) -> np.ndarray:
+    """The fixed adjustment vector minimizing the adjusted HT variance."""
+    sig = ht_signal(pop, p)
+    coef, _, _, _ = np.linalg.lstsq(sig.xw, sig.mu, rcond=None)
+    return coef
+
+
+def dm_adjusted_variance(pop: Population, n_t: int, b) -> float:
+    """Exact variance of covariate-adjusted DM, coefficient on the signal scale.
+
+    The coefficient adjusts the aggregated DM signal (which sums n outcome
+    contributions), so it equals n times the per-outcome adjustment: passing
+    b here matches DM run on outcomes y - x'(b / n).
+    """
+    n_t, n_c = _check_n_t(pop, n_t)
+    b = as_vector(b, pop.k, "coefficient vector")
+    resid = dm_signal(pop, n_t).mu - pop.x @ b
+    centered = resid - math.fsum(resid) / pop.n
+    return math.fsum(centered**2) / (n_t * n_c * pop.n * (pop.n - 1))
+
+
+def dm_adjusted_optimal_coef(pop: Population, n_t: int) -> np.ndarray:
+    """The fixed adjustment minimizing the adjusted DM variance."""
+    mu = dm_signal(pop, n_t).mu
+    xc = pop.x - pop.x.mean(axis=0)
+    coef, _, _, _ = np.linalg.lstsq(xc, mu - mu.mean(), rcond=None)
+    return coef
+
+
+def dm_adjusted_minimum_variance(pop: Population, n_t: int) -> float:
+    """The smallest variance any fixed adjustment can reach for DM."""
+    return dm_adjusted_variance(pop, n_t, dm_adjusted_optimal_coef(pop, n_t))
+
+
 # Largest n for which loora_dm_quadratic_blocks materializes the 2n x 2n
 # quadratic-form matrix. The variances never build an n x n array: they
 # contract the rank-k factors of the hat matrix at every n.
@@ -79,7 +122,7 @@ def loora_ht_second_term_dense(pop: Population, p, lam: float) -> float:
     gap = 1.0 - fit.hat_diag
     a = sig.t / sig.r
     cross = np.outer(1.0 / gap, a)
-    both = fit.hat_full**2 * (cross + cross.T) ** 2
+    both = hat_full(fit) ** 2 * (cross + cross.T) ** 2
     iu = np.triu_indices(n, k=1)
     return math.fsum(both[iu]) / n**2
 
@@ -149,7 +192,7 @@ def loora_dm_quadratic_blocks(
         )
     fit = ridge_fit(pop.x, dm_signal(pop, n_t).mu, lam)
     check_loo_feasible(fit.hat_diag)
-    hat = fit.hat_full
+    hat = hat_full(fit)
     tables = _pattern_tables(pop.n, n_t)
     geometry = _quadratic_geometry(hat, fit.hat_diag)
     rows = np.arange(pop.n)

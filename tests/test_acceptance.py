@@ -22,6 +22,7 @@ from loora.verify import (
     check_variance_dm_exact,
     check_variance_ht_exact,
 )
+from reference_routes import hat_full
 
 
 def report(criterion: str, passed: bool, detail: str):
@@ -146,7 +147,7 @@ def test_criterion_8_residual_monotonicity_and_frobenius_bound():
             if previous is not None:
                 worst_mono = max(worst_mono, previous - err)
             previous = err
-            off = fit.hat_full[np.triu_indices(n, k=1)]
+            off = hat_full(fit)[np.triu_indices(n, k=1)]
             worst_frob = max(worst_frob, float(np.sum(off**2)) - k / 2.0)
     report(
         "criterion 8 (ridge residual monotonicity and off-diagonal leverage bound)",

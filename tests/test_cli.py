@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import loora.cli
-from loora.cli import main, parse_lambda
+from loora.cli import build_parser, main, parse_lambda
 from loora.exceptions import SchemaError
 from loora.reporting import read_records
 from loora.verify import check_variance_dm_exact
@@ -27,7 +27,8 @@ def test_parse_lambda():
             parse_lambda(bad)
 
 
-_SIM = ("simulate", "--synth", "linear-heterogeneous", "--n", "12", "--k", "2", "--reps", "3")
+_SYNTH = ("simulate", "--synth", "linear-heterogeneous", "--k", "2")
+_SIM = _SYNTH + ("--n", "12", "--reps", "3")
 _OBSERVED = ("estimate", "--data", str(DATA / "observed30.csv"), "--y-col", "y", "--d-col", "d")
 _EST = _OBSERVED + ("--covariates", "age,score")
 _HALF = ("--design", "simple", "--p", "0.5")
@@ -52,6 +53,15 @@ _HALF = ("--design", "simple", "--p", "0.5")
         (_EST + _HALF + ("--delimiter", ";;"), None, None, "delimiter"),
         (_EST + _HALF, "delimiter: 5", None, "delimiter"),
         (("verify", "--seed", "-1"), None, None, "seed"),
+        # YAML floats and bools are not silently truncated to an int or read as a number
+        (_SYNTH, "reps: 2.7", None, "reps"),
+        (_SYNTH, "n: 30.9\nreps: 3", None, "n"),
+        (_SYNTH, "reps: true", None, "reps"),
+        (_SYNTH, "reps: .inf", None, "reps"),
+        (_SYNTH, "n: 12\nreps: 3\nseed: true", None, "seed"),
+        (_SYNTH, "n: 12\nreps: 3\nlevel: true", None, "level"),
+        (_EST + ("--design", "complete"), "nt: 15.5", None, "nt"),
+        (_EST + ("--design", "simple"), "p: true", None, "p"),
     ],
     ids=[
         "reps-flag",
@@ -70,6 +80,14 @@ _HALF = ("--design", "simple", "--p", "0.5")
         "delimiter-flag",
         "delimiter-config",
         "verify-seed-flag",
+        "reps-float-config",
+        "n-float-config",
+        "reps-bool-config",
+        "reps-inf-config",
+        "seed-bool-config",
+        "level-bool-config",
+        "estimate-nt-float-config",
+        "p-bool-config",
     ],
 )
 def test_malformed_option_value_is_a_schema_error_naming_the_key(
@@ -707,6 +725,26 @@ def test_verify_corrupted_quadratic_form_fails_by_name(capsys):
         "FAIL variance-dm-exact: worst discrepancy 6.870e-01 "
         "(tolerance 1.000e-09; 30 fixtures)\n"
     )
+
+
+def test_parser_is_built_once_and_no_flag_leaks_into_the_next_call(capsys):
+    assert build_parser() is build_parser()
+    outputs = []
+    for argv, want in (
+        (("verify", "--check", "leverage-bound"), 0),
+        (("verify", "--check", "pairwise-equivalence"), 0),
+        (("verify", "--check", "variance-dm-exact", "--corrupt-q"), 1),
+        (("verify", "--check", "variance-dm-exact"), 0),
+    ):
+        code, stdout, _ = run(capsys, *argv)
+        assert code == want
+        outputs.append([line.split(":")[0] for line in stdout.splitlines()])
+    assert outputs == [
+        ["PASS leverage-bound"],
+        ["PASS pairwise-equivalence"],
+        ["FAIL variance-dm-exact"],
+        ["PASS variance-dm-exact"],
+    ]
 
 
 def test_dm_variance_check_catches_a_corrupted_quadratic_form_at_n4():

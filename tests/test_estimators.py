@@ -14,9 +14,6 @@ from loora.estimators import (
     Method,
     ObservedSample,
     _fsum_rows_extracted,
-    estimate_loora_dm,
-    estimate_loora_dm_pairwise,
-    estimate_loora_ht,
     fsum_rows,
     ht_outcome_scales,
     reweighted_outcomes_ht,
@@ -25,6 +22,7 @@ from loora.exceptions import RankDeficient, SpecMismatch
 from loora.inference import estimate, plan_estimate
 from loora.linalg import max_row_norm
 from loora.oracle import Population, enumeration_moments, observe, observed_sample
+from loora.verify import _loora_dm_pairwise, _loora_dm_refit, _loora_ht_refit
 from reference_routes import fsum_rows_loop, int_parts_loop
 
 AUTO2 = LambdaRule.auto(2.0)
@@ -88,7 +86,7 @@ def test_loora_ht_zero_covariates_equals_ht(rng):
     d = np.array([1, 0, 1, 1, 0, 0])
     p = rng.uniform(0.3, 0.7, n)
     s = simple_sample(np.zeros((n, 1)), y, d, p)
-    assert estimate_loora_ht(s, LambdaRule.fixed(1.0)) == pytest.approx(
+    assert estimate(Method.LOORA_HT, s, LambdaRule.fixed(1.0)) == pytest.approx(
         estimate(Method.HT, s), abs=1e-13
     )
 
@@ -103,7 +101,7 @@ def test_loora_ht_infinite_shrinkage_limit(rng):
     r = np.sqrt(p * (1.0 - p))
     lam = 1e12 * max_row_norm(pop.x / r[:, None]) ** 2
     ht = estimate(Method.HT, s)
-    loora = estimate_loora_ht(s, LambdaRule.fixed(lam))
+    loora = estimate(Method.LOORA_HT, s, LambdaRule.fixed(lam))
     assert abs(loora - ht) <= 1e-6 * (1.0 + abs(ht))
 
 
@@ -130,8 +128,8 @@ def test_loora_ht_fast_equals_refit(rng):
     spec = SimpleDesign(rng.uniform(0.3, 0.7, 15))
     s = observed_sample(pop, draw_with(spec, rng), spec)
     for rule in (AUTO2, LambdaRule.fixed(0.5)):
-        fast = estimate_loora_ht(s, rule)
-        slow = estimate_loora_ht(s, rule, refit=True)
+        fast = estimate(Method.LOORA_HT, s, rule)
+        slow = _loora_ht_refit(s, rule)
         assert rel_gap(fast, slow) < 1e-9
 
 
@@ -139,7 +137,7 @@ def test_loora_dm_zero_covariates_equals_dm(rng):
     y = rng.standard_normal(6)
     d = np.array([1, 1, 1, 0, 0, 0])
     s = complete_sample(np.zeros((6, 1)), y, d)
-    assert estimate_loora_dm(s, LambdaRule.fixed(1.0)) == pytest.approx(
+    assert estimate(Method.LOORA_DM, s, LambdaRule.fixed(1.0)) == pytest.approx(
         estimate(Method.DM, s), abs=1e-13
     )
 
@@ -163,8 +161,8 @@ def test_loora_dm_fast_equals_refit_including_singleton_arms(rng):
         spec = CompleteDesign(12, n_t)
         s = observed_sample(pop, draw_with(spec, rng), spec)
         for rule in (AUTO2, LambdaRule.fixed(0.8)):
-            fast = estimate_loora_dm(s, rule)
-            slow = estimate_loora_dm(s, rule, refit=True)
+            fast = estimate(Method.LOORA_DM, s, rule)
+            slow = _loora_dm_refit(s, rule)
             assert rel_gap(fast, slow) < 1e-9
 
 
@@ -189,8 +187,8 @@ def test_loora_dm_requires_complete_unless_opted_in(rng):
         a = draw_with(spec, rng)
     s = observed_sample(pop, a, spec)
     with pytest.raises(SpecMismatch):
-        estimate_loora_dm(s, AUTO2)
-    value = estimate_loora_dm(s, AUTO2, allow_design_mismatch=True)
+        estimate(Method.LOORA_DM, s, AUTO2)
+    value = estimate(Method.LOORA_DM, s, AUTO2, allow_design_mismatch=True)
     assert np.isfinite(value)
 
 
@@ -265,7 +263,7 @@ def test_pairwise_zero_covariates_equals_dm(rng):
     y = rng.standard_normal(6)
     d = np.array([1, 1, 0, 0, 0, 1])
     s = complete_sample(np.zeros((6, 1)), y, d)
-    assert estimate_loora_dm_pairwise(s, LambdaRule.fixed(1.0)) == pytest.approx(
+    assert _loora_dm_pairwise(s, LambdaRule.fixed(1.0)) == pytest.approx(
         estimate(Method.DM, s), abs=1e-12
     )
 
@@ -274,7 +272,7 @@ def test_pairwise_equals_loora_dm_small_fixture(rng):
     pop = random_population(rng, 6, 2)
     spec = CompleteDesign(6, 3)
     s = observed_sample(pop, draw_with(spec, rng), spec)
-    assert rel_gap(estimate_loora_dm(s, AUTO2), estimate_loora_dm_pairwise(s, AUTO2)) < 1e-9
+    assert rel_gap(estimate(Method.LOORA_DM, s, AUTO2), _loora_dm_pairwise(s, AUTO2)) < 1e-9
 
 
 def test_pairwise_equals_loora_dm_many_assignments(rng):
@@ -282,8 +280,8 @@ def test_pairwise_equals_loora_dm_many_assignments(rng):
     spec = CompleteDesign(8, 4)
     for _ in range(50):
         s = observed_sample(pop, draw_with(spec, rng), spec)
-        alg = estimate_loora_dm(s, AUTO2)
-        pw = estimate_loora_dm_pairwise(s, AUTO2)
+        alg = estimate(Method.LOORA_DM, s, AUTO2)
+        pw = _loora_dm_pairwise(s, AUTO2)
         assert rel_gap(alg, pw) < 1e-9
 
 
@@ -307,12 +305,12 @@ def test_estimate_dispatcher_covers_every_method(rng):
     ridge = np.linalg.solve(adj_design.T @ adj_design + penalty, adj_design.T @ y)
     expected = {
         Method.HT: (s_simple, ht),
-        Method.LOORA_HT: (s_simple, estimate_loora_ht(s_simple, AUTO2, refit=True)),
+        Method.LOORA_HT: (s_simple, _loora_ht_refit(s_simple, AUTO2)),
         Method.DM: (s_complete, y[arm].mean() - y[~arm].mean()),
         Method.ADJ: (s_complete, np.linalg.lstsq(adj_design, y, rcond=None)[0][1]),
         Method.INT: (s_complete, np.linalg.lstsq(int_design, y, rcond=None)[0][1]),
         Method.RIDGE_REG: (s_complete, ridge[1]),
-        Method.LOORA_DM: (s_complete, estimate_loora_dm(s_complete, AUTO2, refit=True)),
+        Method.LOORA_DM: (s_complete, _loora_dm_refit(s_complete, AUTO2)),
     }
     assert set(expected) == set(Method)
     for method, (sample, value) in expected.items():
@@ -332,8 +330,8 @@ def test_scale_equivariance(rng):
     s_scaled = observed_sample(scaled, a, spec)
     lam = 0.9
     for rule in (LambdaRule.fixed(lam), AUTO2):
-        base = estimate_loora_ht(s, rule)
-        grown = estimate_loora_ht(s_scaled, rule)
+        base = estimate(Method.LOORA_HT, s, rule)
+        grown = estimate(Method.LOORA_HT, s_scaled, rule)
         assert grown == pytest.approx(scale * base, rel=1e-12)
     assert estimate(Method.HT, s_scaled) == pytest.approx(scale * estimate(Method.HT, s), rel=1e-12)
 
@@ -342,8 +340,8 @@ def test_scale_equivariance(rng):
     s = observed_sample(pop, a, spec_c)
     s_scaled = observed_sample(scaled, a, spec_c)
     for rule in (LambdaRule.fixed(lam), AUTO2):
-        base = estimate_loora_dm(s, rule)
-        grown = estimate_loora_dm(s_scaled, rule)
+        base = estimate(Method.LOORA_DM, s, rule)
+        grown = estimate(Method.LOORA_DM, s_scaled, rule)
         assert grown == pytest.approx(scale * base, rel=1e-12)
     assert estimate(Method.RIDGE_REG, s_scaled, AUTO2) == pytest.approx(
         scale * estimate(Method.RIDGE_REG, s, AUTO2), rel=1e-12

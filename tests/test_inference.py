@@ -20,10 +20,8 @@ from loora.estimators import (
     Method,
     ObservedSample,
     LooraDmPlan,
-    estimate_loora_dm,
-    estimate_loora_ht,
 )
-from loora.exceptions import InvalidInput, RankDeficient, SelfCheckFailed
+from loora.exceptions import InvalidInput, RankDeficient, SelfCheckFailed, SpecMismatch
 from loora.inference import (
     _two_column_sandwich,
     confidence_interval,
@@ -160,8 +158,9 @@ def test_hw_dm_auxiliary_regression_reproduces_estimate(rng):
         spec = CompleteDesign(n, n_t)
         s = observed_sample(pop, draw_with(spec, rng), spec)
         parts = LooraDmPlan.build(s.x, s.spec, AUTO2).parts(s.assignment.d[None], s.y[None])
-        _, (slope,), _ = _two_column_sandwich(parts.u, parts.d)
-        assert abs(slope - estimate_loora_dm(s, AUTO2)) <= 1e-10 * max(1.0, abs(slope))
+        (slope,), _ = _two_column_sandwich(parts.u, parts.d)
+        tau = estimate(Method.LOORA_DM, s, AUTO2)
+        assert abs(slope - tau) <= 1e-10 * max(1.0, abs(slope))
 
 
 def test_hw_dm_shift_invariance_without_informative_covariates(rng):
@@ -218,7 +217,9 @@ def test_dm_family_reports_match_per_arm_sums(rng):
 
 @pytest.mark.parametrize("method", list(Method))
 def test_plan_rejects_assignments_that_do_not_fit_it(rng, method):
-    # The checks ObservedSample makes must hold for a plan evaluated directly.
+    # The plan is the one checker of a sample: an ObservedSample checks
+    # nothing on construction, so every bad input must fail on the plan
+    # evaluated directly and through estimate_with_ci alike.
     n = 10
     pop = random_population(rng, n, 2)
     simple = method in (Method.HT, Method.LOORA_HT)
@@ -227,6 +228,7 @@ def test_plan_rejects_assignments_that_do_not_fit_it(rng, method):
     fits = Assignment.from_d([1.0] * 5 + [0.0] * 5)
     y = pop.y1 * fits.d + pop.y0 * (1.0 - fits.d)
     plan.evaluate(fits, y)
+    estimate_with_ci(method, ObservedSample(pop.x, y, fits, spec))
     with pytest.raises(InvalidInput, match="assignment length"):
         plan.evaluate(Assignment.from_d([1.0] * 5 + [0.0] * 6), np.append(y, 0.0))
     with pytest.raises(InvalidInput, match="outcome has length"):
@@ -238,6 +240,34 @@ def test_plan_rejects_assignments_that_do_not_fit_it(rng, method):
             plan.evaluate(Assignment.from_d([1.0] * 6 + [0.0] * 4), y)
     with pytest.raises(InvalidInput, match="design size"):
         plan_estimate(method, pop.x[:-1], spec)
+    x_inf = pop.x.copy()
+    x_inf[3, 1] = np.inf
+    short = Assignment.from_d(fits.d[:-1])
+    six = Assignment.from_d([1.0] * 6 + [0.0] * 4)
+    bad_samples = [
+        ((x_inf, y, fits, spec), "design matrix contains non-finite"),
+        ((pop.x, y[:-1], fits, spec), "outcome has length"),
+        ((pop.x, np.where(fits.d == 1.0, np.nan, y), fits, spec), "outcome contains non-finite"),
+        ((pop.x, y, Assignment.from_d(np.append(fits.d, 0.0)), spec), "assignment length"),
+        ((pop.x[:-1], y[:-1], short, spec), "design size"),
+    ]
+    for fields, message in bad_samples:
+        with pytest.raises(InvalidInput, match=message):
+            estimate_with_ci(method, ObservedSample(*fields))
+    # HT and LOORA_HT refuse a complete design before its treated count
+    with pytest.raises(SpecMismatch if simple else InvalidInput):
+        estimate_with_ci(method, ObservedSample(pop.x, y, six, CompleteDesign(n, 5)))
+
+
+def test_public_names_resolve_and_the_per_sample_forks_are_gone():
+    import loora
+
+    for name in loora.__all__:
+        assert hasattr(loora, name), name
+    removed = ("estimate_loora_ht", "estimate_loora_dm", "estimate_loora_dm_pairwise")
+    for name in removed:
+        assert name not in loora.__all__
+        assert not hasattr(loora, name) and not hasattr(loora.estimators, name)
 
 
 @pytest.mark.parametrize("method", list(Method))
@@ -261,7 +291,8 @@ def test_point_estimate_does_not_run_the_variance_self_check(rng, monkeypatch):
     pop = random_population(rng, 10, 2)
     spec = CompleteDesign(10, 5)
     s = observed_sample(pop, draw_with(spec, rng), spec)
-    assert estimate(Method.LOORA_DM, s, AUTO2) == estimate_loora_dm(s, AUTO2)
+    parts = LooraDmPlan.build(s.x, s.spec, AUTO2).parts(s.assignment.d[None], s.y[None])
+    assert estimate(Method.LOORA_DM, s, AUTO2) == parts.tau_hat[0]
     with pytest.raises(SelfCheckFailed):
         estimate_with_ci(Method.LOORA_DM, s, AUTO2)
 
@@ -299,7 +330,7 @@ def test_estimate_with_ci_lambda_metadata(rng):
     report = estimate_with_ci(Method.LOORA_HT, s, LambdaRule.fixed(0.75))
     assert report.lambda_used == 0.75
     assert report.method is Method.LOORA_HT
-    assert report.tau_hat == pytest.approx(estimate_loora_ht(s, LambdaRule.fixed(0.75)))
+    assert report.tau_hat == pytest.approx(estimate(Method.LOORA_HT, s, LambdaRule.fixed(0.75)))
 
 
 # --- independent certificates for the benchmark and DM-family cores ----------
@@ -354,7 +385,7 @@ def test_cores_match_full_design_and_inverse_sandwich_routes(
         if method == "LOORA_DM":
             u = LooraDmPlan.build(pop.x, spec, rule).parts(a.d[None], y[None]).u[0]
         _, tau, var = two_column_sandwich_inverse(u, a.d)
-        _, (slope,), (closed,) = _two_column_sandwich(u[None], a.d[None])
+        (slope,), (closed,) = _two_column_sandwich(u[None], a.d[None])
         assert closed == report.var_hat
         assert abs(slope - tau) <= 1e-12 * max(1.0, abs(tau))
     else:

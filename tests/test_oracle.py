@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import loora.oracle as oracle_mod
-from conftest import random_population, rel_gap
+from conftest import loo_fitted, random_population, rel_gap
 from loora.design import CompleteDesign, SimpleDesign, enumerate_assignments
 from loora.estimators import LambdaRule, Method, ObservedSample
 from loora.exceptions import ParameterOutOfRange
@@ -17,11 +17,7 @@ from loora.inference import estimate
 from loora.linalg import leverage_regularizer, max_row_norm, ridge_fit
 from loora.oracle import (
     Population,
-    adjusted_ht_optimal_coef,
     adjusted_ht_variance,
-    dm_adjusted_minimum_variance,
-    dm_adjusted_optimal_coef,
-    dm_adjusted_variance,
     dm_signal,
     dm_variance,
     enumeration_moments,
@@ -36,6 +32,10 @@ from loora.oracle import (
 )
 from loora.simulation import synth_population
 from reference_routes import (
+    adjusted_ht_optimal_coef,
+    dm_adjusted_minimum_variance,
+    dm_adjusted_optimal_coef,
+    dm_adjusted_variance,
     dm_variance_neyman,
     lin_asymptotic_variance_projection,
     loora_dm_quadratic_blocks,
@@ -138,7 +138,7 @@ def test_loora_ht_first_term_equals_loo_fits_of_signal(rng):
     sig = ht_signal(pop, p)
     lam = leverage_regularizer(sig.xw, 2.0)
     term1, _ = loora_ht_variance_terms(pop, p, lam)
-    fitted = ridge_fit(sig.xw, sig.mu, lam).loo_fitted()
+    fitted = loo_fitted(ridge_fit(sig.xw, sig.mu, lam))
     direct = math.fsum((fitted[i] - sig.mu[i]) ** 2 for i in range(7)) / 7**2
     assert term1 == pytest.approx(direct, rel=1e-11)
 

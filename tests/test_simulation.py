@@ -212,14 +212,14 @@ def test_run_study_counts_a_failed_self_check_as_that_methods_failure(monkeypatc
     calls = []
 
     def wrong_slope_once(*args):
-        intercept, slope, var = real(*args)
+        slope, var = real(*args)
         calls.append(slope)
         # All five replicates fit one block, which DM evaluates first and
         # LOORA_DM second; DM ignores the slope, so row 1 of call 2 is
         # LOORA_DM's self-check on replicate 1.
         if len(calls) == 2:
             slope = slope + np.array([0.0, 1.0, 0.0, 0.0, 0.0])
-        return intercept, slope, var
+        return slope, var
 
     monkeypatch.setattr(loora.inference, "_two_column_sandwich", wrong_slope_once)
     pop = synth_population("linear-heterogeneous", 20, 2, 3)
