@@ -128,11 +128,12 @@ def _flag(args, config, key):
     return value
 
 
-def _default_threads(value):
+def _check_threads(value) -> None:
+    """Validate the thread count, which studies accept for compatibility and do not use."""
     if value is not None:
-        return _as(int, "threads", value)
-    env = os.environ.get("LOORA_THREADS")
-    return _as(int, "LOORA_THREADS", env) if env else 1
+        _as(int, "threads", value)
+    elif os.environ.get("LOORA_THREADS"):
+        _as(int, "LOORA_THREADS", os.environ["LOORA_THREADS"])
 
 
 def _names(args, config, key, default=""):
@@ -327,8 +328,8 @@ def cmd_simulate(args) -> int:
         n_t=_typed_setting(args, config, "nt", int),
         lambda_rule=parse_lambda(_setting(args, config, "lambda", "auto:2")),
         allow_design_mismatch=bool(args.allow_design_mismatch),
-        threads=_default_threads(_setting(args, config, "threads")),
     )
+    _check_threads(_setting(args, config, "threads"))
     if cfg.allow_design_mismatch and cfg.design.startswith("simple"):
         print(
             "warning: fixed-count methods run under simple assignment; "

@@ -1,4 +1,4 @@
-"""Point estimators of the average treatment effect.
+"""Point estimators of the average treatment effect and their HC0 variances.
 
 Covers the unadjusted Horvitz-Thompson and difference-in-means estimators,
 the classical regression-adjusted benchmarks (with and without interactions,
@@ -7,22 +7,26 @@ estimators LOORA-HT (simple random assignment) and LOORA-DM (complete random
 assignment). Each LOORA estimator is computed from a single ridge
 factorization through the leave-one-out identity.
 
-The ridge-based methods are split into a plan, built once from the
-covariates, the design and the penalty rule, and a per-assignment part that
-takes a block of assignments (the 0/1 rows of a (B, n) array) and the
-outcomes each reveals; a Monte Carlo study builds each plan once and
-evaluates it on every block of replicates, and a single sample is a block of
-one row. Each row carries the bits it would have alone: elementwise work
-runs on the whole block, every matrix-vector product and dot product is one
-BLAS call per row (linalg.matvec_rows, linalg.dot_rows) and every exact sum
-is correctly rounded, with math.fsum's bits, by fsum_rows: math.fsum per
-row on small blocks, else a few error-free extraction passes over the whole
+Each method is one plan (HtPlan, DmPlan, LooraHtPlan, LooraDmPlan or
+BenchmarkPlan), built once from the covariates, the design and the penalty
+rule. A plan holds its penalty lam and one method, block(d, y, variance): d
+(B, n) holds one 0/1 assignment per row and y (B, n) the outcomes each
+reveals; block returns the per-row point estimates (nan where an exact sum
+overflows), the per-row HC0 variances (None unless variance is true) and,
+keyed by row, the method failure each failing row would raise on its own.
+Both steps of a LOORA estimate, the ridge fit and the regression on the
+treatment indicator whose sandwich is the variance, share one set of
+intermediates. A Monte Carlo study builds each plan once and evaluates it
+on every block of replicates, and a single sample is a block of one row.
+Each row carries the bits it would have alone: elementwise work runs on the
+whole block, every matrix-vector product and dot product is one BLAS call
+per row (linalg.matvec_rows, linalg.dot_rows) and every exact sum is
+correctly rounded, with math.fsum's bits, by fsum_rows: math.fsum per row
+on small blocks, else a few error-free extraction passes over the whole
 block, with math.fsum kept for the rows holding non-finite, near-overflow or
 near-subnormal entries and for combining more than two exact pieces. The
 only per-row LAPACK calls are INT's arm factors and solves. The one switch
-over method identifiers is loora.inference.plan_estimate, which serves
-point estimates (loora.inference.estimate) and reports with intervals
-alike.
+over method identifiers is loora.inference.plan_estimate.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .design import Assignment, CompleteDesign, DesignSpec, SimpleDesign
-from .exceptions import InvalidInput, LooraError, RankDeficient, SpecMismatch
+from .exceptions import InvalidInput, LooraError, RankDeficient, SelfCheckFailed, SpecMismatch
 from .linalg import (
     RidgeFactor,
     as_design_matrix,
@@ -254,33 +258,61 @@ class ArmCounts:
         return n_t, n_c, {int(i): _empty_arm(self.method) for i in np.nonzero(empty)[0]}
 
 
-def horvitz_thompson(p: np.ndarray, d: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Inverse-probability-weighted arm difference of each row of outcomes y (B, n)
-    under the assignment row of d; nan where an exact sum overflows."""
-    n = y.shape[1]
-    treated = fsum_rows(d * y / p) / n
-    control = fsum_rows((1.0 - d) * y / (1.0 - p)) / n
-    return treated - control
+@dataclass(frozen=True)
+class HtPlan:
+    """Horvitz-Thompson: the inverse-probability-weighted arm difference."""
 
+    p: np.ndarray
+    lam = 0.0  # unpenalized
 
-def difference_in_means(d: np.ndarray, y: np.ndarray, n_t, n_c) -> np.ndarray:
-    """Treated-group mean minus control-group mean of each row of outcomes y (B, n),
-    with per-row arm counts; nan where an exact sum overflows."""
-    return fsum_rows(d * y) / n_t - fsum_rows((1.0 - d) * y) / n_c
+    def block(self, d: np.ndarray, y: np.ndarray, variance: bool):
+        """See the module docstring.
+
+        The HC0 variance regresses y_i / q_i on the signed indicator z; since
+        z is +/-1, the sandwich is n^{-2} times the sum of the squared
+        residuals y_i / q_i - z_i tau_hat.
+        """
+        n = y.shape[1]
+        treated = fsum_rows(d * y / self.p) / n
+        control = fsum_rows((1.0 - d) * y / (1.0 - self.p)) / n
+        tau = treated - control
+        if not variance:
+            return tau, None, {}
+        resid = y / realized_arm_probability(self.p, d) - (2.0 * d - 1.0) * tau[:, None]
+        return tau, fsum_rows(resid**2, math.inf) / n**2, {}
 
 
 @dataclass(frozen=True)
-class LooraHtParts:
-    """Intermediate quantities of a LOORA-HT evaluation of a block, reused by inference.
+class DmPlan:
+    """Difference in means: treated-group mean minus control-group mean."""
 
-    Every field but hat_diag has one row per assignment of the block.
+    arms: ArmCounts
+    lam = 0.0  # unpenalized
+
+    def block(self, d: np.ndarray, y: np.ndarray, variance: bool):
+        """See the module docstring; the HC0 variance is _two_column_sandwich's of y."""
+        n_t, n_c, failed = self.arms.counts(d)
+        tau = fsum_rows(d * y) / n_t - fsum_rows((1.0 - d) * y) / n_c
+        return tau, _two_column_sandwich(y, d)[1] if variance else None, failed
+
+
+def _two_column_sandwich(u: np.ndarray, d: np.ndarray):
+    """Slope of the OLS of each row of u on [1, d] and the HC0 variance of that slope.
+
+    u and d are (B, n) blocks; returns the per-row (slope, slope variance)
+    arrays. The regression is the two arm means: intercept u_c,
+    slope u_t - u_c, and with r the deviations from the arm means, row d of
+    the sandwich bread times [1, d]' is 1/n_t on treated and -1/n_c on
+    control units, so the variance is sum_t r^2 / n_t^2 + sum_c r^2 / n_c^2.
+    A row with an empty arm gives non-finite values; the methods calling
+    this have already failed such rows through ArmCounts.counts.
     """
-
-    tau_hat: np.ndarray
-    beta: np.ndarray  # full-sample ridge fits of the reweighted outcomes on X / r
-    hat_diag: np.ndarray
-    q: np.ndarray
-    z: np.ndarray
+    n_t = d.sum(axis=1)
+    n_c = u.shape[1] - n_t
+    c = 1.0 - d
+    mean_t, mean_c = dot_rows(d, u) / n_t, dot_rows(c, u) / n_c
+    r2 = (u - np.where(d == 1.0, mean_t[:, None], mean_c[:, None])) ** 2
+    return mean_t - mean_c, dot_rows(d, r2) / n_t**2 + dot_rows(c, r2) / n_c**2
 
 
 def realized_arm_probability(p: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -309,9 +341,9 @@ def reweighted_outcomes_ht(y, d, scales: tuple[np.ndarray, np.ndarray]) -> np.nd
 
 @dataclass(frozen=True)
 class LooraHtPlan:
-    """The study-fixed part of LOORA-HT: weights, penalty and ridge factor.
+    """LOORA-HT on its study-fixed weights, penalty and ridge factor.
 
-    Built once from (X, design, rule); parts() evaluates a block of assignments.
+    Built once from (X, design, rule); block() evaluates a block of assignments.
     """
 
     x: np.ndarray
@@ -332,17 +364,26 @@ class LooraHtPlan:
         check_loo_feasible(ridge.hat_diag)
         return cls(x=x, p=p, r=r, scales=ht_outcome_scales(p), lam=lam, ridge=ridge)
 
-    def parts(self, d: np.ndarray, y: np.ndarray) -> LooraHtParts:
-        """Run LOORA-HT on a block of assignments d (B, n) and their outcomes y (B, n)."""
-        p, ridge = self.p, self.ridge
+    def block(self, d: np.ndarray, y: np.ndarray, variance: bool):
+        """See the module docstring.
+
+        The second step regresses the residualized outcomes
+        (y_i - x_i' beta) / (q_i (1 - h_i)) on the signed indicator z; since
+        z is +/-1, its HC0 sandwich collapses to n^{-2} times the sum of the
+        squared residuals of that regression.
+        """
+        p, ridge, n = self.p, self.ridge, y.shape[1]
         z = 2.0 * d - 1.0
         yw = reweighted_outcomes_ht(y, d, self.scales)
         q = realized_arm_probability(p, d)
-        beta = ridge.solve_rows(yw)
+        beta = ridge.solve_rows(yw)  # full-sample fits of the reweighted outcomes on X / r
         # x_i' beta^{(-i)} with the raw row x_i = r_i * (x_i / r_i)
         adjustment = self.r * loo_fitted_rows(ridge.x, ridge.hat_diag, yw, beta)
-        tau_hat = fsum_rows(z / q * (y - adjustment)) / y.shape[1]
-        return LooraHtParts(tau_hat=tau_hat, beta=beta, hat_diag=ridge.hat_diag, q=q, z=z)
+        tau = fsum_rows(z / q * (y - adjustment)) / n
+        if not variance:
+            return tau, None, {}
+        resid = (y - matvec_rows(self.x, beta)) / (q * (1.0 - ridge.hat_diag)) - z * tau[:, None]
+        return tau, fsum_rows(resid**2, math.inf) / n**2, {}
 
 
 def _own_arm_weight(count: np.ndarray) -> np.ndarray:
@@ -374,16 +415,6 @@ def dm_response_weights(n_t, n_c, d: np.ndarray) -> tuple[np.ndarray, np.ndarray
     )
 
 
-@dataclass(frozen=True)
-class LooraDmParts:
-    """Intermediate quantities of a LOORA-DM evaluation of a block, reused by inference."""
-
-    tau_hat: np.ndarray
-    u: np.ndarray  # per-unit adjusted outcomes y_i - x_i' beta^{(-i)}, one row per assignment
-    d: np.ndarray
-    failed: dict[int, LooraError]  # rows whose arm counts fail, as ArmCounts.counts
-
-
 def _loora_dm_responses(n_t, n_c, d: np.ndarray, y: np.ndarray):
     """Per-assignment inputs of LOORA-DM and its literal refit, for a block: (responses, v).
 
@@ -397,9 +428,9 @@ def _loora_dm_responses(n_t, n_c, d: np.ndarray, y: np.ndarray):
 
 @dataclass(frozen=True)
 class LooraDmPlan:
-    """The study-fixed part of LOORA-DM: arm counts, penalty and ridge factor of X.
+    """LOORA-DM on its study-fixed arm counts, penalty and ridge factor of X.
 
-    Built once from (X, design, rule); parts() evaluates a block of assignments.
+    Built once from (X, design, rule); block() evaluates a block of assignments.
     Exact unbiasedness needs two units in each arm: a singleton arm's
     counterfactuals never appear among the other units, so the estimate
     carries adjustment bias there.
@@ -424,8 +455,13 @@ class LooraDmPlan:
         check_loo_feasible(ridge.hat_diag)
         return cls(arms=arms, lam=lam, ridge=ridge)
 
-    def parts(self, d: np.ndarray, y: np.ndarray) -> LooraDmParts:
-        """Run LOORA-DM on a block of assignments d (B, n) and their outcomes y (B, n)."""
+    def adjusted(self, d: np.ndarray, y: np.ndarray):
+        """(tau_hat, u, failed) for a block of assignments d (B, n) and outcomes y (B, n).
+
+        Row i of u holds the adjusted outcomes y_j - x_j' beta^{(-j)} of
+        assignment i; failed holds the rows whose arm counts fail, as
+        ArmCounts.counts returns them.
+        """
         n_t, n_c, failed = self.arms.counts(d)
         (for_treated, for_control), v = _loora_dm_responses(n_t, n_c, d, y)
         # Both responses of every row go to one solve. The removed unit's own
@@ -435,8 +471,29 @@ class LooraDmPlan:
         responses = np.concatenate([for_treated, for_control])
         loo = loo_fitted_rows(ridge.x, ridge.hat_diag, responses, ridge.solve_rows(responses))
         u = y - np.where(d == 1.0, loo[:rows], loo[rows:])
-        tau_hat = fsum_rows(v * (2.0 * d - 1.0) * u)
-        return LooraDmParts(tau_hat=tau_hat, u=u, d=d, failed=failed)
+        return fsum_rows(v * (2.0 * d - 1.0) * u), u, failed
+
+    def block(self, d: np.ndarray, y: np.ndarray, variance: bool):
+        """See the module docstring.
+
+        The second step regresses u on an intercept and the treatment
+        indicator; the estimate is that regression's slope, and its HC0
+        sandwich entry is the variance. A row fails with SelfCheckFailed if
+        the slope does not reproduce its point estimate.
+        """
+        tau, u, failed = self.adjusted(d, y)
+        if not variance:
+            return tau, None, failed
+        slope, var = _two_column_sandwich(u, d)
+        off = np.abs(slope - tau) > 1e-10 * np.maximum(1.0, np.abs(tau))
+        self_check = {
+            int(i): SelfCheckFailed(
+                "auxiliary regression failed to reproduce the point estimate; "
+                f"got {float(slope[i])!r} vs {float(tau[i])!r}"
+            )
+            for i in np.nonzero(off)[0]
+        }
+        return tau, var, {**self_check, **failed}
 
 
 def _power_of_two_scales(a: np.ndarray) -> np.ndarray:
@@ -451,7 +508,7 @@ def _power_of_two_scales(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BenchmarkPlan:
-    """The study-fixed part of ADJ, INT and RIDGE_REG; parts() evaluates a block of assignments.
+    """ADJ, INT and RIDGE_REG; block() evaluates a block of assignments, parts() its terms.
 
     ADJ regresses y on [1, d, X] and RIDGE_REG does so with the X columns
     penalized by lambda (the leverage rule applied to X); the estimate is
@@ -510,6 +567,11 @@ class BenchmarkPlan:
         penalty = np.concatenate([[0.0], lam * scales**2])
         ridge = ridge_factor(basis, penalty)
         return cls(method=method, arms=arms, basis=basis, ridge=ridge, lam=lam)
+
+    def block(self, d: np.ndarray, y: np.ndarray, variance: bool):
+        """See the module docstring; the HC0 variance is the sum of parts()'s squared terms."""
+        tau, terms, failed = self.parts(d, y)
+        return tau, fsum_rows(terms**2, math.inf) if variance else None, failed
 
     def parts(self, d: np.ndarray, y: np.ndarray):
         """(tau_hat, terms, failed) for a block of assignments d (B, n) and outcomes y (B, n).

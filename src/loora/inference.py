@@ -1,18 +1,18 @@
-"""Feasible variance estimates and confidence intervals.
+"""Dispatch, input checks and confidence intervals over the method plans.
 
-The leave-one-out estimators admit a two-step regression view: residualize
-outcomes with the ridge fit, then regress the residualized outcomes on the
-treatment indicator. The heteroskedasticity-robust (HC0) sandwich variance of
-that second step yields the interval half-widths. The same machinery, with a
-zero adjustment, covers the unadjusted estimators, and a plain OLS sandwich
-covers the regression benchmarks.
+plan_estimate is the one switch over method identifiers: it builds the
+method's plan from loora.estimators, which computes the point estimates,
+the HC0 (sandwich) variances and the per-row failures of a block of
+assignments. EstimatePlan wraps it with the rest: the one checker of every
+assignment and outcome it is given, the numpy error state under which the
+plan runs, the NonFinite failure of any estimate or variance that leaves
+the floating-point range, and the normal confidence intervals.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Protocol
 
 import numpy as np
 
@@ -21,19 +21,17 @@ from .estimators import (
     DEFAULT_LAMBDA_RULE,
     ArmCounts,
     BenchmarkPlan,
+    DmPlan,
+    HtPlan,
     LambdaRule,
     LooraDmPlan,
     LooraHtPlan,
     Method,
     ObservedSample,
-    difference_in_means,
-    fsum_rows,
-    horvitz_thompson,
-    realized_arm_probability,
     require_simple,
 )
-from .exceptions import InvalidInput, LooraError, NonFinite, SelfCheckFailed
-from .linalg import as_design_matrix, as_vector, dot_rows, matvec_rows
+from .exceptions import InvalidInput, LooraError, NonFinite
+from .linalg import as_design_matrix
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -139,126 +137,6 @@ class EstimateReport:
     lambda_used: float
 
 
-def _ht_hw_residuals(x: np.ndarray, y: np.ndarray, parts) -> np.ndarray:
-    """Second-step residuals behind the LOORA-HT HC0 variance, one row per assignment.
-
-    Residualized outcomes (y_i - x_i' beta) / (q_i (1 - h_i)) are treated as
-    a regression on the signed treatment indicator; since the regressor is
-    +/-1 the sandwich collapses to n^{-2} times the sum of these squared.
-    """
-    resid_scaled = (y - matvec_rows(x, parts.beta)) / (parts.q * (1.0 - parts.hat_diag))
-    return resid_scaled - parts.z * parts.tau_hat[:, None]
-
-
-def _two_column_sandwich(u: np.ndarray, d: np.ndarray):
-    """Slope of the OLS of each row of u on [1, d] and the HC0 variance of that slope.
-
-    u and d are (B, n) blocks; returns the per-row (slope, slope variance)
-    arrays. The regression is the two arm means: intercept u_c,
-    slope u_t - u_c, and with r the deviations from the arm means, row d of
-    the sandwich bread times [1, d]' is 1/n_t on treated and -1/n_c on
-    control units, so the variance is sum_t r^2 / n_t^2 + sum_c r^2 / n_c^2.
-    A row with an empty arm gives non-finite values; the methods calling
-    this have already failed such rows through ArmCounts.counts.
-    """
-    n_t = d.sum(axis=1)
-    n_c = u.shape[1] - n_t
-    c = 1.0 - d
-    mean_t, mean_c = dot_rows(d, u) / n_t, dot_rows(c, u) / n_c
-    r2 = (u - np.where(d == 1.0, mean_t[:, None], mean_c[:, None])) ** 2
-    return mean_t - mean_c, dot_rows(d, r2) / n_t**2 + dot_rows(c, r2) / n_c**2
-
-
-def _dm_hw_variance_from_parts(parts) -> tuple[np.ndarray, dict[int, LooraError]]:
-    """HC0 variance of LOORA-DM from its parts, per row, and the rows whose self-check fails.
-
-    The leave-one-out adjusted outcomes u_i = y_i - x_i' beta^{(-i)} are
-    regressed on an intercept and the treatment indicator; the estimator is
-    the second coefficient of that regression, and its HC0 sandwich entry is
-    the variance estimate. A row fails with SelfCheckFailed if that
-    coefficient does not reproduce its point estimate.
-    """
-    slope, var = _two_column_sandwich(parts.u, parts.d)
-    tau = parts.tau_hat
-    off = np.abs(slope - tau) > 1e-10 * np.maximum(1.0, np.abs(tau))
-    failed = {
-        int(i): SelfCheckFailed(
-            "auxiliary regression failed to reproduce the point estimate; "
-            f"got {float(slope[i])!r} vs {float(tau[i])!r}"
-        )
-        for i in np.nonzero(off)[0]
-    }
-    return var, failed
-
-
-class _MethodCore(Protocol):
-    """The study-fixed part of one method; block() evaluates a block of assignments.
-
-    d (B, n) holds one 0/1 assignment per row and y (B, n) the outcomes
-    each reveals. block() returns the per-row point estimates, the per-row
-    HC0 variances (None unless variance is true) and, keyed by row, the
-    method failure each failing row would raise on its own. Point estimates
-    whose exact sum overflows are nan.
-    """
-
-    def block(self, d: np.ndarray, y: np.ndarray, variance: bool) -> tuple: ...
-
-
-@dataclass(frozen=True)
-class _HtCore:
-    p: np.ndarray
-
-    def block(self, d, y, variance):
-        tau = horvitz_thompson(self.p, d, y)
-        if not variance:
-            return tau, None, {}
-        resid = y / realized_arm_probability(self.p, d) - (2.0 * d - 1.0) * tau[:, None]
-        return tau, fsum_rows(resid**2, math.inf) / y.shape[1] ** 2, {}
-
-
-@dataclass(frozen=True)
-class _DmCore:
-    arms: ArmCounts
-
-    def block(self, d, y, variance):
-        n_t, n_c, failed = self.arms.counts(d)
-        tau = difference_in_means(d, y, n_t, n_c)
-        return tau, _two_column_sandwich(y, d)[1] if variance else None, failed
-
-
-@dataclass(frozen=True)
-class _LooraHtCore:
-    plan: LooraHtPlan
-
-    def block(self, d, y, variance):
-        parts = self.plan.parts(d, y)
-        if not variance:
-            return parts.tau_hat, None, {}
-        resid = _ht_hw_residuals(self.plan.x, y, parts)
-        return parts.tau_hat, fsum_rows(resid**2, math.inf) / y.shape[1] ** 2, {}
-
-
-@dataclass(frozen=True)
-class _LooraDmCore:
-    plan: LooraDmPlan
-
-    def block(self, d, y, variance):
-        parts = self.plan.parts(d, y)
-        if not variance:
-            return parts.tau_hat, None, parts.failed
-        var, self_check = _dm_hw_variance_from_parts(parts)
-        return parts.tau_hat, var, {**self_check, **parts.failed}
-
-
-@dataclass(frozen=True)
-class _BenchmarkCore:
-    plan: BenchmarkPlan
-
-    def block(self, d, y, variance):
-        tau, terms, failed = self.plan.parts(d, y)
-        return tau, fsum_rows(terms**2, math.inf) if variance else None, failed
-
-
 @dataclass(frozen=True)
 class BlockEstimates:
     """One plan's results on a block of assignments, one entry per row.
@@ -291,30 +169,33 @@ class EstimatePlan:
     """One method's estimate, split into a study-fixed and a per-assignment part.
 
     plan_estimate does once what depends only on (X, design, rule, level):
-    it validates X, resolves lambda, factors the ridge Gram and checks its
-    leverages, forms the HT weights and takes the interval's normal
-    quantile. evaluate_block() and point_block() then do the work of a
-    block of assignments; evaluate() and point() are the same code on a
-    block of one, so a row's result never depends on the block it is in. A
-    Monte Carlo study or an enumeration builds one plan per method and
-    evaluates it on every block.
+    it validates X and builds the method's plan (core), which resolves
+    lambda, factors the ridge Gram and checks its leverages or forms the HT
+    weights, and it takes the interval's normal quantile.
+    evaluate_block() and point_block() then do the work of a block of
+    assignments; evaluate() and point() are the same code on a block of
+    one, so a row's result never depends on the block it is in. A Monte
+    Carlo study or an enumeration builds one plan per method and evaluates
+    it on every block.
 
-    The inputs raise InvalidInput when an assignment or the outcomes y do
-    not fit the planned sample, including a treated count other than the
-    one a complete design fixes. A row fails with NonFinite, naming the
-    method and the stage, when a result leaves the floating-point range
-    (for example on outcomes of magnitude 1e200, whose squares overflow).
+    Every route raises InvalidInput when an assignment or the outcomes y do
+    not fit the planned sample: an assignment entry other than 0 or 1, a
+    length other than n, mis-shaped or non-finite outcomes, or a treated
+    count other than the one a complete design fixes. A row fails with
+    NonFinite, naming the method and the stage, when a result leaves the
+    floating-point range (for example on outcomes of magnitude 1e200, whose
+    squares overflow).
     """
 
     method: Method
     level: float
-    lambda_used: float
     n: int
-    core: _MethodCore
+    core: HtPlan | DmPlan | LooraHtPlan | LooraDmPlan | BenchmarkPlan
     quantile: float  # z_{1 - alpha/2} for level
 
-    def _estimates(self, d: np.ndarray, y: np.ndarray, variance: bool) -> BlockEstimates:
-        """The core on a checked block, with each row's failure in the order a row meets it."""
+    def _estimates(self, d, y, variance: bool) -> BlockEstimates:
+        """The core on a checked block, each row's failure in the order the row meets it."""
+        d, y = self._checked(d, y)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             tau, var, failed = self.core.block(d, y, variance)
             _fail_non_finite(failed, tau, self.method, "point estimate")
@@ -330,22 +211,19 @@ class EstimatePlan:
             low, high = _interval(tau, var, self.quantile)
         return BlockEstimates(tau, var, low, high, failed, ok)
 
-    def _block(self, d, y) -> tuple[np.ndarray, np.ndarray]:
+    def _checked(self, d, y) -> tuple[np.ndarray, np.ndarray]:
+        """The one input checker: d and y as float (B, n) blocks, or InvalidInput."""
         d = np.asarray(d, dtype=np.float64)
         y = np.asarray(y, dtype=np.float64)
         if d.ndim != 2 or d.shape[1] != self.n:
             raise InvalidInput("assignment length does not match the design matrix")
+        if not ((d == 0.0) | (d == 1.0)).all():
+            raise InvalidInput("assignment entries must be 0 or 1")
         if y.shape != d.shape:
-            raise InvalidInput(f"outcome block has shape {y.shape}, expected {d.shape}")
+            raise InvalidInput(f"outcome has shape {y.shape}, expected {d.shape}")
         if not np.isfinite(y).all():
             raise InvalidInput("outcome contains non-finite entries")
         return d, y
-
-    def _row(self, assignment: Assignment, y) -> tuple[np.ndarray, np.ndarray]:
-        if assignment.n != self.n:
-            raise InvalidInput("assignment length does not match the design matrix")
-        y = as_vector(y, self.n, "outcome")
-        return np.asarray(assignment.d, dtype=np.float64)[None], y[None]
 
     def evaluate_block(self, d, y) -> BlockEstimates:
         """Point estimates, HC0 variances and confidence intervals for a block.
@@ -353,11 +231,18 @@ class EstimatePlan:
         d (B, n) holds one 0/1 assignment per row and y (B, n) the outcomes
         each reveals; every row gets the bits evaluate() gives it alone.
         """
-        return self._estimates(*self._block(d, y), variance=True)
+        return self._estimates(d, y, variance=True)
 
     def point_block(self, d, y) -> BlockEstimates:
         """The point estimates alone for a block, as point() gives each row."""
-        return self._estimates(*self._block(d, y), variance=False)
+        return self._estimates(d, y, variance=False)
+
+    def _one(self, assignment: Assignment, y, variance: bool) -> BlockEstimates:
+        """One assignment as a block of one row; raises the row's failure."""
+        estimates = self._estimates(np.asarray(assignment.d)[None], np.asarray(y)[None], variance)
+        if estimates.failures:
+            raise estimates.failures[0]
+        return estimates
 
     def point(self, assignment: Assignment, y) -> float:
         """The point estimate alone for one assignment.
@@ -366,16 +251,11 @@ class EstimatePlan:
         stage does (an overflowing variance, or the LOORA-DM auxiliary
         regression self-check).
         """
-        estimates = self._estimates(*self._row(assignment, y), variance=False)
-        if estimates.failures:
-            raise estimates.failures[0]
-        return float(estimates.tau_hat[0])
+        return float(self._one(assignment, y, variance=False).tau_hat[0])
 
     def evaluate(self, assignment: Assignment, y) -> EstimateReport:
         """Point estimate, HC0 variance and confidence interval for one assignment."""
-        estimates = self._estimates(*self._row(assignment, y), variance=True)
-        if estimates.failures:
-            raise estimates.failures[0]
+        estimates = self._one(assignment, y, variance=True)
         return EstimateReport(
             method=self.method,
             tau_hat=float(estimates.tau_hat[0]),
@@ -383,7 +263,7 @@ class EstimatePlan:
             ci_low=float(estimates.ci_low[0]),
             ci_high=float(estimates.ci_high[0]),
             level=self.level,
-            lambda_used=self.lambda_used,
+            lambda_used=self.core.lam,
         )
 
 
@@ -405,28 +285,18 @@ def plan_estimate(
     x = as_design_matrix(x)
     if spec.n != x.shape[0]:
         raise InvalidInput("design size does not match the design matrix")
-    core: _MethodCore
-    lam = 0.0
     if method is Method.HT:
-        core = _HtCore(require_simple(spec, "HT").p)
+        core = HtPlan(require_simple(spec, "HT").p)
     elif method is Method.DM:
-        core = _DmCore(ArmCounts.of("DM", spec, allow_design_mismatch))
+        core = DmPlan(ArmCounts.of("DM", spec, allow_design_mismatch))
     elif method is Method.LOORA_HT:
-        ht = LooraHtPlan.build(x, spec, rule)
-        core, lam = _LooraHtCore(ht), ht.lam
+        core = LooraHtPlan.build(x, spec, rule)
     elif method is Method.LOORA_DM:
-        dm = LooraDmPlan.build(x, spec, rule, allow_design_mismatch)
-        core, lam = _LooraDmCore(dm), dm.lam
+        core = LooraDmPlan.build(x, spec, rule, allow_design_mismatch)
     else:
-        bench = BenchmarkPlan.build(method, x, spec, rule, allow_design_mismatch)
-        core, lam = _BenchmarkCore(bench), bench.lam
+        core = BenchmarkPlan.build(method, x, spec, rule, allow_design_mismatch)
     return EstimatePlan(
-        method=method,
-        level=level,
-        lambda_used=lam,
-        n=x.shape[0],
-        core=core,
-        quantile=_interval_quantile(level),
+        method=method, level=level, n=x.shape[0], core=core, quantile=_interval_quantile(level)
     )
 
 

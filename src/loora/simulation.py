@@ -252,7 +252,6 @@ class StudyConfig:
     n_t: int | None = None
     lambda_rule: LambdaRule = field(default_factory=lambda: LambdaRule.auto(2.0))
     allow_design_mismatch: bool = False
-    threads: int = 1  # accepted so existing configs load; replicates run in one thread
 
     def __post_init__(self):
         if self.design not in DESIGN_CHOICES:
@@ -413,8 +412,7 @@ def run_study(pop: Population, cfg: StudyConfig) -> SimulationReport:
 
     Deterministic for a given (population, config): replicate substreams are
     derived from (seed, replicate index) and aggregation runs in replicate
-    order. cfg.threads does not change the report or how it is computed.
-    Each method is planned once. Replicates are drawn, observed and
+    order. Each method is planned once. Replicates are drawn, observed and
     evaluated in blocks of design.block_size(n) rows, each method once per
     block, and every row gets the bits its replicate has alone. Results go
     into one (replicates x methods x 4) float64 array, so memory grows by

@@ -25,9 +25,11 @@ from loora.estimators import (
     DEFAULT_LAMBDA_RULE,
     BenchmarkPlan,
     LambdaRule,
-    LooraHtPlan,
     Method,
     ObservedSample,
+    ht_outcome_scales,
+    realized_arm_probability,
+    reweighted_outcomes_ht,
 )
 from loora.exceptions import (
     InvalidInput,
@@ -39,7 +41,7 @@ from loora.exceptions import (
     SelfCheckFailed,
     SpecMismatch,
 )
-from loora.inference import _ht_hw_residuals, estimate_with_ci
+from loora.inference import estimate_with_ci
 from loora.linalg import (
     RidgeFit,
     as_design_matrix,
@@ -255,10 +257,18 @@ def lin_asymptotic_variance_projection(pop: Population, p_t: float) -> float:
 
 
 def hw_variance_ht_sandwich(s: ObservedSample, rule: LambdaRule = DEFAULT_LAMBDA_RULE) -> float:
-    """The same HC0 variance through the explicit sandwich product."""
-    parts = LooraHtPlan.build(s.x, s.spec, rule).parts(s.assignment.d[None], s.y[None])
-    hw_resid = _ht_hw_residuals(s.x, s.y[None], parts)[0]
-    z = parts.z[0]
+    """The same HC0 variance through the explicit sandwich product.
+
+    The residualized outcomes (y_i - x_i' beta) / (q_i (1 - h_i)) come from
+    this route's own ridge_fit of the reweighted outcomes on X / r, and are
+    regressed on the signed indicator z with slope tau_hat.
+    """
+    p, d, z, y = s.spec.p, s.assignment.d, s.assignment.z, s.y
+    xw = s.x / np.sqrt(p * (1.0 - p))[:, None]
+    fit = ridge_fit(xw, reweighted_outcomes_ht(y, d, ht_outcome_scales(p)), rule.resolve(xw))
+    tau = estimate_with_ci(Method.LOORA_HT, s, rule).tau_hat
+    q = realized_arm_probability(p, d)
+    hw_resid = (y - s.x @ fit.beta) / (q * (1.0 - fit.hat_diag)) - z * tau
     zz = math.fsum(z**2)
     return math.fsum(z**2 * hw_resid**2) / zz**2
 

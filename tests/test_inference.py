@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-import loora.inference
+import loora.estimators
 from conftest import random_population
 from loora.design import (
     Assignment,
@@ -20,10 +21,16 @@ from loora.estimators import (
     Method,
     ObservedSample,
     LooraDmPlan,
-)
-from loora.exceptions import InvalidInput, RankDeficient, SelfCheckFailed, SpecMismatch
-from loora.inference import (
     _two_column_sandwich,
+)
+from loora.exceptions import (
+    InvalidInput,
+    LooraError,
+    RankDeficient,
+    SelfCheckFailed,
+    SpecMismatch,
+)
+from loora.inference import (
     confidence_interval,
     estimate,
     estimate_with_ci,
@@ -157,8 +164,9 @@ def test_hw_dm_auxiliary_regression_reproduces_estimate(rng):
         n_t = int(rng.integers(2, n - 1))
         spec = CompleteDesign(n, n_t)
         s = observed_sample(pop, draw_with(spec, rng), spec)
-        parts = LooraDmPlan.build(s.x, s.spec, AUTO2).parts(s.assignment.d[None], s.y[None])
-        (slope,), _ = _two_column_sandwich(parts.u, parts.d)
+        d = s.assignment.d[None]
+        _, u, _ = LooraDmPlan.build(s.x, s.spec, AUTO2).adjusted(d, s.y[None])
+        (slope,), _ = _two_column_sandwich(u, d)
         tau = estimate(Method.LOORA_DM, s, AUTO2)
         assert abs(slope - tau) <= 1e-10 * max(1.0, abs(slope))
 
@@ -196,15 +204,10 @@ def test_dm_family_reports_match_per_arm_sums(rng):
             if a.n_treated in (0, n):
                 continue
             s = observed_sample(pop, a, spec)
-            for method, u in (
-                (Method.DM, s.y),
-                (
-                    Method.LOORA_DM,
-                    LooraDmPlan.build(pop.x, spec, AUTO2, mismatch)
-                    .parts(a.d[None], s.y[None])
-                    .u[0],
-                ),
-            ):
+            _, adjusted, _ = LooraDmPlan.build(pop.x, spec, AUTO2, mismatch).adjusted(
+                a.d[None], s.y[None]
+            )
+            for method, u in ((Method.DM, s.y), (Method.LOORA_DM, adjusted[0])):
                 report = estimate_with_ci(method, s, AUTO2, 0.95, mismatch)
                 t, c = u[a.d == 1.0], u[a.d == 0.0]
                 hc0 = sum(np.sum((g - g.mean()) ** 2) / g.size**2 for g in (t, c))
@@ -231,13 +234,16 @@ def test_plan_rejects_assignments_that_do_not_fit_it(rng, method):
     estimate_with_ci(method, ObservedSample(pop.x, y, fits, spec))
     with pytest.raises(InvalidInput, match="assignment length"):
         plan.evaluate(Assignment.from_d([1.0] * 5 + [0.0] * 6), np.append(y, 0.0))
-    with pytest.raises(InvalidInput, match="outcome has length"):
+    with pytest.raises(InvalidInput, match="outcome has shape"):
         plan.evaluate(fits, y[:-1])
     with pytest.raises(InvalidInput, match="non-finite"):
         plan.evaluate(fits, np.where(fits.d == 1.0, np.nan, y))
     if not simple:
         with pytest.raises(InvalidInput, match="treats 6 of 10 units but the design fixes 5"):
             plan.evaluate(Assignment.from_d([1.0] * 6 + [0.0] * 4), y)
+    # half-treated units sum to the fixed count, so only the 0/1 check refuses them
+    with pytest.raises(InvalidInput, match="assignment entries must be 0 or 1"):
+        plan.evaluate(Assignment.from_d(np.full(n, 0.5)), y)
     with pytest.raises(InvalidInput, match="design size"):
         plan_estimate(method, pop.x[:-1], spec)
     x_inf = pop.x.copy()
@@ -246,7 +252,7 @@ def test_plan_rejects_assignments_that_do_not_fit_it(rng, method):
     six = Assignment.from_d([1.0] * 6 + [0.0] * 4)
     bad_samples = [
         ((x_inf, y, fits, spec), "design matrix contains non-finite"),
-        ((pop.x, y[:-1], fits, spec), "outcome has length"),
+        ((pop.x, y[:-1], fits, spec), "outcome has shape"),
         ((pop.x, np.where(fits.d == 1.0, np.nan, y), fits, spec), "outcome contains non-finite"),
         ((pop.x, y, Assignment.from_d(np.append(fits.d, 0.0)), spec), "assignment length"),
         ((pop.x[:-1], y[:-1], short, spec), "design size"),
@@ -283,16 +289,75 @@ def test_plan_point_is_evaluate_tau_hat_bit_for_bit(rng, method):
         assert plan.point(a, y) == plan.evaluate(a, y).tau_hat
 
 
+def _bits(*values):
+    return [float(v).hex() for v in values]
+
+
+@pytest.mark.parametrize("method", list(Method))
+def test_block_routes_match_the_one_row_routes_bit_for_bit(rng, method):
+    # 40 rows of 40 units take fsum_rows' block-wide extraction, one row its
+    # per-row math.fsum. Under the mismatch opt-in, rows 0 and 1 leave an arm
+    # empty (the DM family fails them), rows 2 and 3 leave the treated arm
+    # too small for INT's three columns, and row 4's outcomes are so large
+    # that every method's variance overflows.
+    n = 40
+    pop = random_population(rng, n, 2)
+    plan = plan_estimate(method, pop.x, SimpleDesign(np.full(n, 0.5)), AUTO2, 0.9, True)
+    d = (rng.random((n, n)) < 0.5).astype(np.float64)
+    d[0], d[1], d[2:4] = 0.0, 1.0, 0.0
+    d[2, 5], d[3, [5, 9]] = 1.0, 1.0
+    y = pop.y1 * d + pop.y0 * (1.0 - d)
+    y[4] *= 1e200
+    block, points = plan.evaluate_block(d, y), plan.point_block(d, y)
+    assert 4 in block.failures
+    if method not in (Method.HT, Method.LOORA_HT):
+        assert {0, 1} <= set(block.failures)
+    if method is Method.INT:
+        assert {2, 3} <= set(block.failures)
+    for i in range(n):
+        a = Assignment.from_d(d[i])
+        try:
+            report = plan.evaluate(a, y[i])
+        except LooraError as exc:
+            failure = block.failures[i]
+            assert (type(failure), str(failure)) == (type(exc), str(exc))
+            assert not block.ok[i]
+        else:
+            assert i not in block.failures and block.ok[i]
+            assert _bits(report.tau_hat, report.var_hat, report.ci_low, report.ci_high) == _bits(
+                block.tau_hat[i], block.var_hat[i], block.ci_low[i], block.ci_high[i]
+            )
+        if points.ok[i]:
+            assert _bits(plan.point(a, y[i])) == _bits(points.tau_hat[i])
+        else:
+            with pytest.raises(type(points.failures[i]), match=re.escape(str(points.failures[i]))):
+                plan.point(a, y[i])
+    assert _bits(*points.tau_hat[block.ok]) == _bits(*block.tau_hat[block.ok])
+    # A non-0/1 entry or mis-shaped outcomes are refused on all four routes
+    half = d[5].copy()
+    half[3] = 0.5
+    for route in (plan.evaluate_block, plan.point_block):
+        with pytest.raises(InvalidInput, match="assignment entries must be 0 or 1"):
+            route(np.vstack([d, half]), np.vstack([y, y[5]]))
+        with pytest.raises(InvalidInput, match="outcome has shape"):
+            route(d, y[:, :-1])
+    for route in (plan.evaluate, plan.point):
+        with pytest.raises(InvalidInput, match="assignment entries must be 0 or 1"):
+            route(Assignment.from_d(half), y[5])
+        with pytest.raises(InvalidInput, match="outcome has shape"):
+            route(Assignment.from_d(d[5]), y[5, :-1])
+
+
 def test_point_estimate_does_not_run_the_variance_self_check(rng, monkeypatch):
-    def failing(parts):
+    def failing(u, d):
         raise SelfCheckFailed("auxiliary regression failed")
 
-    monkeypatch.setattr(loora.inference, "_dm_hw_variance_from_parts", failing)
+    monkeypatch.setattr(loora.estimators, "_two_column_sandwich", failing)
     pop = random_population(rng, 10, 2)
     spec = CompleteDesign(10, 5)
     s = observed_sample(pop, draw_with(spec, rng), spec)
-    parts = LooraDmPlan.build(s.x, s.spec, AUTO2).parts(s.assignment.d[None], s.y[None])
-    assert estimate(Method.LOORA_DM, s, AUTO2) == parts.tau_hat[0]
+    (tau,), _, _ = LooraDmPlan.build(s.x, s.spec, AUTO2).adjusted(s.assignment.d[None], s.y[None])
+    assert estimate(Method.LOORA_DM, s, AUTO2) == tau
     with pytest.raises(SelfCheckFailed):
         estimate_with_ci(Method.LOORA_DM, s, AUTO2)
 
@@ -383,7 +448,7 @@ def test_cores_match_full_design_and_inverse_sandwich_routes(
     if method in ("DM", "LOORA_DM"):
         u = y
         if method == "LOORA_DM":
-            u = LooraDmPlan.build(pop.x, spec, rule).parts(a.d[None], y[None]).u[0]
+            u = LooraDmPlan.build(pop.x, spec, rule).adjusted(a.d[None], y[None])[1][0]
         _, tau, var = two_column_sandwich_inverse(u, a.d)
         (slope,), (closed,) = _two_column_sandwich(u[None], a.d[None])
         assert closed == report.var_hat

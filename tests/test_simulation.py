@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 from reference_routes import run_study_per_sample
 
-import loora.inference
+import loora.estimators
 import loora.simulation
 from loora.design import CompleteDesign, block_size, enumerate_assignments
 from loora.estimators import LambdaRule, Method
@@ -115,9 +115,11 @@ def test_synth_binary_outcomes_are_binary():
 
 def test_run_study_deterministic_across_thread_counts():
     pop = synth_population("linear-heterogeneous", 25, 3, 5)
-    base = dict(design="complete", methods=("DM", "LOORA_DM"), reps=300, seed=9, n_t=12)
-    r1 = run_study(pop, StudyConfig(**base, threads=1))
-    r4 = run_study(pop, StudyConfig(**base, threads=4))
+    # A study takes no thread count, so two runs of one config must agree;
+    # the CLI's --threads 1 and 2 are compared in test_cli and criterion 9.
+    cfg = StudyConfig(design="complete", methods=("DM", "LOORA_DM"), reps=300, seed=9, n_t=12)
+    r1 = run_study(pop, cfg)
+    r4 = run_study(pop, cfg)
     assert report_fingerprint(r1) == report_fingerprint(r4)
 
 
@@ -208,7 +210,7 @@ def test_run_study_counts_overflowing_variances_as_method_failures():
 
 
 def test_run_study_counts_a_failed_self_check_as_that_methods_failure(monkeypatch):
-    real = loora.inference._two_column_sandwich
+    real = loora.estimators._two_column_sandwich
     calls = []
 
     def wrong_slope_once(*args):
@@ -221,7 +223,7 @@ def test_run_study_counts_a_failed_self_check_as_that_methods_failure(monkeypatc
             slope = slope + np.array([0.0, 1.0, 0.0, 0.0, 0.0])
         return slope, var
 
-    monkeypatch.setattr(loora.inference, "_two_column_sandwich", wrong_slope_once)
+    monkeypatch.setattr(loora.estimators, "_two_column_sandwich", wrong_slope_once)
     pop = synth_population("linear-heterogeneous", 20, 2, 3)
     cfg = StudyConfig(design="complete", methods=("DM", "ADJ", "LOORA_DM"), reps=5, seed=1)
     by_method = {s.method: s for s in run_study(pop, cfg).stats}
@@ -237,7 +239,7 @@ def test_run_study_aborts_on_other_invalid_input(monkeypatch):
     def broken(*args):
         raise InvalidInput("not a replicate failure")
 
-    monkeypatch.setattr(loora.inference, "_two_column_sandwich", broken)
+    monkeypatch.setattr(loora.estimators, "_two_column_sandwich", broken)
     pop = synth_population("linear-heterogeneous", 20, 2, 3)
     cfg = StudyConfig(design="complete", methods=("ADJ", "LOORA_DM"), reps=5, seed=1)
     with pytest.raises(InvalidInput, match="not a replicate failure"):
