@@ -40,7 +40,7 @@ from .reporting import (
     write_records,
 )
 from .simulation import DESIGN_CHOICES, StudyConfig, run_study, synth_population
-from .verify import CORE_CHECKS, OPTIONAL_CHECKS, run_checks
+from .verify import CHECKS, CORE_CHECKS, run_checks
 
 CONFIG_SCHEMA_VERSION = 1
 
@@ -63,7 +63,8 @@ def parse_lambda(text: str) -> LambdaRule:
     raise SchemaError(f"lambda rule kind must be fixed or auto, got {kind!r}")
 
 
-def load_config(path) -> dict:
+def load_config(path, keys) -> dict:
+    """The settings of a YAML config file whose keys, but schema_version, all lie in keys."""
     try:
         with open(path, encoding="utf-8") as handle:
             data = yaml.safe_load(handle)
@@ -80,6 +81,12 @@ def load_config(path) -> dict:
         raise SchemaError(
             f"{path}: schema_version must be {CONFIG_SCHEMA_VERSION}, got {version!r}"
         )
+    for key in data:
+        if key != "schema_version" and key not in keys:
+            raise SchemaError(
+                f"{path}: unknown key {key!r}; a config takes the command's long options "
+                "but --config, spelled as on the command line"
+            )
     return data
 
 
@@ -97,11 +104,12 @@ _EXPECTED = {
     int: "an integer",
     float: "a number",
     Method: "one of " + ", ".join(m.value for m in Method),
+    os.fspath: "a file path",
 }
 
 
 def _as(kind, key, value):
-    """kind(value) for kind in int, float or Method; a SchemaError naming the key if it fails.
+    """kind(value) for a kind in _EXPECTED; a SchemaError naming the key if it fails.
 
     A bool is never a number, and an int takes a float only if it is integral.
     """
@@ -169,44 +177,45 @@ def _check_writable(out_path) -> None:
             os.remove(path)
 
 
-def _emit(out_path, records, command, cfg_dict, seed, started):
-    outputs = []
-    if out_path:
-        try:
-            write_records(out_path, records)
-            outputs.append(out_path)
-            manifest = RunManifest(
-                command=command,
-                config_hash=config_hash(cfg_dict),
-                seed=seed,
-                version=__version__,
-                wall_time_s=time.monotonic() - started,
-                outputs=tuple(outputs),
-            )
-            outputs.append(write_manifest(out_path, manifest))
-        except OSError as exc:  # the records file or its manifest sidecar
-            raise _cannot_write(exc) from None
-    return outputs
+def _emit(out_path, records, command, cfg_dict, seed, started) -> None:
+    if not out_path:
+        return
+    try:
+        write_records(out_path, records)
+        manifest = RunManifest(
+            command=command,
+            config_hash=config_hash(cfg_dict),
+            seed=seed,
+            version=__version__,
+            wall_time_s=time.monotonic() - started,
+            outputs=(out_path,),
+        )
+        write_manifest(out_path, manifest)
+    except OSError as exc:  # the records file or its manifest sidecar
+        raise _cannot_write(exc) from None
 
 
-def cmd_estimate(args) -> int:
-    started = time.monotonic()
-    config = load_config(args.config) if args.config else {}
-    _check_writable(args.out)
-    delimiter = _setting(args, config, "delimiter", ",")
-    dataset = build_dataset(
-        args.data,
+def _dataset(args, config, data, *roles):
+    """The data CSV read with the shared column options and the command's role columns."""
+    return build_dataset(
+        data,
         covariates=_names(args, config, "covariates"),
         categorical=_names(args, config, "categorical"),
-        y_col=_setting(args, config, "y-col"),
-        d_col=_setting(args, config, "d-col"),
-        p_col=_setting(args, config, "p-col"),
-        delimiter=delimiter,
-        has_header=not args.no_header,
+        delimiter=_setting(args, config, "delimiter", ","),
+        has_header=not _flag(args, config, "no-header"),
         drop_first=_flag(args, config, "drop-first"),
+        **{role.replace("-", "_"): _setting(args, config, role) for role in roles},
     )
-    if dataset.mode != "observed":
-        raise SchemaError("estimate needs an observed-mode dataset (y and d columns)")
+
+
+def cmd_estimate(args, config) -> int:
+    started = time.monotonic()
+    out = _typed_setting(args, config, "out", os.fspath)
+    _check_writable(out)
+    data = _typed_setting(args, config, "data", os.fspath)
+    if data is None:
+        raise SchemaError("estimate needs --data <csv>")
+    dataset = _dataset(args, config, data, "y-col", "d-col", "p-col")
 
     design = _setting(args, config, "design")
     if design == "simple":
@@ -235,14 +244,15 @@ def cmd_estimate(args) -> int:
     method = _typed_setting(args, config, "method", Method, "LOORA_HT")
     rule = parse_lambda(_setting(args, config, "lambda", "auto:2"))
     level = _typed_setting(args, config, "level", float, 0.95)
-    if args.allow_design_mismatch and isinstance(spec, SimpleDesign):
+    allow_design_mismatch = _flag(args, config, "allow-design-mismatch")
+    if allow_design_mismatch and isinstance(spec, SimpleDesign):
         print(
             "warning: applying a fixed-count method under simple assignment; "
             "using the realized treated count",
             file=sys.stderr,
         )
     report = estimate_with_ci(
-        method, sample, rule, level, allow_design_mismatch=args.allow_design_mismatch
+        method, sample, rule, level, allow_design_mismatch=allow_design_mismatch
     )
 
     print(
@@ -263,7 +273,7 @@ def cmd_estimate(args) -> int:
     )
     cfg_dict = {
         "command": "estimate",
-        "data": str(args.data),
+        "data": str(data),
         "design": design,
         "method": report.method.value,
         "level": level,
@@ -281,28 +291,17 @@ def cmd_estimate(args) -> int:
         "level": report.level,
         "lambda_used": report.lambda_used,
     }
-    _emit(args.out, [record], "estimate", cfg_dict, None, started)
+    _emit(out, [record], "estimate", cfg_dict, None, started)
     return 0
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args, config) -> int:
     started = time.monotonic()
-    config = load_config(args.config) if args.config else {}
-    _check_writable(args.out)
-
-    if args.data:
-        dataset = build_dataset(
-            args.data,
-            covariates=_names(args, config, "covariates"),
-            categorical=_names(args, config, "categorical"),
-            y1_col=_setting(args, config, "y1-col"),
-            y0_col=_setting(args, config, "y0-col"),
-            delimiter=_setting(args, config, "delimiter", ","),
-            has_header=not args.no_header,
-            drop_first=_flag(args, config, "drop-first"),
-        )
-        if dataset.mode != "population":
-            raise SchemaError("simulate needs a population-mode dataset (y1 and y0 columns)")
+    out = _typed_setting(args, config, "out", os.fspath)
+    _check_writable(out)
+    data = _typed_setting(args, config, "data", os.fspath)
+    if data is not None:
+        dataset = _dataset(args, config, data, "y1-col", "y0-col")
         pop = Population(dataset.x, dataset.y1, dataset.y0)
     else:
         kind = _setting(args, config, "synth")
@@ -327,7 +326,7 @@ def cmd_simulate(args) -> int:
         seed=seed,
         n_t=_typed_setting(args, config, "nt", int),
         lambda_rule=parse_lambda(_setting(args, config, "lambda", "auto:2")),
-        allow_design_mismatch=bool(args.allow_design_mismatch),
+        allow_design_mismatch=_flag(args, config, "allow-design-mismatch"),
     )
     _check_threads(_setting(args, config, "threads"))
     if cfg.allow_design_mismatch and cfg.design.startswith("simple"):
@@ -382,13 +381,12 @@ def cmd_simulate(args) -> int:
         }
         for s in report.stats
     ]
-    _emit(args.out, records, "simulate", cfg_dict, seed, started)
+    _emit(out, records, "simulate", cfg_dict, seed, started)
     return 0
 
 
-def cmd_verify(args) -> int:
-    names = args.check if args.check else list(CORE_CHECKS)
-    results = run_checks(names, seed=args.seed, n=args.n, corrupt_q=args.corrupt_q)
+def cmd_verify(args, config) -> int:
+    results = run_checks(args.check or CORE_CHECKS, args.seed, args.n, args.corrupt_q)
     all_passed = True
     for result in results:
         status = "PASS" if result.passed else "FAIL"
@@ -400,6 +398,12 @@ def cmd_verify(args) -> int:
     return 0 if all_passed else 1
 
 
+def _config_keys(parser) -> frozenset:
+    """The keys a config file may carry: the parser's long options but --help and --config."""
+    longs = {option[2:] for option in parser._option_string_actions if option.startswith("--")}
+    return frozenset(longs - {"help", "config"})
+
+
 @functools.cache  # built on first use, then shared by every call of main
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -408,60 +412,57 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    est = sub.add_parser("estimate", help="estimate an ATE from an observed-mode CSV")
-    est.add_argument("--data", required=True)
-    est.add_argument("--config", help="YAML config file (flags override it)")
-    est.add_argument("--delimiter")
-    est.add_argument("--no-header", action="store_true")
-    est.add_argument("--covariates", help="comma-separated numeric covariate columns")
-    est.add_argument("--categorical", help="comma-separated categorical columns (one-hot)")
+    # The options estimate and simulate share. Every option of both but
+    # --config is read one way (_setting): the flag if given, else the
+    # --config value, else the default.
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--config", help="YAML config file (flags override it)")
+    shared.add_argument("--data", help="observed-mode (estimate) or population-mode CSV")
+    shared.add_argument("--delimiter")
+    shared.add_argument("--no-header", action="store_const", const=True)
+    shared.add_argument("--covariates", help="comma-separated numeric covariate columns")
+    shared.add_argument("--categorical", help="comma-separated categorical columns (one-hot)")
+    shared.add_argument("--drop-first", action="store_const", const=True)
+    shared.add_argument("--nt", type=int, help="treated count (complete design)")
+    shared.add_argument("--lambda", help="fixed:<v> or auto:<c>")
+    shared.add_argument("--level", type=float)
+    shared.add_argument("--out", help="machine-readable report path (JSON lines)")
+    shared.add_argument("--allow-design-mismatch", action="store_const", const=True)
+
+    est = sub.add_parser(
+        "estimate", parents=[shared], help="estimate an ATE from an observed-mode CSV"
+    )
     est.add_argument("--y-col")
     est.add_argument("--d-col")
     est.add_argument("--p-col")
-    est.add_argument("--drop-first", action="store_const", const=True, default=None)
     est.add_argument("--design", choices=["simple", "complete"])
     est.add_argument("--p", type=float, help="shared treatment probability (simple design)")
-    est.add_argument("--nt", type=int, help="treated count (complete design)")
     est.add_argument("--method", choices=[m.value for m in Method])
-    est.add_argument("--lambda", dest="lambda_", help="fixed:<v> or auto:<c>")
-    est.add_argument("--level", type=float)
-    est.add_argument("--out", help="machine-readable report path (JSON lines)")
-    est.add_argument("--allow-design-mismatch", action="store_true")
-    est.set_defaults(func=cmd_estimate)
+    est.set_defaults(func=cmd_estimate, config_keys=_config_keys(est))
 
-    sim = sub.add_parser("simulate", help="run a Monte Carlo study over a population")
-    sim.add_argument("--data", help="population-mode CSV (y1 and y0 columns)")
-    sim.add_argument("--config", help="YAML config file (flags override it)")
-    sim.add_argument("--delimiter")
-    sim.add_argument("--no-header", action="store_true")
-    sim.add_argument("--covariates")
-    sim.add_argument("--categorical")
+    sim = sub.add_parser(
+        "simulate", parents=[shared], help="run a Monte Carlo study over a population"
+    )
     sim.add_argument("--y1-col")
     sim.add_argument("--y0-col")
-    sim.add_argument("--drop-first", action="store_const", const=True, default=None)
     sim.add_argument("--synth", choices=["linear-heterogeneous", "leverage-stress", "binary-outcome"])
     sim.add_argument("--n", type=int)
     sim.add_argument("--k", type=int)
     sim.add_argument("--pop-seed", type=int)
     sim.add_argument("--design", choices=list(DESIGN_CHOICES))
-    sim.add_argument("--nt", type=int)
     sim.add_argument("--methods", help="comma-separated method names")
     sim.add_argument("--reps", help="replicate count or 'enumerate'")
-    sim.add_argument("--level", type=float)
     sim.add_argument("--seed", type=int)
-    sim.add_argument("--lambda", dest="lambda_", help="fixed:<v> or auto:<c>")
     sim.add_argument(
         "--threads", type=int, help="accepted for compatibility; has no effect (or LOORA_THREADS)"
     )
-    sim.add_argument("--out", help="machine-readable report path (JSON lines)")
-    sim.add_argument("--allow-design-mismatch", action="store_true")
-    sim.set_defaults(func=cmd_simulate)
+    sim.set_defaults(func=cmd_simulate, config_keys=_config_keys(sim))
 
     ver = sub.add_parser("verify", help="run certification suites")
     ver.add_argument(
         "--check",
         action="append",
-        choices=list(CORE_CHECKS) + list(OPTIONAL_CHECKS),
+        choices=list(CHECKS),
         help="run a single named check (repeatable); default runs the core suite",
     )
     ver.add_argument("--seed", type=int, default=0)
@@ -473,14 +474,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    # argparse stores --lambda under lambda_; expose it under the lookup name.
-    if hasattr(args, "lambda_"):
-        setattr(args, "lambda", args.lambda_)
+    config = {}
     try:
-        return args.func(args)
+        if getattr(args, "config", None):
+            config = load_config(args.config, args.config_keys)
+        return args.func(args, config)
     except _NUMERIC_ERRORS as exc:
         message = f"numeric error: {exc}"
-        if isinstance(exc, RankDeficient) and getattr(args, "categorical", None):
+        if isinstance(exc, RankDeficient) and _setting(args, config, "categorical"):
             message += (
                 " (one-hot expanded columns are exactly collinear at lambda = 0; "
                 "consider --drop-first or a positive penalty)"

@@ -37,6 +37,7 @@ from .exceptions import (
     RankDeficient,
     SelfCheckFailed,
     SpecMismatch,
+    TooLarge,
 )
 from .inference import plan_estimate
 from .oracle import Population, observe_rows
@@ -423,8 +424,14 @@ def run_study(pop: Population, cfg: StudyConfig) -> SimulationReport:
     tau = pop.tau
     count = enumeration_size(spec) if cfg.reps == "enumerate" else int(cfg.reps)
     plans = _plan_methods(pop, spec, cfg)
-    rows = np.zeros((count, len(plans), 4))
-    weights = np.empty(count)
+    try:
+        rows = np.zeros((count, len(plans), 4))
+        weights = np.empty(count)
+    except (MemoryError, ValueError):  # numpy refuses or cannot allocate the size
+        raise TooLarge(
+            f"a study of {count} replicates and {len(plans)} methods is too large to hold "
+            f"({32 * count * len(plans)} bytes of results)"
+        ) from None
     start = 0
     for d, weight in _blocks(spec, cfg, count):
         stop = start + d.shape[0]

@@ -7,10 +7,14 @@ compare each worst discrepancy with the tolerance pinned here.
 """
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 
-from loora.cli import main as cli_main
+import loora
 from loora.linalg import ridge_fit
 from loora.oracle import Population, lin_asymptotic_variance
 from loora.simulation import StudyConfig, run_study, synth_population
@@ -157,42 +161,45 @@ def test_criterion_8_residual_monotonicity_and_frobenius_bound():
     )
 
 
-def test_criterion_9_byte_identical_reports_across_threads(tmp_path, capsys):
-    outs = []
-    for threads, name in ((1, "r1.jsonl"), (4, "r4.jsonl")):
-        out = tmp_path / name
-        code = cli_main(
-            [
-                "simulate",
-                "--synth",
-                "linear-heterogeneous",
-                "--n",
-                "30",
-                "--k",
-                "3",
-                "--pop-seed",
-                "6",
-                "--design",
-                "complete",
-                "--nt",
-                "15",
-                "--methods",
-                "DM,ADJ,LOORA_DM",
-                "--reps",
-                "500",
-                "--seed",
-                "99",
-                "--threads",
-                str(threads),
-                "--out",
-                str(out),
-            ]
+# Each study runs in two processes, one with every BLAS library limited to one
+# thread and one allowing two; numpy's and scipy's OpenBLAS read
+# OPENBLAS_NUM_THREADS when they load, so the setting must be made per process.
+_BLAS_THREAD_STUDIES = {
+    "n = 120, 5 methods": (
+        "--synth binary-outcome --n 120 --k 10 --pop-seed 7 --design complete --nt 60 "
+        "--methods DM,ADJ,INT,RIDGE_REG,LOORA_DM --reps 200 --seed 1"
+    ),
+    "n = 5000, 7 methods": (
+        "--synth linear-heterogeneous --n 5000 --k 5 --pop-seed 2 --design simple-half "
+        "--methods HT,DM,ADJ,INT,RIDGE_REG,LOORA_HT,LOORA_DM --allow-design-mismatch "
+        "--reps 20 --seed 3"
+    ),
+}
+
+
+def _study_under_blas_threads(study: str, threads: int, out) -> bytes:
+    src = str(Path(loora.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = str(threads)
+    argv = [sys.executable, "-m", "loora.cli", "simulate", *study.split(), "--out", str(out)]
+    done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=600)
+    assert done.returncode == 0, done.stderr
+    return out.read_bytes()
+
+
+def test_criterion_9_byte_identical_reports_across_threads(tmp_path):
+    details, identical = [], True
+    for label, study in _BLAS_THREAD_STUDIES.items():
+        one, two = (
+            _study_under_blas_threads(study, threads, tmp_path / f"{threads}.jsonl")
+            for threads in (1, 2)
         )
-        assert code == 0
-        outs.append(out.read_bytes())
-    capsys.readouterr()
+        identical &= one == two
+        details.append(f"{label}: {len(one)} and {len(two)} bytes")
     report(
         "criterion 9 (machine reports byte-identical across thread counts)",
-        outs[0] == outs[1],
-        f"two CLI runs, threads 1 vs 4, {len(outs[0])} bytes each",
+        identical,
+        "two processes per study under 1 and 2 BLAS threads; " + "; ".join(details),
     )

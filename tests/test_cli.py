@@ -3,6 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 import loora.cli
 from loora.cli import build_parser, main, parse_lambda
@@ -62,6 +63,9 @@ _HALF = ("--design", "simple", "--p", "0.5")
         (_SYNTH, "n: 12\nreps: 3\nlevel: true", None, "level"),
         (_EST + ("--design", "complete"), "nt: 15.5", None, "nt"),
         (_EST + ("--design", "simple"), "p: true", None, "p"),
+        # a path is never an integer, which open() would take as a file descriptor
+        (_SIM, "out: 5", None, "out"),
+        (("estimate", "--y-col", "y", "--d-col", "d") + _HALF, "data: 0", None, "data"),
     ],
     ids=[
         "reps-flag",
@@ -88,6 +92,8 @@ _HALF = ("--design", "simple", "--p", "0.5")
         "level-bool-config",
         "estimate-nt-float-config",
         "p-bool-config",
+        "out-int-config",
+        "data-int-config",
     ],
 )
 def test_malformed_option_value_is_a_schema_error_naming_the_key(
@@ -768,3 +774,195 @@ def test_study_with_an_all_failed_method_reads_back(tmp_path, capsys):
     assert (ht["method"], ht["reps_used"], ht["failed"]) == ("HT", 0, 4)
     assert [ht[key] for key in ("bias", "std", "rmse", "coverage", "avg_ci_length")] == [None] * 5
     assert dm["reps_used"] == 4 and isinstance(dm["bias"], float)
+
+
+def _long_options(command):
+    """The long options of a subcommand, read from its parser, without --help and --config."""
+    parser = build_parser()._subparsers._group_actions[0].choices[command]
+    options = {o[2:] for action in parser._actions for o in action.option_strings if o[1] == "-"}
+    return sorted(options - {"help", "config"})
+
+
+_OBSERVED30 = str(DATA / "observed30.csv")
+_POPULATION12 = str(DATA / "population12.csv")
+_POPULATION_ROLES = {"data": _POPULATION12, "y1-col": "y1", "y0-col": "y0", "covariates": "x1,x2"}
+# Per command: the settings of a run that exits 0, and per option the value
+# the option is set to, with any settings the option needs besides the base.
+_BASE = {
+    "estimate": {
+        "data": _OBSERVED30, "y-col": "y", "d-col": "d", "covariates": "age,score",
+        "design": "simple", "p": 0.5,
+    },
+    "simulate": {"synth": "linear-heterogeneous", "n": 12, "k": 2, "reps": 3},
+}
+_OPTION_CASES = {
+    "estimate": {
+        "data": (_OBSERVED30, {}),
+        "delimiter": (";", {}),
+        "no-header": (True, {}),
+        "covariates": ("age,score", {}),
+        "categorical": ("region", {}),
+        "y-col": ("y", {}),
+        "d-col": ("d", {}),
+        "p-col": ("score", {}),
+        "drop-first": (True, {"categorical": "region"}),
+        "design": ("simple", {}),
+        "p": (0.4, {}),
+        "nt": (15, {"design": "complete", "method": "DM"}),
+        "method": ("HT", {}),
+        "lambda": ("fixed:0", {}),
+        "level": (0.9, {}),
+        "out": (None, {}),
+        "allow-design-mismatch": (True, {"method": "LOORA_DM"}),
+    },
+    "simulate": {
+        "data": (_POPULATION12, {k: v for k, v in _POPULATION_ROLES.items() if k != "data"}),
+        "delimiter": (";", _POPULATION_ROLES),
+        "no-header": (True, _POPULATION_ROLES),
+        "covariates": ("x1,x2", _POPULATION_ROLES),
+        "categorical": ("x1", _POPULATION_ROLES),
+        "y1-col": ("y1", _POPULATION_ROLES),
+        "y0-col": ("y0", _POPULATION_ROLES),
+        "drop-first": (True, dict(_POPULATION_ROLES, categorical="x1")),
+        "synth": ("leverage-stress", {}),
+        "n": (14, {}),
+        "k": (3, {}),
+        "pop-seed": (5, {}),
+        "design": ("complete", {}),
+        "nt": (4, {"design": "complete", "methods": "DM"}),
+        "methods": ("HT,DM", {}),
+        "reps": (5, {}),
+        "level": (0.9, {}),
+        "seed": (4, {}),
+        "lambda": ("fixed:0", {}),
+        "threads": (2, {}),  # accepted and checked, but it changes nothing
+        "out": (None, {}),
+        "allow-design-mismatch": (True, {"methods": "LOORA_DM"}),
+    },
+}
+
+
+def _as_flags(settings):
+    argv = []
+    for key, value in settings.items():
+        argv += [f"--{key}"] if value is True else [f"--{key}", str(value)]
+    return argv
+
+
+@pytest.mark.parametrize(
+    "command, key",
+    [(command, key) for command in ("estimate", "simulate") for key in _long_options(command)],
+)
+def test_every_long_option_is_a_config_key_read_as_its_flag(tmp_path, capsys, command, key):
+    # A KeyError here means a new option has no case in _OPTION_CASES.
+    value, extra = _OPTION_CASES[command][key]
+    out = tmp_path / "out.jsonl"
+    value = str(out) if key == "out" else value
+    settings = {**_BASE[command], "out": str(out), **extra}
+    settings.pop(key, None)
+    cfg = tmp_path / "config.yaml"
+    cfg.write_text(yaml.safe_dump({"schema_version": 1, key: value}), encoding="utf-8")
+    results = []
+    for source in (["--config", str(cfg)], _as_flags({key: value}), []):
+        code, stdout, stderr = run(capsys, command, *_as_flags(settings), *source)
+        results.append((code, stdout, stderr, out.read_bytes() if out.exists() else None))
+        if out.exists():
+            out.unlink()
+    from_config, from_flag, unset = results
+    assert "unknown key" not in from_config[2]
+    assert from_config == from_flag
+    if key != "threads":
+        assert from_flag != unset  # so the equality above shows that the key is read
+
+
+def _headerless(path, tmp_path):
+    """A copy of a CSV without its header line; its columns are c0, c1, ..."""
+    copy = tmp_path / f"headerless-{Path(path).name}"
+    copy.write_text(Path(path).read_text(encoding="utf-8").split("\n", 1)[1], encoding="utf-8")
+    return str(copy)
+
+
+@pytest.mark.parametrize(
+    "command, data, argv",
+    [
+        ("estimate", _OBSERVED30, ["--y-col", "c0", "--d-col", "c1", "--covariates", "c2,c3",
+                                  "--design", "simple", "--p", "0.5", "--method", "LOORA_DM"]),
+        ("simulate", _POPULATION12, ["--y1-col", "c2", "--y0-col", "c3", "--covariates", "c0,c1",
+                                    "--methods", "HT,LOORA_DM", "--reps", "20"]),
+    ],
+    ids=["estimate", "simulate"],
+)
+def test_data_out_no_header_and_mismatch_from_a_config_give_the_flags_bytes(
+    tmp_path, capsys, command, data, argv
+):
+    settings = {
+        "data": _headerless(data, tmp_path),
+        "out": str(tmp_path / "out.jsonl"),
+        "no-header": True,
+        "allow-design-mismatch": True,
+    }
+    cfg = tmp_path / "config.yaml"
+    cfg.write_text(yaml.safe_dump({"schema_version": 1, **settings}), encoding="utf-8")
+    records = []
+    for source in (["--config", str(cfg)], _as_flags(settings)):
+        code, _, stderr = run(capsys, command, *argv, *source)
+        assert code == 0 and "realized treated count" in stderr
+        records.append((tmp_path / "out.jsonl").read_bytes())
+        (tmp_path / "out.jsonl").unlink()
+    assert records[0] == records[1]
+
+
+@pytest.mark.parametrize(
+    "argv, key",
+    [
+        (_SYNTH, "rep"),  # reps misspelt
+        (_SYNTH, "method"),  # estimate's key; simulate's is methods
+        (_SYNTH, "pop_seed"),  # keys are spelled as the flags: pop-seed
+        (_SYNTH, "bogus"),
+        (_SYNTH, "config"),
+        (_EST + _HALF, "methods"),
+        (_EST + _HALF, "threads"),
+    ],
+    ids=["rep", "simulate-method", "pop_seed", "bogus", "config", "estimate-methods", "estimate-threads"],
+)
+def test_unknown_config_key_exits_2_naming_key_and_file_before_any_work(
+    tmp_path, capsys, monkeypatch, argv, key
+):
+    def must_not_run(*args, **kwargs):
+        pytest.fail("the command read data or ran a study before checking its config keys")
+
+    monkeypatch.setattr(loora.cli, "run_study", must_not_run)
+    monkeypatch.setattr(loora.cli, "build_dataset", must_not_run)
+    cfg = tmp_path / "config.yaml"
+    cfg.write_text(f"schema_version: 1\n{key}: 3\n", encoding="utf-8")
+    out = tmp_path / "out.jsonl"
+    code, stdout, stderr = run(capsys, *argv, "--config", str(cfg), "--out", str(out))
+    assert (code, stdout) == (2, "")
+    assert stderr.startswith(f"error: {cfg}: unknown key '{key}'")
+    assert not out.exists()
+
+
+def test_threads_in_a_config_and_on_the_command_line_still_run(tmp_path, capsys):
+    cfg = tmp_path / "study.yaml"
+    cfg.write_text("schema_version: 1\nthreads: 2\n", encoding="utf-8")
+    code, _, _ = run(capsys, *_SIM, "--config", str(cfg))
+    assert code == 0
+    code, _, _ = run(capsys, *_SIM, "--threads", "1")
+    assert code == 0
+
+
+def test_estimate_without_data_exits_2(capsys):
+    code, stdout, stderr = run(capsys, "estimate", "--y-col", "y", "--d-col", "d", *_HALF)
+    assert (code, stdout) == (2, "")
+    assert stderr == "error: estimate needs --data <csv>\n"
+
+
+def test_a_study_too_large_to_hold_is_a_numeric_error(tmp_path, capsys):
+    # numpy refuses an array of 2**62 replicates before it allocates anything
+    out = tmp_path / "study.jsonl"
+    code, stdout, stderr = run(
+        capsys, *_SYNTH, "--n", "12", "--methods", "HT,DM", "--reps", str(2**62), "--out", str(out)
+    )
+    assert (code, stdout) == (3, "")
+    assert stderr.startswith(f"numeric error: a study of {2**62} replicates and 2 methods ")
+    assert not out.exists()

@@ -116,7 +116,8 @@ def test_synth_binary_outcomes_are_binary():
 def test_run_study_deterministic_across_thread_counts():
     pop = synth_population("linear-heterogeneous", 25, 3, 5)
     # A study takes no thread count, so two runs of one config must agree;
-    # the CLI's --threads 1 and 2 are compared in test_cli and criterion 9.
+    # test_cli compares the CLI's --threads values, criterion 9 studies under
+    # 1 and 2 BLAS threads.
     cfg = StudyConfig(design="complete", methods=("DM", "LOORA_DM"), reps=300, seed=9, n_t=12)
     r1 = run_study(pop, cfg)
     r4 = run_study(pop, cfg)
