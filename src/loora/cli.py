@@ -14,7 +14,6 @@ import sys
 import time
 
 import numpy as np
-import yaml
 
 from . import __version__
 from .dataset import _utf8_error, build_dataset
@@ -65,6 +64,7 @@ def parse_lambda(text: str) -> LambdaRule:
 
 def load_config(path, keys) -> dict:
     """The settings of a YAML config file whose keys, but schema_version, all lie in keys."""
+    import yaml  # only a run with --config pays for the import
     try:
         with open(path, encoding="utf-8") as handle:
             data = yaml.safe_load(handle)

@@ -24,9 +24,9 @@ per row (linalg.matvec_rows, linalg.dot_rows) and every exact sum is
 correctly rounded, with math.fsum's bits, by fsum_rows: math.fsum per row
 on small blocks, else a few error-free extraction passes over the whole
 block, with math.fsum kept for the rows holding non-finite, near-overflow or
-near-subnormal entries and for combining more than two exact pieces. The
-only per-row LAPACK calls are INT's arm factors and solves. The one switch
-over method identifiers is loora.inference.plan_estimate.
+near-subnormal entries and for combining more than two exact pieces. INT
+factors the arm Grams of a group of rows in one stacked LAPACK call. The
+one switch over method identifiers is loora.inference.plan_estimate.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from .linalg import (
     RidgeFactor,
     as_design_matrix,
     check_loo_feasible,
-    cholesky_solve_rows,
+    cholesky_solve,
     dot_rows,
     full_rank_cholesky,
     full_rank_cholesky_rows,
@@ -53,6 +53,7 @@ from .linalg import (
     negligible_pivot,
     ridge_factor,
     singular_column,
+    upper_inverse,
 )
 
 
@@ -641,23 +642,17 @@ def _arm_fits(a: np.ndarray, ya: np.ndarray):
     """(intercepts, HC0 terms, info) of the OLS of each row of ya (G, m) on its a (G, m, K).
 
     The intercept is alpha = beta[0] of (a'a) beta = a'ya and its HC0 terms
-    are (a g) * (ya - a beta) with g = (a'a)^{-1} e0, since row 0 of
-    (a'a)^{-1} a' is (a g)'. Every Gram is the one syrk call a 2-D a.T @ a
-    makes and every product one BLAS call per row, so each row has the bits
-    of its own fit; only dpotrf and dpotrs run row by row. info is 0 for a
-    full-rank arm, else 1 + its first column at fault, by
-    full_rank_cholesky's rule, and such a row's intercept and terms are
-    meaningless.
+    are (a g) * (ya - a beta) with g = (a'a)^{-1} e0 = C (C' e0), C = R^{-1}
+    for a'a = R'R, since row 0 of (a'a)^{-1} a' is (a g)'; C' e0 is row 0 of C.
+    Every Gram is the one syrk call a 2-D a.T @ a makes, the factors and
+    their inverses are stacked calls and every product is one BLAS call per
+    row, so each row has the bits of its own fit. info is 0 for a full-rank
+    arm, else 1 + its first column at fault, by full_rank_cholesky's rule,
+    and such a row's intercept and terms are meaningless.
     """
     at = a.transpose(0, 2, 1)
-    gram = np.matmul(at, a)
-    # Row g of rhs holds the right-hand sides [a'ya, e0] as rows, so that
-    # rhs[g].T is the Fortran (K, 2) array the solve overwrites.
-    rhs = np.zeros((a.shape[0], 2, a.shape[2]))
-    rhs[:, 0] = matvec_rows(at, ya)
-    rhs[:, 1, 0] = 1.0
-    info = full_rank_cholesky_rows(gram, a.shape[1:])
-    cholesky_solve_rows(gram, rhs, np.flatnonzero(info == 0).tolist())
-    beta, g0 = rhs[:, 0], rhs[:, 1]
-    terms = matvec_rows(a, g0) * (ya - matvec_rows(a, beta))
+    upper, info = full_rank_cholesky_rows(np.matmul(at, a), a.shape[1:])
+    cho = upper_inverse(upper)
+    beta = cholesky_solve(cho, matvec_rows(at, ya)[:, None])[:, 0]
+    terms = matvec_rows(a, matvec_rows(cho, cho[:, 0])) * (ya - matvec_rows(a, beta))
     return beta[:, 0], terms, info

@@ -15,8 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .exceptions import InvalidInput, LeverageSingular, RankDeficient
 
@@ -84,11 +82,6 @@ class RidgeFit:
     z: np.ndarray
 
 
-def _rows_of(a: np.ndarray) -> np.ndarray:
-    """The columns of a as the contiguous rows of a new array."""
-    return np.ascontiguousarray(a.T)
-
-
 def matvec_rows(a: np.ndarray, v: np.ndarray) -> np.ndarray:
     """a @ v_i for every row v_i of v (m, n), as the rows of an (m, k) array.
 
@@ -148,8 +141,8 @@ class RidgeFactor:
         Design matrix.
     lam : float or ndarray of shape (k,)
         Ridge penalty used.
-    cho : tuple
-        Upper Cholesky factor of X'X + Lambda, as returned by cho_factor.
+    cho : ndarray of shape (k, k)
+        R^{-1} for the upper Cholesky factor R of X'X + Lambda (see cholesky_solve).
     hat_diag : ndarray of shape (n,)
         Ridge leverage scores.
     z : ndarray of shape (k, n)
@@ -158,7 +151,7 @@ class RidgeFactor:
 
     x: np.ndarray
     lam: float | np.ndarray
-    cho: tuple
+    cho: np.ndarray
     hat_diag: np.ndarray
     z: np.ndarray
 
@@ -173,18 +166,16 @@ class RidgeFactor:
         if y.ndim == 1:
             beta = self.solve_rows(y[None])[0]
         else:
-            beta = self.solve_rows(_rows_of(y)).T
+            beta = self.solve_rows(np.ascontiguousarray(y.T)).T
         return RidgeFit(x=self.x, y=y, lam=self.lam, beta=beta, hat_diag=self.hat_diag, z=self.z)
 
     def solve_rows(self, y: np.ndarray) -> np.ndarray:
         """beta for each response row of a checked y (m, n), as the rows of an (m, k) array.
 
-        X'y is one matrix-vector product per row (matvec_rows) and one
-        dpotrs call solves all m right-hand sides; each column of a
-        triangular solve runs alone, so every row has the bits of its own
-        single-response fit.
+        X'y is one matvec_rows call and the solve one cholesky_solve, so every
+        row has the bits of its own single-response fit.
         """
-        return cholesky_solve(self.cho, matvec_rows(self.x.T, y).T).T
+        return cholesky_solve(self.cho, matvec_rows(self.x.T, y))
 
 
 def ridge_factor(x, lam) -> RidgeFactor:
@@ -202,7 +193,7 @@ def ridge_factor(x, lam) -> RidgeFactor:
     Raises
     ------
     InvalidInput
-        On non-finite input or a negative penalty.
+        On non-finite input, a negative penalty or an overflowing X'X + Lambda.
     RankDeficient
         When every penalty is zero and the design matrix is rank-deficient,
         or when X'X + Lambda is numerically singular.
@@ -218,28 +209,55 @@ def ridge_factor(x, lam) -> RidgeFactor:
         )
     gram = x.T @ x
     gram.flat[:: k + 1] += lam
+    if not np.all(np.isfinite(gram)):
+        raise InvalidInput("X'X + lambda overflows double precision; rescale the design")
     try:
-        cho = scipy.linalg.cho_factor(gram, lower=False)
-    except scipy.linalg.LinAlgError as exc:
+        upper = np.linalg.cholesky(gram, upper=True)
+    except np.linalg.LinAlgError as exc:
         # numerically singular even though the SVD rank check passed
-        raise RankDeficient(str(exc)) from exc
-    z = cholesky_solve(cho, x.T)
+        raise RankDeficient(
+            f"{_failing_minor(gram)}-th leading minor of the array is not positive definite"
+        ) from exc
+    cho = np.linalg.inv(upper)
+    z = cho @ (cho.T @ x.T)
     hat_diag = np.einsum("ij,ji->i", x, z)
     return RidgeFactor(x=x, lam=lam, cho=cho, hat_diag=hat_diag, z=z)
 
 
-def cholesky_solve(cho: tuple, b: np.ndarray) -> np.ndarray:
-    """Solve (R'R) x = b from a (factor, lower) pair as cho_factor returns it.
+def _failing_minor(gram: np.ndarray) -> int:
+    """Order of the first leading minor whose Cholesky factorization fails, of a Gram that fails."""
+    for order in range(1, len(gram)):
+        try:
+            np.linalg.cholesky(gram[:order, :order], upper=True)
+        except np.linalg.LinAlgError:
+            return order
+    return len(gram)
 
-    Calls LAPACK dpotrs directly, as scipy's cho_solve does internally, so
-    the result carries the same bits without scipy's per-call wrapper. The
-    factor and b must already be checked finite.
+
+def upper_inverse(upper: np.ndarray) -> np.ndarray:
+    """R^{-1} of each upper-triangular R, with a positive diagonal, of a stack (..., K, K).
+
+    Column j is C[j, j] = 1 / R[j, j], C[:j, j] = -C[j, j] C[:j, :j] R[:j, j] (LAPACK's
+    trti2 order), one BLAS call per R, so each R gets the bits of its own call; K
+    stacked steps cost less than np.linalg.inv's LAPACK calls per matrix.
     """
-    c, lower = cho
-    x, info = dpotrs(c, b, lower=lower)
-    if info != 0:
-        raise ValueError(f"illegal value in argument {-info} of LAPACK dpotrs")
-    return x
+    inv = np.zeros_like(upper)
+    for j in range(upper.shape[-1]):
+        inv[..., j, j] = 1.0 / upper[..., j, j]
+        col = np.matmul(inv[..., :j, :j], upper[..., :j, j, None])[..., 0]
+        inv[..., :j, j] = col * -inv[..., j, j, None]
+    return inv
+
+
+def cholesky_solve(cho: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve (R'R) x = b for every right-hand side b_i in the rows of b (..., m, K).
+
+    cho is C = R^{-1}, or a stack (..., K, K) of one per leading index of b. The
+    solutions C (C' b_i) come back as rows, each product one BLAS matrix-vector
+    call per right-hand side, so each row has the bits of its own single solve.
+    """
+    cho = cho[..., None, :, :]
+    return np.matmul(cho, np.matmul(np.swapaxes(cho, -1, -2), b[..., None]))[..., 0]
 
 
 def negligible_pivot(pivot_sq, norm_sq, shape: tuple[int, int]):
@@ -266,54 +284,41 @@ def singular_column(column: int) -> RankDeficient:
     )
 
 
-def full_rank_cholesky(a: np.ndarray) -> tuple:
-    """Upper Cholesky factor of the unpenalized Gram a'a, as (factor, False).
+def full_rank_cholesky(a: np.ndarray) -> np.ndarray:
+    """Upper Cholesky factor R of the unpenalized Gram a'a (a'a = R'R).
 
     Raises RankDeficient, naming the first column at fault, when the Gram is
     not numerically positive definite or a pivot is negligible_pivot.
     """
-    gram = a.T @ a
-    c, info = dpotrf(gram, lower=0, clean=0)
-    if info < 0:
-        raise ValueError(f"illegal value in argument {-info} of LAPACK dpotrf")
-    if info == 0:
-        weak = np.flatnonzero(negligible_pivot(np.diagonal(c) ** 2, np.diagonal(gram), a.shape))
-        info = int(weak[0]) + 1 if weak.size else 0
-    if info:
-        raise singular_column(info - 1)
-    return c, False
+    upper, info = full_rank_cholesky_rows((a.T @ a)[None], a.shape)
+    if info[0]:
+        raise singular_column(int(info[0]) - 1)
+    return upper[0]
 
 
-def full_rank_cholesky_rows(gram: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
-    """full_rank_cholesky of every Gram a_g'a_g of a stack (G, K, K), in place.
+def full_rank_cholesky_rows(gram: np.ndarray, shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """full_rank_cholesky of every Gram a_g'a_g of a stack (G, K, K): (factors, info).
 
-    shape is the (rows, columns) of each a_g. Each gram[g] must be exactly
-    symmetric, as np.matmul(a.transpose(0, 2, 1), a) makes it (numpy
-    mirrors the triangle its syrk call computes), so the Fortran array
-    gram[g].T is the same matrix; dpotrf overwrites it with the upper
-    factor, one call per Gram. Returns info per Gram: 0 where
-    full_rank_cholesky returns the factor, else 1 + the column it names.
+    shape is the (rows, columns) of each a_g. One stacked np.linalg.cholesky factors
+    every Gram with the bits of its own call; only if it raises is each factored
+    alone. info is 0 where full_rank_cholesky returns the factor, else 1 + the
+    column it names, and that Gram's factor is the identity.
     """
-    norm_sq = np.diagonal(gram, axis1=1, axis2=2).copy()
-    factors = gram.transpose(0, 2, 1)
-    info = np.array([dpotrf(c, lower=0, clean=0, overwrite_a=1)[1] for c in factors])
-    if (info < 0).any():
-        raise ValueError(f"illegal value in argument {-info.min()} of LAPACK dpotrf")
-    weak = negligible_pivot(np.diagonal(gram, axis1=1, axis2=2) ** 2, norm_sq, shape)
-    return np.where((info == 0) & weak.any(axis=1), np.argmax(weak, axis=1) + 1, info)
-
-
-def cholesky_solve_rows(factors: np.ndarray, rhs: np.ndarray, rows) -> None:
-    """cholesky_solve for the listed rows g of a stack, in place.
-
-    factors (G, K, K) is as full_rank_cholesky_rows leaves it and rhs
-    (G, m, K) holds each row's m right-hand sides as rows; rhs[g] is
-    overwritten with the solutions, one dpotrs call per listed row.
-    """
-    for g in rows:
-        _, info = dpotrs(factors[g].T, rhs[g].T, lower=0, overwrite_b=1)
-        if info != 0:
-            raise ValueError(f"illegal value in argument {-info} of LAPACK dpotrs")
+    info = np.zeros(len(gram), dtype=np.int64)
+    try:
+        upper = np.linalg.cholesky(gram, upper=True)
+    except np.linalg.LinAlgError:
+        upper = np.zeros_like(gram)
+        for g, one in enumerate(gram):
+            try:
+                upper[g] = np.linalg.cholesky(one, upper=True)
+            except np.linalg.LinAlgError:
+                info[g] = _failing_minor(one)
+    norm_sq = np.diagonal(gram, axis1=1, axis2=2)
+    weak = negligible_pivot(np.diagonal(upper, axis1=1, axis2=2) ** 2, norm_sq, shape)
+    info = np.where((info == 0) & weak.any(axis=1), np.argmax(weak, axis=1) + 1, info)
+    upper[info != 0] = np.eye(gram.shape[1])
+    return upper, info
 
 
 def ridge_fit(x, y, lam) -> RidgeFit:

@@ -50,6 +50,7 @@ from loora.linalg import (
     cholesky_solve,
     full_rank_cholesky,
     ridge_fit,
+    upper_inverse,
 )
 from loora.oracle import (
     Population,
@@ -318,11 +319,10 @@ def int_parts_loop(plan: BenchmarkPlan, d: np.ndarray, y: np.ndarray, failed: di
 def _arm_intercept(plan: BenchmarkPlan, mask: np.ndarray, y: np.ndarray):
     """Intercept of the OLS of y on [1, Xc] within one arm, and its HC0 terms."""
     a, ya = plan.basis[mask], y[mask]
-    cho = full_rank_cholesky(a)
+    cho = upper_inverse(full_rank_cholesky(a))
     e0 = np.zeros(a.shape[1])
     e0[0] = 1.0
-    sol = cholesky_solve(cho, np.column_stack([a.T @ ya, e0]))
-    beta, g = sol[:, 0], sol[:, 1]
+    beta, g = cholesky_solve(cho, np.stack([a.T @ ya, e0]))
     # row 0 of (A'A)^{-1} A' is (A g)', g = (A'A)^{-1} e0
     return float(beta[0]), (a @ g) * (ya - a @ beta)
 

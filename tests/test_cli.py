@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -966,3 +969,43 @@ def test_a_study_too_large_to_hold_is_a_numeric_error(tmp_path, capsys):
     assert (code, stdout) == (3, "")
     assert stderr.startswith(f"numeric error: a study of {2**62} replicates and 2 methods ")
     assert not out.exists()
+
+
+def _fresh_interpreter(code: str) -> subprocess.CompletedProcess:
+    """Run code in a new Python process that imports this checkout's loora."""
+    src = str(Path(loora.cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+
+
+def test_importing_the_cli_loads_neither_scipy_nor_yaml():
+    done = _fresh_interpreter(
+        "import sys, loora.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'yaml')))"
+    )
+    assert (done.returncode, done.stdout) == (0, "[]\n"), done.stderr
+
+
+def test_every_command_runs_without_scipy(tmp_path):
+    # sys.modules["scipy"] = None makes any import of scipy raise ImportError.
+    methods = ("HT", "DM", "ADJ", "INT", "RIDGE_REG", "LOORA_HT", "LOORA_DM")
+    complete = ("--design", "complete", "--nt", "15")
+    commands = [[*_EST, "--method", m, *(_HALF if "HT" in m else complete)] for m in methods]
+    commands.append(
+        [*_SYNTH, "--n", "40", "--reps", "20", "--design", "simple-half", "--methods",
+         ",".join(methods), "--allow-design-mismatch", "--out", str(tmp_path / "study.jsonl")]
+    )
+    commands.append(["verify"])
+    done = _fresh_interpreter(
+        "import sys; sys.modules['scipy'] = None; from loora.cli import main; "
+        f"sys.exit(max(main(argv) for argv in {commands!r}))"
+    )
+    assert done.returncode == 0, done.stderr
+    assert "FAIL" not in done.stdout
+    assert len(read_records(tmp_path / "study.jsonl")) == len(methods)

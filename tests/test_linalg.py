@@ -17,6 +17,7 @@ from loora.linalg import (
     ridge_factor,
     ridge_fit,
     ridge_leverages_svd,
+    upper_inverse,
 )
 from reference_routes import hat_full
 
@@ -63,18 +64,32 @@ def test_one_factor_fits_many_responses_bit_for_bit(rng):
         factor.fit(np.zeros(29))
 
 
-def test_cholesky_solve_carries_scipy_cho_solve_bits(rng):
+def test_cholesky_solve_agrees_with_scipy_cho_solve(rng):
     x = rng.standard_normal((40, 5))
-    cho = scipy.linalg.cho_factor(x.T @ x + 0.1 * np.eye(5))
-    for b in (rng.standard_normal(5), rng.standard_normal((5, 3)), x.T):
-        want = scipy.linalg.cho_solve(cho, b, check_finite=False)
-        assert np.array_equal(cholesky_solve(cho, b), want)
+    factor = scipy.linalg.cho_factor(x.T @ x)
+    for b in (rng.standard_normal((1, 5)), rng.standard_normal((3, 5)), x):
+        expected = scipy.linalg.cho_solve(factor, b.T).T
+        got = cholesky_solve(upper_inverse(full_rank_cholesky(x)), b)
+        assert_allclose(got, expected, rtol=1e-12)
+
+
+def test_cholesky_solve_solves_each_right_hand_side_alone(rng):
+    # A block of solves must give every right-hand side the bits of its own
+    # solve, against one factor and against a stack of factors alike, and a
+    # stack of inverses each factor the bits of its own inverse.
+    x = rng.standard_normal((4, 40, 5))
+    cho = upper_inverse(np.stack([full_rank_cholesky(a) for a in x]))
+    b = rng.standard_normal((4, 40, 5))
+    for a, one, rows, got in zip(x, cho, b, cholesky_solve(cho, b)):
+        assert np.array_equal(one, upper_inverse(full_rank_cholesky(a)))
+        assert np.array_equal(got, cholesky_solve(one, rows))
+        for i, row in enumerate(rows):
+            assert np.array_equal(got[i], cholesky_solve(one, row[None])[0])
 
 
 def test_full_rank_cholesky_flags_a_dependent_column(rng):
     a = rng.standard_normal((12, 3))
-    c, lower = full_rank_cholesky(a)
-    assert not lower
+    c = full_rank_cholesky(a)
     assert_allclose(np.triu(c).T @ np.triu(c), a.T @ a, rtol=1e-12, atol=1e-12)
     # the rule is relative to each column's own norm: a tiny column counts
     # as dependent only when it lies in the span of the columns before it
@@ -101,6 +116,10 @@ def test_non_finite_input_rejected():
         ridge_fit(np.eye(2), [1.0, np.inf], 0.0)
     with pytest.raises(InvalidInput):
         ridge_fit(np.eye(2), [1.0, 2.0], -0.5)
+    # finite entries whose Gram overflows: refused, never fit as if the
+    # overflowing columns carried an infinite penalty
+    with np.errstate(over="ignore"), pytest.raises(InvalidInput, match="overflows"):
+        ridge_fit(np.array([[1e160, 1.0], [2e160, 0.0], [0.0, 1.0]]), [1.0, 2.0, 3.0], 1.0)
 
 
 def test_full_hat_symmetric_and_trace_matches_diag(rng):
@@ -171,6 +190,23 @@ def test_svd_leverages_zero_row():
     x = np.array([[2.0, 0.0], [0.0, 0.0]])
     for lam in (0.5, 3.0):
         assert_allclose(ridge_leverages_svd(x, lam), [4.0 / (4.0 + lam), 0.0], atol=1e-12)
+
+
+@pytest.mark.parametrize("eps", [1e-1, 1e-2, 1e-3, 1e-4, 3e-5])
+@pytest.mark.parametrize("seed", range(5))
+def test_near_collinear_leverages_track_the_svd(eps, seed):
+    # [1, x1, x1 + eps * noise] at n = 120 has condition number kappa of about
+    # 2 / eps, up to 7.8e4 here. The Gram squares kappa, so the leverages
+    # carry errors of order kappa^2 * eps64: 0.002-0.10 times that on these
+    # fixtures, and the worst of each eps at least 0.029 times it. The bound,
+    # 0.25 * kappa^2 * eps64, is within ten times that worst at every eps.
+    rng = np.random.default_rng(seed)
+    x1 = rng.standard_normal(120)
+    x = np.column_stack([np.ones(120), x1, x1 + eps * rng.standard_normal(120)])
+    kappa = np.linalg.cond(x)
+    assert kappa <= 1e5
+    err = np.max(np.abs(ridge_factor(x, 0.0).hat_diag - ridge_leverages_svd(x, 0.0)))
+    assert err <= 0.25 * kappa**2 * np.finfo(np.float64).eps
 
 
 def test_svd_leverages_match_normal_equation_route(rng):

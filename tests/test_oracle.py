@@ -3,7 +3,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
@@ -277,6 +276,20 @@ def test_loora_dm_variance_matches_enumeration_k2(rng):
     assert rel_gap(loora_dm_variance(pop, 3, lam), enum_var) < 1e-9
 
 
+@pytest.mark.parametrize("n", [12, 14, 16])
+@pytest.mark.parametrize("rule", [LambdaRule.fixed(0.0), AUTO2], ids=["lambda0", "auto2"])
+def test_loora_variances_match_enumeration_on_leverage_stress(n, rule):
+    # One row carries a leverage of at least 0.9 at lambda = 0, where the
+    # rounding of the ridge factor weighs most in both routes.
+    pop = synth_population("leverage-stress", n, 3, n)
+    p = half_probs(n)
+    _, enum_ht = enumeration_moments(pop, SimpleDesign(p), Method.LOORA_HT, rule)
+    exact_ht = loora_ht_variance(pop, p, rule.resolve(ht_signal(pop, p).xw))
+    assert rel_gap(exact_ht, enum_ht) < 1e-9
+    _, enum_dm = enumeration_moments(pop, CompleteDesign(n, n // 2), Method.LOORA_DM, rule)
+    assert rel_gap(loora_dm_variance(pop, n // 2, rule.resolve(pop.x)), enum_dm) < 1e-9
+
+
 def test_loora_dm_variance_guards():
     rng = np.random.default_rng(0)
     pop4 = random_population(rng, 4, 1)
@@ -477,13 +490,13 @@ def test_enumeration_moments_null_effect_dm(rng):
 )
 def test_enumeration_moments_factors_the_gram_once(monkeypatch, rng, method, spec):
     # One plan serves all 2^8 (or C(8, 4)) assignments of the walk.
-    real = scipy.linalg.cho_factor
+    real = np.linalg.cholesky
     calls = []
 
     def counting(*args, **kwargs):
         calls.append(1)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(scipy.linalg, "cho_factor", counting)
+    monkeypatch.setattr(np.linalg, "cholesky", counting)
     enumeration_moments(random_population(rng, 8, 2), spec, method, AUTO2)
     assert len(calls) == 1
