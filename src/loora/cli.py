@@ -386,7 +386,7 @@ def cmd_simulate(args, config) -> int:
 
 
 def cmd_verify(args, config) -> int:
-    results = run_checks(args.check or CORE_CHECKS, args.seed, args.n, args.corrupt_q)
+    results = run_checks(args.check or CORE_CHECKS, args.seed, args.n)
     all_passed = True
     for result in results:
         status = "PASS" if result.passed else "FAIL"
@@ -467,7 +467,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ver.add_argument("--seed", type=int, default=0)
     ver.add_argument("--n", type=int, default=5000, help="sample size for lin-equivalence")
-    ver.add_argument("--corrupt-q", action="store_true", help="negative-control hook")
     ver.set_defaults(func=cmd_verify)
     return parser
 

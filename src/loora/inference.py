@@ -11,7 +11,6 @@ the floating-point range, and the normal confidence intervals.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,70 +32,15 @@ from .estimators import (
 from .exceptions import InvalidInput, LooraError, NonFinite
 from .linalg import as_design_matrix
 
-_SQRT2 = math.sqrt(2.0)
-_SQRT_2PI = math.sqrt(2.0 * math.pi)
-
-# Rational approximation of the standard normal quantile (Acklam's
-# coefficients), refined by one Halley step against erfc.
-_A = (
-    -3.969683028665376e01,
-    2.209460984245205e02,
-    -2.759285104469687e02,
-    1.383577518672690e02,
-    -3.066479806614716e01,
-    2.506628277459239e00,
-)
-_B = (
-    -5.447609879822406e01,
-    1.615858368580409e02,
-    -1.556989798598866e02,
-    6.680131188771972e01,
-    -1.328068155288572e01,
-)
-_C = (
-    -7.784894002430293e-03,
-    -3.223964580411365e-01,
-    -2.400758277161838e00,
-    -2.549732539343734e00,
-    4.374664141464968e00,
-    2.938163982698783e00,
-)
-_D = (
-    7.784695709041462e-03,
-    3.224671290700398e-01,
-    2.445134137142996e00,
-    3.754408661907416e00,
-)
-
 
 def normal_quantile(p: float) -> float:
-    """Standard normal quantile, accurate to well below 1e-9 on (0, 1)."""
+    """Standard normal quantile on (0, 1), by the standard library's NormalDist."""
+    from statistics import NormalDist  # imported on first use, not at start-up
+
     p = float(p)
     if not 0.0 < p < 1.0:
         raise InvalidInput(f"quantile argument must lie in (0, 1), got {p}")
-    p_low = 0.02425
-    if p < p_low:
-        q = math.sqrt(-2.0 * math.log(p))
-        x = (((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5]) / (
-            (((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0
-        )
-    elif p <= 1.0 - p_low:
-        q = p - 0.5
-        r = q * q
-        x = (
-            (((((_A[0] * r + _A[1]) * r + _A[2]) * r + _A[3]) * r + _A[4]) * r + _A[5])
-            * q
-            / (((((_B[0] * r + _B[1]) * r + _B[2]) * r + _B[3]) * r + _B[4]) * r + 1.0)
-        )
-    else:
-        q = math.sqrt(-2.0 * math.log(1.0 - p))
-        x = -(((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5]) / (
-            (((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0
-        )
-    # One Halley refinement step pins the result to machine precision.
-    err = 0.5 * math.erfc(-x / _SQRT2) - p
-    u = err * _SQRT_2PI * math.exp(0.5 * x * x)
-    return x - u / (1.0 + 0.5 * x * u)
+    return NormalDist().inv_cdf(p)
 
 
 def _interval_quantile(level: float) -> float:

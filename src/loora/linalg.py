@@ -54,34 +54,6 @@ def max_row_norm(x) -> float:
     return float(np.sqrt(np.max(np.einsum("ij,ij->i", x, x))))
 
 
-@dataclass(frozen=True)
-class RidgeFit:
-    """One factorization of (X'X + Lambda) and what it yields for a response.
-
-    Attributes
-    ----------
-    x : ndarray of shape (n, k)
-        Design matrix.
-    y : ndarray of shape (n,) or (n, m)
-        Response; each column is fit separately against the same factor.
-    lam : float or ndarray of shape (k,)
-        Ridge penalty used: one value for every column, or one per column.
-    beta : ndarray of shape (k,) or (k, m)
-        Solution of (X'X + Lambda) beta = X'y, Lambda = diag(lam).
-    hat_diag : ndarray of shape (n,)
-        Ridge leverage scores h_i = x_i' (X'X + Lambda)^{-1} x_i.
-    z : ndarray of shape (k, n)
-        (X'X + Lambda)^{-1} X'; column i is the influence of row i on beta.
-    """
-
-    x: np.ndarray
-    y: np.ndarray
-    lam: float | np.ndarray
-    beta: np.ndarray
-    hat_diag: np.ndarray
-    z: np.ndarray
-
-
 def matvec_rows(a: np.ndarray, v: np.ndarray) -> np.ndarray:
     """a @ v_i for every row v_i of v (m, n), as the rows of an (m, k) array.
 
@@ -155,19 +127,10 @@ class RidgeFactor:
     hat_diag: np.ndarray
     z: np.ndarray
 
-    def fit(self, y) -> RidgeFit:
-        """Fit a response of shape (n,) or (n, m) against this factor."""
-        n = self.x.shape[0]
-        y = np.asarray(y, dtype=np.float64)
-        if y.ndim not in (1, 2) or y.shape[0] != n:
-            raise InvalidInput(f"response has shape {y.shape}, expected ({n},) or ({n}, m)")
-        if not np.all(np.isfinite(y)):
-            raise InvalidInput("response contains non-finite entries")
-        if y.ndim == 1:
-            beta = self.solve_rows(y[None])[0]
-        else:
-            beta = self.solve_rows(np.ascontiguousarray(y.T)).T
-        return RidgeFit(x=self.x, y=y, lam=self.lam, beta=beta, hat_diag=self.hat_diag, z=self.z)
+    def fit(self, y) -> np.ndarray:
+        """beta of (X'X + Lambda) beta = X'y for one response y of shape (n,)."""
+        y = as_vector(y, self.x.shape[0], "response")
+        return self.solve_rows(y[None])[0]
 
     def solve_rows(self, y: np.ndarray) -> np.ndarray:
         """beta for each response row of a checked y (m, n), as the rows of an (m, k) array.
@@ -302,7 +265,9 @@ def full_rank_cholesky_rows(gram: np.ndarray, shape: tuple[int, int]) -> tuple[n
     shape is the (rows, columns) of each a_g. One stacked np.linalg.cholesky factors
     every Gram with the bits of its own call; only if it raises is each factored
     alone. info is 0 where full_rank_cholesky returns the factor, else 1 + the
-    column it names, and that Gram's factor is the identity.
+    column it names, and that Gram's factor is the identity. With fewer rows
+    than columns, column `rows` is a combination of the columns before it
+    whenever no earlier column is, whatever the rounded pivots say.
     """
     info = np.zeros(len(gram), dtype=np.int64)
     try:
@@ -317,25 +282,10 @@ def full_rank_cholesky_rows(gram: np.ndarray, shape: tuple[int, int]) -> tuple[n
     norm_sq = np.diagonal(gram, axis1=1, axis2=2)
     weak = negligible_pivot(np.diagonal(upper, axis1=1, axis2=2) ** 2, norm_sq, shape)
     info = np.where((info == 0) & weak.any(axis=1), np.argmax(weak, axis=1) + 1, info)
+    if shape[0] < shape[1]:
+        info = np.where((info == 0) | (info > shape[0] + 1), shape[0] + 1, info)
     upper[info != 0] = np.eye(gram.shape[1])
     return upper, info
-
-
-def ridge_fit(x, y, lam) -> RidgeFit:
-    """Solve a ridge regression from one Cholesky factorization.
-
-    Shorthand for ridge_factor(x, lam).fit(y); see both for the parameters.
-    y may be of shape (n,) or (n, m): m responses fit against the same factor.
-
-    Raises
-    ------
-    InvalidInput
-        On non-finite input, dimension mismatch, or a negative penalty.
-    RankDeficient
-        When every penalty is zero and the design matrix is rank-deficient,
-        or when X'X + Lambda is numerically singular.
-    """
-    return ridge_factor(x, lam).fit(y)
 
 
 def check_loo_feasible(hat_diag: np.ndarray) -> None:

@@ -22,7 +22,7 @@ from .design import Assignment, DesignSpec, enumeration_blocks
 from .estimators import DEFAULT_LAMBDA_RULE, LambdaRule, Method, ObservedSample
 from .exceptions import InvalidInput, ParameterOutOfRange, RankDeficient
 from .inference import plan_estimate
-from .linalg import RidgeFit, as_design_matrix, as_vector, check_loo_feasible, ridge_fit
+from .linalg import RidgeFactor, as_design_matrix, as_vector, check_loo_feasible, ridge_factor
 
 
 @dataclass(frozen=True)
@@ -75,14 +75,14 @@ def observed_sample(pop: Population, assignment: Assignment, spec: DesignSpec) -
 # it only through these O(nk^2) products and never build an n x n array.
 
 
-def _hat_times(fit: RidgeFit, v: np.ndarray) -> np.ndarray:
+def _hat_times(factor: RidgeFactor, v: np.ndarray) -> np.ndarray:
     """H v."""
-    return fit.x @ (fit.z @ v)
+    return factor.x @ (factor.z @ v)
 
 
-def _hat_sq_times(fit: RidgeFit, v: np.ndarray) -> np.ndarray:
+def _hat_sq_times(factor: RidgeFactor, v: np.ndarray) -> np.ndarray:
     """(H o H) v: entry k is sum_l H_kl^2 v_l = x_k' Z diag(v) Z' x_k."""
-    return np.einsum("ij,ij->i", fit.x @ ((fit.z * v) @ fit.z.T), fit.x)
+    return np.einsum("ij,ij->i", factor.x @ ((factor.z * v) @ factor.z.T), factor.x)
 
 
 # ---------------------------------------------------------------------------
@@ -142,18 +142,18 @@ def loora_ht_variance_terms(pop: Population, p, lam: float) -> tuple[float, floa
     """
     sig = ht_signal(pop, p)
     n = pop.n
-    fit = ridge_fit(sig.xw, sig.mu, lam)
-    check_loo_feasible(fit.hat_diag)
-    h = fit.hat_diag
+    factor = ridge_factor(sig.xw, lam)
+    check_loo_feasible(factor.hat_diag)
+    h = factor.hat_diag
     gap = 1.0 - h
-    term1 = math.fsum(((sig.xw @ fit.beta - sig.mu) / gap) ** 2) / n**2
+    term1 = math.fsum(((sig.xw @ factor.fit(sig.mu) - sig.mu) / gap) ** 2) / n**2
     # sum_{i<j} H_ij^2 (a_j / g_i + a_i / g_j)^2 with g = 1 - h: half the sum
     # over all i != j, i.e. the full (H o H) forms minus their diagonal.
     a = sig.t / sig.r
     ag = a / gap
     both = (
-        2.0 * _hat_sq_times(fit, a**2) / gap**2
-        + 2.0 * ag * _hat_sq_times(fit, ag)
+        2.0 * _hat_sq_times(factor, a**2) / gap**2
+        + 2.0 * ag * _hat_sq_times(factor, ag)
         - 4.0 * (h * ag) ** 2
     )
     term2 = 0.5 * math.fsum(both) / n**2
@@ -300,7 +300,7 @@ def _pair_value(c: dict[str, float], h_kl, j_kl, w_k, w_l, u_k, u_l, hw2_k, hw2_
 
 
 def _loora_dm_t3_low_rank(
-    sig: DmSignal, fit: RidgeFit, tables, w: np.ndarray, uprime: np.ndarray, corrupt: bool
+    sig: DmSignal, factor: RidgeFactor, tables, w: np.ndarray, uprime: np.ndarray
 ) -> float:
     """T3 = sum_ab t^(a)' Q^(ab) t^(b) from the ridge factor in O(nk^2).
 
@@ -308,21 +308,18 @@ def _loora_dm_t3_low_rank(
     sum expands into three bilinear forms, S1 = a'Hb, S2 = a'(H o H)b and
     J = a'H diag(w^2) H b, plus a rank-one product. The k = l terms of that
     sum are then swapped for the diagonal entries.
-
-    corrupt=True perturbs entry (0, 1) of block (1, 1); it exists solely as a
-    negative-control hook for the verification command.
     """
-    h = fit.hat_diag
+    h = factor.hat_diag
     n = h.shape[0]
     hw2 = h * w**2
     wu = w * uprime
-    colsum2 = _hat_sq_times(fit, w**2)  # (H diag(w^2) H)_kk
+    colsum2 = _hat_sq_times(factor, w**2)  # (H diag(w^2) H)_kk
     v2 = colsum2 - h * hw2
     c_k = uprime**2 - v2
     signals = {1: sig.t1, 0: sig.t0}
     u_dot = {arm: math.fsum(t * uprime) for arm, t in signals.items()}
-    hat_t = {arm: _hat_times(fit, t) for arm, t in signals.items()}
-    hat_sq_wt = {arm: _hat_sq_times(fit, w * t) for arm, t in signals.items()}
+    hat_t = {arm: _hat_times(factor, t) for arm, t in signals.items()}
+    hat_sq_wt = {arm: _hat_sq_times(factor, w * t) for arm, t in signals.items()}
     totals = []
     for a in (0, 1):
         for b in (0, 1):
@@ -331,7 +328,7 @@ def _loora_dm_t3_low_rank(
             same = c["shared_i"] - c["disjoint"]
             # J and the S1 terms whose weight sits on the column l
             row = _hat_times(
-                fit,
+                factor,
                 same * (w**2 * hat_right - hw2 * right)
                 + (c["hooked_left"] - c["disjoint"]) * wu * right,
             )
@@ -349,64 +346,45 @@ def _loora_dm_t3_low_rank(
             totals.append(math.fsum(left * row))
             # the rank-one u_k u_l term of the disjoint pattern
             totals.append(c["disjoint"] * u_dot[a] * u_dot[b])
-    t3 = math.fsum(totals) / n**2
-    if corrupt:
-        c = {name: float(table[1, 1]) for name, table in tables.items()}
-        x, z = fit.x, fit.z
-        j01 = x[0] @ ((z * w**2) @ z.T) @ x[1]
-        q01 = _pair_value(c, x[0] @ z[:, 1], j01, *w[:2], *uprime[:2], *hw2[:2]) / n**2
-        t3 += sig.t1[0] * 1e-3 * (1.0 + abs(q01)) * sig.t1[1]
-    return t3
+    return math.fsum(totals) / n**2
 
 
-def loora_dm_variance_terms(
-    pop: Population, n_t: int, lam: float, allow_n4: bool = False, corrupt_q: bool = False
-) -> tuple[float, float, float]:
+def loora_dm_variance_terms(pop: Population, n_t: int, lam: float) -> tuple[float, float, float]:
     """The three pieces of the exact LOORA-DM variance.
 
     T1 is the centered, leverage-corrected dispersion of the adjusted DM
     signal; T2 the signal-by-proxy cross term; T3 the quadratic form of the
-    proxy error. Requires n_t >= 2 and n_c >= 2; n = 4 (where the four-unit
-    expectations rest on a single remaining pair) needs the explicit opt-in.
+    proxy error. Requires n >= 4, n_t >= 2 and n_c >= 2.
     """
     n = pop.n
     n_t, n_c = _check_n_t(pop, n_t)
     if n_t < 2 or n_c < 2:
         raise ParameterOutOfRange("exact LOORA-DM variance requires n_t >= 2 and n_c >= 2")
-    if n == 4 and not allow_n4:
-        raise ParameterOutOfRange(
-            "n = 4 sits on the formula's denominator boundary (n - 3 = 1); "
-            "pass allow_n4=True to evaluate anyway"
-        )
     if n < 4:
         raise ParameterOutOfRange("exact LOORA-DM variance requires n >= 4")
     sig = dm_signal(pop, n_t)
-    fit = ridge_fit(pop.x, sig.mu, lam)
-    check_loo_feasible(fit.hat_diag)
-    h = fit.hat_diag
+    factor = ridge_factor(pop.x, lam)
+    check_loo_feasible(factor.hat_diag)
+    h = factor.hat_diag
     w = 1.0 / (1.0 - h)
-    uprime = _hat_times(fit, w) - h * w  # sum_{i != k} h_ik w_i, per k
-    resid = (sig.mu - pop.x @ fit.beta) * w
+    uprime = _hat_times(factor, w) - h * w  # sum_{i != k} h_ik w_i, per k
+    resid = (sig.mu - pop.x @ factor.fit(sig.mu)) * w
     resid_bar = math.fsum(resid) / n
     t1_term = math.fsum((resid - resid_bar) ** 2) / (n * (n - 1) * n_t * n_c)
 
-    proxy = _hat_times(fit, sig.mu) - h * sig.mu  # sum_{k != j} h_jk mu_k, per j
+    proxy = _hat_times(factor, sig.mu) - h * sig.mu  # sum_{k != j} h_jk mu_k, per j
     cross_a = math.fsum(resid * sig.mu * uprime)
     total_wp = math.fsum(w * proxy)
     cross_b = math.fsum(resid * ((total_wp - w * proxy) - sig.mu * uprime))
     t2_term = -2.0 * (cross_a - cross_b / (n - 2)) / (n**2 * (n - 1) * n_t * n_c)
 
-    t3_term = _loora_dm_t3_low_rank(
-        sig, fit, _pattern_tables(n, n_t), w, uprime, corrupt=corrupt_q
-    )
+    t3_term = _loora_dm_t3_low_rank(sig, factor, _pattern_tables(n, n_t), w, uprime)
     return t1_term, t2_term, t3_term
 
 
-def loora_dm_variance(
-    pop: Population, n_t: int, lam: float, allow_n4: bool = False, corrupt_q: bool = False
-) -> float:
+def loora_dm_variance(pop: Population, n_t: int, lam: float) -> float:
     """Exact finite-population variance of LOORA-DM at penalty lam."""
-    t1, t2, t3 = loora_dm_variance_terms(pop, n_t, lam, allow_n4=allow_n4, corrupt_q=corrupt_q)
+    t1, t2, t3 = loora_dm_variance_terms(pop, n_t, lam)
     return math.fsum((t1, t2, t3))
 
 

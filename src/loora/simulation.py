@@ -179,15 +179,11 @@ def covariate_correlated_probabilities(x, rng: np.random.Generator) -> np.ndarra
     return np.clip((1.0 + cosine) / 2.0, 0.2, 0.8)
 
 
-def synth_population(
-    kind: str,
-    n: int,
-    k: int,
-    seed: int,
-    noise_scale: float = 0.5,
-    het_scale: float = 0.5,
-    base_effect: float = 1.0,
-) -> Population:
+# synth_population's noise scale, heterogeneity scale and constant effect.
+_NOISE_SCALE, _HET_SCALE, _BASE_EFFECT = 0.5, 0.5, 1.0
+
+
+def synth_population(kind: str, n: int, k: int, seed: int) -> Population:
     """Synthetic ground-truth populations for studies and stress tests.
 
     linear-heterogeneous: control outcomes linear in X plus noise, treatment
@@ -196,7 +192,7 @@ def synth_population(
     leverage is at least 0.9, with the heterogeneous effect aligned to that
     row so single-fit adjustments get pulled.
     binary-outcome: indicator covariates and thresholded latent outcomes,
-    shaped like one-hot survey data (scale knobs ignored).
+    shaped like one-hot survey data.
 
     Generator magnitudes are package defaults, not quantities carried over
     from any dataset.
@@ -209,9 +205,9 @@ def synth_population(
     if kind == "linear-heterogeneous":
         x = rng.standard_normal((n, k))
         slope = rng.standard_normal(k)
-        het = het_scale * rng.standard_normal(k)
-        y0 = x @ slope + noise_scale * rng.standard_normal(n)
-        y1 = y0 + base_effect + x @ het
+        het = _HET_SCALE * rng.standard_normal(k)
+        y0 = x @ slope + _NOISE_SCALE * rng.standard_normal(n)
+        y1 = y0 + _BASE_EFFECT + x @ het
         return Population(x, y1, y0)
     if kind == "leverage-stress":
         x = rng.standard_normal((n, k))
@@ -226,8 +222,8 @@ def synth_population(
         x[0] = scale * direction
         slope = rng.standard_normal(k)
         het = rng.standard_normal(k)
-        y0 = x @ slope + noise_scale * rng.standard_normal(n)
-        y1 = y0 + base_effect + (het_scale + 0.1) * (x @ het)
+        y0 = x @ slope + _NOISE_SCALE * rng.standard_normal(n)
+        y1 = y0 + _BASE_EFFECT + (_HET_SCALE + 0.1) * (x @ het)
         return Population(x, y1, y0)
     if kind == "binary-outcome":
         prevalence = rng.uniform(0.2, 0.8, k)

@@ -34,7 +34,7 @@ from .estimators import (
 )
 from .exceptions import InvalidInput
 from .inference import estimate
-from .linalg import check_loo_feasible, leverage_regularizer, ridge_fit, ridge_leverages_svd
+from .linalg import check_loo_feasible, leverage_regularizer, ridge_factor, ridge_leverages_svd
 from .oracle import (
     Population,
     enumeration_moments,
@@ -73,8 +73,8 @@ def _loora_ht_refit(s: ObservedSample, rule: LambdaRule = DEFAULT_LAMBDA_RULE) -
     q = realized_arm_probability(p, d)
     terms = []
     for i in range(n):
-        fit = ridge_fit(np.delete(xw, i, axis=0), np.delete(yw, i), lam)
-        terms.append(z[i] / q[i] * (y[i] - s.x[i] @ fit.beta))
+        beta = ridge_factor(np.delete(xw, i, axis=0), lam).fit(np.delete(yw, i))
+        terms.append(z[i] / q[i] * (y[i] - s.x[i] @ beta))
     return math.fsum(terms) / n
 
 
@@ -104,8 +104,8 @@ def _loora_dm_refit(
     terms = []
     for i in range(x.shape[0]):
         resp = for_treated if d[i] == 1.0 else for_control
-        fit = ridge_fit(np.delete(x, i, axis=0), np.delete(resp, i), lam)
-        terms.append(v[i] * z[i] * (y[i] - x[i] @ fit.beta))
+        beta = ridge_factor(np.delete(x, i, axis=0), lam).fit(np.delete(resp, i))
+        terms.append(v[i] * z[i] * (y[i] - x[i] @ beta))
     return math.fsum(terms)
 
 
@@ -130,12 +130,12 @@ def _loora_dm_pairwise(
     a_t = n_c * (n - 1) / ((n_t - 1) * n) if n_t > 1 else 0.0
     a_c = n_t * (n - 1) / ((n_c - 1) * n) if n_c > 1 else 0.0
     yu = np.where(d == 1.0, a_t, a_c) * y
-    fit = ridge_fit(x, yu, lam)
-    h = fit.hat_diag
+    factor = ridge_factor(x, lam)
+    h = factor.hat_diag
     check_loo_feasible(h)
     # Row i of drop_one: x_i' (X_{-i}'X_{-i} + lam I)^{-1}, by Sherman-Morrison;
     # row i of z' is x_i' (X'X + lam I)^{-1}.
-    base = fit.z.T
+    base = factor.z.T
     drop_one = base + base * (h / (1.0 - h))[:, None]
     xty = x.T @ yu
     treated_idx = np.nonzero(d == 1.0)[0]
@@ -193,10 +193,9 @@ def check_variance_ht_exact(seed: int = 1, trials: int = 15) -> CheckResult:
     return CheckResult("variance-ht-exact", worst <= tol, worst, tol, f"{2 * trials} fixtures")
 
 
-def check_variance_dm_exact(seed: int = 2, trials: int = 15, corrupt_q: bool = False) -> CheckResult:
+def check_variance_dm_exact(seed: int = 2, trials: int = 15) -> CheckResult:
     """Closed-form LOORA-DM variance (with its cross-unit quadratic form)
-    equals the enumeration variance, n = 4 included; corrupt_q perturbs one
-    quadratic-form entry as a negative control."""
+    equals the enumeration variance, n = 4 included."""
     rng = np.random.default_rng(seed)
     tol = 1e-9
     worst = 0.0
@@ -208,8 +207,7 @@ def check_variance_dm_exact(seed: int = 2, trials: int = 15, corrupt_q: bool = F
         for rule in (LambdaRule.auto(2.0), LambdaRule.fixed(0.0)):
             lam = rule.resolve(pop.x)
             _, enum_var = enumeration_moments(pop, CompleteDesign(n, n_t), Method.LOORA_DM, rule)
-            formula = loora_dm_variance(pop, n_t, lam, allow_n4=True, corrupt_q=corrupt_q)
-            worst = max(worst, _rel_gap(formula, enum_var))
+            worst = max(worst, _rel_gap(loora_dm_variance(pop, n_t, lam), enum_var))
     return CheckResult("variance-dm-exact", worst <= tol, worst, tol, f"{2 * trials} fixtures")
 
 
@@ -300,24 +298,22 @@ def check_lin_equivalence(n: int = 5000, reps: int = 5000, seed: int = 6) -> Che
     )
 
 
-# Every check by name, as run_checks(names, seed, n, corrupt_q) calls it; each
-# check's seed is offset by its place in the table.
+# Every check by name, as run_checks(names, seed, n) calls it; each check's
+# seed is offset by its place in the table.
 CHECKS = {
-    "unbiasedness": lambda seed, n, corrupt_q: check_unbiasedness(seed),
-    "variance-ht-exact": lambda seed, n, corrupt_q: check_variance_ht_exact(seed + 1),
-    "variance-dm-exact": lambda seed, n, corrupt_q: check_variance_dm_exact(
-        seed + 2, corrupt_q=corrupt_q
-    ),
-    "loo-identities": lambda seed, n, corrupt_q: check_loo_identities(seed + 3),
-    "leverage-bound": lambda seed, n, corrupt_q: check_leverage_bound(seed + 4),
-    "pairwise-equivalence": lambda seed, n, corrupt_q: check_pairwise_equivalence(seed + 5),
-    "lin-equivalence": lambda seed, n, corrupt_q: check_lin_equivalence(n=n, seed=seed + 6),
+    "unbiasedness": lambda seed, n: check_unbiasedness(seed),
+    "variance-ht-exact": lambda seed, n: check_variance_ht_exact(seed + 1),
+    "variance-dm-exact": lambda seed, n: check_variance_dm_exact(seed + 2),
+    "loo-identities": lambda seed, n: check_loo_identities(seed + 3),
+    "leverage-bound": lambda seed, n: check_leverage_bound(seed + 4),
+    "pairwise-equivalence": lambda seed, n: check_pairwise_equivalence(seed + 5),
+    "lin-equivalence": lambda seed, n: check_lin_equivalence(n=n, seed=seed + 6),
 }
 # The default suite: every check but the Monte Carlo study of lin-equivalence.
 CORE_CHECKS = tuple(name for name in CHECKS if name != "lin-equivalence")
 
 
-def run_checks(names, seed: int = 0, n: int = 5000, corrupt_q: bool = False) -> list[CheckResult]:
+def run_checks(names, seed: int = 0, n: int = 5000) -> list[CheckResult]:
     if seed < 0:
         raise InvalidInput(f"seed must be nonnegative, got {seed}")
-    return [CHECKS[name](seed, n, corrupt_q) for name in names]
+    return [CHECKS[name](seed, n) for name in names]

@@ -24,13 +24,15 @@ def rel_gap(a, b):
     return abs(a - b) / max(1.0, abs(a), abs(b))
 
 
-def loo_fitted(fit):
-    """x_i' beta^{(-i)} of every row of a RidgeFit, shaped like its response.
+def loo_fitted(factor, y):
+    """x_i' beta^{(-i)} of every row for a response y of shape (n,) or (n, m).
 
-    The route the estimators take: check_loo_feasible on the leverages, then
-    linalg.loo_fitted_rows on each response column.
+    The route the estimators take: check_loo_feasible on the factor's
+    leverages, then linalg.loo_fitted_rows on the response columns as rows,
+    their fits from one RidgeFactor.solve_rows call.
     """
-    check_loo_feasible(fit.hat_diag)
-    y, beta = np.ascontiguousarray(fit.y.T), np.ascontiguousarray(fit.beta.T)
-    rows = loo_fitted_rows(fit.x, fit.hat_diag, np.atleast_2d(y), np.atleast_2d(beta))
-    return rows.T.reshape(fit.y.shape)
+    check_loo_feasible(factor.hat_diag)
+    y = np.asarray(y, dtype=np.float64)
+    rows = np.atleast_2d(np.ascontiguousarray(y.T))
+    fitted = loo_fitted_rows(factor.x, factor.hat_diag, rows, factor.solve_rows(rows))
+    return fitted.T.reshape(y.shape)

@@ -43,13 +43,13 @@ from loora.exceptions import (
 )
 from loora.inference import estimate_with_ci
 from loora.linalg import (
-    RidgeFit,
+    RidgeFactor,
     as_design_matrix,
     as_vector,
     check_loo_feasible,
     cholesky_solve,
     full_rank_cholesky,
-    ridge_fit,
+    ridge_factor,
     upper_inverse,
 )
 from loora.oracle import (
@@ -70,9 +70,9 @@ from loora.simulation import (
     study_seed_sequence,
 )
 
-def hat_full(fit: RidgeFit) -> np.ndarray:
-    """The full hat matrix X (X'X + Lambda)^{-1} X' of a ridge fit (O(n^2) memory)."""
-    return fit.x @ fit.z
+def hat_full(factor: RidgeFactor) -> np.ndarray:
+    """The full hat matrix X (X'X + Lambda)^{-1} X' of a ridge factor (O(n^2) memory)."""
+    return factor.x @ factor.z
 
 
 def adjusted_ht_optimal_coef(pop: Population, p) -> np.ndarray:
@@ -120,12 +120,12 @@ def loora_ht_second_term_dense(pop: Population, p, lam: float) -> float:
     over the materialized hat matrix."""
     sig = ht_signal(pop, p)
     n = pop.n
-    fit = ridge_fit(sig.xw, sig.mu, lam)
-    check_loo_feasible(fit.hat_diag)
-    gap = 1.0 - fit.hat_diag
+    factor = ridge_factor(sig.xw, lam)
+    check_loo_feasible(factor.hat_diag)
+    gap = 1.0 - factor.hat_diag
     a = sig.t / sig.r
     cross = np.outer(1.0 / gap, a)
-    both = hat_full(fit) ** 2 * (cross + cross.T) ** 2
+    both = hat_full(factor) ** 2 * (cross + cross.T) ** 2
     iu = np.triu_indices(n, k=1)
     return math.fsum(both[iu]) / n**2
 
@@ -193,11 +193,11 @@ def loora_dm_quadratic_blocks(
         raise ParameterOutOfRange(
             f"quadratic-form blocks are materialized only for n <= {QUADRATIC_BLOCK_MAX_N}"
         )
-    fit = ridge_fit(pop.x, dm_signal(pop, n_t).mu, lam)
-    check_loo_feasible(fit.hat_diag)
-    hat = hat_full(fit)
+    factor = ridge_factor(pop.x, lam)
+    check_loo_feasible(factor.hat_diag)
+    hat = hat_full(factor)
     tables = _pattern_tables(pop.n, n_t)
-    geometry = _quadratic_geometry(hat, fit.hat_diag)
+    geometry = _quadratic_geometry(hat, factor.hat_diag)
     rows = np.arange(pop.n)
     return {
         (a, b): _quadratic_row_block(rows, tables, a, b, pop.n, hat, *geometry)
@@ -222,8 +222,7 @@ def loora_ht_second_term_bound(pop: Population, p, lam: float) -> float:
     squared off-diagonal leverages is at most k/2 for any penalty.
     """
     sig = ht_signal(pop, p)
-    fit = ridge_fit(sig.xw, sig.mu, lam)
-    gap = 1.0 - fit.hat_diag
+    gap = 1.0 - ridge_factor(sig.xw, lam).hat_diag
     return (
         2.0
         * pop.k
@@ -261,21 +260,22 @@ def hw_variance_ht_sandwich(s: ObservedSample, rule: LambdaRule = DEFAULT_LAMBDA
     """The same HC0 variance through the explicit sandwich product.
 
     The residualized outcomes (y_i - x_i' beta) / (q_i (1 - h_i)) come from
-    this route's own ridge_fit of the reweighted outcomes on X / r, and are
+    this route's own ridge fit of the reweighted outcomes on X / r, and are
     regressed on the signed indicator z with slope tau_hat.
     """
     p, d, z, y = s.spec.p, s.assignment.d, s.assignment.z, s.y
     xw = s.x / np.sqrt(p * (1.0 - p))[:, None]
-    fit = ridge_fit(xw, reweighted_outcomes_ht(y, d, ht_outcome_scales(p)), rule.resolve(xw))
+    factor = ridge_factor(xw, rule.resolve(xw))
+    beta = factor.fit(reweighted_outcomes_ht(y, d, ht_outcome_scales(p)))
     tau = estimate_with_ci(Method.LOORA_HT, s, rule).tau_hat
     q = realized_arm_probability(p, d)
-    hw_resid = (y - s.x @ fit.beta) / (q * (1.0 - fit.hat_diag)) - z * tau
+    hw_resid = (y - s.x @ beta) / (q * (1.0 - factor.hat_diag)) - z * tau
     zz = math.fsum(z**2)
     return math.fsum(z**2 * hw_resid**2) / zz**2
 
 
 def benchmark_full_design(method, x, assignment, y, rule=DEFAULT_LAMBDA_RULE):
-    """ADJ, INT or RIDGE_REG as the literal ridge_fit of its full design.
+    """ADJ, INT or RIDGE_REG as the literal ridge fit of its full design.
 
     ADJ regresses y on [1, d, X] and INT on [1, d, X - mean, d * (X - mean)],
     both unpenalized. RIDGE_REG uses the ADJ design and penalizes only the X
@@ -294,8 +294,9 @@ def benchmark_full_design(method, x, assignment, y, rule=DEFAULT_LAMBDA_RULE):
     columns = [np.ones(d.shape[0]), d, covariates]
     if method is Method.INT:
         columns.append(d[:, None] * covariates)
-    fit = ridge_fit(np.column_stack(columns), y, penalty)
-    return float(fit.beta[1]), math.fsum(((fit.z[1] * (y - fit.x @ fit.beta)) ** 2).tolist())
+    factor = ridge_factor(np.column_stack(columns), penalty)
+    beta = factor.fit(y)
+    return float(beta[1]), math.fsum(((factor.z[1] * (y - factor.x @ beta)) ** 2).tolist())
 
 
 def int_parts_loop(plan: BenchmarkPlan, d: np.ndarray, y: np.ndarray, failed: dict):

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 import loora
-from loora.linalg import ridge_fit
+from loora.linalg import ridge_factor
 from loora.oracle import Population, lin_asymptotic_variance
 from loora.simulation import StudyConfig, run_study, synth_population
 from loora.verify import (
@@ -146,12 +146,12 @@ def test_criterion_8_residual_monotonicity_and_frobenius_bound():
         lams = np.sort(rng.uniform(0.0, 8.0, 5))
         previous = None
         for lam in lams:
-            fit = ridge_fit(x, v, lam)
-            err = float(np.sum((x @ fit.beta - v) ** 2))
+            factor = ridge_factor(x, lam)
+            err = float(np.sum((x @ factor.fit(v) - v) ** 2))
             if previous is not None:
                 worst_mono = max(worst_mono, previous - err)
             previous = err
-            off = hat_full(fit)[np.triu_indices(n, k=1)]
+            off = hat_full(factor)[np.triu_indices(n, k=1)]
             worst_frob = max(worst_frob, float(np.sum(off**2)) - k / 2.0)
     report(
         "criterion 8 (ridge residual monotonicity and off-diagonal leverage bound)",

@@ -9,6 +9,7 @@ import pytest
 import yaml
 
 import loora.cli
+import loora.oracle
 from loora.cli import build_parser, main, parse_lambda
 from loora.exceptions import SchemaError
 from loora.reporting import read_records
@@ -726,9 +727,21 @@ def test_verify_core_suite_passes(capsys):
     assert "FAIL" not in stdout
 
 
-def test_verify_corrupted_quadratic_form_fails_by_name(capsys):
-    # the default family (seed 2) holds two n = 4 fixtures
-    code, stdout, _ = run(capsys, "verify", "--check", "variance-dm-exact", "--corrupt-q")
+def corrupt_quadratic_form(monkeypatch):
+    """Perturb the exact LOORA-DM variance's quadratic form T3 by 1e-3 t1_0 t1_1."""
+    clean = loora.oracle._loora_dm_t3_low_rank
+
+    def corrupted(sig, *args):
+        return clean(sig, *args) + 1e-3 * sig.t1[0] * sig.t1[1]
+
+    monkeypatch.setattr(loora.oracle, "_loora_dm_t3_low_rank", corrupted)
+
+
+def test_verify_corrupted_quadratic_form_fails_by_name(capsys, monkeypatch):
+    # The negative control: the certification must catch a corrupted
+    # formula. The default family (seed 2) holds two n = 4 fixtures.
+    corrupt_quadratic_form(monkeypatch)
+    code, stdout, _ = run(capsys, "verify", "--check", "variance-dm-exact")
     assert code == 1
     assert stdout == (
         "FAIL variance-dm-exact: worst discrepancy 6.870e-01 "
@@ -739,28 +752,27 @@ def test_verify_corrupted_quadratic_form_fails_by_name(capsys):
 def test_parser_is_built_once_and_no_flag_leaks_into_the_next_call(capsys):
     assert build_parser() is build_parser()
     outputs = []
-    for argv, want in (
-        (("verify", "--check", "leverage-bound"), 0),
-        (("verify", "--check", "pairwise-equivalence"), 0),
-        (("verify", "--check", "variance-dm-exact", "--corrupt-q"), 1),
-        (("verify", "--check", "variance-dm-exact"), 0),
+    for argv in (
+        ("verify", "--check", "leverage-bound", "--check", "pairwise-equivalence"),
+        ("verify", "--check", "variance-dm-exact"),
+        ("verify", "--check", "leverage-bound"),
     ):
         code, stdout, _ = run(capsys, *argv)
-        assert code == want
+        assert code == 0
         outputs.append([line.split(":")[0] for line in stdout.splitlines()])
     assert outputs == [
-        ["PASS leverage-bound"],
-        ["PASS pairwise-equivalence"],
-        ["FAIL variance-dm-exact"],
+        ["PASS leverage-bound", "PASS pairwise-equivalence"],
         ["PASS variance-dm-exact"],
+        ["PASS leverage-bound"],
     ]
 
 
-def test_dm_variance_check_catches_a_corrupted_quadratic_form_at_n4():
+def test_dm_variance_check_catches_a_corrupted_quadratic_form_at_n4(monkeypatch):
     # seed 11 draws n = 4 for its only fixture
     assert np.random.default_rng(11).integers(4, 8) == 4
     assert check_variance_dm_exact(11, 1).passed
-    assert not check_variance_dm_exact(11, 1, corrupt_q=True).passed
+    corrupt_quadratic_form(monkeypatch)
+    assert not check_variance_dm_exact(11, 1).passed
 
 
 def test_study_with_an_all_failed_method_reads_back(tmp_path, capsys):

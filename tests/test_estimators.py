@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -469,6 +470,22 @@ def test_int_block_reports_the_treated_arm_of_a_doubly_rank_deficient_row():
     assert isinstance(failed[1], SpecMismatch) and isinstance(failed[2], SpecMismatch)
     assert isinstance(failed[3], RankDeficient)
     assert len(failed) < d.shape[0]  # some rows are fit
+
+
+def test_int_refuses_every_arm_with_fewer_units_than_columns():
+    # [1, Xc] has 4 columns at k = 3, so an arm of 3 units never identifies
+    # its intercept; rounding alone must not let any of these rows answer.
+    from loora.simulation import synth_population
+
+    pop = synth_population("linear-heterogeneous", 12, 3, 0)
+    d = np.zeros((220, 12))
+    for row, units in zip(d, itertools.combinations(range(12), 3)):
+        row[list(units)] = 1.0
+    d = np.concatenate([d, 1.0 - d])  # three treated units, then three controls
+    y = d * pop.y1 + (1.0 - d) * pop.y0
+    failed = _int_block_equals_row_loop(pop.x, d, y, SimpleDesign(np.full(12, 0.5)), True)
+    assert sorted(failed) == list(range(440))
+    assert all(str(e).startswith("column 3 ") for e in failed.values())
 
 
 @settings(max_examples=60, deadline=None)

@@ -66,14 +66,18 @@ def complete_sample(x, y, d):
 
 
 def test_normal_quantile_against_scipy_grid():
+    tails = 10.0 ** -np.arange(2, 16)
     grid = np.concatenate(
         [
             np.array([5e-4, 1e-3, 0.0228, 0.0243, 0.3, 0.5, 0.6, 0.975, 0.999, 0.9995]),
             np.linspace(0.001, 0.999, 211),
+            tails,
+            1.0 - tails,
         ]
     )
     for p in grid:
-        assert abs(normal_quantile(float(p)) - stats.norm.ppf(p)) < 1e-9
+        q = stats.norm.ppf(p)
+        assert abs(normal_quantile(float(p)) - q) <= 1e-14 * max(1.0, abs(q))
 
 
 def test_normal_quantile_rejects_boundary():

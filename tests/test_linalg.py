@@ -15,7 +15,6 @@ from loora.linalg import (
     leverage_regularizer,
     max_row_norm,
     ridge_factor,
-    ridge_fit,
     ridge_leverages_svd,
     upper_inverse,
 )
@@ -24,44 +23,48 @@ from reference_routes import hat_full
 
 def loo_residuals(x, y, lam):
     """y_i - x_i' beta^{(-i)} through the fit's leave-one-out identity."""
-    fit = ridge_fit(x, y, lam)
-    return fit.y - loo_fitted(fit)
+    y = np.asarray(y, dtype=np.float64)
+    return y - loo_fitted(ridge_factor(x, lam), y)
 
 
 def test_identity_design_ols():
-    fit = ridge_fit(np.eye(2), [3.0, 5.0], 0.0)
-    assert_allclose(fit.beta, [3.0, 5.0], atol=1e-12)
-    assert_allclose(fit.hat_diag, [1.0, 1.0], atol=1e-12)
+    factor = ridge_factor(np.eye(2), 0.0)
+    assert_allclose(factor.fit([3.0, 5.0]), [3.0, 5.0], atol=1e-12)
+    assert_allclose(factor.hat_diag, [1.0, 1.0], atol=1e-12)
 
 
 def test_identity_design_unit_ridge_shrinks_by_half():
-    fit = ridge_fit(np.eye(2), [3.0, 5.0], 1.0)
-    assert_allclose(fit.beta, [1.5, 2.5], atol=1e-12)
-    assert_allclose(fit.hat_diag, [0.5, 0.5], atol=1e-12)
+    factor = ridge_factor(np.eye(2), 1.0)
+    assert_allclose(factor.fit([3.0, 5.0]), [1.5, 2.5], atol=1e-12)
+    assert_allclose(factor.hat_diag, [0.5, 0.5], atol=1e-12)
 
 
 def test_ridge_fit_matches_independent_normal_equation_solve(rng):
     x = rng.standard_normal((8, 3))
     y = rng.standard_normal(8)
     for lam in (0.0, 0.3, 2.0):
-        fit = ridge_fit(x, y, lam)
         expected = np.linalg.solve(x.T @ x + lam * np.eye(3), x.T @ y)
-        assert_allclose(fit.beta, expected, atol=1e-10)
+        assert_allclose(ridge_factor(x, lam).fit(y), expected, atol=1e-10)
 
 
 def test_one_factor_fits_many_responses_bit_for_bit(rng):
-    # A study fits every replicate against one factor; each fit must carry
-    # the bits of a fresh ridge_fit of the same response.
+    # A study fits every replicate against one factor; each fit, alone or
+    # in a block of rows, must carry the bits of a fresh factor's fit of the
+    # same response.
     x = rng.standard_normal((30, 4))
     factor = ridge_factor(x, 0.3)
-    for y in (rng.standard_normal(30), rng.standard_normal((30, 2)), rng.standard_normal(30)):
-        shared, fresh = factor.fit(y), ridge_fit(x, y, 0.3)
-        assert np.array_equal(shared.beta, fresh.beta)
-        assert np.array_equal(loo_fitted(shared), loo_fitted(fresh))
+    responses = rng.standard_normal((3, 30))
+    for y, in_block in zip(responses, factor.solve_rows(responses)):
+        fresh = ridge_factor(x, 0.3)
+        assert np.array_equal(factor.fit(y), fresh.fit(y))
+        assert np.array_equal(in_block, fresh.fit(y))
+        assert np.array_equal(loo_fitted(factor, y), loo_fitted(fresh, y))
     with pytest.raises(InvalidInput):
         factor.fit(np.full(30, np.inf))
     with pytest.raises(InvalidInput):
         factor.fit(np.zeros(29))
+    with pytest.raises(InvalidInput):
+        factor.fit(np.zeros((30, 2)))  # one response; blocks go through solve_rows
 
 
 def test_cholesky_solve_agrees_with_scipy_cho_solve(rng):
@@ -101,37 +104,49 @@ def test_full_rank_cholesky_flags_a_dependent_column(rng):
         full_rank_cholesky(np.column_stack([a[:, :2], a[:, 0] + a[:, 1], a[:, 2]]))
 
 
+def test_full_rank_cholesky_refuses_fewer_rows_than_columns():
+    # With m < K rows, column m lies in the span of the m columns before it,
+    # even where rounding leaves its Cholesky pivot above negligible_pivot's
+    # floor (as on some of these [1, X] fixtures at 3 x 4).
+    for rows in (1, 2, 3):
+        for seed in range(200):
+            x = np.random.default_rng(seed).standard_normal((rows, 3))
+            a = np.column_stack([np.ones(rows), x])
+            with pytest.raises(RankDeficient, match=f"column {rows} "):
+                full_rank_cholesky(a)
+
+
 def test_rank_deficient_at_zero_lambda_raises():
     x = np.column_stack([np.ones(5), np.ones(5)])
     with pytest.raises(RankDeficient):
-        ridge_fit(x, np.arange(5.0), 0.0)
+        ridge_factor(x, 0.0)
     # the same matrix is fine with any positive penalty
-    ridge_fit(x, np.arange(5.0), 1e-3)
+    ridge_factor(x, 1e-3).fit(np.arange(5.0))
 
 
 def test_non_finite_input_rejected():
     with pytest.raises(InvalidInput):
-        ridge_fit(np.array([[1.0], [np.nan]]), [1.0, 2.0], 0.0)
+        ridge_factor(np.array([[1.0], [np.nan]]), 0.0)
     with pytest.raises(InvalidInput):
-        ridge_fit(np.eye(2), [1.0, np.inf], 0.0)
+        ridge_factor(np.eye(2), 0.0).fit([1.0, np.inf])
     with pytest.raises(InvalidInput):
-        ridge_fit(np.eye(2), [1.0, 2.0], -0.5)
+        ridge_factor(np.eye(2), -0.5)
     # finite entries whose Gram overflows: refused, never fit as if the
     # overflowing columns carried an infinite penalty
     with np.errstate(over="ignore"), pytest.raises(InvalidInput, match="overflows"):
-        ridge_fit(np.array([[1e160, 1.0], [2e160, 0.0], [0.0, 1.0]]), [1.0, 2.0, 3.0], 1.0)
+        ridge_factor(np.array([[1e160, 1.0], [2e160, 0.0], [0.0, 1.0]]), 1.0)
 
 
 def test_full_hat_symmetric_and_trace_matches_diag(rng):
     x = rng.standard_normal((7, 3))
-    fit = ridge_fit(x, rng.standard_normal(7), 0.7)
-    hat = hat_full(fit)
+    factor = ridge_factor(x, 0.7)
+    hat = hat_full(factor)
     assert np.max(np.abs(hat - hat.T)) < 1e-10
-    assert abs(np.trace(hat) - math.fsum(fit.hat_diag)) < 1e-10
+    assert abs(np.trace(hat) - math.fsum(factor.hat_diag)) < 1e-10
 
 
 def test_loo_two_point_interpolation():
-    fitted = loo_fitted(ridge_fit(np.array([[1.0], [1.0]]), [0.0, 2.0], 0.0))
+    fitted = loo_fitted(ridge_factor(np.array([[1.0], [1.0]]), 0.0), [0.0, 2.0])
     assert_allclose(fitted, [2.0, 0.0], atol=1e-12)
 
 
@@ -139,17 +154,17 @@ def test_loo_matches_direct_refit(rng):
     x = rng.standard_normal((10, 4))
     y = rng.standard_normal(10)
     for lam in (0.0, 0.4):
-        fast = loo_fitted(ridge_fit(x, y, lam))
+        fast = loo_fitted(ridge_factor(x, lam), y)
         for i in range(10):
-            refit = ridge_fit(np.delete(x, i, axis=0), np.delete(y, i), lam)
-            assert_allclose(fast[i], x[i] @ refit.beta, atol=1e-9)
+            refit = ridge_factor(np.delete(x, i, axis=0), lam).fit(np.delete(y, i))
+            assert_allclose(fast[i], x[i] @ refit, atol=1e-9)
 
 
 def test_loo_infinite_shrinkage_limit(rng):
     x = rng.standard_normal((6, 2))
     y = rng.standard_normal(6)
     lam = 1e12 * max_row_norm(x) ** 2
-    fitted = loo_fitted(ridge_fit(x, y, lam))
+    fitted = loo_fitted(ridge_factor(x, lam), y)
     assert np.max(np.abs(fitted)) <= 1e-6 * max_row_norm(x) * np.linalg.norm(y)
 
 
@@ -163,8 +178,8 @@ def test_loo_residuals_match_refit(rng):
     y = rng.standard_normal(10)
     resid = loo_residuals(x, y, 0.25)
     for i in range(10):
-        refit = ridge_fit(np.delete(x, i, axis=0), np.delete(y, i), 0.25)
-        assert abs(resid[i] - (y[i] - x[i] @ refit.beta)) < 1e-9
+        refit = ridge_factor(np.delete(x, i, axis=0), 0.25).fit(np.delete(y, i))
+        assert abs(resid[i] - (y[i] - x[i] @ refit)) < 1e-9
 
 
 def test_loo_residuals_zero_for_exact_fit(rng):
@@ -176,9 +191,9 @@ def test_loo_residuals_zero_for_exact_fit(rng):
 def test_leverage_guard_names_offending_row():
     # a duplicated-column design makes the lone heavy row's leverage 1 at lam=0
     x = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
-    fit = ridge_fit(x, np.arange(3.0), 0.0)
+    factor = ridge_factor(x, 0.0)
     with pytest.raises(LeverageSingular) as exc:
-        loo_fitted(fit)
+        loo_fitted(factor, np.arange(3.0))
     assert exc.value.row == 0
 
 
@@ -212,7 +227,7 @@ def test_near_collinear_leverages_track_the_svd(eps, seed):
 def test_svd_leverages_match_normal_equation_route(rng):
     x = rng.standard_normal((9, 3))
     for lam in (0.0, 0.8, 5.0):
-        direct = ridge_fit(x, rng.standard_normal(9), lam).hat_diag
+        direct = ridge_factor(x, lam).hat_diag
         assert_allclose(ridge_leverages_svd(x, lam), direct, atol=1e-10)
 
 
@@ -246,13 +261,13 @@ def test_loo_identity_property(n, k, lam, seed):
     x /= np.maximum(x.std(axis=0), 1e-9)
     y = gen.standard_normal(n)
     try:
-        fit = ridge_fit(x, y, lam)
+        factor = ridge_factor(x, lam)
         loo = loo_residuals(x, y, lam)
     except (RankDeficient, LeverageSingular):
         return
-    full = y - x @ fit.beta
+    full = y - x @ factor.fit(y)
     scale = np.maximum(1.0, np.abs(full))
-    assert np.max(np.abs(full - (1.0 - fit.hat_diag) * loo) / scale) < 1e-9
+    assert np.max(np.abs(full - (1.0 - factor.hat_diag) * loo) / scale) < 1e-9
 
 
 @settings(max_examples=40, deadline=None)
@@ -268,13 +283,13 @@ def test_ridge_residual_monotone_in_lambda(n, k, seed):
     lams = sorted(gen.uniform(0.0, 5.0, size=4))
     errors = []
     for lam in lams:
-        fit = ridge_fit(x, v, lam) if lam > 0 else None
-        if fit is None:
-            try:
-                fit = ridge_fit(x, v, 0.0)
-            except RankDeficient:
-                return
-        errors.append(float(np.sum((x @ fit.beta - v) ** 2)))
+        try:
+            beta = ridge_factor(x, lam).fit(v)
+        except RankDeficient:
+            if lam > 0:
+                raise
+            return
+        errors.append(float(np.sum((x @ beta - v) ** 2)))
     for small, large in zip(errors, errors[1:]):
         assert small <= large + 1e-10
 
@@ -291,7 +306,7 @@ def test_offdiagonal_leverage_frobenius_bound(n, k, lam, seed):
     gen = np.random.default_rng(seed)
     x = gen.standard_normal((n, k))
     try:
-        hat = hat_full(ridge_fit(x, gen.standard_normal(n), lam))
+        hat = hat_full(ridge_factor(x, lam))
     except RankDeficient:
         return
     off = hat[np.triu_indices(n, k=1)]
@@ -313,31 +328,32 @@ def test_multi_response_and_loo_fitted_match_separate_fits_and_refits(k, extra, 
     x = gen.standard_normal((n, k))
     y = gen.standard_normal((n, 2))
     try:
-        both = ridge_fit(x, y, lam)
-        fitted = loo_fitted(both)
+        factor = ridge_factor(x, lam)
+        fitted = loo_fitted(factor, y)
     except (RankDeficient, LeverageSingular):
         return
+    both = factor.solve_rows(np.ascontiguousarray(y.T))
     for col in range(2):
-        single = ridge_fit(x, y[:, col], lam)
-        scale = np.maximum(1.0, np.abs(single.beta))
-        assert np.max(np.abs(both.beta[:, col] - single.beta) / scale) < 1e-12
+        single = ridge_factor(x, lam).fit(y[:, col])
+        scale = np.maximum(1.0, np.abs(single))
+        assert np.max(np.abs(both[col] - single) / scale) < 1e-12
         for i in range(n):
             try:
-                refit = ridge_fit(np.delete(x, i, axis=0), np.delete(y[:, col], i), lam)
+                refit = ridge_factor(np.delete(x, i, axis=0), lam).fit(np.delete(y[:, col], i))
             except RankDeficient:
                 continue
-            assert abs(fitted[i, col] - x[i] @ refit.beta) < 1e-9 * max(1.0, abs(fitted[i, col]))
+            assert abs(fitted[i, col] - x[i] @ refit) < 1e-9 * max(1.0, abs(fitted[i, col]))
 
 
 def test_per_column_penalty_matches_normal_equations(rng):
     x = rng.standard_normal((9, 3))
     y = rng.standard_normal(9)
     penalty = np.array([0.0, 0.5, 2.0])
-    fit = ridge_fit(x, y, penalty)
+    factor = ridge_factor(x, penalty)
     expected = np.linalg.solve(x.T @ x + np.diag(penalty), x.T @ y)
-    assert_allclose(fit.beta, expected, atol=1e-10)
-    assert_allclose(fit.z @ y, fit.beta, atol=1e-10)
+    assert_allclose(factor.fit(y), expected, atol=1e-10)
+    assert_allclose(factor.z @ y, factor.fit(y), atol=1e-10)
     with pytest.raises(InvalidInput):
-        ridge_fit(x, y, np.array([0.0, -1.0, 1.0]))
+        ridge_factor(x, np.array([0.0, -1.0, 1.0]))
     with pytest.raises(InvalidInput):
-        ridge_fit(x, y, np.zeros(2))
+        ridge_factor(x, np.zeros(2))

@@ -13,7 +13,7 @@ from loora.design import CompleteDesign, SimpleDesign, enumerate_assignments
 from loora.estimators import LambdaRule, Method, ObservedSample
 from loora.exceptions import ParameterOutOfRange
 from loora.inference import estimate
-from loora.linalg import leverage_regularizer, max_row_norm, ridge_fit
+from loora.linalg import leverage_regularizer, max_row_norm, ridge_factor
 from loora.oracle import (
     Population,
     adjusted_ht_variance,
@@ -137,7 +137,7 @@ def test_loora_ht_first_term_equals_loo_fits_of_signal(rng):
     sig = ht_signal(pop, p)
     lam = leverage_regularizer(sig.xw, 2.0)
     term1, _ = loora_ht_variance_terms(pop, p, lam)
-    fitted = loo_fitted(ridge_fit(sig.xw, sig.mu, lam))
+    fitted = loo_fitted(ridge_factor(sig.xw, lam), sig.mu)
     direct = math.fsum((fitted[i] - sig.mu[i]) ** 2 for i in range(7)) / 7**2
     assert term1 == pytest.approx(direct, rel=1e-11)
 
@@ -171,8 +171,8 @@ def test_loora_ht_total_bound_at_unit_cap(rng):
     sig = ht_signal(pop, p)
     lam = max_row_norm(sig.xw) ** 2
     total = loora_ht_variance(pop, p, lam)
-    fit = ridge_fit(sig.xw, sig.mu, lam)
-    fit_err = math.fsum((sig.xw @ fit.beta - sig.mu) ** 2)
+    beta = ridge_factor(sig.xw, lam).fit(sig.mu)
+    fit_err = math.fsum((sig.xw @ beta - sig.mu) ** 2)
     bound = 4.0 / 81.0 * fit_err + 8.0 * 2 / 81.0 * float(np.max(np.abs(sig.t / sig.r))) ** 2
     assert total <= bound + 1e-12
 
@@ -293,26 +293,16 @@ def test_loora_variances_match_enumeration_on_leverage_stress(n, rule):
 def test_loora_dm_variance_guards():
     rng = np.random.default_rng(0)
     pop4 = random_population(rng, 4, 1)
-    with pytest.raises(ParameterOutOfRange):
-        loora_dm_variance(pop4, 2, 1.0)
-    # explicit opt-in works and still matches enumeration
+    # n = 4, the smallest n with two units in each arm, matches enumeration
     lam = leverage_regularizer(pop4.x, 2.0)
     _, enum_var = enumeration_moments(pop4, CompleteDesign(4, 2), Method.LOORA_DM, AUTO2)
-    assert rel_gap(loora_dm_variance(pop4, 2, lam, allow_n4=True), enum_var) < 1e-9
+    assert rel_gap(loora_dm_variance(pop4, 2, lam), enum_var) < 1e-9
     pop6 = random_population(rng, 6, 1)
     with pytest.raises(ParameterOutOfRange):
         loora_dm_variance(pop6, 1, 1.0)  # singleton arm
     pop3 = random_population(rng, 3, 1)
     with pytest.raises(ParameterOutOfRange):
         loora_dm_variance(pop3, 2, 1.0)
-
-
-def test_loora_dm_corrupt_hook_changes_value(rng):
-    pop = random_population(rng, 6, 2)
-    lam = 0.5
-    clean = loora_dm_variance(pop, 3, lam)
-    corrupted = loora_dm_variance(pop, 3, lam, corrupt_q=True)
-    assert abs(clean - corrupted) > 1e-9
 
 
 def test_quadratic_blocks_symmetry_and_cross_transpose(rng):
@@ -334,14 +324,6 @@ def test_streamed_quadratic_path_matches_blocks(rng):
     reference = loora_dm_t3_dense(pop, 11, lam)
     _, _, low_rank = loora_dm_variance_terms(pop, 11, lam)
     assert low_rank == pytest.approx(reference, rel=1e-13)
-
-
-def test_corrupt_hook_applies_when_rows_span_several_chunks(rng):
-    pop = random_population(rng, 25, 3)
-    lam = leverage_regularizer(pop.x, 2.0)
-    clean = loora_dm_variance(pop, 11, lam)
-    corrupted = loora_dm_variance(pop, 11, lam, corrupt_q=True)
-    assert abs(clean - corrupted) > 1e-9
 
 
 @settings(max_examples=40, deadline=None)

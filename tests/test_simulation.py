@@ -82,9 +82,10 @@ def test_synth_requires_more_units_than_covariates():
 
 
 def test_synth_linear_no_noise_no_heterogeneity_is_exact_for_adj():
-    pop = synth_population(
-        "linear-heterogeneous", 10, 2, 3, noise_scale=0.0, het_scale=0.0, base_effect=2.5
-    )
+    # a noiseless, constant-effect population: y0 linear in x, y1 = y0 + 2.5
+    x = np.random.default_rng(3).standard_normal((10, 2))
+    y0 = x @ np.array([0.7, -1.3])
+    pop = Population(x, y0 + 2.5, y0)
     assert pop.tau == pytest.approx(2.5, rel=1e-12)
     spec = CompleteDesign(10, 5)
     for assignment, _ in enumerate_assignments(spec):
