@@ -177,11 +177,15 @@ def _check_writable(out_path) -> None:
             os.remove(path)
 
 
-def _emit(out_path, records, command, cfg_dict, seed, started) -> None:
+def _emit(out_path, records, command, cfg_dict, seed, started, stages=None) -> None:
+    """Write the records and their manifest; ``stages`` gains the write's own time."""
     if not out_path:
         return
     try:
+        writing = time.perf_counter()
         write_records(out_path, records)
+        if stages is not None:
+            stages = {**stages, "write_s": time.perf_counter() - writing}
         manifest = RunManifest(
             command=command,
             config_hash=config_hash(cfg_dict),
@@ -189,6 +193,7 @@ def _emit(out_path, records, command, cfg_dict, seed, started) -> None:
             version=__version__,
             wall_time_s=time.monotonic() - started,
             outputs=(out_path,),
+            stages=stages,
         )
         write_manifest(out_path, manifest)
     except OSError as exc:  # the records file or its manifest sidecar
@@ -215,7 +220,9 @@ def cmd_estimate(args, config) -> int:
     data = _typed_setting(args, config, "data", os.fspath)
     if data is None:
         raise SchemaError("estimate needs --data <csv>")
+    reading = time.perf_counter()
     dataset = _dataset(args, config, data, "y-col", "d-col", "p-col")
+    estimating = time.perf_counter()
 
     design = _setting(args, config, "design")
     if design == "simple":
@@ -254,6 +261,7 @@ def cmd_estimate(args, config) -> int:
     report = estimate_with_ci(
         method, sample, rule, level, allow_design_mismatch=allow_design_mismatch
     )
+    stages = {"read_s": estimating - reading, "estimate_s": time.perf_counter() - estimating}
 
     print(
         format_table(
@@ -291,7 +299,7 @@ def cmd_estimate(args, config) -> int:
         "level": report.level,
         "lambda_used": report.lambda_used,
     }
-    _emit(out, [record], "estimate", cfg_dict, None, started)
+    _emit(out, [record], "estimate", cfg_dict, None, started, stages)
     return 0
 
 

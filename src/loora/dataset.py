@@ -9,8 +9,10 @@ indicator column per level, levels ordered by first appearance in the file.
 
 from __future__ import annotations
 
+import itertools
 import re
 import warnings
+from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,10 +38,16 @@ class Dataset:
         return self.x.shape[0]
 
 
-def read_csv(path, delimiter: str = ",", has_header: bool = True):
-    """Read a delimited file into (column names, n x w object array of cell strings).
+def read_csv(path, delimiter: str = ",", has_header: bool = True, parse=None):
+    """Read a delimited file into (column names, n x w array of its rows).
 
-    One C tokenizer pass (``numpy.loadtxt``) over a handle opened with
+    Without ``parse`` the array holds each cell's text (object dtype). With
+    ``parse``, a mapping from column name to a converter (``None`` for a
+    number), the array is float64 from one typed tokenizer pass (see
+    ``_read_typed``); where numpy refuses that pass, the text array comes
+    back instead, and the caller parses its cells with Python's ``float``.
+
+    Both routes tokenize in C (``numpy.loadtxt``) from a handle opened with
     ``newline=""``, so quoted CR, LF and CRLF reach the cells verbatim, as
     RFC 4180 wants. Blank lines are skipped, ``#`` is data and ``""`` inside
     quotes is one quote. Rows in messages are data rows counted from 1.
@@ -48,13 +56,65 @@ def read_csv(path, delimiter: str = ",", has_header: bool = True):
         raise SchemaError(
             f"delimiter must be one character other than a quote or a line break, got {delimiter!r}"
         )
+    if parse is not None:
+        try:
+            typed = _read_typed(path, delimiter, has_header, parse)
+        except (OSError, ValueError):  # ValueError includes UnicodeDecodeError
+            typed = None
+        if typed is not None:
+            return typed
+    return _read_cells(path, delimiter, has_header)
+
+
+def _loadtxt(handle, delimiter, **kwargs) -> np.ndarray:
+    with warnings.catch_warnings():
+        # An empty input is reported by _read_cells as a SchemaError, and a
+        # blank line before the header is skipped whether or not max_rows is set.
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        warnings.filterwarnings("ignore", "Input line .* contained no data", UserWarning)
+        return np.loadtxt(
+            handle, delimiter=delimiter, quotechar='"', comments=None, ndmin=2, **kwargs
+        )
+
+
+def _read_typed(path, delimiter, has_header, parse):
+    """(names, n x w float64 array) with numbers parsed in the tokenizer, or None.
+
+    The header (or, without one, the first row's width) comes from a one-row
+    text read of the handle; the rest is one ``loadtxt(dtype=float64)`` call.
+    Columns named in ``parse`` with ``None`` go through numpy's number parser,
+    whose grammar is a strict subset of ``float(cell.strip())`` with the same
+    values; the other named columns go through their converter and every
+    other column through ``len``, which never fails. None means the text
+    route must decide: a refused cell, a non-finite number, a ragged row or a
+    data width other than the header's. ``usecols`` is not passed because
+    with it ``loadtxt`` accepts a data row wider than the rest.
+    """
+    with open(path, newline="", encoding="utf-8") as handle:
+        first = _loadtxt(handle, delimiter, dtype=object, max_rows=1)
+        if first.size == 0:
+            return None
+        if has_header:
+            names = [name.strip() for name in first[0]]
+        else:
+            names = [f"c{i}" for i in range(first.shape[1])]
+            handle.seek(0)
+        converters = dict.fromkeys(range(len(names)), len)
+        for col, convert in parse.items():
+            if col in names:  # a missing column is reported by the caller
+                converters[names.index(col)] = convert
+        converters = {j: convert for j, convert in converters.items() if convert is not None}
+        values = _loadtxt(handle, delimiter, dtype=np.float64, converters=converters)
+    if values.shape[0] == 0 or values.shape[1] != len(names) or not np.isfinite(values).all():
+        return None
+    return names, values
+
+
+def _read_cells(path, delimiter, has_header):
+    """(names, n x w object array of cell strings); every read error is raised here."""
     try:
-        with open(path, newline="", encoding="utf-8") as handle, warnings.catch_warnings():
-            # An empty input is reported below as a SchemaError.
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-            cells = np.loadtxt(
-                handle, dtype=object, delimiter=delimiter, quotechar='"', comments=None, ndmin=2
-            )
+        with open(path, newline="", encoding="utf-8") as handle:
+            cells = _loadtxt(handle, delimiter, dtype=object)
     except OSError as exc:
         raise SchemaError(f"{path}: cannot read: {exc.strerror or exc}") from None
     except UnicodeDecodeError as exc:
@@ -106,37 +166,52 @@ def _column_index(names, col, path) -> int:
 
 
 def _numeric_column(names, rows, col, path) -> np.ndarray:
-    cells = rows[:, _column_index(names, col, path)].tolist()
-    try:
-        # float() strips the same padding as str.strip() except U+001C-U+001F,
-        # which the stripped pass below still accepts.
-        values = np.fromiter(map(float, cells), np.float64, len(cells))
-    except ValueError:
-        values = _stripped_floats(cells, col, path)
+    j = _column_index(names, col, path)
+    if rows.dtype != object:  # parsed, and checked finite, by _read_typed
+        return rows[:, j].copy()
+    cells = rows[:, j].tolist()
+    values = np.empty(len(cells))
+    for i, cell in enumerate(cells):
+        try:
+            # float() strips a subset of what str.strip() strips (not U+001C-U+001F).
+            values[i] = float(cell.strip())
+        except ValueError:
+            where = f"(row {i + 1}: {cell!r})"
+            raise SchemaError(f"{path}: column {col!r} is not numeric {where}") from None
     if not np.all(np.isfinite(values)):
         where = _first(~np.isfinite(values), cells)
         raise SchemaError(f"{path}: column {col!r} contains non-finite values {where}")
     return values
 
 
-def _stripped_floats(cells, col, path) -> np.ndarray:
-    values = np.empty(len(cells))
-    for i, cell in enumerate(cells):
-        try:
-            values[i] = float(cell.strip())
-        except ValueError:
-            where = f"(row {i + 1}: {cell!r})"
-            raise SchemaError(f"{path}: column {col!r} is not numeric {where}") from None
-    return values
+def _categorical_column(names, rows, col, path, level_codes, drop_first):
+    """One-hot block of a categorical column. On the typed route the column
+    holds codes, and ``level_codes`` (raw cell -> code, in first-appearance
+    order) is the converter's dict that assigned them.
+
+    Raw levels equal after ``str.strip`` merge, keeping first-appearance order.
+    """
+    j = _column_index(names, col, path)
+    if rows.dtype == object:
+        return one_hot([cell.strip() for cell in rows[:, j]], col, drop_first=drop_first)
+    stripped = [level.strip() for level in level_codes]
+    levels = list(dict.fromkeys(stripped))
+    index = {level: code for code, level in enumerate(levels)}
+    recode = np.fromiter(map(index.__getitem__, stripped), np.intp, len(stripped))
+    return one_hot(recode[rows[:, j].astype(np.intp)], col, drop_first=drop_first, levels=levels)
 
 
-def one_hot(values: list[str], name: str, drop_first: bool = False):
-    """Indicator expansion with levels in first-appearance order."""
-    levels = list(dict.fromkeys(values))
-    index = {level: j for j, level in enumerate(levels)}
-    codes = np.fromiter(map(index.__getitem__, values), np.intp, len(values))
+def one_hot(values, name: str, drop_first: bool = False, levels=None):
+    """Indicator expansion with levels in first-appearance order.
+
+    ``values`` are the cells, or, with ``levels``, integer codes into it.
+    """
+    if levels is None:
+        levels = list(dict.fromkeys(values))
+        index = {level: j for j, level in enumerate(levels)}
+        values = np.fromiter(map(index.__getitem__, values), np.intp, len(values))
     block = np.zeros((len(values), len(levels)))
-    block[np.arange(len(values)), codes] = 1.0
+    block[np.arange(len(values)), values] = 1.0
     dropped = 1 if drop_first and len(levels) > 1 else 0
     return [f"{name}={level}" for level in levels[dropped:]], block[:, dropped:]
 
@@ -166,7 +241,12 @@ def build_dataset(
     """Assemble a Dataset from a CSV file and declared column roles."""
     covariates = covariates or []
     categorical = categorical or []
-    names, rows = read_csv(path, delimiter=delimiter, has_header=has_header)
+    numeric = [*covariates, *(col for col in (p_col, y1_col, y0_col, y_col, d_col) if col)]
+    level_codes = {col: defaultdict(itertools.count().__next__) for col in categorical}
+    parse = None
+    if not set(numeric) & set(level_codes):  # one column cannot be parsed both ways
+        parse = dict.fromkeys(numeric) | {col: c.__getitem__ for col, c in level_codes.items()}
+    names, rows = read_csv(path, delimiter=delimiter, has_header=has_header, parse=parse)
 
     population = y1_col is not None or y0_col is not None
     observed = y_col is not None or d_col is not None
@@ -187,8 +267,9 @@ def build_dataset(
         blocks.append(_numeric_column(names, rows, col, path)[:, None])
         columns.append(col)
     for col in categorical:
-        raw = [cell.strip() for cell in rows[:, _column_index(names, col, path)]]
-        cat_columns, block = one_hot(raw, col, drop_first=drop_first)
+        cat_columns, block = _categorical_column(
+            names, rows, col, path, level_codes[col], drop_first
+        )
         columns.extend(cat_columns)
         blocks.append(block)
     if not blocks:

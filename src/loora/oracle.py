@@ -50,7 +50,7 @@ class Population:
     @property
     def tau(self) -> float:
         """The estimand: the average unit-level treatment effect."""
-        return math.fsum(self.y1 - self.y0) / self.n
+        return math.fsum((self.y1 - self.y0).tolist()) / self.n
 
 
 def observe(pop: Population, assignment: Assignment) -> np.ndarray:
@@ -123,14 +123,14 @@ def ht_signal(pop: Population, p) -> HtSignal:
 def ht_variance(pop: Population, p) -> float:
     """Exact variance of the unadjusted HT estimator: ||mu||^2 / n^2."""
     sig = ht_signal(pop, p)
-    return math.fsum(sig.mu**2) / pop.n**2
+    return math.fsum((sig.mu**2).tolist()) / pop.n**2
 
 
 def adjusted_ht_variance(pop: Population, p, b) -> float:
     """Exact variance of the HT estimator on outcomes adjusted by a fixed b."""
     sig = ht_signal(pop, p)
     b = as_vector(b, pop.k, "coefficient vector")
-    return math.fsum((sig.mu - sig.xw @ b) ** 2) / pop.n**2
+    return math.fsum(((sig.mu - sig.xw @ b) ** 2).tolist()) / pop.n**2
 
 
 def loora_ht_variance_terms(pop: Population, p, lam: float) -> tuple[float, float]:
@@ -146,7 +146,7 @@ def loora_ht_variance_terms(pop: Population, p, lam: float) -> tuple[float, floa
     check_loo_feasible(factor.hat_diag)
     h = factor.hat_diag
     gap = 1.0 - h
-    term1 = math.fsum(((sig.xw @ factor.fit(sig.mu) - sig.mu) / gap) ** 2) / n**2
+    term1 = math.fsum((((sig.xw @ factor.fit(sig.mu) - sig.mu) / gap) ** 2).tolist()) / n**2
     # sum_{i<j} H_ij^2 (a_j / g_i + a_i / g_j)^2 with g = 1 - h: half the sum
     # over all i != j, i.e. the full (H o H) forms minus their diagonal.
     a = sig.t / sig.r
@@ -156,7 +156,7 @@ def loora_ht_variance_terms(pop: Population, p, lam: float) -> tuple[float, floa
         + 2.0 * ag * _hat_sq_times(factor, ag)
         - 4.0 * (h * ag) ** 2
     )
-    term2 = 0.5 * math.fsum(both) / n**2
+    term2 = 0.5 * math.fsum(both.tolist()) / n**2
     return term1, term2
 
 
@@ -200,8 +200,8 @@ def dm_variance(pop: Population, n_t: int) -> float:
     """Exact DM variance as the centered squared norm of the DM signal."""
     n_t, n_c = _check_n_t(pop, n_t)
     mu = dm_signal(pop, n_t).mu
-    centered = mu - math.fsum(mu) / pop.n
-    return math.fsum(centered**2) / (n_t * n_c * pop.n * (pop.n - 1))
+    centered = mu - math.fsum(mu.tolist()) / pop.n
+    return math.fsum((centered**2).tolist()) / (n_t * n_c * pop.n * (pop.n - 1))
 
 
 # --- the exact LOORA-DM variance -------------------------------------------
@@ -317,7 +317,7 @@ def _loora_dm_t3_low_rank(
     v2 = colsum2 - h * hw2
     c_k = uprime**2 - v2
     signals = {1: sig.t1, 0: sig.t0}
-    u_dot = {arm: math.fsum(t * uprime) for arm, t in signals.items()}
+    u_dot = {arm: math.fsum((t * uprime).tolist()) for arm, t in signals.items()}
     hat_t = {arm: _hat_times(factor, t) for arm, t in signals.items()}
     hat_sq_wt = {arm: _hat_sq_times(factor, w * t) for arm, t in signals.items()}
     totals = []
@@ -343,7 +343,7 @@ def _loora_dm_t3_low_rank(
                 + c["shared_k"] * c_k
                 - _pair_value(c, h, colsum2, w, w, uprime, uprime, hw2, hw2)
             ) * right
-            totals.append(math.fsum(left * row))
+            totals.append(math.fsum((left * row).tolist()))
             # the rank-one u_k u_l term of the disjoint pattern
             totals.append(c["disjoint"] * u_dot[a] * u_dot[b])
     return math.fsum(totals) / n**2
@@ -369,13 +369,13 @@ def loora_dm_variance_terms(pop: Population, n_t: int, lam: float) -> tuple[floa
     w = 1.0 / (1.0 - h)
     uprime = _hat_times(factor, w) - h * w  # sum_{i != k} h_ik w_i, per k
     resid = (sig.mu - pop.x @ factor.fit(sig.mu)) * w
-    resid_bar = math.fsum(resid) / n
-    t1_term = math.fsum((resid - resid_bar) ** 2) / (n * (n - 1) * n_t * n_c)
+    resid_bar = math.fsum(resid.tolist()) / n
+    t1_term = math.fsum(((resid - resid_bar) ** 2).tolist()) / (n * (n - 1) * n_t * n_c)
 
     proxy = _hat_times(factor, sig.mu) - h * sig.mu  # sum_{k != j} h_jk mu_k, per j
-    cross_a = math.fsum(resid * sig.mu * uprime)
-    total_wp = math.fsum(w * proxy)
-    cross_b = math.fsum(resid * ((total_wp - w * proxy) - sig.mu * uprime))
+    cross_a = math.fsum((resid * sig.mu * uprime).tolist())
+    total_wp = math.fsum((w * proxy).tolist())
+    cross_b = math.fsum((resid * ((total_wp - w * proxy) - sig.mu * uprime)).tolist())
     t2_term = -2.0 * (cross_a - cross_b / (n - 2)) / (n**2 * (n - 1) * n_t * n_c)
 
     t3_term = _loora_dm_t3_low_rank(sig, factor, _pattern_tables(n, n_t), w, uprime)
@@ -395,7 +395,7 @@ def loora_dm_variance(pop: Population, n_t: int, lam: float) -> float:
 
 def _centered_residuals(pop: Population, outcomes: np.ndarray) -> np.ndarray:
     xc = pop.x - pop.x.mean(axis=0)
-    yc = outcomes - math.fsum(outcomes) / pop.n
+    yc = outcomes - math.fsum(outcomes.tolist()) / pop.n
     coef, _, rank, _ = np.linalg.lstsq(xc, yc, rcond=None)
     if rank < pop.k:
         raise RankDeficient("centered covariates are rank-deficient")
@@ -416,9 +416,9 @@ def lin_asymptotic_variance(pop: Population, p_t: float) -> float:
     e_t = _centered_residuals(pop, pop.y1)
     e_c = _centered_residuals(pop, pop.y0)
     n = pop.n
-    s_t = math.fsum(e_t**2) / n
-    s_c = math.fsum(e_c**2) / n
-    s_tc = math.fsum(e_t * e_c) / n
+    s_t = math.fsum((e_t**2).tolist()) / n
+    s_c = math.fsum((e_c**2).tolist()) / n
+    s_tc = math.fsum((e_t * e_c).tolist()) / n
     return (1.0 - p_t) / p_t * s_t + p_t / (1.0 - p_t) * s_c + 2.0 * s_tc
 
 

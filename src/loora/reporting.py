@@ -75,9 +75,10 @@ class RunManifest:
     version: str
     wall_time_s: float
     outputs: tuple[str, ...]
+    stages: dict[str, float] | None = None  # wall seconds per stage, where timed
 
     def to_record(self) -> dict:
-        return {
+        record = {
             "record_type": "run_manifest",
             "command": self.command,
             "config_hash": self.config_hash,
@@ -86,6 +87,9 @@ class RunManifest:
             "wall_time_s": self.wall_time_s,
             "outputs": list(self.outputs),
         }
+        if self.stages is not None:
+            record["stages"] = dict(self.stages)
+        return record
 
 
 def manifest_path(out_path: str) -> str:

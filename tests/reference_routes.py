@@ -435,20 +435,44 @@ def one_hot_loop(values: list[str], name: str, drop_first: bool = False):
 def dataset_arrays_csv_module(path, covariates, categorical, roles, drop_first=False, **read):
     """(columns, x, {role: values}) by the row-list route: ``csv.reader``, a
     strip and a ``float`` per cell, and the literal one-hot loop. ``roles``
-    maps a role name such as "y" or "p" to its column."""
+    maps a role name such as "y" or "p" to its column, in the order
+    ``loora.dataset.build_dataset`` checks them (p first, d last). Bad cells
+    raise the ``SchemaError`` that ``build_dataset`` raises for them."""
     names, rows = read_csv_csv_module(path, **read)
 
     def column(col):
         j = names.index(col)
-        return [row[j].strip() for row in rows]
+        return [row[j] for row in rows]
 
     def numeric(col):
-        return np.array([float(v) for v in column(col)], dtype=np.float64)
+        cells, values = column(col), []
+        for i, cell in enumerate(cells):
+            try:
+                values.append(float(cell.strip()))
+            except ValueError:
+                raise SchemaError(f"{path}: column {col!r} is not numeric (row {i + 1}: {cell!r})")
+        for i, value in enumerate(values):
+            if not math.isfinite(value):
+                raise SchemaError(
+                    f"{path}: column {col!r} contains non-finite values (row {i + 1}: {cells[i]!r})"
+                )
+        return np.array(values, dtype=np.float64)
 
     columns = list(covariates)
     blocks = [numeric(col)[:, None] for col in covariates]
     for col in categorical:
-        cat_columns, block = one_hot_loop(column(col), col, drop_first=drop_first)
+        cat_columns, block = one_hot_loop([v.strip() for v in column(col)], col, drop_first)
         columns.extend(cat_columns)
         blocks.append(block)
-    return tuple(columns), np.hstack(blocks), {role: numeric(col) for role, col in roles.items()}
+    outcomes = {}
+    for role, col in roles.items():
+        values = outcomes[role] = numeric(col)
+        for i, value in enumerate(values.tolist()):
+            if role == "p" and not 0.0 < value < 1.0:
+                rule = "must lie strictly inside (0, 1)"
+            elif role == "d" and value not in (0.0, 1.0):
+                rule = "must be binary 0/1"
+            else:
+                continue
+            raise SchemaError(f"{path}: column {col!r} {rule} (row {i + 1}: {value!r})")
+    return tuple(columns), np.hstack(blocks), outcomes

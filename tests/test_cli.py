@@ -334,6 +334,61 @@ def test_estimate_golden_byte_identical(tmp_path, capsys):
     assert outs[0] == outs[1]
 
 
+def test_estimate_manifest_times_its_stages_and_records_stay_timing_free(tmp_path, capsys):
+    outs = []
+    for name in ("a.jsonl", "b.jsonl"):
+        out = tmp_path / name
+        code, _, _ = run(capsys, *_EST, "--categorical", "region", *_HALF, "--out", str(out))
+        assert code == 0
+        outs.append(out.read_bytes())
+        manifest = read_records(str(out) + ".manifest.json")[0]
+        stages = manifest["stages"]
+        assert list(stages) == ["read_s", "estimate_s", "write_s"]
+        assert all(0.0 <= value <= manifest["wall_time_s"] for value in stages.values())
+    assert outs[0] == outs[1]
+    assert not [key for key in read_records(tmp_path / "a.jsonl")[0] if key.endswith("_s")]
+    code, _, _ = run(capsys, *_SIM, "--out", str(tmp_path / "study.jsonl"))
+    assert code == 0
+    assert "stages" not in read_records(str(tmp_path / "study.jsonl.manifest.json"))[0]
+
+
+_FULLWIDTH = str.maketrans("0123456789", "０１２３４５６７８９")
+
+
+def _estimate_pair_csvs(tmp_path, rows=400, seed=8):
+    """The same data twice: plain, and with 1_000-style cells, fullwidth digits
+    and an undeclared text column, which only Python's float grammar reads."""
+    rng = np.random.default_rng(seed)
+    count = rng.integers(0, 100_000, rows).tolist()
+    small = rng.integers(0, 100, rows).tolist()
+    level = rng.integers(0, 4, rows).tolist()
+    d = [i % 2 for i in range(rows)]
+    y = (rng.standard_normal(rows) + np.array(d) + 1e-5 * np.array(count)).tolist()
+    plain, python_only = ["x1,x2,g,y,d"], ["x1,x2,note,g,y,d"]
+    for i in range(rows):
+        tail = f"g{level[i]},{y[i]!r},{d[i]}"
+        plain.append(f"{count[i]},{small[i]},{tail}")
+        python_only.append(f"{count[i]:_},{str(small[i]).translate(_FULLWIDTH)},n{i},{tail}")
+    paths = tmp_path / "plain.csv", tmp_path / "python_only.csv"
+    for path, lines in zip(paths, (plain, python_only)):
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return paths
+
+
+@pytest.mark.parametrize("method, design", [("LOORA_DM", ("--design", "complete", "--nt", "200")),
+                                            ("LOORA_HT", _HALF)])
+def test_estimate_reads_python_only_numbers_to_the_same_record(tmp_path, capsys, method, design):
+    outs = []
+    for path in _estimate_pair_csvs(tmp_path):
+        out = tmp_path / f"{path.stem}.jsonl"
+        code, _, _ = run(capsys, "estimate", "--data", str(path), "--covariates", "x1,x2",
+                         "--categorical", "g", "--drop-first", "--y-col", "y", "--d-col", "d",
+                         *design, "--method", method, "--out", str(out))
+        assert code == 0
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+
+
 def test_simulate_thread_count_does_not_change_bytes(tmp_path, capsys):
     outs = []
     for threads, name in ((1, "t1.jsonl"), (3, "t3.jsonl")):

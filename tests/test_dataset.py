@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference_routes import dataset_arrays_csv_module, one_hot_loop, read_csv_csv_module
 
+from loora import dataset as dataset_module
 from loora.dataset import build_dataset, one_hot, read_csv
 from loora.exceptions import SchemaError
 from loora.reporting import read_records, record_line, write_records
@@ -240,6 +241,159 @@ def test_build_dataset_is_byte_identical_to_the_csv_module_route(tmp_path, case,
     assert ds.x.tobytes() == x.tobytes()
     for role, values in outcomes.items():
         assert getattr(ds, role).tobytes() == values.tobytes()
+
+
+def _same_as_the_csv_module_route(path, covariates, categorical, roles, **read):
+    """build_dataset and the csv-module route give equal array bytes, or the
+    same SchemaError message. ``read`` takes drop_first and has_header."""
+    try:
+        expected = dataset_arrays_csv_module(path, covariates, categorical, roles, **read)
+    except SchemaError as exc:
+        expected = str(exc)
+    try:
+        ds = build_dataset(path, covariates, categorical,
+                           **{f"{role}_col": col for role, col in roles.items()}, **read)
+        got = (ds.columns, ds.x, {role: getattr(ds, role) for role in roles})
+    except SchemaError as exc:
+        got = str(exc)
+    if isinstance(expected, str) or isinstance(got, str):
+        assert got == expected
+        return
+    assert got[0] == expected[0]
+    assert got[1].tobytes() == expected[1].tobytes()
+    for role, values in expected[2].items():
+        assert got[2][role].tobytes() == values.tobytes()
+
+
+# Padding that str.strip removes: numpy's parser accepts all of it, Python's
+# float all but U+001C-U+001F.
+_PADS = ("", " ", "\t", "\xa0", "\x1c", "\x1d", "\x1e", "\x1f", "\u2003")
+# Cells only Python's float reads (underscores, non-ASCII digits), and cells
+# neither accepts as a finite number.
+_PYTHON_ONLY = ("1_000", "-2_5.0_1", "１２", "١٢", "1e1_0")
+_REFUSED = ("inf", "-inf", "nan", "", "1e400", "oops", "1 2")
+
+
+@st.composite
+def _number_cells(draw, faults):
+    kinds = ["repr", "repr", "repr", "exponent", "python-only"] + ["refused"] * faults
+    kind = draw(st.sampled_from(kinds))
+    if kind == "repr":
+        text = repr(draw(st.floats(allow_nan=False, allow_infinity=False)))
+    elif kind == "exponent":
+        mantissa = draw(st.sampled_from(("1", "-2.5", "+.5", "7.", "0")))
+        exponent = draw(st.integers(-330, 310 if faults else 300))
+        text = f"{mantissa}{draw(st.sampled_from('eE'))}{exponent}"
+    elif kind == "python-only":
+        text = draw(st.sampled_from(_PYTHON_ONLY))
+    else:
+        text = draw(st.sampled_from(_REFUSED))
+    text = draw(st.sampled_from(_PADS)) + text + draw(st.sampled_from(_PADS))
+    return _maybe_quoted(draw, text)
+
+
+def _maybe_quoted(draw, text):
+    how = draw(st.sampled_from(("bare", "bare", "quoted", "line-break")))
+    if how == "bare":
+        return text
+    if how == "line-break":
+        text += draw(st.sampled_from(("\n", "\r\n", "\r")))
+    return '"' + text.replace('"', '""') + '"'
+
+
+@st.composite
+def _dataset_files(draw):
+    """An observed-mode file: numeric x, categorical g, y, d and p, and
+    sometimes an undeclared text column, in any column order, usually with a
+    header, with LF or CRLF line ends. About half the files hold cells that
+    no route accepts."""
+    faults = draw(st.booleans())
+    rows = draw(st.integers(1, 6))
+    binary = ["0", "1", " 1 ", "0.0", "1e0", '"1"', "\xa00"] + ["2", "1_0"] * faults
+    probability = ["0.5", " 0.25", "0.1\x1c", '"0.75"', "0.2_5"] + ["1", "0"] * faults
+    cells = {
+        "x": _number_cells(faults),
+        "g": st.sampled_from(("a", " a", "a\t", "b", "\xa0b", '"c\nd"', '""')),
+        "y": _number_cells(faults),
+        "d": st.sampled_from(binary),
+        "p": st.sampled_from(probability),
+    }
+    if draw(st.booleans()):
+        cells["note"] = st.sampled_from(("hello", "", "1_000", '"a, b"', '"x\ny"', "#"))
+    columns = {name: draw(st.lists(cell, min_size=rows, max_size=rows))
+               for name, cell in cells.items()}
+    order = draw(st.permutations(list(columns)))
+    has_header = draw(st.integers(0, 3)) > 0
+    lines = [",".join(order)] * has_header
+    lines += [",".join(columns[c][i] for c in order) for i in range(rows)]
+    # a headerless file names its columns c0, c1, ... by position
+    name = {c: c if has_header else f"c{order.index(c)}" for c in order}
+    eol = draw(st.sampled_from(("\n", "\r\n")))
+    return eol.join(lines) + eol, name, has_header
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_dataset_files(), with_p=st.booleans(), drop_first=st.booleans())
+def test_build_dataset_matches_the_csv_module_route(case, with_p, drop_first):
+    text, name, has_header = case
+    roles = {role: name[role] for role in (("p", "y", "d") if with_p else ("y", "d"))}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "data.csv"
+        path.write_bytes(text.encode("utf-8"))
+        _same_as_the_csv_module_route(path, [name["x"]], [name["g"]], roles,
+                                      drop_first=drop_first, has_header=has_header)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("y,d,x\n1,0,0.5\n2,1,0.3,9\n", "row 2 has 4 fields, expected 3"),
+        ("y,d,x\n1,0,0.5\n2,1\n", "row 2 has 2 fields, expected 3"),
+        ("y,d,x,w\n1,0,0.5\n2,1,0.3\n", "row 1 has 3 fields, expected 4"),
+        ("y,d,x\n1,0,0.5,7\n2,1,0.3,8\n", "row 1 has 4 fields, expected 3"),
+        ('y,d,x,"note\nhere"\n1,0,0.5,a\n2,1,0.3,"b\r\nc"\n', None),
+        ("y,d,x,note\n1,0,0.5,hello\n2,1,0.3,\n3,0,1_000,1e400\n", None),
+        ("y,d,x,g\n1,0,0.5, a\n2,1,0.3,a\n3,0,0.1,b\t\n", None),
+    ],
+    ids=["over-wide-row", "short-row", "header-wider", "header-narrower",
+         "quoted-header-line-break", "undeclared-text-column", "padded-levels-merge"],
+)
+def test_build_dataset_fixed_cases_match_the_csv_module_route(tmp_path, text, message):
+    path = write_csv(tmp_path, text)
+    categorical = ["g"] if text.startswith("y,d,x,g") else []
+    _same_as_the_csv_module_route(path, ["x"], categorical, {"y": "y", "d": "d"})
+    if message is not None:
+        with pytest.raises(SchemaError, match=re.escape(f"{path}: {message}")):
+            build_dataset(path, ["x"], categorical, y_col="y", d_col="d")
+
+
+def test_build_dataset_matches_the_csv_module_route_past_100000_rows(tmp_path):
+    path = _padded_csv(tmp_path / "large.csv", rows=100_003, levels=40, seed=5)
+    _same_as_the_csv_module_route(path, ["x1", "x2"], ["g"], {"p": "p", "y": "y", "d": "d"},
+                                  drop_first=True)
+
+
+def _refuse_the_text_route(*args):
+    raise AssertionError("the text route was taken")
+
+
+@pytest.mark.parametrize("case", ["observed30", "padded5000"])
+def test_plain_numeric_files_never_take_the_text_route(tmp_path, monkeypatch, case):
+    if case == "observed30":
+        path, covariates, categorical = DATA / "observed30.csv", ["age", "score"], ["region"]
+    else:
+        path, covariates, categorical = _padded_csv(tmp_path / "padded.csv"), ["x1", "x2"], ["g"]
+    monkeypatch.setattr(dataset_module, "_read_cells", _refuse_the_text_route)
+    ds = build_dataset(path, covariates, categorical, y_col="y", d_col="d")
+    assert ds.n > 0
+    # one cell only Python's float reads sends the same file to the text route
+    lines = path.read_text(encoding="utf-8").split("\n")
+    cells = lines[1].split(",")
+    cells[lines[0].split(",").index("y")] = "1_000"
+    lines[1] = ",".join(cells)
+    with pytest.raises(AssertionError, match="text route"):
+        build_dataset(write_csv(tmp_path, "\n".join(lines), "underscore.csv"), covariates,
+                      categorical, y_col="y", d_col="d")
 
 
 @pytest.mark.parametrize("drop_first", [False, True])
