@@ -35,6 +35,7 @@ from .reporting import (
     config_hash,
     format_table,
     manifest_path,
+    run_environment,
     write_manifest,
     write_records,
 )
@@ -193,6 +194,7 @@ def _emit(out_path, records, command, cfg_dict, seed, started, stages=None) -> N
             version=__version__,
             wall_time_s=time.monotonic() - started,
             outputs=(out_path,),
+            environment=run_environment(),
             stages=stages,
         )
         write_manifest(out_path, manifest)

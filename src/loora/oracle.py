@@ -8,7 +8,8 @@ assignment. They exist to certify the estimators and the feasible variance
 machinery.
 
 Large cancellations appear in the cross-unit terms at small n, so final
-reductions use compensated summation (math.fsum) throughout.
+reductions are correctly rounded sums throughout: math.fsum, or fsum_rows
+(math.fsum's bits, row by row) where several sums of length n are stacked.
 """
 
 from __future__ import annotations
@@ -19,10 +20,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .design import Assignment, DesignSpec, enumeration_blocks
-from .estimators import DEFAULT_LAMBDA_RULE, LambdaRule, Method, ObservedSample
+from .estimators import DEFAULT_LAMBDA_RULE, LambdaRule, Method, ObservedSample, fsum_rows
 from .exceptions import InvalidInput, ParameterOutOfRange, RankDeficient
 from .inference import plan_estimate
-from .linalg import RidgeFactor, as_design_matrix, as_vector, check_loo_feasible, ridge_factor
+from .linalg import (
+    RidgeFactor,
+    as_design_matrix,
+    as_vector,
+    check_loo_feasible,
+    matvec_rows,
+    ridge_factor,
+)
 
 
 @dataclass(frozen=True)
@@ -76,8 +84,8 @@ def observed_sample(pop: Population, assignment: Assignment, spec: DesignSpec) -
 
 
 def _hat_times(factor: RidgeFactor, v: np.ndarray) -> np.ndarray:
-    """H v."""
-    return factor.x @ (factor.z @ v)
+    """H v_i for every row v_i of v (m, n), each row the bits of x @ (z @ v_i)."""
+    return matvec_rows(factor.x, matvec_rows(factor.z, v))
 
 
 def _hat_sq_times(factor: RidgeFactor, v: np.ndarray) -> np.ndarray:
@@ -146,7 +154,6 @@ def loora_ht_variance_terms(pop: Population, p, lam: float) -> tuple[float, floa
     check_loo_feasible(factor.hat_diag)
     h = factor.hat_diag
     gap = 1.0 - h
-    term1 = math.fsum((((sig.xw @ factor.fit(sig.mu) - sig.mu) / gap) ** 2).tolist()) / n**2
     # sum_{i<j} H_ij^2 (a_j / g_i + a_i / g_j)^2 with g = 1 - h: half the sum
     # over all i != j, i.e. the full (H o H) forms minus their diagonal.
     a = sig.t / sig.r
@@ -156,8 +163,9 @@ def loora_ht_variance_terms(pop: Population, p, lam: float) -> tuple[float, floa
         + 2.0 * ag * _hat_sq_times(factor, ag)
         - 4.0 * (h * ag) ** 2
     )
-    term2 = 0.5 * math.fsum(both.tolist()) / n**2
-    return term1, term2
+    fit_error = ((sig.xw @ factor.fit(sig.mu) - sig.mu) / gap) ** 2
+    sum1, sum2 = fsum_rows(np.stack([fit_error, both])).tolist()
+    return sum1 / n**2, 0.5 * sum2 / n**2
 
 
 def loora_ht_variance(pop: Population, p, lam: float) -> float:
@@ -226,34 +234,27 @@ _PATTERNS = {
 }
 
 
-def _falling(a: int, b: int) -> float:
-    out = 1.0
-    for step in range(b):
-        out *= a - step
-    return out
+def _pattern_terms() -> np.ndarray:
+    """One row per (pattern, joint arm assignment) term of the tables' sums.
+
+    Columns: pattern index, distinct unit count m, treated count among the m
+    units, and the arms of i, k, j and l. Rows run pattern by pattern, each
+    pattern's assignments in the order of the bits 0 .. 2^m - 1.
+    """
+    rows = []
+    for pattern, (m, slots) in enumerate(_PATTERNS.values()):
+        for bits in range(1 << m):
+            arms = [(bits >> s) & 1 for s in range(m)]
+            rows.append((pattern, m, sum(arms), *(arms[s] for s in slots)))
+    return np.array(rows).T
 
 
-def _weight_product(di: int, dk: int, dj: int, dl: int, n_t: int, n_c: int) -> float:
-    """v_i z_i v_k^(-i) z_k v_j z_j v_l^(-j) z_l for one joint arm pattern."""
+_TERMS = _pattern_terms()
 
-    def v(d):
-        return 1.0 / n_t if d else 1.0 / n_c
 
-    def z(d):
-        return 1.0 if d else -1.0
-
-    def v_minus(d_removed, d_kept):
-        if d_removed and d_kept:
-            return 1.0 / (n_t - 1)
-        if d_removed and not d_kept:
-            return 1.0 / n_c
-        if not d_removed and d_kept:
-            return 1.0 / n_t
-        return 1.0 / (n_c - 1)
-
-    return (
-        v(di) * z(di) * v_minus(di, dk) * z(dk) * v(dj) * z(dj) * v_minus(dj, dl) * z(dl)
-    )
+def _falling(a: int) -> np.ndarray:
+    """a (a - 1) ... (a - b + 1) for b = 0 .. 4, multiplied left to right."""
+    return np.cumprod([1.0, a, a - 1, a - 2, a - 3])
 
 
 def _pattern_tables(n: int, n_t: int) -> dict[str, np.ndarray]:
@@ -261,22 +262,22 @@ def _pattern_tables(n: int, n_t: int) -> dict[str, np.ndarray]:
 
     Returns, per coincidence pattern, a 2 x 2 table indexed by (a, b); entry
     (a, b) multiplies t1-or-t0 at position k (chosen by a) and at position l
-    (chosen by b) in the quadratic form.
+    (chosen by b) in the quadratic form. Each term is the joint probability
+    of its arms (falling factorials) times the weight product
+    v_i z_i v_k^(-i) z_k v_j z_j v_l^(-j) z_l, and np.add.at sums the terms
+    of a cell in the order of the bits. Requires n >= 4, n_t >= 2, n_c >= 2.
     """
     n_c = n - n_t
-    tables = {}
-    for name, (m, (ri, rk, rj, rl)) in _PATTERNS.items():
-        table = np.zeros((2, 2))
-        for bits in range(1 << m):
-            arms = [(bits >> s) & 1 for s in range(m)]
-            treated = sum(arms)
-            prob = _falling(n_t, treated) * _falling(n_c, m - treated) / _falling(n, m)
-            if prob == 0.0:
-                continue
-            di, dk, dj, dl = arms[ri], arms[rk], arms[rj], arms[rl]
-            table[di, dj] += prob * _weight_product(di, dk, dj, dl, n_t, n_c)
-        tables[name] = table
-    return tables
+    pattern, units, treated, di, dk, dj, dl = _TERMS
+    prob = _falling(n_t)[treated] * _falling(n_c)[units - treated] / _falling(n)[units]
+    v = 1.0 / np.array([n_c, n_t])  # indexed by the unit's arm
+    v_minus = 1.0 / np.array([[n_c - 1, n_t], [n_c, n_t - 1]])  # by (removed, kept) arms
+    z = np.array([-1.0, 1.0])
+    weight = v[di] * z[di] * v_minus[di, dk] * z[dk] * v[dj] * z[dj] * v_minus[dj, dl] * z[dl]
+    keep = prob != 0.0
+    tables = np.zeros((len(_PATTERNS), 2, 2))
+    np.add.at(tables, (pattern[keep], di[keep], dj[keep]), (prob * weight)[keep])
+    return dict(zip(_PATTERNS, tables))
 
 
 def _pair_value(c: dict[str, float], h_kl, j_kl, w_k, w_l, u_k, u_l, hw2_k, hw2_l):
@@ -284,8 +285,8 @@ def _pair_value(c: dict[str, float], h_kl, j_kl, w_k, w_l, u_k, u_l, hw2_k, hw2_
     in tests/reference_routes.py, elementwise.
 
     h_kl = H_kl, j_kl = (H diag(w^2) H)_kl, u = H w - h w, hw2 = h w^2; c
-    holds the pattern-table coefficients of one (a, b) block. Not divided
-    by n^2.
+    holds the pattern-table coefficients of one (a, b) block, or a column of
+    them per block. Not divided by n^2.
     """
     excl_kl = u_k - h_kl * w_l
     excl_lk = u_l - h_kl * w_k
@@ -299,15 +300,27 @@ def _pair_value(c: dict[str, float], h_kl, j_kl, w_k, w_l, u_k, u_l, hw2_k, hw2_
     )
 
 
+# the arms (a, b) of the four quadratic-form blocks, one block per row
+_BLOCK_A = np.array([0, 0, 1, 1])
+_BLOCK_B = np.array([0, 1, 0, 1])
+
+
 def _loora_dm_t3_low_rank(
-    sig: DmSignal, factor: RidgeFactor, tables, w: np.ndarray, uprime: np.ndarray
+    sig: DmSignal,
+    factor: RidgeFactor,
+    tables,
+    w: np.ndarray,
+    uprime: np.ndarray,
+    u_dot: list[float],
 ) -> float:
     """T3 = sum_ab t^(a)' Q^(ab) t^(b) from the ridge factor in O(nk^2).
 
     Summing each block's off-diagonal formula over every (k, l), the double
     sum expands into three bilinear forms, S1 = a'Hb, S2 = a'(H o H)b and
     J = a'H diag(w^2) H b, plus a rank-one product. The k = l terms of that
-    sum are then swapped for the diagonal entries.
+    sum are then swapped for the diagonal entries. The four (a, b) blocks
+    are the rows of (4, n) arrays, with their table coefficients as (4, 1)
+    columns; u_dot holds t^(a)' u' for a = 0, 1.
     """
     h = factor.hat_diag
     n = h.shape[0]
@@ -316,37 +329,33 @@ def _loora_dm_t3_low_rank(
     colsum2 = _hat_sq_times(factor, w**2)  # (H diag(w^2) H)_kk
     v2 = colsum2 - h * hw2
     c_k = uprime**2 - v2
-    signals = {1: sig.t1, 0: sig.t0}
-    u_dot = {arm: math.fsum((t * uprime).tolist()) for arm, t in signals.items()}
-    hat_t = {arm: _hat_times(factor, t) for arm, t in signals.items()}
-    hat_sq_wt = {arm: _hat_sq_times(factor, w * t) for arm, t in signals.items()}
-    totals = []
-    for a in (0, 1):
-        for b in (0, 1):
-            c = {name: float(table[a, b]) for name, table in tables.items()}
-            left, right, hat_right = signals[a], signals[b], hat_t[b]
-            same = c["shared_i"] - c["disjoint"]
-            # J and the S1 terms whose weight sits on the column l
-            row = _hat_times(
-                factor,
-                same * (w**2 * hat_right - hw2 * right)
-                + (c["hooked_left"] - c["disjoint"]) * wu * right,
-            )
-            # the S1 terms whose weight sits on the row k
-            row += ((c["hooked_right"] - c["disjoint"]) * wu - same * hw2) * hat_right
-            # S2: every H_kl^2 w_k w_l term
-            sq = c["crossed"] - c["hooked_left"] - c["hooked_right"] + c["disjoint"]
-            row += sq * w * hat_sq_wt[b]
-            # k = l: swap the off-diagonal formula for the diagonal entry
-            row += (
-                c["pair_pair"] * v2
-                + c["shared_k"] * c_k
-                - _pair_value(c, h, colsum2, w, w, uprime, uprime, hw2, hw2)
-            ) * right
-            totals.append(math.fsum((left * row).tolist()))
-            # the rank-one u_k u_l term of the disjoint pattern
-            totals.append(c["disjoint"] * u_dot[a] * u_dot[b])
-    return math.fsum(totals) / n**2
+    signals = np.stack([sig.t0, sig.t1])  # indexed by arm
+    hat_t = _hat_times(factor, signals)
+    hat_sq_wt = np.stack([_hat_sq_times(factor, w * t) for t in signals])
+    c = {name: table[_BLOCK_A, _BLOCK_B][:, None] for name, table in tables.items()}
+    left, right, hat_right = signals[_BLOCK_A], signals[_BLOCK_B], hat_t[_BLOCK_B]
+    same = c["shared_i"] - c["disjoint"]
+    # J and the S1 terms whose weight sits on the column l
+    row = _hat_times(
+        factor,
+        same * (w**2 * hat_right - hw2 * right)
+        + (c["hooked_left"] - c["disjoint"]) * wu * right,
+    )
+    # the S1 terms whose weight sits on the row k
+    row += ((c["hooked_right"] - c["disjoint"]) * wu - same * hw2) * hat_right
+    # S2: every H_kl^2 w_k w_l term
+    sq = c["crossed"] - c["hooked_left"] - c["hooked_right"] + c["disjoint"]
+    row += sq * w * hat_sq_wt[_BLOCK_B]
+    # k = l: swap the off-diagonal formula for the diagonal entry
+    row += (
+        c["pair_pair"] * v2
+        + c["shared_k"] * c_k
+        - _pair_value(c, h, colsum2, w, w, uprime, uprime, hw2, hw2)
+    ) * right
+    # the rank-one u_k u_l term of the disjoint pattern
+    u_dot = np.array(u_dot)
+    rank_one = c["disjoint"][:, 0] * u_dot[_BLOCK_A] * u_dot[_BLOCK_B]
+    return math.fsum(fsum_rows(left * row).tolist() + rank_one.tolist()) / n**2
 
 
 def loora_dm_variance_terms(pop: Population, n_t: int, lam: float) -> tuple[float, float, float]:
@@ -367,18 +376,20 @@ def loora_dm_variance_terms(pop: Population, n_t: int, lam: float) -> tuple[floa
     check_loo_feasible(factor.hat_diag)
     h = factor.hat_diag
     w = 1.0 / (1.0 - h)
-    uprime = _hat_times(factor, w) - h * w  # sum_{i != k} h_ik w_i, per k
+    hat_w, hat_mu = _hat_times(factor, np.stack([w, sig.mu]))
+    uprime = hat_w - h * w  # sum_{i != k} h_ik w_i, per k
+    proxy = hat_mu - h * sig.mu  # sum_{k != j} h_jk mu_k, per j
     resid = (sig.mu - pop.x @ factor.fit(sig.mu)) * w
-    resid_bar = math.fsum(resid.tolist()) / n
-    t1_term = math.fsum(((resid - resid_bar) ** 2).tolist()) / (n * (n - 1) * n_t * n_c)
-
-    proxy = _hat_times(factor, sig.mu) - h * sig.mu  # sum_{k != j} h_jk mu_k, per j
-    cross_a = math.fsum((resid * sig.mu * uprime).tolist())
-    total_wp = math.fsum((w * proxy).tolist())
-    cross_b = math.fsum((resid * ((total_wp - w * proxy) - sig.mu * uprime)).tolist())
+    sum_resid, cross_a, total_wp, *u_dot = fsum_rows(
+        np.stack([resid, resid * sig.mu * uprime, w * proxy, sig.t0 * uprime, sig.t1 * uprime])
+    ).tolist()
+    resid_bar = sum_resid / n
+    dispersion, cross_b = fsum_rows(
+        np.stack([(resid - resid_bar) ** 2, resid * ((total_wp - w * proxy) - sig.mu * uprime)])
+    ).tolist()
+    t1_term = dispersion / (n * (n - 1) * n_t * n_c)
     t2_term = -2.0 * (cross_a - cross_b / (n - 2)) / (n**2 * (n - 1) * n_t * n_c)
-
-    t3_term = _loora_dm_t3_low_rank(sig, factor, _pattern_tables(n, n_t), w, uprime)
+    t3_term = _loora_dm_t3_low_rank(sig, factor, _pattern_tables(n, n_t), w, uprime, u_dot)
     return t1_term, t2_term, t3_term
 
 

@@ -4,9 +4,9 @@ Machine output is line-delimited: one JSON object per line with insertion-
 ordered keys and floats printed with 17 significant digits, so identical runs
 produce identical bytes and reading a file back loses nothing. A non-finite
 float (a method that failed on every replicate has NaN metrics) is written
-as null, so every strict JSON parser reads the file. The manifest
-(which carries wall time) always goes to its own sidecar file to keep report
-bytes reproducible.
+as null, so every strict JSON parser reads the file. The manifest (which
+carries wall time and the numeric environment) always goes to its own
+sidecar file to keep report bytes reproducible.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,6 +66,21 @@ def config_hash(config: dict) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
+_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def run_environment() -> dict:
+    """numpy's version, the BLAS numpy was built against, and the BLAS thread
+    variables (null where unset): what a run's bits and speed depend on."""
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    return {
+        "numpy": np.__version__,
+        "blas": blas.get("name"),
+        "blas_version": blas.get("version"),
+        "threads": {name: os.environ.get(name) for name in _THREAD_VARIABLES},
+    }
+
+
 @dataclass(frozen=True)
 class RunManifest:
     """Provenance of one CLI run."""
@@ -75,6 +91,7 @@ class RunManifest:
     version: str
     wall_time_s: float
     outputs: tuple[str, ...]
+    environment: dict  # run_environment()
     stages: dict[str, float] | None = None  # wall seconds per stage, where timed
 
     def to_record(self) -> dict:
@@ -86,6 +103,7 @@ class RunManifest:
             "version": self.version,
             "wall_time_s": self.wall_time_s,
             "outputs": list(self.outputs),
+            "environment": self.environment,
         }
         if self.stages is not None:
             record["stages"] = dict(self.stages)

@@ -5,7 +5,8 @@ different and more literal route, or a ground-truth quantity only the tests
 need: the full n x n hat matrix and dense algebra on it, the best fixed
 adjustment of HT and DM and the exact variances it reaches, the
 materialized LOORA-DM quadratic-form blocks (n <= 512) whose low-rank
-contraction ``loora.oracle`` uses for T3, the classical three-term variance,
+contraction ``loora.oracle`` uses for T3, with their coincidence-pattern
+tables summed one scalar term at a time, the classical three-term variance,
 an explicit sandwich product, the regression benchmarks as one fit of their
 full design, a study that builds a fresh sample and a fresh fit for every
 replicate, INT's arm fits one row and one arm at a time, a CSV reader on
@@ -53,10 +54,10 @@ from loora.linalg import (
     upper_inverse,
 )
 from loora.oracle import (
+    _PATTERNS,
     Population,
     _centered_residuals,
     _check_n_t,
-    _pattern_tables,
     dm_signal,
     ht_signal,
     observed_sample,
@@ -130,6 +131,55 @@ def loora_ht_second_term_dense(pop: Population, p, lam: float) -> float:
     return math.fsum(both[iu]) / n**2
 
 
+def _falling(a: int, b: int) -> float:
+    out = 1.0
+    for step in range(b):
+        out *= a - step
+    return out
+
+
+def _weight_product(di: int, dk: int, dj: int, dl: int, n_t: int, n_c: int) -> float:
+    """v_i z_i v_k^(-i) z_k v_j z_j v_l^(-j) z_l for one joint arm pattern."""
+
+    def v(d):
+        return 1.0 / n_t if d else 1.0 / n_c
+
+    def z(d):
+        return 1.0 if d else -1.0
+
+    def v_minus(d_removed, d_kept):
+        if d_removed and d_kept:
+            return 1.0 / (n_t - 1)
+        if d_removed and not d_kept:
+            return 1.0 / n_c
+        if not d_removed and d_kept:
+            return 1.0 / n_t
+        return 1.0 / (n_c - 1)
+
+    return (
+        v(di) * z(di) * v_minus(di, dk) * z(dk) * v(dj) * z(dj) * v_minus(dj, dl) * z(dl)
+    )
+
+
+def pattern_tables_loop(n: int, n_t: int) -> dict[str, np.ndarray]:
+    """The coincidence-pattern tables of ``loora.oracle._pattern_tables``, one
+    joint arm assignment and one scalar weight product at a time."""
+    n_c = n - n_t
+    tables = {}
+    for name, (m, (ri, rk, rj, rl)) in _PATTERNS.items():
+        table = np.zeros((2, 2))
+        for bits in range(1 << m):
+            arms = [(bits >> s) & 1 for s in range(m)]
+            treated = sum(arms)
+            prob = _falling(n_t, treated) * _falling(n_c, m - treated) / _falling(n, m)
+            if prob == 0.0:
+                continue
+            di, dk, dj, dl = arms[ri], arms[rk], arms[rj], arms[rl]
+            table[di, dj] += prob * _weight_product(di, dk, dj, dl, n_t, n_c)
+        tables[name] = table
+    return tables
+
+
 def _quadratic_geometry(hat_full: np.ndarray, hat_diag: np.ndarray):
     """Leverage-derived arrays every quadratic-form entry is built from."""
     w = 1.0 / (1.0 - hat_diag)
@@ -196,7 +246,7 @@ def loora_dm_quadratic_blocks(
     factor = ridge_factor(pop.x, lam)
     check_loo_feasible(factor.hat_diag)
     hat = hat_full(factor)
-    tables = _pattern_tables(pop.n, n_t)
+    tables = pattern_tables_loop(pop.n, n_t)
     geometry = _quadratic_geometry(hat, factor.hat_diag)
     rows = np.arange(pop.n)
     return {

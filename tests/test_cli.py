@@ -352,6 +352,25 @@ def test_estimate_manifest_times_its_stages_and_records_stay_timing_free(tmp_pat
     assert "stages" not in read_records(str(tmp_path / "study.jsonl.manifest.json"))[0]
 
 
+def test_manifests_carry_the_numeric_environment(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.setenv("OMP_NUM_THREADS", "2")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    for name, argv in (("estimate", _EST + _HALF), ("simulate", _SIM)):
+        out = tmp_path / f"{name}.jsonl"
+        code, _, _ = run(capsys, *argv, "--out", str(out))
+        assert code == 0
+        environment = read_records(str(out) + ".manifest.json")[0]["environment"]
+        assert list(environment) == ["numpy", "blas", "blas_version", "threads"]
+        assert environment["numpy"] == np.__version__
+        assert environment["threads"] == {
+            "OPENBLAS_NUM_THREADS": "1",
+            "OMP_NUM_THREADS": "2",
+            "MKL_NUM_THREADS": None,
+        }
+        assert "environment" not in read_records(out)[0]
+
+
 _FULLWIDTH = str.maketrans("0123456789", "０１２３４５６７８９")
 
 

@@ -41,6 +41,7 @@ from reference_routes import (
     loora_dm_t3_dense,
     loora_ht_second_term_bound,
     loora_ht_second_term_dense,
+    pattern_tables_loop,
 )
 
 AUTO2 = LambdaRule.auto(2.0)
@@ -424,6 +425,64 @@ def test_pattern_tables_match_displayed_constants_where_verified():
         assert tables["disjoint"][1, 0] / n2 == pytest.approx(
             c4 * (n + 1) / ((n - 2) * n_c * n_t * (n - 3)), rel=1e-12
         )
+
+
+def test_pattern_tables_match_the_scalar_loop_bit_for_bit():
+    # the array-built tables against the literal loop of the reference, for
+    # every arm split of small n and at the two ends of a large n
+    cases = [(n, n_t) for n in range(4, 41) for n_t in range(2, n - 1)]
+    for n, n_t in cases + [(1024, 512), (30000, 17)]:
+        tables = oracle_mod._pattern_tables(n, n_t)
+        loop = pattern_tables_loop(n, n_t)
+        assert list(tables) == list(loop)
+        for name, table in tables.items():
+            assert np.array_equal(table, loop[name]), (n, n_t, name)
+            assert table.tobytes() == loop[name].tobytes(), (n, n_t, name)
+
+
+# float.hex of the exact variances on synth_population("linear-heterogeneous",
+# n, 5, 11) at p = 1/2 (HT) and n_t = n / 2 (DM) with the auto:2 penalty; the
+# same under 1 and 2 BLAS threads
+PINNED_EXACT_VARIANCES = {
+    1024: ("0x1.2096b45131cc7p-10", "0x1.2488a57dbc833p-9"),
+    5000: ("0x1.a243a9e85af31p-13", "0x1.a6b4a5e2065cbp-12"),
+}
+
+
+@pytest.mark.parametrize("n", sorted(PINNED_EXACT_VARIANCES))
+def test_exact_variances_keep_their_pinned_bits(n):
+    pop = synth_population("linear-heterogeneous", n, 5, 11)
+    p = half_probs(n)
+    dm = loora_dm_variance(pop, n // 2, AUTO2.resolve(pop.x))
+    ht = loora_ht_variance(pop, p, AUTO2.resolve(ht_signal(pop, p).xw))
+    assert (dm.hex(), ht.hex()) == PINNED_EXACT_VARIANCES[n]
+
+
+def test_exact_variance_terms_keep_their_pinned_bits_at_high_leverage():
+    # max h = 0.982 at lambda = 0
+    pop = synth_population("leverage-stress", 14, 3, 14)
+    dm_terms = loora_dm_variance_terms(pop, 7, 0.0)
+    ht_terms = loora_ht_variance_terms(pop, half_probs(14), 0.0)
+    assert [term.hex() for term in dm_terms] == [
+        "0x1.2125a46580ae8p-2",
+        "-0x1.430192d2b68a9p-6",
+        "0x1.6968a08932a70p+0",
+    ]
+    assert [term.hex() for term in ht_terms] == ["0x1.63308ac02a03cp-2", "0x1.678faf9f361d1p+0"]
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="known accuracy gap: at max h = 0.99963 the exact LOORA-DM variance is "
+    "1.1e-9 relative from enumeration (low-rank T3 is 9.4e-10 from the dense T3); "
+    "ROADMAP items 2 and 4",
+)
+def test_loora_dm_variance_matches_enumeration_at_leverage_near_one():
+    pop = synth_population("leverage-stress", 6, 3, 31)
+    _, enum_var = enumeration_moments(
+        pop, CompleteDesign(6, 3), Method.LOORA_DM, LambdaRule.fixed(0.0)
+    )
+    assert rel_gap(loora_dm_variance(pop, 3, 0.0), enum_var) < 1e-9
 
 
 # --- asymptotic benchmark and brute-force moments ---------------------------
