@@ -391,7 +391,7 @@ def cmd_simulate(args, config) -> int:
         }
         for s in report.stats
     ]
-    _emit(out, records, "simulate", cfg_dict, seed, started)
+    _emit(out, records, "simulate", cfg_dict, seed, started, report.stages)
     return 0
 
 

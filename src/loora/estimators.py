@@ -22,11 +22,17 @@ Each row carries the bits it would have alone: elementwise work runs on the
 whole block, every matrix-vector product and dot product is one BLAS call
 per row (linalg.matvec_rows, linalg.dot_rows) and every exact sum is
 correctly rounded, with math.fsum's bits, by fsum_rows: math.fsum per row
-on small blocks, else a few error-free extraction passes over the whole
-block, with math.fsum kept for the rows holding non-finite, near-overflow or
-near-subnormal entries and for combining more than two exact pieces. INT
-factors the arm Grams of a group of rows in one stacked LAPACK call. The
-one switch over method identifiers is loora.inference.plan_estimate.
+on small blocks, else one error-free extraction pass over the whole block
+whose rounded total each row certifies (further passes only for the rows it
+does not), with math.fsum kept for the rows holding non-finite,
+near-overflow or near-subnormal entries and for combining more than two
+exact pieces. Per-unit constants that do not depend on the assignment (1 - h,
+the arm probabilities' reciprocals, LOORA-DM's weights under fixed arm
+counts) are formed once per plan, and a block picks each unit's by its arm
+with the bits of forming it from d, on the bit patterns rather than by a
+branch per unit (_by_arm). INT factors the arm Grams of a group of rows
+in one stacked LAPACK call. The one switch over method identifiers is
+loora.inference.plan_estimate.
 """
 
 from __future__ import annotations
@@ -136,20 +142,26 @@ def _both_arms(method: str, n_t: int, n_c: int) -> tuple[int, int]:
 # Extraction works on rows whose nonzero entries are all at least 2**-969.
 # Each such entry is a multiple of 2**-1021, and so is every piece and
 # remainder the extraction forms from them: no intermediate is subnormal, as
-# the error-free bounds of the extraction assume no underflow.
+# the error-free bounds of the extraction assume no underflow. Only a row
+# whose smallest |entry| is below 2**-969 (a zero, or a tiny entry) is
+# tested entry by entry: 0 < |x| < 2**-969 holds exactly when the bits of
+# |x|, less one, fall below the bits of 2**-969 less one, as unsigned
+# integers (0 wraps round).
 _EXTRACTION_FLOOR = 2.0**-969
+_EXTRACTION_FLOOR_BITS = np.float64(_EXTRACTION_FLOOR).view(np.uint64) - np.uint64(1)
 
 
 # Blocks of fewer entries than this sum one row at a time: below it, the
-# extraction's fixed cost of about 15 numpy calls exceeds a math.fsum per
-# row (the two cross between 1.4k and 1.7k entries on a 2-core x86-64 host).
-_EXTRACTION_MIN_ENTRIES = 1500
+# extraction's fixed cost of about 20 numpy calls exceeds a math.fsum per
+# row. On a 2-core x86-64 host the two cross near 600 entries for one row,
+# near 1000 for rows of 40 or 120 entries and near 1500 for rows of 11.
+_EXTRACTION_MIN_ENTRIES = 1200
 
 
 def fsum_rows(a: np.ndarray, overflow: float = math.nan) -> np.ndarray:
     """math.fsum of each row of a (B, n), to the bit.
 
-    A block of fewer than 1500 entries takes math.fsum row by row; a larger
+    A block of fewer than 1200 entries takes math.fsum row by row; a larger
     one takes _fsum_rows_extracted, block-wide passes that return the same
     bits. A row whose math.fsum raises (an intermediate overflow, or both
     +inf and -inf) gets `overflow`: nan for a point estimate (which then
@@ -166,13 +178,30 @@ def _fsum_rows_extracted(a: np.ndarray, overflow: float) -> np.ndarray:
     ExtractVector (Rump, Ogita & Oishi 2008, Accurate floating-point
     summation): with m = ceil(log2(n + 2)) and e the exponent of a row's
     largest |entry| (all below 2**e), sigma = 2**(m + e) splits every entry
-    p into q = (sigma + p) - sigma and p - q, both exact. The qs are
-    multiples of ulp(sigma) / 2 whose sum stays below sigma, so their plain
-    sum is exact in any order. Passes repeat on the remainders, with a new
-    sigma per row, until every remainder is zero; ordinary data needs two
-    to four. The exact sum of a row is then the sum of its few pieces: one
-    rounding of two pieces, or math.fsum of more. Both round correctly,
-    half to even, as math.fsum does, so the bits are math.fsum's.
+    p into q = (sigma + p) - sigma and r = p - q, both exact, with
+    |r| <= 2**(m + e - 53). The qs are multiples of 2**(m + e - 53) whose
+    sum stays below sigma, so their plain sum tau1 is exact in any order,
+    and the row's exact sum is S = tau1 + sum(r).
+
+    Certificate (the stopping rule of AccSum and NearSum in the same paper).
+    t2, the plain sum of the rs, passes each r through at most n - 1
+    roundings, none of them subnormal, so |sum(r) - t2| <= 2 n^2 2**-53
+    2**(m + e - 53); err = n^2 2**(m + e - 103) is four times that. With
+    res = fl(tau1 + t2) and rho = tau1 + t2 - res, exact by TwoSum,
+    |S - res| <= |rho| + err / 4. The gap g from |res| down to the next
+    double is the smaller of the two gaps beside a nonzero res, and
+    fl(|rho| + err) rounds up by less than the 3 err / 4 it carries spare
+    (|rho| is at most 2**(m + e - 53), so its rounding is below err / 8).
+    So 2 fl(|rho| + err) < g puts S strictly inside res's rounding
+    interval, whatever the tie rule: res is the correctly rounded sum and
+    has math.fsum's bits. At res = 0, g = 0 and nothing is certified.
+
+    Rows that fail the test (a sum near a rounding midpoint, cancellation
+    to or near zero) go on from their remainders: passes repeat, with a
+    new sigma per row, until every remainder is zero, and the exact sum is
+    then the sum of the row's few pieces: one rounding of two pieces, or
+    math.fsum of more. Both round correctly, half to even, as math.fsum
+    does.
 
     Rows that hold a non-finite entry, whose largest |entry| reaches
     2**(1023 - m) (within 2**(m + 1) of overflow, where math.fsum's
@@ -184,10 +213,67 @@ def _fsum_rows_extracted(a: np.ndarray, overflow: float) -> np.ndarray:
     buf = np.abs(a)
     top = buf.max(axis=1, initial=0.0)
     fallback = ~(top < math.ldexp(1.0, 1023 - m))  # also every nan or inf row
-    fallback |= ((buf < _EXTRACTION_FLOOR) & (buf > 0.0)).any(axis=1)
-    rest = np.where(fallback[:, None], 0.0, a)
-    top[fallback] = 0.0
-    pieces = []
+    low = buf.min(axis=1) < _EXTRACTION_FLOOR  # a zero, or an entry below the floor
+    if low.any():
+        fallback |= low & (buf.view(np.uint64) - np.uint64(1) < _EXTRACTION_FLOOR_BITS).any(axis=1)
+    rest = a
+    if fallback.any():
+        rest = np.where(fallback[:, None], 0.0, a)
+        top[fallback] = 0.0
+    sigma_exp = np.frexp(top)[1] + m  # m + e
+    sigma = np.ldexp(1.0, sigma_exp)[:, None]
+    q = np.add(rest, sigma, out=buf)
+    q -= sigma
+    tau1 = q.sum(axis=1)
+    r = np.subtract(rest, q, out=buf)
+    t2 = r.sum(axis=1)
+    # err = n^2 2**(m + e - 103), kept at least 2**-1022 so that nothing here
+    # is subnormal; a few rows take Python floats, which cost less than numpy calls
+    if rows < _VECTOR_CERTIFICATE_ROWS:
+        sums = [
+            _one_pass_sum(t, s, math.ldexp(n * n, max(k - 103, -1022)), math.nextafter)
+            for t, s, k in zip(tau1.tolist(), t2.tolist(), sigma_exp.tolist())
+        ]
+        out = np.array([value for value, _ in sums])
+        certified = np.array([ok for _, ok in sums])
+    else:
+        err = np.ldexp(float(n * n), np.maximum(sigma_exp - 103, -1022))
+        out, certified = _one_pass_sum(tau1, t2, err, np.nextafter)
+    if not certified.all():  # fallback rows never are
+        todo = np.flatnonzero(~(certified | fallback))
+        if todo.size:
+            out[todo] = _extracted_rest(r[todo], tau1[todo], m)
+        for i in np.flatnonzero(fallback):
+            out[i] = _fsum_or(a[i].tolist(), overflow)
+    return out
+
+
+# Blocks of fewer rows than this certify their one-pass sums in Python floats.
+_VECTOR_CERTIFICATE_ROWS = 8
+
+
+def _one_pass_sum(tau1, t2, err, nextafter):
+    """(res, certified) of _fsum_rows_extracted's certificate, on floats or elementwise on arrays.
+
+    res = fl(tau1 + t2), and rho = tau1 + t2 - res by TwoSum, exactly;
+    certified is 2 (|rho| + err) < |res| - nextafter(|res|, 0).
+    """
+    res = tau1 + t2
+    back = res - tau1
+    rho = (tau1 - (res - back)) + (t2 - back)
+    size = abs(res)
+    return res, 2.0 * (abs(rho) + err) < size - nextafter(size, 0.0)
+
+
+def _extracted_rest(rest: np.ndarray, first: np.ndarray, m: int) -> np.ndarray:
+    """The exact sums tau1 + sum(rest) of _fsum_rows_extracted's uncertified rows.
+
+    rest (G, n) holds the remainders of the first pass and first its pieces
+    tau1; further passes extract until every remainder is zero.
+    """
+    pieces = [first]
+    buf = np.abs(rest)
+    top = buf.max(axis=1)
     while np.count_nonzero(top):
         sigma = np.ldexp(1.0, np.frexp(top)[1] + m)[:, None]
         q = np.add(rest, sigma, out=buf)
@@ -195,14 +281,12 @@ def _fsum_rows_extracted(a: np.ndarray, overflow: float) -> np.ndarray:
         rest -= q
         pieces.append(q.sum(axis=1))
         top = np.abs(rest, out=buf).max(axis=1)
-    out = np.zeros(rows)
+    out = np.zeros(len(first))
     for piece in pieces[:2]:
         out += piece  # correctly rounded unless a later piece of the row is nonzero
     if len(pieces) > 2:
         late = np.flatnonzero(np.logical_or.reduce(pieces[2:]))
         out[late] = [math.fsum(row) for row in np.stack(pieces, axis=1)[late].tolist()]
-    for i in np.flatnonzero(fallback):
-        out[i] = _fsum_or(a[i].tolist(), overflow)
     return out
 
 
@@ -273,10 +357,9 @@ class HtPlan:
         z is +/-1, the sandwich is n^{-2} times the sum of the squared
         residuals y_i / q_i - z_i tau_hat.
         """
-        n = y.shape[1]
-        treated = fsum_rows(d * y / self.p) / n
-        control = fsum_rows((1.0 - d) * y / (1.0 - self.p)) / n
-        tau = treated - control
+        rows, n = y.shape
+        arms = fsum_rows(np.concatenate([d * y / self.p, (1.0 - d) * y / (1.0 - self.p)])) / n
+        tau = arms[:rows] - arms[rows:]
         if not variance:
             return tau, None, {}
         resid = y / realized_arm_probability(self.p, d) - (2.0 * d - 1.0) * tau[:, None]
@@ -293,7 +376,8 @@ class DmPlan:
     def block(self, d: np.ndarray, y: np.ndarray, variance: bool):
         """See the module docstring; the HC0 variance is _two_column_sandwich's of y."""
         n_t, n_c, failed = self.arms.counts(d)
-        tau = fsum_rows(d * y) / n_t - fsum_rows((1.0 - d) * y) / n_c
+        arms = fsum_rows(np.concatenate([d * y, (1.0 - d) * y]))
+        tau = arms[: d.shape[0]] / n_t - arms[d.shape[0] :] / n_c
         return tau, _two_column_sandwich(y, d)[1] if variance else None, failed
 
 
@@ -312,7 +396,7 @@ def _two_column_sandwich(u: np.ndarray, d: np.ndarray):
     n_c = u.shape[1] - n_t
     c = 1.0 - d
     mean_t, mean_c = dot_rows(d, u) / n_t, dot_rows(c, u) / n_c
-    r2 = (u - np.where(d == 1.0, mean_t[:, None], mean_c[:, None])) ** 2
+    r2 = (u - _by_arm(_arm_mask(d), mean_t[:, None], mean_c[:, None])) ** 2
     return mean_t - mean_c, dot_rows(d, r2) / n_t**2 + dot_rows(c, r2) / n_c**2
 
 
@@ -340,19 +424,45 @@ def reweighted_outcomes_ht(y, d, scales: tuple[np.ndarray, np.ndarray]) -> np.nd
     return np.where(d == 1.0, treated_scale, control_scale) * y
 
 
+def _arm_mask(d: np.ndarray) -> np.ndarray:
+    """All 64 bits set where the 0/1 block d is 1 and none where it is 0 (uint64)."""
+    return np.negative(d.astype(np.int64)).view(np.uint64)
+
+
+def _by_arm(mask: np.ndarray, treated: np.ndarray, control: np.ndarray) -> np.ndarray:
+    """treated where mask (an _arm_mask) is set and control elsewhere, bit for bit.
+
+    treated and control are float64 arrays that broadcast against the mask.
+    The bits are np.where(d == 1, treated, control)'s for any values, by
+    ((treated ^ control) & mask) ^ control on the bit patterns. np.where
+    branches on every unit, and on a random assignment its mispredicted
+    branches cost about four times these passes (about 100 against 20 to 30
+    microseconds on a block of 3 rows of 5000 units, 2-core x86-64 host).
+    """
+    base = control.view(np.uint64)
+    picked = np.bitwise_xor(treated.view(np.uint64), base) & mask
+    picked ^= base
+    return picked.view(np.float64)
+
+
 @dataclass(frozen=True)
 class LooraHtPlan:
     """LOORA-HT on its study-fixed weights, penalty and ridge factor.
 
-    Built once from (X, design, rule); block() evaluates a block of assignments.
+    Built once from (X, design, rule); block() evaluates a block of
+    assignments. Every per-unit constant a block needs is formed here once:
+    with q_i the probability of unit i's realized arm (p_i treated, 1 - p_i
+    control) and z_i = 2 d_i - 1, block() picks the outcome scale, z/q and
+    z q (1 - h) by the arm (_by_arm), with the bits of forming them from d.
     """
 
     x: np.ndarray
-    p: np.ndarray
     r: np.ndarray  # Bernoulli standard deviations sqrt(p (1 - p))
     scales: tuple[np.ndarray, np.ndarray]  # ht_outcome_scales(p)
     lam: float
     ridge: RidgeFactor  # of the inverse-weighted covariates X / r
+    z_over_q: tuple[np.ndarray, np.ndarray]  # (1 / p, -1 / (1 - p))
+    zq_gap: tuple[np.ndarray, np.ndarray]  # (p (1 - h), -(1 - p) (1 - h))
 
     @classmethod
     def build(cls, x, spec: DesignSpec, rule: LambdaRule = DEFAULT_LAMBDA_RULE) -> "LooraHtPlan":
@@ -363,7 +473,15 @@ class LooraHtPlan:
         lam = rule.resolve(xw)
         ridge = ridge_factor(xw, lam)
         check_loo_feasible(ridge.hat_diag)
-        return cls(x=x, p=p, r=r, scales=ht_outcome_scales(p), lam=lam, ridge=ridge)
+        return cls(
+            x=x,
+            r=r,
+            scales=ht_outcome_scales(p),
+            lam=lam,
+            ridge=ridge,
+            z_over_q=(1.0 / p, -1.0 / (1.0 - p)),
+            zq_gap=(p * ridge.gap, -((1.0 - p) * ridge.gap)),
+        )
 
     def block(self, d: np.ndarray, y: np.ndarray, variance: bool):
         """See the module docstring.
@@ -371,19 +489,20 @@ class LooraHtPlan:
         The second step regresses the residualized outcomes
         (y_i - x_i' beta) / (q_i (1 - h_i)) on the signed indicator z; since
         z is +/-1, its HC0 sandwich collapses to n^{-2} times the sum of the
-        squared residuals of that regression.
+        squared residuals of that regression. Each residual is computed
+        times z_i, as (y_i - x_i' beta) / (z_i q_i (1 - h_i)) - tau_hat: that
+        is the residual negated, bit for bit, where z_i = -1, so its square
+        has the residual's own bits.
         """
-        p, ridge, n = self.p, self.ridge, y.shape[1]
-        z = 2.0 * d - 1.0
-        yw = reweighted_outcomes_ht(y, d, self.scales)
-        q = realized_arm_probability(p, d)
+        ridge, n, mask = self.ridge, y.shape[1], _arm_mask(d)
+        yw = _by_arm(mask, *self.scales) * y  # reweighted_outcomes_ht
         beta = ridge.solve_rows(yw)  # full-sample fits of the reweighted outcomes on X / r
         # x_i' beta^{(-i)} with the raw row x_i = r_i * (x_i / r_i)
-        adjustment = self.r * loo_fitted_rows(ridge.x, ridge.hat_diag, yw, beta)
-        tau = fsum_rows(z / q * (y - adjustment)) / n
+        adjustment = self.r * loo_fitted_rows(ridge, yw, beta)
+        tau = fsum_rows(_by_arm(mask, *self.z_over_q) * (y - adjustment)) / n
         if not variance:
             return tau, None, {}
-        resid = (y - matvec_rows(self.x, beta)) / (q * (1.0 - ridge.hat_diag)) - z * tau[:, None]
+        resid = (y - matvec_rows(self.x, beta)) / _by_arm(mask, *self.zq_gap) - tau[:, None]
         return tau, fsum_rows(resid**2, math.inf) / n**2, {}
 
 
@@ -405,15 +524,25 @@ def dm_response_weights(n_t, n_c, d: np.ndarray) -> tuple[np.ndarray, np.ndarray
     carries the bits of the same integer arithmetic in Python. Each row's
     four weights are formed as (B,) scalars before they are spread over d.
     """
+    own_t, cross_t, own_c, cross_c, _, _ = _dm_row_weights(n_t, n_c)
+    treated = d == 1.0
+    return np.where(treated, own_t, cross_t), np.where(treated, cross_c, own_c)
+
+
+def _dm_row_weights(n_t, n_c) -> tuple[np.ndarray, ...]:
+    """dm_response_weights' four weights (own_t, cross_t, own_c, cross_c) and the
+    signed arm weights 1/n_t and -1/n_c of per-row arm counts (B,), as (B, 1) columns."""
     n = n_t + n_c
     scale = n_t * n_c * (n - 1) / n
-    own_t, cross_t = scale * _own_arm_weight(n_t), scale * (1.0 / n_c**2)
-    own_c, cross_c = scale * _own_arm_weight(n_c), scale * (1.0 / n_t**2)
-    treated = d == 1.0
-    return (
-        np.where(treated, own_t[:, None], cross_t[:, None]),
-        np.where(treated, cross_c[:, None], own_c[:, None]),
+    weights = (
+        scale * _own_arm_weight(n_t),
+        scale * (1.0 / n_c**2),
+        scale * _own_arm_weight(n_c),
+        scale * (1.0 / n_t**2),
+        1.0 / n_t,
+        -1.0 / n_c,
     )
+    return tuple(w[:, None] for w in weights)
 
 
 def _loora_dm_responses(n_t, n_c, d: np.ndarray, y: np.ndarray):
@@ -440,6 +569,7 @@ class LooraDmPlan:
     arms: ArmCounts
     lam: float
     ridge: RidgeFactor
+    weights: tuple[np.ndarray, ...] | None  # _dm_row_weights of fixed counts, as (1, 1)
 
     @classmethod
     def build(
@@ -454,25 +584,36 @@ class LooraDmPlan:
         lam = rule.resolve(x)
         ridge = ridge_factor(x, lam)
         check_loo_feasible(ridge.hat_diag)
-        return cls(arms=arms, lam=lam, ridge=ridge)
+        weights = None
+        if arms.fixed is not None:
+            weights = _dm_row_weights(*(np.array([float(count)]) for count in arms.fixed))
+        return cls(arms=arms, lam=lam, ridge=ridge, weights=weights)
 
     def adjusted(self, d: np.ndarray, y: np.ndarray):
         """(tau_hat, u, failed) for a block of assignments d (B, n) and outcomes y (B, n).
 
         Row i of u holds the adjusted outcomes y_j - x_j' beta^{(-j)} of
         assignment i; failed holds the rows whose arm counts fail, as
-        ArmCounts.counts returns them.
+        ArmCounts.counts returns them. tau_hat sums v z u, with v the arm
+        weights 1/n_arm of _loora_dm_responses and z = 2d - 1, each weight
+        picked by the arm (_by_arm). Under fixed counts every weight is the
+        plan's.
         """
         n_t, n_c, failed = self.arms.counts(d)
-        (for_treated, for_control), v = _loora_dm_responses(n_t, n_c, d, y)
-        # Both responses of every row go to one solve. The removed unit's own
-        # response entry cancels in the leave-one-out identity, so the zero
-        # placeholders in the scalings are never read.
+        own_t, cross_t, own_c, cross_c, inv_t, neg_inv_c = self.weights or _dm_row_weights(n_t, n_c)
+        mask = _arm_mask(d)
+        # Both responses of every row (dm_response_weights times y) go to one
+        # solve. The removed unit's own response entry cancels in the
+        # leave-one-out identity, so the zero placeholders in the scalings are
+        # never read.
         ridge, rows = self.ridge, d.shape[0]
-        responses = np.concatenate([for_treated, for_control])
-        loo = loo_fitted_rows(ridge.x, ridge.hat_diag, responses, ridge.solve_rows(responses))
-        u = y - np.where(d == 1.0, loo[:rows], loo[rows:])
-        return fsum_rows(v * (2.0 * d - 1.0) * u), u, failed
+        responses = np.empty((2 * rows, d.shape[1]))
+        np.multiply(_by_arm(mask, own_t, cross_t), y, out=responses[:rows])
+        np.multiply(_by_arm(mask, cross_c, own_c), y, out=responses[rows:])
+        beta = ridge.solve_rows(responses)
+        loo = loo_fitted_rows(ridge, responses, beta)
+        u = y - _by_arm(mask, loo[:rows], loo[rows:])
+        return fsum_rows(_by_arm(mask, inv_t, neg_inv_c) * u), u, failed
 
     def block(self, d: np.ndarray, y: np.ndarray, variance: bool):
         """See the module docstring.

@@ -76,13 +76,14 @@ def dot_rows(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.matmul(u[:, None, :], v[:, :, None])[:, 0, 0]
 
 
-def loo_fitted_rows(x, hat_diag, y, beta) -> np.ndarray:
+def loo_fitted_rows(factor: RidgeFactor, y, beta) -> np.ndarray:
     """x_i' beta^{(-i)} for each response row of y (m, n) fit as beta (m, k).
 
     The rank-one identity x_i' beta^{(-i)} = (x_i' beta - h_i y_i) / (1 - h_i)
-    applied row by row; the caller has checked the leverages.
+    applied row by row, from the factor's design, leverages and 1 - h; the
+    caller has checked the leverages.
     """
-    return (matvec_rows(x, beta) - hat_diag * y) / (1.0 - hat_diag)
+    return (matvec_rows(factor.x, beta) - factor.hat_diag * y) / factor.gap
 
 
 def _as_penalty(lam, k: int) -> float | np.ndarray:
@@ -117,6 +118,8 @@ class RidgeFactor:
         R^{-1} for the upper Cholesky factor R of X'X + Lambda (see cholesky_solve).
     hat_diag : ndarray of shape (n,)
         Ridge leverage scores.
+    gap : ndarray of shape (n,)
+        1 - hat_diag, the leave-one-out denominators.
     z : ndarray of shape (k, n)
         (X'X + Lambda)^{-1} X'.
     """
@@ -126,6 +129,7 @@ class RidgeFactor:
     cho: np.ndarray
     hat_diag: np.ndarray
     z: np.ndarray
+    gap: np.ndarray
 
     def fit(self, y) -> np.ndarray:
         """beta of (X'X + Lambda) beta = X'y for one response y of shape (n,)."""
@@ -184,7 +188,7 @@ def ridge_factor(x, lam) -> RidgeFactor:
     cho = np.linalg.inv(upper)
     z = cho @ (cho.T @ x.T)
     hat_diag = np.einsum("ij,ji->i", x, z)
-    return RidgeFactor(x=x, lam=lam, cho=cho, hat_diag=hat_diag, z=z)
+    return RidgeFactor(x=x, lam=lam, cho=cho, hat_diag=hat_diag, z=z, gap=1.0 - hat_diag)
 
 
 def _failing_minor(gram: np.ndarray) -> int:

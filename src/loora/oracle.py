@@ -21,7 +21,7 @@ import numpy as np
 
 from .design import Assignment, DesignSpec, enumeration_blocks
 from .estimators import DEFAULT_LAMBDA_RULE, LambdaRule, Method, ObservedSample, fsum_rows
-from .exceptions import InvalidInput, ParameterOutOfRange, RankDeficient
+from .exceptions import InvalidInput, NonFinite, ParameterOutOfRange, RankDeficient
 from .inference import plan_estimate
 from .linalg import (
     RidgeFactor,
@@ -168,10 +168,23 @@ def loora_ht_variance_terms(pop: Population, p, lam: float) -> tuple[float, floa
     return sum1 / n**2, 0.5 * sum2 / n**2
 
 
+def _finite_total(terms, method: str) -> float:
+    """The correctly rounded sum of a variance's terms; NonFinite if it is not finite."""
+    total = float(fsum_rows(np.array([terms]))[0])
+    if not math.isfinite(total):
+        raise NonFinite(method, "exact variance")
+    return total
+
+
 def loora_ht_variance(pop: Population, p, lam: float) -> float:
-    """Exact finite-population variance of LOORA-HT at penalty lam."""
-    term1, term2 = loora_ht_variance_terms(pop, p, lam)
-    return term1 + term2
+    """Exact finite-population variance of LOORA-HT at penalty lam.
+
+    Raises NonFinite when the population's magnitudes drive it out of the
+    floating-point range.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):  # the total is checked instead
+        terms = loora_ht_variance_terms(pop, p, lam)
+    return _finite_total(terms, "LOORA_HT")
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +368,7 @@ def _loora_dm_t3_low_rank(
     # the rank-one u_k u_l term of the disjoint pattern
     u_dot = np.array(u_dot)
     rank_one = c["disjoint"][:, 0] * u_dot[_BLOCK_A] * u_dot[_BLOCK_B]
-    return math.fsum(fsum_rows(left * row).tolist() + rank_one.tolist()) / n**2
+    return fsum_rows(np.concatenate([fsum_rows(left * row), rank_one])[None])[0] / n**2
 
 
 def loora_dm_variance_terms(pop: Population, n_t: int, lam: float) -> tuple[float, float, float]:
@@ -394,9 +407,14 @@ def loora_dm_variance_terms(pop: Population, n_t: int, lam: float) -> tuple[floa
 
 
 def loora_dm_variance(pop: Population, n_t: int, lam: float) -> float:
-    """Exact finite-population variance of LOORA-DM at penalty lam."""
-    t1, t2, t3 = loora_dm_variance_terms(pop, n_t, lam)
-    return math.fsum((t1, t2, t3))
+    """Exact finite-population variance of LOORA-DM at penalty lam.
+
+    Raises NonFinite when the population's magnitudes drive it out of the
+    floating-point range.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):  # the total is checked instead
+        terms = loora_dm_variance_terms(pop, n_t, lam)
+    return _finite_total(terms, "LOORA_DM")
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,9 @@ from __future__ import annotations
 
 import itertools
 import math
+import time
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -292,6 +293,9 @@ class SimulationReport:
     seed: int
     reps: int | str
     stats: tuple[MethodStats, ...]
+    # wall seconds of run_study's plan, evaluate and aggregate stages; not
+    # part of the results, so two reports compare equal without them
+    stages: dict[str, float] = field(default_factory=dict, compare=False)
 
 
 def resolve_design(pop: Population, cfg: StudyConfig, rng: np.random.Generator) -> DesignSpec:
@@ -413,13 +417,17 @@ def run_study(pop: Population, cfg: StudyConfig) -> SimulationReport:
     evaluated in blocks of design.block_size(n) rows, each method once per
     block, and every row gets the bits its replicate has alone. Results go
     into one (replicates x methods x 4) float64 array, so memory grows by
-    32 bytes per replicate and method.
+    32 bytes per replicate and method. The report's stages hold the wall
+    seconds of planning (plan_s), of drawing and evaluating every block
+    (evaluate_s) and of aggregation (aggregate_s).
     """
+    planning = time.perf_counter()
     study_rng = np.random.Generator(np.random.PCG64(study_seed_sequence(cfg.seed)))
     spec = resolve_design(pop, cfg, study_rng)
     tau = pop.tau
     count = enumeration_size(spec) if cfg.reps == "enumerate" else int(cfg.reps)
     plans = _plan_methods(pop, spec, cfg)
+    evaluating = time.perf_counter()
     try:
         rows = np.zeros((count, len(plans), 4))
         weights = np.empty(count)
@@ -437,4 +445,11 @@ def run_study(pop: Population, cfg: StudyConfig) -> SimulationReport:
                 _record_block(plan, d, y, tau, rows[start:stop, j])
         weights[start:stop] = weight
         start = stop
-    return _aggregate(cfg, tau, rows, weights)
+    aggregating = time.perf_counter()
+    report = _aggregate(cfg, tau, rows, weights)
+    stages = {
+        "plan_s": evaluating - planning,
+        "evaluate_s": aggregating - evaluating,
+        "aggregate_s": time.perf_counter() - aggregating,
+    }
+    return replace(report, stages=stages)

@@ -34,5 +34,5 @@ def loo_fitted(factor, y):
     check_loo_feasible(factor.hat_diag)
     y = np.asarray(y, dtype=np.float64)
     rows = np.atleast_2d(np.ascontiguousarray(y.T))
-    fitted = loo_fitted_rows(factor.x, factor.hat_diag, rows, factor.solve_rows(rows))
+    fitted = loo_fitted_rows(factor, rows, factor.solve_rows(rows))
     return fitted.T.reshape(y.shape)

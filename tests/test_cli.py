@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -347,9 +348,22 @@ def test_estimate_manifest_times_its_stages_and_records_stay_timing_free(tmp_pat
         assert all(0.0 <= value <= manifest["wall_time_s"] for value in stages.values())
     assert outs[0] == outs[1]
     assert not [key for key in read_records(tmp_path / "a.jsonl")[0] if key.endswith("_s")]
-    code, _, _ = run(capsys, *_SIM, "--out", str(tmp_path / "study.jsonl"))
-    assert code == 0
-    assert "stages" not in read_records(str(tmp_path / "study.jsonl.manifest.json"))[0]
+
+
+def test_simulate_manifest_times_its_stages_and_records_stay_timing_free(tmp_path, capsys):
+    outs = []
+    for name in ("a.jsonl", "b.jsonl"):
+        out = tmp_path / name
+        code, _, _ = run(capsys, *_SIM, "--out", str(out))
+        assert code == 0
+        outs.append(out.read_bytes())
+        manifest = read_records(str(out) + ".manifest.json")[0]
+        stages = manifest["stages"]
+        assert list(stages) == ["plan_s", "evaluate_s", "aggregate_s", "write_s"]
+        assert all(0.0 <= value <= manifest["wall_time_s"] for value in stages.values())
+    assert outs[0] == outs[1]
+    for record in read_records(tmp_path / "a.jsonl"):
+        assert not [key for key in record if key.endswith("_s")]
 
 
 def test_manifests_carry_the_numeric_environment(tmp_path, capsys, monkeypatch):
@@ -1095,3 +1109,33 @@ def test_every_command_runs_without_scipy(tmp_path):
     assert done.returncode == 0, done.stderr
     assert "FAIL" not in done.stdout
     assert len(read_records(tmp_path / "study.jsonl")) == len(methods)
+
+
+# sha256 of the records of CI's three byte-identity studies and of its n = 11
+# enumeration, as `loora simulate ... --out` writes them; any change in a
+# record's bits changes its digest
+PINNED_STUDY_RECORDS = {
+    "--synth binary-outcome --n 60 --k 4 --pop-seed 3 --design complete --nt 30 "
+    "--methods HT,DM,ADJ,INT,RIDGE_REG,LOORA_HT,LOORA_DM --reps 50 --seed 7": (
+        "fe1a9fd7c7c1c5e1a105164e2bcc2d695594894d3e4962149c1b4c2310efe302"
+    ),
+    "--synth binary-outcome --n 120 --k 10 --pop-seed 7 --design complete --nt 60 "
+    "--methods DM,ADJ,INT,RIDGE_REG,LOORA_DM --reps 200 --seed 1": (
+        "2a85e96bfc3ec9b0daf472253562162450a8cfcd7eef595f356de0de3889eb31"
+    ),
+    "--synth linear-heterogeneous --n 5000 --k 5 --pop-seed 2 --design simple-half "
+    "--methods HT,DM,ADJ,INT,RIDGE_REG,LOORA_HT,LOORA_DM --allow-design-mismatch "
+    "--reps 20 --seed 3": "b88d905c4e2119b8067d4b99c1c1ddb0bf93e0192f669f7ad16a6575ee83e354",
+    "--synth linear-heterogeneous --n 11 --k 3 --design complete --nt 5 "
+    "--methods DM,LOORA_DM --reps enumerate": (
+        "444060fef5c0b3f878064dbe11ff3b5647b62ab9d4f625b23319e8c0da4637cf"
+    ),
+}
+
+
+@pytest.mark.parametrize("study", list(PINNED_STUDY_RECORDS), ids=["n60", "n120", "n5000", "n11"])
+def test_study_records_keep_their_pinned_bytes(tmp_path, capsys, study):
+    out = tmp_path / "study.jsonl"
+    code, _, _ = run(capsys, "simulate", *study.split(), "--out", str(out))
+    assert code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == PINNED_STUDY_RECORDS[study]

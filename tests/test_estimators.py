@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from conftest import random_population, rel_gap
+import loora.estimators
 from loora.design import Assignment, CompleteDesign, SimpleDesign, draw_with
 from loora.estimators import (
     BenchmarkPlan,
@@ -417,7 +418,7 @@ def _sum_blocks(draw):
     return a
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=1000, deadline=None)
 @given(a=_sum_blocks(), overflow=st.sampled_from([math.nan, math.inf]))
 def test_fsum_rows_returns_math_fsum_bits(a, overflow):
     want = fsum_rows_loop(a, overflow).view(np.int64)
@@ -426,6 +427,78 @@ def test_fsum_rows_returns_math_fsum_bits(a, overflow):
         extracted = _fsum_rows_extracted(a, overflow)  # whatever the size selects
     assert_array_equal(got.view(np.int64), want)
     assert_array_equal(extracted.view(np.int64), want)
+
+
+def _rows_of(n: int, *heads) -> np.ndarray:
+    """One row of n entries per head: the head's entries, then pairs x, -x that
+    cancel exactly (each a remainder of the first pass, so the plain sum of the
+    remainders carries their rounding), then zeros."""
+    rng = np.random.default_rng(len(heads))
+    a = np.zeros((len(heads), n))
+    for i, head in enumerate(heads):
+        scale = math.ldexp(1.0, math.frexp(max(map(abs, head)))[1] - 45)
+        pairs = (n - len(head)) // 2
+        filler = scale * rng.uniform(-1.0, 1.0, pairs)
+        a[i] = np.concatenate([head, filler, -filler, np.zeros(n - len(head) - 2 * pairs)])
+    return rng.permuted(a, axis=1)
+
+
+def _uncertified_rows(monkeypatch, a):
+    """_fsum_rows_extracted of a, under np.errstate(all="raise"), and the rows it
+    sent past the one-pass certificate."""
+    seen = []
+    full_route = loora.estimators._extracted_rest
+
+    def spy(rest, first, m):
+        seen.append(len(first))
+        return full_route(rest, first, m)
+
+    monkeypatch.setattr(loora.estimators, "_extracted_rest", spy)
+    with np.errstate(all="raise"):
+        got = _fsum_rows_extracted(a, math.nan)
+    return got, sum(seen)
+
+
+_ULP_1 = 2.0**-52  # the gap above 1.0; the gap below it is half of it
+_TINY = 2.0**-90  # far inside the certificate's err at n = 2000 and e = 1
+
+
+@pytest.mark.parametrize(
+    "heads",
+    [
+        # one-pass sums within err of a rounding midpoint, on both sides of it and on it
+        [(1.5, _ULP_1 / 2 + _TINY), (1.5, _ULP_1 / 2 - _TINY), (1.5, _ULP_1 / 2)],
+        [(-3.0, -_ULP_1 + _TINY), (1.25, 3 * _ULP_1 / 2)],  # the tie rounds to even
+        # just above and just below a power of two, where the gaps differ
+        [(1.0, _ULP_1 / 2 + _TINY), (1.0, _ULP_1 / 2 - _TINY), (1.0, _ULP_1 / 2)],
+        [(1.0, -_ULP_1 / 4 + _TINY), (1.0, -_ULP_1 / 4 - _TINY), (1.0, -_ULP_1 / 4)],
+        [(-1024.0, 2.0**-44 + _TINY * 1024), (-1024.0, -(2.0**-43) - _TINY * 1024)],
+        # rows that cancel to zero, one of them all -0.0
+        [(2.5, -2.5), (-0.0,), (1e300, -1e300, 1e-280, -1e-280)],
+        # tiny remainders next to huge ones: a huge midpoint decided by entries near 2**-900
+        [
+            (2.0**600, 2.0**547, 2.0**-900),
+            (2.0**600, 2.0**547, -(2.0**-900)),
+            (-(2.0**600), -(2.0**547), 2.0**-900, 2.0**-968),
+        ],
+    ],
+)
+def test_fsum_rows_certificate_sends_hard_rows_the_full_route(monkeypatch, heads):
+    a = _rows_of(2000, *heads)
+    if (-0.0,) in heads:
+        a[heads.index((-0.0,))] = -0.0
+    got, uncertified = _uncertified_rows(monkeypatch, a)
+    assert uncertified == len(heads)
+    assert_array_equal(got.view(np.int64), fsum_rows_loop(a).view(np.int64))
+
+
+def test_fsum_rows_certifies_ordinary_rows_after_one_pass(monkeypatch):
+    rng = np.random.default_rng(5)
+    a = rng.standard_normal((200, 5000)) * np.exp(rng.uniform(-20, 20, (200, 1)))
+    a[:100] = a[:100] ** 2  # one-signed rows, like squared residuals
+    got, uncertified = _uncertified_rows(monkeypatch, a)
+    assert_array_equal(got.view(np.int64), fsum_rows_loop(a).view(np.int64))
+    assert uncertified <= 10
 
 
 # --- INT's block arm fits against the row-by-row loop -------------------------

@@ -11,7 +11,7 @@ import loora.oracle as oracle_mod
 from conftest import loo_fitted, random_population, rel_gap
 from loora.design import CompleteDesign, SimpleDesign, enumerate_assignments
 from loora.estimators import LambdaRule, Method, ObservedSample
-from loora.exceptions import ParameterOutOfRange
+from loora.exceptions import NonFinite, ParameterOutOfRange
 from loora.inference import estimate
 from loora.linalg import leverage_regularizer, max_row_norm, ridge_factor
 from loora.oracle import (
@@ -456,6 +456,22 @@ def test_exact_variances_keep_their_pinned_bits(n):
     dm = loora_dm_variance(pop, n // 2, AUTO2.resolve(pop.x))
     ht = loora_ht_variance(pop, p, AUTO2.resolve(ht_signal(pop, p).xw))
     assert (dm.hex(), ht.hex()) == PINNED_EXACT_VARIANCES[n]
+
+
+@pytest.mark.parametrize("method", ["LOORA_DM", "LOORA_HT"])
+def test_exact_variances_of_overflowing_populations_fail_as_non_finite(method):
+    # y of order 1e160: the squared terms leave the floating-point range
+    pop = synth_population("linear-heterogeneous", 8, 2, 4)
+    big = Population(pop.x, pop.y1 * 1e160, pop.y0 * 1e160)
+    with pytest.raises(NonFinite) as failure:
+        if method == "LOORA_DM":
+            loora_dm_variance(big, 4, 0.5)
+        else:
+            loora_ht_variance(big, half_probs(8), 0.5)
+    assert (failure.value.method, failure.value.stage) == (method, "exact variance")
+    # the unscaled population has a finite variance of both kinds
+    assert math.isfinite(loora_dm_variance(pop, 4, 0.5))
+    assert math.isfinite(loora_ht_variance(pop, half_probs(8), 0.5))
 
 
 def test_exact_variance_terms_keep_their_pinned_bits_at_high_leverage():
