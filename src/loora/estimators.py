@@ -27,10 +27,9 @@ whose rounded total each row certifies (further passes only for the rows it
 does not), with math.fsum kept for the rows holding non-finite,
 near-overflow or near-subnormal entries and for combining more than two
 exact pieces. Per-unit constants that do not depend on the assignment (1 - h,
-the arm probabilities' reciprocals, LOORA-DM's weights under fixed arm
-counts) are formed once per plan, and a block picks each unit's by its arm
-with the bits of forming it from d, on the bit patterns rather than by a
-branch per unit (_by_arm). INT factors the arm Grams of a group of rows
+the arm probabilities' reciprocals) are formed once per plan, and a block
+picks each unit's by its arm with the bits of forming it from d, on the bit
+patterns rather than by a branch per unit (_by_arm). INT factors the arm Grams of a group of rows
 in one stacked LAPACK call. The one switch over method identifiers is
 loora.inference.plan_estimate.
 """
@@ -153,8 +152,8 @@ _EXTRACTION_FLOOR_BITS = np.float64(_EXTRACTION_FLOOR).view(np.uint64) - np.uint
 
 # Blocks of fewer entries than this sum one row at a time: below it, the
 # extraction's fixed cost of about 20 numpy calls exceeds a math.fsum per
-# row. On a 2-core x86-64 host the two cross near 600 entries for one row,
-# near 1000 for rows of 40 or 120 entries and near 1500 for rows of 11.
+# row. On a 2-core x86-64 host the two cross near 800 to 1000 entries for
+# one row and for rows of 40 or 120 entries, and near 1500 for rows of 11.
 _EXTRACTION_MIN_ENTRIES = 1200
 
 
@@ -208,7 +207,7 @@ def _fsum_rows_extracted(a: np.ndarray, overflow: float) -> np.ndarray:
     intermediate overflow lives), or that hold a nonzero entry below
     2**-969 take math.fsum itself, and `overflow` where it raises.
     """
-    rows, n = a.shape
+    n = a.shape[1]
     m = (n + 1).bit_length()  # ceil(log2(n + 2))
     buf = np.abs(a)
     top = buf.max(axis=1, initial=0.0)
@@ -228,17 +227,13 @@ def _fsum_rows_extracted(a: np.ndarray, overflow: float) -> np.ndarray:
     r = np.subtract(rest, q, out=buf)
     t2 = r.sum(axis=1)
     # err = n^2 2**(m + e - 103), kept at least 2**-1022 so that nothing here
-    # is subnormal; a few rows take Python floats, which cost less than numpy calls
-    if rows < _VECTOR_CERTIFICATE_ROWS:
-        sums = [
-            _one_pass_sum(t, s, math.ldexp(n * n, max(k - 103, -1022)), math.nextafter)
-            for t, s, k in zip(tau1.tolist(), t2.tolist(), sigma_exp.tolist())
-        ]
-        out = np.array([value for value, _ in sums])
-        certified = np.array([ok for _, ok in sums])
-    else:
-        err = np.ldexp(float(n * n), np.maximum(sigma_exp - 103, -1022))
-        out, certified = _one_pass_sum(tau1, t2, err, np.nextafter)
+    # is subnormal; rho = tau1 + t2 - out exactly, by TwoSum
+    err = np.ldexp(float(n * n), np.maximum(sigma_exp - 103, -1022))
+    out = tau1 + t2
+    back = out - tau1
+    rho = (tau1 - (out - back)) + (t2 - back)
+    size = np.abs(out)
+    certified = 2.0 * (np.abs(rho) + err) < size - np.nextafter(size, 0.0)
     if not certified.all():  # fallback rows never are
         todo = np.flatnonzero(~(certified | fallback))
         if todo.size:
@@ -246,23 +241,6 @@ def _fsum_rows_extracted(a: np.ndarray, overflow: float) -> np.ndarray:
         for i in np.flatnonzero(fallback):
             out[i] = _fsum_or(a[i].tolist(), overflow)
     return out
-
-
-# Blocks of fewer rows than this certify their one-pass sums in Python floats.
-_VECTOR_CERTIFICATE_ROWS = 8
-
-
-def _one_pass_sum(tau1, t2, err, nextafter):
-    """(res, certified) of _fsum_rows_extracted's certificate, on floats or elementwise on arrays.
-
-    res = fl(tau1 + t2), and rho = tau1 + t2 - res by TwoSum, exactly;
-    certified is 2 (|rho| + err) < |res| - nextafter(|res|, 0).
-    """
-    res = tau1 + t2
-    back = res - tau1
-    rho = (tau1 - (res - back)) + (t2 - back)
-    size = abs(res)
-    return res, 2.0 * (abs(rho) + err) < size - nextafter(size, 0.0)
 
 
 def _extracted_rest(rest: np.ndarray, first: np.ndarray, m: int) -> np.ndarray:
@@ -381,11 +359,11 @@ class DmPlan:
         return tau, _two_column_sandwich(y, d)[1] if variance else None, failed
 
 
-def _two_column_sandwich(u: np.ndarray, d: np.ndarray):
+def _two_column_sandwich(u: np.ndarray, d: np.ndarray, mask: np.ndarray | None = None):
     """Slope of the OLS of each row of u on [1, d] and the HC0 variance of that slope.
 
-    u and d are (B, n) blocks; returns the per-row (slope, slope variance)
-    arrays. The regression is the two arm means: intercept u_c,
+    u and d are (B, n) blocks, and mask is d's _arm_mask if the caller has
+    it; returns the per-row (slope, slope variance) arrays. The regression is the two arm means: intercept u_c,
     slope u_t - u_c, and with r the deviations from the arm means, row d of
     the sandwich bread times [1, d]' is 1/n_t on treated and -1/n_c on
     control units, so the variance is sum_t r^2 / n_t^2 + sum_c r^2 / n_c^2.
@@ -396,7 +374,9 @@ def _two_column_sandwich(u: np.ndarray, d: np.ndarray):
     n_c = u.shape[1] - n_t
     c = 1.0 - d
     mean_t, mean_c = dot_rows(d, u) / n_t, dot_rows(c, u) / n_c
-    r2 = (u - _by_arm(_arm_mask(d), mean_t[:, None], mean_c[:, None])) ** 2
+    if mask is None:
+        mask = _arm_mask(d)
+    r2 = (u - _by_arm(mask, mean_t[:, None], mean_c[:, None])) ** 2
     return mean_t - mean_c, dot_rows(d, r2) / n_t**2 + dot_rows(c, r2) / n_c**2
 
 
@@ -569,7 +549,6 @@ class LooraDmPlan:
     arms: ArmCounts
     lam: float
     ridge: RidgeFactor
-    weights: tuple[np.ndarray, ...] | None  # _dm_row_weights of fixed counts, as (1, 1)
 
     @classmethod
     def build(
@@ -584,24 +563,22 @@ class LooraDmPlan:
         lam = rule.resolve(x)
         ridge = ridge_factor(x, lam)
         check_loo_feasible(ridge.hat_diag)
-        weights = None
-        if arms.fixed is not None:
-            weights = _dm_row_weights(*(np.array([float(count)]) for count in arms.fixed))
-        return cls(arms=arms, lam=lam, ridge=ridge, weights=weights)
+        return cls(arms=arms, lam=lam, ridge=ridge)
 
-    def adjusted(self, d: np.ndarray, y: np.ndarray):
+    def adjusted(self, d: np.ndarray, y: np.ndarray, mask: np.ndarray | None = None):
         """(tau_hat, u, failed) for a block of assignments d (B, n) and outcomes y (B, n).
 
         Row i of u holds the adjusted outcomes y_j - x_j' beta^{(-j)} of
         assignment i; failed holds the rows whose arm counts fail, as
         ArmCounts.counts returns them. tau_hat sums v z u, with v the arm
         weights 1/n_arm of _loora_dm_responses and z = 2d - 1, each weight
-        picked by the arm (_by_arm). Under fixed counts every weight is the
-        plan's.
+        picked by the arm (_by_arm); mask is d's _arm_mask, built here if
+        not given.
         """
         n_t, n_c, failed = self.arms.counts(d)
-        own_t, cross_t, own_c, cross_c, inv_t, neg_inv_c = self.weights or _dm_row_weights(n_t, n_c)
-        mask = _arm_mask(d)
+        own_t, cross_t, own_c, cross_c, inv_t, neg_inv_c = _dm_row_weights(n_t, n_c)
+        if mask is None:
+            mask = _arm_mask(d)
         # Both responses of every row (dm_response_weights times y) go to one
         # solve. The removed unit's own response entry cancels in the
         # leave-one-out identity, so the zero placeholders in the scalings are
@@ -623,10 +600,11 @@ class LooraDmPlan:
         sandwich entry is the variance. A row fails with SelfCheckFailed if
         the slope does not reproduce its point estimate.
         """
-        tau, u, failed = self.adjusted(d, y)
+        mask = _arm_mask(d)
+        tau, u, failed = self.adjusted(d, y, mask)
         if not variance:
             return tau, None, failed
-        slope, var = _two_column_sandwich(u, d)
+        slope, var = _two_column_sandwich(u, d, mask)
         off = np.abs(slope - tau) > 1e-10 * np.maximum(1.0, np.abs(tau))
         self_check = {
             int(i): SelfCheckFailed(

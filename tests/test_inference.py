@@ -353,7 +353,7 @@ def test_block_routes_match_the_one_row_routes_bit_for_bit(rng, method):
 
 
 def test_point_estimate_does_not_run_the_variance_self_check(rng, monkeypatch):
-    def failing(u, d):
+    def failing(*args):
         raise SelfCheckFailed("auxiliary regression failed")
 
     monkeypatch.setattr(loora.estimators, "_two_column_sandwich", failing)
