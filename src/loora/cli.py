@@ -8,10 +8,16 @@ enumeration guards, non-finite results), each with a diagnostic on stderr.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import functools
 import os
 import sys
 import time
+
+try:
+    import resource
+except ImportError:  # Windows has none
+    resource = None
 
 import numpy as np
 
@@ -178,7 +184,11 @@ def _check_writable(out_path) -> None:
             os.remove(path)
 
 
-def _emit(out_path, records, command, cfg_dict, seed, started, stages=None) -> None:
+def _minor_faults() -> int | None:
+    return None if resource is None else resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
+def _emit(out_path, records, command, cfg_dict, seed, started, stages=None, faults=None) -> None:
     """Write the records and their manifest; ``stages`` gains the write's own time."""
     if not out_path:
         return
@@ -196,6 +206,7 @@ def _emit(out_path, records, command, cfg_dict, seed, started, stages=None) -> N
             outputs=(out_path,),
             environment=run_environment(),
             stages=stages,
+            minor_faults=None if faults is None else _minor_faults() - faults,
         )
         write_manifest(out_path, manifest)
     except OSError as exc:  # the records file or its manifest sidecar
@@ -216,7 +227,7 @@ def _dataset(args, config, data, *roles):
 
 
 def cmd_estimate(args, config) -> int:
-    started = time.monotonic()
+    started, faults = time.monotonic(), _minor_faults()
     out = _typed_setting(args, config, "out", os.fspath)
     _check_writable(out)
     data = _typed_setting(args, config, "data", os.fspath)
@@ -301,12 +312,12 @@ def cmd_estimate(args, config) -> int:
         "level": report.level,
         "lambda_used": report.lambda_used,
     }
-    _emit(out, [record], "estimate", cfg_dict, None, started, stages)
+    _emit(out, [record], "estimate", cfg_dict, None, started, stages, faults)
     return 0
 
 
 def cmd_simulate(args, config) -> int:
-    started = time.monotonic()
+    started, faults = time.monotonic(), _minor_faults()
     out = _typed_setting(args, config, "out", os.fspath)
     _check_writable(out)
     data = _typed_setting(args, config, "data", os.fspath)
@@ -391,7 +402,7 @@ def cmd_simulate(args, config) -> int:
         }
         for s in report.stats
     ]
-    _emit(out, records, "simulate", cfg_dict, seed, started, report.stages)
+    _emit(out, records, "simulate", cfg_dict, seed, started, report.stages, faults)
     return 0
 
 
@@ -481,7 +492,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache  # once per process
+def keep_heap() -> None:
+    """Keep freed memory in glibc's heap: trim from 64 MiB, mmap from 32 MiB.
+
+    By default each study block's freed (B, n) arrays go back to the kernel and
+    the next block faults them in again. Setting either threshold turns off
+    glibc's dynamic ones, so both are set. Records keep their bits."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):  # no mallopt (not glibc), or no CDLL(None)
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+    mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+
+
 def main(argv=None) -> int:
+    keep_heap()
     args = build_parser().parse_args(argv)
     config = {}
     try:

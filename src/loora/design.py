@@ -99,16 +99,16 @@ class Assignment:
 
 
 def block_size(n: int) -> int:
-    """Assignments per block for n units: clamp(16384 // n, 1, 256).
+    """Assignments per block for n units: clamp(32768 // n, 1, 256).
 
-    A block of B rows of n entries then holds at most 16384 float64 values
-    (128 KiB), so each of a block's arrays sits in a core's L2 cache while
-    batching amortizes per-call overhead: 3 rows at n = 5000, 136 at n = 120.
-    A harness sweep of 2**13 to 2**16 entries per block found 2**14 fastest
-    at n = 5000 and no slower at n = 120. The rule depends on n alone, never
+    A block of B rows of n entries then holds at most 32768 float64 values
+    (256 KiB) per array: 6 rows at n = 5000, 256 at n = 120. Under the CLI's
+    heap policy (cli.keep_heap) a sweep of 2**14, 2**15 and 2**16 entries
+    per block found 2**15 as fast as 2**16 at n = 1000 and n = 5000 and 5 to
+    9 % faster than 2**14 (README). The rule depends on n alone, never
     on a thread count or a replicate count, so results do not either.
     """
-    return min(256, max(1, 16384 // n))
+    return min(256, max(1, 32768 // n))
 
 
 def draw_rows(spec: DesignSpec, rngs: Iterable[np.random.Generator]) -> np.ndarray:

@@ -93,6 +93,7 @@ class RunManifest:
     outputs: tuple[str, ...]
     environment: dict  # run_environment()
     stages: dict[str, float] | None = None  # wall seconds per stage, where timed
+    minor_faults: int | None = None  # page faults over the run; None where not counted
 
     def to_record(self) -> dict:
         record = {
@@ -107,6 +108,7 @@ class RunManifest:
         }
         if self.stages is not None:
             record["stages"] = dict(self.stages)
+        record["minor_faults"] = self.minor_faults
         return record
 
 

@@ -1,5 +1,6 @@
 import hashlib
 import os
+import platform
 import subprocess
 import sys
 import warnings
@@ -335,9 +336,23 @@ def test_estimate_golden_byte_identical(tmp_path, capsys):
     assert outs[0] == outs[1]
 
 
-def test_estimate_manifest_times_its_stages_and_records_stay_timing_free(tmp_path, capsys):
+def _assert_fault_count(manifest, resource):
+    """minor_faults follows stages: a count where resource exists, else null."""
+    assert list(manifest)[-2:] == ["stages", "minor_faults"]
+    faults = manifest["minor_faults"]
+    assert faults is None if resource is None else isinstance(faults, int) and faults >= 0
+
+
+def _timing_free(record):
+    return not [key for key in record if key.endswith("_s") or key == "minor_faults"]
+
+
+def test_estimate_manifest_times_its_stages_and_records_stay_timing_free(
+    tmp_path, capsys, monkeypatch
+):
     outs = []
-    for name in ("a.jsonl", "b.jsonl"):
+    for name, resource in (("a.jsonl", loora.cli.resource), ("b.jsonl", None)):
+        monkeypatch.setattr(loora.cli, "resource", resource)
         out = tmp_path / name
         code, _, _ = run(capsys, *_EST, "--categorical", "region", *_HALF, "--out", str(out))
         assert code == 0
@@ -346,13 +361,17 @@ def test_estimate_manifest_times_its_stages_and_records_stay_timing_free(tmp_pat
         stages = manifest["stages"]
         assert list(stages) == ["read_s", "estimate_s", "write_s"]
         assert all(0.0 <= value <= manifest["wall_time_s"] for value in stages.values())
+        _assert_fault_count(manifest, resource)
     assert outs[0] == outs[1]
-    assert not [key for key in read_records(tmp_path / "a.jsonl")[0] if key.endswith("_s")]
+    assert _timing_free(read_records(tmp_path / "a.jsonl")[0])
 
 
-def test_simulate_manifest_times_its_stages_and_records_stay_timing_free(tmp_path, capsys):
+def test_simulate_manifest_times_its_stages_and_records_stay_timing_free(
+    tmp_path, capsys, monkeypatch
+):
     outs = []
-    for name in ("a.jsonl", "b.jsonl"):
+    for name, resource in (("a.jsonl", loora.cli.resource), ("b.jsonl", None)):
+        monkeypatch.setattr(loora.cli, "resource", resource)
         out = tmp_path / name
         code, _, _ = run(capsys, *_SIM, "--out", str(out))
         assert code == 0
@@ -361,9 +380,9 @@ def test_simulate_manifest_times_its_stages_and_records_stay_timing_free(tmp_pat
         stages = manifest["stages"]
         assert list(stages) == ["plan_s", "evaluate_s", "aggregate_s", "write_s"]
         assert all(0.0 <= value <= manifest["wall_time_s"] for value in stages.values())
+        _assert_fault_count(manifest, resource)
     assert outs[0] == outs[1]
-    for record in read_records(tmp_path / "a.jsonl"):
-        assert not [key for key in record if key.endswith("_s")]
+    assert all(_timing_free(record) for record in read_records(tmp_path / "a.jsonl"))
 
 
 def test_manifests_carry_the_numeric_environment(tmp_path, capsys, monkeypatch):
@@ -1085,11 +1104,13 @@ def _fresh_interpreter(code: str) -> subprocess.CompletedProcess:
 
 
 def test_importing_the_cli_loads_neither_scipy_nor_yaml():
+    # nor sets the heap policy, which only main does
     done = _fresh_interpreter(
         "import sys, loora.cli; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'yaml')))"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'yaml'))); "
+        "print(loora.cli.keep_heap.cache_info().misses)"
     )
-    assert (done.returncode, done.stdout) == (0, "[]\n"), done.stderr
+    assert (done.returncode, done.stdout) == (0, "[]\n0\n"), done.stderr
 
 
 def test_every_command_runs_without_scipy(tmp_path):
@@ -1109,6 +1130,34 @@ def test_every_command_runs_without_scipy(tmp_path):
     assert done.returncode == 0, done.stderr
     assert "FAIL" not in done.stdout
     assert len(read_records(tmp_path / "study.jsonl")) == len(methods)
+
+
+_FAULT_STUDY = (
+    "simulate --synth linear-heterogeneous --n 5000 --k 5 --pop-seed 2 --design complete "
+    "--nt 2500 --methods LOORA_DM --reps 700 --seed 3"
+)
+
+
+@pytest.mark.skipif(
+    not sys.platform.startswith("linux") or platform.libc_ver()[0] != "glibc",
+    reason="the CLI's heap policy is glibc's mallopt",
+)
+def test_a_fresh_study_keeps_its_heap_and_the_policy_moves_no_bit(tmp_path):
+    # Under glibc's default thresholds this study faults 90 to 120 pages in
+    # per replicate; a fresh process's fixed cost (code pages, population,
+    # plan) is about 1100 faults, so 700 replicates keep it under 2 each.
+    outs = {}
+    for name, patch in (("kept", ""), ("default", "cli.keep_heap = lambda: None; ")):
+        out = tmp_path / f"{name}.jsonl"
+        argv = [*_FAULT_STUDY.split(), "--out", str(out)]
+        done = _fresh_interpreter(
+            f"import sys, loora.cli as cli; {patch}sys.exit(cli.main({argv!r}))"
+        )
+        assert done.returncode == 0, done.stderr
+        outs[name] = out.read_bytes()
+    faults = read_records(str(tmp_path / "kept.jsonl") + ".manifest.json")[0]["minor_faults"]
+    assert faults < 10 * 700
+    assert outs["kept"] == outs["default"]
 
 
 # sha256 of the records of CI's three byte-identity studies and of its n = 11

@@ -336,7 +336,7 @@ def test_multi_block_study_equals_fresh_fit_per_replicate(design, mismatch):
 
 @pytest.mark.parametrize("method, design", [("LOORA_HT", "simple-half"), ("LOORA_DM", "complete")])
 def test_multi_row_blocks_at_large_n_equal_fresh_fit_per_replicate(method, design):
-    # two full blocks of 3 rows of 5000 units and a partial one
+    # two full blocks of 6 rows of 5000 units and a partial one
     n = 5000
     assert block_size(n) >= 2
     pop = synth_population("linear-heterogeneous", n, 5, 2)
@@ -400,9 +400,9 @@ def test_a_reused_generator_draws_as_a_fresh_one():
 @pytest.mark.parametrize(
     "n, reps, methods",
     [
-        (8192, 3, tuple(m.value for m in Method)),  # B = 2: a full block and a partial one
+        (8192, 3, tuple(m.value for m in Method)),  # B = 4: one partial block of 3 rows
         (40, 2 * _STATE_CHUNK + 5, ("HT", "DM", "INT")),  # chunk and block edges apart
-        (8193, 3, tuple(m.value for m in Method)),  # B = 1: one block per replicate
+        (16385, 3, tuple(m.value for m in Method)),  # B = 1: one block per replicate
     ],
 )
 def test_studies_across_blocks_and_state_chunks_equal_fresh_fit(n, reps, methods):
@@ -428,9 +428,10 @@ def test_block_size_rule():
     for n in range(1, 40_000):
         size = block_size(n)
         assert 1 <= size <= 256
-        assert size * n <= 16384 or size == 1
-        assert size == 256 or (size + 1) * n > 16384
-    assert (block_size(120), block_size(5000), block_size(8192), block_size(8193)) == (136, 3, 2, 1)
+        assert size * n <= 32768 or size == 1
+        assert size == 256 or (size + 1) * n > 32768
+    sizes = tuple(block_size(n) for n in (120, 5000, 8192, 8193, 16385))
+    assert sizes == (256, 6, 4, 3, 1)
 
 
 def test_study_config_validation():
