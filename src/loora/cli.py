@@ -46,7 +46,7 @@ from .reporting import (
     write_records,
 )
 from .simulation import DESIGN_CHOICES, StudyConfig, run_study, synth_population
-from .verify import CHECKS, CORE_CHECKS, run_checks
+from .verify import CHECKS, run_checks
 
 CONFIG_SCHEMA_VERSION = 1
 
@@ -407,7 +407,7 @@ def cmd_simulate(args, config) -> int:
 
 
 def cmd_verify(args, config) -> int:
-    results = run_checks(args.check or CORE_CHECKS, args.seed, args.n)
+    results = run_checks(args.check or CHECKS, args.seed)
     all_passed = True
     for result in results:
         status = "PASS" if result.passed else "FAIL"
@@ -484,10 +484,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--check",
         action="append",
         choices=list(CHECKS),
-        help="run a single named check (repeatable); default runs the core suite",
+        help="run a single named check (repeatable); default runs every check",
     )
     ver.add_argument("--seed", type=int, default=0)
-    ver.add_argument("--n", type=int, default=5000, help="sample size for lin-equivalence")
     ver.set_defaults(func=cmd_verify)
     return parser
 

@@ -101,7 +101,10 @@ class LambdaRule:
         if self.mode == "fixed":
             return self.value
         if self.mode == "auto":
-            return leverage_regularizer(regressed_matrix, self.value)
+            lam = leverage_regularizer(regressed_matrix, self.value)
+            if not math.isfinite(lam):  # rows too large to square
+                raise InvalidInput(f"lambda must be finite and nonnegative, got {lam}")
+            return lam
         raise InvalidInput(f"unknown lambda rule mode {self.mode!r}")
 
 
@@ -491,27 +494,19 @@ def _own_arm_weight(count: np.ndarray) -> np.ndarray:
     return np.where(count > 1, 1.0 / np.maximum(count * (count - 1), 1.0), 0.0)
 
 
-def dm_response_weights(n_t, n_c, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-unit outcome weights of the two rescaled LOORA-DM responses.
-
-    n_t and n_c are the per-row arm counts (B,) of an assignment block d
-    (B, n). Returns (for_treated, for_control): the weights applied to the
-    observed outcomes when the removed unit is treated, respectively
-    control. Entries that would be undefined (own-group weight at n_t = 1
-    or n_c = 1) are set to zero; they belong to the single unit of that
-    group, whose row is always the one removed, so the value never
-    influences a fit. The counts are exact in float64, so every weight
-    carries the bits of the same integer arithmetic in Python. Each row's
-    four weights are formed as (B,) scalars before they are spread over d.
-    """
-    own_t, cross_t, own_c, cross_c, _, _ = _dm_row_weights(n_t, n_c)
-    treated = d == 1.0
-    return np.where(treated, own_t, cross_t), np.where(treated, cross_c, own_c)
-
-
 def _dm_row_weights(n_t, n_c) -> tuple[np.ndarray, ...]:
-    """dm_response_weights' four weights (own_t, cross_t, own_c, cross_c) and the
-    signed arm weights 1/n_t and -1/n_c of per-row arm counts (B,), as (B, 1) columns."""
+    """LOORA-DM's response and arm weights of per-row arm counts (B,), as (B, 1) columns.
+
+    With c = n_t n_c (n - 1) / n, the response regressed when the removed
+    unit is treated weights treated outcomes own_t = c / (n_t (n_t - 1)) and
+    control outcomes cross_t = c / n_c^2; when it is a control, treated
+    outcomes get cross_c = c / n_t^2 and control outcomes own_c =
+    c / (n_c (n_c - 1)). An own-arm weight of a singleton arm is undefined
+    and set to zero: it belongs to that arm's single unit, whose row is
+    always the one removed, so no fit reads it. The counts are exact in
+    float64, so every weight carries the bits of the same integer
+    arithmetic in Python. Last come the signed arm weights 1/n_t and -1/n_c.
+    """
     n = n_t + n_c
     scale = n_t * n_c * (n - 1) / n
     weights = (
@@ -523,17 +518,6 @@ def _dm_row_weights(n_t, n_c) -> tuple[np.ndarray, ...]:
         -1.0 / n_c,
     )
     return tuple(w[:, None] for w in weights)
-
-
-def _loora_dm_responses(n_t, n_c, d: np.ndarray, y: np.ndarray):
-    """Per-assignment inputs of LOORA-DM and its literal refit, for a block: (responses, v).
-
-    responses[0] (B, n) is regressed when the removed unit is treated,
-    responses[1] when it is a control; v holds the arm weights 1/n_arm.
-    """
-    for_treated, for_control = dm_response_weights(n_t, n_c, d)
-    v = np.where(d == 1.0, (1.0 / n_t)[:, None], (1.0 / n_c)[:, None])
-    return (for_treated * y, for_control * y), v
 
 
 @dataclass(frozen=True)
@@ -571,16 +555,15 @@ class LooraDmPlan:
         Row i of u holds the adjusted outcomes y_j - x_j' beta^{(-j)} of
         assignment i; failed holds the rows whose arm counts fail, as
         ArmCounts.counts returns them. tau_hat sums v z u, with v the arm
-        weights 1/n_arm of _loora_dm_responses and z = 2d - 1, each weight
-        picked by the arm (_by_arm); mask is d's _arm_mask, built here if
-        not given.
+        weights 1/n_arm and z = 2d - 1, each signed weight picked by the arm
+        (_by_arm); mask is d's _arm_mask, built here if not given.
         """
         n_t, n_c, failed = self.arms.counts(d)
         own_t, cross_t, own_c, cross_c, inv_t, neg_inv_c = _dm_row_weights(n_t, n_c)
         if mask is None:
             mask = _arm_mask(d)
-        # Both responses of every row (dm_response_weights times y) go to one
-        # solve. The removed unit's own response entry cancels in the
+        # Both responses of every row (its weights picked by arm, times y) go to
+        # one solve. The removed unit's own response entry cancels in the
         # leave-one-out identity, so the zero placeholders in the scalings are
         # never read.
         ridge, rows = self.ridge, d.shape[0]

@@ -12,6 +12,7 @@ import yaml
 
 import loora.cli
 import loora.oracle
+import loora.verify
 from loora.cli import build_parser, main, parse_lambda
 from loora.exceptions import SchemaError
 from loora.reporting import read_records
@@ -714,6 +715,33 @@ def test_estimate_overflowing_variance_exits_3_naming_stage(tmp_path, capsys, me
     assert f"{method} variance is not finite" in stderr
 
 
+@pytest.mark.parametrize(
+    "method, design",
+    [
+        ("RIDGE_REG", ("--design", "complete", "--nt", "15")),
+        ("LOORA_HT", _HALF),
+        ("LOORA_DM", ("--design", "complete", "--nt", "15")),
+    ],
+)
+def test_estimate_covariates_too_large_to_square_exit_2(tmp_path, capsys, method, design):
+    # ||x_i||^2 overflows, so the auto penalty is infinite for every method
+    # that resolves it; each says so before any arithmetic on it
+    lines = (DATA / "observed30.csv").read_text(encoding="utf-8").splitlines()
+    assert lines[0] == "y,d,age,score,region"
+    rows = [lines[0]]
+    for line in lines[1:]:
+        y, d, age, score, region = line.split(",")
+        rows.append(f"{y},{d},{float(age) * 1e160!r},{float(score) * 1e160!r},{region}")
+    data = tmp_path / "wide.csv"
+    data.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    code, _, stderr = run(
+        capsys, "estimate", "--data", str(data), "--covariates", "age,score",
+        "--y-col", "y", "--d-col", "d", *design, "--method", method,
+    )
+    assert code == 2
+    assert stderr == "error: lambda must be finite and nonnegative, got inf\n"
+
+
 def test_estimate_ht_with_both_infinite_arm_sums_exits_3(tmp_path, capsys):
     # y / p turns the two treated outcomes into +inf and -inf, whose sum
     # math.fsum refuses with ValueError; the estimate is simply not finite.
@@ -773,10 +801,16 @@ def test_estimate_with_probability_column(tmp_path, capsys):
     assert read_records(out)[0]["tau_hat"] == pytest.approx(expected, rel=1e-12)
 
 
-def test_verify_lin_equivalence_check(capsys):
-    code, stdout, _ = run(capsys, "verify", "--check", "lin-equivalence", "--n", "2000")
+def test_verify_efficiency_check(capsys):
+    code, stdout, _ = run(capsys, "verify", "--check", "efficiency")
     assert code == 0
-    assert "PASS lin-equivalence" in stdout
+    assert stdout.startswith("PASS efficiency:")
+    assert "n=2048 " in stdout and "n=8192 " in stdout and "n=32768 " in stdout
+    # the Monte Carlo study and its sample-size option are gone
+    for argv in (("verify", "--n", "5000"), ("verify", "--check", "lin-equivalence")):
+        with pytest.raises(SystemExit) as exited:
+            run(capsys, *argv)
+        assert exited.value.code == 2
 
 
 def test_estimate_without_design_exits_2(tmp_path, capsys):
@@ -830,7 +864,8 @@ def test_simulate_enumeration_guard_surfaces_as_numeric_error(capsys):
 def test_verify_core_suite_passes(capsys):
     code, stdout, _ = run(capsys, "verify")
     assert code == 0
-    assert stdout.count("PASS") == 6
+    assert stdout.count("PASS") == 7
+    assert "PASS efficiency:" in stdout
     assert "FAIL" not in stdout
 
 
@@ -854,6 +889,16 @@ def test_verify_corrupted_quadratic_form_fails_by_name(capsys, monkeypatch):
         "FAIL variance-dm-exact: worst discrepancy 6.870e-01 "
         "(tolerance 1.000e-09; 30 fixtures)\n"
     )
+
+
+def test_verify_inflated_efficiency_benchmark_fails_by_name(capsys, monkeypatch):
+    # The negative control of the efficiency check: against a benchmark 5 %
+    # too large, n V / V_Lin - 1 reads about -0.05, beyond its 1e-2 tolerance.
+    clean = loora.verify.lin_asymptotic_variance
+    monkeypatch.setattr(loora.verify, "lin_asymptotic_variance", lambda *a: 1.05 * clean(*a))
+    code, stdout, _ = run(capsys, "verify", "--check", "efficiency")
+    assert code == 1
+    assert stdout.startswith("FAIL efficiency: worst discrepancy 4.")
 
 
 def test_parser_is_built_once_and_no_flag_leaks_into_the_next_call(capsys):

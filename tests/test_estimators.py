@@ -168,6 +168,29 @@ def test_loora_dm_fast_equals_refit_including_singleton_arms(rng):
             assert rel_gap(fast, slow) < 1e-9
 
 
+def test_loora_dm_refit_under_design_mismatch_equals_fast_including_singleton_arms(rng):
+    # Under the opt-in each simple-design draw sets its own arm counts, so the
+    # refit's response and arm weights are formed from that draw's n_t and n_c.
+    n = 10
+    pop = random_population(rng, n, 3)
+    spec = SimpleDesign(np.full(n, 0.5))
+    draws = [draw_with(spec, rng) for _ in range(6)]
+    # a singleton treated arm and a singleton control arm
+    draws += [Assignment(d, 2.0 * d - 1.0) for d in (np.eye(n)[3], 1.0 - np.eye(n)[7])]
+    for a in draws:
+        s = observed_sample(pop, a, spec)
+        for rule in (AUTO2, LambdaRule.fixed(0.8)):
+            fast = estimate(Method.LOORA_DM, s, rule, allow_design_mismatch=True)
+            slow = _loora_dm_refit(s, rule, allow_design_mismatch=True)
+            assert rel_gap(fast, slow) < 1e-9
+    for d in (np.zeros(n), np.ones(n)):
+        s = observed_sample(pop, Assignment(d, 2.0 * d - 1.0), spec)
+        with pytest.raises(SpecMismatch):
+            estimate(Method.LOORA_DM, s, AUTO2, allow_design_mismatch=True)
+        with pytest.raises(SpecMismatch):
+            _loora_dm_refit(s, AUTO2, allow_design_mismatch=True)
+
+
 def test_loora_dm_unbiasedness_boundary_at_singleton_arms(rng):
     # exact unbiasedness needs two units in each arm; a singleton arm's
     # counterfactuals are unobservable among the remaining units, so the
