@@ -45,7 +45,7 @@ from .reporting import (
     write_manifest,
     write_records,
 )
-from .simulation import DESIGN_CHOICES, StudyConfig, run_study, synth_population
+from .simulation import DESIGN_CHOICES, SYNTH_KINDS, StudyConfig, run_study, synth_population
 from .verify import CHECKS, run_checks
 
 CONFIG_SCHEMA_VERSION = 1
@@ -466,7 +466,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sim.add_argument("--y1-col")
     sim.add_argument("--y0-col")
-    sim.add_argument("--synth", choices=["linear-heterogeneous", "leverage-stress", "binary-outcome"])
+    sim.add_argument("--synth", choices=SYNTH_KINDS)
     sim.add_argument("--n", type=int)
     sim.add_argument("--k", type=int)
     sim.add_argument("--pop-seed", type=int)

@@ -42,11 +42,6 @@ class SimpleDesign:
     def n(self) -> int:
         return self.p.shape[0]
 
-    @property
-    def margin(self) -> float:
-        """m = min_i min(p_i, 1 - p_i), the distance to degenerate assignment."""
-        return float(np.min(np.minimum(self.p, 1.0 - self.p)))
-
 
 @dataclass(frozen=True)
 class CompleteDesign:
@@ -88,10 +83,6 @@ class Assignment:
         """The assignment with indicator vector d."""
         d = np.asarray(d, dtype=np.float64)
         return cls(d=d, z=2.0 * d - 1.0)
-
-    @property
-    def n(self) -> int:
-        return self.d.shape[0]
 
     @property
     def n_treated(self) -> int:

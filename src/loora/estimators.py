@@ -11,9 +11,9 @@ Each method is one plan (HtPlan, DmPlan, LooraHtPlan, LooraDmPlan or
 BenchmarkPlan), built once from the covariates, the design and the penalty
 rule. A plan holds its penalty lam and one method, block(d, y, variance): d
 (B, n) holds one 0/1 assignment per row and y (B, n) the outcomes each
-reveals; block returns the per-row point estimates (nan where an exact sum
-overflows), the per-row HC0 variances (None unless variance is true) and,
-keyed by row, the method failure each failing row would raise on its own.
+reveals; block returns the per-row point estimates and HC0 variances (None
+unless variance is true), nan where an exact sum overflows, and, keyed by
+row, the method failure each failing row would raise on its own.
 Both steps of a LOORA estimate, the ridge fit and the regression on the
 treatment indicator whose sandwich is the variance, share one set of
 intermediates. A Monte Carlo study builds each plan once and evaluates it
@@ -23,10 +23,9 @@ whole block, every matrix-vector product and dot product is one BLAS call
 per row (linalg.matvec_rows, linalg.dot_rows) and every exact sum is
 correctly rounded, with math.fsum's bits, by fsum_rows: math.fsum per row
 on small blocks, else one error-free extraction pass over the whole block
-whose rounded total each row certifies (further passes only for the rows it
-does not), with math.fsum kept for the rows holding non-finite,
-near-overflow or near-subnormal entries and for combining more than two
-exact pieces. Per-unit constants that do not depend on the assignment (1 - h,
+whose rounded total each row certifies, and math.fsum for every row it does
+not (those holding non-finite, near-overflow or near-subnormal entries among
+them). Per-unit constants that do not depend on the assignment (1 - h,
 the arm probabilities' reciprocals) are formed once per plan, and a block
 picks each unit's by its arm with the bits of forming it from d, on the bit
 patterns rather than by a branch per unit (_by_arm). INT factors the arm Grams of a group of rows
@@ -160,22 +159,21 @@ _EXTRACTION_FLOOR_BITS = np.float64(_EXTRACTION_FLOOR).view(np.uint64) - np.uint
 _EXTRACTION_MIN_ENTRIES = 1200
 
 
-def fsum_rows(a: np.ndarray, overflow: float = math.nan) -> np.ndarray:
+def fsum_rows(a: np.ndarray) -> np.ndarray:
     """math.fsum of each row of a (B, n), to the bit.
 
     A block of fewer than 1200 entries takes math.fsum row by row; a larger
-    one takes _fsum_rows_extracted, block-wide passes that return the same
+    one takes _fsum_rows_extracted, a block-wide pass that returns the same
     bits. A row whose math.fsum raises (an intermediate overflow, or both
-    +inf and -inf) gets `overflow`: nan for a point estimate (which then
-    fails as not finite), inf for a variance.
+    +inf and -inf) gets nan, which fails as not finite.
     """
     if a.size < _EXTRACTION_MIN_ENTRIES:
-        return np.array([_fsum_or(row, overflow) for row in a.tolist()], dtype=np.float64)
-    return _fsum_rows_extracted(a, overflow)
+        return np.array([_fsum_or_nan(row) for row in a.tolist()], dtype=np.float64)
+    return _fsum_rows_extracted(a)
 
 
-def _fsum_rows_extracted(a: np.ndarray, overflow: float) -> np.ndarray:
-    """math.fsum of each row of a (B, n), to the bit, in block-wide passes.
+def _fsum_rows_extracted(a: np.ndarray) -> np.ndarray:
+    """math.fsum of each row of a (B, n), to the bit, from one block-wide pass.
 
     ExtractVector (Rump, Ogita & Oishi 2008, Accurate floating-point
     summation): with m = ceil(log2(n + 2)) and e the exponent of a row's
@@ -198,17 +196,12 @@ def _fsum_rows_extracted(a: np.ndarray, overflow: float) -> np.ndarray:
     interval, whatever the tie rule: res is the correctly rounded sum and
     has math.fsum's bits. At res = 0, g = 0 and nothing is certified.
 
-    Rows that fail the test (a sum near a rounding midpoint, cancellation
-    to or near zero) go on from their remainders: passes repeat, with a
-    new sigma per row, until every remainder is zero, and the exact sum is
-    then the sum of the row's few pieces: one rounding of two pieces, or
-    math.fsum of more. Both round correctly, half to even, as math.fsum
-    does.
-
-    Rows that hold a non-finite entry, whose largest |entry| reaches
-    2**(1023 - m) (within 2**(m + 1) of overflow, where math.fsum's
-    intermediate overflow lives), or that hold a nonzero entry below
-    2**-969 take math.fsum itself, and `overflow` where it raises.
+    Every row the test does not certify takes math.fsum itself, and nan
+    where it raises: a sum near a rounding midpoint, cancellation to or
+    near zero, and the rows kept out of the pass, those that hold a
+    non-finite entry, whose largest |entry| reaches 2**(1023 - m) (within
+    2**(m + 1) of overflow, where math.fsum's intermediate overflow lives),
+    or that hold a nonzero entry below 2**-969.
     """
     n = a.shape[1]
     m = (n + 1).bit_length()  # ceil(log2(n + 2))
@@ -227,8 +220,7 @@ def _fsum_rows_extracted(a: np.ndarray, overflow: float) -> np.ndarray:
     q = np.add(rest, sigma, out=buf)
     q -= sigma
     tau1 = q.sum(axis=1)
-    r = np.subtract(rest, q, out=buf)
-    t2 = r.sum(axis=1)
+    t2 = np.subtract(rest, q, out=buf).sum(axis=1)
     # err = n^2 2**(m + e - 103), kept at least 2**-1022 so that nothing here
     # is subnormal; rho = tau1 + t2 - out exactly, by TwoSum
     err = np.ldexp(float(n * n), np.maximum(sigma_exp - 103, -1022))
@@ -237,45 +229,17 @@ def _fsum_rows_extracted(a: np.ndarray, overflow: float) -> np.ndarray:
     rho = (tau1 - (out - back)) + (t2 - back)
     size = np.abs(out)
     certified = 2.0 * (np.abs(rho) + err) < size - np.nextafter(size, 0.0)
-    if not certified.all():  # fallback rows never are
-        todo = np.flatnonzero(~(certified | fallback))
-        if todo.size:
-            out[todo] = _extracted_rest(r[todo], tau1[todo], m)
-        for i in np.flatnonzero(fallback):
-            out[i] = _fsum_or(a[i].tolist(), overflow)
+    if not certified.all():  # fallback rows sum to 0 and never are
+        todo = np.flatnonzero(~certified)
+        out[todo] = [_fsum_or_nan(row) for row in a[todo].tolist()]
     return out
 
 
-def _extracted_rest(rest: np.ndarray, first: np.ndarray, m: int) -> np.ndarray:
-    """The exact sums tau1 + sum(rest) of _fsum_rows_extracted's uncertified rows.
-
-    rest (G, n) holds the remainders of the first pass and first its pieces
-    tau1; further passes extract until every remainder is zero.
-    """
-    pieces = [first]
-    buf = np.abs(rest)
-    top = buf.max(axis=1)
-    while np.count_nonzero(top):
-        sigma = np.ldexp(1.0, np.frexp(top)[1] + m)[:, None]
-        q = np.add(rest, sigma, out=buf)
-        q -= sigma
-        rest -= q
-        pieces.append(q.sum(axis=1))
-        top = np.abs(rest, out=buf).max(axis=1)
-    out = np.zeros(len(first))
-    for piece in pieces[:2]:
-        out += piece  # correctly rounded unless a later piece of the row is nonzero
-    if len(pieces) > 2:
-        late = np.flatnonzero(np.logical_or.reduce(pieces[2:]))
-        out[late] = [math.fsum(row) for row in np.stack(pieces, axis=1)[late].tolist()]
-    return out
-
-
-def _fsum_or(row: list, overflow: float) -> float:
+def _fsum_or_nan(row: list) -> float:
     try:
         return math.fsum(row)
     except (OverflowError, ValueError):
-        return overflow
+        return math.nan
 
 
 @dataclass(frozen=True)
@@ -344,7 +308,7 @@ class HtPlan:
         if not variance:
             return tau, None, {}
         resid = y / realized_arm_probability(self.p, d) - (2.0 * d - 1.0) * tau[:, None]
-        return tau, fsum_rows(resid**2, math.inf) / n**2, {}
+        return tau, fsum_rows(resid**2) / n**2, {}
 
 
 @dataclass(frozen=True)
@@ -486,7 +450,7 @@ class LooraHtPlan:
         if not variance:
             return tau, None, {}
         resid = (y - matvec_rows(self.x, beta)) / _by_arm(mask, *self.zq_gap) - tau[:, None]
-        return tau, fsum_rows(resid**2, math.inf) / n**2, {}
+        return tau, fsum_rows(resid**2) / n**2, {}
 
 
 def _own_arm_weight(count: np.ndarray) -> np.ndarray:
@@ -674,7 +638,7 @@ class BenchmarkPlan:
     def block(self, d: np.ndarray, y: np.ndarray, variance: bool):
         """See the module docstring; the HC0 variance is the sum of parts()'s squared terms."""
         tau, terms, failed = self.parts(d, y)
-        return tau, fsum_rows(terms**2, math.inf) if variance else None, failed
+        return tau, fsum_rows(terms**2) if variance else None, failed
 
     def parts(self, d: np.ndarray, y: np.ndarray):
         """(tau_hat, terms, failed) for a block of assignments d (B, n) and outcomes y (B, n).

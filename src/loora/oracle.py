@@ -57,8 +57,20 @@ class Population:
 
     @property
     def tau(self) -> float:
-        """The estimand: the average unit-level treatment effect."""
-        return math.fsum((self.y1 - self.y0).tolist()) / self.n
+        """The estimand: the average unit-level treatment effect.
+
+        Raises NonFinite if it leaves double precision: an effect y1 - y0
+        that overflows, or a sum of effects that does.
+        """
+        with np.errstate(over="ignore"):
+            effects = (self.y1 - self.y0).tolist()
+        try:
+            tau = math.fsum(effects) / self.n
+        except (OverflowError, ValueError):  # an overflowing sum, or inf and -inf
+            tau = math.inf
+        if not math.isfinite(tau):
+            raise NonFinite("population", "average treatment effect")
+        return tau
 
 
 def observe(pop: Population, assignment: Assignment) -> np.ndarray:

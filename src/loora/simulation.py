@@ -180,6 +180,7 @@ def covariate_correlated_probabilities(x, rng: np.random.Generator) -> np.ndarra
     return np.clip((1.0 + cosine) / 2.0, 0.2, 0.8)
 
 
+SYNTH_KINDS = ("linear-heterogeneous", "leverage-stress", "binary-outcome")
 # synth_population's noise scale, heterogeneity scale and constant effect.
 _NOISE_SCALE, _HET_SCALE, _BASE_EFFECT = 0.5, 0.5, 1.0
 
@@ -196,46 +197,53 @@ def synth_population(kind: str, n: int, k: int, seed: int) -> Population:
     shaped like one-hot survey data.
 
     Generator magnitudes are package defaults, not quantities carried over
-    from any dataset.
+    from any dataset. A population too large to allocate is TooLarge.
     """
-    if n <= k:
-        raise InvalidInput("synthetic populations require n > k")
+    if kind not in SYNTH_KINDS:
+        raise InvalidInput(f"unknown synthetic population kind {kind!r}")
+    if k < 1 or n <= k:
+        raise InvalidInput(f"synthetic populations require n > k >= 1, got n = {n}, k = {k}")
     if seed < 0:
         raise InvalidInput(f"population seed must be nonnegative, got {seed}")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=seed)))
-    if kind == "linear-heterogeneous":
-        x = rng.standard_normal((n, k))
-        slope = rng.standard_normal(k)
-        het = _HET_SCALE * rng.standard_normal(k)
-        y0 = x @ slope + _NOISE_SCALE * rng.standard_normal(n)
-        y1 = y0 + _BASE_EFFECT + x @ het
-        return Population(x, y1, y0)
-    if kind == "leverage-stress":
-        x = rng.standard_normal((n, k))
-        direction = rng.standard_normal(k)
-        direction /= np.linalg.norm(direction)
-        rest = x[1:]
-        gram_inv = np.linalg.inv(rest.T @ rest)
-        base = float(direction @ gram_inv @ direction)
-        row_norms = np.sqrt(np.einsum("ij,ij->i", x, x))
-        # h = s^2 a / (1 + s^2 a) >= 0.9 needs s^2 a >= 9; aim a bit higher.
-        scale = max(math.sqrt(9.5 / base), 20.0 * float(np.median(row_norms)))
-        x[0] = scale * direction
-        slope = rng.standard_normal(k)
-        het = rng.standard_normal(k)
-        y0 = x @ slope + _NOISE_SCALE * rng.standard_normal(n)
-        y1 = y0 + _BASE_EFFECT + (_HET_SCALE + 0.1) * (x @ het)
-        return Population(x, y1, y0)
+    try:
+        x, y1, y0 = _synth_arrays(kind, n, k, rng)
+    except (MemoryError, ValueError):  # numpy refuses or cannot allocate the size
+        raise TooLarge(
+            f"a synthetic population of {n} units and {k} covariates is too large to hold "
+            f"({8 * n * k} bytes of covariates)"
+        ) from None
+    return Population(x, y1, y0)
+
+
+def _synth_arrays(kind: str, n: int, k: int, rng: np.random.Generator):
+    """synth_population's (x, y1, y0) of a checked kind, n and k."""
     if kind == "binary-outcome":
         prevalence = rng.uniform(0.2, 0.8, k)
         x = (rng.random((n, k)) < prevalence).astype(np.float64)
         slope = rng.standard_normal(k)
         latent = x @ slope + rng.standard_normal(n)
         shift = 0.8 + 0.3 * rng.standard_normal(n)
-        y0 = (latent > 0.0).astype(np.float64)
-        y1 = (latent + shift > 0.0).astype(np.float64)
-        return Population(x, y1, y0)
-    raise InvalidInput(f"unknown synthetic population kind {kind!r}")
+        return x, (latent + shift > 0.0).astype(np.float64), (latent > 0.0).astype(np.float64)
+    x = rng.standard_normal((n, k))
+    if kind == "linear-heterogeneous":
+        slope = rng.standard_normal(k)
+        het = _HET_SCALE * rng.standard_normal(k)
+        y0 = x @ slope + _NOISE_SCALE * rng.standard_normal(n)
+        return x, y0 + _BASE_EFFECT + x @ het, y0
+    direction = rng.standard_normal(k)  # leverage-stress
+    direction /= np.linalg.norm(direction)
+    rest = x[1:]
+    gram_inv = np.linalg.inv(rest.T @ rest)
+    base = float(direction @ gram_inv @ direction)
+    row_norms = np.sqrt(np.einsum("ij,ij->i", x, x))
+    # h = s^2 a / (1 + s^2 a) >= 0.9 needs s^2 a >= 9; aim a bit higher.
+    scale = max(math.sqrt(9.5 / base), 20.0 * float(np.median(row_norms)))
+    x[0] = scale * direction
+    slope = rng.standard_normal(k)
+    het = rng.standard_normal(k)
+    y0 = x @ slope + _NOISE_SCALE * rng.standard_normal(n)
+    return x, y0 + _BASE_EFFECT + (_HET_SCALE + 0.1) * (x @ het), y0
 
 
 @dataclass(frozen=True)

@@ -430,14 +430,14 @@ def run_study_per_sample(pop: Population, cfg: StudyConfig) -> SimulationReport:
     return _aggregate(cfg, pop.tau, rows, [prob for _, prob in draws])
 
 
-def fsum_rows_loop(a: np.ndarray, overflow: float = math.nan) -> np.ndarray:
-    """``math.fsum`` of each row of a, one call per row; ``overflow`` where it raises."""
+def fsum_rows_loop(a: np.ndarray) -> np.ndarray:
+    """``math.fsum`` of each row of a, one call per row; nan where it raises."""
     sums = []
     for row in a.tolist():
         try:
             sums.append(math.fsum(row))
         except (OverflowError, ValueError):
-            sums.append(overflow)
+            sums.append(math.nan)
     return np.array(sums, dtype=np.float64)
 
 

@@ -768,6 +768,38 @@ def test_estimate_ht_with_both_infinite_arm_sums_exits_3(tmp_path, capsys):
     assert "HT point estimate is not finite" in stderr
 
 
+@pytest.mark.parametrize(
+    "rows",
+    [
+        "1,1e308,0\n2,1e308,0\n",  # each effect is finite, their sum overflows
+        "1,1.7e308,-1.7e308\n2,1,1\n",  # one effect y1 - y0 overflows
+    ],
+)
+def test_simulate_population_whose_average_effect_overflows_exits_3(tmp_path, capsys, rows):
+    data = tmp_path / "population.csv"
+    data.write_text("x1,y1,y0\n" + rows + "3,1,2\n4,2,1\n5,3,1\n6,1,1\n", encoding="utf-8")
+    code, stdout, stderr = run(
+        capsys,
+        "simulate",
+        "--data",
+        str(data),
+        "--covariates",
+        "x1",
+        "--y1-col",
+        "y1",
+        "--y0-col",
+        "y0",
+        "--design",
+        "complete",
+        "--nt",
+        "3",
+        "--methods",
+        "DM",
+    )
+    assert (code, stdout) == (3, "")
+    assert "population average treatment effect is not finite" in stderr
+
+
 def test_estimate_with_probability_column(tmp_path, capsys):
     data = tmp_path / "p.csv"
     data.write_text(
@@ -1133,6 +1165,25 @@ def test_a_study_too_large_to_hold_is_a_numeric_error(tmp_path, capsys):
     assert (code, stdout) == (3, "")
     assert stderr.startswith(f"numeric error: a study of {2**62} replicates and 2 methods ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", ["leverage-stress", "binary-outcome"])
+@pytest.mark.parametrize("k", [0, -1])
+def test_a_synthetic_population_without_covariates_is_a_schema_error(capsys, kind, k):
+    argv = ("simulate", "--synth", kind, "--k", str(k), "--n", "10", "--design", "complete")
+    code, stdout, stderr = run(capsys, *argv, "--nt", "5", "--methods", "DM")
+    assert (code, stdout) == (2, "")
+    assert stderr == f"error: synthetic populations require n > k >= 1, got n = 10, k = {k}\n"
+
+
+def test_a_synthetic_population_too_large_to_hold_is_a_numeric_error(capsys):
+    # numpy refuses an array of 2**61 rows before it allocates anything
+    argv = ("simulate", "--synth", "binary-outcome", "--k", "3", "--n", str(2**61))
+    code, stdout, stderr = run(capsys, *argv, "--design", "complete", "--nt", "3")
+    assert (code, stdout) == (3, "")
+    assert stderr.startswith(
+        f"numeric error: a synthetic population of {2**61} units and 3 covariates is too large"
+    )
 
 
 def _fresh_interpreter(code: str) -> subprocess.CompletedProcess:

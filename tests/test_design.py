@@ -26,11 +26,6 @@ def test_simple_spec_validation():
         SimpleDesign(np.array([]))
 
 
-def test_simple_margin():
-    spec = SimpleDesign(np.array([0.2, 0.5, 0.9]))
-    assert spec.margin == pytest.approx(0.1)
-
-
 def test_complete_spec_validation():
     CompleteDesign(5, 1)
     CompleteDesign(5, 4)

@@ -442,12 +442,12 @@ def _sum_blocks(draw):
 
 
 @settings(max_examples=1000, deadline=None)
-@given(a=_sum_blocks(), overflow=st.sampled_from([math.nan, math.inf]))
-def test_fsum_rows_returns_math_fsum_bits(a, overflow):
-    want = fsum_rows_loop(a, overflow).view(np.int64)
+@given(a=_sum_blocks())
+def test_fsum_rows_returns_math_fsum_bits(a):
+    want = fsum_rows_loop(a).view(np.int64)
     with np.errstate(all="raise"):
-        got = fsum_rows(a, overflow)
-        extracted = _fsum_rows_extracted(a, overflow)  # whatever the size selects
+        got = fsum_rows(a)
+        extracted = _fsum_rows_extracted(a)  # whatever the size selects
     assert_array_equal(got.view(np.int64), want)
     assert_array_equal(extracted.view(np.int64), want)
 
@@ -467,19 +467,19 @@ def _rows_of(n: int, *heads) -> np.ndarray:
 
 
 def _uncertified_rows(monkeypatch, a):
-    """_fsum_rows_extracted of a, under np.errstate(all="raise"), and the rows it
-    sent past the one-pass certificate."""
+    """_fsum_rows_extracted of a, under np.errstate(all="raise"), and the number
+    of rows it sent past the one-pass certificate to math.fsum."""
     seen = []
-    full_route = loora.estimators._extracted_rest
+    full_route = loora.estimators._fsum_or_nan
 
-    def spy(rest, first, m):
-        seen.append(len(first))
-        return full_route(rest, first, m)
+    def spy(row):
+        seen.append(row)
+        return full_route(row)
 
-    monkeypatch.setattr(loora.estimators, "_extracted_rest", spy)
+    monkeypatch.setattr(loora.estimators, "_fsum_or_nan", spy)
     with np.errstate(all="raise"):
-        got = _fsum_rows_extracted(a, math.nan)
-    return got, sum(seen)
+        got = _fsum_rows_extracted(a)
+    return got, len(seen)
 
 
 _ULP_1 = 2.0**-52  # the gap above 1.0; the gap below it is half of it

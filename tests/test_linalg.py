@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from conftest import loo_fitted
+from loora.design import CompleteDesign
+from loora.estimators import BenchmarkPlan, Method
 from loora.exceptions import InvalidInput, LeverageSingular, RankDeficient
 from loora.linalg import (
     cholesky_solve,
@@ -122,6 +124,19 @@ def test_rank_deficient_at_zero_lambda_raises():
         ridge_factor(x, 0.0)
     # the same matrix is fine with any positive penalty
     ridge_factor(x, 1e-3).fit(np.arange(5.0))
+
+
+def test_singular_gram_that_passes_the_rank_check_raises():
+    # x has full rank by the SVD, but in float64 its Gram's second Cholesky
+    # pivot, (4 + 2**-29) - (2 + 2**-31)**2, is exactly 0 (or below, where
+    # the kernel fuses the product), so every BLAS refuses the factorization.
+    # ADJ's basis [1, x / 2] carries the same Gram up to powers of two.
+    x = np.array([[1.0, 1.0], [1.0, 1.0], [1.0, 1.0], [1.0, 1.0 + 2.0**-30]])
+    assert np.linalg.matrix_rank(x) == 2
+    with pytest.raises(RankDeficient, match="^2-th leading minor of the array is not positive"):
+        ridge_factor(x, 0.0)
+    with pytest.raises(RankDeficient, match="^2-th leading minor"):
+        BenchmarkPlan.build(Method.ADJ, x[:, 1:], CompleteDesign(4, 2))
 
 
 def test_non_finite_input_rejected():

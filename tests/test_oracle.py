@@ -11,7 +11,7 @@ import loora.oracle as oracle_mod
 from conftest import loo_fitted, random_population, rel_gap
 from loora.design import CompleteDesign, SimpleDesign, enumerate_assignments
 from loora.estimators import LambdaRule, Method, ObservedSample
-from loora.exceptions import NonFinite, ParameterOutOfRange
+from loora.exceptions import NonFinite, ParameterOutOfRange, RankDeficient
 from loora.inference import estimate
 from loora.linalg import leverage_regularizer, max_row_norm, ridge_factor
 from loora.oracle import (
@@ -213,6 +213,26 @@ def test_dm_variance_matches_enumeration(rng):
         _, enum_var = enumeration_moments(pop, CompleteDesign(6, n_t), Method.DM)
         assert abs(dm_variance(pop, n_t) - enum_var) < 1e-11
         assert abs(dm_variance_neyman(pop, n_t) - enum_var) < 1e-11
+
+
+def test_enumeration_moments_raises_the_lowest_failing_assignments_failure():
+    # Under INT each arm of three units fits [1, Xc]. In enumeration order the
+    # first assignment whose arm is singular is the third, at column 1; every
+    # later one fails at column 2.
+    x = np.array([[0.0, 1.0], [2.0, 0.0], [1.0, 2.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    pop = Population(x, np.arange(6.0) + 1.0, np.arange(6.0))
+    spec = CompleteDesign(6, 3)
+    failures = []
+    for a, _ in enumerate_assignments(spec):
+        try:
+            estimate(Method.INT, ObservedSample(x, observe(pop, a), a, spec))
+        except RankDeficient as exc:
+            failures.append(str(exc))
+    assert failures[0].startswith("column 1 ")
+    assert len(failures) > 1 and all(f.startswith("column 2 ") for f in failures[1:])
+    with pytest.raises(RankDeficient) as raised:
+        enumeration_moments(pop, spec, Method.INT)
+    assert str(raised.value) == failures[0]
 
 
 def test_dm_adjusted_variance_zero_coef_reduces(rng):
