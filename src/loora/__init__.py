@@ -1,6 +1,6 @@
 """Design-based ATE estimation with leave-one-out ridge regression adjustment."""
 
-from .design import Assignment, CompleteDesign, SimpleDesign, draw, enumerate_assignments
+from .design import CompleteDesign, SimpleDesign, draw, enumerate_assignments
 from .estimators import LambdaRule, Method, ObservedSample
 from .inference import (
     EstimateReport,
@@ -24,7 +24,6 @@ from .simulation import SimulationReport, StudyConfig, run_study, synth_populati
 __version__ = "0.1.0"
 
 __all__ = [
-    "Assignment",
     "CompleteDesign",
     "EstimateReport",
     "LambdaRule",

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .dataset import _utf8_error, build_dataset
-from .design import Assignment, CompleteDesign, SimpleDesign
+from .design import CompleteDesign, SimpleDesign
 from .estimators import LambdaRule, Method, ObservedSample
 from .exceptions import (
     LeverageSingular,
@@ -36,15 +36,7 @@ from .exceptions import (
 )
 from .inference import estimate_with_ci
 from .oracle import Population
-from .reporting import (
-    RunManifest,
-    config_hash,
-    format_table,
-    manifest_path,
-    run_environment,
-    write_manifest,
-    write_records,
-)
+from .reporting import config_hash, format_table, manifest_path, run_environment, write_records
 from .simulation import DESIGN_CHOICES, SYNTH_KINDS, StudyConfig, run_study, synth_population
 from .verify import CHECKS, run_checks
 
@@ -92,7 +84,7 @@ def load_config(path, keys) -> dict:
         if key != "schema_version" and key not in keys:
             raise SchemaError(
                 f"{path}: unknown key {key!r}; a config takes the command's long options "
-                "but --config, spelled as on the command line"
+                "but --config and --threads, spelled as on the command line"
             )
     return data
 
@@ -143,14 +135,6 @@ def _flag(args, config, key):
     return value
 
 
-def _check_threads(value) -> None:
-    """Validate the thread count, which studies accept for compatibility and do not use."""
-    if value is not None:
-        _as(int, "threads", value)
-    elif os.environ.get("LOORA_THREADS"):
-        _as(int, "LOORA_THREADS", os.environ["LOORA_THREADS"])
-
-
 def _names(args, config, key, default=""):
     """A setting given as a comma-separated string or a list of names."""
     value = _setting(args, config, key, default)
@@ -188,27 +172,27 @@ def _minor_faults() -> int | None:
     return None if resource is None else resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 
 
-def _emit(out_path, records, command, cfg_dict, seed, started, stages=None, faults=None) -> None:
+def _emit(out_path, records, command, cfg_dict, seed, started, stages, faults) -> None:
     """Write the records and their manifest; ``stages`` gains the write's own time."""
     if not out_path:
         return
     try:
         writing = time.perf_counter()
         write_records(out_path, records)
-        if stages is not None:
-            stages = {**stages, "write_s": time.perf_counter() - writing}
-        manifest = RunManifest(
-            command=command,
-            config_hash=config_hash(cfg_dict),
-            seed=seed,
-            version=__version__,
-            wall_time_s=time.monotonic() - started,
-            outputs=(out_path,),
-            environment=run_environment(),
-            stages=stages,
-            minor_faults=None if faults is None else _minor_faults() - faults,
-        )
-        write_manifest(out_path, manifest)
+        stages = {**stages, "write_s": time.perf_counter() - writing}
+        manifest = {
+            "record_type": "run_manifest",
+            "command": command,
+            "config_hash": config_hash(cfg_dict),
+            "seed": seed,
+            "version": __version__,
+            "wall_time_s": time.monotonic() - started,
+            "outputs": [out_path],
+            "environment": run_environment(),
+            "stages": stages,
+            "minor_faults": None if faults is None else _minor_faults() - faults,
+        }
+        write_records(manifest_path(out_path), [manifest])
     except OSError as exc:  # the records file or its manifest sidecar
         raise _cannot_write(exc) from None
 
@@ -259,7 +243,7 @@ def cmd_estimate(args, config) -> int:
     else:
         raise SchemaError(f"design must be simple or complete, got {design!r}")
 
-    sample = ObservedSample(dataset.x, dataset.y, Assignment.from_d(dataset.d), spec)
+    sample = ObservedSample(dataset.x, dataset.y, dataset.d, spec)
 
     method = _typed_setting(args, config, "method", Method, "LOORA_HT")
     rule = parse_lambda(_setting(args, config, "lambda", "auto:2"))
@@ -349,7 +333,6 @@ def cmd_simulate(args, config) -> int:
         lambda_rule=parse_lambda(_setting(args, config, "lambda", "auto:2")),
         allow_design_mismatch=_flag(args, config, "allow-design-mismatch"),
     )
-    _check_threads(_setting(args, config, "threads"))
     if cfg.allow_design_mismatch and cfg.design.startswith("simple"):
         print(
             "warning: fixed-count methods run under simple assignment; "
@@ -420,9 +403,10 @@ def cmd_verify(args, config) -> int:
 
 
 def _config_keys(parser) -> frozenset:
-    """The keys a config file may carry: the parser's long options but --help and --config."""
+    """The keys a config file may carry: the parser's long options but --help, --config
+    and --threads, which is accepted on the command line only and does nothing."""
     longs = {option[2:] for option in parser._option_string_actions if option.startswith("--")}
-    return frozenset(longs - {"help", "config"})
+    return frozenset(longs - {"help", "config", "threads"})
 
 
 @functools.cache  # built on first use, then shared by every call of main
@@ -474,9 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--methods", help="comma-separated method names")
     sim.add_argument("--reps", help="replicate count or 'enumerate'")
     sim.add_argument("--seed", type=int)
-    sim.add_argument(
-        "--threads", type=int, help="accepted for compatibility; has no effect (or LOORA_THREADS)"
-    )
+    sim.add_argument("--threads", type=int, help="accepted for compatibility; has no effect")
     sim.set_defaults(func=cmd_simulate, config_keys=_config_keys(sim))
 
     ver = sub.add_parser("verify", help="run certification suites")

@@ -68,29 +68,8 @@ class CompleteDesign:
 DesignSpec = Union[SimpleDesign, CompleteDesign]
 
 
-@dataclass(frozen=True)
-class Assignment:
-    """One realized treatment assignment.
-
-    d is the 0/1 indicator vector and z = 2d - 1 its signed version.
-    """
-
-    d: np.ndarray
-    z: np.ndarray
-
-    @classmethod
-    def from_d(cls, d) -> "Assignment":
-        """The assignment with indicator vector d."""
-        d = np.asarray(d, dtype=np.float64)
-        return cls(d=d, z=2.0 * d - 1.0)
-
-    @property
-    def n_treated(self) -> int:
-        return int(self.d.sum())
-
-
 def block_size(n: int) -> int:
-    """Assignments per block for n units: clamp(32768 // n, 1, 256).
+    """How many assignments a block holds at n units: clamp(32768 // n, 1, 256).
 
     A block of B rows of n entries then holds at most 32768 float64 values
     (256 KiB) per array: 6 rows at n = 5000, 256 at n = 120. Under the CLI's
@@ -122,13 +101,13 @@ def draw_rows(spec: DesignSpec, rngs: Iterable[np.random.Generator]) -> np.ndarr
     raise InvalidSpec(f"unknown design spec {spec!r}")
 
 
-def draw_with(spec: DesignSpec, rng: np.random.Generator) -> Assignment:
-    """Draw one assignment from an already-constructed generator."""
-    return Assignment.from_d(draw_rows(spec, (rng,))[0])
+def draw_with(spec: DesignSpec, rng: np.random.Generator) -> np.ndarray:
+    """Draw one assignment from an already-constructed generator, as draw_rows's 0/1 row."""
+    return draw_rows(spec, (rng,))[0]
 
 
-def draw(spec: DesignSpec, seed: int) -> Assignment:
-    """Draw one assignment, deterministically for a given seed."""
+def draw(spec: DesignSpec, seed: int) -> np.ndarray:
+    """Draw one assignment, deterministically for a given seed, as a 0/1 float vector."""
     return draw_with(spec, np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed))))
 
 
@@ -186,12 +165,11 @@ def enumeration_blocks(spec: DesignSpec) -> Iterator[tuple[np.ndarray, np.ndarra
         yield d, np.full(len(chunk), prob)
 
 
-def enumerate_assignments(spec: DesignSpec) -> Iterator[tuple[Assignment, float]]:
+def enumerate_assignments(spec: DesignSpec) -> Iterator[tuple[np.ndarray, float]]:
     """Every assignment with its exact design probability, one at a time.
 
-    The rows of enumeration_blocks, in the same order and with the same
-    probabilities; raises TooLarge as enumeration_size does.
+    Yields (d, prob) for each row d of enumeration_blocks, in the same order
+    and with the same probabilities; raises TooLarge as enumeration_size does.
     """
     for d, prob in enumeration_blocks(spec):
-        for row, p in zip(d, prob.tolist()):
-            yield Assignment.from_d(row), p
+        yield from zip(d, prob.tolist())

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .design import Assignment, CompleteDesign, DesignSpec, SimpleDesign
+from .design import CompleteDesign, DesignSpec, SimpleDesign
 from .exceptions import InvalidInput, LooraError, RankDeficient, SelfCheckFailed, SpecMismatch
 from .linalg import (
     RidgeFactor,
@@ -119,7 +119,7 @@ class ObservedSample:
 
     x: np.ndarray
     y: np.ndarray
-    assignment: Assignment
+    d: np.ndarray  # the 0/1 assignment vector
     spec: DesignSpec
 
 
@@ -307,7 +307,8 @@ class HtPlan:
         tau = arms[:rows] - arms[rows:]
         if not variance:
             return tau, None, {}
-        resid = y / realized_arm_probability(self.p, d) - (2.0 * d - 1.0) * tau[:, None]
+        q = self.p * d + (1.0 - self.p) * (1.0 - d)  # the probability of each unit's arm
+        resid = y / q - (2.0 * d - 1.0) * tau[:, None]
         return tau, fsum_rows(resid**2) / n**2, {}
 
 
@@ -347,30 +348,6 @@ def _two_column_sandwich(u: np.ndarray, d: np.ndarray, mask: np.ndarray | None =
     return mean_t - mean_c, dot_rows(d, r2) / n_t**2 + dot_rows(c, r2) / n_c**2
 
 
-def realized_arm_probability(p: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """q_i = p_i d_i + (1 - p_i)(1 - d_i), the probability of the arm unit i got."""
-    return p * d + (1.0 - p) * (1.0 - d)
-
-
-def ht_outcome_scales(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-unit (treated, control) outcome scales of LOORA-HT.
-
-    Treated units are scaled by (1-p)^(1/2) / p^(3/2), control units by
-    p^(1/2) / (1-p)^(3/2).
-    """
-    return np.sqrt(1.0 - p) / p**1.5, np.sqrt(p) / (1.0 - p) ** 1.5
-
-
-def reweighted_outcomes_ht(y, d, scales: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """Per-unit rescaled outcomes whose expectation is the HT signal vector.
-
-    scales is ht_outcome_scales(p): the treated units of each row of d take
-    the first, the control units the second.
-    """
-    treated_scale, control_scale = scales
-    return np.where(d == 1.0, treated_scale, control_scale) * y
-
-
 def _arm_mask(d: np.ndarray) -> np.ndarray:
     """All 64 bits set where the 0/1 block d is 1 and none where it is 0 (uint64)."""
     return np.negative(d.astype(np.int64)).view(np.uint64)
@@ -405,7 +382,7 @@ class LooraHtPlan:
 
     x: np.ndarray
     r: np.ndarray  # Bernoulli standard deviations sqrt(p (1 - p))
-    scales: tuple[np.ndarray, np.ndarray]  # ht_outcome_scales(p)
+    scales: tuple[np.ndarray, np.ndarray]  # the outcome scales, (treated, control)
     lam: float
     ridge: RidgeFactor  # of the inverse-weighted covariates X / r
     z_over_q: tuple[np.ndarray, np.ndarray]  # (1 / p, -1 / (1 - p))
@@ -423,7 +400,7 @@ class LooraHtPlan:
         return cls(
             x=x,
             r=r,
-            scales=ht_outcome_scales(p),
+            scales=(np.sqrt(1.0 - p) / p**1.5, np.sqrt(p) / (1.0 - p) ** 1.5),
             lam=lam,
             ridge=ridge,
             z_over_q=(1.0 / p, -1.0 / (1.0 - p)),
@@ -442,7 +419,7 @@ class LooraHtPlan:
         has the residual's own bits.
         """
         ridge, n, mask = self.ridge, y.shape[1], _arm_mask(d)
-        yw = _by_arm(mask, *self.scales) * y  # reweighted_outcomes_ht
+        yw = _by_arm(mask, *self.scales) * y  # reweighted: their expectation is the HT signal
         beta = ridge.solve_rows(yw)  # full-sample fits of the reweighted outcomes on X / r
         # x_i' beta^{(-i)} with the raw row x_i = r_i * (x_i / r_i)
         adjustment = self.r * loo_fitted_rows(ridge, yw, beta)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .design import Assignment, DesignSpec
+from .design import DesignSpec
 from .estimators import (
     DEFAULT_LAMBDA_RULE,
     ArmCounts,
@@ -181,25 +181,25 @@ class EstimatePlan:
         """The point estimates alone for a block, as point() gives each row."""
         return self._estimates(d, y, variance=False)
 
-    def _one(self, assignment: Assignment, y, variance: bool) -> BlockEstimates:
-        """One assignment as a block of one row; raises the row's failure."""
-        estimates = self._estimates(np.asarray(assignment.d)[None], np.asarray(y)[None], variance)
+    def _one(self, d, y, variance: bool) -> BlockEstimates:
+        """One 0/1 assignment vector d as a block of one row; raises the row's failure."""
+        estimates = self._estimates(np.asarray(d)[None], np.asarray(y)[None], variance)
         if estimates.failures:
             raise estimates.failures[0]
         return estimates
 
-    def point(self, assignment: Assignment, y) -> float:
-        """The point estimate alone for one assignment.
+    def point(self, d, y) -> float:
+        """The point estimate alone for one 0/1 assignment vector d.
 
         Computes no variance, so it never fails where only the variance
         stage does (an overflowing variance, or the LOORA-DM auxiliary
         regression self-check).
         """
-        return float(self._one(assignment, y, variance=False).tau_hat[0])
+        return float(self._one(d, y, variance=False).tau_hat[0])
 
-    def evaluate(self, assignment: Assignment, y) -> EstimateReport:
-        """Point estimate, HC0 variance and confidence interval for one assignment."""
-        estimates = self._one(assignment, y, variance=True)
+    def evaluate(self, d, y) -> EstimateReport:
+        """Point estimate, HC0 variance and confidence interval for one 0/1 assignment vector d."""
+        estimates = self._one(d, y, variance=True)
         return EstimateReport(
             method=self.method,
             tau_hat=float(estimates.tau_hat[0]),
@@ -257,7 +257,7 @@ def estimate_with_ci(
     NonFinite as EstimatePlan.evaluate does.
     """
     plan = plan_estimate(method, s.x, s.spec, rule, level, allow_design_mismatch)
-    return plan.evaluate(s.assignment, s.y)
+    return plan.evaluate(s.d, s.y)
 
 
 def estimate(
@@ -268,4 +268,4 @@ def estimate(
 ) -> float:
     """Point estimate of any method on one sample; raises NonFinite as EstimatePlan.point does."""
     plan = plan_estimate(method, s.x, s.spec, rule, allow_design_mismatch=allow_design_mismatch)
-    return plan.point(s.assignment, s.y)
+    return plan.point(s.d, s.y)

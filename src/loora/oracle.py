@@ -10,6 +10,8 @@ machinery.
 Large cancellations appear in the cross-unit terms at small n, so final
 reductions are correctly rounded sums throughout: math.fsum, or fsum_rows
 (math.fsum's bits, row by row) where several sums of length n are stacked.
+Every exact variance and moment raises NonFinite, naming the method and the
+stage, when a total leaves double precision.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .design import Assignment, DesignSpec, enumeration_blocks
+from .design import DesignSpec, enumeration_blocks
 from .estimators import DEFAULT_LAMBDA_RULE, LambdaRule, Method, ObservedSample, fsum_rows
 from .exceptions import InvalidInput, NonFinite, ParameterOutOfRange, RankDeficient
 from .inference import plan_estimate
@@ -73,18 +75,13 @@ class Population:
         return tau
 
 
-def observe(pop: Population, assignment: Assignment) -> np.ndarray:
-    """Mask the population down to what the assignment reveals."""
-    return observe_rows(pop, assignment.d)
-
-
-def observe_rows(pop: Population, d: np.ndarray) -> np.ndarray:
-    """The outcomes each 0/1 assignment row of d reveals, row by row."""
+def observe(pop: Population, d: np.ndarray) -> np.ndarray:
+    """The outcomes a 0/1 assignment vector d reveals, or each row of a (B, n) block d."""
     return d * pop.y1 + (1.0 - d) * pop.y0
 
 
-def observed_sample(pop: Population, assignment: Assignment, spec: DesignSpec) -> ObservedSample:
-    return ObservedSample(pop.x, observe(pop, assignment), assignment, spec)
+def observed_sample(pop: Population, d: np.ndarray, spec: DesignSpec) -> ObservedSample:
+    return ObservedSample(pop.x, observe(pop, d), d, spec)
 
 
 # ---------------------------------------------------------------------------
@@ -142,15 +139,24 @@ def ht_signal(pop: Population, p) -> HtSignal:
 
 def ht_variance(pop: Population, p) -> float:
     """Exact variance of the unadjusted HT estimator: ||mu||^2 / n^2."""
-    sig = ht_signal(pop, p)
-    return math.fsum((sig.mu**2).tolist()) / pop.n**2
+    with np.errstate(over="ignore", invalid="ignore"):  # the total is checked instead
+        squares = ht_signal(pop, p).mu ** 2
+    return _finite_total(squares, "HT", "exact variance") / pop.n**2
 
 
 def adjusted_ht_variance(pop: Population, p, b) -> float:
     """Exact variance of the HT estimator on outcomes adjusted by a fixed b."""
-    sig = ht_signal(pop, p)
     b = as_vector(b, pop.k, "coefficient vector")
-    return math.fsum(((sig.mu - sig.xw @ b) ** 2).tolist()) / pop.n**2
+    with np.errstate(over="ignore", invalid="ignore"):  # the total is checked instead
+        sig = ht_signal(pop, p)
+        squares = (sig.mu - sig.xw @ b) ** 2
+    return _finite_total(squares, "adjusted HT", "exact variance") / pop.n**2
+
+
+def _check_signal(mu: np.ndarray, method: str) -> None:
+    """NonFinite where the signal left double precision, before its ridge fit refuses it."""
+    if not np.isfinite(mu).all():
+        raise NonFinite(method, "exact variance")
 
 
 def loora_ht_variance_terms(pop: Population, p, lam: float) -> tuple[float, float]:
@@ -161,6 +167,7 @@ def loora_ht_variance_terms(pop: Population, p, lam: float) -> tuple[float, floa
     cross-unit error from regressing the random proxy instead of mu.
     """
     sig = ht_signal(pop, p)
+    _check_signal(sig.mu, "LOORA_HT")
     n = pop.n
     factor = ridge_factor(sig.xw, lam)
     check_loo_feasible(factor.hat_diag)
@@ -180,11 +187,11 @@ def loora_ht_variance_terms(pop: Population, p, lam: float) -> tuple[float, floa
     return sum1 / n**2, 0.5 * sum2 / n**2
 
 
-def _finite_total(terms, method: str) -> float:
-    """The correctly rounded sum of a variance's terms; NonFinite if it is not finite."""
+def _finite_total(terms, method: str, stage: str) -> float:
+    """The correctly rounded sum of terms; NonFinite(method, stage) if it is not finite."""
     total = float(fsum_rows(np.array([terms]))[0])
     if not math.isfinite(total):
-        raise NonFinite(method, "exact variance")
+        raise NonFinite(method, stage)
     return total
 
 
@@ -196,7 +203,7 @@ def loora_ht_variance(pop: Population, p, lam: float) -> float:
     """
     with np.errstate(over="ignore", invalid="ignore"):  # the total is checked instead
         terms = loora_ht_variance_terms(pop, p, lam)
-    return _finite_total(terms, "LOORA_HT")
+    return _finite_total(terms, "LOORA_HT", "exact variance")
 
 
 # ---------------------------------------------------------------------------
@@ -232,9 +239,10 @@ def dm_signal(pop: Population, n_t: int) -> DmSignal:
 def dm_variance(pop: Population, n_t: int) -> float:
     """Exact DM variance as the centered squared norm of the DM signal."""
     n_t, n_c = _check_n_t(pop, n_t)
-    mu = dm_signal(pop, n_t).mu
-    centered = mu - math.fsum(mu.tolist()) / pop.n
-    return math.fsum((centered**2).tolist()) / (n_t * n_c * pop.n * (pop.n - 1))
+    with np.errstate(over="ignore", invalid="ignore"):  # each total is checked instead
+        mu = dm_signal(pop, n_t).mu
+        squares = (mu - _finite_total(mu, "DM", "exact variance") / pop.n) ** 2
+    return _finite_total(squares, "DM", "exact variance") / (n_t * n_c * pop.n * (pop.n - 1))
 
 
 # --- the exact LOORA-DM variance -------------------------------------------
@@ -397,6 +405,7 @@ def loora_dm_variance_terms(pop: Population, n_t: int, lam: float) -> tuple[floa
     if n < 4:
         raise ParameterOutOfRange("exact LOORA-DM variance requires n >= 4")
     sig = dm_signal(pop, n_t)
+    _check_signal(sig.mu, "LOORA_DM")
     factor = ridge_factor(pop.x, lam)
     check_loo_feasible(factor.hat_diag)
     h = factor.hat_diag
@@ -426,7 +435,7 @@ def loora_dm_variance(pop: Population, n_t: int, lam: float) -> float:
     """
     with np.errstate(over="ignore", invalid="ignore"):  # the total is checked instead
         terms = loora_dm_variance_terms(pop, n_t, lam)
-    return _finite_total(terms, "LOORA_DM")
+    return _finite_total(terms, "LOORA_DM", "exact variance")
 
 
 # ---------------------------------------------------------------------------
@@ -436,7 +445,7 @@ def loora_dm_variance(pop: Population, n_t: int, lam: float) -> float:
 
 def _centered_residuals(pop: Population, outcomes: np.ndarray) -> np.ndarray:
     xc = pop.x - pop.x.mean(axis=0)
-    yc = outcomes - math.fsum(outcomes.tolist()) / pop.n
+    yc = outcomes - _finite_total(outcomes, "INT", "asymptotic variance") / pop.n
     coef, _, rank, _ = np.linalg.lstsq(xc, yc, rcond=None)
     if rank < pop.k:
         raise RankDeficient("centered covariates are rank-deficient")
@@ -454,13 +463,18 @@ def lin_asymptotic_variance(pop: Population, p_t: float) -> float:
     p_t = float(p_t)
     if not 0.0 < p_t < 1.0:
         raise InvalidInput(f"treated fraction must lie in (0, 1), got {p_t}")
-    e_t = _centered_residuals(pop, pop.y1)
-    e_c = _centered_residuals(pop, pop.y0)
     n = pop.n
-    s_t = math.fsum((e_t**2).tolist()) / n
-    s_c = math.fsum((e_c**2).tolist()) / n
-    s_tc = math.fsum((e_t * e_c).tolist()) / n
-    return (1.0 - p_t) / p_t * s_t + p_t / (1.0 - p_t) * s_c + 2.0 * s_tc
+    with np.errstate(over="ignore", invalid="ignore"):  # each total is checked instead
+        e_t = _centered_residuals(pop, pop.y1)
+        e_c = _centered_residuals(pop, pop.y0)
+        s_t, s_c, s_tc = (
+            _finite_total(terms, "INT", "asymptotic variance") / n
+            for terms in (e_t**2, e_c**2, e_t * e_c)
+        )
+    value = (1.0 - p_t) / p_t * s_t + p_t / (1.0 - p_t) * s_c + 2.0 * s_tc
+    if not math.isfinite(value):
+        raise NonFinite("INT", "asymptotic variance")
+    return value
 
 
 def enumeration_moments(
@@ -474,16 +488,21 @@ def enumeration_moments(
     Plans the method once and walks every possible assignment with its
     probability, a block at a time through the point-only path; the
     definitive oracle behind the unbiasedness and exact-variance
-    certifications. Raises the failure of the first assignment that fails.
+    certifications. Raises the failure of the first assignment that fails,
+    and NonFinite where the mean or the variance leaves double precision.
     """
     plan = plan_estimate(method, pop.x, spec, rule)
     values, probs = [], []
     for d, prob in enumeration_blocks(spec):
-        estimates = plan.point_block(d, observe_rows(pop, d))
+        estimates = plan.point_block(d, observe(pop, d))
         if estimates.failures:
             raise estimates.failures[min(estimates.failures)]
         values.extend(estimates.tau_hat.tolist())
         probs.extend(prob.tolist())
-    mean = math.fsum(p * v for p, v in zip(probs, values))
-    variance = math.fsum(p * (v - mean) ** 2 for p, v in zip(probs, values))
-    return mean, variance
+    name = plan.method.value
+    mean = _finite_total([p * v for p, v in zip(probs, values)], name, "enumeration mean")
+    try:
+        spread = [p * (v - mean) ** 2 for p, v in zip(probs, values)]
+    except OverflowError:  # a square beyond double precision
+        raise NonFinite(name, "enumeration variance") from None
+    return mean, _finite_total(spread, name, "enumeration variance")

@@ -15,8 +15,6 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import dataclass
-
 import numpy as np
 
 
@@ -81,45 +79,8 @@ def run_environment() -> dict:
     }
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    """Provenance of one CLI run."""
-
-    command: str
-    config_hash: str
-    seed: int | None
-    version: str
-    wall_time_s: float
-    outputs: tuple[str, ...]
-    environment: dict  # run_environment()
-    stages: dict[str, float] | None = None  # wall seconds per stage, where timed
-    minor_faults: int | None = None  # page faults over the run; None where not counted
-
-    def to_record(self) -> dict:
-        record = {
-            "record_type": "run_manifest",
-            "command": self.command,
-            "config_hash": self.config_hash,
-            "seed": self.seed,
-            "version": self.version,
-            "wall_time_s": self.wall_time_s,
-            "outputs": list(self.outputs),
-            "environment": self.environment,
-        }
-        if self.stages is not None:
-            record["stages"] = dict(self.stages)
-        record["minor_faults"] = self.minor_faults
-        return record
-
-
 def manifest_path(out_path: str) -> str:
     return f"{out_path}.manifest.json"
-
-
-def write_manifest(out_path: str, manifest: RunManifest) -> str:
-    path = manifest_path(out_path)
-    write_records(path, [manifest.to_record()])
-    return path
 
 
 def format_table(headers, rows) -> str:

@@ -41,7 +41,7 @@ from .exceptions import (
     TooLarge,
 )
 from .inference import plan_estimate
-from .oracle import Population, observe_rows
+from .oracle import Population, observe
 
 DESIGN_CHOICES = ("simple-half", "simple-covariate-correlated", "complete")
 
@@ -447,7 +447,7 @@ def run_study(pop: Population, cfg: StudyConfig) -> SimulationReport:
     start = 0
     for d, weight in _blocks(spec, cfg, count):
         stop = start + d.shape[0]
-        y = observe_rows(pop, d)
+        y = observe(pop, d)
         for j, plan in enumerate(plans):
             if plan is not None:
                 _record_block(plan, d, y, tau, rows[start:stop, j])

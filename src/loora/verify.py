@@ -27,10 +27,7 @@ from .estimators import (
     LambdaRule,
     Method,
     ObservedSample,
-    ht_outcome_scales,
-    realized_arm_probability,
     require_simple,
-    reweighted_outcomes_ht,
 )
 from .exceptions import InvalidInput
 from .inference import estimate
@@ -64,14 +61,18 @@ def _loora_ht_refit(s: ObservedSample, rule: LambdaRule = DEFAULT_LAMBDA_RULE) -
 
     Per unit, outcomes are adjusted by x_i' beta^{(-i)} where beta^{(-i)} is
     the ridge fit of the reweighted outcomes on the inverse-weighted
-    covariates with row i removed.
+    covariates with row i removed: treated outcomes scaled by
+    (1-p)^(1/2) / p^(3/2), control outcomes by p^(1/2) / (1-p)^(3/2). Unit
+    i's term is weighted z_i / q_i, with q_i the probability of its arm.
     """
     p = require_simple(s.spec, "LOORA_HT").p
     xw = s.x / np.sqrt(p * (1.0 - p))[:, None]
     lam = rule.resolve(xw)
-    d, z, y, n = s.assignment.d, s.assignment.z, s.y, s.x.shape[0]
-    yw = reweighted_outcomes_ht(y, d, ht_outcome_scales(p))
-    q = realized_arm_probability(p, d)
+    d, y, n = s.d, s.y, s.x.shape[0]
+    z = 2.0 * d - 1.0
+    treated = d == 1.0
+    yw = np.where(treated, np.sqrt(1.0 - p) / p**1.5, np.sqrt(p) / (1.0 - p) ** 1.5) * y
+    q = np.where(treated, p, 1.0 - p)
     terms = []
     for i in range(n):
         beta = ridge_factor(np.delete(xw, i, axis=0), lam).fit(np.delete(yw, i))
@@ -82,7 +83,7 @@ def _loora_ht_refit(s: ObservedSample, rule: LambdaRule = DEFAULT_LAMBDA_RULE) -
 def _sample_counts(s: ObservedSample, allow_design_mismatch: bool) -> tuple[int, int]:
     """LOORA-DM's arm counts (n_t, n_c) of one sample; raises where they fail."""
     arms = ArmCounts.of("LOORA_DM", s.spec, allow_design_mismatch)
-    n_t, n_c, failed = arms.counts(s.assignment.d[None])
+    n_t, n_c, failed = arms.counts(s.d[None])
     if failed:
         raise failed[0]
     return int(n_t[0]), int(n_c[0])
@@ -102,8 +103,8 @@ def _loora_dm_refit(
     term carries its arm weight 1/n_arm.
     """
     n_t, n_c = _sample_counts(s, allow_design_mismatch)
-    d, z, y, x = s.assignment.d, s.assignment.z, s.y, s.x
-    n = x.shape[0]
+    d, y, x = s.d, s.y, s.x
+    z, n = 2.0 * d - 1.0, x.shape[0]
     scale = n_t * n_c * (n - 1) / n
     own_t = scale / (n_t * (n_t - 1)) if n_t > 1 else 0.0
     own_c = scale / (n_c * (n_c - 1)) if n_c > 1 else 0.0
@@ -133,7 +134,7 @@ def _loora_dm_pairwise(
     and the two forms may differ.
     """
     n_t, n_c = _sample_counts(s, allow_design_mismatch)
-    d, y, x, n = s.assignment.d, s.y, s.x, s.x.shape[0]
+    d, y, x, n = s.d, s.y, s.x, s.x.shape[0]
     lam = rule.resolve(x)
     # Unified rescaled outcomes; undefined own-group entries (n_t or n_c = 1)
     # are zeroed and only ever excluded, never read, in cross-arm pairs.
@@ -234,13 +235,11 @@ def check_loo_identities(seed: int = 3, trials: int = 10) -> CheckResult:
         p = rng.uniform(0.3, 0.7, n)
         spec_s = SimpleDesign(p)
         rng_draw = np.random.default_rng(seed + 1000 + trial)
-        a = draw_with(spec_s, rng_draw)
-        s = observed_sample(pop, a, spec_s)
+        s = observed_sample(pop, draw_with(spec_s, rng_draw), spec_s)
         worst = max(worst, _rel_gap(estimate(Method.LOORA_HT, s, rule), _loora_ht_refit(s, rule)))
         n_t = n // 2
         spec_c = CompleteDesign(n, n_t)
-        a = draw_with(spec_c, rng_draw)
-        s = observed_sample(pop, a, spec_c)
+        s = observed_sample(pop, draw_with(spec_c, rng_draw), spec_c)
         worst = max(worst, _rel_gap(estimate(Method.LOORA_DM, s, rule), _loora_dm_refit(s, rule)))
     return CheckResult("loo-identities", worst <= tol, worst, tol, f"{2 * trials} fixtures")
 
@@ -275,8 +274,7 @@ def check_pairwise_equivalence(seed: int = 5, trials: int = 10) -> CheckResult:
         # a singleton arm's rescaled outcome carries a 0 * undefined weight.
         n_t = int(rng.integers(2, n - 1))
         spec = CompleteDesign(n, n_t)
-        a = draw_with(spec, np.random.default_rng(seed + trial))
-        s = observed_sample(pop, a, spec)
+        s = observed_sample(pop, draw_with(spec, np.random.default_rng(seed + trial)), spec)
         worst = max(worst, _rel_gap(estimate(Method.LOORA_DM, s, rule), _loora_dm_pairwise(s, rule)))
     return CheckResult("pairwise-equivalence", worst <= tol, worst, tol, f"{trials} fixtures")
 

@@ -28,9 +28,6 @@ from loora.estimators import (
     LambdaRule,
     Method,
     ObservedSample,
-    ht_outcome_scales,
-    realized_arm_probability,
-    reweighted_outcomes_ht,
 )
 from loora.exceptions import (
     InvalidInput,
@@ -311,20 +308,24 @@ def hw_variance_ht_sandwich(s: ObservedSample, rule: LambdaRule = DEFAULT_LAMBDA
 
     The residualized outcomes (y_i - x_i' beta) / (q_i (1 - h_i)) come from
     this route's own ridge fit of the reweighted outcomes on X / r, and are
-    regressed on the signed indicator z with slope tau_hat.
+    regressed on the signed indicator z with slope tau_hat. Treated outcomes
+    are reweighted by (1-p)^(1/2) / p^(3/2) and control outcomes by
+    p^(1/2) / (1-p)^(3/2); q is the probability of each unit's arm.
     """
-    p, d, z, y = s.spec.p, s.assignment.d, s.assignment.z, s.y
+    p, d, y = s.spec.p, s.d, s.y
+    z, treated = 2.0 * d - 1.0, d == 1.0
     xw = s.x / np.sqrt(p * (1.0 - p))[:, None]
     factor = ridge_factor(xw, rule.resolve(xw))
-    beta = factor.fit(reweighted_outcomes_ht(y, d, ht_outcome_scales(p)))
+    scale = np.where(treated, np.sqrt(1.0 - p) / p**1.5, np.sqrt(p) / (1.0 - p) ** 1.5)
+    beta = factor.fit(scale * y)
     tau = estimate_with_ci(Method.LOORA_HT, s, rule).tau_hat
-    q = realized_arm_probability(p, d)
+    q = np.where(treated, p, 1.0 - p)
     hw_resid = (y - s.x @ beta) / (q * (1.0 - factor.hat_diag)) - z * tau
     zz = math.fsum(z**2)
     return math.fsum(z**2 * hw_resid**2) / zz**2
 
 
-def benchmark_full_design(method, x, assignment, y, rule=DEFAULT_LAMBDA_RULE):
+def benchmark_full_design(method, x, d, y, rule=DEFAULT_LAMBDA_RULE):
     """ADJ, INT or RIDGE_REG as the literal ridge fit of its full design.
 
     ADJ regresses y on [1, d, X] and INT on [1, d, X - mean, d * (X - mean)],
@@ -340,7 +341,6 @@ def benchmark_full_design(method, x, assignment, y, rule=DEFAULT_LAMBDA_RULE):
     penalty = np.zeros(width)
     if method is Method.RIDGE_REG:
         penalty[2:] = rule.resolve(x)
-    d = assignment.d
     columns = [np.ones(d.shape[0]), d, covariates]
     if method is Method.INT:
         columns.append(d[:, None] * covariates)
@@ -410,13 +410,13 @@ def run_study_per_sample(pop: Population, cfg: StudyConfig) -> SimulationReport:
             for rep in range(int(cfg.reps))
         ]
     rows = []
-    for assignment, _ in draws:
+    for d, _ in draws:
         row = []
         for method in cfg.methods:
             try:
                 report = estimate_with_ci(
                     method,
-                    observed_sample(pop, assignment, spec),
+                    observed_sample(pop, d, spec),
                     cfg.lambda_rule,
                     cfg.level,
                     cfg.allow_design_mismatch,

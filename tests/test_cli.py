@@ -43,40 +43,38 @@ _HALF = ("--design", "simple", "--p", "0.5")
 
 
 @pytest.mark.parametrize(
-    "argv, config, threads_env, key",
+    "argv, config, key",
     [
-        (_SIM + ("--reps", "abc"), None, None, "reps"),
-        (_SIM, None, "abc", "LOORA_THREADS"),
-        (_SIM, "level: high", None, "level"),
-        (_SIM, "methods: 5", None, "methods"),
-        (_SIM + ("--design", "complete"), "nt: many", None, "nt"),
-        (_SIM + ("--methods", "FOO"), None, None, "methods"),
-        (_SIM + ("--seed", "-1"), None, None, "seed"),
-        (_SIM, "lambda: 2", None, "lambda"),
-        (_EST + _HALF, "method: FOO", None, "method"),
-        (_EST + ("--design", "complete"), "nt: many", None, "nt"),
-        (_EST + _HALF, "level: high", None, "level"),
-        (_OBSERVED + _HALF, "covariates: 5", None, "covariates"),
-        (_EST + _HALF, 'drop-first: "false"', None, "drop-first"),
-        (_EST + _HALF + ("--delimiter", ";;"), None, None, "delimiter"),
-        (_EST + _HALF, "delimiter: 5", None, "delimiter"),
-        (("verify", "--seed", "-1"), None, None, "seed"),
+        (_SIM + ("--reps", "abc"), None, "reps"),
+        (_SIM, "level: high", "level"),
+        (_SIM, "methods: 5", "methods"),
+        (_SIM + ("--design", "complete"), "nt: many", "nt"),
+        (_SIM + ("--methods", "FOO"), None, "methods"),
+        (_SIM + ("--seed", "-1"), None, "seed"),
+        (_SIM, "lambda: 2", "lambda"),
+        (_EST + _HALF, "method: FOO", "method"),
+        (_EST + ("--design", "complete"), "nt: many", "nt"),
+        (_EST + _HALF, "level: high", "level"),
+        (_OBSERVED + _HALF, "covariates: 5", "covariates"),
+        (_EST + _HALF, 'drop-first: "false"', "drop-first"),
+        (_EST + _HALF + ("--delimiter", ";;"), None, "delimiter"),
+        (_EST + _HALF, "delimiter: 5", "delimiter"),
+        (("verify", "--seed", "-1"), None, "seed"),
         # YAML floats and bools are not silently truncated to an int or read as a number
-        (_SYNTH, "reps: 2.7", None, "reps"),
-        (_SYNTH, "n: 30.9\nreps: 3", None, "n"),
-        (_SYNTH, "reps: true", None, "reps"),
-        (_SYNTH, "reps: .inf", None, "reps"),
-        (_SYNTH, "n: 12\nreps: 3\nseed: true", None, "seed"),
-        (_SYNTH, "n: 12\nreps: 3\nlevel: true", None, "level"),
-        (_EST + ("--design", "complete"), "nt: 15.5", None, "nt"),
-        (_EST + ("--design", "simple"), "p: true", None, "p"),
+        (_SYNTH, "reps: 2.7", "reps"),
+        (_SYNTH, "n: 30.9\nreps: 3", "n"),
+        (_SYNTH, "reps: true", "reps"),
+        (_SYNTH, "reps: .inf", "reps"),
+        (_SYNTH, "n: 12\nreps: 3\nseed: true", "seed"),
+        (_SYNTH, "n: 12\nreps: 3\nlevel: true", "level"),
+        (_EST + ("--design", "complete"), "nt: 15.5", "nt"),
+        (_EST + ("--design", "simple"), "p: true", "p"),
         # a path is never an integer, which open() would take as a file descriptor
-        (_SIM, "out: 5", None, "out"),
-        (("estimate", "--y-col", "y", "--d-col", "d") + _HALF, "data: 0", None, "data"),
+        (_SIM, "out: 5", "out"),
+        (("estimate", "--y-col", "y", "--d-col", "d") + _HALF, "data: 0", "data"),
     ],
     ids=[
         "reps-flag",
-        "threads-env",
         "level-config",
         "methods-config",
         "nt-config",
@@ -104,16 +102,12 @@ _HALF = ("--design", "simple", "--p", "0.5")
     ],
 )
 def test_malformed_option_value_is_a_schema_error_naming_the_key(
-    tmp_path, capsys, monkeypatch, argv, config, threads_env, key
+    tmp_path, capsys, argv, config, key
 ):
     if config is not None:
         path = tmp_path / "config.yaml"
         path.write_text(f"schema_version: 1\n{config}\n", encoding="utf-8")
         argv += ("--config", str(path))
-    if threads_env is None:
-        monkeypatch.delenv("LOORA_THREADS", raising=False)
-    else:
-        monkeypatch.setenv("LOORA_THREADS", threads_env)
     code, _, stderr = run(capsys, *argv)
     assert code == 2
     assert stderr.startswith(f"error: {key} ")
@@ -405,6 +399,19 @@ def test_manifests_carry_the_numeric_environment(tmp_path, capsys, monkeypatch):
         assert "environment" not in read_records(out)[0]
 
 
+def test_manifests_keep_their_keys_in_order(tmp_path, capsys):
+    keys = ["record_type", "command", "config_hash", "seed", "version", "wall_time_s",
+            "outputs", "environment", "stages", "minor_faults"]
+    for name, argv in (("estimate", _EST + _HALF), ("simulate", _SIM)):
+        out = tmp_path / f"{name}.jsonl"
+        code, _, _ = run(capsys, *argv, "--out", str(out))
+        assert code == 0
+        manifest = read_records(str(out) + ".manifest.json")[0]
+        assert list(manifest) == keys
+        assert (manifest["record_type"], manifest["command"]) == ("run_manifest", name)
+        assert manifest["outputs"] == [str(out)]
+
+
 _FULLWIDTH = str.maketrans("0123456789", "０１２３４５６７８９")
 
 
@@ -543,7 +550,7 @@ def test_simulate_enumerate_mode_loora_bias_zero(tmp_path, capsys):
 
 
 def test_simulate_synth_population_and_env_threads(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("LOORA_THREADS", "2")
+    monkeypatch.setenv("LOORA_THREADS", "abc")  # no longer read, so not checked either
     out = tmp_path / "synth.jsonl"
     code, _, _ = run(
         capsys,
@@ -976,10 +983,11 @@ def test_study_with_an_all_failed_method_reads_back(tmp_path, capsys):
 
 
 def _long_options(command):
-    """The long options of a subcommand, read from its parser, without --help and --config."""
+    """The long options of a subcommand, read from its parser, without --help, --config
+    and the command-line-only --threads."""
     parser = build_parser()._subparsers._group_actions[0].choices[command]
     options = {o[2:] for action in parser._actions for o in action.option_strings if o[1] == "-"}
-    return sorted(options - {"help", "config"})
+    return sorted(options - {"help", "config", "threads"})
 
 
 _OBSERVED30 = str(DATA / "observed30.csv")
@@ -1034,7 +1042,6 @@ _OPTION_CASES = {
         "level": (0.9, {}),
         "seed": (4, {}),
         "lambda": ("fixed:0", {}),
-        "threads": (2, {}),  # accepted and checked, but it changes nothing
         "out": (None, {}),
         "allow-design-mismatch": (True, {"methods": "LOORA_DM"}),
     },
@@ -1070,8 +1077,7 @@ def test_every_long_option_is_a_config_key_read_as_its_flag(tmp_path, capsys, co
     from_config, from_flag, unset = results
     assert "unknown key" not in from_config[2]
     assert from_config == from_flag
-    if key != "threads":
-        assert from_flag != unset  # so the equality above shows that the key is read
+    assert from_flag != unset  # so the equality above shows that the key is read
 
 
 def _headerless(path, tmp_path):
@@ -1121,8 +1127,18 @@ def test_data_out_no_header_and_mismatch_from_a_config_give_the_flags_bytes(
         (_SYNTH, "config"),
         (_EST + _HALF, "methods"),
         (_EST + _HALF, "threads"),
+        (_SYNTH, "threads"),  # --threads is a command-line flag only
     ],
-    ids=["rep", "simulate-method", "pop_seed", "bogus", "config", "estimate-methods", "estimate-threads"],
+    ids=[
+        "rep",
+        "simulate-method",
+        "pop_seed",
+        "bogus",
+        "config",
+        "estimate-methods",
+        "estimate-threads",
+        "simulate-threads",
+    ],
 )
 def test_unknown_config_key_exits_2_naming_key_and_file_before_any_work(
     tmp_path, capsys, monkeypatch, argv, key
@@ -1139,15 +1155,6 @@ def test_unknown_config_key_exits_2_naming_key_and_file_before_any_work(
     assert (code, stdout) == (2, "")
     assert stderr.startswith(f"error: {cfg}: unknown key '{key}'")
     assert not out.exists()
-
-
-def test_threads_in_a_config_and_on_the_command_line_still_run(tmp_path, capsys):
-    cfg = tmp_path / "study.yaml"
-    cfg.write_text("schema_version: 1\nthreads: 2\n", encoding="utf-8")
-    code, _, _ = run(capsys, *_SIM, "--config", str(cfg))
-    assert code == 0
-    code, _, _ = run(capsys, *_SIM, "--threads", "1")
-    assert code == 0
 
 
 def test_estimate_without_data_exits_2(capsys):

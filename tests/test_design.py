@@ -8,6 +8,7 @@ from loora.design import (
     CompleteDesign,
     SimpleDesign,
     draw,
+    draw_rows,
     draw_with,
     enumerate_assignments,
 )
@@ -37,22 +38,24 @@ def test_complete_spec_validation():
 def test_complete_draw_counts():
     spec = CompleteDesign(5, 3)
     for seed in range(25):
-        a = draw(spec, seed)
-        assert a.n_treated == 3
-        assert set(np.unique(a.d)) <= {0.0, 1.0}
+        d = draw(spec, seed)
+        assert d.sum() == 3
+        assert set(np.unique(d)) <= {0.0, 1.0}
 
 
-def test_assignment_side_vectors():
-    spec = SimpleDesign(np.array([0.2, 0.7, 0.5]))
-    a = draw(spec, 3)
-    assert np.array_equal(a.z, 2.0 * a.d - 1.0)
+def test_draw_is_the_row_of_draw_rows():
+    for spec in (SimpleDesign(np.array([0.2, 0.7, 0.5])), CompleteDesign(3, 1)):
+        d = draw(spec, 3)
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(3)))
+        assert d.dtype == np.float64 and d.shape == (3,)
+        assert np.array_equal(d, draw_rows(spec, (rng,))[0])
 
 
 def test_draw_deterministic_in_seed():
     spec = SimpleDesign(np.full(12, 0.4))
-    assert np.array_equal(draw(spec, 99).d, draw(spec, 99).d)
+    assert np.array_equal(draw(spec, 99), draw(spec, 99))
     spec_c = CompleteDesign(12, 5)
-    assert np.array_equal(draw(spec_c, 99).d, draw(spec_c, 99).d)
+    assert np.array_equal(draw(spec_c, 99), draw(spec_c, 99))
 
 
 def test_simple_draw_frequency():
@@ -61,7 +64,7 @@ def test_simple_draw_frequency():
     total = np.zeros(4)
     reps = 100_000
     for _ in range(reps):
-        total += draw_with(spec, rng).d
+        total += draw_with(spec, rng)
     freq = total / reps
     assert np.all(freq > 0.49) and np.all(freq < 0.51)
 
@@ -76,12 +79,12 @@ def test_enumerate_complete_counts():
     pairs = list(enumerate_assignments(CompleteDesign(4, 2)))
     assert len(pairs) == 6
     assert all(prob == pytest.approx(1.0 / 6.0) for _, prob in pairs)
-    assert all(a.n_treated == 2 for a, _ in pairs)
+    assert all(d.sum() == 2 for d, _ in pairs)
 
 
 def test_enumerate_simple_hand_probabilities():
     pairs = list(enumerate_assignments(SimpleDesign(np.array([0.2, 0.8]))))
-    got = {tuple(int(v) for v in a.d): prob for a, prob in pairs}
+    got = {tuple(int(v) for v in d): prob for d, prob in pairs}
     assert got[(0, 0)] == pytest.approx(0.8 * 0.2)
     assert got[(0, 1)] == pytest.approx(0.8 * 0.8)
     assert got[(1, 0)] == pytest.approx(0.2 * 0.2)
@@ -97,7 +100,7 @@ def test_enumeration_probabilities_sum_to_one():
 
 def test_enumeration_lexicographic_d_order():
     for spec in (SimpleDesign(np.array([0.4, 0.5, 0.6])), CompleteDesign(5, 2)):
-        seen = [tuple(int(v) for v in a.d) for a, _ in enumerate_assignments(spec)]
+        seen = [tuple(int(v) for v in d) for d, _ in enumerate_assignments(spec)]
         assert seen == sorted(seen)
 
 
@@ -111,12 +114,12 @@ def test_enumeration_guards():
 def test_draw_frequencies_match_enumeration_chisquare():
     # empirical draws against exact probabilities at n = 3
     spec = SimpleDesign(np.array([0.3, 0.5, 0.7]))
-    exact = {tuple(int(v) for v in a.d): prob for a, prob in enumerate_assignments(spec)}
+    exact = {tuple(int(v) for v in d): prob for d, prob in enumerate_assignments(spec)}
     rng = np.random.default_rng(123)
     counts = {key: 0 for key in exact}
     reps = 100_000
     for _ in range(reps):
-        counts[tuple(int(v) for v in draw_with(spec, rng).d)] += 1
+        counts[tuple(int(v) for v in draw_with(spec, rng))] += 1
     observed = np.array([counts[key] for key in exact])
     expected = np.array([exact[key] * reps for key in exact])
     _, p_value = stats.chisquare(observed, expected)

@@ -9,16 +9,15 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from conftest import random_population, rel_gap
 import loora.estimators
-from loora.design import Assignment, CompleteDesign, SimpleDesign, draw_with
+from loora.design import CompleteDesign, SimpleDesign, draw_with
 from loora.estimators import (
     BenchmarkPlan,
     LambdaRule,
+    LooraHtPlan,
     Method,
     ObservedSample,
     _fsum_rows_extracted,
     fsum_rows,
-    ht_outcome_scales,
-    reweighted_outcomes_ht,
 )
 from loora.exceptions import RankDeficient, SpecMismatch
 from loora.inference import estimate, plan_estimate
@@ -34,13 +33,13 @@ def simple_sample(x, y, d, p):
     p = np.asarray(p, dtype=np.float64)
     d = np.asarray(d, dtype=np.float64)
     spec = SimpleDesign(p)
-    return ObservedSample(np.asarray(x, dtype=np.float64), y, Assignment(d, 2 * d - 1), spec)
+    return ObservedSample(np.asarray(x, dtype=np.float64), y, d, spec)
 
 
 def complete_sample(x, y, d):
     d = np.asarray(d, dtype=np.float64)
     spec = CompleteDesign(len(d), int(d.sum()))
-    return ObservedSample(np.asarray(x, dtype=np.float64), y, Assignment(d, 2 * d - 1), spec)
+    return ObservedSample(np.asarray(x, dtype=np.float64), y, d, spec)
 
 
 def test_ht_hand_value():
@@ -98,8 +97,7 @@ def test_loora_ht_infinite_shrinkage_limit(rng):
     pop = random_population(rng, n, 2)
     p = rng.uniform(0.3, 0.7, n)
     spec = SimpleDesign(p)
-    a = draw_with(spec, rng)
-    s = observed_sample(pop, a, spec)
+    s = observed_sample(pop, draw_with(spec, rng), spec)
     r = np.sqrt(p * (1.0 - p))
     lam = 1e12 * max_row_norm(pop.x / r[:, None]) ** 2
     ht = estimate(Method.HT, s)
@@ -122,7 +120,8 @@ def test_loora_ht_reweighting_two_case_equals_exponent_form(rng):
     z = 2.0 * d - 1.0
     q = p * d + (1.0 - p) * (1.0 - d)
     exponent_form = ((1.0 - p) / p) ** (z / 2.0) * y / q
-    assert_allclose(reweighted_outcomes_ht(y, d, ht_outcome_scales(p)), exponent_form, atol=1e-13)
+    treated, control = LooraHtPlan.build(rng.standard_normal((n, 2)), SimpleDesign(p)).scales
+    assert_allclose(np.where(d == 1.0, treated, control) * y, exponent_form, atol=1e-13)
 
 
 def test_loora_ht_fast_equals_refit(rng):
@@ -176,15 +175,15 @@ def test_loora_dm_refit_under_design_mismatch_equals_fast_including_singleton_ar
     spec = SimpleDesign(np.full(n, 0.5))
     draws = [draw_with(spec, rng) for _ in range(6)]
     # a singleton treated arm and a singleton control arm
-    draws += [Assignment(d, 2.0 * d - 1.0) for d in (np.eye(n)[3], 1.0 - np.eye(n)[7])]
-    for a in draws:
-        s = observed_sample(pop, a, spec)
+    draws += [np.eye(n)[3], 1.0 - np.eye(n)[7]]
+    for d in draws:
+        s = observed_sample(pop, d, spec)
         for rule in (AUTO2, LambdaRule.fixed(0.8)):
             fast = estimate(Method.LOORA_DM, s, rule, allow_design_mismatch=True)
             slow = _loora_dm_refit(s, rule, allow_design_mismatch=True)
             assert rel_gap(fast, slow) < 1e-9
     for d in (np.zeros(n), np.ones(n)):
-        s = observed_sample(pop, Assignment(d, 2.0 * d - 1.0), spec)
+        s = observed_sample(pop, d, spec)
         with pytest.raises(SpecMismatch):
             estimate(Method.LOORA_DM, s, AUTO2, allow_design_mismatch=True)
         with pytest.raises(SpecMismatch):
@@ -207,10 +206,10 @@ def test_loora_dm_unbiasedness_boundary_at_singleton_arms(rng):
 def test_loora_dm_requires_complete_unless_opted_in(rng):
     pop = random_population(rng, 8, 2)
     spec = SimpleDesign(np.full(8, 0.5))
-    a = draw_with(spec, rng)
-    while not 1 <= a.n_treated <= 7:
-        a = draw_with(spec, rng)
-    s = observed_sample(pop, a, spec)
+    d = draw_with(spec, rng)
+    while not 1 <= d.sum() <= 7:
+        d = draw_with(spec, rng)
+    s = observed_sample(pop, d, spec)
     with pytest.raises(SpecMismatch):
         estimate(Method.LOORA_DM, s, AUTO2)
     value = estimate(Method.LOORA_DM, s, AUTO2, allow_design_mismatch=True)
@@ -253,12 +252,11 @@ def test_int_equals_two_group_regression_oracle(rng):
     n, k = 30, 3
     pop = random_population(rng, n, k)
     spec = CompleteDesign(n, 14)
-    a = draw_with(spec, rng)
-    s = observed_sample(pop, a, spec)
+    s = observed_sample(pop, draw_with(spec, rng), spec)
     got = estimate(Method.INT, s)
     # independent construction: fit each arm separately on raw covariates,
     # predict everybody, and average the difference of predictions
-    d = a.d.astype(bool)
+    d = s.d.astype(bool)
     design = np.column_stack([np.ones(n), pop.x])
     beta_t, *_ = np.linalg.lstsq(design[d], s.y[d], rcond=None)
     beta_c, *_ = np.linalg.lstsq(design[~d], s.y[~d], rcond=None)
@@ -271,12 +269,12 @@ def test_int_equals_two_group_regression_oracle(rng):
 def test_adj_int_do_not_depend_on_a_covariates_units(rng, method, factor):
     pop = random_population(rng, 30, 3)
     spec = CompleteDesign(30, 14)
-    a = draw_with(spec, rng)
-    y = observe(pop, a)
-    base = plan_estimate(method, pop.x, spec).evaluate(a, y)
+    d = draw_with(spec, rng)
+    y = observe(pop, d)
+    base = plan_estimate(method, pop.x, spec).evaluate(d, y)
     x = pop.x.copy()
     x[:, 1] *= factor
-    got = plan_estimate(method, x, spec).evaluate(a, y)
+    got = plan_estimate(method, x, spec).evaluate(d, y)
     assert got.tau_hat == pytest.approx(base.tau_hat, rel=1e-12)
     assert got.var_hat == pytest.approx(base.var_hat, rel=1e-12)
     # a copy of the rescaled column, in other units again, is still singular
@@ -319,9 +317,9 @@ def test_estimate_dispatcher_covers_every_method(rng):
     s_simple = observed_sample(pop, draw_with(spec_s, rng), spec_s)
     spec_c = CompleteDesign(n, 6)
     s_complete = observed_sample(pop, draw_with(spec_c, rng), spec_c)
-    d, y, p = s_simple.assignment.d, s_simple.y, spec_s.p
+    d, y, p = s_simple.d, s_simple.y, spec_s.p
     ht = np.mean(d * y / p - (1.0 - d) * y / (1.0 - p))
-    d, y, x = s_complete.assignment.d, s_complete.y, pop.x
+    d, y, x = s_complete.d, s_complete.y, pop.x
     arm = d == 1.0
     xc = x - x.mean(axis=0)
     adj_design = np.column_stack([np.ones(n), d, x])
@@ -350,9 +348,9 @@ def test_scale_equivariance(rng):
     scale = 3.7
     scaled = Population(pop.x, scale * pop.y1, scale * pop.y0)
     spec = SimpleDesign(rng.uniform(0.3, 0.7, 9))
-    a = draw_with(spec, rng)
-    s = observed_sample(pop, a, spec)
-    s_scaled = observed_sample(scaled, a, spec)
+    d = draw_with(spec, rng)
+    s = observed_sample(pop, d, spec)
+    s_scaled = observed_sample(scaled, d, spec)
     lam = 0.9
     for rule in (LambdaRule.fixed(lam), AUTO2):
         base = estimate(Method.LOORA_HT, s, rule)
@@ -361,9 +359,9 @@ def test_scale_equivariance(rng):
     assert estimate(Method.HT, s_scaled) == pytest.approx(scale * estimate(Method.HT, s), rel=1e-12)
 
     spec_c = CompleteDesign(9, 4)
-    a = draw_with(spec_c, rng)
-    s = observed_sample(pop, a, spec_c)
-    s_scaled = observed_sample(scaled, a, spec_c)
+    d = draw_with(spec_c, rng)
+    s = observed_sample(pop, d, spec_c)
+    s_scaled = observed_sample(scaled, d, spec_c)
     for rule in (LambdaRule.fixed(lam), AUTO2):
         base = estimate(Method.LOORA_DM, s, rule)
         grown = estimate(Method.LOORA_DM, s_scaled, rule)
@@ -381,9 +379,9 @@ def test_shift_invariance(rng):
     shift = 4.2
     shifted = Population(pop.x, pop.y1 + shift, pop.y0 + shift)
     spec_c = CompleteDesign(6, 3)
-    a = draw_with(spec_c, rng)
-    s = observed_sample(pop, a, spec_c)
-    s_shift = observed_sample(shifted, a, spec_c)
+    d = draw_with(spec_c, rng)
+    s = observed_sample(pop, d, spec_c)
+    s_shift = observed_sample(shifted, d, spec_c)
     assert estimate(Method.DM, s_shift) == pytest.approx(estimate(Method.DM, s), abs=1e-12)
     mean_base, _ = enumeration_moments(pop, spec_c, Method.LOORA_DM, AUTO2)
     mean_shift, _ = enumeration_moments(shifted, spec_c, Method.LOORA_DM, AUTO2)

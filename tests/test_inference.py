@@ -1,5 +1,6 @@
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,13 +10,7 @@ from scipy import stats
 
 import loora.estimators
 from conftest import random_population
-from loora.design import (
-    Assignment,
-    CompleteDesign,
-    SimpleDesign,
-    draw_with,
-    enumerate_assignments,
-)
+from loora.design import CompleteDesign, SimpleDesign, draw_with, enumerate_assignments
 from loora.estimators import (
     LambdaRule,
     Method,
@@ -38,7 +33,7 @@ from loora.inference import (
     plan_estimate,
 )
 from loora.oracle import Population, observe, observed_sample
-from loora.simulation import StudyConfig, run_study
+from loora.simulation import StudyConfig, run_study, synth_population
 from reference_routes import (
     benchmark_full_design,
     hw_variance_ht_sandwich,
@@ -51,15 +46,13 @@ AUTO2 = LambdaRule.auto(2.0)
 def simple_sample(x, y, d, p):
     p = np.asarray(p, dtype=np.float64)
     d = np.asarray(d, dtype=np.float64)
-    return ObservedSample(
-        np.asarray(x, dtype=np.float64), y, Assignment(d, 2 * d - 1), SimpleDesign(p)
-    )
+    return ObservedSample(np.asarray(x, dtype=np.float64), y, d, SimpleDesign(p))
 
 
 def complete_sample(x, y, d):
     d = np.asarray(d, dtype=np.float64)
     spec = CompleteDesign(len(d), int(d.sum()))
-    return ObservedSample(np.asarray(x, dtype=np.float64), y, Assignment(d, 2 * d - 1), spec)
+    return ObservedSample(np.asarray(x, dtype=np.float64), y, d, spec)
 
 
 # --- normal quantile and intervals -------------------------------------------
@@ -168,7 +161,7 @@ def test_hw_dm_auxiliary_regression_reproduces_estimate(rng):
         n_t = int(rng.integers(2, n - 1))
         spec = CompleteDesign(n, n_t)
         s = observed_sample(pop, draw_with(spec, rng), spec)
-        d = s.assignment.d[None]
+        d = s.d[None]
         _, u, _ = LooraDmPlan.build(s.x, s.spec, AUTO2).adjusted(d, s.y[None])
         (slope,), _ = _two_column_sandwich(u, d)
         tau = estimate(Method.LOORA_DM, s, AUTO2)
@@ -204,16 +197,16 @@ def test_dm_family_reports_match_per_arm_sums(rng):
                 spec = SimpleDesign(rng.uniform(0.2, 0.8, n))
             else:
                 spec = CompleteDesign(n, int(rng.integers(1, n)))
-            a = draw_with(spec, rng)
-            if a.n_treated in (0, n):
+            d = draw_with(spec, rng)
+            if d.sum() in (0, n):
                 continue
-            s = observed_sample(pop, a, spec)
+            s = observed_sample(pop, d, spec)
             _, adjusted, _ = LooraDmPlan.build(pop.x, spec, AUTO2, mismatch).adjusted(
-                a.d[None], s.y[None]
+                d[None], s.y[None]
             )
             for method, u in ((Method.DM, s.y), (Method.LOORA_DM, adjusted[0])):
                 report = estimate_with_ci(method, s, AUTO2, 0.95, mismatch)
-                t, c = u[a.d == 1.0], u[a.d == 0.0]
+                t, c = u[d == 1.0], u[d == 0.0]
                 hc0 = sum(np.sum((g - g.mean()) ** 2) / g.size**2 for g in (t, c))
                 assert report.tau_hat == pytest.approx(t.mean() - c.mean(), rel=1e-9, abs=1e-12)
                 assert report.var_hat == pytest.approx(hc0, rel=1e-9, abs=1e-15)
@@ -232,33 +225,33 @@ def test_plan_rejects_assignments_that_do_not_fit_it(rng, method):
     simple = method in (Method.HT, Method.LOORA_HT)
     spec = SimpleDesign(np.full(n, 0.5)) if simple else CompleteDesign(n, 5)
     plan = plan_estimate(method, pop.x, spec)
-    fits = Assignment.from_d([1.0] * 5 + [0.0] * 5)
-    y = pop.y1 * fits.d + pop.y0 * (1.0 - fits.d)
+    fits = np.array([1.0] * 5 + [0.0] * 5)
+    y = pop.y1 * fits + pop.y0 * (1.0 - fits)
     plan.evaluate(fits, y)
     estimate_with_ci(method, ObservedSample(pop.x, y, fits, spec))
     with pytest.raises(InvalidInput, match="assignment length"):
-        plan.evaluate(Assignment.from_d([1.0] * 5 + [0.0] * 6), np.append(y, 0.0))
+        plan.evaluate(np.array([1.0] * 5 + [0.0] * 6), np.append(y, 0.0))
     with pytest.raises(InvalidInput, match="outcome has shape"):
         plan.evaluate(fits, y[:-1])
     with pytest.raises(InvalidInput, match="non-finite"):
-        plan.evaluate(fits, np.where(fits.d == 1.0, np.nan, y))
+        plan.evaluate(fits, np.where(fits == 1.0, np.nan, y))
     if not simple:
         with pytest.raises(InvalidInput, match="treats 6 of 10 units but the design fixes 5"):
-            plan.evaluate(Assignment.from_d([1.0] * 6 + [0.0] * 4), y)
+            plan.evaluate(np.array([1.0] * 6 + [0.0] * 4), y)
     # half-treated units sum to the fixed count, so only the 0/1 check refuses them
     with pytest.raises(InvalidInput, match="assignment entries must be 0 or 1"):
-        plan.evaluate(Assignment.from_d(np.full(n, 0.5)), y)
+        plan.evaluate(np.full(n, 0.5), y)
     with pytest.raises(InvalidInput, match="design size"):
         plan_estimate(method, pop.x[:-1], spec)
     x_inf = pop.x.copy()
     x_inf[3, 1] = np.inf
-    short = Assignment.from_d(fits.d[:-1])
-    six = Assignment.from_d([1.0] * 6 + [0.0] * 4)
+    short = fits[:-1]
+    six = np.array([1.0] * 6 + [0.0] * 4)
     bad_samples = [
         ((x_inf, y, fits, spec), "design matrix contains non-finite"),
         ((pop.x, y[:-1], fits, spec), "outcome has shape"),
-        ((pop.x, np.where(fits.d == 1.0, np.nan, y), fits, spec), "outcome contains non-finite"),
-        ((pop.x, y, Assignment.from_d(np.append(fits.d, 0.0)), spec), "assignment length"),
+        ((pop.x, np.where(fits == 1.0, np.nan, y), fits, spec), "outcome contains non-finite"),
+        ((pop.x, y, np.append(fits, 0.0), spec), "assignment length"),
         ((pop.x[:-1], y[:-1], short, spec), "design size"),
     ]
     for fields, message in bad_samples:
@@ -280,6 +273,15 @@ def test_public_names_resolve_and_the_per_sample_forks_are_gone():
         assert not hasattr(loora, name) and not hasattr(loora.estimators, name)
 
 
+def test_readme_library_quick_start_runs(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library quick start", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    pop = synth_population("linear-heterogeneous", 10, 2, 3)
+    exec(code, {"x": pop.x, "y1": pop.y1, "y0": pop.y0})
+    assert capsys.readouterr().out.strip()  # the example prints its estimate and interval
+
+
 @pytest.mark.parametrize("method", list(Method))
 def test_plan_point_is_evaluate_tau_hat_bit_for_bit(rng, method):
     n = 12
@@ -288,9 +290,9 @@ def test_plan_point_is_evaluate_tau_hat_bit_for_bit(rng, method):
     spec = SimpleDesign(rng.uniform(0.3, 0.7, n)) if simple else CompleteDesign(n, 5)
     plan = plan_estimate(method, pop.x, spec, AUTO2)
     for _ in range(5):
-        a = draw_with(spec, rng)
-        y = pop.y1 * a.d + pop.y0 * (1.0 - a.d)
-        assert plan.point(a, y) == plan.evaluate(a, y).tau_hat
+        d = draw_with(spec, rng)
+        y = pop.y1 * d + pop.y0 * (1.0 - d)
+        assert plan.point(d, y) == plan.evaluate(d, y).tau_hat
 
 
 def _bits(*values):
@@ -319,9 +321,8 @@ def test_block_routes_match_the_one_row_routes_bit_for_bit(rng, method):
     if method is Method.INT:
         assert {2, 3} <= set(block.failures)
     for i in range(n):
-        a = Assignment.from_d(d[i])
         try:
-            report = plan.evaluate(a, y[i])
+            report = plan.evaluate(d[i], y[i])
         except LooraError as exc:
             failure = block.failures[i]
             assert (type(failure), str(failure)) == (type(exc), str(exc))
@@ -332,10 +333,10 @@ def test_block_routes_match_the_one_row_routes_bit_for_bit(rng, method):
                 block.tau_hat[i], block.var_hat[i], block.ci_low[i], block.ci_high[i]
             )
         if points.ok[i]:
-            assert _bits(plan.point(a, y[i])) == _bits(points.tau_hat[i])
+            assert _bits(plan.point(d[i], y[i])) == _bits(points.tau_hat[i])
         else:
             with pytest.raises(type(points.failures[i]), match=re.escape(str(points.failures[i]))):
-                plan.point(a, y[i])
+                plan.point(d[i], y[i])
     assert _bits(*points.tau_hat[block.ok]) == _bits(*block.tau_hat[block.ok])
     # A non-0/1 entry or mis-shaped outcomes are refused on all four routes
     half = d[5].copy()
@@ -347,9 +348,9 @@ def test_block_routes_match_the_one_row_routes_bit_for_bit(rng, method):
             route(d, y[:, :-1])
     for route in (plan.evaluate, plan.point):
         with pytest.raises(InvalidInput, match="assignment entries must be 0 or 1"):
-            route(Assignment.from_d(half), y[5])
+            route(half, y[5])
         with pytest.raises(InvalidInput, match="outcome has shape"):
-            route(Assignment.from_d(d[5]), y[5, :-1])
+            route(d[5], y[5, :-1])
 
 
 def test_point_estimate_does_not_run_the_variance_self_check(rng, monkeypatch):
@@ -360,7 +361,7 @@ def test_point_estimate_does_not_run_the_variance_self_check(rng, monkeypatch):
     pop = random_population(rng, 10, 2)
     spec = CompleteDesign(10, 5)
     s = observed_sample(pop, draw_with(spec, rng), spec)
-    (tau,), _, _ = LooraDmPlan.build(s.x, s.spec, AUTO2).adjusted(s.assignment.d[None], s.y[None])
+    (tau,), _, _ = LooraDmPlan.build(s.x, s.spec, AUTO2).adjusted(s.d[None], s.y[None])
     assert estimate(Method.LOORA_DM, s, AUTO2) == tau
     with pytest.raises(SelfCheckFailed):
         estimate_with_ci(Method.LOORA_DM, s, AUTO2)
@@ -445,20 +446,20 @@ def test_cores_match_full_design_and_inverse_sandwich_routes(
     n = n_t + n_c
     pop = random_population(rng, n, k)
     spec = CompleteDesign(n, n_t)
-    a = draw_with(spec, rng)
-    y = observe(pop, a)
+    d = draw_with(spec, rng)
+    y = observe(pop, d)
     rule = AUTO2 if auto else LambdaRule.fixed(0.7)
-    report = plan_estimate(method, pop.x, spec, rule).evaluate(a, y)
+    report = plan_estimate(method, pop.x, spec, rule).evaluate(d, y)
     if method in ("DM", "LOORA_DM"):
         u = y
         if method == "LOORA_DM":
-            u = LooraDmPlan.build(pop.x, spec, rule).adjusted(a.d[None], y[None])[1][0]
-        _, tau, var = two_column_sandwich_inverse(u, a.d)
-        (slope,), (closed,) = _two_column_sandwich(u[None], a.d[None])
+            u = LooraDmPlan.build(pop.x, spec, rule).adjusted(d[None], y[None])[1][0]
+        _, tau, var = two_column_sandwich_inverse(u, d)
+        (slope,), (closed,) = _two_column_sandwich(u[None], d[None])
         assert closed == report.var_hat
         assert abs(slope - tau) <= 1e-12 * max(1.0, abs(tau))
     else:
-        tau, var = benchmark_full_design(method, pop.x, a, y, rule)
+        tau, var = benchmark_full_design(method, pop.x, d, y, rule)
     assert abs(report.tau_hat - tau) <= 1e-12 * max(1.0, abs(tau))
     assert abs(report.var_hat - var) <= 1e-10 * var
 
@@ -469,18 +470,17 @@ def test_rank_deficient_designs_raise_alike_in_both_routes(case, method):
     spec = CompleteDesign(_RANK_N, _RANK_NT)
     y = np.random.default_rng(5).standard_normal(_RANK_N)
     for d in (_RANK_D, 1.0 - _RANK_D):
-        a = Assignment.from_d(d)
         with pytest.raises(RankDeficient):
-            benchmark_full_design(method, x, a, y)
+            benchmark_full_design(method, x, d, y)
         if case == "duplicate":  # singular for every assignment: the plan refuses
             with pytest.raises(RankDeficient):
                 plan_estimate(method, x, spec)
             continue
         plan = plan_estimate(method, x, spec)
         with pytest.raises(RankDeficient):
-            plan.evaluate(a, y)
+            plan.evaluate(d, y)
         with pytest.raises(RankDeficient):
-            plan.point(a, y)
+            plan.point(d, y)
 
 
 @pytest.mark.parametrize("case, method", _RANK_CASES)
@@ -490,9 +490,9 @@ def test_run_study_counts_rank_deficient_replicates_as_failures(case, method):
     pop = Population(x, outcomes[0] + 1.0, outcomes[1])
     spec = CompleteDesign(_RANK_N, _RANK_NT)
     singular = 0
-    for a, _ in enumerate_assignments(spec):
+    for d, _ in enumerate_assignments(spec):
         try:
-            benchmark_full_design(method, x, a, observe(pop, a))
+            benchmark_full_design(method, x, d, observe(pop, d))
         except RankDeficient:
             singular += 1
     assert singular == (252 if case == "duplicate" else 2)

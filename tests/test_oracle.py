@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -489,9 +490,40 @@ def test_exact_variances_of_overflowing_populations_fail_as_non_finite(method):
         else:
             loora_ht_variance(big, half_probs(8), 0.5)
     assert (failure.value.method, failure.value.stage) == (method, "exact variance")
+    # a signal that overflows before its ridge fit: mu is a sum of y1 and y0 terms
+    twin = Population(pop.x, np.full(8, 1e308), np.full(8, 1e308))
+    with pytest.raises(NonFinite):
+        if method == "LOORA_DM":
+            loora_dm_variance(twin, 4, 0.5)
+        else:
+            loora_ht_variance(twin, half_probs(8), 0.5)
     # the unscaled population has a finite variance of both kinds
     assert math.isfinite(loora_dm_variance(pop, 4, 0.5))
     assert math.isfinite(loora_ht_variance(pop, half_probs(8), 0.5))
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e307])
+def test_every_ground_truth_of_an_overflowing_population_fails_as_non_finite(scale):
+    # squares overflow at 1e200; at 1e307 the signals and plain sums do too
+    pop = synth_population("linear-heterogeneous", 8, 2, 4)
+    big = Population(pop.x, pop.y1 * scale, pop.y0 * scale)
+    p = half_probs(8)
+    cases = [
+        (lambda: ht_variance(big, p), ("HT", "exact variance")),
+        (lambda: adjusted_ht_variance(big, p, np.ones(2)), ("adjusted HT", "exact variance")),
+        (lambda: dm_variance(big, 4), ("DM", "exact variance")),
+        (lambda: lin_asymptotic_variance(big, 0.5), ("INT", "asymptotic variance")),
+        (lambda: enumeration_moments(big, CompleteDesign(8, 4), Method.DM),
+         ("DM", "enumeration variance")),
+        (lambda: loora_dm_variance(big, 4, 0.5), ("LOORA_DM", "exact variance")),
+        (lambda: loora_ht_variance(big, p, 0.5), ("LOORA_HT", "exact variance")),
+    ]
+    for call, (method, stage) in cases:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no RuntimeWarning escapes either
+            with pytest.raises(NonFinite) as failure:
+                call()
+        assert (failure.value.method, failure.value.stage) == (method, stage)
 
 
 def test_exact_variance_terms_keep_their_pinned_bits_at_high_leverage():
