@@ -565,10 +565,10 @@ class BenchmarkPlan:
 
     so the HC0 variance is sum_i (d~_i r_i)^2 / (d~'d)^2 with the full fit's
     residuals r = y~ - d~ tau_hat, y~ = y - W Z_W y. Under ridge, W Z_W is
-    not idempotent, so the denominator is d~'d, not d~'d~. ADJ's rank check
-    on W runs once per study; per assignment, d~'d counts as zero by
-    linalg.negligible_pivot against d'd and the (n, k + 2) design shape, and
-    raises RankDeficient.
+    not idempotent, so the denominator is d~'d, not d~'d~. W's rank check is
+    ridge_factor's, once per study: linalg.negligible_pivot on the pivots of
+    W'W + P; per assignment, d~'d counts as zero by the same rule against
+    d'd and the (n, k + 2) design shape, and raises RankDeficient.
 
     INT regresses y on [1, d, Xc, d * Xc] with Xc = X minus its full-sample
     mean. That design is block-diagonal by arm, so tau_hat = alpha_t -

@@ -148,44 +148,38 @@ class RidgeFactor:
 def ridge_factor(x, lam) -> RidgeFactor:
     """Factor X'X + Lambda once; fit responses with RidgeFactor.fit.
 
+    X'X + Lambda is factored as the Gram of [X; sqrt(Lambda)], whose rows are
+    X's and one per penalized column, by full_rank_cholesky_rows's rule.
+
     Parameters
     ----------
     x : array_like of shape (n, k)
         Design matrix.
     lam : float or array_like of shape (k,)
         Nonnegative ridge penalty, shared by every coefficient or given per
-        coefficient (zero leaves that coefficient unpenalized). When every
-        penalty is zero the design must have full column rank.
+        coefficient (zero leaves that coefficient unpenalized).
 
     Raises
     ------
     InvalidInput
         On non-finite input, a negative penalty or an overflowing X'X + Lambda.
     RankDeficient
-        When every penalty is zero and the design matrix is rank-deficient,
-        or when X'X + Lambda is numerically singular.
+        singular_column's, naming the first column of [X; sqrt(Lambda)] that
+        is numerically a combination of the columns before it; a penalty
+        lost in the Gram's rounding counts as none.
     """
     x = as_design_matrix(x)
-    k = x.shape[1]
+    n, k = x.shape
     lam = _as_penalty(lam, k)
-    unpenalized = lam == 0.0 if isinstance(lam, float) else not lam.any()
-    if unpenalized and np.linalg.matrix_rank(x) < k:
-        raise RankDeficient(
-            "design matrix is rank-deficient and lambda = 0; the normal "
-            "equations are singular"
-        )
     gram = x.T @ x
     gram.flat[:: k + 1] += lam
     if not np.all(np.isfinite(gram)):
         raise InvalidInput("X'X + lambda overflows double precision; rescale the design")
-    try:
-        upper = np.linalg.cholesky(gram, upper=True)
-    except np.linalg.LinAlgError as exc:
-        # numerically singular even though the SVD rank check passed
-        raise RankDeficient(
-            f"{_failing_minor(gram)}-th leading minor of the array is not positive definite"
-        ) from exc
-    cho = np.linalg.inv(upper)
+    rows = n + (k * (lam > 0.0) if isinstance(lam, float) else int(np.count_nonzero(lam)))
+    upper, info = full_rank_cholesky_rows(gram[None], (rows, k))
+    if info[0]:
+        raise singular_column(int(info[0]) - 1)
+    cho = np.linalg.inv(upper[0])
     z = cho @ (cho.T @ x.T)
     hat_diag = np.einsum("ij,ji->i", x, z)
     return RidgeFactor(x=x, lam=lam, cho=cho, hat_diag=hat_diag, z=z, gap=1.0 - hat_diag)
@@ -234,11 +228,12 @@ def negligible_pivot(pivot_sq, norm_sq, shape: tuple[int, int]):
     columns before it (a Schur complement of the Gram), norm_sq that
     column's squared norm, and shape the (rows, columns) of the design. The
     pivot counts as zero when pivot_sq <= max(rows, columns) * eps * norm_sq.
-    This is numpy's matrix_rank factor max(n, k) * eps applied to squared
+    This is the SVD rank tolerance max(n, k) * eps applied to squared
     lengths: a Gram carries rounding of order eps times a squared norm, so
     the rule flags a column whose angle to the others is below
-    sqrt(max(n, k) * eps) (about 1.6e-7 at n = 120), where matrix_rank's
-    SVD resolves angles down to max(n, k) * eps.
+    sqrt(max(n, k) * eps) (about 1.6e-7 at n = 120), where an SVD of the
+    design would resolve angles down to max(n, k) * eps. It is the one rank
+    rule of every fit: ridge_factor, INT's arm fits and ADJ's d~'d.
     """
     return np.logical_not(pivot_sq > max(shape) * _EPS * norm_sq)
 
@@ -285,10 +280,11 @@ def full_rank_cholesky_rows(gram: np.ndarray, shape: tuple[int, int]) -> tuple[n
                 info[g] = _failing_minor(one)
     norm_sq = np.diagonal(gram, axis1=1, axis2=2)
     weak = negligible_pivot(np.diagonal(upper, axis1=1, axis2=2) ** 2, norm_sq, shape)
-    info = np.where((info == 0) & weak.any(axis=1), np.argmax(weak, axis=1) + 1, info)
-    if shape[0] < shape[1]:
-        info = np.where((info == 0) | (info > shape[0] + 1), shape[0] + 1, info)
-    upper[info != 0] = np.eye(gram.shape[1])
+    if shape[0] < shape[1] or weak.any() or info.any():  # else every Gram keeps its factor
+        info = np.where((info == 0) & weak.any(axis=1), np.argmax(weak, axis=1) + 1, info)
+        if shape[0] < shape[1]:
+            info = np.where((info == 0) | (info > shape[0] + 1), shape[0] + 1, info)
+        upper[info != 0] = np.eye(gram.shape[1])
     return upper, info
 
 

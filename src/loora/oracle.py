@@ -501,8 +501,7 @@ def enumeration_moments(
         probs.extend(prob.tolist())
     name = plan.method.value
     mean = _finite_total([p * v for p, v in zip(probs, values)], name, "enumeration mean")
-    try:
-        spread = [p * (v - mean) ** 2 for p, v in zip(probs, values)]
-    except OverflowError:  # a square beyond double precision
-        raise NonFinite(name, "enumeration variance") from None
+    # dv * dv is correctly rounded, unlike libm's pow, and overflows to inf
+    deviations = [v - mean for v in values]
+    spread = [p * (dv * dv) for p, dv in zip(probs, deviations)]
     return mean, _finite_total(spread, name, "enumeration variance")

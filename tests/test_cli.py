@@ -686,6 +686,34 @@ def test_estimate_one_hot_collinearity_hints_drop_first(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "method, penalty, code",
+    [("ADJ", "fixed:0", 3), ("INT", "fixed:0", 3), ("LOORA_DM", "fixed:0", 3), ("LOORA_DM", "auto:2", 0)],
+)
+def test_estimate_near_collinear_covariates_fail_by_one_rule(tmp_path, capsys, method, penalty, code):
+    # x2 = x1 + 1e-9 noise: [1, d, x1, x2] has kappa about 2.6e9, full rank
+    # to an SVD rank check but far past negligible_pivot's angle; every
+    # unpenalized fit names x2's column of its design, and a penalty makes
+    # the same data well posed
+    rng = np.random.default_rng(1)
+    x1 = rng.standard_normal(40)
+    x2 = x1 + 1e-9 * rng.standard_normal(40)
+    d = np.zeros(40, dtype=int)
+    d[rng.permutation(40)[:20]] = 1
+    y = x1 + d + rng.standard_normal(40)
+    data = tmp_path / "collinear.csv"
+    rows = zip(y.tolist(), d.tolist(), x1.tolist(), x2.tolist())
+    data.write_text("y,d,x1,x2\n" + "".join(f"{a!r},{b},{c!r},{e!r}\n" for a, b, c, e in rows), encoding="utf-8")
+    got, _, stderr = run(
+        capsys, "estimate", "--data", str(data), "--covariates", "x1,x2", "--y-col", "y", "--d-col", "d",
+        "--design", "complete", "--nt", "20", "--method", method, "--lambda", penalty,
+    )
+    assert got == code, stderr
+    if code:
+        column = 1 if method == "LOORA_DM" else 2  # x2 follows the intercept in [1, X]
+        assert f"numeric error: column {column} of the design is numerically a combination" in stderr
+
+
+@pytest.mark.parametrize(
     "method, design",
     [
         ("HT", ("--design", "simple", "--p", "0.5")),

@@ -566,6 +566,53 @@ def test_int_block_reports_the_treated_arm_of_a_doubly_rank_deficient_row():
     assert len(failed) < d.shape[0]  # some rows are fit
 
 
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(40, 300), k=st.integers(2, 4), seed=st.integers(0, 2**32 - 1))
+def test_one_rank_rule_refuses_monotonically_in_kappa(n, k, seed):
+    # X's last column is its first plus 10^-e of its norm along u, for e = 0,
+    # ..., 13, with u orthogonal to the intercept and the other columns and X
+    # centered: the last pivot of ADJ's [1, X], INT's [1, X - mean],
+    # LOORA-DM's X and LOORA-HT's 2X is the same fraction 10^-2e of its
+    # column, and negligible_pivot refuses it below n eps. A family that
+    # refuses at some e refuses at every larger e; away from n eps by more
+    # than a factor 2 the four methods at lambda 0 agree (within it, INT's
+    # arm fits or rounding may tip one method alone; arms of n / 2 >= 20
+    # units keep INT's arm angles near the full sample's); every ADJ answer
+    # is within 8 kappa^2 eps ||beta|| of lstsq on [1, d, X].
+    eps = np.finfo(np.float64).eps
+    gen = np.random.default_rng(seed)
+    x = gen.standard_normal((n, k))
+    x -= x.mean(axis=0)
+    others = np.column_stack([np.ones(n), x[:, :-1]])
+    u = gen.standard_normal(n)
+    u -= others @ np.linalg.lstsq(others, u, rcond=None)[0]
+    u *= np.linalg.norm(x[:, 0]) / np.linalg.norm(u)
+    d = np.zeros(n)
+    d[gen.permutation(n)[: n // 2]] = 1.0
+    y = x @ gen.standard_normal(k) + d + gen.standard_normal(n)
+    complete = CompleteDesign(n, n // 2)
+    specs = {"ADJ": complete, "INT": complete, "LOORA_DM": complete, "LOORA_HT": SimpleDesign(np.full(n, 0.5))}
+    refused = set()
+    for e in range(14):
+        x[:, -1] = x[:, 0] + u * 10.0**-e
+        answers = {}
+        for method, spec in specs.items():
+            try:
+                answers[method] = plan_estimate(method, x, spec, LambdaRule.fixed(0.0)).point(d, y)
+            except RankDeficient:
+                refused.add(method)
+        assert refused.isdisjoint(answers), (e, refused, answers)
+        ratio = 10.0 ** (-2 * e) / (n * eps)
+        if ratio > 2.0 or ratio < 0.5:
+            assert refused in (set(), set(specs)), (e, ratio, refused)
+            assert bool(refused) == (ratio < 0.5), (e, ratio, refused)
+        if "ADJ" in answers:
+            full = np.column_stack([np.ones(n), d, x])
+            beta = np.linalg.lstsq(full, y, rcond=None)[0]
+            bound = 8.0 * np.linalg.cond(full) ** 2 * eps * np.linalg.norm(beta)
+            assert abs(answers["ADJ"] - beta[1]) <= bound, (e, answers["ADJ"], beta[1], bound)
+
+
 def test_int_refuses_every_arm_with_fewer_units_than_columns():
     # [1, Xc] has 4 columns at k = 3, so an arm of 3 units never identifies
     # its intercept; rounding alone must not let any of these rows answer.

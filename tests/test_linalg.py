@@ -130,12 +130,13 @@ def test_singular_gram_that_passes_the_rank_check_raises():
     # x has full rank by the SVD, but in float64 its Gram's second Cholesky
     # pivot, (4 + 2**-29) - (2 + 2**-31)**2, is exactly 0 (or below, where
     # the kernel fuses the product), so every BLAS refuses the factorization.
-    # ADJ's basis [1, x / 2] carries the same Gram up to powers of two.
+    # ADJ's basis [1, x / 2] carries the same Gram up to powers of two. Both
+    # fail as singular_column, naming the second column.
     x = np.array([[1.0, 1.0], [1.0, 1.0], [1.0, 1.0], [1.0, 1.0 + 2.0**-30]])
     assert np.linalg.matrix_rank(x) == 2
-    with pytest.raises(RankDeficient, match="^2-th leading minor of the array is not positive"):
+    with pytest.raises(RankDeficient, match="^column 1 of the design is numerically a combination"):
         ridge_factor(x, 0.0)
-    with pytest.raises(RankDeficient, match="^2-th leading minor"):
+    with pytest.raises(RankDeficient, match="^column 1 of the design "):
         BenchmarkPlan.build(Method.ADJ, x[:, 1:], CompleteDesign(4, 2))
 
 
@@ -326,6 +327,23 @@ def test_offdiagonal_leverage_frobenius_bound(n, k, lam, seed):
         return
     off = hat[np.triu_indices(n, k=1)]
     assert float(np.sum(off**2)) <= k / 2.0 + 1e-10
+
+
+@pytest.mark.parametrize("penalty", [0.5, np.array([0.0, 0.5, 0.5, 1.0, 2.0, 0.5])], ids=["scalar", "per-column"])
+def test_penalized_fit_with_more_columns_than_rows_answers(rng, penalty):
+    # [X; sqrt(Lambda)] has a row per penalized column, so a penalized fit of
+    # k = 6 columns on n = 3 rows never meets the fewer-rows rule, also with
+    # an unpenalized intercept; unpenalized, the same design names column 3
+    x = np.column_stack([np.ones(3), rng.standard_normal((3, 5))])
+    y = rng.standard_normal(3)
+    factor = ridge_factor(x, penalty)
+    expected = np.linalg.solve(x.T @ x + np.diag(np.broadcast_to(penalty, 6)), x.T @ y)
+    assert_allclose(factor.fit(y), expected, atol=1e-10)
+    hat = hat_full(factor)
+    assert_allclose(np.diag(hat), factor.hat_diag, atol=1e-12)
+    assert float(np.sum(hat[np.triu_indices(3, k=1)] ** 2)) <= 6 / 2.0 + 1e-10
+    with pytest.raises(RankDeficient, match="^column 3 of the design "):
+        ridge_factor(x, 0.0)
 
 
 @settings(max_examples=60, deadline=None)
