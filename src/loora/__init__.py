@@ -1,14 +1,8 @@
 """Design-based ATE estimation with leave-one-out ridge regression adjustment."""
 
 from .design import CompleteDesign, SimpleDesign, draw, enumerate_assignments
-from .estimators import LambdaRule, Method, ObservedSample
-from .inference import (
-    EstimateReport,
-    confidence_interval,
-    estimate,
-    estimate_with_ci,
-    normal_quantile,
-)
+from .estimators import LambdaRule, Method
+from .inference import EstimateReport, normal_quantile, plan_estimate
 from .oracle import (
     Population,
     adjusted_ht_variance,
@@ -28,24 +22,21 @@ __all__ = [
     "EstimateReport",
     "LambdaRule",
     "Method",
-    "ObservedSample",
     "Population",
     "SimpleDesign",
     "SimulationReport",
     "StudyConfig",
     "adjusted_ht_variance",
-    "confidence_interval",
     "dm_variance",
     "draw",
     "enumerate_assignments",
     "enumeration_moments",
-    "estimate",
-    "estimate_with_ci",
     "ht_variance",
     "lin_asymptotic_variance",
     "loora_dm_variance",
     "loora_ht_variance",
     "normal_quantile",
+    "plan_estimate",
     "run_study",
     "synth_population",
     "__version__",

@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__
 from .dataset import _utf8_error, build_dataset
 from .design import CompleteDesign, SimpleDesign
-from .estimators import LambdaRule, Method, ObservedSample
+from .estimators import LambdaRule, Method
 from .exceptions import (
     LeverageSingular,
     LooraError,
@@ -34,7 +34,7 @@ from .exceptions import (
     SchemaError,
     TooLarge,
 )
-from .inference import estimate_with_ci
+from .inference import plan_estimate
 from .oracle import Population
 from .reporting import config_hash, format_table, manifest_path, run_environment, write_records
 from .simulation import DESIGN_CHOICES, SYNTH_KINDS, StudyConfig, run_study, synth_population
@@ -243,8 +243,6 @@ def cmd_estimate(args, config) -> int:
     else:
         raise SchemaError(f"design must be simple or complete, got {design!r}")
 
-    sample = ObservedSample(dataset.x, dataset.y, dataset.d, spec)
-
     method = _typed_setting(args, config, "method", Method, "LOORA_HT")
     rule = parse_lambda(_setting(args, config, "lambda", "auto:2"))
     level = _typed_setting(args, config, "level", float, 0.95)
@@ -255,9 +253,8 @@ def cmd_estimate(args, config) -> int:
             "using the realized treated count",
             file=sys.stderr,
         )
-    report = estimate_with_ci(
-        method, sample, rule, level, allow_design_mismatch=allow_design_mismatch
-    )
+    plan = plan_estimate(method, dataset.x, spec, rule, level, allow_design_mismatch)
+    report = plan.evaluate(dataset.d, dataset.y)
     stages = {"read_s": estimating - reading, "estimate_s": time.perf_counter() - estimating}
 
     print(

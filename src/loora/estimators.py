@@ -110,19 +110,6 @@ class LambdaRule:
 DEFAULT_LAMBDA_RULE = LambdaRule.auto(2.0)
 
 
-@dataclass(frozen=True)
-class ObservedSample:
-    """What an analyst holds after the experiment: X, observed y, d, design.
-
-    Unchecked here: plan_estimate and EstimatePlan check it on every route.
-    """
-
-    x: np.ndarray
-    y: np.ndarray
-    d: np.ndarray  # the 0/1 assignment vector
-    spec: DesignSpec
-
-
 def require_simple(spec: DesignSpec, method: str) -> SimpleDesign:
     """The design itself, or SpecMismatch if it is not simple random assignment."""
     if not isinstance(spec, SimpleDesign):
@@ -130,14 +117,37 @@ def require_simple(spec: DesignSpec, method: str) -> SimpleDesign:
     return spec
 
 
-def _empty_arm(method: str) -> SpecMismatch:
-    return SpecMismatch(f"{method} needs at least one treated and one control unit")
+def require_complete(spec: DesignSpec, method: str, allow_design_mismatch: bool) -> None:
+    """SpecMismatch unless the design is complete random assignment or the opt-in is given.
+
+    Under the mismatch opt-in, a sample drawn from a simple design is
+    analyzed as if its realized treated count had been fixed; that is how
+    the simulation protocol applies the DM family under independent
+    assignment.
+    """
+    if not (isinstance(spec, CompleteDesign) or allow_design_mismatch):
+        raise SpecMismatch(f"{method} is defined under complete random assignment only")
 
 
-def _both_arms(method: str, n_t: int, n_c: int) -> tuple[int, int]:
-    if n_t < 1 or n_c < 1:
-        raise _empty_arm(method)
-    return n_t, n_c
+def arm_counts(method: str, d: np.ndarray) -> tuple[np.ndarray, np.ndarray, dict[int, LooraError]]:
+    """Per-row realized (n_t, n_c) of an assignment block d (B, n), and the rows that fail.
+
+    The counts are float arrays. Under a complete design every row's count
+    is the fixed one (EstimatePlan checks it); under the mismatch opt-in a
+    row with an empty arm fails with SpecMismatch, returned keyed by row,
+    and counts its empty arm as 1 so that no arithmetic on it divides by
+    zero.
+    """
+    n = d.shape[1]
+    treated = d.sum(axis=1).astype(np.int64)  # int(d.sum()) of each row
+    empty = (treated < 1) | (treated > n - 1)
+    n_t = np.maximum(treated, 1).astype(np.float64)
+    n_c = np.maximum(n - treated, 1).astype(np.float64)
+    failed = {
+        int(i): SpecMismatch(f"{method} needs at least one treated and one control unit")
+        for i in np.nonzero(empty)[0]
+    }
+    return n_t, n_c, failed
 
 
 # Extraction works on rows whose nonzero entries are all at least 2**-969.
@@ -243,52 +253,6 @@ def _fsum_or_nan(row: list) -> float:
 
 
 @dataclass(frozen=True)
-class ArmCounts:
-    """Treated/control counts for the DM family, honoring the mismatch opt-in.
-
-    A complete design fixes them for every assignment. Under the opt-in, a
-    sample drawn from a simple design is analyzed as if the realized treated
-    count had been fixed; that is how the simulation protocol applies the DM
-    family under independent assignment.
-    """
-
-    method: str
-    fixed: tuple[int, int] | None  # None: each assignment sets its own counts
-
-    @classmethod
-    def of(cls, method: str, spec: DesignSpec, allow_design_mismatch: bool) -> "ArmCounts":
-        if isinstance(spec, CompleteDesign):
-            return cls(method, _both_arms(method, spec.n_t, spec.n_c))
-        if allow_design_mismatch:
-            return cls(method, None)
-        raise SpecMismatch(f"{method} is defined under complete random assignment only")
-
-    def counts(self, d: np.ndarray) -> tuple[np.ndarray, np.ndarray, dict[int, LooraError]]:
-        """Per-row (n_t, n_c) of an assignment block d (B, n), and the rows that fail.
-
-        The counts are float arrays. A row that breaks the fixed counts is
-        InvalidInput, raised; under the opt-in a row with an empty arm
-        fails with SpecMismatch, returned keyed by row, and counts its empty
-        arm as 1 so that no arithmetic on it divides by zero.
-        """
-        rows, n = d.shape
-        treated = d.sum(axis=1).astype(np.int64)  # int(d.sum()) of each row
-        if self.fixed is not None:
-            n_t, n_c = self.fixed
-            wrong = treated != n_t
-            if n != n_t + n_c or wrong.any():
-                raise InvalidInput(
-                    f"assignment treats {treated[np.argmax(wrong)]} of {n} units "
-                    f"but the design fixes {n_t} of {n_t + n_c}"
-                )
-            return np.full(rows, float(n_t)), np.full(rows, float(n_c)), {}
-        empty = (treated < 1) | (treated > n - 1)
-        n_t = np.maximum(treated, 1).astype(np.float64)
-        n_c = np.maximum(n - treated, 1).astype(np.float64)
-        return n_t, n_c, {int(i): _empty_arm(self.method) for i in np.nonzero(empty)[0]}
-
-
-@dataclass(frozen=True)
 class HtPlan:
     """Horvitz-Thompson: the inverse-probability-weighted arm difference."""
 
@@ -316,12 +280,11 @@ class HtPlan:
 class DmPlan:
     """Difference in means: treated-group mean minus control-group mean."""
 
-    arms: ArmCounts
     lam = 0.0  # unpenalized
 
     def block(self, d: np.ndarray, y: np.ndarray, variance: bool):
         """See the module docstring; the HC0 variance is _two_column_sandwich's of y."""
-        n_t, n_c, failed = self.arms.counts(d)
+        n_t, n_c, failed = arm_counts("DM", d)
         arms = fsum_rows(np.concatenate([d * y, (1.0 - d) * y]))
         tau = arms[: d.shape[0]] / n_t - arms[d.shape[0] :] / n_c
         return tau, _two_column_sandwich(y, d)[1] if variance else None, failed
@@ -336,7 +299,7 @@ def _two_column_sandwich(u: np.ndarray, d: np.ndarray, mask: np.ndarray | None =
     the sandwich bread times [1, d]' is 1/n_t on treated and -1/n_c on
     control units, so the variance is sum_t r^2 / n_t^2 + sum_c r^2 / n_c^2.
     A row with an empty arm gives non-finite values; the methods calling
-    this have already failed such rows through ArmCounts.counts.
+    this have already failed such rows through arm_counts.
     """
     n_t = d.sum(axis=1)
     n_c = u.shape[1] - n_t
@@ -471,7 +434,6 @@ class LooraDmPlan:
     carries adjustment bias there.
     """
 
-    arms: ArmCounts
     lam: float
     ridge: RidgeFactor
 
@@ -483,23 +445,23 @@ class LooraDmPlan:
         rule: LambdaRule = DEFAULT_LAMBDA_RULE,
         allow_design_mismatch: bool = False,
     ) -> "LooraDmPlan":
-        arms = ArmCounts.of("LOORA_DM", spec, allow_design_mismatch)
+        require_complete(spec, "LOORA_DM", allow_design_mismatch)
         x = as_design_matrix(x)
         lam = rule.resolve(x)
         ridge = ridge_factor(x, lam)
         check_loo_feasible(ridge.hat_diag)
-        return cls(arms=arms, lam=lam, ridge=ridge)
+        return cls(lam=lam, ridge=ridge)
 
     def adjusted(self, d: np.ndarray, y: np.ndarray, mask: np.ndarray | None = None):
         """(tau_hat, u, failed) for a block of assignments d (B, n) and outcomes y (B, n).
 
         Row i of u holds the adjusted outcomes y_j - x_j' beta^{(-j)} of
         assignment i; failed holds the rows whose arm counts fail, as
-        ArmCounts.counts returns them. tau_hat sums v z u, with v the arm
+        arm_counts returns them. tau_hat sums v z u, with v the arm
         weights 1/n_arm and z = 2d - 1, each signed weight picked by the arm
         (_by_arm); mask is d's _arm_mask, built here if not given.
         """
-        n_t, n_c, failed = self.arms.counts(d)
+        n_t, n_c, failed = arm_counts("LOORA_DM", d)
         own_t, cross_t, own_c, cross_c, inv_t, neg_inv_c = _dm_row_weights(n_t, n_c)
         if mask is None:
             mask = _arm_mask(d)
@@ -584,7 +546,6 @@ class BenchmarkPlan:
     """
 
     method: Method
-    arms: ArmCounts
     basis: np.ndarray  # [1, X] (ADJ, RIDGE_REG) or [1, X - mean] (INT), columns scaled
     ridge: RidgeFactor | None  # of (basis, P) for ADJ and RIDGE_REG; None for INT
     lam: float  # the penalty on the covariate block (zero for ADJ and INT)
@@ -599,7 +560,7 @@ class BenchmarkPlan:
         allow_design_mismatch: bool = False,
     ) -> "BenchmarkPlan":
         method = Method(method)
-        arms = ArmCounts.of(method.value, spec, allow_design_mismatch)
+        require_complete(spec, method.value, allow_design_mismatch)
         x = as_design_matrix(x)
         covariates = x - x.mean(axis=0) if method is Method.INT else x
         scales = _power_of_two_scales(covariates)
@@ -607,10 +568,10 @@ class BenchmarkPlan:
         lam = rule.resolve(x) if method is Method.RIDGE_REG else 0.0
         if method is Method.INT:
             full_rank_cholesky(basis)
-            return cls(method=method, arms=arms, basis=basis, ridge=None, lam=lam)
+            return cls(method=method, basis=basis, ridge=None, lam=lam)
         penalty = np.concatenate([[0.0], lam * scales**2])
         ridge = ridge_factor(basis, penalty)
-        return cls(method=method, arms=arms, basis=basis, ridge=ridge, lam=lam)
+        return cls(method=method, basis=basis, ridge=ridge, lam=lam)
 
     def block(self, d: np.ndarray, y: np.ndarray, variance: bool):
         """See the module docstring; the HC0 variance is the sum of parts()'s squared terms."""
@@ -625,7 +586,7 @@ class BenchmarkPlan:
         variance is the sum of its squares. failed holds, keyed by row,
         the arm-count and rank failures each row would raise alone.
         """
-        _, _, failed = self.arms.counts(d)
+        _, _, failed = arm_counts(self.method.value, d)
         if self.method is Method.INT:
             return self._int_parts(d, y, failed)
         w, z = self.basis, self.ridge.z

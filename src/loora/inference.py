@@ -15,10 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .design import DesignSpec
+from .design import CompleteDesign, DesignSpec
 from .estimators import (
     DEFAULT_LAMBDA_RULE,
-    ArmCounts,
     BenchmarkPlan,
     DmPlan,
     HtPlan,
@@ -26,7 +25,7 @@ from .estimators import (
     LooraDmPlan,
     LooraHtPlan,
     Method,
-    ObservedSample,
+    require_complete,
     require_simple,
 )
 from .exceptions import InvalidInput, LooraError, NonFinite
@@ -60,12 +59,6 @@ def _interval(tau_hat, var_hat, quantile: float):
         )
     half = quantile * np.sqrt(var_hat)
     return tau_hat - half, tau_hat + half
-
-
-def confidence_interval(tau_hat: float, var_hat: float, level: float) -> tuple[float, float]:
-    """Normal interval tau_hat +/- z_{1 - alpha/2} sqrt(var_hat)."""
-    low, high = _interval(tau_hat, var_hat, _interval_quantile(level))
-    return float(low), float(high)
 
 
 @dataclass(frozen=True)
@@ -136,6 +129,7 @@ class EstimatePlan:
     n: int
     core: HtPlan | DmPlan | LooraHtPlan | LooraDmPlan | BenchmarkPlan
     quantile: float  # z_{1 - alpha/2} for level
+    treated: int | None  # the treated count a complete design fixes, else None
 
     def _estimates(self, d, y, variance: bool) -> BlockEstimates:
         """The core on a checked block, each row's failure in the order the row meets it."""
@@ -156,7 +150,11 @@ class EstimatePlan:
         return BlockEstimates(tau, var, low, high, failed, ok)
 
     def _checked(self, d, y) -> tuple[np.ndarray, np.ndarray]:
-        """The one input checker: d and y as float (B, n) blocks, or InvalidInput."""
+        """The one input checker: d and y as float (B, n) blocks, or InvalidInput.
+
+        A row off the treated count a complete design fixes fails the whole
+        block, as a mis-shaped input does.
+        """
         d = np.asarray(d, dtype=np.float64)
         y = np.asarray(y, dtype=np.float64)
         if d.ndim != 2 or d.shape[1] != self.n:
@@ -167,6 +165,14 @@ class EstimatePlan:
             raise InvalidInput(f"outcome has shape {y.shape}, expected {d.shape}")
         if not np.isfinite(y).all():
             raise InvalidInput("outcome contains non-finite entries")
+        if self.treated is not None:
+            counts = d.sum(axis=1).astype(np.int64)
+            wrong = counts != self.treated
+            if wrong.any():
+                raise InvalidInput(
+                    f"assignment treats {counts[np.argmax(wrong)]} of {self.n} units "
+                    f"but the design fixes {self.treated} of {self.n}"
+                )
         return d, y
 
     def evaluate_block(self, d, y) -> BlockEstimates:
@@ -232,7 +238,8 @@ def plan_estimate(
     if method is Method.HT:
         core = HtPlan(require_simple(spec, "HT").p)
     elif method is Method.DM:
-        core = DmPlan(ArmCounts.of("DM", spec, allow_design_mismatch))
+        require_complete(spec, "DM", allow_design_mismatch)
+        core = DmPlan()
     elif method is Method.LOORA_HT:
         core = LooraHtPlan.build(x, spec, rule)
     elif method is Method.LOORA_DM:
@@ -240,32 +247,11 @@ def plan_estimate(
     else:
         core = BenchmarkPlan.build(method, x, spec, rule, allow_design_mismatch)
     return EstimatePlan(
-        method=method, level=level, n=x.shape[0], core=core, quantile=_interval_quantile(level)
+        method=method,
+        level=level,
+        n=x.shape[0],
+        core=core,
+        quantile=_interval_quantile(level),
+        treated=spec.n_t if isinstance(spec, CompleteDesign) else None,
     )
 
-
-def estimate_with_ci(
-    method: Method,
-    s: ObservedSample,
-    rule: LambdaRule = DEFAULT_LAMBDA_RULE,
-    level: float = 0.95,
-    allow_design_mismatch: bool = False,
-) -> EstimateReport:
-    """Point estimate, HC0 variance, and confidence interval for any method.
-
-    Builds the method's plan for this sample and evaluates it once; raises
-    NonFinite as EstimatePlan.evaluate does.
-    """
-    plan = plan_estimate(method, s.x, s.spec, rule, level, allow_design_mismatch)
-    return plan.evaluate(s.d, s.y)
-
-
-def estimate(
-    method: Method,
-    s: ObservedSample,
-    rule: LambdaRule = DEFAULT_LAMBDA_RULE,
-    allow_design_mismatch: bool = False,
-) -> float:
-    """Point estimate of any method on one sample; raises NonFinite as EstimatePlan.point does."""
-    plan = plan_estimate(method, s.x, s.spec, rule, allow_design_mismatch=allow_design_mismatch)
-    return plan.point(s.d, s.y)

@@ -112,8 +112,6 @@ class RidgeFactor:
     ----------
     x : ndarray of shape (n, k)
         Design matrix.
-    lam : float or ndarray of shape (k,)
-        Ridge penalty used.
     cho : ndarray of shape (k, k)
         R^{-1} for the upper Cholesky factor R of X'X + Lambda (see cholesky_solve).
     hat_diag : ndarray of shape (n,)
@@ -125,7 +123,6 @@ class RidgeFactor:
     """
 
     x: np.ndarray
-    lam: float | np.ndarray
     cho: np.ndarray
     hat_diag: np.ndarray
     z: np.ndarray
@@ -182,7 +179,7 @@ def ridge_factor(x, lam) -> RidgeFactor:
     cho = np.linalg.inv(upper[0])
     z = cho @ (cho.T @ x.T)
     hat_diag = np.einsum("ij,ji->i", x, z)
-    return RidgeFactor(x=x, lam=lam, cho=cho, hat_diag=hat_diag, z=z, gap=1.0 - hat_diag)
+    return RidgeFactor(x=x, cho=cho, hat_diag=hat_diag, z=z, gap=1.0 - hat_diag)
 
 
 def _failing_minor(gram: np.ndarray) -> int:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .design import DesignSpec, enumeration_blocks
-from .estimators import DEFAULT_LAMBDA_RULE, LambdaRule, Method, ObservedSample, fsum_rows
+from .estimators import DEFAULT_LAMBDA_RULE, LambdaRule, Method, fsum_rows
 from .exceptions import InvalidInput, NonFinite, ParameterOutOfRange, RankDeficient
 from .inference import plan_estimate
 from .linalg import (
@@ -78,10 +78,6 @@ class Population:
 def observe(pop: Population, d: np.ndarray) -> np.ndarray:
     """The outcomes a 0/1 assignment vector d reveals, or each row of a (B, n) block d."""
     return d * pop.y1 + (1.0 - d) * pop.y0
-
-
-def observed_sample(pop: Population, d: np.ndarray, spec: DesignSpec) -> ObservedSample:
-    return ObservedSample(pop.x, observe(pop, d), d, spec)
 
 
 # ---------------------------------------------------------------------------

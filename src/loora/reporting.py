@@ -11,6 +11,7 @@ sidecar file to keep report bytes reproducible.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -67,14 +68,53 @@ def config_hash(config: dict) -> str:
 _THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
+# OpenBLAS's name for the kernel it picked: numpy's bundled build prefixes
+# and suffixes its symbols, other builds export the plain name.
+_CORENAME_SYMBOLS = ("scipy_openblas_get_corename64_", "openblas_get_corename")
+
+
+@functools.lru_cache(maxsize=None)
+def blas_core() -> str | None:
+    """The kernel OpenBLAS runs on this CPU (SkylakeX, Haswell, ...), or None.
+
+    numpy loads its BLAS outside the global symbol namespace, so the symbol
+    is looked up in each library of this process whose file name holds
+    "blas", found in /proc/self/maps. None where no such library exports
+    either of _CORENAME_SYMBOLS (another BLAS, or no /proc).
+    """
+    import ctypes  # imported on first use, not at start-up
+
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as maps:
+            fields = [line.split(maxsplit=5) for line in maps]
+    except OSError:
+        return None
+    paths = dict.fromkeys(f[5].strip() for f in fields if len(f) == 6)
+    for path in paths:
+        if "blas" not in os.path.basename(path).lower():
+            continue
+        try:
+            library = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for symbol in _CORENAME_SYMBOLS:
+            corename = getattr(library, symbol, None)
+            if corename is not None:
+                corename.restype = ctypes.c_char_p
+                return corename().decode()
+    return None
+
+
 def run_environment() -> dict:
-    """numpy's version, the BLAS numpy was built against, and the BLAS thread
-    variables (null where unset): what a run's bits and speed depend on."""
+    """numpy's version, the BLAS numpy was built against and the kernel it
+    runs, and the BLAS thread variables (null where unset): what a run's bits
+    and speed depend on."""
     blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
     return {
         "numpy": np.__version__,
         "blas": blas.get("name"),
         "blas_version": blas.get("version"),
+        "blas_core": blas_core(),
         "threads": {name: os.environ.get(name) for name in _THREAD_VARIABLES},
     }
 

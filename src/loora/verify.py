@@ -2,7 +2,7 @@
 
 Each check pits an implementation against an independent route: closed-form
 variances against brute-force enumeration over every assignment, the
-leave-one-out estimates loora.estimate computes against literal refits,
+leave-one-out point estimates of loora.plan_estimate against literal refits,
 leverage caps against randomized matrices, and n times either exact
 variance against the interacted-adjustment benchmark it reaches in large
 samples.
@@ -20,17 +20,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .design import CompleteDesign, SimpleDesign, draw_with
+from .design import CompleteDesign, DesignSpec, SimpleDesign, draw_with
 from .estimators import (
     DEFAULT_LAMBDA_RULE,
-    ArmCounts,
     LambdaRule,
     Method,
-    ObservedSample,
+    arm_counts,
+    require_complete,
     require_simple,
 )
 from .exceptions import InvalidInput
-from .inference import estimate
+from .inference import plan_estimate
 from .linalg import check_loo_feasible, leverage_regularizer, ridge_factor, ridge_leverages_svd
 from .oracle import (
     Population,
@@ -38,7 +38,7 @@ from .oracle import (
     lin_asymptotic_variance,
     loora_dm_variance,
     loora_ht_variance,
-    observed_sample,
+    observe,
 )
 from .simulation import synth_population
 
@@ -56,7 +56,13 @@ def _rel_gap(a: float, b: float) -> float:
     return abs(a - b) / max(1.0, abs(a), abs(b))
 
 
-def _loora_ht_refit(s: ObservedSample, rule: LambdaRule = DEFAULT_LAMBDA_RULE) -> float:
+def _loora_ht_refit(
+    x: np.ndarray,
+    y: np.ndarray,
+    d: np.ndarray,
+    spec: DesignSpec,
+    rule: LambdaRule = DEFAULT_LAMBDA_RULE,
+) -> float:
     """LOORA-HT by n literal regressions.
 
     Per unit, outcomes are adjusted by x_i' beta^{(-i)} where beta^{(-i)} is
@@ -65,10 +71,10 @@ def _loora_ht_refit(s: ObservedSample, rule: LambdaRule = DEFAULT_LAMBDA_RULE) -
     (1-p)^(1/2) / p^(3/2), control outcomes by p^(1/2) / (1-p)^(3/2). Unit
     i's term is weighted z_i / q_i, with q_i the probability of its arm.
     """
-    p = require_simple(s.spec, "LOORA_HT").p
-    xw = s.x / np.sqrt(p * (1.0 - p))[:, None]
+    p = require_simple(spec, "LOORA_HT").p
+    xw = x / np.sqrt(p * (1.0 - p))[:, None]
     lam = rule.resolve(xw)
-    d, y, n = s.d, s.y, s.x.shape[0]
+    n = x.shape[0]
     z = 2.0 * d - 1.0
     treated = d == 1.0
     yw = np.where(treated, np.sqrt(1.0 - p) / p**1.5, np.sqrt(p) / (1.0 - p) ** 1.5) * y
@@ -76,21 +82,26 @@ def _loora_ht_refit(s: ObservedSample, rule: LambdaRule = DEFAULT_LAMBDA_RULE) -
     terms = []
     for i in range(n):
         beta = ridge_factor(np.delete(xw, i, axis=0), lam).fit(np.delete(yw, i))
-        terms.append(z[i] / q[i] * (y[i] - s.x[i] @ beta))
+        terms.append(z[i] / q[i] * (y[i] - x[i] @ beta))
     return math.fsum(terms) / n
 
 
-def _sample_counts(s: ObservedSample, allow_design_mismatch: bool) -> tuple[int, int]:
-    """LOORA-DM's arm counts (n_t, n_c) of one sample; raises where they fail."""
-    arms = ArmCounts.of("LOORA_DM", s.spec, allow_design_mismatch)
-    n_t, n_c, failed = arms.counts(s.d[None])
+def _sample_counts(d: np.ndarray, spec: DesignSpec, allow_design_mismatch: bool) -> tuple[int, int]:
+    """LOORA-DM's arm counts (n_t, n_c) of one assignment d; raises where they fail."""
+    require_complete(spec, "LOORA_DM", allow_design_mismatch)
+    n_t, n_c, failed = arm_counts("LOORA_DM", d[None])
     if failed:
         raise failed[0]
     return int(n_t[0]), int(n_c[0])
 
 
 def _loora_dm_refit(
-    s: ObservedSample, rule: LambdaRule = DEFAULT_LAMBDA_RULE, allow_design_mismatch: bool = False
+    x: np.ndarray,
+    y: np.ndarray,
+    d: np.ndarray,
+    spec: DesignSpec,
+    rule: LambdaRule = DEFAULT_LAMBDA_RULE,
+    allow_design_mismatch: bool = False,
 ) -> float:
     """LOORA-DM by n literal regressions.
 
@@ -102,8 +113,7 @@ def _loora_dm_refit(
     set to 0; it belongs to the removed unit, so no fit reads it. Unit i's
     term carries its arm weight 1/n_arm.
     """
-    n_t, n_c = _sample_counts(s, allow_design_mismatch)
-    d, y, x = s.d, s.y, s.x
+    n_t, n_c = _sample_counts(d, spec, allow_design_mismatch)
     z, n = 2.0 * d - 1.0, x.shape[0]
     scale = n_t * n_c * (n - 1) / n
     own_t = scale / (n_t * (n_t - 1)) if n_t > 1 else 0.0
@@ -121,7 +131,12 @@ def _loora_dm_refit(
 
 
 def _loora_dm_pairwise(
-    s: ObservedSample, rule: LambdaRule = DEFAULT_LAMBDA_RULE, allow_design_mismatch: bool = False
+    x: np.ndarray,
+    y: np.ndarray,
+    d: np.ndarray,
+    spec: DesignSpec,
+    rule: LambdaRule = DEFAULT_LAMBDA_RULE,
+    allow_design_mismatch: bool = False,
 ) -> float:
     """LOORA-DM through its pairwise leave-two-out representation.
 
@@ -133,8 +148,8 @@ def _loora_dm_pairwise(
     degenerates (its rescaled outcome carries a zero-times-undefined weight)
     and the two forms may differ.
     """
-    n_t, n_c = _sample_counts(s, allow_design_mismatch)
-    d, y, x, n = s.d, s.y, s.x, s.x.shape[0]
+    n_t, n_c = _sample_counts(d, spec, allow_design_mismatch)
+    n = x.shape[0]
     lam = rule.resolve(x)
     # Unified rescaled outcomes; undefined own-group entries (n_t or n_c = 1)
     # are zeroed and only ever excluded, never read, in cross-arm pairs.
@@ -223,7 +238,7 @@ def check_variance_dm_exact(seed: int = 2, trials: int = 15) -> CheckResult:
 
 
 def check_loo_identities(seed: int = 3, trials: int = 10) -> CheckResult:
-    """loora.estimate's LOORA-HT and LOORA-DM equal literal per-unit refits."""
+    """The planned LOORA-HT and LOORA-DM point estimates equal literal per-unit refits."""
     rng = np.random.default_rng(seed)
     tol = 1e-9
     worst = 0.0
@@ -233,14 +248,15 @@ def check_loo_identities(seed: int = 3, trials: int = 10) -> CheckResult:
         k = int(rng.integers(1, 9))
         pop = _random_population(rng, n, k)
         p = rng.uniform(0.3, 0.7, n)
-        spec_s = SimpleDesign(p)
         rng_draw = np.random.default_rng(seed + 1000 + trial)
-        s = observed_sample(pop, draw_with(spec_s, rng_draw), spec_s)
-        worst = max(worst, _rel_gap(estimate(Method.LOORA_HT, s, rule), _loora_ht_refit(s, rule)))
-        n_t = n // 2
-        spec_c = CompleteDesign(n, n_t)
-        s = observed_sample(pop, draw_with(spec_c, rng_draw), spec_c)
-        worst = max(worst, _rel_gap(estimate(Method.LOORA_DM, s, rule), _loora_dm_refit(s, rule)))
+        for method, spec, refit in (
+            (Method.LOORA_HT, SimpleDesign(p), _loora_ht_refit),
+            (Method.LOORA_DM, CompleteDesign(n, n // 2), _loora_dm_refit),
+        ):
+            d = draw_with(spec, rng_draw)
+            y = observe(pop, d)
+            fast = plan_estimate(method, pop.x, spec, rule).point(d, y)
+            worst = max(worst, _rel_gap(fast, refit(pop.x, y, d, spec, rule)))
     return CheckResult("loo-identities", worst <= tol, worst, tol, f"{2 * trials} fixtures")
 
 
@@ -261,7 +277,7 @@ def check_leverage_bound(seed: int = 4, trials: int = 200) -> CheckResult:
 
 
 def check_pairwise_equivalence(seed: int = 5, trials: int = 10) -> CheckResult:
-    """The pairwise leave-two-out form reproduces loora.estimate's LOORA-DM value."""
+    """The pairwise leave-two-out form reproduces the planned LOORA-DM point estimate."""
     rng = np.random.default_rng(seed)
     tol = 1e-9
     worst = 0.0
@@ -274,8 +290,10 @@ def check_pairwise_equivalence(seed: int = 5, trials: int = 10) -> CheckResult:
         # a singleton arm's rescaled outcome carries a 0 * undefined weight.
         n_t = int(rng.integers(2, n - 1))
         spec = CompleteDesign(n, n_t)
-        s = observed_sample(pop, draw_with(spec, np.random.default_rng(seed + trial)), spec)
-        worst = max(worst, _rel_gap(estimate(Method.LOORA_DM, s, rule), _loora_dm_pairwise(s, rule)))
+        d = draw_with(spec, np.random.default_rng(seed + trial))
+        y = observe(pop, d)
+        fast = plan_estimate(Method.LOORA_DM, pop.x, spec, rule).point(d, y)
+        worst = max(worst, _rel_gap(fast, _loora_dm_pairwise(pop.x, y, d, spec, rule)))
     return CheckResult("pairwise-equivalence", worst <= tol, worst, tol, f"{trials} fixtures")
 
 

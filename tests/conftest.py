@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from loora.design import CompleteDesign, SimpleDesign, draw_with
 from loora.linalg import check_loo_feasible, loo_fitted_rows
-from loora.oracle import Population
+from loora.oracle import Population, observe
 
 
 @pytest.fixture
@@ -17,6 +18,26 @@ def random_population(rng, n, k, standardize=True):
     y1 = rng.standard_normal(n) + 1.0
     y0 = rng.standard_normal(n)
     return Population(x, y1, y0)
+
+
+def simple_sample(x, y, d, p):
+    """(x, y, d, spec) of a simple design, in the literal routes' argument order."""
+    p = np.asarray(p, dtype=np.float64)
+    d = np.asarray(d, dtype=np.float64)
+    return np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64), d, SimpleDesign(p)
+
+
+def complete_sample(x, y, d):
+    """(x, y, d, spec) of the complete design that fixes d's treated count."""
+    d = np.asarray(d, dtype=np.float64)
+    spec = CompleteDesign(len(d), int(d.sum()))
+    return np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64), d, spec
+
+
+def drawn_sample(pop, spec, rng):
+    """(x, y, d, spec) of one assignment drawn from spec."""
+    d = draw_with(spec, rng)
+    return pop.x, observe(pop, d), d, spec
 
 
 def rel_gap(a, b):

@@ -21,14 +21,8 @@ import math
 
 import numpy as np
 
-from loora.design import draw_with, enumerate_assignments
-from loora.estimators import (
-    DEFAULT_LAMBDA_RULE,
-    BenchmarkPlan,
-    LambdaRule,
-    Method,
-    ObservedSample,
-)
+from loora.design import DesignSpec, draw_with, enumerate_assignments
+from loora.estimators import DEFAULT_LAMBDA_RULE, BenchmarkPlan, LambdaRule, Method
 from loora.exceptions import (
     InvalidInput,
     LeverageSingular,
@@ -39,7 +33,7 @@ from loora.exceptions import (
     SelfCheckFailed,
     SpecMismatch,
 )
-from loora.inference import estimate_with_ci
+from loora.inference import plan_estimate
 from loora.linalg import (
     RidgeFactor,
     as_design_matrix,
@@ -57,7 +51,7 @@ from loora.oracle import (
     _check_n_t,
     dm_signal,
     ht_signal,
-    observed_sample,
+    observe,
 )
 from loora.simulation import (
     SimulationReport,
@@ -303,7 +297,13 @@ def lin_asymptotic_variance_projection(pop: Population, p_t: float) -> float:
     return math.fsum(_centered_residuals(pop, mu) ** 2) / pop.n
 
 
-def hw_variance_ht_sandwich(s: ObservedSample, rule: LambdaRule = DEFAULT_LAMBDA_RULE) -> float:
+def hw_variance_ht_sandwich(
+    x: np.ndarray,
+    y: np.ndarray,
+    d: np.ndarray,
+    spec: DesignSpec,
+    rule: LambdaRule = DEFAULT_LAMBDA_RULE,
+) -> float:
     """The same HC0 variance through the explicit sandwich product.
 
     The residualized outcomes (y_i - x_i' beta) / (q_i (1 - h_i)) come from
@@ -312,15 +312,15 @@ def hw_variance_ht_sandwich(s: ObservedSample, rule: LambdaRule = DEFAULT_LAMBDA
     are reweighted by (1-p)^(1/2) / p^(3/2) and control outcomes by
     p^(1/2) / (1-p)^(3/2); q is the probability of each unit's arm.
     """
-    p, d, y = s.spec.p, s.d, s.y
+    p = spec.p
     z, treated = 2.0 * d - 1.0, d == 1.0
-    xw = s.x / np.sqrt(p * (1.0 - p))[:, None]
+    xw = x / np.sqrt(p * (1.0 - p))[:, None]
     factor = ridge_factor(xw, rule.resolve(xw))
     scale = np.where(treated, np.sqrt(1.0 - p) / p**1.5, np.sqrt(p) / (1.0 - p) ** 1.5)
     beta = factor.fit(scale * y)
-    tau = estimate_with_ci(Method.LOORA_HT, s, rule).tau_hat
+    tau = plan_estimate(Method.LOORA_HT, x, spec, rule).point(d, y)
     q = np.where(treated, p, 1.0 - p)
-    hw_resid = (y - s.x @ beta) / (q * (1.0 - factor.hat_diag)) - z * tau
+    hw_resid = (y - x @ beta) / (q * (1.0 - factor.hat_diag)) - z * tau
     zz = math.fsum(z**2)
     return math.fsum(z**2 * hw_resid**2) / zz**2
 
@@ -394,9 +394,8 @@ def two_column_sandwich_inverse(u, d):
 def run_study_per_sample(pop: Population, cfg: StudyConfig) -> SimulationReport:
     """run_study with no plan shared between replicates.
 
-    Every replicate and method gets a fresh observed sample and a fresh
-    estimate_with_ci call, which validates, resolves lambda and factors
-    anew. Draws, failure classes and aggregation follow run_study.
+    Every replicate and method gets a fresh plan_estimate call, which
+    validates, resolves lambda and factors anew. Draws, failure classes and aggregation follow run_study.
     """
     def generator(seed_sequence):
         return np.random.Generator(np.random.PCG64(seed_sequence))
@@ -414,13 +413,10 @@ def run_study_per_sample(pop: Population, cfg: StudyConfig) -> SimulationReport:
         row = []
         for method in cfg.methods:
             try:
-                report = estimate_with_ci(
-                    method,
-                    observed_sample(pop, d, spec),
-                    cfg.lambda_rule,
-                    cfg.level,
-                    cfg.allow_design_mismatch,
+                plan = plan_estimate(
+                    method, pop.x, spec, cfg.lambda_rule, cfg.level, cfg.allow_design_mismatch
                 )
+                report = plan.evaluate(d, observe(pop, d))
             except (LeverageSingular, NonFinite, RankDeficient, SelfCheckFailed, SpecMismatch):
                 row.append((0.0, 0.0, 0.0, 0.0))
                 continue

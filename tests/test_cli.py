@@ -15,7 +15,7 @@ import loora.oracle
 import loora.verify
 from loora.cli import build_parser, main, parse_lambda
 from loora.exceptions import SchemaError
-from loora.reporting import read_records
+from loora.reporting import blas_core, read_records
 from loora.verify import check_variance_dm_exact
 
 DATA = Path(__file__).parent / "data"
@@ -389,8 +389,9 @@ def test_manifests_carry_the_numeric_environment(tmp_path, capsys, monkeypatch):
         code, _, _ = run(capsys, *argv, "--out", str(out))
         assert code == 0
         environment = read_records(str(out) + ".manifest.json")[0]["environment"]
-        assert list(environment) == ["numpy", "blas", "blas_version", "threads"]
+        assert list(environment) == ["numpy", "blas", "blas_version", "blas_core", "threads"]
         assert environment["numpy"] == np.__version__
+        assert environment["blas_core"] == blas_core()
         assert environment["threads"] == {
             "OPENBLAS_NUM_THREADS": "1",
             "OMP_NUM_THREADS": "2",
@@ -408,6 +409,9 @@ def test_manifests_keep_their_keys_in_order(tmp_path, capsys):
         assert code == 0
         manifest = read_records(str(out) + ".manifest.json")[0]
         assert list(manifest) == keys
+        assert list(manifest["environment"]) == [
+            "numpy", "blas", "blas_version", "blas_core", "threads"
+        ]
         assert (manifest["record_type"], manifest["command"]) == ("run_manifest", name)
         assert manifest["outputs"] == [str(out)]
 
@@ -1232,6 +1236,23 @@ def _fresh_interpreter(code: str) -> subprocess.CompletedProcess:
         text=True,
         timeout=300,
     )
+
+
+@pytest.mark.skipif(
+    blas_core() is None,
+    reason="no loaded BLAS exports scipy_openblas_get_corename64_ or openblas_get_corename",
+)
+@pytest.mark.skipif(
+    platform.machine().lower() not in ("x86_64", "amd64"), reason="Haswell is an x86-64 kernel"
+)
+def test_blas_core_names_the_kernel_openblas_runs():
+    # OpenBLAS reads OPENBLAS_CORETYPE when it loads, so a fresh process
+    # under the override must report the kernel it was told to run.
+    done = _fresh_interpreter(
+        "import os; os.environ['OPENBLAS_CORETYPE'] = 'Haswell'; "
+        "from loora.reporting import run_environment; print(run_environment()['blas_core'])"
+    )
+    assert (done.returncode, done.stdout) == (0, "Haswell\n"), done.stderr
 
 
 def test_importing_the_cli_loads_neither_scipy_nor_yaml():

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
-from conftest import random_population, rel_gap
+from conftest import complete_sample, drawn_sample, random_population, rel_gap, simple_sample
 import loora.estimators
 from loora.design import CompleteDesign, SimpleDesign, draw_with
 from loora.estimators import (
@@ -15,47 +15,34 @@ from loora.estimators import (
     LambdaRule,
     LooraHtPlan,
     Method,
-    ObservedSample,
     _fsum_rows_extracted,
+    arm_counts,
     fsum_rows,
 )
 from loora.exceptions import RankDeficient, SpecMismatch
-from loora.inference import estimate, plan_estimate
+from loora.inference import plan_estimate
 from loora.linalg import max_row_norm
-from loora.oracle import Population, enumeration_moments, observe, observed_sample
+from loora.oracle import Population, enumeration_moments, observe
 from loora.verify import _loora_dm_pairwise, _loora_dm_refit, _loora_ht_refit
 from reference_routes import fsum_rows_loop, int_parts_loop
 
 AUTO2 = LambdaRule.auto(2.0)
 
 
-def simple_sample(x, y, d, p):
-    p = np.asarray(p, dtype=np.float64)
-    d = np.asarray(d, dtype=np.float64)
-    spec = SimpleDesign(p)
-    return ObservedSample(np.asarray(x, dtype=np.float64), y, d, spec)
-
-
-def complete_sample(x, y, d):
-    d = np.asarray(d, dtype=np.float64)
-    spec = CompleteDesign(len(d), int(d.sum()))
-    return ObservedSample(np.asarray(x, dtype=np.float64), y, d, spec)
-
-
 def test_ht_hand_value():
-    s = simple_sample([[0.0], [0.0]], [3.0, 1.0], [1, 0], [0.5, 0.5])
-    assert estimate(Method.HT, s) == pytest.approx(2.0, abs=1e-14)
+    x, y, d, spec = simple_sample([[0.0], [0.0]], [3.0, 1.0], [1, 0], [0.5, 0.5])
+    assert plan_estimate(Method.HT, x, spec).point(d, y) == pytest.approx(2.0, abs=1e-14)
 
 
 def test_ht_zero_outcomes():
-    s = simple_sample([[1.0], [2.0]], [0.0, 0.0], [1, 0], [0.3, 0.8])
-    assert estimate(Method.HT, s) == 0.0
+    x, y, d, spec = simple_sample([[1.0], [2.0]], [0.0, 0.0], [1, 0], [0.3, 0.8])
+    assert plan_estimate(Method.HT, x, spec).point(d, y) == 0.0
 
 
 def test_ht_requires_simple_design():
-    s = complete_sample([[1.0], [2.0]], [1.0, 2.0], [1, 0])
+    x, _, _, spec = complete_sample([[1.0], [2.0]], [1.0, 2.0], [1, 0])
     with pytest.raises(SpecMismatch):
-        estimate(Method.HT, s)
+        plan_estimate(Method.HT, x, spec)
 
 
 def test_ht_enumeration_mean_is_tau(rng):
@@ -66,13 +53,13 @@ def test_ht_enumeration_mean_is_tau(rng):
 
 
 def test_dm_hand_value():
-    s = complete_sample([[0.0]] * 3, [4.0, 1.0, 3.0], [1, 0, 0])
-    assert estimate(Method.DM, s) == pytest.approx(2.0, abs=1e-14)
+    x, y, d, spec = complete_sample([[0.0]] * 3, [4.0, 1.0, 3.0], [1, 0, 0])
+    assert plan_estimate(Method.DM, x, spec).point(d, y) == pytest.approx(2.0, abs=1e-14)
 
 
 def test_dm_constant_outcomes():
-    s = complete_sample([[0.0]] * 4, [3.3] * 4, [1, 1, 0, 0])
-    assert estimate(Method.DM, s) == pytest.approx(0.0, abs=1e-15)
+    x, y, d, spec = complete_sample([[0.0]] * 4, [3.3] * 4, [1, 1, 0, 0])
+    assert plan_estimate(Method.DM, x, spec).point(d, y) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_dm_enumeration_mean_is_tau(rng):
@@ -86,22 +73,20 @@ def test_loora_ht_zero_covariates_equals_ht(rng):
     y = rng.standard_normal(n)
     d = np.array([1, 0, 1, 1, 0, 0])
     p = rng.uniform(0.3, 0.7, n)
-    s = simple_sample(np.zeros((n, 1)), y, d, p)
-    assert estimate(Method.LOORA_HT, s, LambdaRule.fixed(1.0)) == pytest.approx(
-        estimate(Method.HT, s), abs=1e-13
-    )
+    x, y, d, spec = simple_sample(np.zeros((n, 1)), y, d, p)
+    loora = plan_estimate(Method.LOORA_HT, x, spec, LambdaRule.fixed(1.0)).point(d, y)
+    assert loora == pytest.approx(plan_estimate(Method.HT, x, spec).point(d, y), abs=1e-13)
 
 
 def test_loora_ht_infinite_shrinkage_limit(rng):
     n = 8
     pop = random_population(rng, n, 2)
     p = rng.uniform(0.3, 0.7, n)
-    spec = SimpleDesign(p)
-    s = observed_sample(pop, draw_with(spec, rng), spec)
+    x, y, d, spec = drawn_sample(pop, SimpleDesign(p), rng)
     r = np.sqrt(p * (1.0 - p))
     lam = 1e12 * max_row_norm(pop.x / r[:, None]) ** 2
-    ht = estimate(Method.HT, s)
-    loora = estimate(Method.LOORA_HT, s, LambdaRule.fixed(lam))
+    ht = plan_estimate(Method.HT, x, spec).point(d, y)
+    loora = plan_estimate(Method.LOORA_HT, x, spec, LambdaRule.fixed(lam)).point(d, y)
     assert abs(loora - ht) <= 1e-6 * (1.0 + abs(ht))
 
 
@@ -126,21 +111,19 @@ def test_loora_ht_reweighting_two_case_equals_exponent_form(rng):
 
 def test_loora_ht_fast_equals_refit(rng):
     pop = random_population(rng, 15, 3)
-    spec = SimpleDesign(rng.uniform(0.3, 0.7, 15))
-    s = observed_sample(pop, draw_with(spec, rng), spec)
+    x, y, d, spec = drawn_sample(pop, SimpleDesign(rng.uniform(0.3, 0.7, 15)), rng)
     for rule in (AUTO2, LambdaRule.fixed(0.5)):
-        fast = estimate(Method.LOORA_HT, s, rule)
-        slow = _loora_ht_refit(s, rule)
+        fast = plan_estimate(Method.LOORA_HT, x, spec, rule).point(d, y)
+        slow = _loora_ht_refit(x, y, d, spec, rule)
         assert rel_gap(fast, slow) < 1e-9
 
 
 def test_loora_dm_zero_covariates_equals_dm(rng):
     y = rng.standard_normal(6)
     d = np.array([1, 1, 1, 0, 0, 0])
-    s = complete_sample(np.zeros((6, 1)), y, d)
-    assert estimate(Method.LOORA_DM, s, LambdaRule.fixed(1.0)) == pytest.approx(
-        estimate(Method.DM, s), abs=1e-13
-    )
+    x, y, d, spec = complete_sample(np.zeros((6, 1)), y, d)
+    loora = plan_estimate(Method.LOORA_DM, x, spec, LambdaRule.fixed(1.0)).point(d, y)
+    assert loora == pytest.approx(plan_estimate(Method.DM, x, spec).point(d, y), abs=1e-13)
 
 
 def test_loora_dm_null_effect_population_unbiased(rng):
@@ -159,11 +142,10 @@ def test_loora_dm_exactly_unbiased_by_enumeration(rng):
 def test_loora_dm_fast_equals_refit_including_singleton_arms(rng):
     pop = random_population(rng, 12, 3)
     for n_t in (1, 2, 6, 11):
-        spec = CompleteDesign(12, n_t)
-        s = observed_sample(pop, draw_with(spec, rng), spec)
+        x, y, d, spec = drawn_sample(pop, CompleteDesign(12, n_t), rng)
         for rule in (AUTO2, LambdaRule.fixed(0.8)):
-            fast = estimate(Method.LOORA_DM, s, rule)
-            slow = _loora_dm_refit(s, rule)
+            fast = plan_estimate(Method.LOORA_DM, x, spec, rule).point(d, y)
+            slow = _loora_dm_refit(x, y, d, spec, rule)
             assert rel_gap(fast, slow) < 1e-9
 
 
@@ -176,18 +158,21 @@ def test_loora_dm_refit_under_design_mismatch_equals_fast_including_singleton_ar
     draws = [draw_with(spec, rng) for _ in range(6)]
     # a singleton treated arm and a singleton control arm
     draws += [np.eye(n)[3], 1.0 - np.eye(n)[7]]
+    plans = {
+        rule: plan_estimate(Method.LOORA_DM, pop.x, spec, rule, allow_design_mismatch=True)
+        for rule in (AUTO2, LambdaRule.fixed(0.8))
+    }
     for d in draws:
-        s = observed_sample(pop, d, spec)
-        for rule in (AUTO2, LambdaRule.fixed(0.8)):
-            fast = estimate(Method.LOORA_DM, s, rule, allow_design_mismatch=True)
-            slow = _loora_dm_refit(s, rule, allow_design_mismatch=True)
-            assert rel_gap(fast, slow) < 1e-9
+        y = observe(pop, d)
+        for rule, plan in plans.items():
+            slow = _loora_dm_refit(pop.x, y, d, spec, rule, allow_design_mismatch=True)
+            assert rel_gap(plan.point(d, y), slow) < 1e-9
     for d in (np.zeros(n), np.ones(n)):
-        s = observed_sample(pop, d, spec)
+        y = observe(pop, d)
         with pytest.raises(SpecMismatch):
-            estimate(Method.LOORA_DM, s, AUTO2, allow_design_mismatch=True)
+            plans[AUTO2].point(d, y)
         with pytest.raises(SpecMismatch):
-            _loora_dm_refit(s, AUTO2, allow_design_mismatch=True)
+            _loora_dm_refit(pop.x, y, d, spec, AUTO2, allow_design_mismatch=True)
 
 
 def test_loora_dm_unbiasedness_boundary_at_singleton_arms(rng):
@@ -209,19 +194,19 @@ def test_loora_dm_requires_complete_unless_opted_in(rng):
     d = draw_with(spec, rng)
     while not 1 <= d.sum() <= 7:
         d = draw_with(spec, rng)
-    s = observed_sample(pop, d, spec)
     with pytest.raises(SpecMismatch):
-        estimate(Method.LOORA_DM, s, AUTO2)
-    value = estimate(Method.LOORA_DM, s, AUTO2, allow_design_mismatch=True)
-    assert np.isfinite(value)
+        plan_estimate(Method.LOORA_DM, pop.x, spec, AUTO2)
+    plan = plan_estimate(Method.LOORA_DM, pop.x, spec, AUTO2, allow_design_mismatch=True)
+    assert np.isfinite(plan.point(d, observe(pop, d)))
 
 
 def test_benchmarks_reduce_to_dm_when_covariates_carry_nothing(rng):
     y = rng.standard_normal(8)
     d = np.array([1, 0, 1, 0, 1, 0, 1, 0], dtype=np.float64)
-    s = complete_sample(np.zeros((8, 1)), y, d)
-    dm = estimate(Method.DM, s)
-    assert estimate(Method.RIDGE_REG, s, LambdaRule.fixed(1.0)) == pytest.approx(dm, abs=1e-12)
+    zeros, y, d, spec = complete_sample(np.zeros((8, 1)), y, d)
+    dm = plan_estimate(Method.DM, zeros, spec).point(d, y)
+    ridge = plan_estimate(Method.RIDGE_REG, zeros, spec, LambdaRule.fixed(1.0)).point(d, y)
+    assert ridge == pytest.approx(dm, abs=1e-12)
     # For the OLS benchmarks a zero column is rank-deficient, so build a
     # covariate exactly orthogonal to the intercept, the assignment, and the
     # outcomes within each arm; it then carries no information at all.
@@ -230,9 +215,8 @@ def test_benchmarks_reduce_to_dm_when_covariates_carry_nothing(rng):
         basis = np.column_stack([np.ones(int(arm.sum())), y[arm]])
         proj, *_ = np.linalg.lstsq(basis, x[arm], rcond=None)
         x[arm] = x[arm] - basis @ proj
-    s2 = complete_sample(x[:, None], y, d)
-    assert estimate(Method.ADJ, s2) == pytest.approx(dm, abs=1e-10)
-    assert estimate(Method.INT, s2) == pytest.approx(dm, abs=1e-10)
+    assert plan_estimate(Method.ADJ, x[:, None], spec).point(d, y) == pytest.approx(dm, abs=1e-10)
+    assert plan_estimate(Method.INT, x[:, None], spec).point(d, y) == pytest.approx(dm, abs=1e-10)
 
 
 def test_adj_int_recover_exact_linear_homogeneous_model(rng):
@@ -242,24 +226,22 @@ def test_adj_int_recover_exact_linear_homogeneous_model(rng):
     d[rng.permutation(n)[:6]] = 1.0
     slope = np.array([1.5, -0.7])
     tau = 2.25
-    y = x @ slope + tau * d
-    s = complete_sample(x, y, d)
-    assert estimate(Method.ADJ, s) == pytest.approx(tau, abs=1e-10)
-    assert estimate(Method.INT, s) == pytest.approx(tau, abs=1e-10)
+    x, y, d, spec = complete_sample(x, x @ slope + tau * d, d)
+    assert plan_estimate(Method.ADJ, x, spec).point(d, y) == pytest.approx(tau, abs=1e-10)
+    assert plan_estimate(Method.INT, x, spec).point(d, y) == pytest.approx(tau, abs=1e-10)
 
 
 def test_int_equals_two_group_regression_oracle(rng):
     n, k = 30, 3
     pop = random_population(rng, n, k)
-    spec = CompleteDesign(n, 14)
-    s = observed_sample(pop, draw_with(spec, rng), spec)
-    got = estimate(Method.INT, s)
+    x, y, d, spec = drawn_sample(pop, CompleteDesign(n, 14), rng)
+    got = plan_estimate(Method.INT, x, spec).point(d, y)
     # independent construction: fit each arm separately on raw covariates,
     # predict everybody, and average the difference of predictions
-    d = s.d.astype(bool)
+    d = d.astype(bool)
     design = np.column_stack([np.ones(n), pop.x])
-    beta_t, *_ = np.linalg.lstsq(design[d], s.y[d], rcond=None)
-    beta_c, *_ = np.linalg.lstsq(design[~d], s.y[~d], rcond=None)
+    beta_t, *_ = np.linalg.lstsq(design[d], y[d], rcond=None)
+    beta_c, *_ = np.linalg.lstsq(design[~d], y[~d], rcond=None)
     oracle_value = float(np.mean(design @ beta_t - design @ beta_c))
     assert got == pytest.approx(oracle_value, abs=1e-9)
 
@@ -285,26 +267,27 @@ def test_adj_int_do_not_depend_on_a_covariates_units(rng, method, factor):
 def test_pairwise_zero_covariates_equals_dm(rng):
     y = rng.standard_normal(6)
     d = np.array([1, 1, 0, 0, 0, 1])
-    s = complete_sample(np.zeros((6, 1)), y, d)
-    assert _loora_dm_pairwise(s, LambdaRule.fixed(1.0)) == pytest.approx(
-        estimate(Method.DM, s), abs=1e-12
+    x, y, d, spec = complete_sample(np.zeros((6, 1)), y, d)
+    assert _loora_dm_pairwise(x, y, d, spec, LambdaRule.fixed(1.0)) == pytest.approx(
+        plan_estimate(Method.DM, x, spec).point(d, y), abs=1e-12
     )
 
 
 def test_pairwise_equals_loora_dm_small_fixture(rng):
     pop = random_population(rng, 6, 2)
-    spec = CompleteDesign(6, 3)
-    s = observed_sample(pop, draw_with(spec, rng), spec)
-    assert rel_gap(estimate(Method.LOORA_DM, s, AUTO2), _loora_dm_pairwise(s, AUTO2)) < 1e-9
+    x, y, d, spec = drawn_sample(pop, CompleteDesign(6, 3), rng)
+    fast = plan_estimate(Method.LOORA_DM, x, spec, AUTO2).point(d, y)
+    assert rel_gap(fast, _loora_dm_pairwise(x, y, d, spec, AUTO2)) < 1e-9
 
 
 def test_pairwise_equals_loora_dm_many_assignments(rng):
     pop = random_population(rng, 8, 3)
     spec = CompleteDesign(8, 4)
+    plan = plan_estimate(Method.LOORA_DM, pop.x, spec, AUTO2)
     for _ in range(50):
-        s = observed_sample(pop, draw_with(spec, rng), spec)
-        alg = estimate(Method.LOORA_DM, s, AUTO2)
-        pw = _loora_dm_pairwise(s, AUTO2)
+        x, y, d, _ = drawn_sample(pop, spec, rng)
+        alg = plan.point(d, y)
+        pw = _loora_dm_pairwise(x, y, d, spec, AUTO2)
         assert rel_gap(alg, pw) < 1e-9
 
 
@@ -313,13 +296,12 @@ def test_estimate_dispatcher_covers_every_method(rng):
     # point estimate with a direct construction of that estimator.
     n = 12
     pop = random_population(rng, n, 2)
-    spec_s = SimpleDesign(np.full(n, 0.5))
-    s_simple = observed_sample(pop, draw_with(spec_s, rng), spec_s)
-    spec_c = CompleteDesign(n, 6)
-    s_complete = observed_sample(pop, draw_with(spec_c, rng), spec_c)
-    d, y, p = s_simple.d, s_simple.y, spec_s.p
+    s_simple = drawn_sample(pop, SimpleDesign(np.full(n, 0.5)), rng)
+    s_complete = drawn_sample(pop, CompleteDesign(n, 6), rng)
+    _, y, d, spec_s = s_simple
+    p = spec_s.p
     ht = np.mean(d * y / p - (1.0 - d) * y / (1.0 - p))
-    d, y, x = s_complete.d, s_complete.y, pop.x
+    x, y, d, _ = s_complete
     arm = d == 1.0
     xc = x - x.mean(axis=0)
     adj_design = np.column_stack([np.ones(n), d, x])
@@ -328,16 +310,17 @@ def test_estimate_dispatcher_covers_every_method(rng):
     ridge = np.linalg.solve(adj_design.T @ adj_design + penalty, adj_design.T @ y)
     expected = {
         Method.HT: (s_simple, ht),
-        Method.LOORA_HT: (s_simple, _loora_ht_refit(s_simple, AUTO2)),
+        Method.LOORA_HT: (s_simple, _loora_ht_refit(*s_simple, AUTO2)),
         Method.DM: (s_complete, y[arm].mean() - y[~arm].mean()),
         Method.ADJ: (s_complete, np.linalg.lstsq(adj_design, y, rcond=None)[0][1]),
         Method.INT: (s_complete, np.linalg.lstsq(int_design, y, rcond=None)[0][1]),
         Method.RIDGE_REG: (s_complete, ridge[1]),
-        Method.LOORA_DM: (s_complete, _loora_dm_refit(s_complete, AUTO2)),
+        Method.LOORA_DM: (s_complete, _loora_dm_refit(*s_complete, AUTO2)),
     }
     assert set(expected) == set(Method)
-    for method, (sample, value) in expected.items():
-        assert estimate(method, sample, AUTO2) == pytest.approx(value, rel=1e-9, abs=1e-12)
+    for method, ((x, y, d, spec), value) in expected.items():
+        got = plan_estimate(method, x, spec, AUTO2).point(d, y)
+        assert got == pytest.approx(value, rel=1e-9, abs=1e-12)
 
 
 def test_scale_equivariance(rng):
@@ -347,28 +330,20 @@ def test_scale_equivariance(rng):
     pop = random_population(rng, 9, 2)
     scale = 3.7
     scaled = Population(pop.x, scale * pop.y1, scale * pop.y0)
+    lam = 0.9
     spec = SimpleDesign(rng.uniform(0.3, 0.7, 9))
     d = draw_with(spec, rng)
-    s = observed_sample(pop, d, spec)
-    s_scaled = observed_sample(scaled, d, spec)
-    lam = 0.9
-    for rule in (LambdaRule.fixed(lam), AUTO2):
-        base = estimate(Method.LOORA_HT, s, rule)
-        grown = estimate(Method.LOORA_HT, s_scaled, rule)
-        assert grown == pytest.approx(scale * base, rel=1e-12)
-    assert estimate(Method.HT, s_scaled) == pytest.approx(scale * estimate(Method.HT, s), rel=1e-12)
-
     spec_c = CompleteDesign(9, 4)
-    d = draw_with(spec_c, rng)
-    s = observed_sample(pop, d, spec_c)
-    s_scaled = observed_sample(scaled, d, spec_c)
-    for rule in (LambdaRule.fixed(lam), AUTO2):
-        base = estimate(Method.LOORA_DM, s, rule)
-        grown = estimate(Method.LOORA_DM, s_scaled, rule)
+    d_c = draw_with(spec_c, rng)
+    cases = [(Method.LOORA_HT, spec, d, rule) for rule in (LambdaRule.fixed(lam), AUTO2)]
+    cases.append((Method.HT, spec, d, AUTO2))
+    cases += [(Method.LOORA_DM, spec_c, d_c, rule) for rule in (LambdaRule.fixed(lam), AUTO2)]
+    cases.append((Method.RIDGE_REG, spec_c, d_c, AUTO2))
+    for method, spec, d, rule in cases:
+        plan = plan_estimate(method, pop.x, spec, rule)
+        base = plan.point(d, observe(pop, d))
+        grown = plan.point(d, observe(scaled, d))
         assert grown == pytest.approx(scale * base, rel=1e-12)
-    assert estimate(Method.RIDGE_REG, s_scaled, AUTO2) == pytest.approx(
-        scale * estimate(Method.RIDGE_REG, s, AUTO2), rel=1e-12
-    )
 
 
 def test_shift_invariance(rng):
@@ -380,9 +355,10 @@ def test_shift_invariance(rng):
     shifted = Population(pop.x, pop.y1 + shift, pop.y0 + shift)
     spec_c = CompleteDesign(6, 3)
     d = draw_with(spec_c, rng)
-    s = observed_sample(pop, d, spec_c)
-    s_shift = observed_sample(shifted, d, spec_c)
-    assert estimate(Method.DM, s_shift) == pytest.approx(estimate(Method.DM, s), abs=1e-12)
+    plan = plan_estimate(Method.DM, pop.x, spec_c)
+    assert plan.point(d, observe(shifted, d)) == pytest.approx(
+        plan.point(d, observe(pop, d)), abs=1e-12
+    )
     mean_base, _ = enumeration_moments(pop, spec_c, Method.LOORA_DM, AUTO2)
     mean_shift, _ = enumeration_moments(shifted, spec_c, Method.LOORA_DM, AUTO2)
     assert mean_shift == pytest.approx(mean_base, abs=1e-11)
@@ -531,7 +507,7 @@ def _int_block_equals_row_loop(x, d, y, spec, mismatch):
     messages, in the same order."""
     plan = BenchmarkPlan.build(Method.INT, x, spec, allow_design_mismatch=mismatch)
     tau, terms, failed = plan.parts(d, y)
-    want_tau, want_terms, want_failed = int_parts_loop(plan, d, y, plan.arms.counts(d)[2])
+    want_tau, want_terms, want_failed = int_parts_loop(plan, d, y, arm_counts("INT", d)[2])
     assert_array_equal(tau.view(np.int64), want_tau.view(np.int64))
     assert_array_equal(terms.view(np.int64), want_terms.view(np.int64))
     assert _listed(failed) == _listed(want_failed)

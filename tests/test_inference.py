@@ -9,15 +9,9 @@ from hypothesis import strategies as st
 from scipy import stats
 
 import loora.estimators
-from conftest import random_population
+from conftest import complete_sample, drawn_sample, random_population, simple_sample
 from loora.design import CompleteDesign, SimpleDesign, draw_with, enumerate_assignments
-from loora.estimators import (
-    LambdaRule,
-    Method,
-    ObservedSample,
-    LooraDmPlan,
-    _two_column_sandwich,
-)
+from loora.estimators import LambdaRule, LooraDmPlan, Method, _two_column_sandwich
 from loora.exceptions import (
     InvalidInput,
     LooraError,
@@ -25,14 +19,8 @@ from loora.exceptions import (
     SelfCheckFailed,
     SpecMismatch,
 )
-from loora.inference import (
-    confidence_interval,
-    estimate,
-    estimate_with_ci,
-    normal_quantile,
-    plan_estimate,
-)
-from loora.oracle import Population, observe, observed_sample
+from loora.inference import _interval, _interval_quantile, normal_quantile, plan_estimate
+from loora.oracle import Population, observe
 from loora.simulation import StudyConfig, run_study, synth_population
 from reference_routes import (
     benchmark_full_design,
@@ -43,16 +31,10 @@ from reference_routes import (
 AUTO2 = LambdaRule.auto(2.0)
 
 
-def simple_sample(x, y, d, p):
-    p = np.asarray(p, dtype=np.float64)
-    d = np.asarray(d, dtype=np.float64)
-    return ObservedSample(np.asarray(x, dtype=np.float64), y, d, SimpleDesign(p))
-
-
-def complete_sample(x, y, d):
-    d = np.asarray(d, dtype=np.float64)
-    spec = CompleteDesign(len(d), int(d.sum()))
-    return ObservedSample(np.asarray(x, dtype=np.float64), y, d, spec)
+def report_of(method, sample, rule=AUTO2, level=0.95, mismatch=False):
+    """The plan of sample's design evaluated on its one assignment."""
+    x, y, d, spec = sample
+    return plan_estimate(method, x, spec, rule, level, mismatch).evaluate(d, y)
 
 
 # --- normal quantile and intervals -------------------------------------------
@@ -80,25 +62,26 @@ def test_normal_quantile_rejects_boundary():
 
 
 def test_confidence_interval_degenerate():
-    assert confidence_interval(1.25, 0.0, 0.95) == (1.25, 1.25)
+    assert _interval(1.25, 0.0, _interval_quantile(0.95)) == (1.25, 1.25)
 
 
 def test_confidence_interval_hand_quantiles():
-    low, high = confidence_interval(0.0, 1.0, 0.95)
+    low, high = _interval(0.0, 1.0, _interval_quantile(0.95))
     assert high == pytest.approx(1.959964, abs=1e-5)
     assert low == pytest.approx(-1.959964, abs=1e-5)
-    low, high = confidence_interval(0.0, 1.0, 0.6826895)
+    low, high = _interval(0.0, 1.0, _interval_quantile(0.6826895))
     assert high == pytest.approx(1.0, abs=1e-4)
 
 
 def test_confidence_interval_width_scales_with_sqrt_variance():
-    _, h1 = confidence_interval(0.0, 1.0, 0.9)
-    _, h4 = confidence_interval(0.0, 4.0, 0.9)
+    z90 = _interval_quantile(0.9)
+    _, h1 = _interval(0.0, 1.0, z90)
+    _, h4 = _interval(0.0, 4.0, z90)
     assert h4 == pytest.approx(2.0 * h1, rel=1e-12)
     with pytest.raises(InvalidInput):
-        confidence_interval(0.0, -1.0, 0.9)
+        _interval(0.0, -1.0, z90)
     with pytest.raises(InvalidInput):
-        confidence_interval(0.0, 1.0, 1.0)
+        plan_estimate(Method.DM, np.zeros((4, 1)), CompleteDesign(4, 2), level=1.0)
 
 
 # --- HT-side HC0 --------------------------------------------------------------
@@ -110,16 +93,15 @@ def test_hw_ht_zero_residuals_for_exact_null_linear_model(rng):
     slope = rng.standard_normal(k)
     y_both = x @ slope
     pop = Population(x, y_both, y_both.copy())
-    spec = SimpleDesign(np.full(n, 0.5))
-    s = observed_sample(pop, draw_with(spec, rng), spec)
-    report = estimate_with_ci(Method.LOORA_HT, s, LambdaRule.fixed(0.0))
+    s = drawn_sample(pop, SimpleDesign(np.full(n, 0.5)), rng)
+    report = report_of(Method.LOORA_HT, s, LambdaRule.fixed(0.0))
     assert report.var_hat == pytest.approx(0.0, abs=1e-20)
 
 
 def test_hw_ht_hand_arithmetic():
     # with a null covariate and p = 1/2, residuals are (1, 1) by construction
     s = simple_sample(np.zeros((2, 1)), [1.0, 0.0], [1, 0], [0.5, 0.5])
-    report = estimate_with_ci(Method.LOORA_HT, s, LambdaRule.fixed(1.0))
+    report = report_of(Method.LOORA_HT, s, LambdaRule.fixed(1.0))
     assert report.var_hat == pytest.approx(0.5, abs=1e-14)
 
 
@@ -127,10 +109,9 @@ def test_hw_ht_sandwich_equals_simplified(rng):
     for _ in range(10):
         n = int(rng.integers(5, 20))
         pop = random_population(rng, n, 2)
-        spec = SimpleDesign(rng.uniform(0.3, 0.7, n))
-        s = observed_sample(pop, draw_with(spec, rng), spec)
-        simple = estimate_with_ci(Method.LOORA_HT, s, AUTO2).var_hat
-        sandwich = hw_variance_ht_sandwich(s, AUTO2)
+        s = drawn_sample(pop, SimpleDesign(rng.uniform(0.3, 0.7, n)), rng)
+        simple = report_of(Method.LOORA_HT, s).var_hat
+        sandwich = hw_variance_ht_sandwich(*s, AUTO2)
         assert abs(simple - sandwich) <= 1e-12 * max(1.0, simple)
 
 
@@ -141,7 +122,7 @@ def test_hw_dm_zero_when_u_affine_in_d(rng):
     d = np.array([1, 1, 0, 0, 1, 0], dtype=np.float64)
     y = 2.0 + 3.0 * d
     s = complete_sample(np.zeros((6, 1)), y, d)
-    report = estimate_with_ci(Method.LOORA_DM, s, LambdaRule.fixed(1.0))
+    report = report_of(Method.LOORA_DM, s, LambdaRule.fixed(1.0))
     assert report.var_hat == pytest.approx(0.0, abs=1e-20)
 
 
@@ -149,7 +130,7 @@ def test_hw_dm_hand_two_by_two_sandwich():
     # u = (2, 0, 1, 1), d = (1, 1, 0, 0): intercept 1, slope 0, residuals
     # (1, -1, 0, 0); explicit 2x2 sandwich algebra gives 0.5
     s = complete_sample(np.zeros((4, 1)), [2.0, 0.0, 1.0, 1.0], [1, 1, 0, 0])
-    report = estimate_with_ci(Method.LOORA_DM, s, LambdaRule.fixed(1.0))
+    report = report_of(Method.LOORA_DM, s, LambdaRule.fixed(1.0))
     assert report.var_hat == pytest.approx(0.5, abs=1e-14)
 
 
@@ -160,11 +141,10 @@ def test_hw_dm_auxiliary_regression_reproduces_estimate(rng):
         pop = random_population(rng, n, k)
         n_t = int(rng.integers(2, n - 1))
         spec = CompleteDesign(n, n_t)
-        s = observed_sample(pop, draw_with(spec, rng), spec)
-        d = s.d[None]
-        _, u, _ = LooraDmPlan.build(s.x, s.spec, AUTO2).adjusted(d, s.y[None])
-        (slope,), _ = _two_column_sandwich(u, d)
-        tau = estimate(Method.LOORA_DM, s, AUTO2)
+        x, y, d, _ = drawn_sample(pop, spec, rng)
+        _, u, _ = LooraDmPlan.build(x, spec, AUTO2).adjusted(d[None], y[None])
+        (slope,), _ = _two_column_sandwich(u, d[None])
+        tau = plan_estimate(Method.LOORA_DM, x, spec, AUTO2).point(d, y)
         assert abs(slope - tau) <= 1e-10 * max(1.0, abs(slope))
 
 
@@ -172,15 +152,13 @@ def test_hw_dm_shift_invariance_without_informative_covariates(rng):
     y = rng.standard_normal(8)
     d = np.array([1, 1, 1, 1, 0, 0, 0, 0], dtype=np.float64)
     fixed = LambdaRule.fixed(1.0)
-    base = estimate_with_ci(Method.LOORA_DM, complete_sample(np.zeros((8, 1)), y, d), fixed)
-    shifted = estimate_with_ci(
-        Method.LOORA_DM, complete_sample(np.zeros((8, 1)), y + 7.5, d), fixed
-    )
+    base = report_of(Method.LOORA_DM, complete_sample(np.zeros((8, 1)), y, d), fixed)
+    shifted = report_of(Method.LOORA_DM, complete_sample(np.zeros((8, 1)), y + 7.5, d), fixed)
     assert shifted.var_hat == pytest.approx(base.var_hat, rel=1e-12)
     # plain DM inference is shift invariant with any covariates present
     x = rng.standard_normal((8, 2))
-    r1 = estimate_with_ci(Method.DM, complete_sample(x, y, d))
-    r2 = estimate_with_ci(Method.DM, complete_sample(x, y + 7.5, d))
+    r1 = report_of(Method.DM, complete_sample(x, y, d))
+    r2 = report_of(Method.DM, complete_sample(x, y + 7.5, d))
     assert r2.var_hat == pytest.approx(r1.var_hat, rel=1e-12)
 
 
@@ -200,12 +178,12 @@ def test_dm_family_reports_match_per_arm_sums(rng):
             d = draw_with(spec, rng)
             if d.sum() in (0, n):
                 continue
-            s = observed_sample(pop, d, spec)
+            y = observe(pop, d)
             _, adjusted, _ = LooraDmPlan.build(pop.x, spec, AUTO2, mismatch).adjusted(
-                d[None], s.y[None]
+                d[None], y[None]
             )
-            for method, u in ((Method.DM, s.y), (Method.LOORA_DM, adjusted[0])):
-                report = estimate_with_ci(method, s, AUTO2, 0.95, mismatch)
+            for method, u in ((Method.DM, y), (Method.LOORA_DM, adjusted[0])):
+                report = report_of(method, (pop.x, y, d, spec), AUTO2, 0.95, mismatch)
                 t, c = u[d == 1.0], u[d == 0.0]
                 hc0 = sum(np.sum((g - g.mean()) ** 2) / g.size**2 for g in (t, c))
                 assert report.tau_hat == pytest.approx(t.mean() - c.mean(), rel=1e-9, abs=1e-12)
@@ -217,9 +195,8 @@ def test_dm_family_reports_match_per_arm_sums(rng):
 
 @pytest.mark.parametrize("method", list(Method))
 def test_plan_rejects_assignments_that_do_not_fit_it(rng, method):
-    # The plan is the one checker of a sample: an ObservedSample checks
-    # nothing on construction, so every bad input must fail on the plan
-    # evaluated directly and through estimate_with_ci alike.
+    # The plan is the one checker of a sample: plan_estimate checks X and
+    # the design, and every evaluation checks the assignment and outcomes.
     n = 10
     pop = random_population(rng, n, 2)
     simple = method in (Method.HT, Method.LOORA_HT)
@@ -228,7 +205,6 @@ def test_plan_rejects_assignments_that_do_not_fit_it(rng, method):
     fits = np.array([1.0] * 5 + [0.0] * 5)
     y = pop.y1 * fits + pop.y0 * (1.0 - fits)
     plan.evaluate(fits, y)
-    estimate_with_ci(method, ObservedSample(pop.x, y, fits, spec))
     with pytest.raises(InvalidInput, match="assignment length"):
         plan.evaluate(np.array([1.0] * 5 + [0.0] * 6), np.append(y, 0.0))
     with pytest.raises(InvalidInput, match="outcome has shape"):
@@ -254,12 +230,53 @@ def test_plan_rejects_assignments_that_do_not_fit_it(rng, method):
         ((pop.x, y, np.append(fits, 0.0), spec), "assignment length"),
         ((pop.x[:-1], y[:-1], short, spec), "design size"),
     ]
-    for fields, message in bad_samples:
+    for sample, message in bad_samples:
         with pytest.raises(InvalidInput, match=message):
-            estimate_with_ci(method, ObservedSample(*fields))
+            report_of(method, sample)
     # HT and LOORA_HT refuse a complete design before its treated count
     with pytest.raises(SpecMismatch if simple else InvalidInput):
-        estimate_with_ci(method, ObservedSample(pop.x, y, six, CompleteDesign(n, 5)))
+        report_of(method, (pop.x, y, six, CompleteDesign(n, 5)))
+
+
+_FIXED_COUNT_METHODS = [Method.DM, Method.LOORA_DM, Method.ADJ, Method.INT, Method.RIDGE_REG]
+
+
+@pytest.mark.parametrize("method", _FIXED_COUNT_METHODS)
+def test_block_routes_refuse_a_row_off_the_fixed_treated_count(rng, method):
+    # A complete design fixes the treated count for every row: one row that
+    # treats a unit too many fails the whole block, naming that row's count.
+    n = 12
+    pop = random_population(rng, n, 2)
+    spec = CompleteDesign(n, 5)
+    plan = plan_estimate(method, pop.x, spec)
+    d = np.stack([draw_with(spec, rng) for _ in range(4)])
+    d[2, np.flatnonzero(d[2] == 0.0)[0]] = 1.0
+    y = observe(pop, d)
+    fits = np.delete(d, 2, axis=0), np.delete(y, 2, axis=0)
+    for route in (plan.evaluate_block, plan.point_block):
+        with pytest.raises(InvalidInput, match="treats 6 of 12 units but the design fixes 5 of 12"):
+            route(d, y)
+        assert route(*fits).ok.all()
+
+
+@pytest.mark.parametrize("method", _FIXED_COUNT_METHODS)
+def test_block_routes_fail_only_the_empty_arm_rows_under_the_opt_in(rng, method):
+    # Under the mismatch opt-in each row's realized count stands in for the
+    # fixed one; an all-treated or all-control row fails alone.
+    n = 12
+    pop = random_population(rng, n, 2)
+    plan = plan_estimate(method, pop.x, SimpleDesign(np.full(n, 0.5)), allow_design_mismatch=True)
+    d = np.stack([draw_with(CompleteDesign(n, 6), rng) for _ in range(5)])
+    d[1], d[3] = 1.0, 0.0
+    y = observe(pop, d)
+    message = f"{method.value} needs at least one treated and one control unit"
+    for route in (plan.evaluate_block, plan.point_block):
+        block = route(d, y)
+        assert block.ok.tolist() == [True, False, True, False, True]
+        assert [(i, type(e), str(e)) for i, e in sorted(block.failures.items())] == [
+            (1, SpecMismatch, message),
+            (3, SpecMismatch, message),
+        ]
 
 
 def test_public_names_resolve_and_the_per_sample_forks_are_gone():
@@ -267,10 +284,22 @@ def test_public_names_resolve_and_the_per_sample_forks_are_gone():
 
     for name in loora.__all__:
         assert hasattr(loora, name), name
+    assert "plan_estimate" in loora.__all__
     removed = ("estimate_loora_ht", "estimate_loora_dm", "estimate_loora_dm_pairwise")
     for name in removed:
         assert name not in loora.__all__
         assert not hasattr(loora, name) and not hasattr(loora.estimators, name)
+    # one way in: plan_estimate(...).evaluate(d, y); no per-sample bundle or pass-through
+    gone = {
+        loora: ("ObservedSample", "estimate", "estimate_with_ci", "confidence_interval"),
+        loora.estimators: ("ObservedSample", "ArmCounts", "_both_arms"),
+        loora.inference: ("estimate", "estimate_with_ci", "confidence_interval"),
+        loora.oracle: ("observed_sample",),
+    }
+    for module, names in gone.items():
+        for name in names:
+            assert name not in loora.__all__
+            assert not hasattr(module, name), (module.__name__, name)
 
 
 def test_readme_library_quick_start_runs(capsys):
@@ -360,20 +389,19 @@ def test_point_estimate_does_not_run_the_variance_self_check(rng, monkeypatch):
     monkeypatch.setattr(loora.estimators, "_two_column_sandwich", failing)
     pop = random_population(rng, 10, 2)
     spec = CompleteDesign(10, 5)
-    s = observed_sample(pop, draw_with(spec, rng), spec)
-    (tau,), _, _ = LooraDmPlan.build(s.x, s.spec, AUTO2).adjusted(s.d[None], s.y[None])
-    assert estimate(Method.LOORA_DM, s, AUTO2) == tau
+    x, y, d, _ = drawn_sample(pop, spec, rng)
+    (tau,), _, _ = LooraDmPlan.build(x, spec, AUTO2).adjusted(d[None], y[None])
+    plan = plan_estimate(Method.LOORA_DM, x, spec, AUTO2)
+    assert plan.point(d, y) == tau
     with pytest.raises(SelfCheckFailed):
-        estimate_with_ci(Method.LOORA_DM, s, AUTO2)
+        plan.evaluate(d, y)
 
 
-def test_estimate_with_ci_brackets_point_estimate(rng):
+def test_evaluate_brackets_point_estimate(rng):
     n = 14
     pop = random_population(rng, n, 2)
-    spec_s = SimpleDesign(rng.uniform(0.35, 0.65, n))
-    s_simple = observed_sample(pop, draw_with(spec_s, rng), spec_s)
-    spec_c = CompleteDesign(n, 7)
-    s_complete = observed_sample(pop, draw_with(spec_c, rng), spec_c)
+    s_simple = drawn_sample(pop, SimpleDesign(rng.uniform(0.35, 0.65, n)), rng)
+    s_complete = drawn_sample(pop, CompleteDesign(n, 7), rng)
     for method, sample in [
         (Method.HT, s_simple),
         (Method.LOORA_HT, s_simple),
@@ -383,7 +411,7 @@ def test_estimate_with_ci_brackets_point_estimate(rng):
         (Method.RIDGE_REG, s_complete),
         (Method.LOORA_DM, s_complete),
     ]:
-        report = estimate_with_ci(method, sample, AUTO2, 0.9)
+        report = report_of(method, sample, AUTO2, 0.9)
         assert report.ci_low <= report.tau_hat <= report.ci_high
         assert report.var_hat >= 0.0
         half = (report.ci_high - report.ci_low) / 2.0
@@ -392,15 +420,15 @@ def test_estimate_with_ci_brackets_point_estimate(rng):
         )
 
 
-def test_estimate_with_ci_lambda_metadata(rng):
+def test_evaluate_lambda_metadata(rng):
     n = 10
     pop = random_population(rng, n, 2)
-    spec = SimpleDesign(np.full(n, 0.5))
-    s = observed_sample(pop, draw_with(spec, rng), spec)
-    report = estimate_with_ci(Method.LOORA_HT, s, LambdaRule.fixed(0.75))
+    x, y, d, spec = drawn_sample(pop, SimpleDesign(np.full(n, 0.5)), rng)
+    plan = plan_estimate(Method.LOORA_HT, x, spec, LambdaRule.fixed(0.75))
+    report = plan.evaluate(d, y)
     assert report.lambda_used == 0.75
     assert report.method is Method.LOORA_HT
-    assert report.tau_hat == pytest.approx(estimate(Method.LOORA_HT, s, LambdaRule.fixed(0.75)))
+    assert report.tau_hat == pytest.approx(plan.point(d, y))
 
 
 # --- independent certificates for the benchmark and DM-family cores ----------

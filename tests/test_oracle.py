@@ -11,9 +11,9 @@ from numpy.testing import assert_allclose
 import loora.oracle as oracle_mod
 from conftest import loo_fitted, random_population, rel_gap
 from loora.design import CompleteDesign, SimpleDesign, enumerate_assignments
-from loora.estimators import LambdaRule, Method, ObservedSample
+from loora.estimators import LambdaRule, Method
 from loora.exceptions import NonFinite, ParameterOutOfRange, RankDeficient
-from loora.inference import estimate
+from loora.inference import plan_estimate
 from loora.linalg import leverage_regularizer, max_row_norm, ridge_factor
 from loora.oracle import (
     Population,
@@ -106,10 +106,11 @@ def test_adjusted_ht_variance_matches_enumeration_of_adjusted_estimator(rng):
     p = rng.uniform(0.3, 0.7, n)
     b = rng.standard_normal(2)
     spec = SimpleDesign(p)
+    plan = plan_estimate(Method.HT, pop.x, spec)
     values, probs = [], []
     for a, prob in enumerate_assignments(spec):
         y_adj = observe(pop, a) - pop.x @ b
-        values.append(estimate(Method.HT, ObservedSample(pop.x, y_adj, a, spec)))
+        values.append(plan.point(a, y_adj))
         probs.append(prob)
     mean = math.fsum(pr * v for pr, v in zip(probs, values))
     enum_var = math.fsum(pr * (v - mean) ** 2 for pr, v in zip(probs, values))
@@ -223,10 +224,11 @@ def test_enumeration_moments_raises_the_lowest_failing_assignments_failure():
     x = np.array([[0.0, 1.0], [2.0, 0.0], [1.0, 2.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
     pop = Population(x, np.arange(6.0) + 1.0, np.arange(6.0))
     spec = CompleteDesign(6, 3)
+    plan = plan_estimate(Method.INT, x, spec)
     failures = []
     for a, _ in enumerate_assignments(spec):
         try:
-            estimate(Method.INT, ObservedSample(x, observe(pop, a), a, spec))
+            plan.point(a, observe(pop, a))
         except RankDeficient as exc:
             failures.append(str(exc))
     assert failures[0].startswith("column 1 ")
@@ -258,10 +260,11 @@ def test_dm_adjusted_variance_matches_enumeration_of_adjusted_estimator(rng):
     pop = random_population(rng, n, 2)
     b = rng.standard_normal(2)
     spec = CompleteDesign(n, 3)
+    plan = plan_estimate(Method.DM, pop.x, spec)
     values, probs = [], []
     for a, prob in enumerate_assignments(spec):
         y_adj = observe(pop, a) - pop.x @ b
-        values.append(estimate(Method.DM, ObservedSample(pop.x, y_adj, a, spec)))
+        values.append(plan.point(a, y_adj))
         probs.append(prob)
     mean = math.fsum(pr * v for pr, v in zip(probs, values))
     enum_var = math.fsum(pr * (v - mean) ** 2 for pr, v in zip(probs, values))

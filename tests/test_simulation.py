@@ -12,9 +12,9 @@ import loora.simulation
 from loora.design import CompleteDesign, block_size, enumerate_assignments
 from loora.estimators import LambdaRule, Method
 from loora.exceptions import InvalidInput, InvalidSpec, TooLarge
-from loora.inference import estimate
+from loora.inference import plan_estimate
 from loora.linalg import ridge_leverages_svd
-from loora.oracle import Population, enumeration_moments, observed_sample
+from loora.oracle import Population, enumeration_moments, observe
 from loora.reporting import record_line
 from loora.simulation import (
     _STATE_CHUNK,
@@ -89,8 +89,8 @@ def test_synth_linear_no_noise_no_heterogeneity_is_exact_for_adj():
     assert pop.tau == pytest.approx(2.5, rel=1e-12)
     spec = CompleteDesign(10, 5)
     for assignment, _ in enumerate_assignments(spec):
-        s = observed_sample(pop, assignment, spec)
-        assert estimate(Method.ADJ, s) == pytest.approx(2.5, abs=1e-9)
+        tau = plan_estimate(Method.ADJ, x, spec).point(assignment, observe(pop, assignment))
+        assert tau == pytest.approx(2.5, abs=1e-9)
         break  # any assignment behaves identically; spot-check a few below
     mean, var = enumeration_moments(pop, spec, Method.ADJ)
     assert mean == pytest.approx(2.5, abs=1e-10)
