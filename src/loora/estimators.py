@@ -9,11 +9,11 @@ factorization through the leave-one-out identity.
 
 Each method is one plan (HtPlan, DmPlan, LooraHtPlan, LooraDmPlan or
 BenchmarkPlan), built once from the covariates, the design and the penalty
-rule. A plan holds its penalty lam and one method, block(d, y, variance): d
-(B, n) holds one 0/1 assignment per row and y (B, n) the outcomes each
-reveals; block returns the per-row point estimates and HC0 variances (None
-unless variance is true), nan where an exact sum overflows, and, keyed by
-row, the method failure each failing row would raise on its own.
+rule. A plan holds its penalty lam and one method, block(block, variance) on
+a loora.inference.CheckedBlock (d (B, n), one 0/1 assignment per row, the y
+(B, n) each reveals, their arm facts): per-row point estimates and HC0
+variances (None unless variance is true), nan where an exact sum overflows,
+and, keyed by row, the method failure each failing row would raise alone.
 Both steps of a LOORA estimate, the ridge fit and the regression on the
 treatment indicator whose sandwich is the variance, share one set of
 intermediates. A Monte Carlo study builds each plan once and evaluates it
@@ -38,11 +38,19 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .design import CompleteDesign, DesignSpec, SimpleDesign
-from .exceptions import InvalidInput, LooraError, RankDeficient, SelfCheckFailed, SpecMismatch
+from .exceptions import (
+    InvalidInput,
+    LooraError,
+    NonFinite,
+    RankDeficient,
+    SelfCheckFailed,
+    SpecMismatch,
+)
 from .linalg import (
     RidgeFactor,
     as_design_matrix,
@@ -59,6 +67,9 @@ from .linalg import (
     singular_column,
     upper_inverse,
 )
+
+if TYPE_CHECKING:
+    from .inference import CheckedBlock
 
 
 class Method(str, enum.Enum):
@@ -129,25 +140,16 @@ def require_complete(spec: DesignSpec, method: str, allow_design_mismatch: bool)
         raise SpecMismatch(f"{method} is defined under complete random assignment only")
 
 
-def arm_counts(method: str, d: np.ndarray) -> tuple[np.ndarray, np.ndarray, dict[int, LooraError]]:
-    """Per-row realized (n_t, n_c) of an assignment block d (B, n), and the rows that fail.
+def _empty_arms(method: str, block: CheckedBlock) -> dict[int, LooraError]:
+    """SpecMismatch, keyed by row, for each row of the block that leaves an arm empty.
 
-    The counts are float arrays. Under a complete design every row's count
-    is the fixed one (EstimatePlan checks it); under the mismatch opt-in a
-    row with an empty arm fails with SpecMismatch, returned keyed by row,
-    and counts its empty arm as 1 so that no arithmetic on it divides by
-    zero.
+    Only the mismatch opt-in admits one; its arm counts give non-finite values, never read.
     """
-    n = d.shape[1]
-    treated = d.sum(axis=1).astype(np.int64)  # int(d.sum()) of each row
-    empty = (treated < 1) | (treated > n - 1)
-    n_t = np.maximum(treated, 1).astype(np.float64)
-    n_c = np.maximum(n - treated, 1).astype(np.float64)
-    failed = {
+    empty = (block.n_t == 0.0) | (block.n_c == 0.0)
+    return {
         int(i): SpecMismatch(f"{method} needs at least one treated and one control unit")
         for i in np.nonzero(empty)[0]
     }
-    return n_t, n_c, failed
 
 
 # Extraction works on rows whose nonzero entries are all at least 2**-969.
@@ -259,19 +261,20 @@ class HtPlan:
     p: np.ndarray
     lam = 0.0  # unpenalized
 
-    def block(self, d: np.ndarray, y: np.ndarray, variance: bool):
+    def block(self, block: CheckedBlock, variance: bool):
         """See the module docstring.
 
         The HC0 variance regresses y_i / q_i on the signed indicator z; since
         z is +/-1, the sandwich is n^{-2} times the sum of the squared
         residuals y_i / q_i - z_i tau_hat.
         """
+        d, y, control = block.d, block.y, block.control
         rows, n = y.shape
-        arms = fsum_rows(np.concatenate([d * y / self.p, (1.0 - d) * y / (1.0 - self.p)])) / n
+        arms = fsum_rows(np.concatenate([d * y / self.p, control * y / (1.0 - self.p)])) / n
         tau = arms[:rows] - arms[rows:]
         if not variance:
             return tau, None, {}
-        q = self.p * d + (1.0 - self.p) * (1.0 - d)  # the probability of each unit's arm
+        q = self.p * d + (1.0 - self.p) * control  # the probability of each unit's arm
         resid = y / q - (2.0 * d - 1.0) * tau[:, None]
         return tau, fsum_rows(resid**2) / n**2, {}
 
@@ -282,42 +285,34 @@ class DmPlan:
 
     lam = 0.0  # unpenalized
 
-    def block(self, d: np.ndarray, y: np.ndarray, variance: bool):
+    def block(self, block: CheckedBlock, variance: bool):
         """See the module docstring; the HC0 variance is _two_column_sandwich's of y."""
-        n_t, n_c, failed = arm_counts("DM", d)
-        arms = fsum_rows(np.concatenate([d * y, (1.0 - d) * y]))
-        tau = arms[: d.shape[0]] / n_t - arms[d.shape[0] :] / n_c
-        return tau, _two_column_sandwich(y, d)[1] if variance else None, failed
+        d, y, rows = block.d, block.y, block.d.shape[0]
+        arms = fsum_rows(np.concatenate([d * y, block.control * y]))
+        tau = arms[:rows] / block.n_t - arms[rows:] / block.n_c
+        var = _two_column_sandwich(y, block)[1] if variance else None
+        return tau, var, _empty_arms("DM", block)
 
 
-def _two_column_sandwich(u: np.ndarray, d: np.ndarray, mask: np.ndarray | None = None):
+def _two_column_sandwich(u: np.ndarray, block: CheckedBlock):
     """Slope of the OLS of each row of u on [1, d] and the HC0 variance of that slope.
 
-    u and d are (B, n) blocks, and mask is d's _arm_mask if the caller has
-    it; returns the per-row (slope, slope variance) arrays. The regression is the two arm means: intercept u_c,
+    u is a (B, n) block and d the block's assignments; returns the per-row
+    (slope, slope variance) arrays. The regression is the two arm means: intercept u_c,
     slope u_t - u_c, and with r the deviations from the arm means, row d of
     the sandwich bread times [1, d]' is 1/n_t on treated and -1/n_c on
     control units, so the variance is sum_t r^2 / n_t^2 + sum_c r^2 / n_c^2.
     A row with an empty arm gives non-finite values; the methods calling
-    this have already failed such rows through arm_counts.
+    this have already failed such rows through _empty_arms.
     """
-    n_t = d.sum(axis=1)
-    n_c = u.shape[1] - n_t
-    c = 1.0 - d
+    d, c, n_t, n_c = block.d, block.control, block.n_t, block.n_c
     mean_t, mean_c = dot_rows(d, u) / n_t, dot_rows(c, u) / n_c
-    if mask is None:
-        mask = _arm_mask(d)
-    r2 = (u - _by_arm(mask, mean_t[:, None], mean_c[:, None])) ** 2
+    r2 = (u - _by_arm(block.mask, mean_t[:, None], mean_c[:, None])) ** 2
     return mean_t - mean_c, dot_rows(d, r2) / n_t**2 + dot_rows(c, r2) / n_c**2
 
 
-def _arm_mask(d: np.ndarray) -> np.ndarray:
-    """All 64 bits set where the 0/1 block d is 1 and none where it is 0 (uint64)."""
-    return np.negative(d.astype(np.int64)).view(np.uint64)
-
-
 def _by_arm(mask: np.ndarray, treated: np.ndarray, control: np.ndarray) -> np.ndarray:
-    """treated where mask (an _arm_mask) is set and control elsewhere, bit for bit.
+    """treated where mask (a CheckedBlock's) is set and control elsewhere, bit for bit.
 
     treated and control are float64 arrays that broadcast against the mask.
     The bits are np.where(d == 1, treated, control)'s for any values, by
@@ -356,7 +351,14 @@ class LooraHtPlan:
         x = as_design_matrix(x)
         p = require_simple(spec, "LOORA_HT").p
         r = np.sqrt(p * (1.0 - p))
-        xw = x / r[:, None]
+        with np.errstate(over="ignore"):  # checked instead
+            xw = x / r[:, None]
+        bad = ~np.isfinite(xw).all(axis=1)
+        if bad.any():
+            raise InvalidInput(
+                f"X / sqrt(p (1 - p)) overflows double precision at row {int(np.argmax(bad))}; "
+                "rescale the design"
+            )
         lam = rule.resolve(xw)
         ridge = ridge_factor(xw, lam)
         check_loo_feasible(ridge.hat_diag)
@@ -370,7 +372,7 @@ class LooraHtPlan:
             zq_gap=(p * ridge.gap, -((1.0 - p) * ridge.gap)),
         )
 
-    def block(self, d: np.ndarray, y: np.ndarray, variance: bool):
+    def block(self, block: CheckedBlock, variance: bool):
         """See the module docstring.
 
         The second step regresses the residualized outcomes
@@ -381,7 +383,7 @@ class LooraHtPlan:
         is the residual negated, bit for bit, where z_i = -1, so its square
         has the residual's own bits.
         """
-        ridge, n, mask = self.ridge, y.shape[1], _arm_mask(d)
+        ridge, y, mask, n = self.ridge, block.y, block.mask, block.y.shape[1]
         yw = _by_arm(mask, *self.scales) * y  # reweighted: their expectation is the HT signal
         beta = ridge.solve_rows(yw)  # full-sample fits of the reweighted outcomes on X / r
         # x_i' beta^{(-i)} with the raw row x_i = r_i * (x_i / r_i)
@@ -452,19 +454,17 @@ class LooraDmPlan:
         check_loo_feasible(ridge.hat_diag)
         return cls(lam=lam, ridge=ridge)
 
-    def adjusted(self, d: np.ndarray, y: np.ndarray, mask: np.ndarray | None = None):
-        """(tau_hat, u, failed) for a block of assignments d (B, n) and outcomes y (B, n).
+    def adjusted(self, block: CheckedBlock):
+        """(tau_hat, u, failed) for a checked block of assignments and outcomes.
 
         Row i of u holds the adjusted outcomes y_j - x_j' beta^{(-j)} of
-        assignment i; failed holds the rows whose arm counts fail, as
-        arm_counts returns them. tau_hat sums v z u, with v the arm
+        assignment i; failed holds the rows with an empty arm, as
+        _empty_arms returns them. tau_hat sums v z u, with v the arm
         weights 1/n_arm and z = 2d - 1, each signed weight picked by the arm
-        (_by_arm); mask is d's _arm_mask, built here if not given.
+        (_by_arm).
         """
-        n_t, n_c, failed = arm_counts("LOORA_DM", d)
-        own_t, cross_t, own_c, cross_c, inv_t, neg_inv_c = _dm_row_weights(n_t, n_c)
-        if mask is None:
-            mask = _arm_mask(d)
+        own_t, cross_t, own_c, cross_c, inv_t, neg_inv_c = _dm_row_weights(block.n_t, block.n_c)
+        d, y, mask = block.d, block.y, block.mask
         # Both responses of every row (its weights picked by arm, times y) go to
         # one solve. The removed unit's own response entry cancels in the
         # leave-one-out identity, so the zero placeholders in the scalings are
@@ -476,9 +476,9 @@ class LooraDmPlan:
         beta = ridge.solve_rows(responses)
         loo = loo_fitted_rows(ridge, responses, beta)
         u = y - _by_arm(mask, loo[:rows], loo[rows:])
-        return fsum_rows(_by_arm(mask, inv_t, neg_inv_c) * u), u, failed
+        return fsum_rows(_by_arm(mask, inv_t, neg_inv_c) * u), u, _empty_arms("LOORA_DM", block)
 
-    def block(self, d: np.ndarray, y: np.ndarray, variance: bool):
+    def block(self, block: CheckedBlock, variance: bool):
         """See the module docstring.
 
         The second step regresses u on an intercept and the treatment
@@ -486,11 +486,10 @@ class LooraDmPlan:
         sandwich entry is the variance. A row fails with SelfCheckFailed if
         the slope does not reproduce its point estimate.
         """
-        mask = _arm_mask(d)
-        tau, u, failed = self.adjusted(d, y, mask)
+        tau, u, failed = self.adjusted(block)
         if not variance:
             return tau, None, failed
-        slope, var = _two_column_sandwich(u, d, mask)
+        slope, var = _two_column_sandwich(u, block)
         off = np.abs(slope - tau) > 1e-10 * np.maximum(1.0, np.abs(tau))
         self_check = {
             int(i): SelfCheckFailed(
@@ -507,9 +506,11 @@ def _power_of_two_scales(a: np.ndarray) -> np.ndarray:
 
     Scaling by a power of two is exact, so it changes no fitted value; it
     only keeps rank tests, which compare columns with one another, blind to
-    the units a covariate is measured in. An all-zero column keeps scale 1.
+    the units a covariate is measured in. An all-zero column keeps scale 1,
+    and a column whose largest |entry| is below 2**-1023 (subnormal) takes
+    the largest finite power, 2**1023, which still scales it exactly.
     """
-    return np.ldexp(1.0, -np.frexp(np.max(np.abs(a), axis=0))[1])
+    return np.ldexp(1.0, np.minimum(-np.frexp(np.max(np.abs(a), axis=0))[1], 1023))
 
 
 @dataclass(frozen=True)
@@ -562,34 +563,47 @@ class BenchmarkPlan:
         method = Method(method)
         require_complete(spec, method.value, allow_design_mismatch)
         x = as_design_matrix(x)
-        covariates = x - x.mean(axis=0) if method is Method.INT else x
+        covariates = x
+        if method is Method.INT:
+            with np.errstate(over="ignore", invalid="ignore"):  # checked instead
+                covariates = x - x.mean(axis=0)
+            bad = ~np.isfinite(covariates).all(axis=0)
+            if bad.any():
+                raise NonFinite("INT", f"centering of column {int(np.argmax(bad))} of X")
         scales = _power_of_two_scales(covariates)
         basis = np.column_stack([np.ones(x.shape[0]), covariates * scales])
         lam = rule.resolve(x) if method is Method.RIDGE_REG else 0.0
         if method is Method.INT:
             full_rank_cholesky(basis)
             return cls(method=method, basis=basis, ridge=None, lam=lam)
-        penalty = np.concatenate([[0.0], lam * scales**2])
+        penalty = 0.0  # ADJ, and RIDGE_REG at lambda = 0
+        if lam > 0.0:
+            # RIDGE_REG's penalty in scaled units, capped at 2**1000: a column
+            # whose lam * scale**2 would pass it (one below about 2**-500 of
+            # sqrt(lam)) has a coefficient of zero to double precision at
+            # either penalty, and the cap keeps the Gram and its pivots finite.
+            with np.errstate(over="ignore"):
+                penalty = np.concatenate([[0.0], np.minimum(lam * scales**2, 2.0**1000)])
         ridge = ridge_factor(basis, penalty)
         return cls(method=method, basis=basis, ridge=ridge, lam=lam)
 
-    def block(self, d: np.ndarray, y: np.ndarray, variance: bool):
+    def block(self, block: CheckedBlock, variance: bool):
         """See the module docstring; the HC0 variance is the sum of parts()'s squared terms."""
-        tau, terms, failed = self.parts(d, y)
+        tau, terms, failed = self.parts(block)
         return tau, fsum_rows(terms**2) if variance else None, failed
 
-    def parts(self, d: np.ndarray, y: np.ndarray):
-        """(tau_hat, terms, failed) for a block of assignments d (B, n) and outcomes y (B, n).
+    def parts(self, block: CheckedBlock):
+        """(tau_hat, terms, failed) for a checked block of assignments and outcomes.
 
         Row i of terms is w r with w the estimate's linear weight on y
         (tau_hat = w'y) and r the full regression's residuals, so the HC0
         variance is the sum of its squares. failed holds, keyed by row,
         the arm-count and rank failures each row would raise alone.
         """
-        _, _, failed = arm_counts(self.method.value, d)
+        failed = _empty_arms(self.method.value, block)
         if self.method is Method.INT:
-            return self._int_parts(d, y, failed)
-        w, z = self.basis, self.ridge.z
+            return self._int_parts(block, failed)
+        d, y, w, z = block.d, block.y, self.basis, self.ridge.z
         d_res = d - matvec_rows(w, matvec_rows(z, d))
         dd = dot_rows(d_res, d)
         singular = negligible_pivot(dd, dot_rows(d, d), (d.shape[1], w.shape[1] + 1))
@@ -605,7 +619,7 @@ class BenchmarkPlan:
         resid = y - matvec_rows(w, matvec_rows(z, y)) - d_res * tau_hat[:, None]
         return tau_hat, d_res * resid / dd[:, None], failed
 
-    def _int_parts(self, d: np.ndarray, y: np.ndarray, failed: dict):
+    def _int_parts(self, block: CheckedBlock, failed: dict):
         """INT's parts: both arm fits of all rows that share a treated count at once.
 
         The rows still to fit are sorted by treated count, their units
@@ -614,14 +628,14 @@ class BenchmarkPlan:
         k + 1) view per arm. A row whose arm is rank-deficient fails as
         full_rank_cholesky fails it alone, the treated arm checked first.
         """
+        d, y = block.d, block.y
         tau_hat, terms = np.full(d.shape[0], math.nan), np.zeros(d.shape)
-        treated = d == 1.0
-        count = np.count_nonzero(treated, axis=1)
+        count = block.n_t.astype(np.int64)
         live = np.ones(d.shape[0], dtype=bool)
         live[list(failed)] = False
         rows = np.flatnonzero(live)
         rows = rows[np.argsort(count[rows], kind="stable")]
-        order = np.argsort(~treated[rows], axis=1, kind="stable")
+        order = np.argsort(block.control[rows], axis=1, kind="stable")
         a = np.take(self.basis, order, axis=0)
         ya = np.take(y, order + d.shape[1] * rows[:, None])
         alpha, info = np.zeros((rows.size, 2)), np.zeros((rows.size, 2), dtype=np.int64)

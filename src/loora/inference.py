@@ -3,15 +3,16 @@
 plan_estimate is the one switch over method identifiers: it builds the
 method's plan from loora.estimators, which computes the point estimates,
 the HC0 (sandwich) variances and the per-row failures of a block of
-assignments. EstimatePlan wraps it with the rest: the one checker of every
-assignment and outcome it is given, the numpy error state under which the
-plan runs, the NonFinite failure of any estimate or variance that leaves
+assignments, reading its arm facts from the CheckedBlock of the one input
+checker, check_block. EstimatePlan wraps it with the numpy error state it
+runs under, the NonFinite failure of any estimate or variance that leaves
 the floating-point range, and the normal confidence intervals.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -102,6 +103,46 @@ def _fail_non_finite(failed: dict, values: np.ndarray, method: Method, stage: st
 
 
 @dataclass(frozen=True)
+class CheckedBlock:
+    """check_block's d and y (B, n), with the arm facts every plan reads, each formed once.
+
+    mask: uint64, all bits set where d is 1; n_t, n_c: per-row arm counts; control: 1 - d.
+    """
+
+    d: np.ndarray
+    y: np.ndarray
+    mask = cached_property(lambda self: np.negative(self.d.astype(np.int64)).view(np.uint64))
+    n_t = cached_property(lambda self: self.d.sum(axis=1))
+    n_c = cached_property(lambda self: self.d.shape[1] - self.n_t)
+    control = cached_property(lambda self: 1.0 - self.d)
+
+
+def check_block(d, y, spec: DesignSpec) -> CheckedBlock:
+    """The one input checker: d and y as a float CheckedBlock, or InvalidInput.
+
+    One row off the treated count a complete design fixes fails the block.
+    """
+    d, y = np.asarray(d, dtype=np.float64), np.asarray(y, dtype=np.float64)
+    if d.ndim != 2 or d.shape[1] != spec.n:
+        raise InvalidInput("assignment length does not match the design matrix")
+    if not ((d == 0.0) | (d == 1.0)).all():
+        raise InvalidInput("assignment entries must be 0 or 1")
+    if y.shape != d.shape:
+        raise InvalidInput(f"outcome has shape {y.shape}, expected {d.shape}")
+    if not np.isfinite(y).all():
+        raise InvalidInput("outcome contains non-finite entries")
+    block = CheckedBlock(d, y)
+    if isinstance(spec, CompleteDesign):
+        wrong = block.n_t != spec.n_t
+        if wrong.any():
+            raise InvalidInput(
+                f"assignment treats {int(block.n_t[np.argmax(wrong)])} of {spec.n} units "
+                f"but the design fixes {spec.n_t} of {spec.n}"
+            )
+    return block
+
+
+@dataclass(frozen=True)
 class EstimatePlan:
     """One method's estimate, split into a study-fixed and a per-assignment part.
 
@@ -112,13 +153,9 @@ class EstimatePlan:
     evaluate_block() and point_block() then do the work of a block of
     assignments; evaluate() and point() are the same code on a block of
     one, so a row's result never depends on the block it is in. A Monte
-    Carlo study or an enumeration builds one plan per method and evaluates
-    it on every block.
-
-    Every route raises InvalidInput when an assignment or the outcomes y do
-    not fit the planned sample: an assignment entry other than 0 or 1, a
-    length other than n, mis-shaped or non-finite outcomes, or a treated
-    count other than the one a complete design fixes. A row fails with
+    Carlo study builds one plan per method and evaluates every plan on each
+    block it checks once (evaluate_checked); every other route raises
+    check_block's InvalidInput on input that does not fit. A row fails with
     NonFinite, naming the method and the stage, when a result leaves the
     floating-point range (for example on outcomes of magnitude 1e200, whose
     squares overflow).
@@ -126,16 +163,14 @@ class EstimatePlan:
 
     method: Method
     level: float
-    n: int
+    spec: DesignSpec
     core: HtPlan | DmPlan | LooraHtPlan | LooraDmPlan | BenchmarkPlan
     quantile: float  # z_{1 - alpha/2} for level
-    treated: int | None  # the treated count a complete design fixes, else None
 
-    def _estimates(self, d, y, variance: bool) -> BlockEstimates:
+    def _estimates(self, block: CheckedBlock, variance: bool) -> BlockEstimates:
         """The core on a checked block, each row's failure in the order the row meets it."""
-        d, y = self._checked(d, y)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            tau, var, failed = self.core.block(d, y, variance)
+            tau, var, failed = self.core.block(block, variance)
             _fail_non_finite(failed, tau, self.method, "point estimate")
             if variance:
                 _fail_non_finite(failed, var, self.method, "variance")
@@ -149,31 +184,9 @@ class EstimatePlan:
             low, high = _interval(tau, var, self.quantile)
         return BlockEstimates(tau, var, low, high, failed, ok)
 
-    def _checked(self, d, y) -> tuple[np.ndarray, np.ndarray]:
-        """The one input checker: d and y as float (B, n) blocks, or InvalidInput.
-
-        A row off the treated count a complete design fixes fails the whole
-        block, as a mis-shaped input does.
-        """
-        d = np.asarray(d, dtype=np.float64)
-        y = np.asarray(y, dtype=np.float64)
-        if d.ndim != 2 or d.shape[1] != self.n:
-            raise InvalidInput("assignment length does not match the design matrix")
-        if not ((d == 0.0) | (d == 1.0)).all():
-            raise InvalidInput("assignment entries must be 0 or 1")
-        if y.shape != d.shape:
-            raise InvalidInput(f"outcome has shape {y.shape}, expected {d.shape}")
-        if not np.isfinite(y).all():
-            raise InvalidInput("outcome contains non-finite entries")
-        if self.treated is not None:
-            counts = d.sum(axis=1).astype(np.int64)
-            wrong = counts != self.treated
-            if wrong.any():
-                raise InvalidInput(
-                    f"assignment treats {counts[np.argmax(wrong)]} of {self.n} units "
-                    f"but the design fixes {self.treated} of {self.n}"
-                )
-        return d, y
+    def evaluate_checked(self, block: CheckedBlock) -> BlockEstimates:
+        """evaluate_block on a block that check_block has checked against this plan's design."""
+        return self._estimates(block, variance=True)
 
     def evaluate_block(self, d, y) -> BlockEstimates:
         """Point estimates, HC0 variances and confidence intervals for a block.
@@ -181,15 +194,16 @@ class EstimatePlan:
         d (B, n) holds one 0/1 assignment per row and y (B, n) the outcomes
         each reveals; every row gets the bits evaluate() gives it alone.
         """
-        return self._estimates(d, y, variance=True)
+        return self._estimates(check_block(d, y, self.spec), variance=True)
 
     def point_block(self, d, y) -> BlockEstimates:
         """The point estimates alone for a block, as point() gives each row."""
-        return self._estimates(d, y, variance=False)
+        return self._estimates(check_block(d, y, self.spec), variance=False)
 
     def _one(self, d, y, variance: bool) -> BlockEstimates:
         """One 0/1 assignment vector d as a block of one row; raises the row's failure."""
-        estimates = self._estimates(np.asarray(d)[None], np.asarray(y)[None], variance)
+        block = check_block(np.asarray(d)[None], np.asarray(y)[None], self.spec)
+        estimates = self._estimates(block, variance)
         if estimates.failures:
             raise estimates.failures[0]
         return estimates
@@ -249,9 +263,8 @@ def plan_estimate(
     return EstimatePlan(
         method=method,
         level=level,
-        n=x.shape[0],
+        spec=spec,
         core=core,
         quantile=_interval_quantile(level),
-        treated=spec.n_t if isinstance(spec, CompleteDesign) else None,
     )
 

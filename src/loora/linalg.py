@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import InvalidInput, LeverageSingular, RankDeficient
+from .exceptions import InvalidInput, LeverageSingular, NonFinite, RankDeficient
 
 # (1 - h) below this threshold makes leave-one-out denominators meaningless.
 LEVERAGE_GUARD = 1e-12
@@ -168,8 +168,9 @@ def ridge_factor(x, lam) -> RidgeFactor:
     x = as_design_matrix(x)
     n, k = x.shape
     lam = _as_penalty(lam, k)
-    gram = x.T @ x
-    gram.flat[:: k + 1] += lam
+    with np.errstate(over="ignore", invalid="ignore"):  # checked instead
+        gram = x.T @ x
+        gram.flat[:: k + 1] += lam
     if not np.all(np.isfinite(gram)):
         raise InvalidInput("X'X + lambda overflows double precision; rescale the design")
     rows = n + (k * (lam > 0.0) if isinstance(lam, float) else int(np.count_nonzero(lam)))
@@ -247,9 +248,14 @@ def full_rank_cholesky(a: np.ndarray) -> np.ndarray:
     """Upper Cholesky factor R of the unpenalized Gram a'a (a'a = R'R).
 
     Raises RankDeficient, naming the first column at fault, when the Gram is
-    not numerically positive definite or a pivot is negligible_pivot.
+    not numerically positive definite or a pivot is negligible_pivot, and
+    NonFinite when the Gram overflows.
     """
-    upper, info = full_rank_cholesky_rows((a.T @ a)[None], a.shape)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked instead
+        gram = a.T @ a
+    if not np.all(np.isfinite(gram)):
+        raise NonFinite("full_rank_cholesky", "Gram a'a")
+    upper, info = full_rank_cholesky_rows(gram[None], a.shape)
     if info[0]:
         raise singular_column(int(info[0]) - 1)
     return upper[0]

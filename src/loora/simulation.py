@@ -40,7 +40,7 @@ from .exceptions import (
     SpecMismatch,
     TooLarge,
 )
-from .inference import plan_estimate
+from .inference import check_block, plan_estimate
 from .oracle import Population, observe
 
 DESIGN_CHOICES = ("simple-half", "simple-covariate-correlated", "complete")
@@ -355,13 +355,13 @@ def _blocks(spec, cfg, count):
         yield draw_rows(spec, itertools.islice(rngs, rows)), np.ones(rows)
 
 
-def _record_block(plan, d, y, tau, out):
-    """Fill out (B, 4) with the plan's (ok, tau_hat, covered, length) rows.
+def _record_block(plan, block, tau, out):
+    """Fill out (B, 4) with the plan's (ok, tau_hat, covered, length) rows of the block.
 
     Rows that fail with a method failure stay all zero; any other error
     raises and aborts the study.
     """
-    est = plan.evaluate_block(d, y)
+    est = plan.evaluate_checked(block)
     low, high = est.ci_low, est.ci_high
     out[:, 0] = 1.0
     out[:, 1] = est.tau_hat
@@ -422,8 +422,8 @@ def run_study(pop: Population, cfg: StudyConfig) -> SimulationReport:
     Deterministic for a given (population, config): replicate substreams are
     derived from (seed, replicate index) and aggregation runs in replicate
     order. Each method is planned once. Replicates are drawn, observed and
-    evaluated in blocks of design.block_size(n) rows, each method once per
-    block, and every row gets the bits its replicate has alone. Results go
+    checked in blocks of design.block_size(n) rows, every method evaluates
+    each checked block, and every row gets the bits its replicate has alone. Results go
     into one (replicates x methods x 4) float64 array, so memory grows by
     32 bytes per replicate and method. The report's stages hold the wall
     seconds of planning (plan_s), of drawing and evaluating every block
@@ -447,10 +447,10 @@ def run_study(pop: Population, cfg: StudyConfig) -> SimulationReport:
     start = 0
     for d, weight in _blocks(spec, cfg, count):
         stop = start + d.shape[0]
-        y = observe(pop, d)
+        block = check_block(d, observe(pop, d), spec)
         for j, plan in enumerate(plans):
             if plan is not None:
-                _record_block(plan, d, y, tau, rows[start:stop, j])
+                _record_block(plan, block, tau, rows[start:stop, j])
         weights[start:stop] = weight
         start = stop
     aggregating = time.perf_counter()

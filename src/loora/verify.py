@@ -25,11 +25,10 @@ from .estimators import (
     DEFAULT_LAMBDA_RULE,
     LambdaRule,
     Method,
-    arm_counts,
     require_complete,
     require_simple,
 )
-from .exceptions import InvalidInput
+from .exceptions import InvalidInput, SpecMismatch
 from .inference import plan_estimate
 from .linalg import check_loo_feasible, leverage_regularizer, ridge_factor, ridge_leverages_svd
 from .oracle import (
@@ -89,10 +88,10 @@ def _loora_ht_refit(
 def _sample_counts(d: np.ndarray, spec: DesignSpec, allow_design_mismatch: bool) -> tuple[int, int]:
     """LOORA-DM's arm counts (n_t, n_c) of one assignment d; raises where they fail."""
     require_complete(spec, "LOORA_DM", allow_design_mismatch)
-    n_t, n_c, failed = arm_counts("LOORA_DM", d[None])
-    if failed:
-        raise failed[0]
-    return int(n_t[0]), int(n_c[0])
+    n_t = int(d.sum())
+    if not 0 < n_t < d.shape[0]:
+        raise SpecMismatch("LOORA_DM needs at least one treated and one control unit")
+    return n_t, d.shape[0] - n_t
 
 
 def _loora_dm_refit(

@@ -781,6 +781,21 @@ def test_estimate_covariates_too_large_to_square_exit_2(tmp_path, capsys, method
     assert stderr == "error: lambda must be finite and nonnegative, got inf\n"
 
 
+@pytest.mark.parametrize("fixture", ["tiny_x2_subnormal.csv", "tiny_x2_e-201.csv"])
+@pytest.mark.parametrize("method", ["ADJ", "RIDGE_REG", "INT"])
+def test_estimate_on_a_tiny_covariate_exits_0(tmp_path, capsys, fixture, method):
+    # x2 below 2**-1022 or 2**-512: its power-of-two scale and RIDGE_REG's
+    # scaled penalty stay finite, and no RuntimeWarning escapes
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, _, stderr = run(
+            capsys, "estimate", "--data", str(DATA / fixture), "--covariates", "x1,x2",
+            "--y-col", "y", "--d-col", "d", "--design", "complete", "--nt", "6",
+            "--method", method, "--out", str(tmp_path / "tiny.jsonl"),
+        )
+    assert (code, stderr) == (0, "")
+
+
 def test_estimate_ht_with_both_infinite_arm_sums_exits_3(tmp_path, capsys):
     # y / p turns the two treated outcomes into +inf and -inf, whose sum
     # math.fsum refuses with ValueError; the estimate is simply not finite.

@@ -1,5 +1,6 @@
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,18 +16,20 @@ from loora.estimators import (
     LambdaRule,
     LooraHtPlan,
     Method,
+    _empty_arms,
     _fsum_rows_extracted,
-    arm_counts,
+    _power_of_two_scales,
     fsum_rows,
 )
-from loora.exceptions import RankDeficient, SpecMismatch
-from loora.inference import plan_estimate
-from loora.linalg import max_row_norm
+from loora.exceptions import InvalidInput, NonFinite, RankDeficient, SpecMismatch
+from loora.inference import check_block, plan_estimate
+from loora.linalg import full_rank_cholesky, max_row_norm, ridge_factor
 from loora.oracle import Population, enumeration_moments, observe
 from loora.verify import _loora_dm_pairwise, _loora_dm_refit, _loora_ht_refit
 from reference_routes import fsum_rows_loop, int_parts_loop
 
 AUTO2 = LambdaRule.auto(2.0)
+DATA = Path(__file__).parent / "data"
 
 
 def test_ht_hand_value():
@@ -262,6 +265,90 @@ def test_adj_int_do_not_depend_on_a_covariates_units(rng, method, factor):
     # a copy of the rescaled column, in other units again, is still singular
     with pytest.raises(RankDeficient):
         plan_estimate(method, np.column_stack([x, 3.0 * x[:, 1]]), spec)
+
+
+def _tiny_fixture(name):
+    """(x, y, d, spec) of a 12-row fixture whose covariate x2 is tiny: x1, x2, y, d columns."""
+    table = np.loadtxt(DATA / name, delimiter=",", skiprows=1)
+    return complete_sample(table[:, :2], table[:, 2], table[:, 3])
+
+
+def test_power_of_two_scales_stay_finite_and_keep_in_range_bits():
+    a = np.array([[3.0, 0.0, 4.5e-311, -2.0**-1074], [-1.0, 0.0, 1e-311, 0.0]])
+    scales = _power_of_two_scales(a)
+    assert scales.tolist() == [0.25, 1.0, 2.0**1023, 2.0**1023]
+    assert np.all(np.abs(a * scales) < 1.0)
+    normal = np.random.default_rng(6).standard_normal((20, 4)) * [1e-300, 1e-3, 1.0, 1e300]
+    want = np.ldexp(1.0, -np.frexp(np.max(np.abs(normal), axis=0))[1])
+    assert_array_equal(_power_of_two_scales(normal), want)
+
+
+# x2 of the first fixture is subnormal (below 2**-1022) and of the second
+# below 2**-512, where a squared power-of-two scale overflows. Each answers,
+# with no warning, what the same design answers with x2 in units of 2**-1030
+# or 2**-660 (an exact rescaling); RIDGE_REG, whose penalty is not
+# invariant to one column's units, answers the fit without x2 at the same
+# lambda, as x2's coefficient is zero to double precision.
+@pytest.mark.parametrize(
+    "name, power", [("tiny_x2_subnormal.csv", 1030), ("tiny_x2_e-201.csv", 660)]
+)
+@pytest.mark.parametrize("method", [Method.ADJ, Method.INT, Method.RIDGE_REG])
+def test_benchmarks_answer_on_a_tiny_covariate(name, power, method):
+    x, y, d, spec = _tiny_fixture(name)
+    plan = plan_estimate(method, x, spec)
+    got = plan.evaluate(d, y)
+    if method is Method.RIDGE_REG:
+        lam = plan.core.lam
+        assert lam > 0.0
+        want = plan_estimate(method, x[:, :1], spec, LambdaRule.fixed(lam)).evaluate(d, y)
+    else:
+        rescaled = np.column_stack([x[:, 0], np.ldexp(x[:, 1], power)])
+        want = plan_estimate(method, rescaled, spec).evaluate(d, y)
+    assert got.tau_hat == pytest.approx(want.tau_hat, rel=1e-12)
+    assert got.var_hat == pytest.approx(want.var_hat, rel=1e-12)
+
+
+def test_ridge_reg_at_lambda_zero_is_adj_on_a_tiny_covariate():
+    x, y, d, spec = _tiny_fixture("tiny_x2_e-201.csv")
+    ridge = plan_estimate(Method.RIDGE_REG, x, spec, LambdaRule.fixed(0.0)).evaluate(d, y)
+    adj = plan_estimate(Method.ADJ, x, spec).evaluate(d, y)
+    assert (ridge.tau_hat, ridge.var_hat) == (adj.tau_hat, adj.var_hat)
+
+
+def _overflowing_sites():
+    """(call, failure class, message) of each plan-time product that overflows on a finite input."""
+    rng = np.random.default_rng(9)
+    big = rng.standard_normal((8, 2))
+    big[0, 0] = 1e200
+    weighted = rng.standard_normal((8, 2))
+    weighted[3, 0] = 1e300
+    p = np.full(8, 0.5)
+    p[3] = 1e-20
+    twice = rng.standard_normal((8, 2))
+    twice[:2, 1] = 1.7e308
+    return [
+        (lambda: ridge_factor(big, 1.0), InvalidInput, "X'X \\+ lambda overflows double precision"),
+        (lambda: full_rank_cholesky(big), NonFinite, "Gram a'a is not finite"),
+        (
+            lambda: LooraHtPlan.build(weighted, SimpleDesign(p), LambdaRule.fixed(1.0)),
+            InvalidInput,
+            "X / sqrt\\(p \\(1 - p\\)\\) overflows double precision at row 3",
+        ),
+        (
+            lambda: BenchmarkPlan.build(Method.INT, twice, CompleteDesign(8, 4)),
+            NonFinite,
+            "INT centering of column 1 of X is not finite",
+        ),
+    ]
+
+
+@pytest.mark.parametrize("site", range(4))
+def test_plan_time_overflows_refuse_by_name_without_a_warning(site):
+    # pytest turns every RuntimeWarning into an error here; each refusal
+    # keeps its exit class (InvalidInput 2, NonFinite 3) and names the overflow
+    call, failure, message = _overflowing_sites()[site]
+    with pytest.raises(failure, match=message):
+        call()
 
 
 def test_pairwise_zero_covariates_equals_dm(rng):
@@ -506,8 +593,9 @@ def _int_block_equals_row_loop(x, d, y, spec, mismatch):
     every estimate and HC0 term, and the same failing rows, classes and
     messages, in the same order."""
     plan = BenchmarkPlan.build(Method.INT, x, spec, allow_design_mismatch=mismatch)
-    tau, terms, failed = plan.parts(d, y)
-    want_tau, want_terms, want_failed = int_parts_loop(plan, d, y, arm_counts("INT", d)[2])
+    block = check_block(d, y, spec)
+    tau, terms, failed = plan.parts(block)
+    want_tau, want_terms, want_failed = int_parts_loop(plan, d, y, _empty_arms("INT", block))
     assert_array_equal(tau.view(np.int64), want_tau.view(np.int64))
     assert_array_equal(terms.view(np.int64), want_terms.view(np.int64))
     assert _listed(failed) == _listed(want_failed)

@@ -19,7 +19,13 @@ from loora.exceptions import (
     SelfCheckFailed,
     SpecMismatch,
 )
-from loora.inference import _interval, _interval_quantile, normal_quantile, plan_estimate
+from loora.inference import (
+    _interval,
+    _interval_quantile,
+    check_block,
+    normal_quantile,
+    plan_estimate,
+)
 from loora.oracle import Population, observe
 from loora.simulation import StudyConfig, run_study, synth_population
 from reference_routes import (
@@ -142,8 +148,9 @@ def test_hw_dm_auxiliary_regression_reproduces_estimate(rng):
         n_t = int(rng.integers(2, n - 1))
         spec = CompleteDesign(n, n_t)
         x, y, d, _ = drawn_sample(pop, spec, rng)
-        _, u, _ = LooraDmPlan.build(x, spec, AUTO2).adjusted(d[None], y[None])
-        (slope,), _ = _two_column_sandwich(u, d[None])
+        block = check_block(d[None], y[None], spec)
+        _, u, _ = LooraDmPlan.build(x, spec, AUTO2).adjusted(block)
+        (slope,), _ = _two_column_sandwich(u, block)
         tau = plan_estimate(Method.LOORA_DM, x, spec, AUTO2).point(d, y)
         assert abs(slope - tau) <= 1e-10 * max(1.0, abs(slope))
 
@@ -180,7 +187,7 @@ def test_dm_family_reports_match_per_arm_sums(rng):
                 continue
             y = observe(pop, d)
             _, adjusted, _ = LooraDmPlan.build(pop.x, spec, AUTO2, mismatch).adjusted(
-                d[None], y[None]
+                check_block(d[None], y[None], spec)
             )
             for method, u in ((Method.DM, y), (Method.LOORA_DM, adjusted[0])):
                 report = report_of(method, (pop.x, y, d, spec), AUTO2, 0.95, mismatch)
@@ -390,7 +397,7 @@ def test_point_estimate_does_not_run_the_variance_self_check(rng, monkeypatch):
     pop = random_population(rng, 10, 2)
     spec = CompleteDesign(10, 5)
     x, y, d, _ = drawn_sample(pop, spec, rng)
-    (tau,), _, _ = LooraDmPlan.build(x, spec, AUTO2).adjusted(d[None], y[None])
+    (tau,), _, _ = LooraDmPlan.build(x, spec, AUTO2).adjusted(check_block(d[None], y[None], spec))
     plan = plan_estimate(Method.LOORA_DM, x, spec, AUTO2)
     assert plan.point(d, y) == tau
     with pytest.raises(SelfCheckFailed):
@@ -479,11 +486,11 @@ def test_cores_match_full_design_and_inverse_sandwich_routes(
     rule = AUTO2 if auto else LambdaRule.fixed(0.7)
     report = plan_estimate(method, pop.x, spec, rule).evaluate(d, y)
     if method in ("DM", "LOORA_DM"):
-        u = y
+        u, block = y, check_block(d[None], y[None], spec)
         if method == "LOORA_DM":
-            u = LooraDmPlan.build(pop.x, spec, rule).adjusted(d[None], y[None])[1][0]
+            u = LooraDmPlan.build(pop.x, spec, rule).adjusted(block)[1][0]
         _, tau, var = two_column_sandwich_inverse(u, d)
-        (slope,), (closed,) = _two_column_sandwich(u[None], d[None])
+        (slope,), (closed,) = _two_column_sandwich(u[None], block)
         assert closed == report.var_hat
         assert abs(slope - tau) <= 1e-12 * max(1.0, abs(tau))
     else:

@@ -8,6 +8,7 @@ from numpy.testing import assert_array_equal
 from reference_routes import run_study_per_sample
 
 import loora.estimators
+import loora.inference
 import loora.simulation
 from loora.design import CompleteDesign, block_size, enumerate_assignments
 from loora.estimators import LambdaRule, Method
@@ -269,6 +270,29 @@ def test_study_factors_the_gram_once(monkeypatch, method, design, reps):
     pop = synth_population("linear-heterogeneous", 40, 3, 2)
     stats = run_study(pop, StudyConfig(design=design, methods=(method,), reps=reps, seed=4))
     assert (stats.stats[0].reps_used, len(calls)) == (reps, 1)
+
+
+@pytest.mark.parametrize("n, reps", [(40, 300), (12, "enumerate")])
+def test_run_study_checks_each_block_once_for_all_its_methods(monkeypatch, n, reps):
+    # Five plans read one checked block: the study calls the checker once
+    # per block (256 + 44 sampled rows, or the 924 enumerated assignments
+    # in blocks of 256), never once per method.
+    real = loora.inference.check_block
+    calls = []
+
+    def counting(d, y, spec):
+        calls.append(d.shape[0])
+        return real(d, y, spec)
+
+    monkeypatch.setattr(loora.inference, "check_block", counting)
+    monkeypatch.setattr(loora.simulation, "check_block", counting)
+    pop = synth_population("linear-heterogeneous", n, 3, 2)
+    methods = ("DM", "ADJ", "INT", "RIDGE_REG", "LOORA_DM")
+    report = run_study(pop, StudyConfig(design="complete", methods=methods, reps=reps, seed=4))
+    total = math.comb(n, n // 2) if reps == "enumerate" else reps
+    size = block_size(n)
+    assert calls == [min(size, total - start) for start in range(0, total, size)]
+    assert [s.reps_used + s.failed for s in report.stats] == [total] * len(methods)
 
 
 @settings(max_examples=60, deadline=None)
