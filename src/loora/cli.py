@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import ctypes
+import dataclasses
 import functools
 import os
 import sys
@@ -89,14 +90,14 @@ def load_config(path, keys) -> dict:
     return data
 
 
-def _setting(args, config, key, default=None):
-    """Flag value if given, else config-file value, else default."""
+def _setting(args, config, key):
+    """Flag value if given, else config-file value, else the command's default (args.defaults)."""
     value = getattr(args, key.replace("-", "_"), None)
     if value is not None:
         return value
     if key in config:
         return config[key]
-    return default
+    return args.defaults.get(key)
 
 
 _EXPECTED = {
@@ -121,23 +122,23 @@ def _as(kind, key, value):
     raise SchemaError(f"{key} must be {_EXPECTED[kind]}, got {value!r}")
 
 
-def _typed_setting(args, config, key, kind, default=None):
+def _typed_setting(args, config, key, kind):
     """_setting converted by _as; None stays None."""
-    value = _setting(args, config, key, default)
+    value = _setting(args, config, key)
     return None if value is None else _as(kind, key, value)
 
 
 def _flag(args, config, key):
     """An on/off setting: the flag, or a YAML boolean in the config."""
-    value = _setting(args, config, key, False)
+    value = _setting(args, config, key)
     if not isinstance(value, bool):
         raise SchemaError(f"{key} must be true or false, got {value!r}")
     return value
 
 
-def _names(args, config, key, default=""):
+def _names(args, config, key):
     """A setting given as a comma-separated string or a list of names."""
-    value = _setting(args, config, key, default)
+    value = _setting(args, config, key)
     if value is None or isinstance(value, str):  # an empty YAML value lists no names
         return [t.strip() for t in (value or "").split(",") if t.strip()]
     if isinstance(value, (list, tuple)):
@@ -172,18 +173,23 @@ def _minor_faults() -> int | None:
     return None if resource is None else resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 
 
-def _emit(out_path, records, command, cfg_dict, seed, started, stages, faults) -> None:
-    """Write the records and their manifest; ``stages`` gains the write's own time."""
+def _emit(out_path, records, args, config, seed, started, stages, faults) -> None:
+    """Write the records and their manifest; ``stages`` gains the write's own time.
+
+    The config hash digests the command and every option but --out as _setting
+    resolves it.
+    """
     if not out_path:
         return
+    settings = {key: _setting(args, config, key) for key in args.config_keys - {"out"}}
     try:
         writing = time.perf_counter()
         write_records(out_path, records)
         stages = {**stages, "write_s": time.perf_counter() - writing}
         manifest = {
             "record_type": "run_manifest",
-            "command": command,
-            "config_hash": config_hash(cfg_dict),
+            "command": args.command,
+            "config_hash": config_hash({"command": args.command, **settings}),
             "seed": seed,
             "version": __version__,
             "wall_time_s": time.monotonic() - started,
@@ -197,17 +203,43 @@ def _emit(out_path, records, command, cfg_dict, seed, started, stages, faults) -
         raise _cannot_write(exc) from None
 
 
+def _print_table(columns, records) -> None:
+    """The records as a stdout table, one (header, record key, format spec) per column."""
+    rows = [[format(record[key], spec) for _, key, spec in columns] for record in records]
+    print(format_table([header for header, _, _ in columns], rows))
+
+
 def _dataset(args, config, data, *roles):
     """The data CSV read with the shared column options and the command's role columns."""
     return build_dataset(
         data,
         covariates=_names(args, config, "covariates"),
         categorical=_names(args, config, "categorical"),
-        delimiter=_setting(args, config, "delimiter", ","),
+        delimiter=_setting(args, config, "delimiter"),
         has_header=not _flag(args, config, "no-header"),
         drop_first=_flag(args, config, "drop-first"),
         **{role.replace("-", "_"): _setting(args, config, role) for role in roles},
     )
+
+
+# Each command's stdout table: (header, record key, format spec) per column.
+_ESTIMATE_COLUMNS = (
+    ("Method", "method", ""),
+    ("Estimate", "tau_hat", ".6g"),
+    ("Variance", "var_hat", ".6g"),
+    ("CI low", "ci_low", ".6g"),
+    ("CI high", "ci_high", ".6g"),
+    ("Level", "level", "g"),
+    ("Lambda", "lambda_used", ".6g"),
+)
+_SIMULATE_COLUMNS = (
+    ("Method", "method", ""),
+    ("Bias", "bias", ".6f"),
+    ("STD", "std", ".6f"),
+    ("RMSE", "rmse", ".6f"),
+    ("CI coverage", "coverage", ".4f"),
+    ("CI average length", "avg_ci_length", ".4f"),
+)
 
 
 def cmd_estimate(args, config) -> int:
@@ -243,9 +275,9 @@ def cmd_estimate(args, config) -> int:
     else:
         raise SchemaError(f"design must be simple or complete, got {design!r}")
 
-    method = _typed_setting(args, config, "method", Method, "LOORA_HT")
-    rule = parse_lambda(_setting(args, config, "lambda", "auto:2"))
-    level = _typed_setting(args, config, "level", float, 0.95)
+    method = _typed_setting(args, config, "method", Method)
+    rule = parse_lambda(_setting(args, config, "lambda"))
+    level = _typed_setting(args, config, "level", float)
     allow_design_mismatch = _flag(args, config, "allow-design-mismatch")
     if allow_design_mismatch and isinstance(spec, SimpleDesign):
         print(
@@ -254,46 +286,17 @@ def cmd_estimate(args, config) -> int:
             file=sys.stderr,
         )
     plan = plan_estimate(method, dataset.x, spec, rule, level, allow_design_mismatch)
-    report = plan.evaluate(dataset.d, dataset.y)
+    fields = dataclasses.asdict(plan.evaluate(dataset.d, dataset.y))
     stages = {"read_s": estimating - reading, "estimate_s": time.perf_counter() - estimating}
-
-    print(
-        format_table(
-            ["Method", "Estimate", "Variance", "CI low", "CI high", "Level", "Lambda"],
-            [
-                [
-                    report.method.value,
-                    f"{report.tau_hat:.6g}",
-                    f"{report.var_hat:.6g}",
-                    f"{report.ci_low:.6g}",
-                    f"{report.ci_high:.6g}",
-                    f"{report.level:g}",
-                    f"{report.lambda_used:.6g}",
-                ]
-            ],
-        )
-    )
-    cfg_dict = {
-        "command": "estimate",
-        "data": str(data),
-        "design": design,
-        "method": report.method.value,
-        "level": level,
-        "lambda": _setting(args, config, "lambda", "auto:2"),
-    }
     record = {
         "record_type": "estimate",
-        "method": report.method.value,
+        "method": fields.pop("method").value,
         "n": dataset.n,
         "design": design,
-        "tau_hat": report.tau_hat,
-        "var_hat": report.var_hat,
-        "ci_low": report.ci_low,
-        "ci_high": report.ci_high,
-        "level": report.level,
-        "lambda_used": report.lambda_used,
+        **fields,
     }
-    _emit(out, [record], "estimate", cfg_dict, None, started, stages, faults)
+    _print_table(_ESTIMATE_COLUMNS, [record])
+    _emit(out, [record], args, config, None, started, stages, faults)
     return 0
 
 
@@ -311,23 +314,23 @@ def cmd_simulate(args, config) -> int:
             raise SchemaError("simulate needs --data <csv> or --synth <kind>")
         pop = synth_population(
             kind,
-            _typed_setting(args, config, "n", int, 100),
-            _typed_setting(args, config, "k", int, 5),
-            _typed_setting(args, config, "pop-seed", int, 0),
+            _typed_setting(args, config, "n", int),
+            _typed_setting(args, config, "k", int),
+            _typed_setting(args, config, "pop-seed", int),
         )
 
-    reps_raw = _setting(args, config, "reps", 10000)
+    reps_raw = _setting(args, config, "reps")
     reps = reps_raw if reps_raw == "enumerate" else _as(int, "reps", reps_raw)
-    seed = _typed_setting(args, config, "seed", int, 0)
-    methods = [_as(Method, "methods", m) for m in _names(args, config, "methods", "LOORA_HT")]
+    seed = _typed_setting(args, config, "seed", int)
+    methods = [_as(Method, "methods", m) for m in _names(args, config, "methods")]
     cfg = StudyConfig(
-        design=_setting(args, config, "design", "simple-half"),
+        design=_setting(args, config, "design"),
         methods=tuple(methods),
         reps=reps,
-        level=_typed_setting(args, config, "level", float, 0.95),
+        level=_typed_setting(args, config, "level", float),
         seed=seed,
         n_t=_typed_setting(args, config, "nt", int),
-        lambda_rule=parse_lambda(_setting(args, config, "lambda", "auto:2")),
+        lambda_rule=parse_lambda(_setting(args, config, "lambda")),
         allow_design_mismatch=_flag(args, config, "allow-design-mismatch"),
     )
     if cfg.allow_design_mismatch and cfg.design.startswith("simple"):
@@ -337,52 +340,20 @@ def cmd_simulate(args, config) -> int:
             file=sys.stderr,
         )
     report = run_study(pop, cfg)
-
-    headers = ["Method", "Bias", "STD", "RMSE", "CI coverage", "CI average length"]
-    rows = [
-        [
-            s.method,
-            f"{s.bias:.6f}",
-            f"{s.std:.6f}",
-            f"{s.rmse:.6f}",
-            f"{s.coverage:.4f}",
-            f"{s.avg_ci_length:.4f}",
-        ]
-        for s in report.stats
-    ]
-    print(f"design: {report.design}   reps: {report.reps}   level: {report.level}")
-    print(format_table(headers, rows))
-
-    cfg_dict = {
-        "command": "simulate",
-        "design": cfg.design,
-        "methods": list(cfg.methods),
-        "reps": cfg.reps,
-        "level": cfg.level,
-        "seed": cfg.seed,
-        "nt": cfg.n_t,
-        "lambda": [cfg.lambda_rule.mode, cfg.lambda_rule.value],
-        "allow_design_mismatch": cfg.allow_design_mismatch,
-    }
     records = [
         {
             "record_type": "simulation",
             "design": report.design,
-            "method": s.method,
-            "bias": s.bias,
-            "std": s.std,
-            "rmse": s.rmse,
-            "coverage": s.coverage,
-            "avg_ci_length": s.avg_ci_length,
-            "reps_used": s.reps_used,
-            "failed": s.failed,
+            **dataclasses.asdict(stats),
             "tau": report.tau,
             "level": report.level,
             "seed": report.seed,
         }
-        for s in report.stats
+        for stats in report.stats
     ]
-    _emit(out, records, "simulate", cfg_dict, seed, started, report.stages, faults)
+    print(f"design: {report.design}   reps: {report.reps}   level: {report.level}")
+    _print_table(_SIMULATE_COLUMNS, records)
+    _emit(out, records, args, config, seed, started, report.stages, faults)
     return 0
 
 
@@ -397,6 +368,28 @@ def cmd_verify(args, config) -> int:
             f"(tolerance {result.tolerance:.3e}; {result.detail})"
         )
     return 0 if all_passed else 1
+
+
+# Each command's value for an option that neither the flag nor --config gives;
+# an option not listed has none (None). Every seed option starts from _SEED.
+_SEED = 0
+_SHARED_DEFAULTS = {
+    "delimiter": ",",
+    "lambda": "auto:2",
+    "level": 0.95,
+    **dict.fromkeys(("no-header", "drop-first", "allow-design-mismatch"), False),
+}
+_ESTIMATE_DEFAULTS = {**_SHARED_DEFAULTS, "method": Method.LOORA_HT.value}
+_SIMULATE_DEFAULTS = {
+    **_SHARED_DEFAULTS,
+    "methods": _ESTIMATE_DEFAULTS["method"],
+    "n": 100,
+    "k": 5,
+    "design": "simple-half",
+    "reps": 10000,
+    "pop-seed": _SEED,
+    "seed": _SEED,
+}
 
 
 def _config_keys(parser) -> frozenset:
@@ -416,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     # The options estimate and simulate share. Every option of both but
     # --config is read one way (_setting): the flag if given, else the
-    # --config value, else the default.
+    # --config value, else the command's default.
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--config", help="YAML config file (flags override it)")
     shared.add_argument("--data", help="observed-mode (estimate) or population-mode CSV")
@@ -440,7 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
     est.add_argument("--design", choices=["simple", "complete"])
     est.add_argument("--p", type=float, help="shared treatment probability (simple design)")
     est.add_argument("--method", choices=[m.value for m in Method])
-    est.set_defaults(func=cmd_estimate, config_keys=_config_keys(est))
+    est.set_defaults(func=cmd_estimate, config_keys=_config_keys(est), defaults=_ESTIMATE_DEFAULTS)
 
     sim = sub.add_parser(
         "simulate", parents=[shared], help="run a Monte Carlo study over a population"
@@ -456,7 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--reps", help="replicate count or 'enumerate'")
     sim.add_argument("--seed", type=int)
     sim.add_argument("--threads", type=int, help="accepted for compatibility; has no effect")
-    sim.set_defaults(func=cmd_simulate, config_keys=_config_keys(sim))
+    sim.set_defaults(func=cmd_simulate, config_keys=_config_keys(sim), defaults=_SIMULATE_DEFAULTS)
 
     ver = sub.add_parser("verify", help="run certification suites")
     ver.add_argument(
@@ -465,8 +458,8 @@ def build_parser() -> argparse.ArgumentParser:
         choices=list(CHECKS),
         help="run a single named check (repeatable); default runs every check",
     )
-    ver.add_argument("--seed", type=int, default=0)
-    ver.set_defaults(func=cmd_verify)
+    ver.add_argument("--seed", type=int, default=_SEED)
+    ver.set_defaults(func=cmd_verify, defaults={})
     return parser
 
 

@@ -60,10 +60,6 @@ class CompleteDesign:
                 f"treated count must satisfy 1 <= n_t <= n - 1, got n_t={self.n_t}, n={self.n}"
             )
 
-    @property
-    def n_c(self) -> int:
-        return self.n - self.n_t
-
 
 DesignSpec = Union[SimpleDesign, CompleteDesign]
 

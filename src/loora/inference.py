@@ -83,7 +83,7 @@ class BlockEstimates:
     RankDeficient, SelfCheckFailed or SpecMismatch) that row raises when
     evaluated alone; ok masks the other rows, and the failed rows' values
     read 0. var_hat, ci_low and ci_high are None from
-    EstimatePlan.point_block.
+    EstimatePlan.estimates(block, variance=False).
     """
 
     tau_hat: np.ndarray
@@ -150,15 +150,15 @@ class EstimatePlan:
     it validates X and builds the method's plan (core), which resolves
     lambda, factors the ridge Gram and checks its leverages or forms the HT
     weights, and it takes the interval's normal quantile.
-    evaluate_block() and point_block() then do the work of a block of
-    assignments; evaluate() and point() are the same code on a block of
-    one, so a row's result never depends on the block it is in. A Monte
-    Carlo study builds one plan per method and evaluates every plan on each
-    block it checks once (evaluate_checked); every other route raises
-    check_block's InvalidInput on input that does not fit. A row fails with
-    NonFinite, naming the method and the stage, when a result leaves the
-    floating-point range (for example on outcomes of magnitude 1e200, whose
-    squares overflow).
+    estimates() then does the work of a block of assignments that
+    check_block has checked against spec; evaluate() and point() check one
+    assignment and run the same code on a block of one, so a row's result
+    never depends on the block it is in, and raise check_block's
+    InvalidInput on input that does not fit. A Monte Carlo study builds one
+    plan per method and evaluates every plan on each block it checks once.
+    A row fails with NonFinite, naming the method and the stage, when a
+    result leaves the floating-point range (for example on outcomes of
+    magnitude 1e200, whose squares overflow).
     """
 
     method: Method
@@ -167,8 +167,15 @@ class EstimatePlan:
     core: HtPlan | DmPlan | LooraHtPlan | LooraDmPlan | BenchmarkPlan
     quantile: float  # z_{1 - alpha/2} for level
 
-    def _estimates(self, block: CheckedBlock, variance: bool) -> BlockEstimates:
-        """The core on a checked block, each row's failure in the order the row meets it."""
+    def estimates(self, block: CheckedBlock, variance=True) -> BlockEstimates:
+        """Point estimates, HC0 variances and confidence intervals for a checked block.
+
+        block is check_block's value for d (B, n), one 0/1 assignment per
+        row, and y (B, n), the outcomes each reveals, checked against this
+        plan's spec; every row gets the bits evaluate() gives it alone, and
+        each row's failure is the first it meets. variance=False gives the
+        point estimates alone, as point() gives each row.
+        """
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             tau, var, failed = self.core.block(block, variance)
             _fail_non_finite(failed, tau, self.method, "point estimate")
@@ -184,26 +191,10 @@ class EstimatePlan:
             low, high = _interval(tau, var, self.quantile)
         return BlockEstimates(tau, var, low, high, failed, ok)
 
-    def evaluate_checked(self, block: CheckedBlock) -> BlockEstimates:
-        """evaluate_block on a block that check_block has checked against this plan's design."""
-        return self._estimates(block, variance=True)
-
-    def evaluate_block(self, d, y) -> BlockEstimates:
-        """Point estimates, HC0 variances and confidence intervals for a block.
-
-        d (B, n) holds one 0/1 assignment per row and y (B, n) the outcomes
-        each reveals; every row gets the bits evaluate() gives it alone.
-        """
-        return self._estimates(check_block(d, y, self.spec), variance=True)
-
-    def point_block(self, d, y) -> BlockEstimates:
-        """The point estimates alone for a block, as point() gives each row."""
-        return self._estimates(check_block(d, y, self.spec), variance=False)
-
     def _one(self, d, y, variance: bool) -> BlockEstimates:
         """One 0/1 assignment vector d as a block of one row; raises the row's failure."""
         block = check_block(np.asarray(d)[None], np.asarray(y)[None], self.spec)
-        estimates = self._estimates(block, variance)
+        estimates = self.estimates(block, variance)
         if estimates.failures:
             raise estimates.failures[0]
         return estimates

@@ -24,7 +24,7 @@ import numpy as np
 from .design import DesignSpec, enumeration_blocks
 from .estimators import DEFAULT_LAMBDA_RULE, LambdaRule, Method, fsum_rows
 from .exceptions import InvalidInput, NonFinite, ParameterOutOfRange, RankDeficient
-from .inference import plan_estimate
+from .inference import check_block, plan_estimate
 from .linalg import (
     RidgeFactor,
     as_design_matrix,
@@ -490,7 +490,7 @@ def enumeration_moments(
     plan = plan_estimate(method, pop.x, spec, rule)
     values, probs = [], []
     for d, prob in enumeration_blocks(spec):
-        estimates = plan.point_block(d, observe(pop, d))
+        estimates = plan.estimates(check_block(d, observe(pop, d), spec), variance=False)
         if estimates.failures:
             raise estimates.failures[min(estimates.failures)]
         values.extend(estimates.tau_hat.tolist())

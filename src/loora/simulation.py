@@ -361,7 +361,7 @@ def _record_block(plan, block, tau, out):
     Rows that fail with a method failure stay all zero; any other error
     raises and aborts the study.
     """
-    est = plan.evaluate_checked(block)
+    est = plan.estimates(block)
     low, high = est.ci_low, est.ci_high
     out[:, 0] = 1.0
     out[:, 1] = est.tau_hat

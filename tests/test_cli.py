@@ -524,6 +524,56 @@ def test_simulate_table_column_order(capsys, tmp_path):
     ]
 
 
+_CI_OBSERVED = ("--data", str(DATA / "observed30.csv"), "--covariates", "age,score",
+               "--categorical", "region", "--drop-first", "--y-col", "y", "--d-col", "d")
+
+
+def test_estimate_stdout_is_pinned_byte_for_byte(capsys):
+    stdout = []
+    for method, design in (("HT", _HALF), ("LOORA_HT", _HALF)) + tuple(
+        (method, ("--design", "complete", "--nt", "15"))
+        for method in ("DM", "LOORA_DM", "ADJ", "INT", "RIDGE_REG")
+    ):
+        code, out, err = run(capsys, "estimate", *_CI_OBSERVED, "--method", method, *design)
+        assert (code, err) == (0, "")
+        stdout.append(out)
+    assert "".join(stdout) == (DATA / "estimate_observed30.stdout").read_text(encoding="utf-8")
+
+
+def test_simulate_stdout_is_pinned_byte_for_byte(capsys):
+    # HT and LOORA_HT fail on every replicate of a complete design: their rows read nan
+    code, stdout, err = run(
+        capsys, "simulate", "--synth", "binary-outcome", "--n", "60", "--k", "4",
+        "--pop-seed", "3", "--design", "complete", "--nt", "30",
+        "--methods", "HT,DM,ADJ,INT,RIDGE_REG,LOORA_HT,LOORA_DM", "--reps", "50", "--seed", "7",
+    )
+    assert (code, err) == (0, "")
+    assert stdout == (DATA / "simulate_binary60.stdout").read_text(encoding="utf-8")
+
+
+def test_config_hash_digests_every_option_but_out(tmp_path, capsys):
+    def config_hash(argv, out="run.jsonl"):
+        path = tmp_path / out
+        code, _, err = run(capsys, *argv, "--out", str(path))
+        assert (code, err) == (0, "")
+        return read_records(f"{path}.manifest.json")[0]["config_hash"]
+
+    estimate = _OBSERVED + ("--covariates", "age") + _HALF + ("--method", "LOORA_HT")
+    simulate = _SIM
+    for base, changes in (
+        (estimate, [("--covariates", "age,score"), ("--categorical", "region"), ("--nt", "14"),
+                    ("--p", "0.4"), ("--lambda", "auto:3")]),
+        (simulate, [("--synth", "leverage-stress"), ("--n", "13"), ("--k", "3"),
+                    ("--pop-seed", "1"), ("--seed", "1"), ("--reps", "4"),
+                    ("--lambda", "fixed:1")]),
+    ):
+        first = config_hash(base)
+        assert config_hash(base) == first
+        assert config_hash(base, out="elsewhere.jsonl") == first
+        hashes = {config_hash(base + change) for change in changes}
+        assert len(hashes) == len(changes) and first not in hashes, changes
+
+
 def test_simulate_enumerate_mode_loora_bias_zero(tmp_path, capsys):
     out = tmp_path / "enum.jsonl"
     code, _, _ = run(

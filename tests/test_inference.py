@@ -260,10 +260,10 @@ def test_block_routes_refuse_a_row_off_the_fixed_treated_count(rng, method):
     d[2, np.flatnonzero(d[2] == 0.0)[0]] = 1.0
     y = observe(pop, d)
     fits = np.delete(d, 2, axis=0), np.delete(y, 2, axis=0)
-    for route in (plan.evaluate_block, plan.point_block):
-        with pytest.raises(InvalidInput, match="treats 6 of 12 units but the design fixes 5 of 12"):
-            route(d, y)
-        assert route(*fits).ok.all()
+    with pytest.raises(InvalidInput, match="treats 6 of 12 units but the design fixes 5 of 12"):
+        check_block(d, y, spec)
+    for variance in (True, False):
+        assert plan.estimates(check_block(*fits, spec), variance).ok.all()
 
 
 @pytest.mark.parametrize("method", _FIXED_COUNT_METHODS)
@@ -277,8 +277,8 @@ def test_block_routes_fail_only_the_empty_arm_rows_under_the_opt_in(rng, method)
     d[1], d[3] = 1.0, 0.0
     y = observe(pop, d)
     message = f"{method.value} needs at least one treated and one control unit"
-    for route in (plan.evaluate_block, plan.point_block):
-        block = route(d, y)
+    for variance in (True, False):
+        block = plan.estimates(check_block(d, y, plan.spec), variance)
         assert block.ok.tolist() == [True, False, True, False, True]
         assert [(i, type(e), str(e)) for i, e in sorted(block.failures.items())] == [
             (1, SpecMismatch, message),
@@ -350,7 +350,8 @@ def test_block_routes_match_the_one_row_routes_bit_for_bit(rng, method):
     d[2, 5], d[3, [5, 9]] = 1.0, 1.0
     y = pop.y1 * d + pop.y0 * (1.0 - d)
     y[4] *= 1e200
-    block, points = plan.evaluate_block(d, y), plan.point_block(d, y)
+    checked = check_block(d, y, plan.spec)
+    block, points = plan.estimates(checked), plan.estimates(checked, variance=False)
     assert 4 in block.failures
     if method not in (Method.HT, Method.LOORA_HT):
         assert {0, 1} <= set(block.failures)
@@ -374,14 +375,14 @@ def test_block_routes_match_the_one_row_routes_bit_for_bit(rng, method):
             with pytest.raises(type(points.failures[i]), match=re.escape(str(points.failures[i]))):
                 plan.point(d[i], y[i])
     assert _bits(*points.tau_hat[block.ok]) == _bits(*block.tau_hat[block.ok])
-    # A non-0/1 entry or mis-shaped outcomes are refused on all four routes
+    # A non-0/1 entry or mis-shaped outcomes are refused by the block checker
+    # and by both single-assignment routes
     half = d[5].copy()
     half[3] = 0.5
-    for route in (plan.evaluate_block, plan.point_block):
-        with pytest.raises(InvalidInput, match="assignment entries must be 0 or 1"):
-            route(np.vstack([d, half]), np.vstack([y, y[5]]))
-        with pytest.raises(InvalidInput, match="outcome has shape"):
-            route(d, y[:, :-1])
+    with pytest.raises(InvalidInput, match="assignment entries must be 0 or 1"):
+        check_block(np.vstack([d, half]), np.vstack([y, y[5]]), plan.spec)
+    with pytest.raises(InvalidInput, match="outcome has shape"):
+        check_block(d, y[:, :-1], plan.spec)
     for route in (plan.evaluate, plan.point):
         with pytest.raises(InvalidInput, match="assignment entries must be 0 or 1"):
             route(half, y[5])
