@@ -8,6 +8,7 @@ enumeration guards, non-finite results), each with a diagnostic on stderr.
 from __future__ import annotations
 
 import argparse
+import collections
 import ctypes
 import dataclasses
 import functools
@@ -90,28 +91,14 @@ def load_config(path, keys) -> dict:
     return data
 
 
-def _setting(args, config, key):
-    """Flag value if given, else config-file value, else the command's default (args.defaults)."""
-    value = getattr(args, key.replace("-", "_"), None)
-    if value is not None:
-        return value
-    if key in config:
-        return config[key]
-    return args.defaults.get(key)
-
-
-_EXPECTED = {
-    int: "an integer",
-    float: "a number",
-    Method: "one of " + ", ".join(m.value for m in Method),
-    os.fspath: "a file path",
-}
+_EXPECTED = {int: "an integer", float: "a number", os.fspath: "a file path"}
 
 
 def _as(kind, key, value):
     """kind(value) for a kind in _EXPECTED; a SchemaError naming the key if it fails.
 
-    A bool is never a number, and an int takes a float only if it is integral.
+    A bool is never a number, an int takes a float only if it is integral, and
+    a path is never an int (os.fspath refuses one).
     """
     fraction = kind is int and isinstance(value, float) and not value.is_integer()
     if not (isinstance(value, bool) or fraction):
@@ -122,28 +109,120 @@ def _as(kind, key, value):
     raise SchemaError(f"{key} must be {_EXPECTED[kind]}, got {value!r}")
 
 
-def _typed_setting(args, config, key, kind):
-    """_setting converted by _as; None stays None."""
-    value = _setting(args, config, key)
-    return None if value is None else _as(kind, key, value)
+# Each converter takes (key, value) and returns the typed setting or raises a
+# SchemaError naming the key; a flag's value reaches it as the string typed.
+_int, _float, _path = (functools.partial(_as, kind) for kind in _EXPECTED)
 
 
-def _flag(args, config, key):
+def _given(key, value):
+    """The value as given: a column name or the delimiter, which build_dataset checks."""
+    return value
+
+
+def _switch(key, value):
     """An on/off setting: the flag, or a YAML boolean in the config."""
-    value = _setting(args, config, key)
     if not isinstance(value, bool):
         raise SchemaError(f"{key} must be true or false, got {value!r}")
     return value
 
 
-def _names(args, config, key):
-    """A setting given as a comma-separated string or a list of names."""
-    value = _setting(args, config, key)
-    if value is None or isinstance(value, str):  # an empty YAML value lists no names
-        return [t.strip() for t in (value or "").split(",") if t.strip()]
+def _names(key, value):
+    """A comma-separated string or a list of names, as a list."""
+    if isinstance(value, str):
+        return [t.strip() for t in value.split(",") if t.strip()]
     if isinstance(value, (list, tuple)):
         return [str(t) for t in value]
     raise SchemaError(f"{key} must be a comma-separated string or a list, got {value!r}")
+
+
+def _methods(key, value):
+    return tuple(_method(key, name) for name in _names(key, value))
+
+
+def _lambda(key, value):
+    return parse_lambda(value)
+
+
+def _reps(key, value):
+    return value if value == "enumerate" else _int(key, value)
+
+
+def _one_of(*choices):
+    """A converter to the choice equal to the value: a string, or a Method."""
+
+    def convert(key, value):
+        for choice in choices:
+            if value == choice:
+                return choice
+        raise SchemaError(f"{key} must be one of {', '.join(choices)}, got {value!r}")
+
+    convert.choices = choices
+    return convert
+
+
+_method = _one_of(*Method)
+
+
+# A config-readable option. Its key is both the long flag without its dashes and
+# the config key; its default passes through the converter too, and a default of
+# None leaves the option unset.
+Option = collections.namedtuple("Option", "key convert default help", defaults=(None, None))
+
+
+# Each command's options: the shared rows, then its own. Every seed option starts
+# from _SEED.
+_SEED = 0
+_SHARED_OPTIONS = (
+    Option("data", _path, help="observed-mode (estimate) or population-mode CSV"),
+    Option("delimiter", _given, ","),
+    Option("no-header", _switch, False),
+    Option("covariates", _names, "", "comma-separated numeric covariate columns"),
+    Option("categorical", _names, "", "comma-separated categorical columns (one-hot)"),
+    Option("drop-first", _switch, False),
+    Option("nt", _int, help="treated count (complete design)"),
+    Option("lambda", _lambda, "auto:2", "fixed:<v> or auto:<c>"),
+    Option("level", _float, 0.95),
+    Option("out", _path, help="machine-readable report path (JSON lines)"),
+    Option("allow-design-mismatch", _switch, False),
+)
+_ESTIMATE_OPTIONS = _SHARED_OPTIONS + (
+    Option("y-col", _given),
+    Option("d-col", _given),
+    Option("p-col", _given),
+    Option("design", _one_of("simple", "complete")),
+    Option("p", _float, help="shared treatment probability (simple design)"),
+    Option("method", _method, Method.LOORA_HT),
+)
+_SIMULATE_OPTIONS = _SHARED_OPTIONS + (
+    Option("y1-col", _given),
+    Option("y0-col", _given),
+    Option("synth", _one_of(*SYNTH_KINDS)),
+    Option("n", _int, 100),
+    Option("k", _int, 5),
+    Option("pop-seed", _int, _SEED),
+    Option("design", _one_of(*DESIGN_CHOICES), "simple-half"),
+    Option("methods", _methods, Method.LOORA_HT, "comma-separated method names"),
+    Option("reps", _reps, 10000, "replicate count or 'enumerate'"),
+    Option("seed", _int, _SEED),
+)
+
+
+def resolve(args) -> dict:
+    """The run's typed settings, one per option of its command: the flag if given,
+    else the --config value, else the default, through the option's converter.
+
+    A YAML null leaves the option unset; an unset option without a default is None.
+    """
+    config = load_config(args.config, {o.key for o in args.options}) if args.config else {}
+    settings = {}
+    for option in args.options:
+        value = getattr(args, option.key.replace("-", "_"))
+        if value is None:
+            value = config.get(option.key)
+        if value is None:
+            value = option.default
+        settings[option.key] = None if value is None else option.convert(option.key, value)
+    return settings
 
 
 def _cannot_write(exc: OSError) -> SchemaError:
@@ -173,23 +252,23 @@ def _minor_faults() -> int | None:
     return None if resource is None else resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 
 
-def _emit(out_path, records, args, config, seed, started, stages, faults) -> None:
-    """Write the records and their manifest; ``stages`` gains the write's own time.
+def _emit(records, command, settings, seed, started, stages, faults) -> None:
+    """Write the records to --out and their manifest; ``stages`` gains the write's own time.
 
-    The config hash digests the command and every option but --out as _setting
-    resolves it.
+    The config hash digests the command and every typed setting but --out.
     """
+    hashed = dict(settings)
+    out_path = hashed.pop("out")
     if not out_path:
         return
-    settings = {key: _setting(args, config, key) for key in args.config_keys - {"out"}}
     try:
         writing = time.perf_counter()
         write_records(out_path, records)
         stages = {**stages, "write_s": time.perf_counter() - writing}
         manifest = {
             "record_type": "run_manifest",
-            "command": args.command,
-            "config_hash": config_hash({"command": args.command, **settings}),
+            "command": command,
+            "config_hash": config_hash({"command": command, **hashed}),
             "seed": seed,
             "version": __version__,
             "wall_time_s": time.monotonic() - started,
@@ -209,16 +288,13 @@ def _print_table(columns, records) -> None:
     print(format_table([header for header, _, _ in columns], rows))
 
 
-def _dataset(args, config, data, *roles):
-    """The data CSV read with the shared column options and the command's role columns."""
+def _dataset(settings, *roles):
+    """The --data CSV read with the shared column options and the command's role columns."""
+    keys = ("covariates", "categorical", "delimiter", "drop-first", *roles)
     return build_dataset(
-        data,
-        covariates=_names(args, config, "covariates"),
-        categorical=_names(args, config, "categorical"),
-        delimiter=_setting(args, config, "delimiter"),
-        has_header=not _flag(args, config, "no-header"),
-        drop_first=_flag(args, config, "drop-first"),
-        **{role.replace("-", "_"): _setting(args, config, role) for role in roles},
+        settings["data"],
+        has_header=not settings["no-header"],
+        **{key.replace("-", "_"): settings[key] for key in keys},
     )
 
 
@@ -242,50 +318,46 @@ _SIMULATE_COLUMNS = (
 )
 
 
-def cmd_estimate(args, config) -> int:
+def cmd_estimate(args, settings) -> int:
     started, faults = time.monotonic(), _minor_faults()
-    out = _typed_setting(args, config, "out", os.fspath)
-    _check_writable(out)
-    data = _typed_setting(args, config, "data", os.fspath)
-    if data is None:
+    _check_writable(settings["out"])
+    if settings["data"] is None:
         raise SchemaError("estimate needs --data <csv>")
     reading = time.perf_counter()
-    dataset = _dataset(args, config, data, "y-col", "d-col", "p-col")
+    dataset = _dataset(settings, "y-col", "d-col", "p-col")
     estimating = time.perf_counter()
 
-    design = _setting(args, config, "design")
+    design = settings["design"]
     if design == "simple":
         if dataset.p is not None:
             p = dataset.p
+        elif settings["p"] is None:
+            raise SchemaError("simple design needs --p <value> or --p-col <column>")
         else:
-            p_value = _typed_setting(args, config, "p", float)
-            if p_value is None:
-                raise SchemaError("simple design needs --p <value> or --p-col <column>")
-            p = np.full(dataset.n, p_value)
+            p = np.full(dataset.n, settings["p"])
         spec = SimpleDesign(p)
     elif design == "complete":
-        n_t = _typed_setting(args, config, "nt", int)
-        if n_t is None:
+        if settings["nt"] is None:
             raise SchemaError("complete design needs --nt <count>")
-        spec = CompleteDesign(dataset.n, n_t)
+        spec = CompleteDesign(dataset.n, settings["nt"])
         if int(dataset.d.sum()) != spec.n_t:
             raise SchemaError(
                 f"dataset treats {int(dataset.d.sum())} units but --nt is {spec.n_t}"
             )
     else:
-        raise SchemaError(f"design must be simple or complete, got {design!r}")
+        raise SchemaError("estimate needs --design simple or --design complete")
 
-    method = _typed_setting(args, config, "method", Method)
-    rule = parse_lambda(_setting(args, config, "lambda"))
-    level = _typed_setting(args, config, "level", float)
-    allow_design_mismatch = _flag(args, config, "allow-design-mismatch")
+    allow_design_mismatch = settings["allow-design-mismatch"]
     if allow_design_mismatch and isinstance(spec, SimpleDesign):
         print(
             "warning: applying a fixed-count method under simple assignment; "
             "using the realized treated count",
             file=sys.stderr,
         )
-    plan = plan_estimate(method, dataset.x, spec, rule, level, allow_design_mismatch)
+    plan = plan_estimate(
+        settings["method"], dataset.x, spec, settings["lambda"], settings["level"],
+        allow_design_mismatch,
+    )
     fields = dataclasses.asdict(plan.evaluate(dataset.d, dataset.y))
     stages = {"read_s": estimating - reading, "estimate_s": time.perf_counter() - estimating}
     record = {
@@ -296,43 +368,23 @@ def cmd_estimate(args, config) -> int:
         **fields,
     }
     _print_table(_ESTIMATE_COLUMNS, [record])
-    _emit(out, [record], args, config, None, started, stages, faults)
+    _emit([record], args.command, settings, None, started, stages, faults)
     return 0
 
 
-def cmd_simulate(args, config) -> int:
+def cmd_simulate(args, settings) -> int:
     started, faults = time.monotonic(), _minor_faults()
-    out = _typed_setting(args, config, "out", os.fspath)
-    _check_writable(out)
-    data = _typed_setting(args, config, "data", os.fspath)
-    if data is not None:
-        dataset = _dataset(args, config, data, "y1-col", "y0-col")
+    _check_writable(settings["out"])
+    if settings["data"] is not None:
+        dataset = _dataset(settings, "y1-col", "y0-col")
         pop = Population(dataset.x, dataset.y1, dataset.y0)
+    elif settings["synth"] is None:
+        raise SchemaError("simulate needs --data <csv> or --synth <kind>")
     else:
-        kind = _setting(args, config, "synth")
-        if kind is None:
-            raise SchemaError("simulate needs --data <csv> or --synth <kind>")
-        pop = synth_population(
-            kind,
-            _typed_setting(args, config, "n", int),
-            _typed_setting(args, config, "k", int),
-            _typed_setting(args, config, "pop-seed", int),
-        )
+        pop = synth_population(*(settings[key] for key in ("synth", "n", "k", "pop-seed")))
 
-    reps_raw = _setting(args, config, "reps")
-    reps = reps_raw if reps_raw == "enumerate" else _as(int, "reps", reps_raw)
-    seed = _typed_setting(args, config, "seed", int)
-    methods = [_as(Method, "methods", m) for m in _names(args, config, "methods")]
-    cfg = StudyConfig(
-        design=_setting(args, config, "design"),
-        methods=tuple(methods),
-        reps=reps,
-        level=_typed_setting(args, config, "level", float),
-        seed=seed,
-        n_t=_typed_setting(args, config, "nt", int),
-        lambda_rule=parse_lambda(_setting(args, config, "lambda")),
-        allow_design_mismatch=_flag(args, config, "allow-design-mismatch"),
-    )
+    keys = ("design", "methods", "reps", "level", "seed", "nt", "lambda", "allow-design-mismatch")
+    cfg = StudyConfig(*(settings[key] for key in keys))  # StudyConfig's fields, in order
     if cfg.allow_design_mismatch and cfg.design.startswith("simple"):
         print(
             "warning: fixed-count methods run under simple assignment; "
@@ -353,11 +405,11 @@ def cmd_simulate(args, config) -> int:
     ]
     print(f"design: {report.design}   reps: {report.reps}   level: {report.level}")
     _print_table(_SIMULATE_COLUMNS, records)
-    _emit(out, records, args, config, seed, started, report.stages, faults)
+    _emit(records, args.command, settings, cfg.seed, started, report.stages, faults)
     return 0
 
 
-def cmd_verify(args, config) -> int:
+def cmd_verify(args, settings) -> int:
     results = run_checks(args.check or CHECKS, args.seed)
     all_passed = True
     for result in results:
@@ -370,35 +422,6 @@ def cmd_verify(args, config) -> int:
     return 0 if all_passed else 1
 
 
-# Each command's value for an option that neither the flag nor --config gives;
-# an option not listed has none (None). Every seed option starts from _SEED.
-_SEED = 0
-_SHARED_DEFAULTS = {
-    "delimiter": ",",
-    "lambda": "auto:2",
-    "level": 0.95,
-    **dict.fromkeys(("no-header", "drop-first", "allow-design-mismatch"), False),
-}
-_ESTIMATE_DEFAULTS = {**_SHARED_DEFAULTS, "method": Method.LOORA_HT.value}
-_SIMULATE_DEFAULTS = {
-    **_SHARED_DEFAULTS,
-    "methods": _ESTIMATE_DEFAULTS["method"],
-    "n": 100,
-    "k": 5,
-    "design": "simple-half",
-    "reps": 10000,
-    "pop-seed": _SEED,
-    "seed": _SEED,
-}
-
-
-def _config_keys(parser) -> frozenset:
-    """The keys a config file may carry: the parser's long options but --help, --config
-    and --threads, which is accepted on the command line only and does nothing."""
-    longs = {option[2:] for option in parser._option_string_actions if option.startswith("--")}
-    return frozenset(longs - {"help", "config", "threads"})
-
-
 @functools.cache  # built on first use, then shared by every call of main
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -406,50 +429,24 @@ def build_parser() -> argparse.ArgumentParser:
         description="Design-based ATE estimation with leave-one-out ridge adjustment.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    # The options estimate and simulate share. Every option of both but
-    # --config is read one way (_setting): the flag if given, else the
-    # --config value, else the command's default.
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--config", help="YAML config file (flags override it)")
-    shared.add_argument("--data", help="observed-mode (estimate) or population-mode CSV")
-    shared.add_argument("--delimiter")
-    shared.add_argument("--no-header", action="store_const", const=True)
-    shared.add_argument("--covariates", help="comma-separated numeric covariate columns")
-    shared.add_argument("--categorical", help="comma-separated categorical columns (one-hot)")
-    shared.add_argument("--drop-first", action="store_const", const=True)
-    shared.add_argument("--nt", type=int, help="treated count (complete design)")
-    shared.add_argument("--lambda", help="fixed:<v> or auto:<c>")
-    shared.add_argument("--level", type=float)
-    shared.add_argument("--out", help="machine-readable report path (JSON lines)")
-    shared.add_argument("--allow-design-mismatch", action="store_const", const=True)
-
-    est = sub.add_parser(
-        "estimate", parents=[shared], help="estimate an ATE from an observed-mode CSV"
+    commands = {}
+    for name, func, options, help in (
+        ("estimate", cmd_estimate, _ESTIMATE_OPTIONS, "estimate an ATE from an observed-mode CSV"),
+        ("simulate", cmd_simulate, _SIMULATE_OPTIONS, "run a Monte Carlo study over a population"),
+    ):
+        # Every option but --config is a string or an on/off switch here;
+        # resolve converts it with the --config value and the default.
+        command = commands[name] = sub.add_parser(name, help=help)
+        command.add_argument("--config", help="YAML config file (flags override it)")
+        for option in options:
+            kind = {"action": "store_const", "const": True} if option.convert is _switch else {}
+            if hasattr(option.convert, "choices"):  # listed in --help as argparse lists them
+                kind["metavar"] = "{" + ",".join(option.convert.choices) + "}"
+            command.add_argument(f"--{option.key}", help=option.help, **kind)
+        command.set_defaults(func=func, options=options)
+    commands["simulate"].add_argument(
+        "--threads", type=int, help="accepted for compatibility; has no effect"
     )
-    est.add_argument("--y-col")
-    est.add_argument("--d-col")
-    est.add_argument("--p-col")
-    est.add_argument("--design", choices=["simple", "complete"])
-    est.add_argument("--p", type=float, help="shared treatment probability (simple design)")
-    est.add_argument("--method", choices=[m.value for m in Method])
-    est.set_defaults(func=cmd_estimate, config_keys=_config_keys(est), defaults=_ESTIMATE_DEFAULTS)
-
-    sim = sub.add_parser(
-        "simulate", parents=[shared], help="run a Monte Carlo study over a population"
-    )
-    sim.add_argument("--y1-col")
-    sim.add_argument("--y0-col")
-    sim.add_argument("--synth", choices=SYNTH_KINDS)
-    sim.add_argument("--n", type=int)
-    sim.add_argument("--k", type=int)
-    sim.add_argument("--pop-seed", type=int)
-    sim.add_argument("--design", choices=list(DESIGN_CHOICES))
-    sim.add_argument("--methods", help="comma-separated method names")
-    sim.add_argument("--reps", help="replicate count or 'enumerate'")
-    sim.add_argument("--seed", type=int)
-    sim.add_argument("--threads", type=int, help="accepted for compatibility; has no effect")
-    sim.set_defaults(func=cmd_simulate, config_keys=_config_keys(sim), defaults=_SIMULATE_DEFAULTS)
 
     ver = sub.add_parser("verify", help="run certification suites")
     ver.add_argument(
@@ -459,7 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run a single named check (repeatable); default runs every check",
     )
     ver.add_argument("--seed", type=int, default=_SEED)
-    ver.set_defaults(func=cmd_verify, defaults={})
+    ver.set_defaults(func=cmd_verify, options=(), config=None)
     return parser
 
 
@@ -482,14 +479,13 @@ def keep_heap() -> None:
 def main(argv=None) -> int:
     keep_heap()
     args = build_parser().parse_args(argv)
-    config = {}
+    settings = {}
     try:
-        if getattr(args, "config", None):
-            config = load_config(args.config, args.config_keys)
-        return args.func(args, config)
+        settings = resolve(args)
+        return args.func(args, settings)
     except _NUMERIC_ERRORS as exc:
         message = f"numeric error: {exc}"
-        if isinstance(exc, RankDeficient) and _setting(args, config, "categorical"):
+        if isinstance(exc, RankDeficient) and settings.get("categorical"):
             message += (
                 " (one-hot expanded columns are exactly collinear at lambda = 0; "
                 "consider --drop-first or a positive penalty)"

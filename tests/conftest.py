@@ -4,6 +4,7 @@ import pytest
 from loora.design import CompleteDesign, SimpleDesign, draw_with
 from loora.linalg import check_loo_feasible, loo_fitted_rows
 from loora.oracle import Population, observe
+from loora.reporting import blas_core
 
 
 @pytest.fixture
@@ -43,6 +44,18 @@ def drawn_sample(pop, spec, rng):
 def rel_gap(a, b):
     """|a - b| scaled by max(1, |a|, |b|); inputs are O(1) by construction."""
     return abs(a - b) / max(1.0, abs(a), abs(b))
+
+
+def kernel_pin(pins):
+    """The pin recorded for the BLAS kernel this process runs (reporting.blas_core()).
+
+    Floating-point bits may differ between kernels, so each pin is recorded per
+    kernel; on a kernel with none the test skips, naming the kernel.
+    """
+    core = blas_core()
+    if core not in pins:
+        pytest.skip(f"no pin recorded for the BLAS kernel {core!r}")
+    return pins[core]
 
 
 def loo_fitted(factor, y):

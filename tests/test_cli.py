@@ -13,6 +13,7 @@ import yaml
 import loora.cli
 import loora.oracle
 import loora.verify
+from conftest import kernel_pin
 from loora.cli import build_parser, main, parse_lambda
 from loora.exceptions import SchemaError
 from loora.reporting import blas_core, read_records
@@ -45,11 +46,20 @@ _HALF = ("--design", "simple", "--p", "0.5")
 @pytest.mark.parametrize(
     "argv, config, key",
     [
-        (_SIM + ("--reps", "abc"), None, "reps"),
+        (_SYNTH + ("--n", "12", "--reps", "abc"), None, "reps"),
         (_SIM, "level: high", "level"),
         (_SIM, "methods: 5", "methods"),
         (_SIM + ("--design", "complete"), "nt: many", "nt"),
         (_SIM + ("--methods", "FOO"), None, "methods"),
+        # a flag's value passes through the converter a config value does
+        (_SYNTH + ("--reps", "3", "--n", "x"), None, "n"),
+        (_SIM + ("--design", "complete", "--nt", "1.5"), None, "nt"),
+        (_SIM + ("--level", "high"), None, "level"),
+        (_EST + ("--design", "simple", "--p", "high"), None, "p"),
+        (_SIM + ("--design", "bogus"), None, "design"),
+        (_EST + ("--p", "0.5", "--design", "bogus"), None, "design"),
+        (_EST + _HALF + ("--method", "FOO"), None, "method"),
+        (("simulate", "--n", "12", "--k", "2", "--reps", "3", "--synth", "bogus"), None, "synth"),
         (_SIM + ("--seed", "-1"), None, "seed"),
         (_SIM, "lambda: 2", "lambda"),
         (_EST + _HALF, "method: FOO", "method"),
@@ -79,6 +89,14 @@ _HALF = ("--design", "simple", "--p", "0.5")
         "methods-config",
         "nt-config",
         "methods-flag",
+        "n-flag",
+        "nt-flag",
+        "level-flag",
+        "p-flag",
+        "design-flag",
+        "estimate-design-flag",
+        "method-flag",
+        "synth-flag",
         "seed-flag",
         "lambda-config",
         "method-config",
@@ -108,22 +126,54 @@ def test_malformed_option_value_is_a_schema_error_naming_the_key(
         path = tmp_path / "config.yaml"
         path.write_text(f"schema_version: 1\n{config}\n", encoding="utf-8")
         argv += ("--config", str(path))
-    code, _, stderr = run(capsys, *argv)
-    assert code == 2
-    assert stderr.startswith(f"error: {key} ")
+    result = run(capsys, *argv)
+    assert result[0] == 2
+    assert result[2].startswith(f"error: {key} ")
+    if config is None and argv[0] != "verify":
+        # the flag's string given in a config fails the same way, not argparse's way
+        flag, value = argv[-2:]
+        assert flag == f"--{key}"
+        twin = tmp_path / "twin.yaml"
+        twin.write_text(yaml.safe_dump({"schema_version": 1, key: value}), encoding="utf-8")
+        assert run(capsys, *argv[:-2], "--config", str(twin)) == result
 
 
 def test_config_covariates_may_be_a_yaml_list(tmp_path, capsys):
-    cfg = tmp_path / "est.yaml"
-    cfg.write_text("schema_version: 1\ncovariates: [age, score]\n", encoding="utf-8")
-    reports = []
-    for source in (("--config", str(cfg)), ("--covariates", "age,score")):
-        out = tmp_path / f"{source[0][2:]}.jsonl"
-        argv = _OBSERVED + _HALF + source
-        code, _, _ = run(capsys, *argv, "--out", str(out))
-        assert code == 0
-        reports.append(out.read_bytes())
-    assert reports[0] == reports[1]
+    # each setting, spelled as a flag and as its config twin, gives one record and one hash
+    for argv, flag, config in (
+        (_OBSERVED + _HALF, ("--covariates", "age,score"), "covariates: [age, score]"),
+        (_SYNTH + ("--reps", "3"), ("--n", "40"), "n: 40.0"),
+        (_EST + _HALF, ("--lambda", "auto:2"), "lambda: auto:2.0"),
+    ):
+        cfg = tmp_path / "twin.yaml"
+        cfg.write_text(f"schema_version: 1\n{config}\n", encoding="utf-8")
+        reports = []
+        for source in (("--config", str(cfg)), flag):
+            out = tmp_path / f"{source[0][2:]}.jsonl"
+            code, _, _ = run(capsys, *argv, *source, "--out", str(out))
+            assert code == 0
+            manifest = read_records(f"{out}.manifest.json")[0]
+            reports.append((out.read_bytes(), manifest["config_hash"]))
+        assert reports[0] == reports[1], flag
+
+
+@pytest.mark.parametrize(
+    "argv, config",
+    [(_EST + _HALF, "level:\nmethod:\nlambda:"), (_SIM, "level:\nseed:\ndesign:\nmethods:")],
+    ids=["estimate", "simulate"],
+)
+def test_an_empty_config_value_leaves_the_option_at_its_default(tmp_path, capsys, argv, config):
+    cfg = tmp_path / "empty.yaml"
+    cfg.write_text(f"schema_version: 1\n{config}\n", encoding="utf-8")
+    # at level, seed and method a null value once ended in a TypeError or ValueError
+    runs = []
+    for source in (("--config", str(cfg)), ()):
+        out = tmp_path / "out.jsonl"
+        result = run(capsys, *argv, *source, "--out", str(out))
+        assert result[0] == 0, result
+        manifest = read_records(f"{out}.manifest.json")[0]
+        runs.append((result, out.read_bytes(), manifest["config_hash"]))
+    assert runs[0] == runs[1]
 
 
 def test_estimate_two_row_ht(tmp_path, capsys):
@@ -1378,30 +1428,37 @@ def test_a_fresh_study_keeps_its_heap_and_the_policy_moves_no_bit(tmp_path):
 
 
 # sha256 of the records of CI's three byte-identity studies and of its n = 11
-# enumeration, as `loora simulate ... --out` writes them; any change in a
-# record's bits changes its digest
+# enumeration, as `loora simulate ... --out` writes them, per BLAS kernel; any
+# change in a record's bits changes its digest
 PINNED_STUDY_RECORDS = {
     "--synth binary-outcome --n 60 --k 4 --pop-seed 3 --design complete --nt 30 "
-    "--methods HT,DM,ADJ,INT,RIDGE_REG,LOORA_HT,LOORA_DM --reps 50 --seed 7": (
-        "fe1a9fd7c7c1c5e1a105164e2bcc2d695594894d3e4962149c1b4c2310efe302"
-    ),
+    "--methods HT,DM,ADJ,INT,RIDGE_REG,LOORA_HT,LOORA_DM --reps 50 --seed 7": {
+        "SkylakeX": "fe1a9fd7c7c1c5e1a105164e2bcc2d695594894d3e4962149c1b4c2310efe302",
+        "Haswell": "7346718feb3eb38c66f94bafb56900fb6648bbb109351f014c7a71ddc21f5759",
+    },
     "--synth binary-outcome --n 120 --k 10 --pop-seed 7 --design complete --nt 60 "
-    "--methods DM,ADJ,INT,RIDGE_REG,LOORA_DM --reps 200 --seed 1": (
-        "2a85e96bfc3ec9b0daf472253562162450a8cfcd7eef595f356de0de3889eb31"
-    ),
+    "--methods DM,ADJ,INT,RIDGE_REG,LOORA_DM --reps 200 --seed 1": {
+        "SkylakeX": "2a85e96bfc3ec9b0daf472253562162450a8cfcd7eef595f356de0de3889eb31",
+        "Haswell": "7096fdaede7982ce3ec3bf2fc76ea25f0109f00d7451079147364bdf4021c0e7",
+    },
     "--synth linear-heterogeneous --n 5000 --k 5 --pop-seed 2 --design simple-half "
     "--methods HT,DM,ADJ,INT,RIDGE_REG,LOORA_HT,LOORA_DM --allow-design-mismatch "
-    "--reps 20 --seed 3": "b88d905c4e2119b8067d4b99c1c1ddb0bf93e0192f669f7ad16a6575ee83e354",
+    "--reps 20 --seed 3": {
+        "SkylakeX": "b88d905c4e2119b8067d4b99c1c1ddb0bf93e0192f669f7ad16a6575ee83e354",
+        "Haswell": "8ea30cbe81828e2e202aa1fe89e3eedd7e5285d56e98bf2c74ffa390452d0187",
+    },
     "--synth linear-heterogeneous --n 11 --k 3 --design complete --nt 5 "
-    "--methods DM,LOORA_DM --reps enumerate": (
-        "444060fef5c0b3f878064dbe11ff3b5647b62ab9d4f625b23319e8c0da4637cf"
-    ),
+    "--methods DM,LOORA_DM --reps enumerate": {
+        "SkylakeX": "444060fef5c0b3f878064dbe11ff3b5647b62ab9d4f625b23319e8c0da4637cf",
+        "Haswell": "444060fef5c0b3f878064dbe11ff3b5647b62ab9d4f625b23319e8c0da4637cf",
+    },
 }
 
 
 @pytest.mark.parametrize("study", list(PINNED_STUDY_RECORDS), ids=["n60", "n120", "n5000", "n11"])
 def test_study_records_keep_their_pinned_bytes(tmp_path, capsys, study):
+    pinned = kernel_pin(PINNED_STUDY_RECORDS[study])
     out = tmp_path / "study.jsonl"
     code, _, _ = run(capsys, "simulate", *study.split(), "--out", str(out))
     assert code == 0
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == PINNED_STUDY_RECORDS[study]
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == pinned

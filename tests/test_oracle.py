@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import loora.oracle as oracle_mod
-from conftest import loo_fitted, random_population, rel_gap
+from conftest import kernel_pin, loo_fitted, random_population, rel_gap
 from loora.design import CompleteDesign, SimpleDesign, enumerate_assignments
 from loora.estimators import LambdaRule, Method
 from loora.exceptions import NonFinite, ParameterOutOfRange, RankDeficient
@@ -466,20 +466,27 @@ def test_pattern_tables_match_the_scalar_loop_bit_for_bit():
 
 # float.hex of the exact variances on synth_population("linear-heterogeneous",
 # n, 5, 11) at p = 1/2 (HT) and n_t = n / 2 (DM) with the auto:2 penalty; the
-# same under 1 and 2 BLAS threads
+# same under 1 and 2 BLAS threads; per BLAS kernel
 PINNED_EXACT_VARIANCES = {
-    1024: ("0x1.2096b45131cc7p-10", "0x1.2488a57dbc833p-9"),
-    5000: ("0x1.a243a9e85af31p-13", "0x1.a6b4a5e2065cbp-12"),
+    1024: {
+        "SkylakeX": ("0x1.2096b45131cc7p-10", "0x1.2488a57dbc833p-9"),
+        "Haswell": ("0x1.2096b45131cc9p-10", "0x1.2488a57dbc834p-9"),
+    },
+    5000: {
+        "SkylakeX": ("0x1.a243a9e85af31p-13", "0x1.a6b4a5e2065cbp-12"),
+        "Haswell": ("0x1.a243a9e85af32p-13", "0x1.a6b4a5e2065cbp-12"),
+    },
 }
 
 
 @pytest.mark.parametrize("n", sorted(PINNED_EXACT_VARIANCES))
 def test_exact_variances_keep_their_pinned_bits(n):
+    pinned = kernel_pin(PINNED_EXACT_VARIANCES[n])
     pop = synth_population("linear-heterogeneous", n, 5, 11)
     p = half_probs(n)
     dm = loora_dm_variance(pop, n // 2, AUTO2.resolve(pop.x))
     ht = loora_ht_variance(pop, p, AUTO2.resolve(ht_signal(pop, p).xw))
-    assert (dm.hex(), ht.hex()) == PINNED_EXACT_VARIANCES[n]
+    assert (dm.hex(), ht.hex()) == pinned
 
 
 @pytest.mark.parametrize("method", ["LOORA_DM", "LOORA_HT"])
@@ -530,16 +537,21 @@ def test_every_ground_truth_of_an_overflowing_population_fails_as_non_finite(sca
 
 
 def test_exact_variance_terms_keep_their_pinned_bits_at_high_leverage():
-    # max h = 0.982 at lambda = 0
+    # max h = 0.982 at lambda = 0; the LOORA-DM terms, then the LOORA-HT ones
+    pinned = kernel_pin({
+        "SkylakeX": (
+            ["0x1.2125a46580ae8p-2", "-0x1.430192d2b68a9p-6", "0x1.6968a08932a70p+0"],
+            ["0x1.63308ac02a03cp-2", "0x1.678faf9f361d1p+0"],
+        ),
+        "Haswell": (
+            ["0x1.2125a465808dep-2", "-0x1.430192d2b662fp-6", "0x1.6968a08932a70p+0"],
+            ["0x1.63308ac02a03cp-2", "0x1.678faf9f361d1p+0"],
+        ),
+    })
     pop = synth_population("leverage-stress", 14, 3, 14)
     dm_terms = loora_dm_variance_terms(pop, 7, 0.0)
     ht_terms = loora_ht_variance_terms(pop, half_probs(14), 0.0)
-    assert [term.hex() for term in dm_terms] == [
-        "0x1.2125a46580ae8p-2",
-        "-0x1.430192d2b68a9p-6",
-        "0x1.6968a08932a70p+0",
-    ]
-    assert [term.hex() for term in ht_terms] == ["0x1.63308ac02a03cp-2", "0x1.678faf9f361d1p+0"]
+    assert ([t.hex() for t in dm_terms], [t.hex() for t in ht_terms]) == pinned
 
 
 @pytest.mark.xfail(
