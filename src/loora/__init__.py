@@ -1,43 +1,45 @@
-"""Design-based ATE estimation with leave-one-out ridge regression adjustment."""
+"""Design-based ATE estimation with leave-one-out ridge regression adjustment.
 
-from .design import CompleteDesign, SimpleDesign, draw, enumerate_assignments
-from .estimators import LambdaRule, Method
-from .inference import EstimateReport, normal_quantile, plan_estimate
-from .oracle import (
-    Population,
-    adjusted_ht_variance,
-    dm_variance,
-    enumeration_moments,
-    ht_variance,
-    lin_asymptotic_variance,
-    loora_dm_variance,
-    loora_ht_variance,
-)
-from .simulation import SimulationReport, StudyConfig, run_study, synth_population
+Each public name is imported from its module on first access (PEP 562), so
+``import loora`` loads none of the modules behind them and a command loads
+only the code it runs.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CompleteDesign",
-    "EstimateReport",
-    "LambdaRule",
-    "Method",
-    "Population",
-    "SimpleDesign",
-    "SimulationReport",
-    "StudyConfig",
-    "adjusted_ht_variance",
-    "dm_variance",
-    "draw",
-    "enumerate_assignments",
-    "enumeration_moments",
-    "ht_variance",
-    "lin_asymptotic_variance",
-    "loora_dm_variance",
-    "loora_ht_variance",
-    "normal_quantile",
-    "plan_estimate",
-    "run_study",
-    "synth_population",
-    "__version__",
-]
+# Each public name and the module that defines it.
+_MODULE_OF = {
+    "CompleteDesign": "design",
+    "EstimateReport": "inference",
+    "LambdaRule": "estimators",
+    "Method": "estimators",
+    "Population": "oracle",
+    "SimpleDesign": "design",
+    "SimulationReport": "simulation",
+    "StudyConfig": "simulation",
+    "adjusted_ht_variance": "oracle",
+    "dm_variance": "oracle",
+    "draw": "design",
+    "enumerate_assignments": "design",
+    "enumeration_moments": "oracle",
+    "ht_variance": "oracle",
+    "lin_asymptotic_variance": "oracle",
+    "loora_dm_variance": "oracle",
+    "loora_ht_variance": "oracle",
+    "normal_quantile": "inference",
+    "plan_estimate": "inference",
+    "run_study": "simulation",
+    "synth_population": "simulation",
+}
+
+__all__ = [*_MODULE_OF, "__version__"]
+
+
+def __getattr__(name):
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_MODULE_OF[name]}", __name__), name)
+    globals()[name] = value  # later lookups skip this function
+    return value

@@ -12,6 +12,7 @@ import collections
 import ctypes
 import dataclasses
 import functools
+import math
 import os
 import sys
 import time
@@ -25,7 +26,7 @@ import numpy as np
 
 from . import __version__
 from .dataset import _utf8_error, build_dataset
-from .design import CompleteDesign, SimpleDesign
+from .design import DESIGN_CHOICES, SYNTH_KINDS, CompleteDesign, SimpleDesign
 from .estimators import LambdaRule, Method
 from .exceptions import (
     LeverageSingular,
@@ -37,10 +38,7 @@ from .exceptions import (
     TooLarge,
 )
 from .inference import plan_estimate
-from .oracle import Population
 from .reporting import config_hash, format_table, manifest_path, run_environment, write_records
-from .simulation import DESIGN_CHOICES, SYNTH_KINDS, StudyConfig, run_study, synth_population
-from .verify import CHECKS, run_checks
 
 CONFIG_SCHEMA_VERSION = 1
 
@@ -52,15 +50,15 @@ def parse_lambda(text: str) -> LambdaRule:
     kind, sep, value = str(text).partition(":")
     if not sep:
         raise SchemaError(f"lambda rule must look like fixed:<v> or auto:<c>, got {text!r}")
+    if kind not in ("fixed", "auto"):
+        raise SchemaError(f"lambda rule kind must be fixed or auto, got {kind!r}")
     try:
         number = float(value)
     except ValueError as exc:
         raise SchemaError(f"lambda rule value {value!r} is not a number") from exc
-    if kind == "fixed":
-        return LambdaRule.fixed(number)
-    if kind == "auto":
-        return LambdaRule.auto(number)
-    raise SchemaError(f"lambda rule kind must be fixed or auto, got {kind!r}")
+    if not (math.isfinite(number) and number >= 0.0):
+        raise SchemaError(f"lambda must be finite and nonnegative, got {text!r}")
+    return LambdaRule(kind, number)
 
 
 def load_config(path, keys) -> dict:
@@ -112,6 +110,14 @@ def _as(kind, key, value):
 # Each converter takes (key, value) and returns the typed setting or raises a
 # SchemaError naming the key; a flag's value reaches it as the string typed.
 _int, _float, _path = (functools.partial(_as, kind) for kind in _EXPECTED)
+
+
+def _fraction(key, value):
+    """A number strictly between 0 and 1: a confidence level or a probability."""
+    number = _float(key, value)
+    if not 0.0 < number < 1.0:
+        raise SchemaError(f"{key} must lie in (0, 1), got {number}")
+    return number
 
 
 def _given(key, value):
@@ -181,7 +187,7 @@ _SHARED_OPTIONS = (
     Option("drop-first", _switch, False),
     Option("nt", _int, help="treated count (complete design)"),
     Option("lambda", _lambda, "auto:2", "fixed:<v> or auto:<c>"),
-    Option("level", _float, 0.95),
+    Option("level", _fraction, 0.95),
     Option("out", _path, help="machine-readable report path (JSON lines)"),
     Option("allow-design-mismatch", _switch, False),
 )
@@ -190,7 +196,7 @@ _ESTIMATE_OPTIONS = _SHARED_OPTIONS + (
     Option("d-col", _given),
     Option("p-col", _given),
     Option("design", _one_of("simple", "complete")),
-    Option("p", _float, help="shared treatment probability (simple design)"),
+    Option("p", _fraction, help="shared treatment probability (simple design)"),
     Option("method", _method, Method.LOORA_HT),
 )
 _SIMULATE_OPTIONS = _SHARED_OPTIONS + (
@@ -373,6 +379,9 @@ def cmd_estimate(args, settings) -> int:
 
 
 def cmd_simulate(args, settings) -> int:
+    from .oracle import Population  # only a study loads the oracle and simulation modules
+    from .simulation import StudyConfig, run_study, synth_population
+
     started, faults = time.monotonic(), _minor_faults()
     _check_writable(settings["out"])
     if settings["data"] is not None:
@@ -410,7 +419,10 @@ def cmd_simulate(args, settings) -> int:
 
 
 def cmd_verify(args, settings) -> int:
-    results = run_checks(args.check or CHECKS, args.seed)
+    from .verify import CHECKS, run_checks  # only verify loads the certification suites
+
+    check = _one_of(*CHECKS)
+    results = run_checks([check("check", name) for name in args.check or CHECKS], args.seed)
     all_passed = True
     for result in results:
         status = "PASS" if result.passed else "FAIL"
@@ -452,7 +464,6 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument(
         "--check",
         action="append",
-        choices=list(CHECKS),
         help="run a single named check (repeatable); default runs every check",
     )
     ver.add_argument("--seed", type=int, default=_SEED)

@@ -21,6 +21,11 @@ from .exceptions import InvalidSpec, TooLarge
 SIMPLE_ENUM_MAX_N = 20
 COMPLETE_ENUM_MAX = 2_000_000
 
+# A study's assignment designs and synthetic population kinds, named here so
+# the CLI parses them without loading the simulation module.
+DESIGN_CHOICES = ("simple-half", "simple-covariate-correlated", "complete")
+SYNTH_KINDS = ("linear-heterogeneous", "leverage-stress", "binary-outcome")
+
 
 @dataclass(frozen=True)
 class SimpleDesign:

@@ -21,6 +21,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .design import (
+    DESIGN_CHOICES,
+    SYNTH_KINDS,
     CompleteDesign,
     DesignSpec,
     SimpleDesign,
@@ -42,8 +44,6 @@ from .exceptions import (
 )
 from .inference import check_block, plan_estimate
 from .oracle import Population, observe
-
-DESIGN_CHOICES = ("simple-half", "simple-covariate-correlated", "complete")
 
 
 def study_seed_sequence(seed: int) -> np.random.SeedSequence:
@@ -180,7 +180,6 @@ def covariate_correlated_probabilities(x, rng: np.random.Generator) -> np.ndarra
     return np.clip((1.0 + cosine) / 2.0, 0.2, 0.8)
 
 
-SYNTH_KINDS = ("linear-heterogeneous", "leverage-stress", "binary-outcome")
 # synth_population's noise scale, heterogeneity scale and constant effect.
 _NOISE_SCALE, _HET_SCALE, _BASE_EFFECT = 0.5, 0.5, 1.0
 

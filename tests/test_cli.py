@@ -12,6 +12,7 @@ import yaml
 
 import loora.cli
 import loora.oracle
+import loora.simulation
 import loora.verify
 from conftest import kernel_pin
 from loora.cli import build_parser, main, parse_lambda
@@ -136,6 +137,34 @@ def test_malformed_option_value_is_a_schema_error_naming_the_key(
         twin = tmp_path / "twin.yaml"
         twin.write_text(yaml.safe_dump({"schema_version": 1, key: value}), encoding="utf-8")
         assert run(capsys, *argv[:-2], "--config", str(twin)) == result
+
+
+_OUT_OF_RANGE = {  # key: (value, message)
+    "level": ("1.5", "level must lie in (0, 1), got 1.5"),
+    "lambda": ("auto:-1", "lambda must be finite and nonnegative, got 'auto:-1'"),
+    "p": ("1.5", "p must lie in (0, 1), got 1.5"),
+}
+
+
+@pytest.mark.parametrize("route", ["flag", "config"])
+@pytest.mark.parametrize(
+    "command, key",
+    [("estimate", "level"), ("estimate", "lambda"), ("estimate", "p"),
+     ("simulate", "level"), ("simulate", "lambda")],
+)
+def test_out_of_range_value_gets_one_message_naming_its_key(tmp_path, capsys, command, key, route):
+    # the same from either command and from a flag or a config value, before any work
+    value, message = _OUT_OF_RANGE[key]
+    given = {"p": "0.5", key: value} if command == "estimate" else {key: value}
+    argv = _EST + ("--design", "simple") if command == "estimate" else _SIM
+    if route == "flag":
+        argv += tuple(token for k, v in given.items() for token in (f"--{k}", v))
+    else:
+        cfg = tmp_path / "config.yaml"
+        config = "".join(f"{k}: {v}\n" for k, v in given.items())
+        cfg.write_text(f"schema_version: 1\n{config}", encoding="utf-8")
+        argv += ("--config", str(cfg))
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
 
 
 def test_config_covariates_may_be_a_yaml_list(tmp_path, capsys):
@@ -299,7 +328,7 @@ def test_unwritable_out_fails_before_the_work(tmp_path, capsys, monkeypatch, com
     def must_not_run(*args, **kwargs):
         pytest.fail(f"{command} did its work before checking --out")
 
-    monkeypatch.setattr(loora.cli, "run_study", must_not_run)
+    monkeypatch.setattr(loora.simulation, "run_study", must_not_run)
     monkeypatch.setattr(loora.cli, "build_dataset", must_not_run)
     out = tmp_path / "out.jsonl"
     out.mkdir()
@@ -993,10 +1022,20 @@ def test_verify_efficiency_check(capsys):
     assert stdout.startswith("PASS efficiency:")
     assert "n=2048 " in stdout and "n=8192 " in stdout and "n=32768 " in stdout
     # the Monte Carlo study and its sample-size option are gone
-    for argv in (("verify", "--n", "5000"), ("verify", "--check", "lin-equivalence")):
-        with pytest.raises(SystemExit) as exited:
-            run(capsys, *argv)
-        assert exited.value.code == 2
+    with pytest.raises(SystemExit) as exited:
+        run(capsys, "verify", "--n", "5000")
+    assert exited.value.code == 2
+    capsys.readouterr()
+    # an unknown check is refused before any check runs
+    code, stdout, stderr = run(
+        capsys, "verify", "--check", "efficiency", "--check", "lin-equivalence"
+    )
+    assert (code, stdout) == (2, "")
+    assert stderr == (
+        "error: check must be one of unbiasedness, variance-ht-exact, variance-dm-exact, "
+        "loo-identities, leverage-bound, pairwise-equivalence, efficiency, "
+        "got 'lin-equivalence'\n"
+    )
 
 
 def test_estimate_without_design_exits_2(tmp_path, capsys):
@@ -1293,7 +1332,7 @@ def test_unknown_config_key_exits_2_naming_key_and_file_before_any_work(
     def must_not_run(*args, **kwargs):
         pytest.fail("the command read data or ran a study before checking its config keys")
 
-    monkeypatch.setattr(loora.cli, "run_study", must_not_run)
+    monkeypatch.setattr(loora.simulation, "run_study", must_not_run)
     monkeypatch.setattr(loora.cli, "build_dataset", must_not_run)
     cfg = tmp_path / "config.yaml"
     cfg.write_text(f"schema_version: 1\n{key}: 3\n", encoding="utf-8")
@@ -1378,6 +1417,49 @@ def test_importing_the_cli_loads_neither_scipy_nor_yaml():
         "print(loora.cli.keep_heap.cache_info().misses)"
     )
     assert (done.returncode, done.stdout) == (0, "[]\n0\n"), done.stderr
+
+
+def test_a_command_loads_only_the_modules_it_runs(tmp_path):
+    deferred = ("loora.oracle", "loora.simulation", "loora.verify")
+    estimate = [*_EST, *_HALF, "--out", str(tmp_path / "estimate.jsonl")]
+    done = _fresh_interpreter(
+        "import contextlib, io, sys; from loora.cli import main\n"
+        f"loaded = lambda: [m for m in {deferred!r} if m in sys.modules]\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    result = [main({estimate!r}), loaded(), main({list(_SIM)!r}), loaded()]\n"
+        "print(result)"
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[0, [], 0, ['loora.oracle', 'loora.simulation']]\n"
+
+
+# The public names of loora, by the module that defines each.
+_PUBLIC = {
+    "design": ("CompleteDesign", "SimpleDesign", "draw", "enumerate_assignments"),
+    "estimators": ("LambdaRule", "Method"),
+    "inference": ("EstimateReport", "normal_quantile", "plan_estimate"),
+    "oracle": (
+        "Population", "adjusted_ht_variance", "dm_variance", "enumeration_moments",
+        "ht_variance", "lin_asymptotic_variance", "loora_dm_variance", "loora_ht_variance",
+    ),
+    "simulation": ("SimulationReport", "StudyConfig", "run_study", "synth_population"),
+}
+
+
+def test_importing_loora_loads_each_public_name_on_first_use():
+    done = _fresh_interpreter(
+        "import sys, loora\n"
+        "print(sorted(m for m in sys.modules if m.startswith('loora.')))\n"
+        "print(sorted(loora.__all__))\n"
+        "star = {}\n"
+        "exec('from loora import *', star)\n"
+        "print([name for name in loora.__all__ if name not in star])\n"
+        f"print([name for module, names in {_PUBLIC!r}.items() for name in names\n"
+        "       if getattr(loora, name) is not getattr(sys.modules['loora.' + module], name)])"
+    )
+    assert done.returncode == 0, done.stderr
+    public = sorted([*(name for names in _PUBLIC.values() for name in names), "__version__"])
+    assert done.stdout.splitlines() == ["[]", repr(public), "[]", "[]"]
 
 
 def test_every_command_runs_without_scipy(tmp_path):
