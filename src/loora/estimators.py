@@ -7,13 +7,17 @@ estimators LOORA-HT (simple random assignment) and LOORA-DM (complete random
 assignment). Each LOORA estimator is computed from a single ridge
 factorization through the leave-one-out identity.
 
-Each method is one plan (HtPlan, DmPlan, LooraHtPlan, LooraDmPlan or
-BenchmarkPlan), built once from the covariates, the design and the penalty
-rule. A plan holds its penalty lam and one method, block(block, variance) on
-a loora.inference.CheckedBlock (d (B, n), one 0/1 assignment per row, the y
-(B, n) each reveals, their arm facts): per-row point estimates and HC0
-variances (None unless variance is true), nan where an exact sum overflows,
-and, keyed by row, the method failure each failing row would raise alone.
+Each method is one plan (HtPlan, DmPlan, LooraHtPlan, LooraDmPlan, AdjPlan
+or IntPlan), arithmetic on the covariates, the assignment probabilities and
+the penalty rule alone: ADJ is AdjPlan at lambda = 0 and RIDGE_REG is
+AdjPlan at the user's rule. A plan holds its penalty lam and one method,
+block(block, variance) on a loora.inference.CheckedBlock (d (B, n), one 0/1
+assignment per row, the y (B, n) each reveals, their arm facts): per-row
+point estimates and HC0 variances (None unless variance is true), nan where
+an exact sum overflows, and, keyed by row, the failure each failing row
+would raise alone. Which design admits a method, and the failure of a row
+that leaves an arm empty, belong to loora.inference.plan_estimate, the one
+switch over method identifiers.
 Both steps of a LOORA estimate, the ridge fit and the regression on the
 treatment indicator whose sandwich is the variance, share one set of
 intermediates. A Monte Carlo study builds each plan once and evaluates it
@@ -29,8 +33,7 @@ them). Per-unit constants that do not depend on the assignment (1 - h,
 the arm probabilities' reciprocals) are formed once per plan, and a block
 picks each unit's by its arm with the bits of forming it from d, on the bit
 patterns rather than by a branch per unit (_by_arm). INT factors the arm Grams of a group of rows
-in one stacked LAPACK call. The one switch over method identifiers is
-loora.inference.plan_estimate.
+in one stacked LAPACK call.
 """
 
 from __future__ import annotations
@@ -42,18 +45,9 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .design import CompleteDesign, DesignSpec, SimpleDesign
-from .exceptions import (
-    InvalidInput,
-    LooraError,
-    NonFinite,
-    RankDeficient,
-    SelfCheckFailed,
-    SpecMismatch,
-)
+from .exceptions import InvalidInput, NonFinite, RankDeficient, SelfCheckFailed
 from .linalg import (
     RidgeFactor,
-    as_design_matrix,
     check_loo_feasible,
     cholesky_solve,
     dot_rows,
@@ -113,43 +107,12 @@ class LambdaRule:
         if self.mode == "auto":
             lam = leverage_regularizer(regressed_matrix, self.value)
             if not math.isfinite(lam):  # rows too large to square
-                raise InvalidInput(f"lambda must be finite and nonnegative, got {lam}")
+                raise NonFinite(f"the auto:{self.value!r} lambda rule's", "penalty c * max_i ||x_i||^2")
             return lam
         raise InvalidInput(f"unknown lambda rule mode {self.mode!r}")
 
 
 DEFAULT_LAMBDA_RULE = LambdaRule.auto(2.0)
-
-
-def require_simple(spec: DesignSpec, method: str) -> SimpleDesign:
-    """The design itself, or SpecMismatch if it is not simple random assignment."""
-    if not isinstance(spec, SimpleDesign):
-        raise SpecMismatch(f"{method} is defined under simple random assignment only")
-    return spec
-
-
-def require_complete(spec: DesignSpec, method: str, allow_design_mismatch: bool) -> None:
-    """SpecMismatch unless the design is complete random assignment or the opt-in is given.
-
-    Under the mismatch opt-in, a sample drawn from a simple design is
-    analyzed as if its realized treated count had been fixed; that is how
-    the simulation protocol applies the DM family under independent
-    assignment.
-    """
-    if not (isinstance(spec, CompleteDesign) or allow_design_mismatch):
-        raise SpecMismatch(f"{method} is defined under complete random assignment only")
-
-
-def _empty_arms(method: str, block: CheckedBlock) -> dict[int, LooraError]:
-    """SpecMismatch, keyed by row, for each row of the block that leaves an arm empty.
-
-    Only the mismatch opt-in admits one; its arm counts give non-finite values, never read.
-    """
-    empty = (block.n_t == 0.0) | (block.n_c == 0.0)
-    return {
-        int(i): SpecMismatch(f"{method} needs at least one treated and one control unit")
-        for i in np.nonzero(empty)[0]
-    }
 
 
 # Extraction works on rows whose nonzero entries are all at least 2**-969.
@@ -291,7 +254,7 @@ class DmPlan:
         arms = fsum_rows(np.concatenate([d * y, block.control * y]))
         tau = arms[:rows] / block.n_t - arms[rows:] / block.n_c
         var = _two_column_sandwich(y, block)[1] if variance else None
-        return tau, var, _empty_arms("DM", block)
+        return tau, var, {}
 
 
 def _two_column_sandwich(u: np.ndarray, block: CheckedBlock):
@@ -302,8 +265,8 @@ def _two_column_sandwich(u: np.ndarray, block: CheckedBlock):
     slope u_t - u_c, and with r the deviations from the arm means, row d of
     the sandwich bread times [1, d]' is 1/n_t on treated and -1/n_c on
     control units, so the variance is sum_t r^2 / n_t^2 + sum_c r^2 / n_c^2.
-    A row with an empty arm gives non-finite values; the methods calling
-    this have already failed such rows through _empty_arms.
+    A row with an empty arm gives non-finite values; EstimatePlan has
+    already failed such rows.
     """
     d, c, n_t, n_c = block.d, block.control, block.n_t, block.n_c
     mean_t, mean_c = dot_rows(d, u) / n_t, dot_rows(c, u) / n_c
@@ -331,7 +294,7 @@ def _by_arm(mask: np.ndarray, treated: np.ndarray, control: np.ndarray) -> np.nd
 class LooraHtPlan:
     """LOORA-HT on its study-fixed weights, penalty and ridge factor.
 
-    Built once from (X, design, rule); block() evaluates a block of
+    Built once from (X, p, rule); block() evaluates a block of
     assignments. Every per-unit constant a block needs is formed here once:
     with q_i the probability of unit i's realized arm (p_i treated, 1 - p_i
     control) and z_i = 2 d_i - 1, block() picks the outcome scale, z/q and
@@ -347,18 +310,14 @@ class LooraHtPlan:
     zq_gap: tuple[np.ndarray, np.ndarray]  # (p (1 - h), -(1 - p) (1 - h))
 
     @classmethod
-    def build(cls, x, spec: DesignSpec, rule: LambdaRule = DEFAULT_LAMBDA_RULE) -> "LooraHtPlan":
-        x = as_design_matrix(x)
-        p = require_simple(spec, "LOORA_HT").p
+    def build(cls, x: np.ndarray, p: np.ndarray, rule: LambdaRule) -> "LooraHtPlan":
+        """The plan of a checked design matrix x (n, k) and treatment probabilities p (n,)."""
         r = np.sqrt(p * (1.0 - p))
         with np.errstate(over="ignore"):  # checked instead
             xw = x / r[:, None]
         bad = ~np.isfinite(xw).all(axis=1)
         if bad.any():
-            raise InvalidInput(
-                f"X / sqrt(p (1 - p)) overflows double precision at row {int(np.argmax(bad))}; "
-                "rescale the design"
-            )
+            raise NonFinite("LOORA_HT", f"X / sqrt(p (1 - p)) at row {int(np.argmax(bad))}")
         lam = rule.resolve(xw)
         ridge = ridge_factor(xw, lam)
         check_loo_feasible(ridge.hat_diag)
@@ -430,7 +389,7 @@ def _dm_row_weights(n_t, n_c) -> tuple[np.ndarray, ...]:
 class LooraDmPlan:
     """LOORA-DM on its study-fixed arm counts, penalty and ridge factor of X.
 
-    Built once from (X, design, rule); block() evaluates a block of assignments.
+    Built once from (X, rule); block() evaluates a block of assignments.
     Exact unbiasedness needs two units in each arm: a singleton arm's
     counterfactuals never appear among the other units, so the estimate
     carries adjustment bias there.
@@ -440,26 +399,18 @@ class LooraDmPlan:
     ridge: RidgeFactor
 
     @classmethod
-    def build(
-        cls,
-        x,
-        spec: DesignSpec,
-        rule: LambdaRule = DEFAULT_LAMBDA_RULE,
-        allow_design_mismatch: bool = False,
-    ) -> "LooraDmPlan":
-        require_complete(spec, "LOORA_DM", allow_design_mismatch)
-        x = as_design_matrix(x)
+    def build(cls, x: np.ndarray, rule: LambdaRule) -> "LooraDmPlan":
+        """The plan of a checked design matrix x (n, k)."""
         lam = rule.resolve(x)
         ridge = ridge_factor(x, lam)
         check_loo_feasible(ridge.hat_diag)
         return cls(lam=lam, ridge=ridge)
 
     def adjusted(self, block: CheckedBlock):
-        """(tau_hat, u, failed) for a checked block of assignments and outcomes.
+        """(tau_hat, u) for a checked block of assignments and outcomes.
 
         Row i of u holds the adjusted outcomes y_j - x_j' beta^{(-j)} of
-        assignment i; failed holds the rows with an empty arm, as
-        _empty_arms returns them. tau_hat sums v z u, with v the arm
+        assignment i. tau_hat sums v z u, with v the arm
         weights 1/n_arm and z = 2d - 1, each signed weight picked by the arm
         (_by_arm).
         """
@@ -476,7 +427,7 @@ class LooraDmPlan:
         beta = ridge.solve_rows(responses)
         loo = loo_fitted_rows(ridge, responses, beta)
         u = y - _by_arm(mask, loo[:rows], loo[rows:])
-        return fsum_rows(_by_arm(mask, inv_t, neg_inv_c) * u), u, _empty_arms("LOORA_DM", block)
+        return fsum_rows(_by_arm(mask, inv_t, neg_inv_c) * u), u
 
     def block(self, block: CheckedBlock, variance: bool):
         """See the module docstring.
@@ -486,19 +437,18 @@ class LooraDmPlan:
         sandwich entry is the variance. A row fails with SelfCheckFailed if
         the slope does not reproduce its point estimate.
         """
-        tau, u, failed = self.adjusted(block)
+        tau, u = self.adjusted(block)
         if not variance:
-            return tau, None, failed
+            return tau, None, {}
         slope, var = _two_column_sandwich(u, block)
         off = np.abs(slope - tau) > 1e-10 * np.maximum(1.0, np.abs(tau))
-        self_check = {
+        return tau, var, {
             int(i): SelfCheckFailed(
                 "auxiliary regression failed to reproduce the point estimate; "
                 f"got {float(slope[i])!r} vs {float(tau[i])!r}"
             )
             for i in np.nonzero(off)[0]
         }
-        return tau, var, {**self_check, **failed}
 
 
 def _power_of_two_scales(a: np.ndarray) -> np.ndarray:
@@ -513,15 +463,25 @@ def _power_of_two_scales(a: np.ndarray) -> np.ndarray:
     return np.ldexp(1.0, np.minimum(-np.frexp(np.max(np.abs(a), axis=0))[1], 1023))
 
 
-@dataclass(frozen=True)
-class BenchmarkPlan:
-    """ADJ, INT and RIDGE_REG; block() evaluates a block of assignments, parts() its terms.
+class _TermsPlan:
+    """block() of a plan whose parts() gives tau_hat, the HC0 terms and the failures."""
 
-    ADJ regresses y on [1, d, X] and RIDGE_REG does so with the X columns
-    penalized by lambda (the leverage rule applied to X); the estimate is
-    the coefficient on d. With W = [1, X], per-column penalty P (0 on the
-    intercept) and Z_W = (W'W + P)^{-1} W' factored once per study, the
-    partial-ridge Frisch-Waugh-Lovell identity gives, for the unpenalized d,
+    def block(self, block: CheckedBlock, variance: bool):
+        """See the module docstring; the HC0 variance is the sum of parts()'s squared terms."""
+        tau, terms, failed = self.parts(block)
+        return tau, fsum_rows(terms**2) if variance else None, failed
+
+
+@dataclass(frozen=True)
+class AdjPlan(_TermsPlan):
+    """ADJ and RIDGE_REG; block() evaluates a block of assignments, parts() its terms.
+
+    Both regress y on [1, d, X] with the X columns penalized by lambda, the
+    rule applied to X: ADJ is this plan at lambda = 0 and RIDGE_REG at the
+    user's rule; the estimate is the coefficient on d. With W = [1, X],
+    per-column penalty P (0 on the intercept) and Z_W = (W'W + P)^{-1} W'
+    factored once per study, the partial-ridge Frisch-Waugh-Lovell identity
+    gives, for the unpenalized d,
 
         d~ = d - W Z_W d,   tau_hat = d~'y / d~'d,   row d of the full fit's
         (D'D + P_D)^{-1} D' = d~' / d~'d,
@@ -533,64 +493,30 @@ class BenchmarkPlan:
     W'W + P; per assignment, d~'d counts as zero by the same rule against
     d'd and the (n, k + 2) design shape, and raises RankDeficient.
 
-    INT regresses y on [1, d, Xc, d * Xc] with Xc = X minus its full-sample
-    mean. That design is block-diagonal by arm, so tau_hat = alpha_t -
-    alpha_c, the intercepts of the OLS of y on [1, Xc] within each arm, and
-    its HC0 variance is the sum of the two intercepts' HC0 variances. The
-    Gram of [1, Xc] is rank-checked once per study by
-    linalg.full_rank_cholesky, and each arm's Gram per assignment by the
-    same rule (linalg.full_rank_cholesky_rows).
-
-    The X columns are scaled by powers of two before any factor or rank
-    check (RIDGE_REG's penalty by the squared scales, which leaves its fit
-    unchanged), so a covariate's units never make the design look singular.
+    The X columns are scaled by powers of two before the factor (the
+    penalty by the squared scales, which leaves the fit unchanged), so a
+    covariate's units never make the design look singular.
     """
 
-    method: Method
-    basis: np.ndarray  # [1, X] (ADJ, RIDGE_REG) or [1, X - mean] (INT), columns scaled
-    ridge: RidgeFactor | None  # of (basis, P) for ADJ and RIDGE_REG; None for INT
-    lam: float  # the penalty on the covariate block (zero for ADJ and INT)
+    basis: np.ndarray  # [1, X], columns scaled
+    ridge: RidgeFactor  # of (basis, P)
+    lam: float  # the penalty on the covariate block
 
     @classmethod
-    def build(
-        cls,
-        method: Method,
-        x,
-        spec: DesignSpec,
-        rule: LambdaRule = DEFAULT_LAMBDA_RULE,
-        allow_design_mismatch: bool = False,
-    ) -> "BenchmarkPlan":
-        method = Method(method)
-        require_complete(spec, method.value, allow_design_mismatch)
-        x = as_design_matrix(x)
-        covariates = x
-        if method is Method.INT:
-            with np.errstate(over="ignore", invalid="ignore"):  # checked instead
-                covariates = x - x.mean(axis=0)
-            bad = ~np.isfinite(covariates).all(axis=0)
-            if bad.any():
-                raise NonFinite("INT", f"centering of column {int(np.argmax(bad))} of X")
-        scales = _power_of_two_scales(covariates)
-        basis = np.column_stack([np.ones(x.shape[0]), covariates * scales])
-        lam = rule.resolve(x) if method is Method.RIDGE_REG else 0.0
-        if method is Method.INT:
-            full_rank_cholesky(basis)
-            return cls(method=method, basis=basis, ridge=None, lam=lam)
+    def build(cls, x: np.ndarray, rule: LambdaRule) -> "AdjPlan":
+        """The plan of a checked design matrix x (n, k)."""
+        scales = _power_of_two_scales(x)
+        basis = np.column_stack([np.ones(x.shape[0]), x * scales])
+        lam = rule.resolve(x)
         penalty = 0.0  # ADJ, and RIDGE_REG at lambda = 0
         if lam > 0.0:
-            # RIDGE_REG's penalty in scaled units, capped at 2**1000: a column
-            # whose lam * scale**2 would pass it (one below about 2**-500 of
+            # the penalty in scaled units, capped at 2**1000: a column whose
+            # lam * scale**2 would pass it (one below about 2**-500 of
             # sqrt(lam)) has a coefficient of zero to double precision at
             # either penalty, and the cap keeps the Gram and its pivots finite.
             with np.errstate(over="ignore"):
                 penalty = np.concatenate([[0.0], np.minimum(lam * scales**2, 2.0**1000)])
-        ridge = ridge_factor(basis, penalty)
-        return cls(method=method, basis=basis, ridge=ridge, lam=lam)
-
-    def block(self, block: CheckedBlock, variance: bool):
-        """See the module docstring; the HC0 variance is the sum of parts()'s squared terms."""
-        tau, terms, failed = self.parts(block)
-        return tau, fsum_rows(terms**2) if variance else None, failed
+        return cls(basis=basis, ridge=ridge_factor(basis, penalty), lam=lam)
 
     def parts(self, block: CheckedBlock):
         """(tau_hat, terms, failed) for a checked block of assignments and outcomes.
@@ -598,42 +524,67 @@ class BenchmarkPlan:
         Row i of terms is w r with w the estimate's linear weight on y
         (tau_hat = w'y) and r the full regression's residuals, so the HC0
         variance is the sum of its squares. failed holds, keyed by row,
-        the arm-count and rank failures each row would raise alone.
+        the rank failure each row would raise alone.
         """
-        failed = _empty_arms(self.method.value, block)
-        if self.method is Method.INT:
-            return self._int_parts(block, failed)
         d, y, w, z = block.d, block.y, self.basis, self.ridge.z
         d_res = d - matvec_rows(w, matvec_rows(z, d))
         dd = dot_rows(d_res, d)
         singular = negligible_pivot(dd, dot_rows(d, d), (d.shape[1], w.shape[1] + 1))
-        for i in np.nonzero(singular)[0]:
-            failed.setdefault(
-                int(i),
-                RankDeficient(
-                    "the assignment is numerically a combination of the covariates; "
-                    "the coefficient on d is not identified"
-                ),
+        failed = {
+            int(i): RankDeficient(
+                "the assignment is numerically a combination of the covariates; "
+                "the coefficient on d is not identified"
             )
+            for i in np.nonzero(singular)[0]
+        }
         tau_hat = dot_rows(d_res, y) / dd
         resid = y - matvec_rows(w, matvec_rows(z, y)) - d_res * tau_hat[:, None]
         return tau_hat, d_res * resid / dd[:, None], failed
 
-    def _int_parts(self, block: CheckedBlock, failed: dict):
-        """INT's parts: both arm fits of all rows that share a treated count at once.
 
-        The rows still to fit are sorted by treated count, their units
-        ordered treated first, each arm in unit order, and the basis rows
-        gathered once; each run of rows with one count is then a (G, m,
+@dataclass(frozen=True)
+class IntPlan(_TermsPlan):
+    """INT; block() evaluates a block of assignments, parts() its terms.
+
+    INT regresses y on [1, d, Xc, d * Xc] with Xc = X minus its full-sample
+    mean. That design is block-diagonal by arm, so tau_hat = alpha_t -
+    alpha_c, the intercepts of the OLS of y on [1, Xc] within each arm, and
+    its HC0 variance is the sum of the two intercepts' HC0 variances. The
+    Gram of [1, Xc] is rank-checked once per study by
+    linalg.full_rank_cholesky, and each arm's Gram per assignment by the
+    same rule (linalg.full_rank_cholesky_rows). The Xc columns are scaled by
+    powers of two first, as in AdjPlan.
+    """
+
+    basis: np.ndarray  # [1, X - mean], columns scaled
+    lam = 0.0  # unpenalized
+
+    @classmethod
+    def build(cls, x: np.ndarray) -> "IntPlan":
+        """The plan of a checked design matrix x (n, k)."""
+        with np.errstate(over="ignore", invalid="ignore"):  # checked instead
+            covariates = x - x.mean(axis=0)
+        bad = ~np.isfinite(covariates).all(axis=0)
+        if bad.any():
+            raise NonFinite("INT", f"centering of column {int(np.argmax(bad))} of X")
+        basis = np.column_stack([np.ones(x.shape[0]), covariates * _power_of_two_scales(covariates)])
+        full_rank_cholesky(basis)
+        return cls(basis=basis)
+
+    def parts(self, block: CheckedBlock):
+        """(tau_hat, terms, failed) as AdjPlan.parts gives them, from both arm fits of each row.
+
+        The rows with both arms filled are sorted by treated count, their
+        units ordered treated first, each arm in unit order, and the basis
+        rows gathered once; each run of rows with one count is then a (G, m,
         k + 1) view per arm. A row whose arm is rank-deficient fails as
-        full_rank_cholesky fails it alone, the treated arm checked first.
+        full_rank_cholesky fails it alone, the treated arm checked first. A
+        row with an empty arm keeps tau_hat nan and is not fit.
         """
         d, y = block.d, block.y
         tau_hat, terms = np.full(d.shape[0], math.nan), np.zeros(d.shape)
         count = block.n_t.astype(np.int64)
-        live = np.ones(d.shape[0], dtype=bool)
-        live[list(failed)] = False
-        rows = np.flatnonzero(live)
+        rows = np.flatnonzero((block.n_t != 0.0) & (block.n_c != 0.0))
         rows = rows[np.argsort(count[rows], kind="stable")]
         order = np.argsort(block.control[rows], axis=1, kind="stable")
         a = np.take(self.basis, order, axis=0)
@@ -651,8 +602,10 @@ class BenchmarkPlan:
         ok = info == 0
         tau_hat[rows[ok]] = alpha[ok, 0] - alpha[ok, 1]
         terms[rows[ok]] = fit_terms[ok]
-        for i, column in sorted(zip(rows[~ok].tolist(), info[~ok].tolist())):
-            failed[i] = singular_column(column - 1)
+        failed = {
+            i: singular_column(column - 1)
+            for i, column in sorted(zip(rows[~ok].tolist(), info[~ok].tolist()))
+        }
         return tau_hat, terms, failed
 
 

@@ -1,12 +1,16 @@
-"""Dispatch, input checks and confidence intervals over the method plans.
+"""Dispatch, design admission, input checks and confidence intervals over the method plans.
 
-plan_estimate is the one switch over method identifiers: it builds the
-method's plan from loora.estimators, which computes the point estimates,
-the HC0 (sandwich) variances and the per-row failures of a block of
-assignments, reading its arm facts from the CheckedBlock of the one input
-checker, check_block. EstimatePlan wraps it with the numpy error state it
-runs under, the NonFinite failure of any estimate or variance that leaves
-the floating-point range, and the normal confidence intervals.
+plan_estimate is the one switch over method identifiers: it admits the
+design (HT and LOORA-HT under simple assignment; DM, LOORA-DM, ADJ, INT and
+RIDGE_REG under complete assignment, or under simple assignment with the
+mismatch opt-in) and builds the method's plan from loora.estimators, which
+computes the point estimates, the HC0 (sandwich) variances and the per-row
+failures of a block of assignments, reading its arm facts from the
+CheckedBlock of the one input checker, check_block. EstimatePlan wraps it
+with the numpy error state it runs under, the SpecMismatch failure of a row
+that leaves an arm empty (for the methods of complete assignment), the
+NonFinite failure of any estimate or variance that leaves the
+floating-point range, and the normal confidence intervals.
 """
 
 from __future__ import annotations
@@ -16,20 +20,19 @@ from functools import cached_property
 
 import numpy as np
 
-from .design import CompleteDesign, DesignSpec
+from .design import CompleteDesign, DesignSpec, SimpleDesign
 from .estimators import (
     DEFAULT_LAMBDA_RULE,
-    BenchmarkPlan,
+    AdjPlan,
     DmPlan,
     HtPlan,
+    IntPlan,
     LambdaRule,
     LooraDmPlan,
     LooraHtPlan,
     Method,
-    require_complete,
-    require_simple,
 )
-from .exceptions import InvalidInput, LooraError, NonFinite
+from .exceptions import InvalidInput, LooraError, NonFinite, SpecMismatch
 from .linalg import as_design_matrix
 
 
@@ -117,6 +120,18 @@ class CheckedBlock:
     control = cached_property(lambda self: 1.0 - self.d)
 
 
+def _empty_arms(method: Method, block: CheckedBlock) -> dict[int, LooraError]:
+    """SpecMismatch, keyed by row, for each row of the block that leaves an arm empty.
+
+    Only the mismatch opt-in admits one; its arm counts give non-finite values, never read.
+    """
+    empty = (block.n_t == 0.0) | (block.n_c == 0.0)
+    return {
+        int(i): SpecMismatch(f"{method.value} needs at least one treated and one control unit")
+        for i in np.nonzero(empty)[0]
+    }
+
+
 def check_block(d, y, spec: DesignSpec) -> CheckedBlock:
     """The one input checker: d and y as a float CheckedBlock, or InvalidInput.
 
@@ -156,16 +171,19 @@ class EstimatePlan:
     never depends on the block it is in, and raise check_block's
     InvalidInput on input that does not fit. A Monte Carlo study builds one
     plan per method and evaluates every plan on each block it checks once.
-    A row fails with NonFinite, naming the method and the stage, when a
-    result leaves the floating-point range (for example on outcomes of
-    magnitude 1e200, whose squares overflow).
+    A row of a method of complete assignment (both_arms) fails with
+    SpecMismatch when it leaves an arm empty, which only the mismatch
+    opt-in admits. A row fails with NonFinite, naming the method and the
+    stage, when a result leaves the floating-point range (for example on
+    outcomes of magnitude 1e200, whose squares overflow).
     """
 
     method: Method
     level: float
     spec: DesignSpec
-    core: HtPlan | DmPlan | LooraHtPlan | LooraDmPlan | BenchmarkPlan
+    core: HtPlan | DmPlan | LooraHtPlan | LooraDmPlan | AdjPlan | IntPlan
     quantile: float  # z_{1 - alpha/2} for level
+    both_arms: bool  # the method conditions on the realized arm counts
 
     def estimates(self, block: CheckedBlock, variance=True) -> BlockEstimates:
         """Point estimates, HC0 variances and confidence intervals for a checked block.
@@ -178,6 +196,8 @@ class EstimatePlan:
         """
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             tau, var, failed = self.core.block(block, variance)
+            if self.both_arms:
+                failed.update(_empty_arms(self.method, block))
             _fail_non_finite(failed, tau, self.method, "point estimate")
             if variance:
                 _fail_non_finite(failed, var, self.method, "variance")
@@ -222,6 +242,25 @@ class EstimatePlan:
         )
 
 
+def require_simple(spec: DesignSpec, method: str) -> SimpleDesign:
+    """The design itself, or SpecMismatch if it is not simple random assignment."""
+    if not isinstance(spec, SimpleDesign):
+        raise SpecMismatch(f"{method} is defined under simple random assignment only")
+    return spec
+
+
+def require_complete(spec: DesignSpec, method: str, allow_design_mismatch: bool) -> None:
+    """SpecMismatch unless the design is complete random assignment or the opt-in is given.
+
+    Under the mismatch opt-in, a sample drawn from a simple design is
+    analyzed as if its realized treated count had been fixed; that is how
+    the simulation protocol applies the DM family under independent
+    assignment.
+    """
+    if not (isinstance(spec, CompleteDesign) or allow_design_mismatch):
+        raise SpecMismatch(f"{method} is defined under complete random assignment only")
+
+
 def plan_estimate(
     method: Method,
     x,
@@ -240,22 +279,25 @@ def plan_estimate(
     x = as_design_matrix(x)
     if spec.n != x.shape[0]:
         raise InvalidInput("design size does not match the design matrix")
-    if method is Method.HT:
-        core = HtPlan(require_simple(spec, "HT").p)
-    elif method is Method.DM:
-        require_complete(spec, "DM", allow_design_mismatch)
-        core = DmPlan()
-    elif method is Method.LOORA_HT:
-        core = LooraHtPlan.build(x, spec, rule)
-    elif method is Method.LOORA_DM:
-        core = LooraDmPlan.build(x, spec, rule, allow_design_mismatch)
+    simple = method in (Method.HT, Method.LOORA_HT)
+    if simple:
+        p = require_simple(spec, method.value).p
+        core = HtPlan(p) if method is Method.HT else LooraHtPlan.build(x, p, rule)
     else:
-        core = BenchmarkPlan.build(method, x, spec, rule, allow_design_mismatch)
+        require_complete(spec, method.value, allow_design_mismatch)
+        if method is Method.DM:
+            core = DmPlan()
+        elif method is Method.LOORA_DM:
+            core = LooraDmPlan.build(x, rule)
+        elif method is Method.INT:
+            core = IntPlan.build(x)
+        else:  # ADJ is RIDGE_REG at lambda = 0
+            core = AdjPlan.build(x, LambdaRule.fixed(0.0) if method is Method.ADJ else rule)
     return EstimatePlan(
         method=method,
         level=level,
         spec=spec,
         core=core,
         quantile=_interval_quantile(level),
+        both_arms=not simple,
     )
-

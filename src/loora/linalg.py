@@ -159,7 +159,9 @@ def ridge_factor(x, lam) -> RidgeFactor:
     Raises
     ------
     InvalidInput
-        On non-finite input, a negative penalty or an overflowing X'X + Lambda.
+        On non-finite input or a negative penalty.
+    NonFinite
+        checked_gram's, when X'X + Lambda overflows.
     RankDeficient
         singular_column's, naming the first column of [X; sqrt(Lambda)] that
         is numerically a combination of the columns before it; a penalty
@@ -168,11 +170,7 @@ def ridge_factor(x, lam) -> RidgeFactor:
     x = as_design_matrix(x)
     n, k = x.shape
     lam = _as_penalty(lam, k)
-    with np.errstate(over="ignore", invalid="ignore"):  # checked instead
-        gram = x.T @ x
-        gram.flat[:: k + 1] += lam
-    if not np.all(np.isfinite(gram)):
-        raise InvalidInput("X'X + lambda overflows double precision; rescale the design")
+    gram = checked_gram(x, lam)
     rows = n + (k * (lam > 0.0) if isinstance(lam, float) else int(np.count_nonzero(lam)))
     upper, info = full_rank_cholesky_rows(gram[None], (rows, k))
     if info[0]:
@@ -181,6 +179,20 @@ def ridge_factor(x, lam) -> RidgeFactor:
     z = cho @ (cho.T @ x.T)
     hat_diag = np.einsum("ij,ji->i", x, z)
     return RidgeFactor(x=x, cho=cho, hat_diag=hat_diag, z=z, gap=1.0 - hat_diag)
+
+
+def checked_gram(x: np.ndarray, lam: float | np.ndarray = 0.0) -> np.ndarray:
+    """X'X + Lambda of a finite x (n, k) and a checked penalty, or NonFinite where it overflows.
+
+    The one Gram of ridge_factor and full_rank_cholesky; an overflowing
+    Gram is a magnitude failure (exit class 3) of either factor.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):  # checked instead
+        gram = x.T @ x
+        gram.flat[:: x.shape[1] + 1] += lam
+    if not np.all(np.isfinite(gram)):
+        raise NonFinite("Gram", "X'X + lambda")
+    return gram
 
 
 def _failing_minor(gram: np.ndarray) -> int:
@@ -249,13 +261,9 @@ def full_rank_cholesky(a: np.ndarray) -> np.ndarray:
 
     Raises RankDeficient, naming the first column at fault, when the Gram is
     not numerically positive definite or a pivot is negligible_pivot, and
-    NonFinite when the Gram overflows.
+    checked_gram's NonFinite when the Gram overflows.
     """
-    with np.errstate(over="ignore", invalid="ignore"):  # checked instead
-        gram = a.T @ a
-    if not np.all(np.isfinite(gram)):
-        raise NonFinite("full_rank_cholesky", "Gram a'a")
-    upper, info = full_rank_cholesky_rows(gram[None], a.shape)
+    upper, info = full_rank_cholesky_rows(checked_gram(a)[None], a.shape)
     if info[0]:
         raise singular_column(int(info[0]) - 1)
     return upper[0]

@@ -21,15 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .design import CompleteDesign, DesignSpec, SimpleDesign, draw_with
-from .estimators import (
-    DEFAULT_LAMBDA_RULE,
-    LambdaRule,
-    Method,
-    require_complete,
-    require_simple,
-)
+from .estimators import DEFAULT_LAMBDA_RULE, LambdaRule, Method
 from .exceptions import InvalidInput, SpecMismatch
-from .inference import plan_estimate
+from .inference import plan_estimate, require_complete, require_simple
 from .linalg import check_loo_feasible, leverage_regularizer, ridge_factor, ridge_leverages_svd
 from .oracle import (
     Population,

@@ -22,7 +22,7 @@ import math
 import numpy as np
 
 from loora.design import DesignSpec, draw_with, enumerate_assignments
-from loora.estimators import DEFAULT_LAMBDA_RULE, BenchmarkPlan, LambdaRule, Method
+from loora.estimators import DEFAULT_LAMBDA_RULE, IntPlan, LambdaRule, Method
 from loora.exceptions import (
     InvalidInput,
     LeverageSingular,
@@ -349,13 +349,13 @@ def benchmark_full_design(method, x, d, y, rule=DEFAULT_LAMBDA_RULE):
     return float(beta[1]), math.fsum(((factor.z[1] * (y - factor.x @ beta)) ** 2).tolist())
 
 
-def int_parts_loop(plan: BenchmarkPlan, d: np.ndarray, y: np.ndarray, failed: dict):
-    """INT's parts as BenchmarkPlan._int_parts gives them, one row and one arm at a time."""
-    tau_hat, terms = np.full(d.shape[0], math.nan), np.zeros(d.shape)
+def int_parts_loop(plan: IntPlan, d: np.ndarray, y: np.ndarray):
+    """INT's parts as IntPlan.parts gives them, one row and one arm at a time."""
+    tau_hat, terms, failed = np.full(d.shape[0], math.nan), np.zeros(d.shape), {}
     for i in range(d.shape[0]):
-        if i in failed:
-            continue
         t_mask = d[i] == 1.0
+        if t_mask.all() or not t_mask.any():
+            continue  # an empty arm: never fit
         try:
             alpha_t, terms_t = _arm_intercept(plan, t_mask, y[i])
             alpha_c, terms_c = _arm_intercept(plan, ~t_mask, y[i])
@@ -367,7 +367,7 @@ def int_parts_loop(plan: BenchmarkPlan, d: np.ndarray, y: np.ndarray, failed: di
     return tau_hat, terms, failed
 
 
-def _arm_intercept(plan: BenchmarkPlan, mask: np.ndarray, y: np.ndarray):
+def _arm_intercept(plan: IntPlan, mask: np.ndarray, y: np.ndarray):
     """Intercept of the OLS of y on [1, Xc] within one arm, and its HC0 terms."""
     a, ya = plan.basis[mask], y[mask]
     cho = upper_inverse(full_rank_cholesky(a))

@@ -891,9 +891,10 @@ def test_estimate_overflowing_variance_exits_3_naming_stage(tmp_path, capsys, me
         ("LOORA_DM", ("--design", "complete", "--nt", "15")),
     ],
 )
-def test_estimate_covariates_too_large_to_square_exit_2(tmp_path, capsys, method, design):
+def test_estimate_covariates_too_large_to_square_exit_3(tmp_path, capsys, method, design):
     # ||x_i||^2 overflows, so the auto penalty is infinite for every method
-    # that resolves it; each says so before any arithmetic on it
+    # that resolves it; each says so, naming the rule, before any arithmetic
+    # on it, and a magnitude failure is a numeric error
     lines = (DATA / "observed30.csv").read_text(encoding="utf-8").splitlines()
     assert lines[0] == "y,d,age,score,region"
     rows = [lines[0]]
@@ -906,8 +907,11 @@ def test_estimate_covariates_too_large_to_square_exit_2(tmp_path, capsys, method
         capsys, "estimate", "--data", str(data), "--covariates", "age,score",
         "--y-col", "y", "--d-col", "d", *design, "--method", method,
     )
-    assert code == 2
-    assert stderr == "error: lambda must be finite and nonnegative, got inf\n"
+    assert code == 3
+    assert stderr == (
+        "numeric error: the auto:2.0 lambda rule's penalty c * max_i ||x_i||^2 is not finite; "
+        "the inputs are too large in magnitude for double precision\n"
+    )
 
 
 @pytest.mark.parametrize("fixture", ["tiny_x2_subnormal.csv", "tiny_x2_e-201.csv"])

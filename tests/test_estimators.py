@@ -12,16 +12,15 @@ from conftest import complete_sample, drawn_sample, random_population, rel_gap, 
 import loora.estimators
 from loora.design import CompleteDesign, SimpleDesign, draw_with
 from loora.estimators import (
-    BenchmarkPlan,
+    IntPlan,
     LambdaRule,
     LooraHtPlan,
     Method,
-    _empty_arms,
     _fsum_rows_extracted,
     _power_of_two_scales,
     fsum_rows,
 )
-from loora.exceptions import InvalidInput, NonFinite, RankDeficient, SpecMismatch
+from loora.exceptions import LooraError, NonFinite, RankDeficient, SpecMismatch
 from loora.inference import check_block, plan_estimate
 from loora.linalg import full_rank_cholesky, max_row_norm, ridge_factor
 from loora.oracle import Population, enumeration_moments, observe
@@ -108,7 +107,7 @@ def test_loora_ht_reweighting_two_case_equals_exponent_form(rng):
     z = 2.0 * d - 1.0
     q = p * d + (1.0 - p) * (1.0 - d)
     exponent_form = ((1.0 - p) / p) ** (z / 2.0) * y / q
-    treated, control = LooraHtPlan.build(rng.standard_normal((n, 2)), SimpleDesign(p)).scales
+    treated, control = LooraHtPlan.build(rng.standard_normal((n, 2)), p, AUTO2).scales
     assert_allclose(np.where(d == 1.0, treated, control) * y, exponent_form, atol=1e-13)
 
 
@@ -315,6 +314,68 @@ def test_ridge_reg_at_lambda_zero_is_adj_on_a_tiny_covariate():
     assert (ridge.tau_hat, ridge.var_hat) == (adj.tau_hat, adj.var_hat)
 
 
+def _adj_or_ridge_reg_outcome(method, x, d, y, spec, rule, opt_in, variance):
+    """The plan's refusal, or its lambda, the bits of every result and the
+    block's failures, with the method's name in each message as <M>."""
+    def named(exc):
+        return type(exc), str(exc).replace(method.value, "<M>")
+
+    try:
+        plan = plan_estimate(method, x, spec, rule, 0.9, opt_in)
+    except LooraError as exc:
+        return named(exc)
+    block = plan.estimates(check_block(d, y, spec), variance)
+    values = [block.tau_hat] + ([block.var_hat, block.ci_low, block.ci_high] if variance else [])
+    return (
+        plan.core.lam,
+        [v.view(np.int64).tolist() for v in values],
+        [(i, *named(e)) for i, e in sorted(block.failures.items())],
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(6, 40),
+    k=st.integers(1, 4),
+    rows=st.integers(3, 40),
+    offset=st.sampled_from([None, 0.0, 1e-12, 1e-8, 1e-5]),
+    complete=st.booleans(),
+    variance=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_adj_is_ridge_reg_at_fixed_zero_bit_for_bit(n, k, rows, offset, complete, variance, seed):
+    # ADJ is RIDGE_REG's plan at lambda = 0: the same refusal, or the same
+    # bits of every estimate, variance and interval and the same failing
+    # rows, classes and messages. The last column is the first plus an
+    # offset (near-collinear, or exactly, at 0), which the rank rule meets
+    # at plan time, and under an offset the first column is row 2's
+    # assignment plus that offset, which it meets per assignment. Under the
+    # opt-in, rows 0 and 1 leave an arm empty; the last row's outcomes
+    # overflow its variance.
+    rng = np.random.default_rng(seed)
+    if complete:
+        spec = CompleteDesign(n, int(rng.integers(1, n)))
+        d = np.zeros((rows, n))
+        for row in d:
+            row[rng.permutation(n)[: spec.n_t]] = 1.0
+    else:
+        spec = SimpleDesign(rng.uniform(0.2, 0.8, n))
+        d = (rng.random((rows, n)) < spec.p).astype(np.float64)
+        d[0], d[1] = 1.0, 0.0
+    x = rng.standard_normal((n, k))
+    if offset is not None:
+        x[:, 0] = d[2] + offset * rng.standard_normal(n)
+        if k > 1:
+            x[:, -1] = x[:, 0] + offset * rng.standard_normal(n)
+    y = rng.standard_normal((rows, n))
+    y[-1] *= 1e200
+    adj = _adj_or_ridge_reg_outcome(Method.ADJ, x, d, y, spec, AUTO2, not complete, variance)
+    ridge = _adj_or_ridge_reg_outcome(
+        Method.RIDGE_REG, x, d, y, spec, LambdaRule.fixed(0.0), not complete, variance
+    )
+    assert adj == ridge
+
+
 def _overflowing_sites():
     """(call, failure class, message) of each plan-time product that overflows on a finite input."""
     rng = np.random.default_rng(9)
@@ -327,15 +388,15 @@ def _overflowing_sites():
     twice = rng.standard_normal((8, 2))
     twice[:2, 1] = 1.7e308
     return [
-        (lambda: ridge_factor(big, 1.0), InvalidInput, "X'X \\+ lambda overflows double precision"),
-        (lambda: full_rank_cholesky(big), NonFinite, "Gram a'a is not finite"),
+        (lambda: ridge_factor(big, 1.0), NonFinite, "Gram X'X \\+ lambda is not finite"),
+        (lambda: full_rank_cholesky(big), NonFinite, "Gram X'X \\+ lambda is not finite"),
         (
-            lambda: LooraHtPlan.build(weighted, SimpleDesign(p), LambdaRule.fixed(1.0)),
-            InvalidInput,
-            "X / sqrt\\(p \\(1 - p\\)\\) overflows double precision at row 3",
+            lambda: LooraHtPlan.build(weighted, p, LambdaRule.fixed(1.0)),
+            NonFinite,
+            "LOORA_HT X / sqrt\\(p \\(1 - p\\)\\) at row 3 is not finite",
         ),
         (
-            lambda: BenchmarkPlan.build(Method.INT, twice, CompleteDesign(8, 4)),
+            lambda: IntPlan.build(twice),
             NonFinite,
             "INT centering of column 1 of X is not finite",
         ),
@@ -345,7 +406,7 @@ def _overflowing_sites():
 @pytest.mark.parametrize("site", range(4))
 def test_plan_time_overflows_refuse_by_name_without_a_warning(site):
     # pytest turns every RuntimeWarning into an error here; each refusal
-    # keeps its exit class (InvalidInput 2, NonFinite 3) and names the overflow
+    # is a magnitude failure (NonFinite, exit class 3) and names the overflow
     call, failure, message = _overflowing_sites()[site]
     with pytest.raises(failure, match=message):
         call()
@@ -591,15 +652,16 @@ def test_fsum_rows_certifies_ordinary_rows_after_one_pass(monkeypatch):
 def _int_block_equals_row_loop(x, d, y, spec, mismatch):
     """plan.parts against int_parts_loop on the same block: == on the bits of
     every estimate and HC0 term, and the same failing rows, classes and
-    messages, in the same order."""
-    plan = BenchmarkPlan.build(Method.INT, x, spec, allow_design_mismatch=mismatch)
+    messages, in the same order. Returns the block's failures under
+    plan_estimate's INT plan, empty arms included."""
+    plan = IntPlan.build(x)
     block = check_block(d, y, spec)
     tau, terms, failed = plan.parts(block)
-    want_tau, want_terms, want_failed = int_parts_loop(plan, d, y, _empty_arms("INT", block))
+    want_tau, want_terms, want_failed = int_parts_loop(plan, d, y)
     assert_array_equal(tau.view(np.int64), want_tau.view(np.int64))
     assert_array_equal(terms.view(np.int64), want_terms.view(np.int64))
     assert _listed(failed) == _listed(want_failed)
-    return failed
+    return plan_estimate(Method.INT, x, spec, allow_design_mismatch=mismatch).estimates(block).failures
 
 
 def _listed(failures: dict) -> list:
@@ -721,7 +783,7 @@ def test_int_block_equals_row_loop(kind, n, k, rows, seed, complete):
         d = (rng.random((rows, n)) < spec.p).astype(np.float64)
     y = d * pop.y1 + (1.0 - d) * pop.y0
     try:
-        BenchmarkPlan.build(Method.INT, pop.x, spec, allow_design_mismatch=True)
+        IntPlan.build(pop.x)
     except RankDeficient:
         return  # the full-sample basis is singular: no row is ever fit
     _int_block_equals_row_loop(pop.x, d, y, spec, not complete)

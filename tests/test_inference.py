@@ -149,7 +149,7 @@ def test_hw_dm_auxiliary_regression_reproduces_estimate(rng):
         spec = CompleteDesign(n, n_t)
         x, y, d, _ = drawn_sample(pop, spec, rng)
         block = check_block(d[None], y[None], spec)
-        _, u, _ = LooraDmPlan.build(x, spec, AUTO2).adjusted(block)
+        _, u = LooraDmPlan.build(x, AUTO2).adjusted(block)
         (slope,), _ = _two_column_sandwich(u, block)
         tau = plan_estimate(Method.LOORA_DM, x, spec, AUTO2).point(d, y)
         assert abs(slope - tau) <= 1e-10 * max(1.0, abs(slope))
@@ -186,7 +186,7 @@ def test_dm_family_reports_match_per_arm_sums(rng):
             if d.sum() in (0, n):
                 continue
             y = observe(pop, d)
-            _, adjusted, _ = LooraDmPlan.build(pop.x, spec, AUTO2, mismatch).adjusted(
+            _, adjusted = LooraDmPlan.build(pop.x, AUTO2).adjusted(
                 check_block(d[None], y[None], spec)
             )
             for method, u in ((Method.DM, y), (Method.LOORA_DM, adjusted[0])):
@@ -284,6 +284,43 @@ def test_block_routes_fail_only_the_empty_arm_rows_under_the_opt_in(rng, method)
             (1, SpecMismatch, message),
             (3, SpecMismatch, message),
         ]
+
+
+@pytest.mark.parametrize("opt_in", [False, True])
+@pytest.mark.parametrize("design", ["simple", "complete"])
+@pytest.mark.parametrize("method", list(Method))
+def test_plan_estimate_admits_each_method_under_its_design_alone(rng, method, design, opt_in):
+    # The admission table, in full: HT and LOORA_HT under simple assignment
+    # alone; DM, LOORA_DM, ADJ, INT and RIDGE_REG under complete assignment,
+    # or under simple assignment with the opt-in. Of a simple block holding
+    # an all-treated and an all-control row, the five fail exactly those two
+    # rows and HT and LOORA_HT answer them; every other row keeps its bits alone.
+    n = 12
+    pop = random_population(rng, n, 2)
+    simple_family = method in (Method.HT, Method.LOORA_HT)
+    spec = SimpleDesign(np.full(n, 0.5)) if design == "simple" else CompleteDesign(n, 6)
+    if design != ("simple" if simple_family else "complete") and (simple_family or not opt_in):
+        kind = "simple" if simple_family else "complete"
+        with pytest.raises(SpecMismatch, match=f"^{method.value} is defined under {kind} random"):
+            plan_estimate(method, pop.x, spec, AUTO2, 0.95, opt_in)
+        return
+    plan = plan_estimate(method, pop.x, spec, AUTO2, 0.95, opt_in)
+    d = np.stack([draw_with(CompleteDesign(n, 6), rng) for _ in range(6)])
+    if design == "simple":
+        d[1], d[4] = 1.0, 0.0
+    y = observe(pop, d)
+    block = plan.estimates(check_block(d, y, spec))
+    empty = [1, 4] if design == "simple" and not simple_family else []
+    message = f"{method.value} needs at least one treated and one control unit"
+    assert [(i, type(e), str(e)) for i, e in sorted(block.failures.items())] == [
+        (i, SpecMismatch, message) for i in empty
+    ]
+    for i in sorted(set(range(6)) - set(empty)):
+        alone = plan.estimates(check_block(d[i : i + 1], y[i : i + 1], spec))
+        assert alone.ok[0]
+        assert _bits(block.tau_hat[i], block.var_hat[i], block.ci_low[i], block.ci_high[i]) == _bits(
+            alone.tau_hat[0], alone.var_hat[0], alone.ci_low[0], alone.ci_high[0]
+        )
 
 
 def test_public_names_resolve_and_the_per_sample_forks_are_gone():
@@ -398,7 +435,7 @@ def test_point_estimate_does_not_run_the_variance_self_check(rng, monkeypatch):
     pop = random_population(rng, 10, 2)
     spec = CompleteDesign(10, 5)
     x, y, d, _ = drawn_sample(pop, spec, rng)
-    (tau,), _, _ = LooraDmPlan.build(x, spec, AUTO2).adjusted(check_block(d[None], y[None], spec))
+    (tau,), _ = LooraDmPlan.build(x, AUTO2).adjusted(check_block(d[None], y[None], spec))
     plan = plan_estimate(Method.LOORA_DM, x, spec, AUTO2)
     assert plan.point(d, y) == tau
     with pytest.raises(SelfCheckFailed):
@@ -489,7 +526,7 @@ def test_cores_match_full_design_and_inverse_sandwich_routes(
     if method in ("DM", "LOORA_DM"):
         u, block = y, check_block(d[None], y[None], spec)
         if method == "LOORA_DM":
-            u = LooraDmPlan.build(pop.x, spec, rule).adjusted(block)[1][0]
+            u = LooraDmPlan.build(pop.x, rule).adjusted(block)[1][0]
         _, tau, var = two_column_sandwich_inverse(u, d)
         (slope,), (closed,) = _two_column_sandwich(u[None], block)
         assert closed == report.var_hat

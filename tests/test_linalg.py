@@ -8,9 +8,8 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from conftest import loo_fitted
-from loora.design import CompleteDesign
-from loora.estimators import BenchmarkPlan, Method
-from loora.exceptions import InvalidInput, LeverageSingular, RankDeficient
+from loora.estimators import AdjPlan, LambdaRule
+from loora.exceptions import InvalidInput, LeverageSingular, NonFinite, RankDeficient
 from loora.linalg import (
     cholesky_solve,
     full_rank_cholesky,
@@ -137,7 +136,7 @@ def test_singular_gram_that_passes_the_rank_check_raises():
     with pytest.raises(RankDeficient, match="^column 1 of the design is numerically a combination"):
         ridge_factor(x, 0.0)
     with pytest.raises(RankDeficient, match="^column 1 of the design "):
-        BenchmarkPlan.build(Method.ADJ, x[:, 1:], CompleteDesign(4, 2))
+        AdjPlan.build(x[:, 1:], LambdaRule.fixed(0.0))
 
 
 def test_non_finite_input_rejected():
@@ -147,9 +146,9 @@ def test_non_finite_input_rejected():
         ridge_factor(np.eye(2), 0.0).fit([1.0, np.inf])
     with pytest.raises(InvalidInput):
         ridge_factor(np.eye(2), -0.5)
-    # finite entries whose Gram overflows: refused, never fit as if the
-    # overflowing columns carried an infinite penalty
-    with np.errstate(over="ignore"), pytest.raises(InvalidInput, match="overflows"):
+    # finite entries whose Gram overflows: refused as a magnitude failure,
+    # never fit as if the overflowing columns carried an infinite penalty
+    with np.errstate(over="ignore"), pytest.raises(NonFinite, match="Gram X'X \\+ lambda is not finite"):
         ridge_factor(np.array([[1e160, 1.0], [2e160, 0.0], [0.0, 1.0]]), 1.0)
 
 
