@@ -331,7 +331,7 @@ def cmd_estimate(args, settings) -> int:
         raise SchemaError("estimate needs --data <csv>")
     reading = time.perf_counter()
     dataset = _dataset(settings, "y-col", "d-col", "p-col")
-    estimating = time.perf_counter()
+    planning = time.perf_counter()
 
     design = settings["design"]
     if design == "simple":
@@ -364,8 +364,13 @@ def cmd_estimate(args, settings) -> int:
         settings["method"], dataset.x, spec, settings["lambda"], settings["level"],
         allow_design_mismatch,
     )
+    evaluating = time.perf_counter()
     fields = dataclasses.asdict(plan.evaluate(dataset.d, dataset.y))
-    stages = {"read_s": estimating - reading, "estimate_s": time.perf_counter() - estimating}
+    stages = {
+        "read_s": planning - reading,
+        "plan_s": evaluating - planning,
+        "evaluate_s": time.perf_counter() - evaluating,
+    }
     record = {
         "record_type": "estimate",
         "method": fields.pop("method").value,

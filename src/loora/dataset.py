@@ -10,6 +10,7 @@ indicator column per level, levels ordered by first appearance in the file.
 from __future__ import annotations
 
 import itertools
+import os
 import re
 import warnings
 from collections import defaultdict
@@ -42,15 +43,17 @@ def read_csv(path, delimiter: str = ",", has_header: bool = True, parse=None):
     """Read a delimited file into (column names, n x w array of its rows).
 
     Without ``parse`` the array holds each cell's text (object dtype). With
-    ``parse``, a mapping from column name to a converter (``None`` for a
-    number), the array is float64 from one typed tokenizer pass (see
-    ``_read_typed``); where numpy refuses that pass, the text array comes
-    back instead, and the caller parses its cells with Python's ``float``.
+    ``parse``, a mapping from column name to ``None`` (a number) or to a
+    ``defaultdict`` that codes the column's raw levels, the array is float64
+    from one typed tokenizer pass (see ``_read_typed``); where numpy refuses
+    that pass, the text array comes back instead, and the caller parses its
+    cells with Python's ``float``.
 
-    Both routes tokenize in C (``numpy.loadtxt``) from a handle opened with
-    ``newline=""``, so quoted CR, LF and CRLF reach the cells verbatim, as
-    RFC 4180 wants. Blank lines are skipped, ``#`` is data and ``""`` inside
-    quotes is one quote. Rows in messages are data rows counted from 1.
+    Both routes tokenize in C (``numpy.loadtxt``). The text route reads a
+    handle opened with ``newline=""``, so quoted CR, LF and CRLF reach the
+    cells verbatim, as RFC 4180 wants. Blank lines are skipped, ``#`` is data
+    and ``""`` inside quotes is one quote. Rows in messages are data rows
+    counted from 1.
     """
     if not (isinstance(delimiter, str) and len(delimiter) == 1) or delimiter in '"\r\n':
         raise SchemaError(
@@ -66,45 +69,56 @@ def read_csv(path, delimiter: str = ",", has_header: bool = True, parse=None):
     return _read_cells(path, delimiter, has_header)
 
 
-def _loadtxt(handle, delimiter, **kwargs) -> np.ndarray:
+def _loadtxt(source, delimiter, **kwargs) -> np.ndarray:
     with warnings.catch_warnings():
         # An empty input is reported by _read_cells as a SchemaError, and a
-        # blank line before the header is skipped whether or not max_rows is set.
+        # blank line is skipped.
         warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
         warnings.filterwarnings("ignore", "Input line .* contained no data", UserWarning)
         return np.loadtxt(
-            handle, delimiter=delimiter, quotechar='"', comments=None, ndmin=2, **kwargs
+            source, delimiter=delimiter, quotechar='"', comments=None, ndmin=2, **kwargs
         )
 
 
 def _read_typed(path, delimiter, has_header, parse):
     """(names, n x w float64 array) with numbers parsed in the tokenizer, or None.
 
-    The header (or, without one, the first row's width) comes from a one-row
-    text read of the handle; the rest is one ``loadtxt(dtype=float64)`` call.
-    Columns named in ``parse`` with ``None`` go through numpy's number parser,
-    whose grammar is a strict subset of ``float(cell.strip())`` with the same
-    values; the other named columns go through their converter and every
-    other column through ``len``, which never fails. None means the text
-    route must decide: a refused cell, a non-finite number, a ragged row or a
-    data width other than the header's. ``usecols`` is not passed because
+    The header (or, without one, the first row's width) comes from the first
+    physical line; the rest is one ``loadtxt(dtype=float64)`` call on the
+    path, which numpy reads in chunks rather than line by line. Columns named
+    in ``parse`` with ``None`` go through numpy's number parser, whose grammar
+    is a strict subset of ``float(cell.strip())`` with the same values; the
+    other named columns go through their level dict and every other column
+    through ``len``, which never fails. None means the text route must
+    decide: a refused cell, a non-finite number, a ragged row, a data width
+    other than the header's, or a file the guards below cannot prove this
+    pass reads as the text route does. ``usecols`` is not passed because
     with it ``loadtxt`` accepts a data row wider than the rest.
     """
+    path = os.path.abspath(os.fsdecode(path))  # numpy's opener cannot take it for a URL
+    # A pipe cannot be opened twice for the same bytes, and numpy would decompress these.
+    if not os.path.isfile(path) or path.endswith((".gz", ".bz2", ".xz", ".lzma")):
+        return None
     with open(path, newline="", encoding="utf-8") as handle:
-        first = _loadtxt(handle, delimiter, dtype=object, max_rows=1)
-        if first.size == 0:
-            return None
-        if has_header:
-            names = [name.strip() for name in first[0]]
-        else:
-            names = [f"c{i}" for i in range(first.shape[1])]
-            handle.seek(0)
-        converters = dict.fromkeys(range(len(names)), len)
-        for col, convert in parse.items():
-            if col in names:  # a missing column is reported by the caller
-                converters[names.index(col)] = convert
-        converters = {j: convert for j, convert in converters.items() if convert is not None}
-        values = _loadtxt(handle, delimiter, dtype=np.float64, converters=converters)
+        first = _loadtxt([handle.readline()], delimiter, dtype=object)
+    # skiprows counts physical lines, so the header must be all of the first:
+    # not blank, and not open in quotes (its line break would end its last name).
+    if first.size == 0 or first[0, -1].endswith(("\r", "\n")):
+        return None
+    names = [f"c{i}" for i in range(first.shape[1])]
+    if has_header:
+        names = [name.strip() for name in first[0]]
+    converters = dict.fromkeys(range(len(names)), len)
+    for col, codes in parse.items():
+        if col in names:  # a missing column is reported by the caller
+            converters[names.index(col)] = None if codes is None else codes.__getitem__
+    converters = {j: convert for j, convert in converters.items() if convert is not None}
+    values = _loadtxt(path, delimiter, dtype=np.float64, converters=converters,
+                      skiprows=int(has_header), encoding="utf-8")
+    # The path is read with universal newlines: a quoted CR or CRLF reached its
+    # level dict as LF, so a level holding LF may stand for another.
+    if any("\n" in level for codes in parse.values() if codes for level in codes):
+        return None
     if values.shape[0] == 0 or values.shape[1] != len(names) or not np.isfinite(values).all():
         return None
     return names, values
@@ -245,7 +259,7 @@ def build_dataset(
     level_codes = {col: defaultdict(itertools.count().__next__) for col in categorical}
     parse = None
     if not set(numeric) & set(level_codes):  # one column cannot be parsed both ways
-        parse = dict.fromkeys(numeric) | {col: c.__getitem__ for col, c in level_codes.items()}
+        parse = dict.fromkeys(numeric) | level_codes
     names, rows = read_csv(path, delimiter=delimiter, has_header=has_header, parse=parse)
 
     population = y1_col is not None or y0_col is not None

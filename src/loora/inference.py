@@ -105,7 +105,7 @@ def _fail_non_finite(failed: dict, values: np.ndarray, method: Method, stage: st
             failed.setdefault(int(i), NonFinite(method.value, stage))
 
 
-@dataclass(frozen=True)
+@dataclass
 class CheckedBlock:
     """check_block's d and y (B, n), with the arm facts every plan reads, each formed once.
 
@@ -135,18 +135,21 @@ def _empty_arms(method: Method, block: CheckedBlock) -> dict[int, LooraError]:
 def check_block(d, y, spec: DesignSpec) -> CheckedBlock:
     """The one input checker: d and y as a float CheckedBlock, or InvalidInput.
 
+    y is the outcomes, or a function that observes them from the block once
+    its d is checked, so that a study forms 1 - d (block.control) once.
     One row off the treated count a complete design fixes fails the block.
     """
-    d, y = np.asarray(d, dtype=np.float64), np.asarray(y, dtype=np.float64)
+    d = np.asarray(d, dtype=np.float64)
     if d.ndim != 2 or d.shape[1] != spec.n:
         raise InvalidInput("assignment length does not match the design matrix")
     if not ((d == 0.0) | (d == 1.0)).all():
         raise InvalidInput("assignment entries must be 0 or 1")
+    block = CheckedBlock(d, None)
+    block.y = y = np.asarray(y(block) if callable(y) else y, dtype=np.float64)
     if y.shape != d.shape:
         raise InvalidInput(f"outcome has shape {y.shape}, expected {d.shape}")
     if not np.isfinite(y).all():
         raise InvalidInput("outcome contains non-finite entries")
-    block = CheckedBlock(d, y)
     if isinstance(spec, CompleteDesign):
         wrong = block.n_t != spec.n_t
         if wrong.any():

@@ -338,4 +338,6 @@ def leverage_regularizer(x, c: float) -> float:
     c = float(c)
     if not np.isfinite(c) or c < 0.0:
         raise InvalidInput(f"c must be a finite nonnegative real, got {c}")
+    if c == 0.0:  # 0 whatever X is, where 0 * inf would be nan on rows too large to square
+        return 0.0
     return c * max_row_norm(x) ** 2

@@ -75,9 +75,12 @@ class Population:
         return tau
 
 
-def observe(pop: Population, d: np.ndarray) -> np.ndarray:
-    """The outcomes a 0/1 assignment vector d reveals, or each row of a (B, n) block d."""
-    return d * pop.y1 + (1.0 - d) * pop.y0
+def observe(pop: Population, d: np.ndarray, control: np.ndarray | None = None) -> np.ndarray:
+    """The outcomes a 0/1 assignment vector d reveals, or each row of a (B, n) block d.
+
+    control is 1 - d, for a caller that has formed it already.
+    """
+    return d * pop.y1 + (1.0 - d if control is None else control) * pop.y0
 
 
 # ---------------------------------------------------------------------------
@@ -490,7 +493,10 @@ def enumeration_moments(
     plan = plan_estimate(method, pop.x, spec, rule)
     values, probs = [], []
     for d, prob in enumeration_blocks(spec):
-        estimates = plan.estimates(check_block(d, observe(pop, d), spec), variance=False)
+        estimates = plan.estimates(
+            check_block(d, lambda block: observe(pop, block.d, block.control), spec),
+            variance=False,
+        )
         if estimates.failures:
             raise estimates.failures[min(estimates.failures)]
         values.extend(estimates.tau_hat.tolist())

@@ -446,7 +446,7 @@ def run_study(pop: Population, cfg: StudyConfig) -> SimulationReport:
     start = 0
     for d, weight in _blocks(spec, cfg, count):
         stop = start + d.shape[0]
-        block = check_block(d, observe(pop, d), spec)
+        block = check_block(d, lambda block: observe(pop, block.d, block.control), spec)
         for j, plan in enumerate(plans):
             if plan is not None:
                 _record_block(plan, block, tau, rows[start:stop, j])

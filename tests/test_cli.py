@@ -433,7 +433,7 @@ def test_estimate_manifest_times_its_stages_and_records_stay_timing_free(
         outs.append(out.read_bytes())
         manifest = read_records(str(out) + ".manifest.json")[0]
         stages = manifest["stages"]
-        assert list(stages) == ["read_s", "estimate_s", "write_s"]
+        assert list(stages) == ["read_s", "plan_s", "evaluate_s", "write_s"]
         assert all(0.0 <= value <= manifest["wall_time_s"] for value in stages.values())
         _assert_fault_count(manifest, resource)
     assert outs[0] == outs[1]
@@ -883,6 +883,19 @@ def test_estimate_overflowing_variance_exits_3_naming_stage(tmp_path, capsys, me
     assert f"{method} variance is not finite" in stderr
 
 
+def _wide_csv(tmp_path):
+    """observed30.csv with age and score x 1e160, so every ||x_i||^2 overflows."""
+    lines = (DATA / "observed30.csv").read_text(encoding="utf-8").splitlines()
+    assert lines[0] == "y,d,age,score,region"
+    rows = [lines[0]]
+    for line in lines[1:]:
+        y, d, age, score, region = line.split(",")
+        rows.append(f"{y},{d},{float(age) * 1e160!r},{float(score) * 1e160!r},{region}")
+    data = tmp_path / "wide.csv"
+    data.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    return data
+
+
 @pytest.mark.parametrize(
     "method, design",
     [
@@ -895,16 +908,8 @@ def test_estimate_covariates_too_large_to_square_exit_3(tmp_path, capsys, method
     # ||x_i||^2 overflows, so the auto penalty is infinite for every method
     # that resolves it; each says so, naming the rule, before any arithmetic
     # on it, and a magnitude failure is a numeric error
-    lines = (DATA / "observed30.csv").read_text(encoding="utf-8").splitlines()
-    assert lines[0] == "y,d,age,score,region"
-    rows = [lines[0]]
-    for line in lines[1:]:
-        y, d, age, score, region = line.split(",")
-        rows.append(f"{y},{d},{float(age) * 1e160!r},{float(score) * 1e160!r},{region}")
-    data = tmp_path / "wide.csv"
-    data.write_text("\n".join(rows) + "\n", encoding="utf-8")
     code, _, stderr = run(
-        capsys, "estimate", "--data", str(data), "--covariates", "age,score",
+        capsys, "estimate", "--data", str(_wide_csv(tmp_path)), "--covariates", "age,score",
         "--y-col", "y", "--d-col", "d", *design, "--method", method,
     )
     assert code == 3
@@ -912,6 +917,23 @@ def test_estimate_covariates_too_large_to_square_exit_3(tmp_path, capsys, method
         "numeric error: the auto:2.0 lambda rule's penalty c * max_i ||x_i||^2 is not finite; "
         "the inputs are too large in magnitude for double precision\n"
     )
+
+
+def test_estimate_auto_0_on_covariates_too_large_to_square_is_fixed_0(tmp_path, capsys):
+    # the auto:0 penalty is 0 whatever X is, so no row norm is squared
+    data = _wide_csv(tmp_path)
+    records = []
+    for rule in ("auto:0", "fixed:0"):
+        out = tmp_path / f"{rule.replace(':', '')}.jsonl"
+        code, _, stderr = run(
+            capsys, "estimate", "--data", str(data), "--covariates", "age,score",
+            "--categorical", "region", "--drop-first", "--y-col", "y", "--d-col", "d",
+            "--design", "complete", "--nt", "15", "--method", "RIDGE_REG", "--lambda", rule,
+            "--out", str(out),
+        )
+        assert (code, stderr) == (0, "")
+        records.extend(read_records(out))
+    assert records[0] == records[1]
 
 
 @pytest.mark.parametrize("fixture", ["tiny_x2_subnormal.csv", "tiny_x2_e-201.csv"])

@@ -1,5 +1,7 @@
+import os
 import re
 import tempfile
+import threading
 import warnings
 from pathlib import Path
 
@@ -354,17 +356,24 @@ def test_build_dataset_matches_the_csv_module_route(case, with_p, drop_first):
         ('y,d,x,"note\nhere"\n1,0,0.5,a\n2,1,0.3,"b\r\nc"\n', None),
         ("y,d,x,note\n1,0,0.5,hello\n2,1,0.3,\n3,0,1_000,1e400\n", None),
         ("y,d,x,g\n1,0,0.5, a\n2,1,0.3,a\n3,0,0.1,b\t\n", None),
+        ('y,d,x,g\n1,0,0.5,"a\rb"\n2,1,0.3,"a\nb"\n3,0,0.1,"a\r\nb"\n', None),
+        ("\n1,2,3\n0.5,0.25,1\n0.75,0.5,0\n", None),
+        ('y,d,x,"note\n1,0,0.5,a"\n2,1,0.3,b\n3,0,0.1,c\n', None),
     ],
     ids=["over-wide-row", "short-row", "header-wider", "header-narrower",
-         "quoted-header-line-break", "undeclared-text-column", "padded-levels-merge"],
+         "quoted-header-line-break", "undeclared-text-column", "padded-levels-merge",
+         "quoted-level-line-breaks", "blank-line-then-numeric-header",
+         "header-closes-its-quote-on-a-row-like-line"],
 )
 def test_build_dataset_fixed_cases_match_the_csv_module_route(tmp_path, text, message):
     path = write_csv(tmp_path, text)
-    categorical = ["g"] if text.startswith("y,d,x,g") else []
-    _same_as_the_csv_module_route(path, ["x"], categorical, {"y": "y", "d": "d"})
+    header = text.lstrip("\n").split("\n")[0]
+    x, y, d = ("1", "2", "3") if header == "1,2,3" else ("x", "y", "d")
+    categorical = ["g"] if header == "y,d,x,g" else []
+    _same_as_the_csv_module_route(path, [x], categorical, {"y": y, "d": d})
     if message is not None:
         with pytest.raises(SchemaError, match=re.escape(f"{path}: {message}")):
-            build_dataset(path, ["x"], categorical, y_col="y", d_col="d")
+            build_dataset(path, [x], categorical, y_col=y, d_col=d)
 
 
 def test_build_dataset_matches_the_csv_module_route_past_100000_rows(tmp_path):
@@ -373,26 +382,64 @@ def test_build_dataset_matches_the_csv_module_route_past_100000_rows(tmp_path):
                                   drop_first=True)
 
 
+@pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
+def test_a_csv_named_like_a_compressed_file_is_read_as_its_text(tmp_path, suffix):
+    path = tmp_path / f"observed30.csv{suffix}"
+    path.write_bytes((DATA / "observed30.csv").read_bytes())
+    _same_as_the_csv_module_route(path, ["age", "score"], ["region"], {"y": "y", "d": "d"})
+
+
+def test_a_csv_read_from_a_pipe_is_read_once(tmp_path):
+    # as `--data <(zcat data.csv.gz)` gives it: a second open would miss what the first read
+    path = _padded_csv(tmp_path / "padded.csv")
+    fifo = tmp_path / "pipe.csv"
+    os.mkfifo(fifo)
+
+    def write():  # holding both ends, so a reader that closes early breaks no write
+        fd = os.open(fifo, os.O_RDWR)
+        view = memoryview(path.read_bytes())
+        while view:
+            view = view[os.write(fd, view):]
+        os.close(fd)
+
+    writer = threading.Thread(target=write, daemon=True)
+    writer.start()
+    piped = build_dataset(fifo, ["x1", "x2"], ["g"], y_col="y", d_col="d")
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+    plain = build_dataset(path, ["x1", "x2"], ["g"], y_col="y", d_col="d")
+    assert piped.x.tobytes() == plain.x.tobytes()
+    assert piped.y.tobytes() == plain.y.tobytes()
+
+
 def _refuse_the_text_route(*args):
     raise AssertionError("the text route was taken")
 
 
-@pytest.mark.parametrize("case", ["observed30", "padded5000"])
+@pytest.mark.parametrize(
+    "case",
+    ["observed30", "padded5000", "observed30-crlf", "padded5000-crlf", "observed30-quoted-header"],
+)
 def test_plain_numeric_files_never_take_the_text_route(tmp_path, monkeypatch, case):
-    if case == "observed30":
+    if case.startswith("observed30"):
         path, covariates, categorical = DATA / "observed30.csv", ["age", "score"], ["region"]
     else:
         path, covariates, categorical = _padded_csv(tmp_path / "padded.csv"), ["x1", "x2"], ["g"]
+    lines = path.read_text(encoding="utf-8").rstrip("\n").split("\n")
+    names = lines[0].split(",")
+    if case.endswith("quoted-header"):  # as R's write.csv writes it
+        lines[0] = ",".join(f'"{name}"' for name in names)
+    eol = "\r\n" if case.endswith("crlf") else "\n"
+    path = tmp_path / "typed.csv"
+    path.write_bytes((eol.join(lines) + eol).encode("utf-8"))
     monkeypatch.setattr(dataset_module, "_read_cells", _refuse_the_text_route)
-    ds = build_dataset(path, covariates, categorical, y_col="y", d_col="d")
-    assert ds.n > 0
+    _same_as_the_csv_module_route(path, covariates, categorical, {"y": "y", "d": "d"})
     # one cell only Python's float reads sends the same file to the text route
-    lines = path.read_text(encoding="utf-8").split("\n")
     cells = lines[1].split(",")
-    cells[lines[0].split(",").index("y")] = "1_000"
+    cells[names.index("y")] = "1_000"
     lines[1] = ",".join(cells)
     with pytest.raises(AssertionError, match="text route"):
-        build_dataset(write_csv(tmp_path, "\n".join(lines), "underscore.csv"), covariates,
+        build_dataset(write_csv(tmp_path, eol.join(lines), "underscore.csv"), covariates,
                       categorical, y_col="y", d_col="d")
 
 
