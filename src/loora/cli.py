@@ -39,6 +39,7 @@ from .exceptions import (
 )
 from .inference import plan_estimate
 from .reporting import config_hash, format_table, manifest_path, run_environment, write_records
+from .reporting import one_blas_thread
 
 CONFIG_SCHEMA_VERSION = 1
 
@@ -254,8 +255,8 @@ def _check_writable(out_path) -> None:
             os.remove(path)
 
 
-def _minor_faults() -> int | None:
-    return None if resource is None else resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+def _usage(field: str):
+    return None if resource is None else getattr(resource.getrusage(resource.RUSAGE_SELF), field)
 
 
 def _emit(records, command, settings, seed, started, stages, faults) -> None:
@@ -281,7 +282,8 @@ def _emit(records, command, settings, seed, started, stages, faults) -> None:
             "outputs": [out_path],
             "environment": run_environment(),
             "stages": stages,
-            "minor_faults": None if faults is None else _minor_faults() - faults,
+            "minor_faults": None if faults is None else _usage("ru_minflt") - faults,
+            "max_rss_mb": None if resource is None else _usage("ru_maxrss") / 1024,  # KiB on Linux
         }
         write_records(manifest_path(out_path), [manifest])
     except OSError as exc:  # the records file or its manifest sidecar
@@ -325,7 +327,7 @@ _SIMULATE_COLUMNS = (
 
 
 def cmd_estimate(args, settings) -> int:
-    started, faults = time.monotonic(), _minor_faults()
+    started, faults = time.monotonic(), _usage("ru_minflt")
     _check_writable(settings["out"])
     if settings["data"] is None:
         raise SchemaError("estimate needs --data <csv>")
@@ -387,7 +389,7 @@ def cmd_simulate(args, settings) -> int:
     from .oracle import Population  # only a study loads the oracle and simulation modules
     from .simulation import StudyConfig, run_study, synth_population
 
-    started, faults = time.monotonic(), _minor_faults()
+    started, faults = time.monotonic(), _usage("ru_minflt")
     _check_writable(settings["out"])
     if settings["data"] is not None:
         dataset = _dataset(settings, "y1-col", "y0-col")
@@ -494,6 +496,7 @@ def keep_heap() -> None:
 
 def main(argv=None) -> int:
     keep_heap()
+    one_blas_thread()
     args = build_parser().parse_args(argv)
     settings = {}
     try:

@@ -179,55 +179,47 @@ def _column_index(names, col, path) -> int:
     return names.index(col)
 
 
-def _numeric_column(names, rows, col, path) -> np.ndarray:
+def _numeric_column(names, rows, col, path, out=None) -> np.ndarray:
+    """Column col as float64, written into out (a new array when None)."""
     j = _column_index(names, col, path)
+    out = np.empty(rows.shape[0]) if out is None else out
     if rows.dtype != object:  # parsed, and checked finite, by _read_typed
-        return rows[:, j].copy()
+        out[:] = rows[:, j]
+        return out
     cells = rows[:, j].tolist()
-    values = np.empty(len(cells))
     for i, cell in enumerate(cells):
         try:
             # float() strips a subset of what str.strip() strips (not U+001C-U+001F).
-            values[i] = float(cell.strip())
+            out[i] = float(cell.strip())
         except ValueError:
             where = f"(row {i + 1}: {cell!r})"
             raise SchemaError(f"{path}: column {col!r} is not numeric {where}") from None
-    if not np.all(np.isfinite(values)):
-        where = _first(~np.isfinite(values), cells)
+    if not np.all(np.isfinite(out)):
+        where = _first(~np.isfinite(out), cells)
         raise SchemaError(f"{path}: column {col!r} contains non-finite values {where}")
-    return values
+    return out
 
 
-def _categorical_column(names, rows, col, path, level_codes, drop_first):
-    """One-hot block of a categorical column. On the typed route the column
-    holds codes, and ``level_codes`` (raw cell -> code, in first-appearance
-    order) is the converter's dict that assigned them.
+def _categorical_codes(rows, j, level_codes, drop_first):
+    """(indicator column of each row, its levels) of categorical column j.
 
-    Raw levels equal after ``str.strip`` merge, keeping first-appearance order.
+    Levels are in first-appearance order; raw levels equal after ``str.strip``
+    merge. With drop_first and two or more levels, the first level is dropped
+    and its rows get -1. On the typed route the column holds codes, and
+    ``level_codes`` (raw cell -> code, in first-appearance order) is the
+    converter's dict that assigned them; the text route codes its cells so.
     """
-    j = _column_index(names, col, path)
     if rows.dtype == object:
-        return one_hot([cell.strip() for cell in rows[:, j]], col, drop_first=drop_first)
+        level_codes = defaultdict(itertools.count().__next__)
+        column = np.fromiter(map(level_codes.__getitem__, rows[:, j]), np.intp, rows.shape[0])
+    else:
+        column = rows[:, j].astype(np.intp)
     stripped = [level.strip() for level in level_codes]
     levels = list(dict.fromkeys(stripped))
-    index = {level: code for code, level in enumerate(levels)}
+    dropped = int(drop_first and len(levels) > 1)
+    index = {level: code - dropped for code, level in enumerate(levels)}
     recode = np.fromiter(map(index.__getitem__, stripped), np.intp, len(stripped))
-    return one_hot(recode[rows[:, j].astype(np.intp)], col, drop_first=drop_first, levels=levels)
-
-
-def one_hot(values, name: str, drop_first: bool = False, levels=None):
-    """Indicator expansion with levels in first-appearance order.
-
-    ``values`` are the cells, or, with ``levels``, integer codes into it.
-    """
-    if levels is None:
-        levels = list(dict.fromkeys(values))
-        index = {level: j for j, level in enumerate(levels)}
-        values = np.fromiter(map(index.__getitem__, values), np.intp, len(values))
-    block = np.zeros((len(values), len(levels)))
-    block[np.arange(len(values)), values] = 1.0
-    dropped = 1 if drop_first and len(levels) > 1 else 0
-    return [f"{name}={level}" for level in levels[dropped:]], block[:, dropped:]
+    return recode[column], levels[dropped:]
 
 
 def _first(bad: np.ndarray, values) -> str:
@@ -275,20 +267,23 @@ def build_dataset(
     if not population and not observed:
         raise SchemaError(f"{path}: no outcome columns declared")
 
-    blocks = []
-    columns: list[str] = []
-    for col in covariates:
-        blocks.append(_numeric_column(names, rows, col, path)[:, None])
-        columns.append(col)
-    for col in categorical:
-        cat_columns, block = _categorical_column(
-            names, rows, col, path, level_codes[col], drop_first
-        )
-        columns.extend(cat_columns)
-        blocks.append(block)
-    if not blocks:
+    if not covariates and not categorical:
         raise SchemaError(f"{path}: at least one covariate column is required")
-    x = np.hstack(blocks)
+    # X is allocated once and filled in the order given; a missing categorical
+    # column is reported in its turn, after the numeric columns' errors.
+    coded = {col: _categorical_codes(rows, names.index(col), level_codes[col], drop_first)
+             for col in categorical if col in names}
+    width = len(covariates) + sum(len(coded[col][1]) for col in categorical if col in coded)
+    x = np.zeros((rows.shape[0], width))
+    for j, col in enumerate(covariates):
+        _numeric_column(names, rows, col, path, out=x[:, j])
+    columns = list(covariates)  # one name per column of x filled so far
+    for col in categorical:
+        _column_index(names, col, path)
+        codes, levels = coded[col]
+        units = np.flatnonzero(codes >= 0)
+        x[units, len(columns) + codes[units]] = 1.0
+        columns.extend(f"{col}={level}" for level in levels)
 
     p = _numeric_column(names, rows, p_col, path) if p_col else None
     if p is not None and (np.any(p <= 0.0) or np.any(p >= 1.0)):
@@ -296,14 +291,8 @@ def build_dataset(
         raise SchemaError(f"{path}: column {p_col!r} must lie strictly inside (0, 1) {where}")
 
     if population:
-        return Dataset(
-            mode="population",
-            columns=tuple(columns),
-            x=x,
-            y1=_numeric_column(names, rows, y1_col, path),
-            y0=_numeric_column(names, rows, y0_col, path),
-            p=p,
-        )
+        y1, y0 = (_numeric_column(names, rows, col, path) for col in (y1_col, y0_col))
+        return Dataset(mode="population", columns=tuple(columns), x=x, y1=y1, y0=y0, p=p)
     y = _numeric_column(names, rows, y_col, path)
     d = _numeric_column(names, rows, d_col, path)
     binary = (d == 0.0) | (d == 1.0)

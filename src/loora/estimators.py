@@ -315,9 +315,9 @@ class LooraHtPlan:
         r = np.sqrt(p * (1.0 - p))
         with np.errstate(over="ignore"):  # checked instead
             xw = x / r[:, None]
-        bad = ~np.isfinite(xw).all(axis=1)
-        if bad.any():
-            raise NonFinite("LOORA_HT", f"X / sqrt(p (1 - p)) at row {int(np.argmax(bad))}")
+        if not np.isfinite(xw).all():
+            row = int(np.argmax(~np.isfinite(xw).all(axis=1)))
+            raise NonFinite("LOORA_HT", f"X / sqrt(p (1 - p)) at row {row}")
         lam = rule.resolve(xw)
         ridge = ridge_factor(xw, lam)
         check_loo_feasible(ridge.hat_diag)

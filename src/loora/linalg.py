@@ -23,15 +23,15 @@ LEVERAGE_GUARD = 1e-12
 _EPS = float(np.finfo(np.float64).eps)
 
 
-def as_design_matrix(x) -> np.ndarray:
-    """Validate and return a design matrix as a float64 (n, k) array."""
+def as_design_matrix(x, finite: bool = True) -> np.ndarray:
+    """Validate and return a design matrix as a float64 (n, k) array (finite=False: its shape only)."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
         raise InvalidInput(f"design matrix must be 2-dimensional, got shape {x.shape}")
     n, k = x.shape
     if n < 1 or k < 1:
         raise InvalidInput(f"design matrix must have n >= 1 and k >= 1, got {x.shape}")
-    if not np.all(np.isfinite(x)):
+    if finite and not np.all(np.isfinite(x)):
         raise InvalidInput("design matrix contains non-finite entries")
     return x
 
@@ -50,8 +50,11 @@ def as_vector(y, n: int | None = None, name: str = "vector") -> np.ndarray:
 
 def max_row_norm(x) -> float:
     """Largest Euclidean row norm of a design matrix (its (2, inf) norm)."""
-    x = as_design_matrix(x)
-    return float(np.sqrt(np.max(np.einsum("ij,ij->i", x, x))))
+    x = as_design_matrix(x, finite=False)
+    norm = float(np.sqrt(np.max(np.einsum("ij,ij->i", x, x))))
+    if not math.isfinite(norm):  # a non-finite entry, or a row too large to square
+        as_design_matrix(x)
+    return norm
 
 
 def matvec_rows(a: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -167,7 +170,7 @@ def ridge_factor(x, lam) -> RidgeFactor:
         is numerically a combination of the columns before it; a penalty
         lost in the Gram's rounding counts as none.
     """
-    x = as_design_matrix(x)
+    x = as_design_matrix(x, finite=False)  # checked_gram checks x if the Gram is not finite
     n, k = x.shape
     lam = _as_penalty(lam, k)
     gram = checked_gram(x, lam)
@@ -182,15 +185,15 @@ def ridge_factor(x, lam) -> RidgeFactor:
 
 
 def checked_gram(x: np.ndarray, lam: float | np.ndarray = 0.0) -> np.ndarray:
-    """X'X + Lambda of a finite x (n, k) and a checked penalty, or NonFinite where it overflows.
+    """X'X + Lambda of an x (n, k) and a checked penalty; NonFinite (exit 3) where it overflows.
 
-    The one Gram of ridge_factor and full_rank_cholesky; an overflowing
-    Gram is a magnitude failure (exit class 3) of either factor.
-    """
+    The one Gram of ridge_factor and full_rank_cholesky. A finite Gram proves x finite, so x is
+    checked (InvalidInput) only where the Gram is not."""
     with np.errstate(over="ignore", invalid="ignore"):  # checked instead
         gram = x.T @ x
         gram.flat[:: x.shape[1] + 1] += lam
     if not np.all(np.isfinite(gram)):
+        as_design_matrix(x)
         raise NonFinite("Gram", "X'X + lambda")
     return gram
 

@@ -68,19 +68,14 @@ def config_hash(config: dict) -> str:
 _THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-# OpenBLAS's name for the kernel it picked: numpy's bundled build prefixes
-# and suffixes its symbols, other builds export the plain name.
-_CORENAME_SYMBOLS = ("scipy_openblas_get_corename64_", "openblas_get_corename")
+def _openblas(name: str, restype: str | None = "c_int", *argtypes: str):
+    """OpenBLAS's function ``name`` declared with the ctypes types named, or None.
 
-
-@functools.lru_cache(maxsize=None)
-def blas_core() -> str | None:
-    """The kernel OpenBLAS runs on this CPU (SkylakeX, Haswell, ...), or None.
-
-    numpy loads its BLAS outside the global symbol namespace, so the symbol
-    is looked up in each library of this process whose file name holds
-    "blas", found in /proc/self/maps. None where no such library exports
-    either of _CORENAME_SYMBOLS (another BLAS, or no /proc).
+    numpy's bundled build prefixes and suffixes its symbols, other builds
+    export the plain name. numpy loads its BLAS outside the global symbol
+    namespace, so each library of this process whose file name holds "blas"
+    (from /proc/self/maps) is searched. None where none exports it (another
+    BLAS, or no /proc).
     """
     import ctypes  # imported on first use, not at start-up
 
@@ -97,18 +92,37 @@ def blas_core() -> str | None:
             library = ctypes.CDLL(path)
         except OSError:
             continue
-        for symbol in _CORENAME_SYMBOLS:
-            corename = getattr(library, symbol, None)
-            if corename is not None:
-                corename.restype = ctypes.c_char_p
-                return corename().decode()
+        for symbol in (f"scipy_openblas_{name}64_", f"openblas_{name}"):
+            function = getattr(library, symbol, None)
+            if function is not None:
+                function.restype = restype and getattr(ctypes, restype)
+                function.argtypes = [getattr(ctypes, argtype) for argtype in argtypes]
+                return function
     return None
 
 
+@functools.lru_cache(maxsize=None)
+def blas_core() -> str | None:
+    """The kernel OpenBLAS runs on this CPU (SkylakeX, Haswell, ...), or None."""
+    corename = _openblas("get_corename", "c_char_p")
+    return None if corename is None else corename().decode()
+
+
+@functools.cache  # once per process
+def one_blas_thread() -> int | None:
+    """Run OpenBLAS on one thread, since it splits a long dot or matrix product among
+    its threads and the sum's bits follow their count; the count then, or None."""
+    set_threads = _openblas("set_num_threads", None, "c_int")
+    if set_threads is None:
+        return None
+    set_threads(1)
+    return _openblas("get_num_threads")()
+
+
 def run_environment() -> dict:
-    """numpy's version, the BLAS numpy was built against and the kernel it
-    runs, and the BLAS thread variables (null where unset): what a run's bits
-    and speed depend on."""
+    """numpy's version, the BLAS numpy was built against, the kernel it runs,
+    the BLAS thread variables (null where unset) and the thread count OpenBLAS
+    ran on: what a run's bits and speed depend on."""
     blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
     return {
         "numpy": np.__version__,
@@ -116,6 +130,7 @@ def run_environment() -> dict:
         "blas_version": blas.get("version"),
         "blas_core": blas_core(),
         "threads": {name: os.environ.get(name) for name in _THREAD_VARIABLES},
+        "blas_threads": one_blas_thread(),
     }
 
 

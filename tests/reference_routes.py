@@ -504,6 +504,8 @@ def dataset_arrays_csv_module(path, covariates, categorical, roles, drop_first=F
                 )
         return np.array(values, dtype=np.float64)
 
+    if not covariates and not categorical:
+        raise SchemaError(f"{path}: at least one covariate column is required")
     columns = list(covariates)
     blocks = [numeric(col)[:, None] for col in covariates]
     for col in categorical:

@@ -411,14 +411,19 @@ def test_estimate_golden_byte_identical(tmp_path, capsys):
 
 
 def _assert_fault_count(manifest, resource):
-    """minor_faults follows stages: a count where resource exists, else null."""
-    assert list(manifest)[-2:] == ["stages", "minor_faults"]
-    faults = manifest["minor_faults"]
-    assert faults is None if resource is None else isinstance(faults, int) and faults >= 0
+    """minor_faults and max_rss_mb follow stages: a fault count and the peak
+    resident set in MiB where resource exists, else null."""
+    assert list(manifest)[-3:] == ["stages", "minor_faults", "max_rss_mb"]
+    faults, rss = manifest["minor_faults"], manifest["max_rss_mb"]
+    if resource is None:
+        assert faults is None and rss is None
+    else:
+        assert isinstance(faults, int) and faults >= 0
+        assert isinstance(rss, float) and 1.0 < rss < 1e6
 
 
 def _timing_free(record):
-    return not [key for key in record if key.endswith("_s") or key == "minor_faults"]
+    return not [key for key in record if key.endswith("_s") or key in ("minor_faults", "max_rss_mb")]
 
 
 def test_estimate_manifest_times_its_stages_and_records_stay_timing_free(
@@ -468,7 +473,9 @@ def test_manifests_carry_the_numeric_environment(tmp_path, capsys, monkeypatch):
         code, _, _ = run(capsys, *argv, "--out", str(out))
         assert code == 0
         environment = read_records(str(out) + ".manifest.json")[0]["environment"]
-        assert list(environment) == ["numpy", "blas", "blas_version", "blas_core", "threads"]
+        assert list(environment) == [
+            "numpy", "blas", "blas_version", "blas_core", "threads", "blas_threads"
+        ]
         assert environment["numpy"] == np.__version__
         assert environment["blas_core"] == blas_core()
         assert environment["threads"] == {
@@ -481,7 +488,7 @@ def test_manifests_carry_the_numeric_environment(tmp_path, capsys, monkeypatch):
 
 def test_manifests_keep_their_keys_in_order(tmp_path, capsys):
     keys = ["record_type", "command", "config_hash", "seed", "version", "wall_time_s",
-            "outputs", "environment", "stages", "minor_faults"]
+            "outputs", "environment", "stages", "minor_faults", "max_rss_mb"]
     for name, argv in (("estimate", _EST + _HALF), ("simulate", _SIM)):
         out = tmp_path / f"{name}.jsonl"
         code, _, _ = run(capsys, *argv, "--out", str(out))
@@ -489,7 +496,7 @@ def test_manifests_keep_their_keys_in_order(tmp_path, capsys):
         manifest = read_records(str(out) + ".manifest.json")[0]
         assert list(manifest) == keys
         assert list(manifest["environment"]) == [
-            "numpy", "blas", "blas_version", "blas_core", "threads"
+            "numpy", "blas", "blas_version", "blas_core", "threads", "blas_threads"
         ]
         assert (manifest["record_type"], manifest["command"]) == ("run_manifest", name)
         assert manifest["outputs"] == [str(out)]
@@ -1436,13 +1443,30 @@ def test_blas_core_names_the_kernel_openblas_runs():
 
 
 def test_importing_the_cli_loads_neither_scipy_nor_yaml():
-    # nor sets the heap policy, which only main does
+    # nor sets the heap policy or the BLAS thread count, which only main does
     done = _fresh_interpreter(
         "import sys, loora.cli; "
         "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'yaml'))); "
-        "print(loora.cli.keep_heap.cache_info().misses)"
+        "print(loora.cli.keep_heap.cache_info().misses, loora.cli.one_blas_thread.cache_info().misses)"
     )
-    assert (done.returncode, done.stdout) == (0, "[]\n0\n"), done.stderr
+    assert (done.returncode, done.stdout) == (0, "[]\n0 0\n"), done.stderr
+
+
+@pytest.mark.skipif(blas_core() is None, reason="no loaded BLAS is an OpenBLAS")
+def test_a_run_pins_openblas_to_one_thread_and_its_manifest_says_so(tmp_path):
+    # OpenBLAS splits a long sum among its threads, so a record's bits would
+    # follow OPENBLAS_NUM_THREADS; main runs it on one thread whatever that says.
+    out = tmp_path / "estimate.jsonl"
+    done = _fresh_interpreter(
+        "import os, sys; os.environ['OPENBLAS_NUM_THREADS'] = '2'; "
+        "from loora.cli import main; from loora.reporting import _openblas; "
+        f"code = main({[*_EST, *_HALF, '--out', str(out)]!r}); "
+        "print(code, _openblas('get_num_threads')())"
+    )
+    assert (done.returncode, done.stdout.splitlines()[-1]) == (0, "0 1"), done.stderr
+    environment = read_records(str(out) + ".manifest.json")[0]["environment"]
+    assert environment["threads"]["OPENBLAS_NUM_THREADS"] == "2"
+    assert environment["blas_threads"] == 1
 
 
 def test_a_command_loads_only_the_modules_it_runs(tmp_path):

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from reference_routes import dataset_arrays_csv_module, one_hot_loop, read_csv_csv_module
 
 from loora import dataset as dataset_module
-from loora.dataset import build_dataset, one_hot, read_csv
+from loora.dataset import build_dataset, read_csv
 from loora.exceptions import SchemaError
 from loora.reporting import read_records, record_line, write_records
 
@@ -48,10 +48,17 @@ def test_population_fixture_loads():
     assert ds.y1 is not None and ds.y0 is not None and ds.y is None
 
 
-def test_one_hot_first_appearance_order():
-    columns, block = one_hot(["b", "a", "b", "c"], "f")
-    assert columns == ["f=b", "f=a", "f=c"]
-    assert block.tolist() == [
+def _categorical_only(tmp_path, levels, drop_first=False):
+    """build_dataset of a file whose one covariate is the categorical column f."""
+    lines = ["f,y,d"] + [f"{level},{i},{i % 2}" for i, level in enumerate(levels)]
+    path = write_csv(tmp_path, "\n".join(lines) + "\n")
+    return build_dataset(path, categorical=["f"], y_col="y", d_col="d", drop_first=drop_first)
+
+
+def test_categorical_levels_keep_first_appearance_order(tmp_path):
+    ds = _categorical_only(tmp_path, ["b", "a", "b", "c"])
+    assert ds.columns == ("f=b", "f=a", "f=c")
+    assert ds.x.tolist() == [
         [1.0, 0.0, 0.0],
         [0.0, 1.0, 0.0],
         [1.0, 0.0, 0.0],
@@ -59,10 +66,10 @@ def test_one_hot_first_appearance_order():
     ]
 
 
-def test_one_hot_drop_first():
-    columns, block = one_hot(["b", "a", "b", "c"], "f", drop_first=True)
-    assert columns == ["f=a", "f=c"]
-    assert block[0].tolist() == [0.0, 0.0]
+def test_categorical_drop_first(tmp_path):
+    ds = _categorical_only(tmp_path, ["b", "a", "b", "c"], drop_first=True)
+    assert ds.columns == ("f=a", "f=c")
+    assert ds.x[0].tolist() == [0.0, 0.0]
 
 
 def test_schema_requires_exactly_one_mode(tmp_path):
@@ -305,17 +312,21 @@ def _maybe_quoted(draw, text):
 
 @st.composite
 def _dataset_files(draw):
-    """An observed-mode file: numeric x, categorical g, y, d and p, and
-    sometimes an undeclared text column, in any column order, usually with a
-    header, with LF or CRLF line ends. About half the files hold cells that
-    no route accepts."""
+    """An observed-mode file: 0 to 3 numeric covariates x0, x1, ..., 0 to 2
+    categorical columns g0, g1 drawing from one set of level strings, y, d
+    and p, and sometimes an undeclared text column, in any column order,
+    usually with a header, with LF or CRLF line ends. About half the files
+    hold cells that no route accepts."""
     faults = draw(st.booleans())
     rows = draw(st.integers(1, 6))
     binary = ["0", "1", " 1 ", "0.0", "1e0", '"1"', "\xa00"] + ["2", "1_0"] * faults
     probability = ["0.5", " 0.25", "0.1\x1c", '"0.75"', "0.2_5"] + ["1", "0"] * faults
+    numeric = [f"x{i}" for i in range(draw(st.integers(0, 3)))]
+    categorical = [f"g{i}" for i in range(draw(st.integers(0, 2)))]
+    levels = st.sampled_from(("a", " a", "a\t", "b", "\xa0b", '"c\nd"', '""'))
     cells = {
-        "x": _number_cells(faults),
-        "g": st.sampled_from(("a", " a", "a\t", "b", "\xa0b", '"c\nd"', '""')),
+        **dict.fromkeys(numeric, _number_cells(faults)),
+        **dict.fromkeys(categorical, levels),
         "y": _number_cells(faults),
         "d": st.sampled_from(binary),
         "p": st.sampled_from(probability),
@@ -331,18 +342,19 @@ def _dataset_files(draw):
     # a headerless file names its columns c0, c1, ... by position
     name = {c: c if has_header else f"c{order.index(c)}" for c in order}
     eol = draw(st.sampled_from(("\n", "\r\n")))
-    return eol.join(lines) + eol, name, has_header
+    return eol.join(lines) + eol, name, has_header, numeric, categorical
 
 
 @settings(max_examples=300, deadline=None)
 @given(case=_dataset_files(), with_p=st.booleans(), drop_first=st.booleans())
 def test_build_dataset_matches_the_csv_module_route(case, with_p, drop_first):
-    text, name, has_header = case
+    text, name, has_header, numeric, categorical = case
     roles = {role: name[role] for role in (("p", "y", "d") if with_p else ("y", "d"))}
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "data.csv"
         path.write_bytes(text.encode("utf-8"))
-        _same_as_the_csv_module_route(path, [name["x"]], [name["g"]], roles,
+        _same_as_the_csv_module_route(path, [name[c] for c in numeric],
+                                      [name[c] for c in categorical], roles,
                                       drop_first=drop_first, has_header=has_header)
 
 
@@ -444,14 +456,14 @@ def test_plain_numeric_files_never_take_the_text_route(tmp_path, monkeypatch, ca
 
 
 @pytest.mark.parametrize("drop_first", [False, True])
-def test_one_hot_matches_the_literal_loop(drop_first):
+def test_categorical_columns_match_the_literal_loop(tmp_path, drop_first):
     rng = np.random.default_rng(11)
     values = [f"v{j}" for j in rng.integers(0, 50, 1000)]
-    columns, block = one_hot(values, "f", drop_first=drop_first)
+    ds = _categorical_only(tmp_path, values, drop_first=drop_first)
     ref_columns, ref_block = one_hot_loop(values, "f", drop_first=drop_first)
-    assert columns == ref_columns
-    assert block.shape == ref_block.shape
-    assert block.tobytes() == ref_block.tobytes()
+    assert list(ds.columns) == ref_columns
+    assert ds.x.shape == ref_block.shape
+    assert ds.x.tobytes() == ref_block.tobytes()
 
 
 def test_record_round_trip(tmp_path):

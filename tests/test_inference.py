@@ -356,6 +356,27 @@ def test_readme_library_quick_start_runs(capsys):
 
 
 @pytest.mark.parametrize("method", list(Method))
+def test_plan_estimate_checks_each_covariate_array_for_finite_values_once(rng, monkeypatch, method):
+    # a finite Gram or row norm proves X finite, so no plan checks again what
+    # plan_estimate has checked: no two (n, k) arrays np.isfinite sees share memory
+    n, k = 40, 3
+    x = rng.standard_normal((n, k))
+    simple = method in (Method.HT, Method.LOORA_HT)
+    spec = SimpleDesign(np.full(n, 0.5)) if simple else CompleteDesign(n, 20)
+    checked, isfinite = [], np.isfinite
+
+    def spy(a, *args, **kwargs):
+        if np.shape(a) == (n, k):
+            checked.append(a)
+        return isfinite(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "isfinite", spy)
+    plan_estimate(method, x, spec, AUTO2)
+    assert checked and checked[0] is x
+    assert not any(np.shares_memory(a, b) for i, a in enumerate(checked) for b in checked[:i])
+
+
+@pytest.mark.parametrize("method", list(Method))
 def test_plan_point_is_evaluate_tau_hat_bit_for_bit(rng, method):
     n = 12
     pop = random_population(rng, n, 2)

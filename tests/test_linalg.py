@@ -152,6 +152,21 @@ def test_non_finite_input_rejected():
         ridge_factor(np.array([[1e160, 1.0], [2e160, 0.0], [0.0, 1.0]]), 1.0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_a_finite_gram_or_row_norm_stands_for_the_check_of_x(bad):
+    # ridge_factor and max_row_norm read x's entries only where the Gram or
+    # the norm is not finite: a non-finite entry anywhere is still invalid input
+    for i, j in ((0, 0), (2, 1)):
+        x = np.arange(6.0).reshape(3, 2)
+        x[i, j] = bad
+        for call in (lambda: ridge_factor(x, 1.0), lambda: max_row_norm(x),
+                     lambda: leverage_regularizer(x, 2.0), lambda: full_rank_cholesky(x)):
+            with pytest.raises(InvalidInput, match="non-finite entries"):
+                call()
+    # and a finite row too large to square is an infinite norm
+    assert max_row_norm(np.array([[1e160, 1.0], [0.0, 1.0]])) == math.inf
+
+
 def test_full_hat_symmetric_and_trace_matches_diag(rng):
     x = rng.standard_normal((7, 3))
     factor = ridge_factor(x, 0.7)
