@@ -23,7 +23,7 @@ _MODULE_OF = {
     "dm_variance": "oracle",
     "draw": "design",
     "enumerate_assignments": "design",
-    "enumeration_moments": "oracle",
+    "enumeration_moments": "simulation",
     "ht_variance": "oracle",
     "lin_asymptotic_variance": "oracle",
     "loora_dm_variance": "oracle",

@@ -210,6 +210,11 @@ def _fsum_rows_extracted(a: np.ndarray) -> np.ndarray:
     return out
 
 
+def exact_sum(values) -> float:
+    """math.fsum of a vector through fsum_rows, to the bit; nan where math.fsum raises."""
+    return float(fsum_rows(np.asarray(values, dtype=np.float64)[None])[0])
+
+
 def _fsum_or_nan(row: list) -> float:
     try:
         return math.fsum(row)

@@ -343,4 +343,5 @@ def leverage_regularizer(x, c: float) -> float:
         raise InvalidInput(f"c must be a finite nonnegative real, got {c}")
     if c == 0.0:  # 0 whatever X is, where 0 * inf would be nan on rows too large to square
         return 0.0
-    return c * max_row_norm(x) ** 2
+    norm = max_row_norm(x)
+    return c * (norm * norm)  # correctly rounded, unlike libm's pow, so exact under 2**a scaling

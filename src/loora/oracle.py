@@ -3,15 +3,15 @@
 Nothing here is feasible for a real analyst: every function sees the full
 population (covariates plus both potential-outcome vectors) and returns exact
 design-based quantities, such as the closed-form variances of the
-leave-one-out adjusted estimators or brute-force moments over every possible
-assignment. They exist to certify the estimators and the feasible variance
-machinery.
+leave-one-out adjusted estimators. They exist to certify the estimators and
+the feasible variance machinery, and loora.simulation.enumeration_moments
+certifies them in turn by brute force over every possible assignment.
 
 Large cancellations appear in the cross-unit terms at small n, so final
 reductions are correctly rounded sums throughout: math.fsum, or fsum_rows
 (math.fsum's bits, row by row) where several sums of length n are stacked.
-Every exact variance and moment raises NonFinite, naming the method and the
-stage, when a total leaves double precision.
+Every exact variance raises NonFinite, naming the method and the stage, when
+a total leaves double precision.
 """
 
 from __future__ import annotations
@@ -21,10 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .design import DesignSpec, enumeration_blocks
-from .estimators import DEFAULT_LAMBDA_RULE, LambdaRule, Method, fsum_rows
+from .estimators import exact_sum, fsum_rows
 from .exceptions import InvalidInput, NonFinite, ParameterOutOfRange, RankDeficient
-from .inference import check_block, plan_estimate
 from .linalg import (
     RidgeFactor,
     as_design_matrix,
@@ -65,14 +63,8 @@ class Population:
         that overflows, or a sum of effects that does.
         """
         with np.errstate(over="ignore"):
-            effects = (self.y1 - self.y0).tolist()
-        try:
-            tau = math.fsum(effects) / self.n
-        except (OverflowError, ValueError):  # an overflowing sum, or inf and -inf
-            tau = math.inf
-        if not math.isfinite(tau):
-            raise NonFinite("population", "average treatment effect")
-        return tau
+            effects = self.y1 - self.y0
+        return _finite_total(effects, "population", "average treatment effect") / self.n
 
 
 def observe(pop: Population, d: np.ndarray, control: np.ndarray | None = None) -> np.ndarray:
@@ -188,7 +180,7 @@ def loora_ht_variance_terms(pop: Population, p, lam: float) -> tuple[float, floa
 
 def _finite_total(terms, method: str, stage: str) -> float:
     """The correctly rounded sum of terms; NonFinite(method, stage) if it is not finite."""
-    total = float(fsum_rows(np.array([terms]))[0])
+    total = exact_sum(terms)
     if not math.isfinite(total):
         raise NonFinite(method, stage)
     return total
@@ -438,7 +430,7 @@ def loora_dm_variance(pop: Population, n_t: int, lam: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Asymptotic benchmark variance and brute-force moments
+# Asymptotic benchmark variance
 # ---------------------------------------------------------------------------
 
 
@@ -474,36 +466,3 @@ def lin_asymptotic_variance(pop: Population, p_t: float) -> float:
     if not math.isfinite(value):
         raise NonFinite("INT", "asymptotic variance")
     return value
-
-
-def enumeration_moments(
-    pop: Population,
-    spec: DesignSpec,
-    method: Method,
-    rule: LambdaRule = DEFAULT_LAMBDA_RULE,
-) -> tuple[float, float]:
-    """Exact mean and variance of an estimator over the assignment design.
-
-    Plans the method once and walks every possible assignment with its
-    probability, a block at a time through the point-only path; the
-    definitive oracle behind the unbiasedness and exact-variance
-    certifications. Raises the failure of the first assignment that fails,
-    and NonFinite where the mean or the variance leaves double precision.
-    """
-    plan = plan_estimate(method, pop.x, spec, rule)
-    values, probs = [], []
-    for d, prob in enumeration_blocks(spec):
-        estimates = plan.estimates(
-            check_block(d, lambda block: observe(pop, block.d, block.control), spec),
-            variance=False,
-        )
-        if estimates.failures:
-            raise estimates.failures[min(estimates.failures)]
-        values.extend(estimates.tau_hat.tolist())
-        probs.extend(prob.tolist())
-    name = plan.method.value
-    mean = _finite_total([p * v for p, v in zip(probs, values)], name, "enumeration mean")
-    # dv * dv is correctly rounded, unlike libm's pow, and overflows to inf
-    deviations = [v - mean for v in values]
-    spread = [p * (dv * dv) for p, dv in zip(probs, deviations)]
-    return mean, _finite_total(spread, name, "enumeration variance")

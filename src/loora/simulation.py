@@ -7,13 +7,15 @@ Replicates use counter-derived substreams of one root seed, so results do
 not depend on execution order. An enumeration mode replaces sampling with
 the exact assignment distribution. Each method's study-fixed part (its ridge
 factor, for example) is planned once per study; replicates, sampled or
-enumerated, are evaluated against the plan a block at a time.
+enumerated, are evaluated against the plan a block at a time, by the walk
+that enumeration_moments, the brute-force check of loora.oracle, also takes.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import numbers
 import time
 from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
@@ -31,7 +33,7 @@ from .design import (
     enumeration_blocks,
     enumeration_size,
 )
-from .estimators import LambdaRule, Method, fsum_rows
+from .estimators import DEFAULT_LAMBDA_RULE, LambdaRule, Method, exact_sum
 from .exceptions import (
     InvalidInput,
     InvalidSpec,
@@ -245,6 +247,13 @@ def _synth_arrays(kind: str, n: int, k: int, rng: np.random.Generator):
     return x, y0 + _BASE_EFFECT + (_HET_SCALE + 0.1) * (x @ het), y0
 
 
+def _count(value, least: int, rule: str) -> int:
+    """value, an integer (Python's or numpy's, not a bool) of at least least, as an int."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise InvalidSpec(f"{rule}, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class StudyConfig:
     """Protocol parameters of one Monte Carlo study."""
@@ -263,13 +272,10 @@ class StudyConfig:
             raise InvalidSpec(f"design must be one of {DESIGN_CHOICES}, got {self.design!r}")
         if not 0.0 < self.level < 1.0:
             raise InvalidSpec(f"level must lie in (0, 1), got {self.level}")
-        if isinstance(self.reps, str):
-            if self.reps != "enumerate":
-                raise InvalidSpec("reps must be a positive integer or 'enumerate'")
-        elif int(self.reps) < 1:
-            raise InvalidSpec("reps must be at least 1")
-        if self.seed < 0:
-            raise InvalidSpec(f"seed must be nonnegative, got {self.seed}")
+        if not (isinstance(self.reps, str) and self.reps == "enumerate"):
+            reps = _count(self.reps, 1, "reps must be a positive integer or 'enumerate'")
+            object.__setattr__(self, "reps", reps)
+        object.__setattr__(self, "seed", _count(self.seed, 0, "seed must be a nonnegative integer"))
         methods = tuple(Method(m).value for m in self.methods)
         if not methods:
             raise InvalidSpec("at least one method is required")
@@ -354,13 +360,17 @@ def _blocks(spec, cfg, count):
         yield draw_rows(spec, itertools.islice(rngs, rows)), np.ones(rows)
 
 
-def _record_block(plan, block, tau, out):
-    """Fill out (B, 4) with the plan's (ok, tau_hat, covered, length) rows of the block.
+def _walk(pop, spec, plans, blocks, variance=True):
+    """Each (d, weights) block's weights and every plan's BlockEstimates of it (None
+    for a plan that is None), the block checked and observed once for all plans."""
+    for d, weights in blocks:
+        block = check_block(d, lambda block: observe(pop, block.d, block.control), spec)
+        yield weights, [None if plan is None else plan.estimates(block, variance) for plan in plans]
 
-    Rows that fail with a method failure stay all zero; any other error
-    raises and aborts the study.
-    """
-    est = plan.estimates(block)
+
+def _record_block(est, tau, out):
+    """Fill out (B, 4) with the (ok, tau_hat, covered, length) rows of a plan's
+    BlockEstimates est of one block; rows that failed stay all zero."""
     low, high = est.ci_low, est.ci_high
     out[:, 0] = 1.0
     out[:, 1] = est.tau_hat
@@ -370,9 +380,10 @@ def _record_block(plan, block, tau, out):
         out[~est.ok] = 0.0
 
 
-def _exact_sum(values: np.ndarray) -> float:
-    """math.fsum of a vector, through the block kernel the estimators use."""
-    return float(fsum_rows(values[None])[0])
+def _weighted_moments(weights, values, total):
+    """The weighted mean and variance of values: exact sums divided by total, the weights' sum."""
+    mean = exact_sum(weights * values) / total
+    return mean, exact_sum(weights * (values - mean) ** 2) / total
 
 
 def _aggregate(cfg, tau, rows, weights):
@@ -390,20 +401,17 @@ def _aggregate(cfg, tau, rows, weights):
         used = int(np.count_nonzero(good))
         failed = int(np.count_nonzero(~good))
         w = weights[good]
-        total = _exact_sum(w)
+        total = exact_sum(w)
         if total <= 0.0:
             stats.append(
                 MethodStats(name, math.nan, math.nan, math.nan, math.nan, math.nan, 0, failed)
             )
             continue
-        e = est[good, j]
-        mean = _exact_sum(w * e) / total
-        var = _exact_sum(w * (e - mean) ** 2) / total
+        mean, var = _weighted_moments(w, est[good, j], total)
         bias = mean - tau
         std = math.sqrt(var)
         rmse = math.sqrt(bias**2 + var)
-        cov = _exact_sum(w * covered[good, j]) / total
-        avg_len = _exact_sum(w * length[good, j]) / total
+        cov, avg_len = (exact_sum(w * col[good, j]) / total for col in (covered, length))
         stats.append(MethodStats(name, bias, std, rmse, cov, avg_len, used, failed))
     return SimulationReport(
         design=cfg.design,
@@ -444,12 +452,11 @@ def run_study(pop: Population, cfg: StudyConfig) -> SimulationReport:
             f"({32 * count * len(plans)} bytes of results)"
         ) from None
     start = 0
-    for d, weight in _blocks(spec, cfg, count):
-        stop = start + d.shape[0]
-        block = check_block(d, lambda block: observe(pop, block.d, block.control), spec)
-        for j, plan in enumerate(plans):
-            if plan is not None:
-                _record_block(plan, block, tau, rows[start:stop, j])
+    for weight, estimates in _walk(pop, spec, plans, _blocks(spec, cfg, count)):
+        stop = start + weight.shape[0]
+        for j, est in enumerate(estimates):
+            if est is not None:
+                _record_block(est, tau, rows[start:stop, j])
         weights[start:stop] = weight
         start = stop
     aggregating = time.perf_counter()
@@ -460,3 +467,31 @@ def run_study(pop: Population, cfg: StudyConfig) -> SimulationReport:
         "aggregate_s": time.perf_counter() - aggregating,
     }
     return replace(report, stages=stages)
+
+
+def enumeration_moments(
+    pop: Population,
+    spec: DesignSpec,
+    method: Method,
+    rule: LambdaRule = DEFAULT_LAMBDA_RULE,
+) -> tuple[float, float]:
+    """Exact mean and variance of an estimator over the assignment design.
+
+    Plans the method once and takes a study's walk, point estimates only, and
+    a study's moments over every assignment: the oracle behind the exactness
+    certifications. Raises the failure of the first assignment that fails,
+    and NonFinite where the mean or the variance leaves double precision.
+    """
+    plan = plan_estimate(method, pop.x, spec, rule)
+    blocks = []
+    for prob, (estimates,) in _walk(pop, spec, [plan], enumeration_blocks(spec), variance=False):
+        if estimates.failures:
+            raise estimates.failures[min(estimates.failures)]
+        blocks.append((prob, estimates.tau_hat))
+    probs, values = (np.concatenate(parts) for parts in zip(*blocks))
+    with np.errstate(over="ignore", invalid="ignore"):  # each moment is checked instead
+        moments = _weighted_moments(probs, values, exact_sum(probs))
+    for value, stage in zip(moments, ("enumeration mean", "enumeration variance")):
+        if not math.isfinite(value):
+            raise NonFinite(plan.method.value, stage)
+    return moments

@@ -27,13 +27,12 @@ from .inference import plan_estimate, require_complete, require_simple
 from .linalg import check_loo_feasible, leverage_regularizer, ridge_factor, ridge_leverages_svd
 from .oracle import (
     Population,
-    enumeration_moments,
     lin_asymptotic_variance,
     loora_dm_variance,
     loora_ht_variance,
     observe,
 )
-from .simulation import synth_population
+from .simulation import enumeration_moments, synth_population
 
 
 @dataclass(frozen=True)

@@ -1483,16 +1483,28 @@ def test_a_command_loads_only_the_modules_it_runs(tmp_path):
     assert done.stdout == "[0, [], 0, ['loora.oracle', 'loora.simulation']]\n"
 
 
+def test_importing_the_oracle_loads_neither_the_estimation_route_nor_the_walk_that_checks_it():
+    # The closed forms stand apart from what they certify: the enumeration
+    # over assignments, and the plans it evaluates, live in other modules.
+    apart = ("loora.inference", "loora.design", "loora.simulation")
+    done = _fresh_interpreter(
+        f"import sys, loora.oracle; print([m for m in {apart!r} if m in sys.modules])"
+    )
+    assert (done.returncode, done.stdout) == (0, "[]\n"), done.stderr
+
+
 # The public names of loora, by the module that defines each.
 _PUBLIC = {
     "design": ("CompleteDesign", "SimpleDesign", "draw", "enumerate_assignments"),
     "estimators": ("LambdaRule", "Method"),
     "inference": ("EstimateReport", "normal_quantile", "plan_estimate"),
     "oracle": (
-        "Population", "adjusted_ht_variance", "dm_variance", "enumeration_moments",
-        "ht_variance", "lin_asymptotic_variance", "loora_dm_variance", "loora_ht_variance",
+        "Population", "adjusted_ht_variance", "dm_variance", "ht_variance",
+        "lin_asymptotic_variance", "loora_dm_variance", "loora_ht_variance",
     ),
-    "simulation": ("SimulationReport", "StudyConfig", "run_study", "synth_population"),
+    "simulation": (
+        "SimulationReport", "StudyConfig", "enumeration_moments", "run_study", "synth_population",
+    ),
 }
 
 

@@ -23,7 +23,8 @@ from loora.estimators import (
 from loora.exceptions import LooraError, NonFinite, RankDeficient, SpecMismatch
 from loora.inference import check_block, plan_estimate
 from loora.linalg import full_rank_cholesky, max_row_norm, ridge_factor
-from loora.oracle import Population, enumeration_moments, observe
+from loora.oracle import Population, observe
+from loora.simulation import enumeration_moments
 from loora.verify import _loora_dm_pairwise, _loora_dm_refit, _loora_ht_refit
 from reference_routes import fsum_rows_loop, int_parts_loop
 

@@ -593,3 +593,86 @@ def test_run_study_counts_rank_deficient_replicates_as_failures(case, method):
     cfg = StudyConfig(design="complete", methods=(method,), reps="enumerate", n_t=_RANK_NT)
     stats = run_study(pop, cfg).stats[0]
     assert (stats.failed, stats.reps_used) == (singular, 252 - singular)
+
+
+# --- power-of-two scale families ---------------------------------------------
+#
+# Scaling by a power of two is exact in binary floating point, so every method
+# commutes with it bit for bit: y * 2**b scales each point estimate by 2**b and
+# each HC0 variance by 4**b; X * 2**a leaves both as they are and scales the
+# penalty by 4**a (the auto rule's c * max ||x_i||^2, or a fixed penalty scaled
+# alike). Failures land on the same rows with the same class.
+
+
+@st.composite
+def _scale_cases(draw):
+    """(method, x, spec, d block, y block, rule) over all 7 methods, each under its design.
+
+    Some covariates repeat a column or hold one row of high leverage, so that
+    plans and rows fail too.
+    """
+    method = draw(st.sampled_from(list(Method)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    k = draw(st.integers(1, 3))
+    n = k + 3 + draw(st.integers(0, 12))
+    pop = random_population(rng, n, k, standardize=False)
+    shape = draw(st.sampled_from(("plain", "repeated column", "high leverage")))
+    if shape == "repeated column":
+        pop.x[:, -1] = pop.x[:, 0]
+    elif shape == "high leverage":
+        pop.x[0] *= 1e4
+    if method in (Method.HT, Method.LOORA_HT):
+        spec = SimpleDesign(rng.uniform(0.2, 0.8, n))
+    else:
+        spec = CompleteDesign(n, draw(st.integers(2, n - 2)))
+    d = np.stack([draw_with(spec, rng) for _ in range(8)])
+    if draw(st.booleans()):
+        rule = LambdaRule.fixed(draw(st.sampled_from((0.0, 0.25, 0.7, 3.0))))
+    else:
+        rule = LambdaRule.auto(draw(st.sampled_from((0.5, 2.0, 5.0))))
+    return method, pop.x, spec, d, observe(pop, d), rule
+
+
+def _scale_run(method, x, spec, d, y, rule):
+    """(lambda_used, tau_hat, var_hat, failed rows by class) of one plan on one block,
+    or the class of the failure that refuses the plan."""
+    try:
+        plan = plan_estimate(method, x, spec, rule)
+    except LooraError as exc:
+        return type(exc)
+    est = plan.estimates(check_block(d, y, spec))
+    failed = {i: type(exc) for i, exc in est.failures.items()}
+    return plan.core.lam, est.tau_hat, est.var_hat, failed
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_scale_cases(), b=st.integers(-40, 39))
+def test_outcomes_times_a_power_of_two_scale_each_estimate_bit_for_bit(case, b):
+    method, x, spec, d, y, rule = case
+    base = _scale_run(method, x, spec, d, y, rule)
+    grown = _scale_run(method, x, spec, d, np.ldexp(y, b), rule)
+    if isinstance(base, type):
+        assert grown is base
+        return
+    lam, tau, var, failed = base
+    assert grown[0] == lam
+    assert _bits(*grown[1]) == _bits(*np.ldexp(tau, b))
+    assert _bits(*grown[2]) == _bits(*np.ldexp(var, 2 * b))
+    assert grown[3] == failed
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_scale_cases(), a=st.integers(-40, 39))
+def test_covariates_times_a_power_of_two_keep_each_estimate_bit_for_bit(case, a):
+    method, x, spec, d, y, rule = case
+    scaled_rule = rule if rule.mode == "auto" else LambdaRule.fixed(math.ldexp(rule.value, 2 * a))
+    base = _scale_run(method, x, spec, d, y, rule)
+    moved = _scale_run(method, np.ldexp(x, a), spec, d, y, scaled_rule)
+    if isinstance(base, type):
+        assert moved is base
+        return
+    lam, tau, var, failed = base
+    assert moved[0] == math.ldexp(lam, 2 * a)
+    assert _bits(*moved[1]) == _bits(*tau)
+    assert _bits(*moved[2]) == _bits(*var)
+    assert moved[3] == failed

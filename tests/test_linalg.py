@@ -267,6 +267,17 @@ def test_leverage_regularizer_values():
     assert leverage_regularizer(x, 0.0) == 0.0
 
 
+def test_leverage_regularizer_squares_the_norm_correctly_rounded():
+    # c * r * r, where libm's pow(r, 2) is off by an ulp for some r: then the
+    # auto penalty would not scale by exactly 4**a when X scales by 2**a.
+    rng = np.random.default_rng(15)
+    for _ in range(5000):
+        x = rng.standard_normal((4, 2))
+        norm = max_row_norm(x)
+        assert leverage_regularizer(x, 2.0) == 2.0 * (norm * norm)
+        assert leverage_regularizer(np.ldexp(x, -7), 2.0) == math.ldexp(2.0 * (norm * norm), -14)
+
+
 def test_leverage_cap_randomized(rng):
     for _ in range(200):
         n = int(rng.integers(3, 21))

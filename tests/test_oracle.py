@@ -20,7 +20,6 @@ from loora.oracle import (
     adjusted_ht_variance,
     dm_signal,
     dm_variance,
-    enumeration_moments,
     ht_signal,
     ht_variance,
     lin_asymptotic_variance,
@@ -30,7 +29,7 @@ from loora.oracle import (
     loora_ht_variance_terms,
     observe,
 )
-from loora.simulation import synth_population
+from loora.simulation import enumeration_moments, synth_population
 from reference_routes import (
     adjusted_ht_optimal_coef,
     dm_adjusted_minimum_variance,

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -10,22 +11,25 @@ from reference_routes import run_study_per_sample
 import loora.estimators
 import loora.inference
 import loora.simulation
-from loora.design import CompleteDesign, block_size, enumerate_assignments
+from loora.design import CompleteDesign, block_size, enumerate_assignments, enumeration_blocks
 from loora.estimators import LambdaRule, Method
 from loora.exceptions import InvalidInput, InvalidSpec, TooLarge
 from loora.inference import plan_estimate
 from loora.linalg import ridge_leverages_svd
-from loora.oracle import Population, enumeration_moments, observe
+from loora.oracle import Population, observe
 from loora.reporting import record_line
 from loora.simulation import (
     _STATE_CHUNK,
     DESIGN_CHOICES,
     StudyConfig,
     covariate_correlated_probabilities,
+    enumeration_moments,
     replicate_generators,
     replicate_seed_sequence,
     replicate_states,
+    resolve_design,
     run_study,
+    study_seed_sequence,
     synth_population,
 )
 
@@ -158,10 +162,30 @@ def test_run_study_enumeration_mode_matches_enumeration_oracle():
     report = run_study(pop, cfg)
     for stat in report.stats:
         mean, var = enumeration_moments(pop, spec, Method(stat.method), LambdaRule.auto(2.0))
-        assert stat.bias == pytest.approx(mean - pop.tau, abs=1e-12)
-        assert stat.std == pytest.approx(math.sqrt(var), rel=1e-10)
+        # one walk and one weighted sum: the same bits
+        assert stat.bias == mean - report.tau
+        assert stat.std == math.sqrt(var)
     loora_bias = dict((s.method, s.bias) for s in report.stats)["LOORA_DM"]
     assert abs(loora_bias) <= 1e-11
+    # Also under simple designs of unequal probabilities, whose assignment
+    # probabilities need not sum to exactly 1.0: both divide the same exact
+    # sums by the same exact total.
+    unequal = []
+    for n, pop_seed, seed in itertools.product((7, 8, 9), range(3), (0, 5)):
+        pop = synth_population("linear-heterogeneous", n, 2, pop_seed)
+        cfg = StudyConfig(
+            design="simple-covariate-correlated", methods=("HT", "LOORA_HT"),
+            reps="enumerate", seed=seed,
+        )
+        study_rng = np.random.Generator(np.random.PCG64(study_seed_sequence(seed)))
+        spec = resolve_design(pop, cfg, study_rng)
+        probs = np.concatenate([p for _, p in enumeration_blocks(spec)])
+        unequal.append(math.fsum(probs.tolist()) != 1.0)
+        report = run_study(pop, cfg)
+        for stat in report.stats:
+            mean, var = enumeration_moments(pop, spec, Method(stat.method), cfg.lambda_rule)
+            assert (stat.bias, stat.std) == (mean - report.tau, math.sqrt(var)), (n, pop_seed, seed)
+    assert any(unequal)  # the fixtures include probabilities that do not sum to 1.0
 
 
 def test_run_study_monte_carlo_self_consistency():
@@ -293,6 +317,10 @@ def test_run_study_checks_each_block_once_for_all_its_methods(monkeypatch, n, re
     size = block_size(n)
     assert calls == [min(size, total - start) for start in range(0, total, size)]
     assert [s.reps_used + s.failed for s in report.stats] == [total] * len(methods)
+    if reps == "enumerate":  # enumeration_moments takes the study's walk, and so its checker
+        calls.clear()
+        enumeration_moments(pop, CompleteDesign(n, n // 2), Method.LOORA_DM)
+        assert calls == [min(size, total - start) for start in range(0, total, size)]
 
 
 @settings(max_examples=60, deadline=None)
@@ -469,6 +497,22 @@ def test_study_config_validation():
         StudyConfig(design="simple-half", methods=("HT",), reps="sometimes")
     with pytest.raises(InvalidSpec):
         StudyConfig(design="simple-half", methods=("HT",), level=1.2)
+    # reps = 2.5 used to run 2 replicates and report 2.5, reps = True one, and
+    # seed = 1.5 to raise numpy's TypeError; a bool is not a count, and
+    # "enumerate" is the one reps that is not an integer.
+    refused = {"reps": (2.5, 3.0, True, None, "3"), "seed": (1.5, 2.0, True, None, "1", -1)}
+    for key, values in refused.items():
+        for value in values:
+            with pytest.raises(InvalidSpec, match=f"^{key} must be"):
+                StudyConfig(design="simple-half", methods=("HT",), **{key: value})
+
+
+def test_study_config_takes_numpy_integers_as_ints():
+    cfg = StudyConfig(design="simple-half", methods=("HT",), reps=np.int64(3), seed=np.uint8(2))
+    assert (type(cfg.reps), type(cfg.seed)) == (int, int)
+    pop = synth_population("linear-heterogeneous", 10, 2, 1)
+    plain = StudyConfig(design="simple-half", methods=("HT",), reps=3, seed=2)
+    assert report_fingerprint(run_study(pop, cfg)) == report_fingerprint(run_study(pop, plain))
 
 
 def test_covariate_correlated_design_draws_probabilities_once():
