@@ -18,6 +18,7 @@ means something.
 
 import csv
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -332,7 +333,9 @@ def benchmark_full_design(method, x, d, y, rule=DEFAULT_LAMBDA_RULE):
     both unpenalized. RIDGE_REG uses the ADJ design and penalizes only the X
     columns, with the leverage rule applied to the covariate block. Returns
     the coefficient on d and its HC0 variance: the coefficient is z[1] . y,
-    so its variance is sum r_i^2 z[1, i]^2.
+    so its variance is sum r_i^2 z[1, i]^2. The coefficients take one step
+    of iterative refinement, so that their error does not grow with the
+    square of the design's condition number, as a Gram solve's does.
     """
     method = Method(method)
     x = as_design_matrix(x)
@@ -346,7 +349,18 @@ def benchmark_full_design(method, x, d, y, rule=DEFAULT_LAMBDA_RULE):
         columns.append(d[:, None] * covariates)
     factor = ridge_factor(np.column_stack(columns), penalty)
     beta = factor.fit(y)
+    beta = beta + cholesky_solve(factor.cho, _normal_residual(factor.x, penalty, y, beta)[None])[0]
     return float(beta[1]), math.fsum(((factor.z[1] * (y - factor.x @ beta)) ** 2).tolist())
+
+
+def _normal_residual(x, penalty, y, beta) -> np.ndarray:
+    """X'(y - X beta) - Lambda beta, summed exactly and rounded once per entry."""
+    x, beta = [[Fraction(v) for v in row] for row in x.tolist()], [Fraction(b) for b in beta.tolist()]
+    resid = [Fraction(v) - sum(a * b for a, b in zip(row, beta)) for v, row in zip(y.tolist(), x)]
+    return np.array([
+        float(sum(row[j] * r for row, r in zip(x, resid)) - Fraction(penalty[j]) * beta[j])
+        for j in range(len(beta))
+    ])
 
 
 def int_parts_loop(plan: IntPlan, d: np.ndarray, y: np.ndarray):
