@@ -70,16 +70,17 @@ DesignSpec = Union[SimpleDesign, CompleteDesign]
 
 
 def block_size(n: int) -> int:
-    """How many assignments a block holds at n units: clamp(32768 // n, 1, 256).
+    """How many assignments a block holds at n units: clamp(65536 // n, 1, 256).
 
-    A block of B rows of n entries then holds at most 32768 float64 values
-    (256 KiB) per array: 6 rows at n = 5000, 256 at n = 120. Under the CLI's
-    heap policy (cli.keep_heap) a sweep of 2**14, 2**15 and 2**16 entries
-    per block found 2**15 as fast as 2**16 at n = 1000 and n = 5000 and 5 to
-    9 % faster than 2**14 (README). The rule depends on n alone, never
-    on a thread count or a replicate count, so results do not either.
+    A block of B rows of n entries then holds at most 65536 float64 values
+    (512 KiB) per array: 13 rows at n = 5000, 256 at n = 120. Under the
+    CLI's heap policy (cli.keep_heap), with the block chains run in place, an
+    in-process sweep of 2**15, 2**16 and 2**17 entries per block found 2**16
+    3 to 5 % faster than 2**15 at n = 5000 and level with it at n = 1000,
+    where 2**17 lost 5 to 9 % (README). The rule depends on n alone, never on
+    a thread count or a replicate count, so results do not either.
     """
-    return min(256, max(1, 32768 // n))
+    return min(256, max(1, 65536 // n))
 
 
 def draw_rows(spec: DesignSpec, rngs: Iterable[np.random.Generator]) -> np.ndarray:
@@ -92,7 +93,7 @@ def draw_rows(spec: DesignSpec, rngs: Iterable[np.random.Generator]) -> np.ndarr
     if isinstance(spec, SimpleDesign):
         n = spec.n
         u = np.array([rng.random(n) for rng in rngs]).reshape(-1, n)
-        return (u < spec.p).astype(np.float64)
+        return np.less(u, spec.p, out=u)  # 1.0 where u < p, else 0.0, in u itself
     if isinstance(spec, CompleteDesign):
         n, n_t = spec.n, spec.n_t
         treated = np.array([rng.permutation(n)[:n_t] for rng in rngs]).reshape(-1, n_t)

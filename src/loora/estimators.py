@@ -57,6 +57,7 @@ from .linalg import (
     loo_fitted_rows,
     matvec_rows,
     negligible_pivot,
+    read_only,
     ridge_factor,
     singular_column,
     upper_inverse,
@@ -229,6 +230,9 @@ class HtPlan:
     p: np.ndarray
     lam = 0.0  # unpenalized
 
+    def __post_init__(self):
+        object.__setattr__(self, "p", read_only(self.p))
+
     def block(self, block: CheckedBlock, variance: bool):
         """See the module docstring.
 
@@ -238,13 +242,23 @@ class HtPlan:
         """
         d, y, control = block.d, block.y, block.control
         rows, n = y.shape
-        arms = fsum_rows(np.concatenate([d * y / self.p, control * y / (1.0 - self.p)])) / n
+        arms = _arm_products(block)
+        arms[:rows] /= self.p
+        arms[rows:] /= 1.0 - self.p
+        arms = fsum_rows(arms) / n
         tau = arms[:rows] - arms[rows:]
         if not variance:
             return tau, None, {}
-        q = self.p * d + (1.0 - self.p) * control  # the probability of each unit's arm
-        resid = y / q - (2.0 * d - 1.0) * tau[:, None]
-        return tau, fsum_rows(resid**2) / n**2, {}
+        q = np.multiply(self.p, d)  # the probability of each unit's arm
+        scratch = np.multiply(1.0 - self.p, control)
+        q += scratch
+        resid = np.divide(y, q, out=q)
+        z_tau = np.multiply(2.0, d, out=scratch)
+        z_tau -= 1.0
+        z_tau *= tau[:, None]
+        resid -= z_tau
+        resid *= resid
+        return tau, fsum_rows(resid) / n**2, {}
 
 
 @dataclass(frozen=True)
@@ -255,11 +269,20 @@ class DmPlan:
 
     def block(self, block: CheckedBlock, variance: bool):
         """See the module docstring; the HC0 variance is _two_column_sandwich's of y."""
-        d, y, rows = block.d, block.y, block.d.shape[0]
-        arms = fsum_rows(np.concatenate([d * y, block.control * y]))
+        rows = block.d.shape[0]
+        arms = fsum_rows(_arm_products(block))
         tau = arms[:rows] / block.n_t - arms[rows:] / block.n_c
-        var = _two_column_sandwich(y, block)[1] if variance else None
+        var = _two_column_sandwich(block.y, block)[1] if variance else None
         return tau, var, {}
+
+
+def _arm_products(block: CheckedBlock) -> np.ndarray:
+    """d o y stacked over (1 - d) o y, a (2B, n) array of a block of B rows."""
+    d, y, rows = block.d, block.y, block.d.shape[0]
+    arms = np.empty((2 * rows, d.shape[1]))
+    np.multiply(d, y, out=arms[:rows])
+    np.multiply(block.control, y, out=arms[rows:])
+    return arms
 
 
 def _two_column_sandwich(u: np.ndarray, block: CheckedBlock):
@@ -275,24 +298,35 @@ def _two_column_sandwich(u: np.ndarray, block: CheckedBlock):
     """
     d, c, n_t, n_c = block.d, block.control, block.n_t, block.n_c
     mean_t, mean_c = dot_rows(d, u) / n_t, dot_rows(c, u) / n_c
-    r2 = (u - _by_arm(block.mask, mean_t[:, None], mean_c[:, None])) ** 2
+    r2 = _by_arm(block.mask, mean_t[:, None], mean_c[:, None])
+    np.subtract(u, r2, out=r2)
+    r2 *= r2  # the bits of r2**2: numpy squares by x * x
     return mean_t - mean_c, dot_rows(d, r2) / n_t**2 + dot_rows(c, r2) / n_c**2
 
 
-def _by_arm(mask: np.ndarray, treated: np.ndarray, control: np.ndarray) -> np.ndarray:
+def _by_arm(mask: np.ndarray, treated: np.ndarray, control: np.ndarray, out=None) -> np.ndarray:
     """treated where mask (a CheckedBlock's) is set and control elsewhere, bit for bit.
 
     treated and control are float64 arrays that broadcast against the mask.
     The bits are np.where(d == 1, treated, control)'s for any values, by
-    ((treated ^ control) & mask) ^ control on the bit patterns. np.where
+    ((treated ^ control) & mask) ^ control on the bit patterns, the passes
+    over the block all in one float64 array of the mask's shape: out if given
+    (it may be treated itself, never control), else one fresh array. Where
+    treated is smaller than the mask (a column of per-row weights, a row of
+    per-unit constants), treated ^ control is formed at its own shape first,
+    a pass over the block fewer. np.where
     branches on every unit, and on a random assignment its mispredicted
     branches cost about four times these passes (about 100 against 20 to 30
     microseconds on a block of 3 rows of 5000 units, 2-core x86-64 host).
     """
-    base = control.view(np.uint64)
-    picked = np.bitwise_xor(treated.view(np.uint64), base) & mask
+    if out is None:
+        out = np.empty(mask.shape)
+    base, picked = control.view(np.uint64), out.view(np.uint64)
+    full = treated.shape == mask.shape
+    differ = np.bitwise_xor(treated.view(np.uint64), base, out=picked if full else None)
+    np.bitwise_and(differ, mask, out=picked)
     picked ^= base
-    return picked.view(np.float64)
+    return out
 
 
 @dataclass(frozen=True)
@@ -313,6 +347,12 @@ class LooraHtPlan:
     ridge: RidgeFactor  # of the inverse-weighted covariates X / r
     z_over_q: tuple[np.ndarray, np.ndarray]  # (1 / p, -1 / (1 - p))
     zq_gap: tuple[np.ndarray, np.ndarray]  # (p (1 - h), -(1 - p) (1 - h))
+
+    def __post_init__(self):
+        for name in ("x", "r"):  # read-only views, as the ridge factor's arrays are
+            object.__setattr__(self, name, read_only(getattr(self, name)))
+        for name in ("scales", "z_over_q", "zq_gap"):
+            object.__setattr__(self, name, tuple(map(read_only, getattr(self, name))))
 
     @classmethod
     def build(cls, x: np.ndarray, p: np.ndarray, rule: LambdaRule) -> "LooraHtPlan":
@@ -348,15 +388,24 @@ class LooraHtPlan:
         has the residual's own bits.
         """
         ridge, y, mask, n = self.ridge, block.y, block.mask, block.y.shape[1]
-        yw = _by_arm(mask, *self.scales) * y  # reweighted: their expectation is the HT signal
+        yw = _by_arm(mask, *self.scales)
+        yw *= y  # reweighted: their expectation is the HT signal
         beta = ridge.solve_rows(yw)  # full-sample fits of the reweighted outcomes on X / r
-        # x_i' beta^{(-i)} with the raw row x_i = r_i * (x_i / r_i)
-        adjustment = self.r * loo_fitted_rows(ridge, yw, beta)
-        tau = fsum_rows(_by_arm(mask, *self.z_over_q) * (y - adjustment)) / n
+        # x_i' beta^{(-i)} with the raw row x_i = r_i * (x_i / r_i); yw is scratch from here on
+        adjusted = loo_fitted_rows(ridge, yw, beta)
+        adjusted *= self.r
+        np.subtract(y, adjusted, out=adjusted)
+        signed = _by_arm(mask, *self.z_over_q, out=yw)
+        signed *= adjusted
+        tau = fsum_rows(signed) / n
         if not variance:
             return tau, None, {}
-        resid = (y - matvec_rows(self.x, beta)) / _by_arm(mask, *self.zq_gap) - tau[:, None]
-        return tau, fsum_rows(resid**2) / n**2, {}
+        resid = matvec_rows(self.x, beta)
+        np.subtract(y, resid, out=resid)
+        resid /= _by_arm(mask, *self.zq_gap, out=yw)
+        resid -= tau[:, None]
+        resid *= resid
+        return tau, fsum_rows(resid) / n**2, {}
 
 
 def _own_arm_weight(count: np.ndarray) -> np.ndarray:
@@ -420,19 +469,24 @@ class LooraDmPlan:
         (_by_arm).
         """
         own_t, cross_t, own_c, cross_c, inv_t, neg_inv_c = _dm_row_weights(block.n_t, block.n_c)
-        d, y, mask = block.d, block.y, block.mask
+        y, mask, rows = block.y, block.mask, block.y.shape[0]
         # Both responses of every row (its weights picked by arm, times y) go to
         # one solve. The removed unit's own response entry cancels in the
         # leave-one-out identity, so the zero placeholders in the scalings are
         # never read.
-        ridge, rows = self.ridge, d.shape[0]
-        responses = np.empty((2 * rows, d.shape[1]))
-        np.multiply(_by_arm(mask, own_t, cross_t), y, out=responses[:rows])
-        np.multiply(_by_arm(mask, cross_c, own_c), y, out=responses[rows:])
-        beta = ridge.solve_rows(responses)
-        loo = loo_fitted_rows(ridge, responses, beta)
-        u = y - _by_arm(mask, loo[:rows], loo[rows:])
-        return fsum_rows(_by_arm(mask, inv_t, neg_inv_c) * u), u
+        responses = np.empty((2 * rows, y.shape[1]))
+        removed_t, removed_c = responses[:rows], responses[rows:]
+        _by_arm(mask, own_t, cross_t, out=removed_t)
+        _by_arm(mask, cross_c, own_c, out=removed_c)
+        removed_t *= y
+        removed_c *= y
+        beta = self.ridge.solve_rows(responses)
+        loo = loo_fitted_rows(self.ridge, responses, beta)  # responses is scratch from here on
+        u = _by_arm(mask, loo[:rows], loo[rows:], out=loo[:rows])
+        np.subtract(y, u, out=u)
+        signed = _by_arm(mask, inv_t, neg_inv_c, out=removed_t)
+        signed *= u
+        return fsum_rows(signed), u
 
     def block(self, block: CheckedBlock, variance: bool):
         """See the module docstring.
@@ -474,7 +528,10 @@ class _TermsPlan:
     def block(self, block: CheckedBlock, variance: bool):
         """See the module docstring; the HC0 variance is the sum of parts()'s squared terms."""
         tau, terms, failed = self.parts(block)
-        return tau, fsum_rows(terms**2) if variance else None, failed
+        if not variance:
+            return tau, None, failed
+        terms *= terms  # the bits of terms**2: numpy squares by x * x
+        return tau, fsum_rows(terms), failed
 
 
 @dataclass(frozen=True)
@@ -507,6 +564,9 @@ class AdjPlan(_TermsPlan):
     ridge: RidgeFactor  # of (basis, P)
     lam: float  # the penalty on the covariate block
 
+    def __post_init__(self):
+        object.__setattr__(self, "basis", read_only(self.basis))
+
     @classmethod
     def build(cls, x: np.ndarray, rule: LambdaRule) -> "AdjPlan":
         """The plan of a checked design matrix x (n, k)."""
@@ -532,7 +592,8 @@ class AdjPlan(_TermsPlan):
         the rank failure each row would raise alone.
         """
         d, y, w, z = block.d, block.y, self.basis, self.ridge.z
-        d_res = d - matvec_rows(w, matvec_rows(z, d))
+        d_res = matvec_rows(w, matvec_rows(z, d))
+        np.subtract(d, d_res, out=d_res)
         dd = dot_rows(d_res, d)
         singular = negligible_pivot(dd, dot_rows(d, d), (d.shape[1], w.shape[1] + 1))
         failed = {
@@ -543,8 +604,12 @@ class AdjPlan(_TermsPlan):
             for i in np.nonzero(singular)[0]
         }
         tau_hat = dot_rows(d_res, y) / dd
-        resid = y - matvec_rows(w, matvec_rows(z, y)) - d_res * tau_hat[:, None]
-        return tau_hat, d_res * resid / dd[:, None], failed
+        terms = matvec_rows(w, matvec_rows(z, y))
+        np.subtract(y, terms, out=terms)
+        terms -= d_res * tau_hat[:, None]  # the full fit's residuals
+        np.multiply(d_res, terms, out=terms)
+        terms /= dd[:, None]
+        return tau_hat, terms, failed
 
 
 @dataclass(frozen=True)
@@ -563,6 +628,9 @@ class IntPlan(_TermsPlan):
 
     basis: np.ndarray  # [1, X - mean], columns scaled
     lam = 0.0  # unpenalized
+
+    def __post_init__(self):
+        object.__setattr__(self, "basis", read_only(self.basis))
 
     @classmethod
     def build(cls, x: np.ndarray) -> "IntPlan":

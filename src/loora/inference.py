@@ -33,7 +33,7 @@ from .estimators import (
     Method,
 )
 from .exceptions import InvalidInput, LooraError, NonFinite, SpecMismatch
-from .linalg import as_design_matrix
+from .linalg import as_design_matrix, read_only
 
 
 def normal_quantile(p: float) -> float:
@@ -105,19 +105,28 @@ def _fail_non_finite(failed: dict, values: np.ndarray, method: Method, stage: st
             failed.setdefault(int(i), NonFinite(method.value, stage))
 
 
+def _mask(d: np.ndarray) -> np.ndarray:
+    """uint64, all bits set where d is 1: -d as int64, negated in place."""
+    mask = d.astype(np.int64)
+    np.negative(mask, out=mask)
+    return mask.view(np.uint64)
+
+
 @dataclass
 class CheckedBlock:
     """check_block's d and y (B, n), with the arm facts every plan reads, each formed once.
 
     mask: uint64, all bits set where d is 1; n_t, n_c: per-row arm counts; control: 1 - d.
+    Every array is a read-only view, so a plan's in-place chains write only to
+    arrays of their own; the caller's d and y keep their flags.
     """
 
     d: np.ndarray
     y: np.ndarray
-    mask = cached_property(lambda self: np.negative(self.d.astype(np.int64)).view(np.uint64))
-    n_t = cached_property(lambda self: self.d.sum(axis=1))
-    n_c = cached_property(lambda self: self.d.shape[1] - self.n_t)
-    control = cached_property(lambda self: 1.0 - self.d)
+    mask = cached_property(lambda self: read_only(_mask(self.d)))
+    n_t = cached_property(lambda self: read_only(self.d.sum(axis=1)))
+    n_c = cached_property(lambda self: read_only(self.d.shape[1] - self.n_t))
+    control = cached_property(lambda self: read_only(1.0 - self.d))
 
 
 def _empty_arms(method: Method, block: CheckedBlock) -> dict[int, LooraError]:
@@ -139,13 +148,15 @@ def check_block(d, y, spec: DesignSpec) -> CheckedBlock:
     its d is checked, so that a study forms 1 - d (block.control) once.
     One row off the treated count a complete design fixes fails the block.
     """
-    d = np.asarray(d, dtype=np.float64)
+    d = read_only(np.asarray(d, dtype=np.float64))
     if d.ndim != 2 or d.shape[1] != spec.n:
         raise InvalidInput("assignment length does not match the design matrix")
-    if not ((d == 0.0) | (d == 1.0)).all():
+    binary = d == 0.0
+    binary |= d == 1.0
+    if not binary.all():
         raise InvalidInput("assignment entries must be 0 or 1")
     block = CheckedBlock(d, None)
-    block.y = y = np.asarray(y(block) if callable(y) else y, dtype=np.float64)
+    block.y = y = read_only(np.asarray(y(block) if callable(y) else y, dtype=np.float64))
     if y.shape != d.shape:
         raise InvalidInput(f"outcome has shape {y.shape}, expected {d.shape}")
     if not np.isfinite(y).all():

@@ -79,14 +79,28 @@ def dot_rows(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.matmul(u[:, None, :], v[:, :, None])[:, 0, 0]
 
 
-def loo_fitted_rows(factor: RidgeFactor, y, beta) -> np.ndarray:
+def loo_fitted_rows(factor: RidgeFactor, y: np.ndarray, beta) -> np.ndarray:
     """x_i' beta^{(-i)} for each response row of y (m, n) fit as beta (m, k).
 
     The rank-one identity x_i' beta^{(-i)} = (x_i' beta - h_i y_i) / (1 - h_i)
     applied row by row, from the factor's design, leverages and 1 - h; the
-    caller has checked the leverages.
+    caller has checked the leverages. The chain runs in place: h o y is
+    written over y, a scratch response block the caller no longer needs (a
+    read-only y raises ValueError), and the difference and the quotient go
+    into matvec_rows's output, which is returned. Every step is the
+    elementwise operation of the expression above, so each row keeps its bits.
     """
-    return (matvec_rows(factor.x, beta) - factor.hat_diag * y) / factor.gap
+    fitted = matvec_rows(factor.x, beta)
+    fitted -= np.multiply(factor.hat_diag, y, out=y)
+    fitted /= factor.gap
+    return fitted
+
+
+def read_only(a: np.ndarray) -> np.ndarray:
+    """A read-only view of a: the array's owner keeps its own flags."""
+    view = a.view()
+    view.flags.writeable = False
+    return view
 
 
 def _as_penalty(lam, k: int) -> float | np.ndarray:
@@ -109,7 +123,9 @@ class RidgeFactor:
     """The response-free part of a ridge regression: one Cholesky factor.
 
     Everything here depends on (X, Lambda) only, so a caller that fits many
-    responses against the same design pays for the factorization once.
+    responses against the same design pays for the factorization once. Every
+    array is held as a read-only view, so no in-place block chain can write
+    to it.
 
     Attributes
     ----------
@@ -130,6 +146,10 @@ class RidgeFactor:
     hat_diag: np.ndarray
     z: np.ndarray
     gap: np.ndarray
+
+    def __post_init__(self):
+        for name in ("x", "cho", "hat_diag", "z", "gap"):  # read-only views
+            object.__setattr__(self, name, read_only(getattr(self, name)))
 
     def fit(self, y) -> np.ndarray:
         """beta of (X'X + Lambda) beta = X'y for one response y of shape (n,)."""

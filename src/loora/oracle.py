@@ -70,9 +70,12 @@ class Population:
 def observe(pop: Population, d: np.ndarray, control: np.ndarray | None = None) -> np.ndarray:
     """The outcomes a 0/1 assignment vector d reveals, or each row of a (B, n) block d.
 
-    control is 1 - d, for a caller that has formed it already.
+    control is 1 - d, for a caller that has formed it already. The sum is
+    formed in the first product's array, with its bits.
     """
-    return d * pop.y1 + (1.0 - d if control is None else control) * pop.y0
+    y = np.multiply(d, pop.y1)
+    y += np.multiply(1.0 - d if control is None else control, pop.y0)
+    return y
 
 
 # ---------------------------------------------------------------------------

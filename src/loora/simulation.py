@@ -306,9 +306,9 @@ class SimulationReport:
     seed: int
     reps: int | str
     stats: tuple[MethodStats, ...]
-    # wall seconds of run_study's plan, evaluate and aggregate stages; not
+    # wall seconds of run_study's stages (methods_s: seconds per method); not
     # part of the results, so two reports compare equal without them
-    stages: dict[str, float] = field(default_factory=dict, compare=False)
+    stages: dict[str, float | dict[str, float]] = field(default_factory=dict, compare=False)
 
 
 def resolve_design(pop: Population, cfg: StudyConfig, rng: np.random.Generator) -> DesignSpec:
@@ -360,12 +360,26 @@ def _blocks(spec, cfg, count):
         yield draw_rows(spec, itertools.islice(rngs, rows)), np.ones(rows)
 
 
-def _walk(pop, spec, plans, blocks, variance=True):
+def _walk(pop, spec, plans, blocks, variance=True, seconds=None):
     """Each (d, weights) block's weights and every plan's BlockEstimates of it (None
-    for a plan that is None), the block checked and observed once for all plans."""
-    for d, weights in blocks:
+    for a plan that is None), the block checked and observed once for all plans.
+
+    seconds, if given, is a list of len(plans) + 1 floats: the walk adds the
+    wall seconds spent drawing or enumerating blocks to seconds[0] and those
+    spent in plan j's estimates to seconds[1 + j].
+    """
+    seconds = [0.0] * (len(plans) + 1) if seconds is None else seconds
+    start = time.perf_counter()
+    for d, weights in blocks:  # the clock runs from here to the block's arrival
+        seconds[0] += time.perf_counter() - start
         block = check_block(d, lambda block: observe(pop, block.d, block.control), spec)
-        yield weights, [None if plan is None else plan.estimates(block, variance) for plan in plans]
+        estimates = []
+        for j, plan in enumerate(plans, 1):
+            start = time.perf_counter()
+            estimates.append(None if plan is None else plan.estimates(block, variance))
+            seconds[j] += time.perf_counter() - start
+        yield weights, estimates
+        start = time.perf_counter()
 
 
 def _record_block(est, tau, out):
@@ -434,7 +448,9 @@ def run_study(pop: Population, cfg: StudyConfig) -> SimulationReport:
     into one (replicates x methods x 4) float64 array, so memory grows by
     32 bytes per replicate and method. The report's stages hold the wall
     seconds of planning (plan_s), of drawing and evaluating every block
-    (evaluate_s) and of aggregation (aggregate_s).
+    (evaluate_s), of the drawing or enumerating alone (draw_s), of each
+    method's estimates on every block (methods_s, keyed by method, a repeated
+    method summed) and of aggregation (aggregate_s).
     """
     planning = time.perf_counter()
     study_rng = np.random.Generator(np.random.PCG64(study_seed_sequence(cfg.seed)))
@@ -451,8 +467,8 @@ def run_study(pop: Population, cfg: StudyConfig) -> SimulationReport:
             f"a study of {count} replicates and {len(plans)} methods is too large to hold "
             f"({32 * count * len(plans)} bytes of results)"
         ) from None
-    start = 0
-    for weight, estimates in _walk(pop, spec, plans, _blocks(spec, cfg, count)):
+    start, seconds = 0, [0.0] * (len(plans) + 1)
+    for weight, estimates in _walk(pop, spec, plans, _blocks(spec, cfg, count), seconds=seconds):
         stop = start + weight.shape[0]
         for j, est in enumerate(estimates):
             if est is not None:
@@ -461,9 +477,14 @@ def run_study(pop: Population, cfg: StudyConfig) -> SimulationReport:
         start = stop
     aggregating = time.perf_counter()
     report = _aggregate(cfg, tau, rows, weights)
+    methods = dict.fromkeys(cfg.methods, 0.0)
+    for name, spent in zip(cfg.methods, seconds[1:]):
+        methods[name] += spent
     stages = {
         "plan_s": evaluating - planning,
         "evaluate_s": aggregating - evaluating,
+        "draw_s": seconds[0],
+        "methods_s": methods,
         "aggregate_s": time.perf_counter() - aggregating,
     }
     return replace(report, stages=stages)

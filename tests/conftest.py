@@ -63,10 +63,11 @@ def loo_fitted(factor, y):
 
     The route the estimators take: check_loo_feasible on the factor's
     leverages, then linalg.loo_fitted_rows on the response columns as rows,
-    their fits from one RidgeFactor.solve_rows call.
+    their fits from one RidgeFactor.solve_rows call; the rows are a copy,
+    since loo_fitted_rows writes over them.
     """
     check_loo_feasible(factor.hat_diag)
     y = np.asarray(y, dtype=np.float64)
-    rows = np.atleast_2d(np.ascontiguousarray(y.T))
+    rows = np.array(y.T, order="C", ndmin=2)
     fitted = loo_fitted_rows(factor, rows, factor.solve_rows(rows))
     return fitted.T.reshape(y.shape)

@@ -452,13 +452,22 @@ def test_simulate_manifest_times_its_stages_and_records_stay_timing_free(
     for name, resource in (("a.jsonl", loora.cli.resource), ("b.jsonl", None)):
         monkeypatch.setattr(loora.cli, "resource", resource)
         out = tmp_path / name
-        code, _, _ = run(capsys, *_SIM, "--out", str(out))
+        code, _, _ = run(capsys, *_SIM, "--methods", "HT,LOORA_HT,HT", "--out", str(out))
         assert code == 0
         outs.append(out.read_bytes())
         manifest = read_records(str(out) + ".manifest.json")[0]
         stages = manifest["stages"]
-        assert list(stages) == ["plan_s", "evaluate_s", "aggregate_s", "write_s"]
+        assert list(stages) == [
+            "plan_s", "evaluate_s", "draw_s", "methods_s", "aggregate_s", "write_s"
+        ]
+        # drawing and each method's estimates are parts of evaluate_s: one
+        # entry per method, a repeated method's seconds summed
+        methods = stages.pop("methods_s")
+        assert list(methods) == ["HT", "LOORA_HT"]
         assert all(0.0 <= value <= manifest["wall_time_s"] for value in stages.values())
+        parts = [stages["draw_s"], *methods.values()]
+        assert all(0.0 <= value for value in parts)
+        assert sum(parts) <= stages["evaluate_s"]
         _assert_fault_count(manifest, resource)
     assert outs[0] == outs[1]
     assert all(_timing_free(record) for record in read_records(tmp_path / "a.jsonl"))

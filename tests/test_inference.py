@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 from pathlib import Path
@@ -391,6 +392,43 @@ def test_plan_point_is_evaluate_tau_hat_bit_for_bit(rng, method):
 
 def _bits(*values):
     return [float(v).hex() for v in values]
+
+
+def _held_arrays(value):
+    """Every ndarray a plan holds: its own fields, their tuples and its ridge factor's."""
+    if isinstance(value, np.ndarray):
+        return [value]
+    if isinstance(value, tuple):
+        return [a for item in value for a in _held_arrays(item)]
+    if dataclasses.is_dataclass(value):
+        return [a for f in dataclasses.fields(value) for a in _held_arrays(getattr(value, f.name))]
+    return []
+
+
+def test_block_chains_write_to_no_block_or_plan_array(rng):
+    # The plans run their elementwise chains in place, in arrays of their
+    # own: after every method's estimates, with and without variances, on a
+    # block whose row 1 leaves the control arm empty, every array of the
+    # block and of each plan keeps its bytes, and each is read-only, while
+    # the caller's d and y keep their flags.
+    n = 40
+    pop = random_population(rng, n, 3)
+    spec = SimpleDesign(np.full(n, 0.5))
+    plans = [plan_estimate(method, pop.x, spec, AUTO2, 0.9, True) for method in Method]
+    d = (rng.random((5, n)) < 0.5).astype(np.float64)
+    d[1] = 1.0
+    y = observe(pop, d)
+    block = check_block(d, y, spec)
+    held = [block.d, block.y, block.mask, block.n_t, block.n_c, block.control]
+    held += [a for plan in plans for a in _held_arrays(plan.core)]
+    assert len(held) > 6 + len(plans) and not any(a.flags.writeable for a in held)
+    before = [a.tobytes() for a in held]
+    for plan in plans:
+        for variance in (True, False):
+            estimates = plan.estimates(block, variance)
+            assert (1 in estimates.failures) is plan.both_arms
+    assert [a.tobytes() for a in held] == before
+    assert d.flags.writeable and y.flags.writeable and pop.x.flags.writeable
 
 
 @pytest.mark.parametrize("method", list(Method))

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 from reference_routes import run_study_per_sample
 
+import loora.design
 import loora.estimators
 import loora.inference
 import loora.simulation
@@ -388,7 +389,7 @@ def test_multi_block_study_equals_fresh_fit_per_replicate(design, mismatch):
 
 @pytest.mark.parametrize("method, design", [("LOORA_HT", "simple-half"), ("LOORA_DM", "complete")])
 def test_multi_row_blocks_at_large_n_equal_fresh_fit_per_replicate(method, design):
-    # two full blocks of 6 rows of 5000 units and a partial one
+    # two full blocks of 13 rows of 5000 units and a partial one
     n = 5000
     assert block_size(n) >= 2
     pop = synth_population("linear-heterogeneous", n, 5, 2)
@@ -452,9 +453,10 @@ def test_a_reused_generator_draws_as_a_fresh_one():
 @pytest.mark.parametrize(
     "n, reps, methods",
     [
-        (8192, 3, tuple(m.value for m in Method)),  # B = 4: one partial block of 3 rows
+        (8192, 3, tuple(m.value for m in Method)),  # B = 8: one partial block of 3 rows
         (40, 2 * _STATE_CHUNK + 5, ("HT", "DM", "INT")),  # chunk and block edges apart
-        (16385, 3, tuple(m.value for m in Method)),  # B = 1: one block per replicate
+        (16385, 3, tuple(m.value for m in Method)),  # B = 3: one full block
+        (32769, 3, tuple(m.value for m in Method)),  # B = 1: one block per replicate
     ],
 )
 def test_studies_across_blocks_and_state_chunks_equal_fresh_fit(n, reps, methods):
@@ -477,13 +479,51 @@ def test_an_oversized_enumeration_fails_before_any_plan(monkeypatch):
 
 
 def test_block_size_rule():
-    for n in range(1, 40_000):
+    for n in range(1, 70_000):
         size = block_size(n)
         assert 1 <= size <= 256
-        assert size * n <= 32768 or size == 1
-        assert size == 256 or (size + 1) * n > 32768
-    sizes = tuple(block_size(n) for n in (120, 5000, 8192, 8193, 16385))
-    assert sizes == (256, 6, 4, 3, 1)
+        assert size * n <= 65536 or size == 1
+        assert size == 256 or (size + 1) * n > 65536
+    sizes = tuple(block_size(n) for n in (120, 5000, 8192, 8193, 16385, 32769))
+    assert sizes == (256, 13, 8, 7, 3, 1)
+
+
+@pytest.mark.parametrize(
+    "n, k, cfg",
+    [
+        # two full blocks of 13 rows and a partial one at the default size
+        (5000, 5, StudyConfig(design="simple-half", methods=("LOORA_HT",), reps=27, seed=4)),
+        (5000, 5, StudyConfig(design="complete", methods=("LOORA_DM",), reps=27, seed=4)),
+        # every method, a full block of 256 and a partial one
+        (120, 4, StudyConfig(
+            design="simple-covariate-correlated",
+            methods=tuple(m.value for m in Method),
+            reps=300,
+            seed=6,
+            allow_design_mismatch=True,
+        )),
+        # C(11, 5) = 462 assignments
+        (11, 3, StudyConfig(
+            design="complete",
+            methods=("DM", "ADJ", "INT", "RIDGE_REG", "LOORA_DM"),
+            reps="enumerate",
+            n_t=5,
+        )),
+    ],
+)
+def test_records_do_not_depend_on_the_block_size(monkeypatch, n, k, cfg):
+    pop = synth_population("linear-heterogeneous", n, k, 2)
+    count = cfg.reps if cfg.reps != "enumerate" else math.comb(n, cfg.n_t)
+    assert count > block_size(n) and count % block_size(n)
+    records = []
+    for size in (1, 7, block_size):
+        rule = size if callable(size) else lambda n, size=size: size
+        monkeypatch.setattr(loora.design, "block_size", rule)
+        monkeypatch.setattr(loora.simulation, "block_size", rule)
+        report = run_study(pop, cfg)
+        assert [s.reps_used + s.failed for s in report.stats] == [count] * len(cfg.methods)
+        records.append(report_fingerprint(report))
+    assert records[0] == records[1] == records[2]
 
 
 def test_study_config_validation():
