@@ -162,22 +162,31 @@ def _fsum_rows_extracted(a: np.ndarray) -> np.ndarray:
     Certificate (the stopping rule of AccSum and NearSum in the same paper).
     t2, the plain sum of the rs, passes each r through at most n - 1
     roundings, none of them subnormal, so |sum(r) - t2| <= 2 n^2 2**-53
-    2**(m + e - 53); err = n^2 2**(m + e - 103) is four times that. With
-    res = fl(tau1 + t2) and rho = tau1 + t2 - res, exact by TwoSum,
-    |S - res| <= |rho| + err / 4. The gap g from |res| down to the next
-    double is the smaller of the two gaps beside a nonzero res, and
-    fl(|rho| + err) rounds up by less than the 3 err / 4 it carries spare
-    (|rho| is at most 2**(m + e - 53), so its rounding is below err / 8).
-    So 2 fl(|rho| + err) < g puts S strictly inside res's rounding
-    interval, whatever the tie rule: res is the correctly rounded sum and
-    has math.fsum's bits. At res = 0, g = 0 and nothing is certified.
+    2**(m + e - 53); err = sigma n^2 2**-103 is four times that, and exact
+    (at least 2**-1070, as e >= -968). With res = fl(tau1 + t2) and
+    rho = tau1 + t2 - res, exact by TwoSum, |S - res| <= |rho| + err / 4.
+    The gap g from |res| down to the next double is the smaller of the two
+    gaps beside a nonzero res, and fl(|rho| + err) rounds up by less than
+    the 3 err / 4 it carries spare (|rho| is at most 2**(m + e - 53), so its
+    rounding is below err / 8). So 2 fl(|rho| + err) < g puts S strictly
+    inside res's rounding interval, whatever the tie rule: res is the
+    correctly rounded sum and has math.fsum's bits. At res = 0, g = 0 and
+    nothing is certified.
 
-    Every row the test does not certify takes math.fsum itself, and nan
-    where it raises: a sum near a rounding midpoint, cancellation to or
-    near zero, and the rows kept out of the pass, those that hold a
-    non-finite entry, whose largest |entry| reaches 2**(1023 - m) (within
-    2**(m + 1) of overflow, where math.fsum's intermediate overflow lives),
-    or that hold a nonzero entry below 2**-969.
+    Tie rule, for the rows that test misses (a sum on a rounding midpoint
+    never passes it). If every nonzero |entry| is at least 2**(e + 2m - 54),
+    every entry, q and r is a multiple of u = 2**(e + 2m - 106), and every
+    partial sum of the rs is below n 2**(m + e - 53) < 2**53 u: an integer
+    times u that fits in 53 bits. So t2 = sum(r) exactly, and res is S
+    rounded to nearest, ties to even, as math.fsum rounds. The test compares
+    frexp exponents as integers, so nothing underflows.
+
+    Every row neither rule certifies takes math.fsum itself, and nan where
+    it raises: a sum at res = 0 (an all -0.0 row sums to -0.0), a near-tie
+    whose entries span more binades, and the rows kept out of the pass,
+    those that hold a non-finite entry, whose largest |entry| reaches
+    2**(1023 - m) (within 2**(m + 1) of overflow, where math.fsum's
+    intermediate overflow lives), or that hold a nonzero entry below 2**-969.
     """
     n = a.shape[1]
     m = (n + 1).bit_length()  # ceil(log2(n + 2))
@@ -185,27 +194,29 @@ def _fsum_rows_extracted(a: np.ndarray) -> np.ndarray:
     top = buf.max(axis=1, initial=0.0)
     fallback = ~(top < math.ldexp(1.0, 1023 - m))  # also every nan or inf row
     low = buf.min(axis=1) < _EXTRACTION_FLOOR  # a zero, or an entry below the floor
-    if low.any():
-        fallback |= low & (buf.view(np.uint64) - np.uint64(1) < _EXTRACTION_FLOOR_BITS).any(axis=1)
     rest = a
-    if fallback.any():
-        rest = np.where(fallback[:, None], 0.0, a)
-        top[fallback] = 0.0
+    if (fallback | low).any():  # the common case's one test
+        if low.any():
+            fallback |= low & (buf.view(np.uint64) - np.uint64(1) < _EXTRACTION_FLOOR_BITS).any(axis=1)
+        if fallback.any():
+            rest = np.where(fallback[:, None], 0.0, a)
+            top[fallback] = 0.0
     sigma_exp = np.frexp(top)[1] + m  # m + e
-    sigma = np.ldexp(1.0, sigma_exp)[:, None]
-    q = np.add(rest, sigma, out=buf)
-    q -= sigma
+    sigma = np.ldexp(1.0, sigma_exp)
+    q = np.add(rest, sigma[:, None], out=buf)
+    q -= sigma[:, None]
     tau1 = q.sum(axis=1)
     t2 = np.subtract(rest, q, out=buf).sum(axis=1)
-    # err = n^2 2**(m + e - 103), kept at least 2**-1022 so that nothing here
-    # is subnormal; rho = tau1 + t2 - out exactly, by TwoSum
-    err = np.ldexp(float(n * n), np.maximum(sigma_exp - 103, -1022))
+    # rho = tau1 + t2 - out exactly, by TwoSum
     out = tau1 + t2
     back = out - tau1
     rho = (tau1 - (out - back)) + (t2 - back)
     size = np.abs(out)
-    certified = 2.0 * (np.abs(rho) + err) < size - np.nextafter(size, 0.0)
+    certified = 2.0 * (np.abs(rho) + sigma * math.ldexp(n * n, -103)) < size - np.nextafter(size, 0.0)
     if not certified.all():  # fallback rows sum to 0 and never are
+        todo = np.flatnonzero(~certified & (out != 0.0))  # the tie rule's rows
+        smallest = np.abs(a[todo]).min(axis=1, initial=np.inf, where=a[todo] != 0.0)
+        certified[todo[np.frexp(smallest)[1] >= sigma_exp[todo] + (m - 53)]] = True
         todo = np.flatnonzero(~certified)
         out[todo] = [_fsum_or_nan(row) for row in a[todo].tolist()]
     return out
@@ -213,7 +224,10 @@ def _fsum_rows_extracted(a: np.ndarray) -> np.ndarray:
 
 def exact_sum(values) -> float:
     """math.fsum of a vector through fsum_rows, to the bit; nan where math.fsum raises."""
-    return float(fsum_rows(np.asarray(values, dtype=np.float64)[None])[0])
+    values = np.asarray(values, dtype=np.float64)
+    if values.size < _EXTRACTION_MIN_ENTRIES:
+        return _fsum_or_nan(values.tolist())
+    return float(_fsum_rows_extracted(values[None])[0])
 
 
 def _fsum_or_nan(row: list) -> float:

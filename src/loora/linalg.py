@@ -43,7 +43,7 @@ def as_vector(y, n: int | None = None, name: str = "vector") -> np.ndarray:
         raise InvalidInput(f"{name} must be 1-dimensional, got shape {y.shape}")
     if n is not None and y.shape[0] != n:
         raise InvalidInput(f"{name} has length {y.shape[0]}, expected {n}")
-    if not np.all(np.isfinite(y)):
+    if not np.isfinite(y).all():
         raise InvalidInput(f"{name} contains non-finite entries")
     return y
 
@@ -212,7 +212,7 @@ def checked_gram(x: np.ndarray, lam: float | np.ndarray = 0.0) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):  # checked instead
         gram = x.T @ x
         gram.flat[:: x.shape[1] + 1] += lam
-    if not np.all(np.isfinite(gram)):
+    if not np.isfinite(gram).all():
         as_design_matrix(x)
         raise NonFinite("Gram", "X'X + lambda")
     return gram
@@ -300,25 +300,32 @@ def full_rank_cholesky_rows(gram: np.ndarray, shape: tuple[int, int]) -> tuple[n
     alone. info is 0 where full_rank_cholesky returns the factor, else 1 + the
     column it names, and that Gram's factor is the identity. With fewer rows
     than columns, column `rows` is a combination of the columns before it
-    whenever no earlier column is, whatever the rounded pivots say.
+    whenever no earlier column is, whatever the rounded pivots say. A stack that
+    factors with no negligible pivot, from at least as many rows as columns,
+    returns at once with info all zero.
     """
-    info = np.zeros(len(gram), dtype=np.int64)
+    count, k = gram.shape[:2]
+    info = None
     try:
         upper = np.linalg.cholesky(gram, upper=True)
     except np.linalg.LinAlgError:
         upper = np.zeros_like(gram)
+        info = np.zeros(count, dtype=np.int64)
         for g, one in enumerate(gram):
             try:
                 upper[g] = np.linalg.cholesky(one, upper=True)
             except np.linalg.LinAlgError:
                 info[g] = _failing_minor(one)
-    norm_sq = np.diagonal(gram, axis1=1, axis2=2)
-    weak = negligible_pivot(np.diagonal(upper, axis1=1, axis2=2) ** 2, norm_sq, shape)
-    if shape[0] < shape[1] or weak.any() or info.any():  # else every Gram keeps its factor
-        info = np.where((info == 0) & weak.any(axis=1), np.argmax(weak, axis=1) + 1, info)
-        if shape[0] < shape[1]:
-            info = np.where((info == 0) | (info > shape[0] + 1), shape[0] + 1, info)
-        upper[info != 0] = np.eye(gram.shape[1])
+    pivot = upper.reshape(count, -1)[:, :: k + 1]  # the diagonals, as strided views
+    weak = negligible_pivot(pivot * pivot, gram.reshape(count, -1)[:, :: k + 1], shape)
+    if info is None:
+        if shape[0] >= shape[1] and not weak.any():  # every Gram keeps its factor
+            return upper, np.zeros(count, dtype=np.int64)
+        info = np.zeros(count, dtype=np.int64)
+    info = np.where((info == 0) & weak.any(axis=1), np.argmax(weak, axis=1) + 1, info)
+    if shape[0] < shape[1]:
+        info = np.where((info == 0) | (info > shape[0] + 1), shape[0] + 1, info)
+    upper[info != 0] = np.eye(k)
     return upper, info
 
 

@@ -16,8 +16,10 @@ a total leaves double precision.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -92,8 +94,14 @@ def _hat_times(factor: RidgeFactor, v: np.ndarray) -> np.ndarray:
 
 
 def _hat_sq_times(factor: RidgeFactor, v: np.ndarray) -> np.ndarray:
-    """(H o H) v: entry k is sum_l H_kl^2 v_l = x_k' Z diag(v) Z' x_k."""
-    return np.einsum("ij,ij->i", factor.x @ ((factor.z * v) @ factor.z.T), factor.x)
+    """(H o H) v_i for every row v_i of v (m, n): entry k is x_k' Z diag(v_i) Z' x_k.
+
+    Each row has the bits of einsum("ij,ij->i", x @ ((z * v_i) @ z.T), x): the
+    stacked matmuls make that expression's gemm calls per row, and the einsum
+    sums each x_k' (.) in its order.
+    """
+    inner = (factor.z * v[:, None, :]) @ factor.z.T
+    return np.einsum("bij,ij->bi", factor.x @ inner, factor.x)
 
 
 # ---------------------------------------------------------------------------
@@ -118,7 +126,7 @@ class HtSignal:
 
 def _check_probs(pop: Population, p) -> np.ndarray:
     p = as_vector(p, pop.n, "probability vector")
-    if np.any(p <= 0.0) or np.any(p >= 1.0):
+    if not ((p > 0.0) & (p < 1.0)).all():
         raise InvalidInput("probabilities must lie strictly inside (0, 1)")
     return p
 
@@ -165,19 +173,15 @@ def loora_ht_variance_terms(pop: Population, p, lam: float) -> tuple[float, floa
     n = pop.n
     factor = ridge_factor(sig.xw, lam)
     check_loo_feasible(factor.hat_diag)
-    h = factor.hat_diag
-    gap = 1.0 - h
+    h, gap = factor.hat_diag, factor.gap
     # sum_{i<j} H_ij^2 (a_j / g_i + a_i / g_j)^2 with g = 1 - h: half the sum
     # over all i != j, i.e. the full (H o H) forms minus their diagonal.
     a = sig.t / sig.r
     ag = a / gap
-    both = (
-        2.0 * _hat_sq_times(factor, a**2) / gap**2
-        + 2.0 * ag * _hat_sq_times(factor, ag)
-        - 4.0 * (h * ag) ** 2
-    )
-    fit_error = ((sig.xw @ factor.fit(sig.mu) - sig.mu) / gap) ** 2
-    sum1, sum2 = fsum_rows(np.stack([fit_error, both])).tolist()
+    sq_a2, sq_ag = _hat_sq_times(factor, np.array([a**2, ag]))
+    both = 2.0 * sq_a2 / gap**2 + 2.0 * ag * sq_ag - 4.0 * (h * ag) ** 2
+    fit_error = ((sig.xw @ factor.solve_rows(sig.mu[None])[0] - sig.mu) / gap) ** 2
+    sum1, sum2 = fsum_rows(np.array([fit_error, both])).tolist()
     return sum1 / n**2, 0.5 * sum2 / n**2
 
 
@@ -284,7 +288,8 @@ def _falling(a: int) -> np.ndarray:
     return np.cumprod([1.0, a, a - 1, a - 2, a - 3])
 
 
-def _pattern_tables(n: int, n_t: int) -> dict[str, np.ndarray]:
+@functools.lru_cache(maxsize=64)
+def _pattern_tables(n: int, n_t: int) -> MappingProxyType:
     """Exact E[weight product | d_i = a, d_j = b] summed over the other arms.
 
     Returns, per coincidence pattern, a 2 x 2 table indexed by (a, b); entry
@@ -293,6 +298,8 @@ def _pattern_tables(n: int, n_t: int) -> dict[str, np.ndarray]:
     of its arms (falling factorials) times the weight product
     v_i z_i v_k^(-i) z_k v_j z_j v_l^(-j) z_l, and np.add.at sums the terms
     of a cell in the order of the bits. Requires n >= 4, n_t >= 2, n_c >= 2.
+    Built once per (n, n_t), for up to 64 pairs, as a read-only mapping of
+    read-only arrays that every caller shares.
     """
     n_c = n - n_t
     pattern, units, treated, di, dk, dj, dl = _TERMS
@@ -304,7 +311,8 @@ def _pattern_tables(n: int, n_t: int) -> dict[str, np.ndarray]:
     keep = prob != 0.0
     tables = np.zeros((len(_PATTERNS), 2, 2))
     np.add.at(tables, (pattern[keep], di[keep], dj[keep]), (prob * weight)[keep])
-    return dict(zip(_PATTERNS, tables))
+    tables.flags.writeable = False
+    return MappingProxyType(dict(zip(_PATTERNS, tables)))
 
 
 def _pair_value(c: dict[str, float], h_kl, j_kl, w_k, w_l, u_k, u_l, hw2_k, hw2_l):
@@ -353,12 +361,13 @@ def _loora_dm_t3_low_rank(
     n = h.shape[0]
     hw2 = h * w**2
     wu = w * uprime
-    colsum2 = _hat_sq_times(factor, w**2)  # (H diag(w^2) H)_kk
+    # (H diag(w^2) H)_kk, then (H o H)(w t) for each arm's signal t
+    hat_sq = _hat_sq_times(factor, np.array([w**2, w * sig.t0, w * sig.t1]))
+    colsum2, hat_sq_wt = hat_sq[0], hat_sq[1:]
     v2 = colsum2 - h * hw2
     c_k = uprime**2 - v2
-    signals = np.stack([sig.t0, sig.t1])  # indexed by arm
+    signals = np.array([sig.t0, sig.t1])  # indexed by arm
     hat_t = _hat_times(factor, signals)
-    hat_sq_wt = np.stack([_hat_sq_times(factor, w * t) for t in signals])
     c = {name: table[_BLOCK_A, _BLOCK_B][:, None] for name, table in tables.items()}
     left, right, hat_right = signals[_BLOCK_A], signals[_BLOCK_B], hat_t[_BLOCK_B]
     same = c["shared_i"] - c["disjoint"]
@@ -403,17 +412,17 @@ def loora_dm_variance_terms(pop: Population, n_t: int, lam: float) -> tuple[floa
     factor = ridge_factor(pop.x, lam)
     check_loo_feasible(factor.hat_diag)
     h = factor.hat_diag
-    w = 1.0 / (1.0 - h)
-    hat_w, hat_mu = _hat_times(factor, np.stack([w, sig.mu]))
+    w = 1.0 / factor.gap
+    hat_w, hat_mu = _hat_times(factor, np.array([w, sig.mu]))
     uprime = hat_w - h * w  # sum_{i != k} h_ik w_i, per k
     proxy = hat_mu - h * sig.mu  # sum_{k != j} h_jk mu_k, per j
-    resid = (sig.mu - pop.x @ factor.fit(sig.mu)) * w
+    resid = (sig.mu - pop.x @ factor.solve_rows(sig.mu[None])[0]) * w
     sum_resid, cross_a, total_wp, *u_dot = fsum_rows(
-        np.stack([resid, resid * sig.mu * uprime, w * proxy, sig.t0 * uprime, sig.t1 * uprime])
+        np.array([resid, resid * sig.mu * uprime, w * proxy, sig.t0 * uprime, sig.t1 * uprime])
     ).tolist()
     resid_bar = sum_resid / n
     dispersion, cross_b = fsum_rows(
-        np.stack([(resid - resid_bar) ** 2, resid * ((total_wp - w * proxy) - sig.mu * uprime)])
+        np.array([(resid - resid_bar) ** 2, resid * ((total_wp - w * proxy) - sig.mu * uprime)])
     ).tolist()
     t1_term = dispersion / (n * (n - 1) * n_t * n_c)
     t2_term = -2.0 * (cross_a - cross_b / (n - 2)) / (n**2 * (n - 1) * n_t * n_c)

@@ -10,8 +10,9 @@ tables summed one scalar term at a time, the classical three-term variance,
 an explicit sandwich product, the regression benchmarks as one fit of their
 full design, a study that builds a fresh sample and a fresh fit for every
 replicate, INT's arm fits one row and one arm at a time, a CSV reader on
-the ``csv`` module with per-cell strip and float loops, and the exact row
-sums as one ``math.fsum`` per row. They stay
+the ``csv`` module with per-cell strip and float loops, the exact row
+sums as one ``math.fsum`` per row, and the stacked full-rank Cholesky rule
+with every check run on every call. They stay
 independent of the fast paths in ``loora`` so that agreement between the two
 means something.
 """
@@ -39,9 +40,11 @@ from loora.linalg import (
     RidgeFactor,
     as_design_matrix,
     as_vector,
+    _failing_minor,
     check_loo_feasible,
     cholesky_solve,
     full_rank_cholesky,
+    negligible_pivot,
     ridge_factor,
     upper_inverse,
 )
@@ -449,6 +452,30 @@ def fsum_rows_loop(a: np.ndarray) -> np.ndarray:
         except (OverflowError, ValueError):
             sums.append(math.nan)
     return np.array(sums, dtype=np.float64)
+
+
+def full_rank_cholesky_rows_full_check(gram: np.ndarray, shape: tuple[int, int]):
+    """``loora.linalg.full_rank_cholesky_rows``'s rule with every step taken on
+    every call: the info array built first, both diagonals read by
+    ``np.diagonal`` and the flagged Grams looked for even when none is."""
+    info = np.zeros(len(gram), dtype=np.int64)
+    try:
+        upper = np.linalg.cholesky(gram, upper=True)
+    except np.linalg.LinAlgError:
+        upper = np.zeros_like(gram)
+        for g, one in enumerate(gram):
+            try:
+                upper[g] = np.linalg.cholesky(one, upper=True)
+            except np.linalg.LinAlgError:
+                info[g] = _failing_minor(one)
+    norm_sq = np.diagonal(gram, axis1=1, axis2=2)
+    weak = negligible_pivot(np.diagonal(upper, axis1=1, axis2=2) ** 2, norm_sq, shape)
+    if shape[0] < shape[1] or weak.any() or info.any():
+        info = np.where((info == 0) & weak.any(axis=1), np.argmax(weak, axis=1) + 1, info)
+        if shape[0] < shape[1]:
+            info = np.where((info == 0) | (info > shape[0] + 1), shape[0] + 1, info)
+        upper[info != 0] = np.eye(gram.shape[1])
+    return upper, info
 
 
 def read_csv_csv_module(path, delimiter: str = ",", has_header: bool = True):

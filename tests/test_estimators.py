@@ -647,6 +647,18 @@ def test_fsum_rows_certifies_ordinary_rows_after_one_pass(monkeypatch):
     assert uncertified <= 10
 
 
+def test_fsum_rows_certifies_exact_ties_without_math_fsum(monkeypatch):
+    # rows of 11 multiples of 2**-20 between 2**32 and 2**35: their sums need
+    # up to 59 bits, so many fall exactly on a rounding midpoint, which the
+    # one-pass margin can never certify; the tie rule does
+    rng = np.random.default_rng(40)
+    a = np.ldexp(rng.integers(2**52, 2**55, (512, 11)).astype(np.float64), -20)
+    a *= rng.choice([-1.0, 1.0], a.shape)
+    got, uncertified = _uncertified_rows(monkeypatch, a)
+    assert_array_equal(got.view(np.int64), fsum_rows_loop(a).view(np.int64))
+    assert uncertified <= 5  # at most 1 % of the rows
+
+
 # --- INT's block arm fits against the row-by-row loop -------------------------
 
 

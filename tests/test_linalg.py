@@ -13,13 +13,14 @@ from loora.exceptions import InvalidInput, LeverageSingular, NonFinite, RankDefi
 from loora.linalg import (
     cholesky_solve,
     full_rank_cholesky,
+    full_rank_cholesky_rows,
     leverage_regularizer,
     max_row_norm,
     ridge_factor,
     ridge_leverages_svd,
     upper_inverse,
 )
-from reference_routes import hat_full
+from reference_routes import full_rank_cholesky_rows_full_check, hat_full
 
 
 def loo_residuals(x, y, lam):
@@ -115,6 +116,37 @@ def test_full_rank_cholesky_refuses_fewer_rows_than_columns():
             a = np.column_stack([np.ones(rows), x])
             with pytest.raises(RankDeficient, match=f"column {rows} "):
                 full_rank_cholesky(a)
+
+
+def test_full_rank_cholesky_rows_keeps_the_bits_of_the_fully_checked_rule(rng):
+    # 2000 stacks of 1-4 Grams: full rank, a column that is a combination of
+    # the columns before it in some Grams, fewer rows than columns, and one
+    # Gram that is not positive definite (a negative pivot or an off-diagonal
+    # entry too large), so that the stacked factorization raises
+    for case in range(2000):
+        kind = case % 4
+        count, k = int(rng.integers(1, 5)), int(rng.integers(1, 6))
+        if kind == 2 and k > 1:
+            rows = int(rng.integers(1, k))
+        else:
+            rows = int(rng.integers(k, 3 * k + 2))
+        a = rng.standard_normal((count, rows, k)) * np.ldexp(1.0, rng.integers(-30, 31, (count, 1, k)))
+        if kind == 1 and k > 1:
+            j = int(rng.integers(1, k))
+            hit = rng.random(count) < 0.5
+            a[hit, :, j] = a[hit, :, :j] @ rng.standard_normal(j)
+        gram = np.matmul(a.transpose(0, 2, 1), a)
+        if kind == 3:
+            bad, i, j = int(rng.integers(count)), int(rng.integers(k)), int(rng.integers(k))
+            if i == j:
+                gram[bad, i, i] = -gram[bad, i, i]
+            else:
+                gram[bad, i, j] = gram[bad, j, i] = 2.0 * math.sqrt(gram[bad, i, i] * gram[bad, j, j])
+        got_upper, got_info = full_rank_cholesky_rows(gram.copy(), (rows, k))
+        want_upper, want_info = full_rank_cholesky_rows_full_check(gram.copy(), (rows, k))
+        assert got_upper.tobytes() == want_upper.tobytes(), case
+        assert got_info.dtype == want_info.dtype, case
+        assert got_info.tobytes() == want_info.tobytes(), case
 
 
 def test_rank_deficient_at_zero_lambda_raises():

@@ -463,6 +463,41 @@ def test_pattern_tables_match_the_scalar_loop_bit_for_bit():
             assert table.tobytes() == loop[name].tobytes(), (n, n_t, name)
 
 
+def test_pattern_tables_are_built_once_per_split_and_read_only():
+    tables = oracle_mod._pattern_tables(10, 4)
+    assert oracle_mod._pattern_tables(10, 4) is tables
+    with pytest.raises(ValueError, match="read-only"):
+        tables["disjoint"][0, 0] = 1.0
+    with pytest.raises(TypeError):
+        tables["disjoint"] = np.zeros((2, 2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(4, 2048),
+    k=st.integers(1, 6),
+    rule=st.sampled_from([AUTO2, LambdaRule.fixed(0.0)]),
+    rows=st.integers(1, 4),
+    fortran=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_stacked_hat_sq_rows_equal_one_vector_calls_bit_for_bit(n, k, rule, rows, fortran, seed):
+    # each row of one stacked (H o H) product against the one-vector
+    # expression and against a stack of one, with weights scaled by 2**-40
+    # to 2**40 row by row
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((max(n, k + 1), k))
+    if fortran:
+        x = np.asfortranarray(x)
+    factor = ridge_factor(x, rule.resolve(x))
+    v = np.ldexp(rng.standard_normal((rows, len(x))), rng.integers(-40, 41, (rows, 1)))
+    stacked = oracle_mod._hat_sq_times(factor, v)
+    for got, vi in zip(stacked, v):
+        one = np.einsum("ij,ij->i", factor.x @ ((factor.z * vi) @ factor.z.T), factor.x)
+        assert got.tobytes() == one.tobytes()
+        assert got.tobytes() == oracle_mod._hat_sq_times(factor, vi[None])[0].tobytes()
+
+
 # float.hex of the exact variances on synth_population("linear-heterogeneous",
 # n, 5, 11) at p = 1/2 (HT) and n_t = n / 2 (DM) with the auto:2 penalty; the
 # same under 1 and 2 BLAS threads; per BLAS kernel
